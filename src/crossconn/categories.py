@@ -3,14 +3,15 @@
 Both are connected groupoids: objects are indexed by Lambda (left
 ideals) or by I (right ideals), and every hom-set is a copy of the
 ground group.  Composition is written diagrammatically (left to right)
-everywhere; the right-ideal category reverses the group order because
-its morphisms are left translations, and that reversal is a stored
-convention flag rather than a second code path.
+everywhere.  The right-ideal category of S is the left-ideal category of
+S^op = M[G^op; Lambda, I; P^T]: its morphisms are left translations, so
+it is built over the opposite group and realized from S.opposite, with
+no second code path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator
 
@@ -39,16 +40,14 @@ class Cone:
 class ArrowCategory:
     """Category with objects 0..n_objects-1 and hom(a, b) a copy of the group.
 
-    With reverse_group_order=True the composite of g1 then g2 carries
-    g2*g1 (the left-translation convention).
+    The composite of g1 then g2 carries g1*g2.
     """
 
-    def __init__(self, group: FiniteGroup, n_objects: int, reverse_group_order: bool = False):
+    def __init__(self, group: FiniteGroup, n_objects: int):
         if n_objects < 1:
             raise IndexOutOfRange(f"need at least one object, got {n_objects}")
         self.group = group
         self.n_objects = n_objects
-        self.reverse_group_order = reverse_group_order
 
     def objects(self) -> range:
         return range(self.n_objects)
@@ -66,11 +65,7 @@ class ArrowCategory:
                 f"codomain {m1.cod} of the first morphism is not the domain {m2.dom} "
                 "of the second"
             )
-        if self.reverse_group_order:
-            g = self.group.mul(m2.g, m1.g)
-        else:
-            g = self.group.mul(m1.g, m2.g)
-        return Morphism(m1.dom, m2.cod, g)
+        return Morphism(m1.dom, m2.cod, self.group.mul(m1.g, m2.g))
 
     def invert(self, m: Morphism) -> Morphism:
         """Every morphism is an isomorphism; the inverse carries the group inverse."""
@@ -115,12 +110,13 @@ class ArrowCategory:
 
 def left_category(group: FiniteGroup, n_lambda: int) -> ArrowCategory:
     """The category of principal left ideals: right translations, plain group order."""
-    return ArrowCategory(group, n_lambda, reverse_group_order=False)
+    return ArrowCategory(group, n_lambda)
 
 
 def right_category(group: FiniteGroup, n_i: int) -> ArrowCategory:
-    """The category of principal right ideals: left translations, reversed group order."""
-    return ArrowCategory(group, n_i, reverse_group_order=True)
+    """The category of principal right ideals: left translations, so the
+    composite of g1 then g2 carries g2*g1, which is g1*g2 in the opposite group."""
+    return ArrowCategory(group.opposite, n_i)
 
 
 @dataclass
@@ -139,64 +135,37 @@ def realize_category(
     """Build the ideal category concretely and match it against the abstract one.
 
     Objects are the actual ideal sets; morphisms are the translation maps
-    x -> x*s for s ranging over eSf (dually s*x over fSe).  Each induced
-    map must equal the action of exactly one abstract morphism and vice
-    versa, and every hom-set must have exactly |G| members.
+    x -> x*s for s ranging over eSf.  Each induced map must equal the
+    action of exactly one abstract morphism and vice versa, and every
+    hom-set must have exactly |G| members.  The right side (s*x over fSe)
+    is the left side of S.opposite.
     """
     if S.size > size_guard:
         raise SizeGuardExceeded(f"|S| = {S.size} exceeds the guard {size_guard}")
+    if side == "right":
+        return replace(realize_category(S.opposite, "left", size_guard), side="right")
+    if side != "left":
+        raise IndexOutOfRange(f"side must be 'left' or 'right', got {side!r}")
     G = S.group
     elements = list(S.elements())
 
-    if side == "left":
-        n_obj = S.n_lambda
+    def carrier(lam: int) -> list[ReesElement]:
+        return [x for x in elements if x.lam == lam]
 
-        def carrier(lam: int) -> list[ReesElement]:
-            return [x for x in elements if x.lam == lam]
-
-        def base_idempotent(lam: int) -> ReesElement:
-            return ReesElement(G.inv(S.matrix.entry(lam, 0)), 0, lam)
-
-        def middle(e: ReesElement, f: ReesElement) -> set[ReesElement]:
-            return {S.mul(S.mul(e, s), f) for s in elements}
-
-        def translate(x: ReesElement, s: ReesElement) -> ReesElement:
-            return S.mul(x, s)
-
-        def abstract_image(x: ReesElement, g: int, cod: int) -> ReesElement:
-            return ReesElement(G.mul(x.g, g), x.i, cod)
-
-    elif side == "right":
-        n_obj = S.n_i
-
-        def carrier(i: int) -> list[ReesElement]:
-            return [x for x in elements if x.i == i]
-
-        def base_idempotent(i: int) -> ReesElement:
-            return ReesElement(G.inv(S.matrix.entry(0, i)), i, 0)
-
-        def middle(e: ReesElement, f: ReesElement) -> set[ReesElement]:
-            return {S.mul(S.mul(f, s), e) for s in elements}
-
-        def translate(x: ReesElement, s: ReesElement) -> ReesElement:
-            return S.mul(s, x)
-
-        def abstract_image(x: ReesElement, g: int, cod: int) -> ReesElement:
-            return ReesElement(G.mul(g, x.g), cod, x.lam)
-
-    else:
-        raise IndexOutOfRange(f"side must be 'left' or 'right', got {side!r}")
+    def base_idempotent(lam: int) -> ReesElement:
+        return ReesElement(G.inv(S.matrix.entry(lam, 0)), 0, lam)
 
     hom_sizes: dict[tuple[int, int], int] = {}
     mismatches: list[str] = []
-    for dom, cod in product(range(n_obj), repeat=2):
+    for dom, cod in product(range(S.n_lambda), repeat=2):
         e, f = base_idempotent(dom), base_idempotent(cod)
         dom_carrier = carrier(dom)
         cod_set = set(carrier(cod))
 
         concrete: dict[tuple, list[ReesElement]] = {}
-        for s in sorted(middle(e, f), key=S.index):
-            images = {x: translate(x, s) for x in dom_carrier}
+        middle = {S.mul(S.mul(e, s), f) for s in elements}
+        for s in sorted(middle, key=S.index):
+            images = {x: S.mul(x, s) for x in dom_carrier}
             if not set(images.values()) <= cod_set:
                 mismatches.append(f"hom({dom},{cod}): translation by {s} leaves the ideal")
                 continue
@@ -205,7 +174,7 @@ def realize_category(
 
         abstract: dict[tuple, int] = {}
         for g in G.elements():
-            images = {x: abstract_image(x, g, cod) for x in dom_carrier}
+            images = {x: ReesElement(G.mul(x.g, g), x.i, cod) for x in dom_carrier}
             key = tuple(sorted((S.index(x), S.index(y)) for x, y in images.items()))
             abstract[key] = g
 

@@ -18,11 +18,16 @@ from .categories import Cone
 from .checks import Check, all_passed
 from .errors import CrossconnError, ParseError
 from .groups import FiniteGroup, builtin, load_cayley_file
-from .rees import ReesSemigroup, SandwichMatrix, identity_matrix, load_matrix_file
+from .rees import (
+    DEFAULT_SIZE_GUARD,
+    ReesSemigroup,
+    SandwichMatrix,
+    identity_matrix,
+    load_matrix_file,
+)
 
 COMMANDS = ("build", "verify", "green", "cones", "crossconn", "iso-check", "rbg")
 ENV_SIZE_GUARD = "CROSSCONN_SIZE_GUARD"
-DEFAULT_SIZE_GUARD = 512
 
 
 @dataclass
@@ -215,7 +220,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
             "order": S.size,
             "s_tilde_size": len(connections.linked_pairs(conn, size_guard=config.size_guard)),
         }
-        checks = verify.rbg_suite(group, matrix.cols, matrix.rows)
+        checks = verify.rbg_suite(S)
     else:  # pragma: no cover - argparse rejects unknown commands
         raise ParseError(f"unknown command {config.command!r}")
 

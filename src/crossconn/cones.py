@@ -4,7 +4,10 @@ right-zero semigroup Lambda, and its opposite twin over G^I and I.
 A cone is a tuple over the object set plus a vertex.  The semigroup
 product broadcasts one coordinate of the second factor across the first
 factor's tuple: on the right for the left-ideal side, on the left for
-the right-ideal side.
+the right-ideal side.  Only the left side is written out.  The right
+side is the left side over the opposite group (and, for principal
+cones, of the opposite semigroup S^op = M[G^op; Lambda, I; P^T]), so
+each right-hand function is one call into its left twin.
 """
 
 from __future__ import annotations
@@ -36,23 +39,25 @@ def mul_L(group: FiniteGroup, c1: Cone, c2: Cone) -> Cone:
 
 
 def mul_R(group: FiniteGroup, c1: Cone, c2: Cone) -> Cone:
-    """Opposite-side product: the broadcast value multiplies on the left."""
-    g_k = c2.values[c1.vertex]
-    return Cone(tuple(group.mul(g_k, v) for v in c1.values), c2.vertex)
+    """Opposite-side product: the broadcast value multiplies on the left,
+    which is mul_L over the opposite group."""
+    return mul_L(group.opposite, c1, c2)
+
+
+def _left_cone(S: ReesSemigroup, a: ReesElement) -> Cone:
+    return Cone(tuple(S.group.mul(p, a.g) for p in S.matrix.column(a.i)), a.lam)
 
 
 def principal_pair(S: ReesSemigroup, a: ReesElement) -> tuple[Cone, Cone]:
     """The cone pair induced by translations by a.
 
     The left cone is column a.i of the sandwich matrix scaled on the
-    right by a.g, with vertex a.lam; the right cone is row a.lam scaled
-    on the left by a.g, with vertex a.i.
+    right by a.g, with vertex a.lam.  The right cone is the left cone of
+    (a.g, a.lam, a.i) in S^op: row a.lam scaled on the left by a.g, with
+    vertex a.i.
     """
     S._validate(a)
-    G = S.group
-    rho = Cone(tuple(G.mul(p, a.g) for p in S.matrix.column(a.i)), a.lam)
-    lam = Cone(tuple(G.mul(a.g, p) for p in S.matrix.row(a.lam)), a.i)
-    return rho, lam
+    return _left_cone(S, a), _left_cone(S.opposite, ReesElement(a.g, a.lam, a.i))
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,10 @@ def injectivity_criterion(P: SandwichMatrix) -> InjectivityResult:
 class CosetHandle:
     """Canonical representative of a coset of the diagonal copy of G.
 
-    side 'left' stands for tuple*G, side 'right' for G*tuple; in both
-    cases the representative has the identity in coordinate 0, so two
-    cosets are equal exactly when their handles are equal.
+    side 'left' stands for tuple*G, side 'right' for G*tuple (the left
+    coset over the opposite group); in both cases the representative has
+    the identity in coordinate 0, so two cosets are equal exactly when
+    their handles are equal.
     """
 
     side: str
@@ -97,14 +103,12 @@ def coset_normalize(group: FiniteGroup, side: str, values: Sequence[int]) -> Cos
     values = tuple(int(v) for v in values)
     if not values:
         raise IndexOutOfRange("cannot normalize an empty tuple")
-    a = group.inv(values[0])
-    if side == "left":
-        canonical = tuple(group.mul(v, a) for v in values)
-    elif side == "right":
-        canonical = tuple(group.mul(a, v) for v in values)
-    else:
+    if side == "right":
+        group = group.opposite
+    elif side != "left":
         raise ParseError(f"side must be 'left' or 'right', got {side!r}")
-    return CosetHandle(side, canonical)
+    a = group.inv(values[0])
+    return CosetHandle(side, tuple(group.mul(v, a) for v in values))
 
 
 def green_cones(group: FiniteGroup, kind: str, c1: Cone, c2: Cone) -> bool:
@@ -127,32 +131,32 @@ def is_idempotent_cone(group: FiniteGroup, c: Cone) -> bool:
     return c.values[c.vertex] == group.identity
 
 
-def _enumerate_cones(group: FiniteGroup, n_objects: int, bound: int) -> list[Cone]:
-    if n_objects < 1:
-        raise IndexOutOfRange(f"need at least one object, got {n_objects}")
-    total = (group.order ** n_objects) * n_objects
+def enumerate_TL(group: FiniteGroup, n_lambda: int, bound: int = DEFAULT_CONE_BOUND) -> list[Cone]:
+    """All of G^Lambda x Lambda in lexicographic (tuple, vertex) order."""
+    if n_lambda < 1:
+        raise IndexOutOfRange(f"need at least one object, got {n_lambda}")
+    total = (group.order ** n_lambda) * n_lambda
     if total > bound:
         raise SizeGuardExceeded(f"cone semigroup has {total} elements, above the bound {bound}")
     return [
         Cone(values, vertex)
-        for values in product(group.elements(), repeat=n_objects)
-        for vertex in range(n_objects)
+        for values in product(group.elements(), repeat=n_lambda)
+        for vertex in range(n_lambda)
     ]
 
 
-def enumerate_TL(group: FiniteGroup, n_lambda: int, bound: int = DEFAULT_CONE_BOUND) -> list[Cone]:
-    """All of G^Lambda x Lambda in lexicographic (tuple, vertex) order."""
-    return _enumerate_cones(group, n_lambda, bound)
-
-
 def enumerate_TR(group: FiniteGroup, n_i: int, bound: int = DEFAULT_CONE_BOUND) -> list[Cone]:
-    """All of G^I x I in lexicographic (tuple, vertex) order."""
-    return _enumerate_cones(group, n_i, bound)
+    """All of G^I x I in lexicographic (tuple, vertex) order: the same set as T_L over I."""
+    return enumerate_TL(group, n_i, bound)
 
 
 def cone_table(group: FiniteGroup, cones: Iterable[Cone], side: str = "L") -> list[list[int]]:
-    """Multiplication table of a closed cone set, indexed by enumeration order."""
+    """Multiplication table of a closed cone set under mul_L ('L') or mul_R ('R'),
+    indexed by enumeration order."""
+    if side == "R":
+        group = group.opposite
+    elif side != "L":
+        raise ParseError(f"side must be 'L' or 'R', got {side!r}")
     cones = list(cones)
     index = {c: k for k, c in enumerate(cones)}
-    mul = mul_L if side == "L" else mul_R
-    return [[index[mul(group, c1, c2)] for c2 in cones] for c1 in cones]
+    return [[index[mul_L(group, c1, c2)] for c2 in cones] for c1 in cones]

@@ -5,6 +5,11 @@ left coset of the diagonal group inside G^Lambda (the object map of the
 connection), each row a right coset inside G^I (its dual).  The linked
 cone pairs form a semigroup isomorphic to the Rees matrix semigroup
 itself, which is what the verification suite checks exhaustively.
+
+The dual side is never written out: a row of P is a column of P^T, a
+right coset over G is a left coset over G^op, so every dual map is its
+connection-side twin applied to `CrossConnection.opposite`, the
+connection of the transposed matrix over the opposite group.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Sequence
 
 from .categories import Cone, Morphism, left_category, right_category
 from .checks import Check
-from .cones import CosetHandle, coset_normalize, mul_L, mul_R, principal_pair
+from .cones import CosetHandle, coset_normalize, mul_L, principal_pair
 from .errors import (
     ElementNotInCell,
     NotComposable,
@@ -45,6 +50,11 @@ class CrossConnection:
     @property
     def n_lambda(self) -> int:
         return self.matrix.rows
+
+    @property
+    def opposite(self) -> CrossConnection:
+        """The connection of P.transpose, whose connection side is this one's dual side."""
+        return CrossConnection(self.matrix.transpose)
 
 
 @dataclass(frozen=True)
@@ -77,28 +87,32 @@ def delta_apply(conn: CrossConnection, x):
     return coset_normalize(conn.group, "right", conn.matrix.row(x))
 
 
+def _kind_group(group: FiniteGroup, kind: str) -> FiniteGroup:
+    """The group whose sigma arithmetic a dual morphism of this kind uses:
+    a tau between right cosets is a sigma over the opposite group."""
+    if kind == "sigma":
+        return group
+    if kind == "tau":
+        return group.opposite
+    raise ParseError(f"unknown dual morphism kind {kind!r}")
+
+
 def sigma_apply(group: FiniteGroup, m: DualMorphism, values: Sequence[int]) -> tuple[int, ...]:
     """Apply a normal-dual morphism to a member of its domain coset.
 
     For sigma the input is dom_rep * g and the output cod_rep * (h * g);
-    tau is the mirror image with the scalars on the left.
+    tau is the same over the opposite group, with the scalars on the left.
     """
     values = tuple(int(v) for v in values)
     base = m.dom.canonical
     if len(values) != len(base):
         raise NotInDomainCoset(f"tuple length {len(values)} does not match the coset")
+    group = _kind_group(group, m.kind)
     g = values[0]  # canonical representatives carry the identity in coordinate 0
-    if m.kind == "sigma":
-        if any(group.mul(b, g) != v for b, v in zip(base, values)):
-            raise NotInDomainCoset(f"{values} is not in the domain coset of {base}")
-        scale = group.mul(m.h, g)
-        return tuple(group.mul(c, scale) for c in m.cod.canonical)
-    if m.kind == "tau":
-        if any(group.mul(g, b) != v for b, v in zip(base, values)):
-            raise NotInDomainCoset(f"{values} is not in the domain coset of {base}")
-        scale = group.mul(g, m.h)
-        return tuple(group.mul(scale, c) for c in m.cod.canonical)
-    raise ParseError(f"unknown dual morphism kind {m.kind!r}")
+    if any(group.mul(b, g) != v for b, v in zip(base, values)):
+        raise NotInDomainCoset(f"{values} is not in the domain coset of {base}")
+    scale = group.mul(m.h, g)
+    return tuple(group.mul(c, scale) for c in m.cod.canonical)
 
 
 def compose_duals(group: FiniteGroup, m1: DualMorphism, m2: DualMorphism) -> DualMorphism:
@@ -107,10 +121,7 @@ def compose_duals(group: FiniteGroup, m1: DualMorphism, m2: DualMorphism) -> Dua
         raise NotComposable(f"cannot compose {m1.kind} with {m2.kind}")
     if m1.cod != m2.dom:
         raise NotComposable("codomain coset of the first is not the domain of the second")
-    if m1.kind == "sigma":
-        h = group.mul(m2.h, m1.h)
-    else:
-        h = group.mul(m1.h, m2.h)
+    h = _kind_group(group, m1.kind).mul(m2.h, m1.h)
     return DualMorphism(m1.kind, h, m1.dom, m2.cod)
 
 
@@ -124,15 +135,6 @@ def _right_factor(group: FiniteGroup, base: Sequence[int], values: Sequence[int]
     return None
 
 
-def _left_factor(group: FiniteGroup, base: Sequence[int], values: Sequence[int]) -> int | None:
-    if len(base) != len(values):
-        return None
-    g = group.mul(values[0], group.inv(base[0]))
-    if all(group.mul(g, b) == v for b, v in zip(base, values)):
-        return g
-    return None
-
-
 def gamma_cell(conn: CrossConnection, lam: int, i: int) -> list[Cone]:
     """The cell of the connection bifunctor: all right scalings of column i, vertex lam."""
     G = conn.group
@@ -141,9 +143,8 @@ def gamma_cell(conn: CrossConnection, lam: int, i: int) -> list[Cone]:
 
 
 def delta_cell(conn: CrossConnection, lam: int, i: int) -> list[Cone]:
-    G = conn.group
-    row = conn.matrix.row(lam)
-    return [Cone(tuple(G.mul(g, p) for p in row), i) for g in G.elements()]
+    """The dual cell: all left scalings of row lam, vertex i."""
+    return gamma_cell(conn.opposite, i, lam)
 
 
 def bifunctor_gamma(
@@ -168,17 +169,12 @@ def bifunctor_gamma(
 def bifunctor_delta(
     conn: CrossConnection, rho: Morphism, kappa: Morphism, cone: Cone
 ) -> Cone:
-    """Dual cell map: (g * row_{lam1}, i1) -> ((g1*g*g2) * row_{lam2}, i2)."""
-    G = conn.group
-    if cone.vertex != kappa.dom:
-        raise ElementNotInCell(
-            f"cone vertex {cone.vertex} is not the domain {kappa.dom} of the second morphism"
-        )
-    g = _left_factor(G, conn.matrix.row(rho.dom), cone.values)
-    if g is None:
-        raise ElementNotInCell(f"cone tuple is not a left scaling of row {rho.dom}")
-    scale = G.mul(G.mul(kappa.g, g), rho.g)
-    return Cone(tuple(G.mul(scale, p) for p in conn.matrix.row(rho.cod)), kappa.cod)
+    """Dual cell map: (g * row_{lam1}, i1) -> ((g1*g*g2) * row_{lam2}, i2).
+
+    It is bifunctor_gamma of the opposite connection with the two
+    morphisms swapped.
+    """
+    return bifunctor_gamma(conn.opposite, kappa, rho, cone)
 
 
 def u_gamma(conn: CrossConnection, bound: int = DEFAULT_SIZE_GUARD) -> list[Cone]:
@@ -201,22 +197,8 @@ def u_gamma(conn: CrossConnection, bound: int = DEFAULT_SIZE_GUARD) -> list[Cone
 
 
 def u_delta(conn: CrossConnection, bound: int = DEFAULT_SIZE_GUARD) -> list[Cone]:
-    """All cones whose tuple is a scaled matrix row, deduplicated in (g, i, lam) order."""
-    G = conn.group
-    total = G.order * conn.n_i * conn.n_lambda
-    if total > bound:
-        raise SizeGuardExceeded(f"would enumerate {total} cones, above the bound {bound}")
-    out: list[Cone] = []
-    seen: set[Cone] = set()
-    for g in G.elements():
-        for lam in range(conn.n_lambda):
-            values = tuple(G.mul(g, p) for p in conn.matrix.row(lam))
-            for i in range(conn.n_i):
-                c = Cone(values, i)
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-    return out
+    """All cones whose tuple is a left-scaled matrix row, deduplicated in (g, lam, i) order."""
+    return u_gamma(conn.opposite, bound)
 
 
 def chi(conn: CrossConnection, gamma: Cone, i: int) -> Cone:
@@ -229,12 +211,9 @@ def chi(conn: CrossConnection, gamma: Cone, i: int) -> Cone:
 
 
 def chi_inv(conn: CrossConnection, delta: Cone, lam: int) -> Cone:
-    """Inverse duality on the cell (lam, delta.vertex): (g * row_lam, i) -> (col_i * g, lam)."""
-    G = conn.group
-    g = _left_factor(G, conn.matrix.row(lam), delta.values)
-    if g is None:
-        raise ElementNotInCell(f"cone tuple is not a left scaling of row {lam}")
-    return Cone(tuple(G.mul(p, g) for p in conn.matrix.column(delta.vertex)), lam)
+    """Inverse duality on the cell (lam, delta.vertex): (g * row_lam, i) -> (col_i * g, lam),
+    which is chi of the opposite connection."""
+    return chi(conn.opposite, delta, lam)
 
 
 def is_linked(conn: CrossConnection, gamma: Cone, delta: Cone) -> bool:
@@ -243,7 +222,7 @@ def is_linked(conn: CrossConnection, gamma: Cone, delta: Cone) -> bool:
     g1 = _right_factor(conn.group, conn.matrix.column(delta.vertex), gamma.values)
     if g1 is None:
         return False
-    g2 = _left_factor(conn.group, conn.matrix.row(gamma.vertex), delta.values)
+    g2 = _right_factor(conn.group.opposite, conn.matrix.row(gamma.vertex), delta.values)
     return g2 is not None and g1 == g2
 
 
@@ -272,7 +251,7 @@ def linked_pairs(conn: CrossConnection, size_guard: int = DEFAULT_SIZE_GUARD) ->
 def s_tilde_mul(conn: CrossConnection, p1: LinkedPair, p2: LinkedPair) -> LinkedPair:
     """(gamma, delta) o (gamma', delta') = (gamma * gamma', delta' * delta)."""
     G = conn.group
-    return LinkedPair(mul_L(G, p1.gamma, p2.gamma), mul_R(G, p2.delta, p1.delta))
+    return LinkedPair(mul_L(G, p1.gamma, p2.gamma), mul_L(G.opposite, p2.delta, p1.delta))
 
 
 def phi(S: ReesSemigroup, a: ReesElement) -> LinkedPair:

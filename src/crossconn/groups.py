@@ -86,6 +86,7 @@ class FiniteGroup:
                 raise NoInverse(f"element {self.names[a]} has no two-sided inverse")
             inverse.append(b)
         self.inverse = tuple(inverse)
+        self._opposite: FiniteGroup | None = None
 
     def _check(self, a: int) -> None:
         if not 0 <= a < self.order:
@@ -112,6 +113,20 @@ class FiniteGroup:
             return self.names.index(str(label))
         except ValueError:
             raise ParseError(f"unknown element label {label!r}") from None
+
+    @property
+    def opposite(self) -> FiniteGroup:
+        """The opposite group (a*b there is b*a here): the transposed table with the
+        same names, identity and inverses, built once; G.opposite.opposite is G."""
+        if self._opposite is None:
+            # No re-validation: the transpose of a group table is a group table.
+            # Attributes go in __init__'s order, never via cached_property, so both
+            # instances keep the instance-dict layout that makes mul's reads fast.
+            op = object.__new__(FiniteGroup)
+            op.order, op.cayley, op.names = self.order, tuple(zip(*self.cayley)), self.names
+            op.identity, op.inverse, op._opposite = self.identity, self.inverse, self
+            self._opposite = op
+        return self._opposite
 
     @property
     def is_abelian(self) -> bool:
@@ -166,13 +181,21 @@ def load_cayley(table: Sequence[Sequence[str]], labels: Sequence[str] | None = N
     return FiniteGroup(int_rows, names=labels)
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 input file; any other encoding is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_cayley_file(path) -> FiniteGroup:
     """Read a Cayley table file: first line = labels in index order, then one row per element.
 
     Cells are separated by tabs when the first line contains a tab,
     otherwise by commas.
     """
-    text = Path(path).read_text()
+    text = read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty Cayley table file")

@@ -9,13 +9,12 @@ layout and report ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import MixedSemigroups, ParseError, SizeGuardExceeded
-from .groups import FiniteGroup
+from .groups import FiniteGroup, read_text
 from .oracle import GenericSemigroup, canonical_partition
 
 DEFAULT_SIZE_GUARD = 512
@@ -47,6 +46,7 @@ class SandwichMatrix:
                     )
         self.group = group
         self.entries = rows
+        self._transpose: SandwichMatrix | None = None
 
     @property
     def rows(self) -> int:
@@ -68,6 +68,15 @@ class SandwichMatrix:
     def label_rows(self) -> list[list[str]]:
         return [[self.group.names[v] for v in row] for row in self.entries]
 
+    @property
+    def transpose(self) -> SandwichMatrix:
+        """P^T over the opposite group, the matrix of S^op; P.transpose.transpose is P."""
+        if self._transpose is None:
+            t = SandwichMatrix(self.group.opposite, tuple(zip(*self.entries)))
+            t._transpose = self
+            self._transpose = t
+        return self._transpose
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SandwichMatrix):
             return NotImplemented
@@ -84,7 +93,7 @@ def identity_matrix(group: FiniteGroup, n_lambda: int, n_i: int) -> SandwichMatr
 
 def load_matrix_file(path, group: FiniteGroup) -> SandwichMatrix:
     """Read a sandwich matrix CSV: one line per row, entries are group element labels."""
-    text = Path(path).read_text()
+    text = read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty sandwich matrix file")
@@ -112,6 +121,7 @@ class ReesSemigroup:
             raise SizeGuardExceeded(
                 f"semigroup has {self.size} elements, above the guard {size_guard}"
             )
+        self._opposite: ReesSemigroup | None = None
 
     @property
     def group(self) -> FiniteGroup:
@@ -120,6 +130,16 @@ class ReesSemigroup:
     @property
     def n_i(self) -> int:
         return self.matrix.cols
+
+    @property
+    def opposite(self) -> ReesSemigroup:
+        """S^op as M[G^op; Lambda, I; P^T], where (g, i, lam) here is (g, lam, i);
+        built once, so S.opposite.opposite is S."""
+        if self._opposite is None:
+            op = ReesSemigroup(self.matrix.transpose, size_guard=self.size)
+            op._opposite = self
+            self._opposite = op
+        return self._opposite
 
     @property
     def n_lambda(self) -> int:

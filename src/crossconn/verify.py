@@ -2,7 +2,8 @@
 
 These back the CLI's verify / crossconn / rbg commands.  Scans whose cost
 grows with the cone semigroup are skipped (passed=None) once they exceed
-the triple guard, never silently truncated.
+the triple guard, never silently truncated.  Right-hand products run as
+`cones.mul_L` over the opposite group, so one kernel serves both sides.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .categories import Morphism, left_category, realize_category, right_categor
 from .checks import Check
 from .connections import CrossConnection
 from .groups import FiniteGroup
-from .rees import ReesSemigroup, identity_matrix
+from .rees import ReesSemigroup
 
 TRIPLE_GUARD = 10**6
 
@@ -213,27 +214,20 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
     )
     checks.append(Check("cones.principal_homomorphism", witness is None, witness))
 
+    G_op = G.opposite
     witness = next(
         (
             f"{a}, {b}"
             for a in elements
             for b in elements
-            if cones.mul_R(G, lam[b], lam[a]) != lam[S.mul(a, b)]
+            if cones.mul_L(G_op, lam[b], lam[a]) != lam[S.mul(a, b)]
         ),
         None,
     )
     checks.append(Check("cones.dual_antihomomorphism", witness is None, witness))
 
     image = sorted(set(rho.values()), key=lambda c: (c.values, c.vertex))
-    image_set = set(image)
-    closed = all(cones.mul_L(G, c1, c2) in image_set for c1 in image for c2 in image)
-    regular = all(
-        any(
-            cones.mul_L(G, cones.mul_L(G, c, d), c) == c for d in image
-        )
-        for c in image
-    )
-    checks.append(Check("cones.principal_image_subsemigroup", closed and regular))
+    checks.append(Check("cones.principal_image_subsemigroup", _regular_subsemigroup(G, image)))
 
     crit = cones.injectivity_criterion(S.matrix)
     injective = len(image) == S.size
@@ -246,6 +240,17 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
         )
     )
     return checks
+
+
+def _regular_subsemigroup(group: FiniteGroup, members: list[cones.Cone]) -> bool:
+    """Whether the cones are closed under mul_L over the group and each is
+    regular within them."""
+    member_set = set(members)
+    closed = all(cones.mul_L(group, a, b) in member_set for a in members for b in members)
+    return closed and all(
+        any(cones.mul_L(group, cones.mul_L(group, a, b), a) == a for b in members)
+        for a in members
+    )
 
 
 def _group_indices(items, key):
@@ -311,14 +316,8 @@ def crossconn_suite(S: ReesSemigroup) -> list[Check]:
 
     ug = connections.u_gamma(conn, bound=S.size)
     ud = connections.u_delta(conn, bound=S.size)
-    ug_set, ud_set = set(ug), set(ud)
-    closed = all(cones.mul_L(G, a, b) in ug_set for a in ug for b in ug) and all(
-        cones.mul_R(G, a, b) in ud_set for a in ud for b in ud
-    )
-    regular = all(
-        any(cones.mul_L(G, cones.mul_L(G, a, b), a) == a for b in ug) for a in ug
-    ) and all(any(cones.mul_R(G, cones.mul_R(G, a, b), a) == a for b in ud) for a in ud)
-    checks.append(Check("crossconn.u_subsemigroups", closed and regular))
+    ok = _regular_subsemigroup(G, ug) and _regular_subsemigroup(G.opposite, ud)
+    checks.append(Check("crossconn.u_subsemigroups", ok))
 
     pairs = connections.linked_pairs(conn, size_guard=S.size)
     if len(ug) * len(ud) * (n_l + n_i) > TRIPLE_GUARD:
@@ -363,16 +362,16 @@ def full_suite(S: ReesSemigroup) -> list[Check]:
     return rees_suite(S) + category_suite(S) + cone_suite(S) + crossconn_suite(S)
 
 
-def rbg_suite(group: FiniteGroup, n_i: int, n_lambda: int) -> list[Check]:
-    """The constant-identity connection: product formula and isomorphism checks."""
+def rbg_suite(S: ReesSemigroup) -> list[Check]:
+    """The constant-identity connection of S: product formula and isomorphism checks."""
     checks = []
-    conn = connections.rbg(group, n_i, n_lambda)
+    group, n_i, n_lambda = S.group, S.n_i, S.n_lambda
+    conn = CrossConnection(S.matrix)
     ok = all(
         v == group.identity for row in conn.matrix.entries for v in row
     )
     checks.append(Check("rbg.identity_matrix", ok))
 
-    S = ReesSemigroup(identity_matrix(group, n_lambda, n_i))
     pairs = connections.linked_pairs(conn, size_guard=S.size)
     witness = None
     for p1 in pairs:

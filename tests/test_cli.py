@@ -4,6 +4,7 @@ import pytest
 
 from crossconn.cli import RunConfig, emit, main, parse_args, run
 from crossconn.errors import ParseError
+from crossconn.rees import ReesSemigroup
 
 
 @pytest.fixture
@@ -198,3 +199,27 @@ def test_parse_args_defaults():
     assert config.group_spec == "cyclic:2"
     assert config.size_guard == 512
     assert config.fmt == "json"
+
+
+def test_rbg_honours_size_guard(monkeypatch, capsys):
+    # With a default guard of 4, any semigroup built without the CLI's guard
+    # (8 elements here) would be refused.
+    monkeypatch.setattr(ReesSemigroup.__init__, "__defaults__", (4,))
+    argv = ["--matrix", "identity:2x2", "--size-guard", "100", "rbg"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("flag", ["--group", "--matrix"])
+def test_non_utf8_file_is_an_input_error(flag, tmp_path, p1_csv, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe0\x00,\x001\x00\n")
+    files = {"--group": str(bad), "--matrix": p1_csv}
+    files[flag] = str(bad)
+    argv = ["--group", files["--group"], "--matrix", files["--matrix"], "build"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert "Traceback" not in err

@@ -277,3 +277,8 @@ def test_cone_table_both_sides(z2):
         for c2 in cones:
             assert table[index[c1]][index[c2]] == index[mul_R(z2, c1, c2)]
     from_table(table)  # the opposite side is associative too
+
+
+def test_cone_table_rejects_unknown_side(z2):
+    with pytest.raises(ParseError, match="'L' or 'R'"):
+        cone_table(z2, enumerate_TL(z2, 1), "left")

@@ -172,3 +172,39 @@ def test_cayley_file_empty(tmp_path):
     path.write_text("\n")
     with pytest.raises(ParseError):
         load_cayley_file(path)
+
+
+def _relabelled_s3() -> FiniteGroup:
+    """S3 with its elements listed so that the identity sits at index 3."""
+    s3 = builtin("symmetric", 3)
+    labels = ["120", "021", "210", "012", "201", "102"]
+    table = [
+        [s3.label(s3.mul(s3.index_of(a), s3.index_of(b))) for b in labels] for a in labels
+    ]
+    return load_cayley(table, labels=labels)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        builtin("cyclic", 1),
+        builtin("cyclic", 4),
+        builtin("klein"),
+        builtin("symmetric", 3),
+        builtin("symmetric", 4),
+        _relabelled_s3(),
+    ],
+    ids=["z1", "z4", "klein", "s3", "s4", "s3_relabelled"],
+)
+def test_opposite_group(G):
+    op = G.opposite
+    assert op.opposite is G
+    assert G.opposite is op
+    assert (op.names, op.identity, op.inverse) == (G.names, G.identity, G.inverse)
+    for a, b in product(G.elements(), repeat=2):
+        assert op.mul(a, b) == G.mul(b, a)
+    assert (op == G) == G.is_abelian
+
+
+def test_relabelled_identity_not_at_zero():
+    assert _relabelled_s3().identity == 3

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossconn import (
     ReesElement,
@@ -14,6 +15,7 @@ from crossconn import (
     load_matrix_file,
 )
 from crossconn.errors import MixedSemigroups, ParseError, SizeGuardExceeded
+from crossconn.oracle import verify_map
 
 
 def test_product_formula_fixture(s1):
@@ -182,3 +184,41 @@ def test_load_matrix_file_bad_label(tmp_path, z2):
     path.write_text("0,0\n0,x\n")
     with pytest.raises(ParseError, match=r"row 1, column 1"):
         load_matrix_file(path, z2)
+
+
+def test_transpose_involution(s3):
+    P = SandwichMatrix(s3, [[0, 3, 1], [2, 5, 4]])
+    T = P.transpose
+    assert T.transpose is P
+    assert T.group is s3.opposite
+    assert (T.rows, T.cols) == (P.cols, P.rows)
+    for lam, i in product(range(P.rows), range(P.cols)):
+        assert T.entry(i, lam) == P.entry(lam, i)
+
+
+def test_opposite_semigroup_linked_both_ways(s1):
+    assert s1.opposite.opposite is s1
+    assert s1.opposite.matrix is s1.matrix.transpose
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([("cyclic", 2), ("cyclic", 3), ("klein", 0), ("symmetric", 3)]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_opposite_semigroup_is_the_transposed_data(family, n_lambda, n_i, data):
+    # S^op = M[G^op; Lambda, I; P^T] under (g, i, lam) -> (g, lam, i),
+    # checked on raw tables by the oracle.
+    G = builtin(*family)
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    S = ReesSemigroup(SandwichMatrix(G, entries))
+    table = S.index_table()
+    transposed = [[table[y][x] for y in range(S.size)] for x in range(S.size)]
+    # index of (g, lam, i) in the (g, i', lam') order of M[G^op; Lambda, I; P^T]
+    f = [(x.g * n_lambda + x.lam) * n_i + x.i for x in S.elements()]
+    check = verify_map(f, from_table(transposed), from_table(S.opposite.index_table()))
+    assert check.is_isomorphism, check.witness

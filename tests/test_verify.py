@@ -1,8 +1,24 @@
+import re
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
-from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix, verify_phi
+from crossconn import (
+    Cone,
+    ReesElement,
+    ReesSemigroup,
+    SandwichMatrix,
+    builtin,
+    cones,
+    identity_matrix,
+    load_cayley_file,
+    load_matrix_file,
+    verify_phi,
+)
 from crossconn.checks import all_passed, failures
 from crossconn.verify import cone_suite, crossconn_suite, full_suite, rbg_suite
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _assert_clean(checks):
@@ -37,8 +53,28 @@ def test_crossconn_suite_on_nonsquare(z3):
 
 
 def test_rbg_suite_degenerate(s3):
-    _assert_clean(rbg_suite(s3, 1, 1))
-    _assert_clean(rbg_suite(s3, 1, 2))
+    _assert_clean(rbg_suite(ReesSemigroup(identity_matrix(s3, 1, 1))))
+    _assert_clean(rbg_suite(ReesSemigroup(identity_matrix(s3, 2, 1))))
+
+
+def test_wrong_side_mul_L_fails_both_principal_checks(monkeypatch):
+    # Negative control: the dual check runs mul_L over the opposite group,
+    # so a scalar on the wrong side of mul_L must break both checks.
+    def wrong_side(group, c1, c2):
+        g_k = c2.values[c1.vertex]
+        return Cone(tuple(group.mul(g_k, v) for v in c1.values), c2.vertex)
+
+    monkeypatch.setattr(cones, "mul_L", wrong_side)
+    G = load_cayley_file(FIXTURES / "s3_cayley.csv")
+    S = ReesSemigroup(load_matrix_file(FIXTURES / "s3_P.csv", G))
+    by_name = {c.name: c for c in cone_suite(S)}
+    for name in ("cones.principal_homomorphism", "cones.dual_antihomomorphism"):
+        check = by_name[name]
+        assert check.passed is False, name
+        named = re.findall(r"ReesElement\(g=(\d+), i=(\d+), lam=(\d+)\)", check.witness)
+        assert len(named) == 2, check.witness
+        for g, i, lam in named:
+            S._validate(ReesElement(int(g), int(i), int(lam)))
 
 
 @settings(max_examples=25, deadline=None)
