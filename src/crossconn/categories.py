@@ -15,6 +15,9 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator
 
+import numpy as np
+
+from . import kernel
 from .errors import IndexOutOfRange, NotComposable, SizeGuardExceeded
 from .groups import FiniteGroup
 from .rees import DEFAULT_SIZE_GUARD, ReesElement, ReesSemigroup
@@ -135,10 +138,10 @@ def realize_category(
     """Build the ideal category concretely and match it against the abstract one.
 
     Objects are the actual ideal sets; morphisms are the translation maps
-    x -> x*s for s ranging over eSf.  Each induced map must equal the
-    action of exactly one abstract morphism and vice versa, and every
-    hom-set must have exactly |G| members.  The right side (s*x over fSe)
-    is the left side of S.opposite.
+    x -> x*s for s ranging over eSf, read as columns of S.table().  Each
+    induced map must equal the action of exactly one abstract morphism and
+    vice versa, and every hom-set must have exactly |G| members.  The
+    right side (s*x over fSe) is the left side of S.opposite.
     """
     if S.size > size_guard:
         raise SizeGuardExceeded(f"|S| = {S.size} exceeds the guard {size_guard}")
@@ -147,43 +150,43 @@ def realize_category(
     if side != "left":
         raise IndexOutOfRange(f"side must be 'left' or 'right', got {side!r}")
     G = S.group
-    elements = list(S.elements())
+    M = kernel.group_array(G)
+    table = S.table()
+    g, i, lam = kernel.element_arrays(G.order, S.n_i, S.n_lambda)
 
-    def carrier(lam: int) -> list[ReesElement]:
-        return [x for x in elements if x.lam == lam]
-
-    def base_idempotent(lam: int) -> ReesElement:
-        return ReesElement(G.inv(S.matrix.entry(lam, 0)), 0, lam)
+    def base_idempotent(obj: int) -> int:
+        return S.index(ReesElement(G.inv(S.matrix.entry(obj, 0)), 0, obj))
 
     hom_sizes: dict[tuple[int, int], int] = {}
     mismatches: list[str] = []
     for dom, cod in product(range(S.n_lambda), repeat=2):
         e, f = base_idempotent(dom), base_idempotent(cod)
-        dom_carrier = carrier(dom)
-        cod_set = set(carrier(cod))
+        dom_carrier = np.flatnonzero(lam == dom)
 
-        concrete: dict[tuple, list[ReesElement]] = {}
-        middle = {S.mul(S.mul(e, s), f) for s in elements}
-        for s in sorted(middle, key=S.index):
-            images = {x: S.mul(x, s) for x in dom_carrier}
-            if not set(images.values()) <= cod_set:
-                mismatches.append(f"hom({dom},{cod}): translation by {s} leaves the ideal")
-                continue
-            key = tuple(sorted((S.index(x), S.index(y)) for x, y in images.items()))
-            concrete.setdefault(key, []).append(s)
+        # eSf in index order.  Column s of the table, restricted to the
+        # domain ideal, is the translation x -> x*s, keyed by its images.
+        middle = np.flatnonzero(np.bincount(table[table[e], f], minlength=S.size))
+        images = table[np.ix_(dom_carrier, middle)]
+        leaves = (lam[images] != cod).any(axis=0)
+        concrete: set[tuple] = set()
+        for s, column, out in zip(middle.tolist(), images.T.tolist(), leaves.tolist()):
+            if out:
+                mismatches.append(
+                    f"hom({dom},{cod}): translation by {S.element(s)} leaves the ideal"
+                )
+            else:
+                concrete.add(tuple(column))
 
-        abstract: dict[tuple, int] = {}
-        for g in G.elements():
-            images = {x: ReesElement(G.mul(x.g, g), x.i, cod) for x in dom_carrier}
-            key = tuple(sorted((S.index(x), S.index(y)) for x, y in images.items()))
-            abstract[key] = g
+        # row h: x -> (x.g * h, x.i, cod) on the domain ideal
+        h_images = (M[g[dom_carrier], :].T * S.n_i + i[dom_carrier]) * S.n_lambda + cod
+        abstract = set(map(tuple, h_images.tolist()))
 
         hom_sizes[(dom, cod)] = len(concrete)
         if len(concrete) != G.order:
             mismatches.append(
                 f"hom({dom},{cod}) realizes {len(concrete)} maps, expected {G.order}"
             )
-        if set(concrete) != set(abstract):
+        if concrete != abstract:
             mismatches.append(
                 f"hom({dom},{cod}): translation maps and abstract morphisms disagree"
             )

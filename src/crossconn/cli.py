@@ -262,16 +262,13 @@ def main(argv=None) -> int:
         config = parse_args(argv)
         code, report = run(config)
         text = emit(report, config.fmt)
-    except CrossconnError as exc:
+        if config.output:
+            with open(config.output, "w") as handle:
+                handle.write(text)
+    except (CrossconnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if config.output:
-        with open(config.output, "w") as handle:
-            handle.write(text)
-    else:
+    if not config.output:
         sys.stdout.write(text)
     return code
 

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
+import numpy as np
+
+from . import kernel
 from .categories import Cone, Morphism, left_category, right_category
 from .checks import Check
 from .cones import CosetHandle, coset_normalize, mul_L, principal_pair
@@ -273,6 +276,37 @@ class PhiReport:
         return self.closed and self.map_check is not None and self.map_check.is_isomorphism
 
 
+def _pair_cones(pairs: Sequence[LinkedPair]):
+    """The gamma and the delta halves of the pairs as cone arrays."""
+    return (
+        kernel.cone_arrays([p.gamma for p in pairs]),
+        kernel.cone_arrays([p.delta for p in pairs]),
+    )
+
+
+def _pair_table(
+    group: FiniteGroup, gamma, delta, index: kernel.KeyIndex
+) -> tuple[np.ndarray | None, tuple[int, int] | None]:
+    """The s_tilde_mul table of the pairs (gamma, delta) as positions in the
+    index, one row at a time; or (None, (p, q)) for the first product that
+    is not indexed."""
+    M = kernel.group_array(group)
+    n = len(gamma[1])
+    table = np.empty((n, n), dtype=np.int32)
+    for p in range(n):
+        # (p.gamma * q.gamma, q.delta * p.delta) for every q
+        row = index.find(
+            kernel.row_keys(
+                *kernel.mul_L(M, kernel.pick(gamma, p), gamma),
+                *kernel.mul_L(M.T, delta, kernel.pick(delta, p)),
+            )
+        )
+        if (row < 0).any():
+            return None, (p, int(np.argmax(row < 0)))
+        table[p] = row
+    return table, None
+
+
 def verify_phi(S: ReesSemigroup) -> PhiReport:
     """Check closure of the linked-pair product and that phi is a bijective homomorphism.
 
@@ -281,21 +315,17 @@ def verify_phi(S: ReesSemigroup) -> PhiReport:
     """
     conn = CrossConnection(S.matrix)
     pairs = linked_pairs(conn, size_guard=S.size)
-    index = {p: k for k, p in enumerate(pairs)}
-    table = []
-    for p in pairs:
-        row = []
-        for q in pairs:
-            prod = s_tilde_mul(conn, p, q)
-            k = index.get(prod)
-            if k is None:
-                return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
-            row.append(k)
-        table.append(row)
-    T1 = from_table(S.index_table())
-    T2 = from_table(table)
-    f = [index[phi(S, a)] for a in S.elements()]
-    return PhiReport(True, None, verify_map(f, T1, T2))
+    gamma, delta = _pair_cones(pairs)
+    index = kernel.KeyIndex(kernel.row_keys(*gamma, *delta))
+    table, bad = _pair_table(conn.group, gamma, delta, index)
+    if bad is not None:
+        p, q = (pairs[k] for k in bad)
+        return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
+    phi_gamma, phi_delta = _pair_cones([phi(S, a) for a in S.elements()])
+    f = index.find(kernel.row_keys(*phi_gamma, *phi_delta))
+    return PhiReport(
+        True, None, verify_map(f.tolist(), S.to_generic(), from_table(kernel.int_rows(table)))
+    )
 
 
 def matrix_of(group: FiniteGroup, handles: Sequence[CosetHandle]) -> SandwichMatrix:

@@ -182,9 +182,10 @@ def load_cayley(table: Sequence[Sequence[str]], labels: Sequence[str] | None = N
 
 
 def read_text(path) -> str:
-    """The contents of a UTF-8 input file; any other encoding is a ParseError."""
+    """The contents of a UTF-8 input file, less a leading byte-order mark;
+    any other encoding is a ParseError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 

@@ -1,0 +1,125 @@
+"""Row-at-a-time array kernel for the O(|S|^2) scans of the verification suites.
+
+Layout.  Element k of S = M[G; I, Lambda; P] is (g, i, lam) with
+k = (g*|I| + i)*|Lambda| + lam, so `element_arrays` gives its coordinates
+as three index arrays and `ReesSemigroup.table()` its product as an
+(n, n) array of indices.  A batch of cones over one object set is a pair
+(values, vertices): an (m, k) array of group indices and an (m,) array
+of vertices.  One cone is (values (k,), vertex).
+
+Rows.  A scan fixes the first factor a and forms a*b for every b in one
+numpy step, so beyond one (n, n) table it holds one (n, k) row of
+products at a time and never an (n, n, k) array.
+
+Keys.  Membership is exact.  The key of a cone (or of a pair of cones)
+is its row of int32 coordinates read as one np.void of raw bytes.  A
+`KeyIndex` sorts the keys once and finds each query with searchsorted,
+then confirms the candidate by equality.  No key is packed into one
+integer, so none can overflow, however wide the cones are.
+
+The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
+`ReesSemigroup.mul`) stay the definitions; `rees.table_matches_product`
+ties `table()` to `ReesSemigroup.mul`, and tests compare every scan
+with its scalar loop.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+KEY_DTYPE = np.int32
+
+
+def element_arrays(n_g: int, n_i: int, n_lambda: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (g, i, lam) coordinates of elements 0..n-1, in element order."""
+    g, rem = np.divmod(np.arange(n_g * n_i * n_lambda), n_i * n_lambda)
+    i, lam = np.divmod(rem, n_lambda)
+    return g, i, lam
+
+
+def int_rows(table: np.ndarray) -> list[list[int]]:
+    """A table of indices as nested lists that share one int object per value
+    (tolist() alone makes a new object for every entry above 256)."""
+    ints = list(range(int(table.max()) + 1))
+    return [list(map(ints.__getitem__, row.tolist())) for row in table]
+
+
+def group_array(group) -> np.ndarray:
+    """The Cayley table as an array; its transpose is the opposite group's."""
+    return np.asarray(group.cayley, dtype=np.intp)
+
+
+def cone_arrays(cones: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Cones over one object set as (values (m, k), vertices (m,))."""
+    values = np.array([c.values for c in cones], dtype=np.intp).reshape(len(cones), -1)
+    return values, np.array([c.vertex for c in cones], dtype=np.intp)
+
+
+def pick(cones: tuple[np.ndarray, np.ndarray], rows):
+    """The cones at the given rows (one cone for an int)."""
+    values, vertices = cones
+    return values[rows], vertices[rows]
+
+
+def mul_L(M: np.ndarray, c1, c2) -> tuple[np.ndarray, np.ndarray]:
+    """`cones.mul_L` over the group with Cayley array M: c1's values scaled on
+    the right by c2's value at c1's vertex, with c2's vertex.
+
+    Either factor may be one cone or a batch; against a batch the product
+    is taken row by row.  The result is always a batch.
+    """
+    (v1, x1), (v2, x2) = c1, c2
+    scale = np.take_along_axis(np.atleast_2d(v2), np.reshape(x1, (-1, 1)), axis=1)
+    values = M[v1, scale]
+    return values, np.broadcast_to(x2, values.shape[:-1])
+
+
+def differ(c1, c2) -> np.ndarray:
+    """Row mask: where the cones of c1 and c2 differ."""
+    return (c1[0] != c2[0]).any(axis=-1) | (c1[1] != c2[1])
+
+
+def row_keys(*columns: np.ndarray) -> np.ndarray:
+    """One exact key per row of the arrays ((m, k) or (m,)) laid side by side."""
+    rows = np.ascontiguousarray(np.column_stack(columns), dtype=KEY_DTYPE)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
+class KeyIndex:
+    """Exact lookup of row keys: sorted once, searched, confirmed by equality."""
+
+    def __init__(self, keys: np.ndarray):
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._order]
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The position of each key in the indexed list, or -1 where it is absent.
+        Among equal keys the last position wins, as in a dict built in list order."""
+        at = np.maximum(np.searchsorted(self._sorted, keys, side="right") - 1, 0)
+        return np.where(self._sorted[at] == keys, self._order[at], -1)
+
+
+def first_failure(n: int, bad_row: Callable[[int], np.ndarray]) -> tuple[int, int] | None:
+    """The first (a, b) in row order where the mask bad_row(a) is true."""
+    for a in range(n):
+        bad = bad_row(a)
+        if bad.any():
+            return a, int(bad.argmax())
+    return None
+
+
+def regular_subsemigroup(M: np.ndarray, members: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether the cones are closed under mul_L over the group with Cayley
+    array M and each a has some b with (a*b)*a == a."""
+    n = len(members[1])
+    index = KeyIndex(row_keys(*members))
+    for a in range(n):
+        cone = pick(members, a)
+        products = mul_L(M, cone, members)
+        if (index.find(row_keys(*products)) < 0).any():
+            return False
+        if differ(mul_L(M, products, cone), cone).all():
+            return False
+    return True

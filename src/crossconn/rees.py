@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import MixedSemigroups, ParseError, SizeGuardExceeded
 from .groups import FiniteGroup, read_text
+from .kernel import element_arrays, int_rows
 from .oracle import GenericSemigroup, canonical_partition
 
 DEFAULT_SIZE_GUARD = 512
@@ -122,6 +123,9 @@ class ReesSemigroup:
                 f"semigroup has {self.size} elements, above the guard {size_guard}"
             )
         self._opposite: ReesSemigroup | None = None
+        # Built on first use by table() and to_generic(), never here.
+        self._table: np.ndarray | None = None
+        self._generic: GenericSemigroup | None = None
 
     @property
     def group(self) -> FiniteGroup:
@@ -220,23 +224,32 @@ class ReesSemigroup:
     def index_table(self) -> list[list[int]]:
         """The size x size multiplication table on element indices (vectorized)."""
         n_i, n_l = self.n_i, self.n_lambda
-        idx = np.arange(self.size)
-        g, rem = np.divmod(idx, n_i * n_l)
-        i, lam = np.divmod(rem, n_l)
+        g, i, lam = element_arrays(self.group.order, n_i, n_l)
         P = np.asarray(self.matrix.entries, dtype=np.intp)
         M = np.asarray(self.group.cayley, dtype=np.intp)
         p = P[lam[:, None], i[None, :]]
         prod_g = M[M[g[:, None], p], g[None, :]]
         table = (prod_g * n_i + i[:, None]) * n_l + lam[None, :]
-        return table.tolist()
+        return int_rows(table)
+
+    def table(self) -> np.ndarray:
+        """index_table() as a read-only array, built on first use and kept,
+        so that every suite of one run scans the same table."""
+        if self._table is None:
+            self._table = np.array(self.index_table(), dtype=np.int32)
+            self._table.flags.writeable = False
+        return self._table
 
     def element_label(self, x: ReesElement) -> str:
         return f"({self.group.names[x.g]},{x.i},{x.lam})"
 
     def to_generic(self) -> GenericSemigroup:
-        """Export to the table oracle (this re-validates associativity)."""
-        labels = [self.element_label(x) for x in self.elements()]
-        return GenericSemigroup(self.index_table(), labels=labels)
+        """Export table() to the table oracle, which validates it (associativity
+        included) on first use; the export is kept for the rest of the run."""
+        if self._generic is None:
+            labels = [self.element_label(x) for x in self.elements()]
+            self._generic = GenericSemigroup(int_rows(self.table()), labels=labels)
+        return self._generic
 
     def __repr__(self) -> str:
         return (

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from crossconn.cli import RunConfig, emit, main, parse_args, run
 from crossconn.errors import ParseError
 from crossconn.rees import ReesSemigroup
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture
@@ -223,3 +226,36 @@ def test_non_utf8_file_is_an_input_error(flag, tmp_path, p1_csv, capsys):
     assert out == ""
     assert err.startswith("error: ") and "not UTF-8" in err
     assert "Traceback" not in err
+
+
+def test_output_to_a_missing_directory_is_an_input_error(tmp_path, p1_csv, capsys):
+    target = tmp_path / "missing" / "report.json"
+    argv = ["--group", "cyclic:2", "--matrix", p1_csv, "--output", str(target), "build"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "bom, newline",
+    [("\ufeff", "\n"), ("", "\r\n"), ("\ufeff", "\r\n")],
+    ids=["bom", "crlf", "bom-crlf"],
+)
+def test_bom_and_crlf_files_load_like_plain_ones(bom, newline, tmp_path, capsys):
+    # A byte-order mark and CRLF line ends are encodings of the same table,
+    # for the Cayley table loader and the matrix loader alike.
+    paths = []
+    for name in ("s3_cayley.csv", "s3_P.csv"):
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        (tmp_path / name).write_bytes((bom + text.replace("\n", newline)).encode("utf-8"))
+        paths.append((str(FIXTURES / name), str(tmp_path / name)))
+    reports = []
+    for group, matrix in zip(*paths):
+        code, out, err = run_cli(["--group", group, "--matrix", matrix, "build"], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        del report["group"]["spec"]
+        reports.append(report)
+    assert reports[0] == reports[1]

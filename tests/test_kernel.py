@@ -1,0 +1,150 @@
+"""The array kernel against the scalar loops it replaced (tests/scalar_reference.py)."""
+
+import random
+
+import numpy as np
+import pytest
+import scalar_reference
+from hypothesis import given, settings, strategies as st
+
+from crossconn import (
+    FiniteGroup,
+    ReesElement,
+    ReesSemigroup,
+    SandwichMatrix,
+    builtin,
+    cones,
+    connections,
+    kernel,
+    realize_category,
+    verify_phi,
+)
+from crossconn.verify import cone_suite, rees_suite
+
+
+def _relabelled_s3() -> FiniteGroup:
+    """S3 with its elements renumbered so that the identity is at index 3."""
+    s3 = builtin("symmetric", 3)
+    perm = [3, 0, 5, 1, 4, 2]  # old index -> new index
+    table = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            table[perm[a]][perm[b]] = perm[s3.cayley[a][b]]
+    return FiniteGroup(table)
+
+
+GROUPS = [builtin("cyclic", 2), builtin("cyclic", 3), builtin("symmetric", 3), _relabelled_s3()]
+
+
+def _cones_of(S, side):
+    return [cones.principal_pair(S, a)[side] for a in S.elements()]
+
+
+def _principal_products_agree(S: ReesSemigroup) -> None:
+    """Every row of the kernel's principal products equals the scalar mul_L."""
+    G = S.group
+    M = kernel.group_array(G)
+    rho, lam = _cones_of(S, 0), _cones_of(S, 1)
+    rho_arrays, lam_arrays = kernel.cone_arrays(rho), kernel.cone_arrays(lam)
+    for a in range(S.size):
+        got = kernel.mul_L(M, kernel.pick(rho_arrays, a), rho_arrays)
+        assert got[0].tolist() == [list(cones.mul_L(G, rho[a], b).values) for b in rho]
+        assert got[1].tolist() == [b.vertex for b in rho]
+        got = kernel.mul_L(M.T, lam_arrays, kernel.pick(lam_arrays, a))
+        assert got[0].tolist() == [list(cones.mul_L(G.opposite, b, lam[a]).values) for b in lam]
+        assert got[1].tolist() == [lam[a].vertex] * S.size
+
+
+def _pair_table(S: ReesSemigroup):
+    pairs = connections.linked_pairs(connections.CrossConnection(S.matrix), size_guard=S.size)
+    gamma, delta = connections._pair_cones(pairs)
+    index = kernel.KeyIndex(kernel.row_keys(*gamma, *delta))
+    table, bad = connections._pair_table(S.group, gamma, delta, index)
+    return (None if table is None else table.tolist()), bad
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    S = ReesSemigroup(SandwichMatrix(G, entries))
+
+    table, bad = _pair_table(S)
+    assert bad is None
+    assert table == scalar_reference.pair_table(S)[0]
+    assert verify_phi(S) == scalar_reference.verify_phi(S)
+
+    _principal_products_agree(S)
+    by_name = {c.name: c.witness for c in cone_suite(S)}
+    assert (
+        by_name["cones.principal_homomorphism"],
+        by_name["cones.dual_antihomomorphism"],
+    ) == scalar_reference.principal_witnesses(S)
+
+    for side in ("left", "right"):
+        assert realize_category(S, side) == scalar_reference.realize_category(S, side)
+
+    ideal = {c.name: c.witness for c in rees_suite(S)}["rees.principal_left_ideal"]
+    assert ideal == scalar_reference.principal_left_ideal_witness(S)
+
+    # Subsemigroup verdicts, on sets that are and sets that are not ones.
+    M = kernel.group_array(G)
+    conn = connections.CrossConnection(S.matrix)
+    image = sorted(set(_cones_of(S, 0)), key=lambda c: (c.values, c.vertex))
+    subset = data.draw(st.lists(st.sampled_from(image), min_size=1, unique=True))
+    for group, array, members in (
+        (G, M, image),
+        (G, M, subset),
+        (G, M, connections.u_gamma(conn)),
+        (G.opposite, M.T, connections.u_delta(conn)),
+    ):
+        assert kernel.regular_subsemigroup(
+            array, kernel.cone_arrays(members)
+        ) == scalar_reference.regular_subsemigroup(group, members)
+
+
+def test_wide_cones_z2_lambda_64():
+    # Cones of width 64 over Z2: a mixed-radix int64 code |G|^|Lambda| * |Lambda|
+    # would not fit, the row keys compare every coordinate.
+    assert 2**64 * 64 > np.iinfo(np.int64).max
+    G = builtin("cyclic", 2)
+    rng = random.Random(64)
+    S = ReesSemigroup(SandwichMatrix(G, [[rng.randrange(2)] for _ in range(64)]))
+    assert S.n_lambda == 64 and S.n_i == 1
+
+    table, bad = _pair_table(S)
+    assert bad is None
+    assert table == scalar_reference.pair_table(S)[0]
+    _principal_products_agree(S)
+    rho = sorted(set(_cones_of(S, 0)), key=lambda c: (c.values, c.vertex))
+    verdict = kernel.regular_subsemigroup(kernel.group_array(G), kernel.cone_arrays(rho))
+    assert verdict is scalar_reference.regular_subsemigroup(G, rho) is True
+
+
+def test_key_index_is_exact():
+    values = np.zeros((4, 64), dtype=np.intp)
+    values[1, 63] = 1  # differs from row 0 in the last coordinate only
+    values[3, 63] = 1  # a repeat of row 1
+    vertices = np.array([5, 5, 7, 5])
+    index = kernel.KeyIndex(kernel.row_keys(values, vertices))
+    queries = np.zeros((3, 64), dtype=np.intp)
+    queries[1, 63] = 1
+    queries[2, 0] = 1
+    found = index.find(kernel.row_keys(queries, np.array([5, 5, 5])))
+    assert found.tolist() == [0, 3, -1]  # among equal keys the last position wins
+
+
+@pytest.mark.parametrize("n_lambda, n_i", [(1, 1), (3, 1), (1, 3)])
+def test_principal_cones_degenerate_shapes(n_lambda, n_i):
+    G = builtin("cyclic", 3)
+    S = ReesSemigroup(SandwichMatrix(G, [[1] * n_i for _ in range(n_lambda)]))
+    _principal_products_agree(S)
+    assert S.table().shape == (S.size, S.size)
+    assert S.element(int(S.table()[0, -1])) == S.mul(ReesElement(0, 0, 0), S.element(S.size - 1))

@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+import numpy as np
+import scalar_reference
 from hypothesis import given, settings, strategies as st
 
 from crossconn import (
@@ -10,13 +12,22 @@ from crossconn import (
     SandwichMatrix,
     builtin,
     cones,
+    connections,
     identity_matrix,
+    kernel,
     load_cayley_file,
     load_matrix_file,
     verify_phi,
 )
 from crossconn.checks import all_passed, failures
-from crossconn.verify import cone_suite, crossconn_suite, full_suite, rbg_suite
+from crossconn.verify import (
+    category_suite,
+    cone_suite,
+    crossconn_suite,
+    full_suite,
+    rbg_suite,
+    rees_suite,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -57,24 +68,111 @@ def test_rbg_suite_degenerate(s3):
     _assert_clean(rbg_suite(ReesSemigroup(identity_matrix(s3, 2, 1))))
 
 
+def _s3_fixture():
+    G = load_cayley_file(FIXTURES / "s3_cayley.csv")
+    return ReesSemigroup(load_matrix_file(FIXTURES / "s3_P.csv", G))
+
+
 def test_wrong_side_mul_L_fails_both_principal_checks(monkeypatch):
-    # Negative control: the dual check runs mul_L over the opposite group,
-    # so a scalar on the wrong side of mul_L must break both checks.
-    def wrong_side(group, c1, c2):
+    # Negative control: both principal checks run the kernel's mul_L, the
+    # dual one over the opposite group, so a scalar on the wrong side of
+    # the product must break both, with the witnesses the loops give.
+    def wrong_side(M, c1, c2):
+        (v1, x1), (v2, x2) = c1, c2
+        scale = np.take_along_axis(np.atleast_2d(v2), np.reshape(x1, (-1, 1)), axis=1)
+        values = M[scale, v1]
+        return values, np.broadcast_to(x2, values.shape[:-1])
+
+    def scalar_wrong_side(group, c1, c2):
         g_k = c2.values[c1.vertex]
         return Cone(tuple(group.mul(g_k, v) for v in c1.values), c2.vertex)
 
-    monkeypatch.setattr(cones, "mul_L", wrong_side)
-    G = load_cayley_file(FIXTURES / "s3_cayley.csv")
-    S = ReesSemigroup(load_matrix_file(FIXTURES / "s3_P.csv", G))
+    S = _s3_fixture()
+    monkeypatch.setattr(kernel, "mul_L", wrong_side)
     by_name = {c.name: c for c in cone_suite(S)}
-    for name in ("cones.principal_homomorphism", "cones.dual_antihomomorphism"):
+    monkeypatch.setattr(cones, "mul_L", scalar_wrong_side)
+    expected = scalar_reference.principal_witnesses(S)
+    for name, witness in zip(
+        ("cones.principal_homomorphism", "cones.dual_antihomomorphism"), expected
+    ):
         check = by_name[name]
         assert check.passed is False, name
+        assert check.witness == witness
         named = re.findall(r"ReesElement\(g=(\d+), i=(\d+), lam=(\d+)\)", check.witness)
         assert len(named) == 2, check.witness
         for g, i, lam in named:
             S._validate(ReesElement(int(g), int(i), int(lam)))
+
+
+def test_missing_linked_pair_fails_closure(monkeypatch):
+    # Negative control: with one linked pair dropped, some product of two
+    # pairs is no pair, and both scans name the same first one.
+    original = connections.linked_pairs
+    monkeypatch.setattr(
+        connections, "linked_pairs", lambda conn, size_guard=512: original(conn, size_guard)[:-1]
+    )
+    S = _s3_fixture()
+    check = {c.name: c for c in crossconn_suite(S)}["crossconn.s_tilde_closed"]
+    _, witness = scalar_reference.pair_table(S)
+    assert check.passed is False
+    assert witness is not None and check.witness == witness
+
+
+def test_swapped_phi_fails_isomorphism(monkeypatch):
+    # Negative control: phi with the images of two elements swapped is a
+    # bijection onto the pairs but not a homomorphism.
+    original = connections.phi
+    swap = {ReesElement(0, 0, 0): ReesElement(1, 0, 0), ReesElement(1, 0, 0): ReesElement(0, 0, 0)}
+    monkeypatch.setattr(connections, "phi", lambda S, a: original(S, swap.get(a, a)))
+    S = _s3_fixture()
+    check = {c.name: c for c in crossconn_suite(S)}["crossconn.phi_isomorphism"]
+    reference = scalar_reference.verify_phi(S)
+    assert reference.closed and not reference.map_check.is_homomorphism
+    assert check.passed is False
+    assert check.witness == reference.map_check.witness
+
+
+class _KeepsVertexOffRowZero(ReesSemigroup):
+    """A faulty product: (a, i, lam)(b, j, mu) = (a p[lam][j] b, i, lam) when
+    i != 0, the true product otherwise; its index table is made from it."""
+
+    def mul(self, x, y):
+        z = super().mul(x, y)
+        return ReesElement(z.g, z.i, x.lam) if x.i != 0 else z
+
+    def index_table(self):
+        elements = list(self.elements())
+        return [[self.index(self.mul(x, y)) for y in elements] for x in elements]
+
+
+def test_faulty_translations_fail_left_realization():
+    # Negative control: translations by the faulty product send part of
+    # the domain ideal outside the codomain ideal and realize the wrong
+    # hom-sets.
+    S = _KeepsVertexOffRowZero(_s3_fixture().matrix)
+    check = {c.name: c for c in category_suite(S)}["category.left_realization"]
+    reference = scalar_reference.realize_category(S, "left")
+    assert check.passed is False
+    assert any("leaves the ideal" in m for m in reference.mismatches)
+    assert check.witness == "; ".join(reference.mismatches)
+
+
+def test_faulty_closed_form_fails_principal_left_ideal(monkeypatch):
+    # Negative control: a closed form that drops one member of S^1 x for
+    # every x in the last L-class.
+    original = ReesSemigroup.principal_left_ideal
+
+    def short(self, x):
+        ideal = original(self, x)
+        return ideal - {ReesElement(1, 0, x.lam)} if x.lam == self.n_lambda - 1 else ideal
+
+    monkeypatch.setattr(ReesSemigroup, "principal_left_ideal", short)
+    S = _s3_fixture()
+    check = {c.name: c for c in rees_suite(S)}["rees.principal_left_ideal"]
+    witness = scalar_reference.principal_left_ideal_witness(S)
+    assert check.passed is False
+    assert witness == str(ReesElement(0, 0, S.n_lambda - 1))
+    assert check.witness == witness
 
 
 @settings(max_examples=25, deadline=None)
