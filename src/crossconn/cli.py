@@ -40,8 +40,16 @@ class RunConfig:
     fmt: str
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Malformed arguments are input errors (exit 1), not argparse's exit 2,
+    which would read as a failed check."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def parse_args(argv=None) -> RunConfig:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="crossconn",
         description="Rees matrix semigroups, their cone semigroups and cross-connections.",
     )

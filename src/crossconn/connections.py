@@ -10,13 +10,20 @@ The dual side is never written out: a row of P is a column of P^T, a
 right coset over G is a left coset over G^op, so every dual map is its
 connection-side twin applied to `CrossConnection.opposite`, the
 connection of the transposed matrix over the opposite group.
+
+`verify_crossconnection` calls each functor once per morphism and records
+the images as (h, dom id, cod id) arrays; the functor laws,
+`fully_faithful` and `ideal_restriction` then run on those arrays, one
+pair of objects or one hom-set at a time.  `gamma_apply` and
+`delta_apply` stay the definitions, and a faulty image is a failed check,
+never an exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -347,10 +354,70 @@ def rbg(group: FiniteGroup, n_i: int, n_lambda: int) -> CrossConnection:
     return CrossConnection(identity_matrix(group, n_lambda, n_i))
 
 
+class _Images(NamedTuple):
+    """The images of every morphism of a category under a functor into a
+    normal dual, as (n, n, |G|) arrays indexed [dom, cod, g]."""
+
+    h: np.ndarray
+    dom: np.ndarray  # coset ids, numbered by first appearance of (kind, handle)
+    cod: np.ndarray
+    canonical: np.ndarray  # (ids, k): the canonical tuple of each coset id
+    M: np.ndarray  # Cayley array of the group the images' kind computes in
+
+
+def _images(conn: CrossConnection, cat, apply_) -> _Images:
+    """One scalar call of the functor per morphism, recorded as arrays.
+
+    A coset id stands for a kind together with a handle, so two images agree
+    as DualMorphisms exactly when their (h, dom, cod) rows agree.  A functor
+    whose images mix kinds fails the functor law on the ids.
+    """
+    images = [apply_(conn, m) for m in cat.morphisms()]
+    ids: dict = {}
+    rows = [
+        (m.h, ids.setdefault((m.kind, m.dom), len(ids)), ids.setdefault((m.kind, m.cod), len(ids)))
+        for m in images
+    ]
+    n = cat.n_objects
+    table = np.array(rows, dtype=np.intp).reshape(n, n, cat.group.order, 3)
+    h, dom, cod = np.moveaxis(table, -1, 0)
+    canonical = np.array([handle.canonical for _, handle in ids], dtype=np.intp)
+    M = kernel.group_array(_kind_group(conn.group, images[0].kind))
+    return _Images(h, dom, cod, canonical, M)
+
+
+def _functor_witness(cat, im: _Images) -> str | None:
+    """The first failure of the functor laws, identities first, then the
+    composites of m1 = (o1, o2, g1) and m2 = (o2, o3, g2) in (o1, o2, o3, g1, g2) order."""
+    e = cat.group.identity
+    for obj in cat.objects():
+        if im.h[obj, obj, e] != e or im.dom[obj, obj, e] != im.cod[obj, obj, e]:
+            return f"identity at object {obj} is not sent to an identity"
+    n, order = cat.n_objects, cat.group.order
+    C = kernel.group_array(cat.group)
+
+    def bad_row(a: int) -> np.ndarray:
+        # axes [o3, g1, g2]: the image of m1 * m2 against the composite of the images
+        o1, o2 = divmod(a, n)
+        h1, dom1, cod1 = (x[o1, o2][:, None] for x in (im.h, im.dom, im.cod))
+        h2, dom2, cod2 = (x[o2][:, None, :] for x in (im.h, im.dom, im.cod))
+        h, dom, cod = (x[o1][:, C] for x in (im.h, im.dom, im.cod))
+        return ((cod1 != dom2) | (h != im.M[h2, h1]) | (dom != dom1) | (cod != cod2)).ravel()
+
+    bad = kernel.first_failure(n * n, bad_row)
+    if bad is None:
+        return None
+    (o1, o2), (o3, rest) = divmod(bad[0], n), divmod(bad[1], order * order)
+    g1, g2 = divmod(rest, order)
+    return f"composite of {Morphism(o1, o2, g1)} and {Morphism(o2, o3, g2)} is not preserved"
+
+
 def verify_crossconnection(conn: CrossConnection) -> list[Check]:
     """Functor, faithfulness, ideal-restriction and coverage checks for the connection.
 
-    Failures land in the returned checks rather than raising.
+    Failures land in the returned checks rather than raising.  The functor
+    is applied once per morphism and the laws are checked on the image
+    arrays, one pair of objects (o1, o2) at a time.
     """
     G = conn.group
     n_i, n_l = conn.n_i, conn.n_lambda
@@ -359,38 +426,26 @@ def verify_crossconnection(conn: CrossConnection) -> list[Check]:
     lcat = left_category(G, n_l)
 
     # Covariant functor laws, identities included, for the connection and its dual.
-    for name, cat, apply_ in (("gamma", rcat, gamma_apply), ("delta", lcat, delta_apply)):
-        witness = None
-        for obj in cat.objects():
-            got = apply_(conn, cat.identity(obj))
-            if got.h != G.identity or got.dom != got.cod:
-                witness = f"identity at object {obj} is not sent to an identity"
-                break
-        if witness is None:
-            for o1, o2, o3 in product(cat.objects(), repeat=3):
-                for g1, g2 in product(G.elements(), repeat=2):
-                    m1, m2 = Morphism(o1, o2, g1), Morphism(o2, o3, g2)
-                    lhs = apply_(conn, cat.compose(m1, m2))
-                    rhs = compose_duals(G, apply_(conn, m1), apply_(conn, m2))
-                    if lhs != rhs:
-                        witness = f"composite of {m1} and {m2} is not preserved"
-                        break
-                if witness:
-                    break
+    gamma = _images(conn, rcat, gamma_apply)
+    delta = _images(conn, lcat, delta_apply)
+    for name, cat, im in (("gamma", rcat, gamma), ("delta", lcat, delta)):
+        witness = _functor_witness(cat, im)
         checks.append(Check(f"crossconn.functor_{name}", witness is None, witness))
 
     # Fully faithful: on each hom-set the induced coset maps are pairwise
-    # distinct and there are exactly |G| of them.
+    # distinct and there are exactly |G| of them.  An image whose domain is
+    # not the object's coset induces no map on it.
+    M = kernel.group_array(G)
     witness = None
     for i1, i2 in product(range(n_i), repeat=2):
-        dom = gamma_apply(conn, i1)
-        members = sorted(
-            tuple(G.mul(c, g) for c in dom.canonical) for g in G.elements()
-        )
-        actions = set()
-        for g in G.elements():
-            sg = gamma_apply(conn, Morphism(i1, i2, g))
-            actions.add(tuple(sigma_apply(G, sg, x) for x in members))
+        members = M[np.array(gamma_apply(conn, i1).canonical)].T  # row g: dom * g
+        members = members[np.lexsort(members.T[::-1])]
+        first = members[:, 0]
+        base = gamma.canonical[gamma.dom[i1, i2]]
+        inside = (gamma.M[base[:, None, :], first[None, :, None]] == members).all(axis=(1, 2))
+        scale = gamma.M[gamma.h[i1, i2][:, None], first]
+        outputs = gamma.M[gamma.canonical[gamma.cod[i1, i2]][:, None, :], scale[:, :, None]]
+        actions = set(kernel.row_keys(outputs.reshape(G.order, -1)[inside]).tolist())
         if len(actions) != G.order:
             witness = f"hom({i1},{i2}) induces {len(actions)} maps, expected {G.order}"
             break
@@ -401,7 +456,7 @@ def verify_crossconnection(conn: CrossConnection) -> list[Check]:
     # endomorphism hom-sets matching up bijectively.
     witness = None
     for i in range(n_i):
-        images = {gamma_apply(conn, Morphism(i, i, g)) for g in G.elements()}
+        images = set(kernel.row_keys(gamma.h[i, i], gamma.dom[i, i], gamma.cod[i, i]).tolist())
         if len(images) != G.order:
             witness = f"restriction to object {i} is not a bijection on endomorphisms"
             break

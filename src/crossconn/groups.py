@@ -215,6 +215,10 @@ def builtin(family: str, n: int = 0) -> FiniteGroup:
     if family == "cyclic":
         if n < 1:
             raise ParseError(f"cyclic group order must be >= 1, got {n}")
+        if n > MAX_VALIDATED_ORDER:  # before the n x n table is built
+            raise SizeGuardExceeded(
+                f"group order {n} exceeds the validation guard {MAX_VALIDATED_ORDER}"
+            )
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
         return FiniteGroup(table, names=[str(k) for k in range(n)])
     if family == "symmetric":

@@ -17,10 +17,14 @@ is its row of int32 coordinates read as one np.void of raw bytes.  A
 then confirms the candidate by equality.  No key is packed into one
 integer, so none can overflow, however wide the cones are.
 
+Linkage.  `right_factor` extracts the scalar g with values == base * g
+for a batch of tuples at once, and `is_linked` tests one gamma cone
+against a batch of delta cones with it, over M and its transpose M.T.
+
 The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
-`ReesSemigroup.mul`) stay the definitions; `rees.table_matches_product`
-ties `table()` to `ReesSemigroup.mul`, and tests compare every scan
-with its scalar loop.
+`connections.is_linked`, `ReesSemigroup.mul`) stay the definitions;
+`rees.table_matches_product` ties `table()` to `ReesSemigroup.mul`, and
+tests compare every scan with its scalar loop.
 """
 
 from __future__ import annotations
@@ -99,6 +103,27 @@ class KeyIndex:
         Among equal keys the last position wins, as in a dict built in list order."""
         at = np.maximum(np.searchsorted(self._sorted, keys, side="right") - 1, 0)
         return np.where(self._sorted[at] == keys, self._order[at], -1)
+
+
+def right_factor(M: np.ndarray, inverse: np.ndarray, base, values) -> tuple[np.ndarray, np.ndarray]:
+    """`connections._right_factor` row by row over the group with Cayley array M:
+    g = base[0]^-1 * values[0], and whether values == base * g holds pointwise.
+
+    base and values are (m, k) or (k,) arrays; the result is two (m,) arrays.
+    """
+    base, values = np.broadcast_arrays(np.atleast_2d(base), np.atleast_2d(values))
+    g = M[inverse[base[:, 0]], values[:, 0]]
+    return g, (M[base, g[:, None]] == values).all(axis=1)
+
+
+def is_linked(M: np.ndarray, inverse: np.ndarray, P: np.ndarray, gamma, deltas) -> np.ndarray:
+    """`connections.is_linked` of one gamma cone against a batch of delta cones,
+    for the sandwich matrix P as an (|Lambda|, |I|) array: both cones factor
+    through the cell (gamma's vertex, delta's vertex) by the same scalar."""
+    (gamma_values, gamma_vertex), (delta_values, delta_vertices) = gamma, deltas
+    g1, ok1 = right_factor(M, inverse, P[:, delta_vertices].T, gamma_values)
+    g2, ok2 = right_factor(M.T, inverse, P[gamma_vertex], delta_values)
+    return ok1 & ok2 & (g1 == g2)
 
 
 def first_failure(n: int, bad_row: Callable[[int], np.ndarray]) -> tuple[int, int] | None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
 from . import connections, cones, kernel, oracle
 from .categories import Morphism, left_category, realize_category, right_category
 from .checks import Check
@@ -317,20 +319,26 @@ def crossconn_suite(S: ReesSemigroup) -> list[Check]:
     )
     checks.append(Check("crossconn.u_subsemigroups", ok))
 
-    pairs = connections.linked_pairs(conn, size_guard=S.size)
     if len(ug) * len(ud) * (n_l + n_i) > TRIPLE_GUARD:
         checks.append(Check("crossconn.linked_criterion_agreement", None, _SKIP))
     else:
-        pair_set = {(p.gamma, p.delta) for p in pairs}
-        witness = next(
-            (
-                f"{g}, {d}"
-                for g in ug
-                for d in ud
-                if connections.is_linked(conn, g, d) != ((g, d) in pair_set)
-            ),
-            None,
-        )
+        # each U-Gamma cone against all of U-Delta: linked exactly when a linked pair
+        pairs = connections._pair_cones(connections.linked_pairs(conn, size_guard=S.size))
+        index = kernel.KeyIndex(kernel.row_keys(*pairs[0], *pairs[1]))
+        gammas, deltas = kernel.cone_arrays(ug), kernel.cone_arrays(ud)
+        P, inverse = np.asarray(S.matrix.entries), np.asarray(G.inverse)
+        m = len(ud)
+
+        def bad_row(a: int) -> np.ndarray:
+            values, vertex = kernel.pick(gammas, a)
+            keys = kernel.row_keys(
+                np.broadcast_to(values, (m, n_l)), np.full(m, vertex), *deltas
+            )
+            paired = index.find(keys) >= 0
+            return kernel.is_linked(M, inverse, P, (values, vertex), deltas) != paired
+
+        bad = kernel.first_failure(len(ug), bad_row)
+        witness = None if bad is None else f"{ug[bad[0]]}, {ud[bad[1]]}"
         checks.append(Check("crossconn.linked_criterion_agreement", witness is None, witness))
 
     report = connections.verify_phi(S)

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,7 @@ from crossconn.errors import ParseError
 from crossconn.rees import ReesSemigroup
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -259,3 +264,48 @@ def test_bom_and_crlf_files_load_like_plain_ones(bom, newline, tmp_path, capsys)
         del report["group"]["spec"]
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--size-guard", "abc", "build"], ["frobnicate"], ["--format", "xml", "build"], []],
+    ids=["size-guard", "command", "format", "no-command"],
+)
+def test_malformed_arguments_are_input_errors(args, capsys):
+    # Exit 2 means a failed check; a command line that does not parse is
+    # malformed input, exit 1 with one error line.
+    code, out, err = run_cli(["--group", "cyclic:2", "--matrix", "identity:1x1", *args], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: argument") or err.startswith("error: the following")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: crossconn" in capsys.readouterr().out
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_cyclic_order_guard_comes_before_the_table():
+    # cyclic:100000 would build a 10^10-entry table before FiniteGroup's
+    # guard.  Under a 1 GiB address-space cap that shows as a quick
+    # MemoryError traceback rather than exhausting the machine's memory.
+    result = subprocess.run(
+        [sys.executable, "-m", "crossconn.cli", "--group", "cyclic:100000",
+         "--matrix", "identity:1x1", "build"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_cap_address_space,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == "error: group order 100000 exceeds the validation guard 256\n"

@@ -1,5 +1,6 @@
 """The array kernel against the scalar loops it replaced (tests/scalar_reference.py)."""
 
+import contextlib
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from crossconn import (
     realize_category,
     verify_phi,
 )
-from crossconn.verify import cone_suite, rees_suite
+from crossconn.verify import cone_suite, crossconn_suite, rees_suite
 
 
 def _relabelled_s3() -> FiniteGroup:
@@ -108,6 +109,45 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
         assert kernel.regular_subsemigroup(
             array, kernel.cone_arrays(members)
         ) == scalar_reference.regular_subsemigroup(group, members)
+
+
+IMAGE_FAULTS = [
+    None,
+    scalar_reference.misscaled,
+    scalar_reference.collapsed,
+    scalar_reference.endomorphic,
+    scalar_reference.relabelled,
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["gamma_apply", "delta_apply"]),
+    st.sampled_from(IMAGE_FAULTS),
+    st.booleans(),
+    st.data(),
+)
+def test_crossconnection_arrays_match_the_loops(G, n_lambda, n_i, functor, fault, unscaled, data):
+    # The functor laws, fully_faithful, ideal_restriction and the linked
+    # criterion report the same verdicts and first witnesses as the loops,
+    # on sound functors and linkage tests and on faulty ones.
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    S = ReesSemigroup(SandwichMatrix(G, entries))
+    conn = connections.CrossConnection(S.matrix)
+    with scalar_reference.faulty_images(functor, fault) if fault else contextlib.nullcontext():
+        got = connections.verify_crossconnection(conn)
+        expected = scalar_reference.crossconnection_checks(conn)
+    assert got[: len(expected)] == expected
+
+    with scalar_reference.unscaled_linkage() if unscaled else contextlib.nullcontext():
+        linked = {c.name: c for c in crossconn_suite(S)}["crossconn.linked_criterion_agreement"]
+        witness = scalar_reference.linked_criterion_witness(S)
+    assert (linked.passed, linked.witness) == (witness is None, witness)
 
 
 def test_wide_cones_z2_lambda_64():

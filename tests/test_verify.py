@@ -1,12 +1,15 @@
+import json
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scalar_reference
 from hypothesis import given, settings, strategies as st
 
 from crossconn import (
     Cone,
+    CrossConnection,
     ReesElement,
     ReesSemigroup,
     SandwichMatrix,
@@ -20,6 +23,7 @@ from crossconn import (
     verify_phi,
 )
 from crossconn.checks import all_passed, failures
+from crossconn.cli import main
 from crossconn.verify import (
     category_suite,
     cone_suite,
@@ -189,3 +193,89 @@ def test_phi_isomorphism_on_random_matrices(order, n_lambda, n_i, data):
     ]
     S = ReesSemigroup(SandwichMatrix(G, entries))
     assert verify_phi(S).is_isomorphism
+
+
+def _crossconn_checks(S):
+    return {c.name: c for c in crossconn_suite(S)}
+
+
+def _reference_checks(S):
+    return {c.name: c for c in scalar_reference.crossconnection_checks(CrossConnection(S.matrix))}
+
+
+@pytest.mark.parametrize(
+    "functor, name",
+    [("gamma_apply", "crossconn.functor_gamma"), ("delta_apply", "crossconn.functor_delta")],
+)
+def test_misscaled_image_fails_its_functor_law(functor, name):
+    # Negative control: h -> h*h keeps identities but not composites in S3.
+    S = _s3_fixture()
+    with scalar_reference.faulty_images(functor, scalar_reference.misscaled):
+        check, reference = _crossconn_checks(S)[name], _reference_checks(S)[name]
+    assert check.passed is False
+    assert check.witness.startswith("composite of Morphism(")
+    assert check.witness == reference.witness
+
+
+def test_collapsed_scalars_fail_faithfulness_and_restriction():
+    # Negative control: two scalars of each hom-set share one image.
+    S = _s3_fixture()
+    with scalar_reference.faulty_images("gamma_apply", scalar_reference.collapsed):
+        checks, reference = _crossconn_checks(S), _reference_checks(S)
+    for name, witness in (
+        ("crossconn.fully_faithful", "hom(0,0) induces 5 maps, expected 6"),
+        (
+            "crossconn.ideal_restriction",
+            "restriction to object 0 is not a bijection on endomorphisms",
+        ),
+    ):
+        assert checks[name].passed is False, name
+        assert checks[name].witness == reference[name].witness == witness
+
+
+@pytest.mark.parametrize("functor", ["gamma_apply", "delta_apply"])
+def test_images_that_do_not_compose_fail_the_law_without_raising(functor, capsys):
+    # An image of m1 that ends where the image of m2 does not start is a
+    # failed functor law (exit 2), not a NotComposable raised out of verify.
+    S = _s3_fixture()
+    name = "crossconn.functor_" + functor.split("_")[0]
+    with scalar_reference.faulty_images(functor, scalar_reference.endomorphic):
+        check, reference = _crossconn_checks(S)[name], _reference_checks(S)[name]
+        code = main(
+            [
+                "--group", str(FIXTURES / "s3_cayley.csv"),
+                "--matrix", str(FIXTURES / "s3_P.csv"),
+                "crossconn",
+            ]
+        )
+    assert check.passed is False
+    assert check.witness == reference.witness
+    assert check.witness.startswith("composite of Morphism(dom=0, cod=1,")
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert {c["name"]: c["passed"] for c in report["checks"]}[name] is False
+
+
+def test_image_outside_the_domain_coset_fails_faithfulness_without_raising():
+    # Objects 0 and 1 trading cosets is still a functor, but no image on
+    # hom(0,0) is defined on the coset of object 0: a failed check, not a
+    # NotInDomainCoset raised out of verify.
+    S = _s3_fixture()
+    with scalar_reference.faulty_images("gamma_apply", scalar_reference.relabelled):
+        checks, reference = _crossconn_checks(S), _reference_checks(S)
+    assert checks["crossconn.functor_gamma"].passed is True
+    check = checks["crossconn.fully_faithful"]
+    assert check.passed is False
+    assert check.witness == reference["crossconn.fully_faithful"].witness
+    assert check.witness == "hom(0,0) induces 0 maps, expected 6"
+
+
+def test_linkage_without_equal_scalars_fails_the_criterion():
+    # Negative control: is_linked without its g1 == g2 test also links
+    # cones of one cell that factor through different scalars.
+    S = _s3_fixture()
+    with scalar_reference.unscaled_linkage():
+        check = _crossconn_checks(S)["crossconn.linked_criterion_agreement"]
+        witness = scalar_reference.linked_criterion_witness(S)
+    assert check.passed is False
+    assert witness is not None and check.witness == witness
