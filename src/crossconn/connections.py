@@ -39,7 +39,7 @@ from .errors import (
     SizeGuardExceeded,
 )
 from .groups import FiniteGroup
-from .oracle import MapCheck, from_table, verify_map
+from .oracle import GenericSemigroup, MapCheck, verify_map
 from .rees import DEFAULT_SIZE_GUARD, ReesElement, ReesSemigroup, SandwichMatrix, identity_matrix
 
 
@@ -318,7 +318,8 @@ def verify_phi(S: ReesSemigroup) -> PhiReport:
     """Check closure of the linked-pair product and that phi is a bijective homomorphism.
 
     The map check goes through the independent table oracle rather than
-    any closed form.
+    any closed form.  The pair table is not scanned for associativity: a
+    bijective homomorphism from S carries S's associativity onto it.
     """
     conn = CrossConnection(S.matrix)
     pairs = linked_pairs(conn, size_guard=S.size)
@@ -330,9 +331,8 @@ def verify_phi(S: ReesSemigroup) -> PhiReport:
         return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
     phi_gamma, phi_delta = _pair_cones([phi(S, a) for a in S.elements()])
     f = index.find(kernel.row_keys(*phi_gamma, *phi_delta))
-    return PhiReport(
-        True, None, verify_map(f.tolist(), S.to_generic(), from_table(kernel.int_rows(table)))
-    )
+    s_tilde = GenericSemigroup(kernel.int_rows(table))
+    return PhiReport(True, None, verify_map(f.tolist(), S.to_generic(), s_tilde))
 
 
 def matrix_of(group: FiniteGroup, handles: Sequence[CosetHandle]) -> SandwichMatrix:

@@ -30,7 +30,12 @@ def associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int
 
 
 class GenericSemigroup:
-    """A finite semigroup as a validated multiplication table on 0..size-1."""
+    """A multiplication table on 0..size-1, checked for closure only.
+
+    Building one does not scan for associativity: `from_table` does, and
+    a caller that builds the class directly reports or establishes
+    associativity itself.
+    """
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Sequence[str] | None = None):
         n = len(table)
@@ -47,13 +52,6 @@ class GenericSemigroup:
             rows.append(row)
         self.size = n
         self.table = tuple(rows)
-        bad = associativity_witness(self.table)
-        if bad is not None:
-            a, b, c = bad
-            raise NotAssociative(
-                f"({a}*{b})*{c} = {self.table[self.table[a][b]][c]} but "
-                f"{a}*({b}*{c}) = {self.table[a][self.table[b][c]]}"
-            )
         if labels is None:
             self.labels = tuple(str(k) for k in range(n))
         else:
@@ -71,8 +69,17 @@ class GenericSemigroup:
 
 
 def from_table(table: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> GenericSemigroup:
-    """Validate a raw table (closure and associativity) into a GenericSemigroup."""
-    return GenericSemigroup(table, labels)
+    """Validate a raw table (closure, then associativity) into a GenericSemigroup;
+    the one entry point that rejects a non-associative table."""
+    T = GenericSemigroup(table, labels)
+    bad = associativity_witness(T.table)
+    if bad is not None:
+        a, b, c = bad
+        t = T.table
+        raise NotAssociative(
+            f"({a}*{b})*{c} = {t[t[a][b]][c]} but {a}*({b}*{c}) = {t[a][t[b][c]]}"
+        )
+    return T
 
 
 def left_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
@@ -84,7 +91,8 @@ def right_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
     return frozenset({x} | {T.table[x][s] for s in range(T.size)})
 
 
-def _partition_by_key(keys: Sequence) -> tuple[tuple[int, ...], ...]:
+def partition_by_key(keys: Sequence) -> tuple[tuple[int, ...], ...]:
+    """The positions of equal keys as one class each, in canonical order."""
     classes: dict = {}
     for x, key in enumerate(keys):
         classes.setdefault(key, []).append(x)
@@ -104,11 +112,11 @@ def green_via_ideals(T: GenericSemigroup, kind: str) -> tuple[tuple[int, ...], .
     the join (reachability across L and R classes).
     """
     if kind == "L":
-        return _partition_by_key([left_ideal(T, x) for x in range(T.size)])
+        return partition_by_key([left_ideal(T, x) for x in range(T.size)])
     if kind == "R":
-        return _partition_by_key([right_ideal(T, x) for x in range(T.size)])
+        return partition_by_key([right_ideal(T, x) for x in range(T.size)])
     if kind == "H":
-        return _partition_by_key(
+        return partition_by_key(
             [(left_ideal(T, x), right_ideal(T, x)) for x in range(T.size)]
         )
     if kind == "D":

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import MixedSemigroups, ParseError, SizeGuardExceeded
 from .groups import FiniteGroup, read_text
 from .kernel import element_arrays, int_rows
-from .oracle import GenericSemigroup, canonical_partition
+from .oracle import GenericSemigroup, partition_by_key
 
 DEFAULT_SIZE_GUARD = 512
 
@@ -117,7 +117,10 @@ class ReesSemigroup:
 
     def __init__(self, matrix: SandwichMatrix, size_guard: int = DEFAULT_SIZE_GUARD):
         self.matrix = matrix
-        self.size = matrix.group.order * matrix.cols * matrix.rows
+        self.group = matrix.group
+        self.n_i = matrix.cols
+        self.n_lambda = matrix.rows
+        self.size = self.group.order * self.n_i * self.n_lambda
         if self.size > size_guard:
             raise SizeGuardExceeded(
                 f"semigroup has {self.size} elements, above the guard {size_guard}"
@@ -128,14 +131,6 @@ class ReesSemigroup:
         self._generic: GenericSemigroup | None = None
 
     @property
-    def group(self) -> FiniteGroup:
-        return self.matrix.group
-
-    @property
-    def n_i(self) -> int:
-        return self.matrix.cols
-
-    @property
     def opposite(self) -> ReesSemigroup:
         """S^op as M[G^op; Lambda, I; P^T], where (g, i, lam) here is (g, lam, i);
         built once, so S.opposite.opposite is S."""
@@ -144,10 +139,6 @@ class ReesSemigroup:
             op._opposite = self
             self._opposite = op
         return self._opposite
-
-    @property
-    def n_lambda(self) -> int:
-        return self.matrix.rows
 
     def elements(self) -> Iterator[ReesElement]:
         for g in range(self.group.order):
@@ -207,10 +198,8 @@ class ReesSemigroup:
             key = lambda x: (x.i, x.lam)
         else:
             raise ParseError(f"unknown Green relation {kind!r}; expected L, R, H or D")
-        classes: dict = {}
-        for x in self.elements():
-            classes.setdefault(key(x), []).append(self.index(x))
-        return canonical_partition(classes.values())
+        # elements() runs in index order, so positions are indices
+        return partition_by_key([key(x) for x in self.elements()])
 
     def principal_left_ideal(self, x: ReesElement) -> frozenset[ReesElement]:
         """S^1 x = everything with x's lam coordinate."""
@@ -244,8 +233,9 @@ class ReesSemigroup:
         return f"({self.group.names[x.g]},{x.i},{x.lam})"
 
     def to_generic(self) -> GenericSemigroup:
-        """Export table() to the table oracle, which validates it (associativity
-        included) on first use; the export is kept for the rest of the run."""
+        """Export table() to the table oracle on first use and keep it for the
+        rest of the run.  The export checks closure only: `rees.associative`
+        scans it for associativity and reports the result."""
         if self._generic is None:
             labels = [self.element_label(x) for x in self.elements()]
             self._generic = GenericSemigroup(int_rows(self.table()), labels=labels)

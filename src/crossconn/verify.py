@@ -6,6 +6,13 @@ the triple guard, never silently truncated.  The O(|S|^2) scans run one
 row at a time on the arrays of `kernel`, reading products of S from
 `S.table()`; right-hand products run as `kernel.mul_L` over the opposite
 group (the transposed Cayley array), so one kernel serves both sides.
+
+Tables reach the oracle as closed `GenericSemigroup`s, which do not scan
+for associativity.  Each table is scanned once, by the check that
+reports it (`rees.associative`, `cones.tl_associative`), so a
+non-associative table is a failed check rather than an exception.  The
+linked-pair table needs no scan: a passing `crossconn.phi_isomorphism`
+is a bijective homomorphism onto it from S.
 """
 
 from __future__ import annotations
@@ -35,13 +42,14 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
         Check("rees.associative", witness is None, str(witness) if witness else None)
     )
 
+    # elements() runs in index order, so row k of the table belongs to element k
     elements = list(S.elements())
     bad = next(
         (
             (x, y)
-            for x in elements
-            for y in elements
-            if table[S.index(x)][S.index(y)] != S.index(S.mul(x, y))
+            for x, row in zip(elements, table)
+            for y, entry in zip(elements, row)
+            if entry != S.index(S.mul(x, y))
         ),
         None,
     )
@@ -184,12 +192,10 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
         assoc = oracle.associativity_witness(table)
         checks.append(Check("cones.tl_associative", assoc is None, str(assoc) if assoc else None))
 
-        T = oracle.from_table(table)
-        by_vertex = oracle.canonical_partition(
-            _group_indices(tl, key=lambda c: c.vertex).values()
-        )
-        by_coset = oracle.canonical_partition(
-            _group_indices(tl, key=lambda c: cones.coset_normalize(G, "left", c.values)).values()
+        T = oracle.GenericSemigroup(table)
+        by_vertex = oracle.partition_by_key([c.vertex for c in tl])
+        by_coset = oracle.partition_by_key(
+            [cones.coset_normalize(G, "left", c.values) for c in tl]
         )
         ok = by_vertex == oracle.green_via_ideals(T, "L") and by_coset == oracle.green_via_ideals(
             T, "R"
@@ -248,13 +254,6 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
         )
     )
     return checks
-
-
-def _group_indices(items, key):
-    groups: dict = {}
-    for k, item in enumerate(items):
-        groups.setdefault(key(item), []).append(k)
-    return groups
 
 
 def crossconn_suite(S: ReesSemigroup) -> list[Check]:

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from crossconn import (
     Cone,
     CrossConnection,
+    FiniteGroup,
     ReesElement,
     ReesSemigroup,
     SandwichMatrix,
@@ -20,6 +22,7 @@ from crossconn import (
     kernel,
     load_cayley_file,
     load_matrix_file,
+    oracle,
     verify_phi,
 )
 from crossconn.checks import all_passed, failures
@@ -159,6 +162,127 @@ def test_faulty_translations_fail_left_realization():
     assert check.passed is False
     assert any("leaves the ideal" in m for m in reference.mismatches)
     assert check.witness == "; ".join(reference.mismatches)
+
+
+def test_non_associative_table_fails_rees_associative():
+    # Negative control: the faulty product's table is not associative. The
+    # check's own scan is the only one, so the suite reports it instead of
+    # raising NotAssociative while exporting the table to the oracle.
+    S = _KeepsVertexOffRowZero(_s3_fixture().matrix)
+    check = {c.name: c for c in rees_suite(S)}["rees.associative"]
+    witness = oracle.associativity_witness(S.index_table())
+    assert witness is not None
+    assert check.passed is False
+    assert check.witness == str(witness)
+
+
+class _OneWrongProduct(ReesSemigroup):
+    """S.mul with the product of one pair moved to the next group element;
+    the index table stays the true one."""
+
+    PAIR = (ReesElement(1, 0, 1), ReesElement(0, 1, 0))
+
+    def mul(self, x, y):
+        z = super().mul(x, y)
+        return replace(z, g=(z.g + 1) % self.group.order) if (x, y) == self.PAIR else z
+
+
+def test_product_off_the_table_fails_table_matches_product():
+    S = _OneWrongProduct(_s3_fixture().matrix)
+    check = {c.name: c for c in rees_suite(S)}["rees.table_matches_product"]
+    assert check.passed is False
+    assert check.witness == scalar_reference.table_matches_product_witness(S) == str(S.PAIR)
+
+
+def _swap_first_two(table):
+    """The table with its entries at (0, 0) and (0, 1) swapped, in place:
+    still closed, but on the fixtures below no longer associative."""
+    table[0][0], table[0][1] = table[0][1], table[0][0]
+    return table
+
+
+def test_non_associative_cone_table_fails_tl_associative(s1, monkeypatch):
+    # Negative control on M[Z2; 2, 2], whose |T_L| = 8 is small enough for
+    # the cone-table checks to run.
+    original = cones.cone_table
+    monkeypatch.setattr(cones, "cone_table", lambda *args: _swap_first_two(original(*args)))
+    check = {c.name: c for c in cone_suite(ReesSemigroup(s1.matrix))}["cones.tl_associative"]
+    witness = oracle.associativity_witness(
+        cones.cone_table(s1.group, cones.enumerate_TL(s1.group, s1.n_lambda), "L")
+    )
+    assert witness is not None
+    assert check.passed is False
+    assert check.witness == str(witness)
+
+
+def test_non_associative_pair_table_fails_isomorphism(s1, monkeypatch, capsys):
+    # Negative control: with two entries of the linked-pair table swapped,
+    # phi is no homomorphism onto it, and the failed check (not a raised
+    # NotAssociative) makes the command exit 2.
+    kernel_table, scalar_table = connections._pair_table, scalar_reference.pair_table
+    monkeypatch.setattr(
+        connections,
+        "_pair_table",
+        lambda *args: (_swap_first_two(kernel_table(*args)[0]), None),
+    )
+    monkeypatch.setattr(
+        scalar_reference, "pair_table", lambda S: (_swap_first_two(scalar_table(S)[0]), None)
+    )
+    S = ReesSemigroup(s1.matrix)
+    check = _crossconn_checks(S)["crossconn.phi_isomorphism"]
+    assert oracle.associativity_witness(scalar_reference.pair_table(S)[0]) is not None
+    reference = scalar_reference.verify_phi(S)
+    assert check.passed is False
+    assert check.witness == reference.map_check.witness
+    assert check.witness.startswith("f(")
+    code = main(["--group", "cyclic:2", "--matrix", str(FIXTURES / "P1.csv"), "crossconn"])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert {c["name"]: c["passed"] for c in report["checks"]}["crossconn.phi_isomorphism"] is False
+
+
+def test_full_suite_scans_each_table_for_associativity_once(s1, monkeypatch):
+    # One scan of S's table (rees.associative) and one of T_L's
+    # (cones.tl_associative): exporting either to the oracle and checking
+    # phi against the linked-pair table add none.
+    sizes = []
+    original = oracle.associativity_witness
+
+    def counting(table):
+        sizes.append(len(table))
+        return original(table)
+
+    monkeypatch.setattr(oracle, "associativity_witness", counting)
+    _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
+    assert sizes == [s1.size, len(cones.enumerate_TL(s1.group, s1.n_lambda))]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.permutations(range(6)).filter(lambda perm: perm[0] != 0),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=2),
+    st.data(),
+)
+def test_full_suite_invariant_under_relabelling_s3(perm, n_lambda, n_i, data):
+    # The S3 Cayley table with its elements shuffled, so that the identity
+    # is off index 0, and the same matrix written in the new indices:
+    # every check keeps its name, its place and its outcome.
+    G = builtin("symmetric", 3)
+    cayley = [[0] * G.order for _ in G.elements()]
+    for a in G.elements():
+        for b in G.elements():
+            cayley[perm[a]][perm[b]] = perm[G.mul(a, b)]
+    H = FiniteGroup(cayley)
+    assert H.identity == perm[G.identity] != 0
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    outcomes = [
+        [(c.name, c.passed) for c in full_suite(ReesSemigroup(SandwichMatrix(K, rows)))]
+        for K, rows in ((G, entries), (H, [[perm[v] for v in row] for row in entries]))
+    ]
+    assert outcomes[0] == outcomes[1]
 
 
 def test_faulty_closed_form_fails_principal_left_ideal(monkeypatch):
