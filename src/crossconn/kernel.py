@@ -21,8 +21,18 @@ Linkage.  `right_factor` extracts the scalar g with values == base * g
 for a batch of tuples at once, and `is_linked` tests one gamma cone
 against a batch of delta cones with it, over M and its transpose M.T.
 
+Cells.  A cell map of the connection bifunctor and the duality chi are
+scalings: `bifunctor` and `chi` factor a batch of tuples through a column
+of P with `right_factor`, rescale, and return the mask of the tuples that
+factor, so a cone outside its cell is a failed comparison rather than an
+exception.  The dual bifunctor is `bifunctor` over the opposite
+connection's group and matrix.  These serve `crossconn.naturality`;
+`category.cone_product_agreement` compares the category's cone product
+with `mul_L` row by row.
+
 The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
-`connections.is_linked`, `ReesSemigroup.mul`) stay the definitions;
+`connections.is_linked`, `connections.bifunctor_gamma`,
+`connections.chi`, `ReesSemigroup.mul`) stay the definitions;
 `rees.table_matches_product` ties `table()` to `ReesSemigroup.mul`, and
 tests compare every scan with its scalar loop.
 """
@@ -109,11 +119,12 @@ def right_factor(M: np.ndarray, inverse: np.ndarray, base, values) -> tuple[np.n
     """`connections._right_factor` row by row over the group with Cayley array M:
     g = base[0]^-1 * values[0], and whether values == base * g holds pointwise.
 
-    base and values are (m, k) or (k,) arrays; the result is two (m,) arrays.
+    base and values are (..., k) arrays that broadcast against each other;
+    the result is two arrays of their broadcast leading shape.
     """
-    base, values = np.broadcast_arrays(np.atleast_2d(base), np.atleast_2d(values))
-    g = M[inverse[base[:, 0]], values[:, 0]]
-    return g, (M[base, g[:, None]] == values).all(axis=1)
+    base, values = np.broadcast_arrays(base, values)
+    g = M[inverse[base[..., 0]], values[..., 0]]
+    return g, (M[base, g[..., None]] == values).all(axis=-1)
 
 
 def is_linked(M: np.ndarray, inverse: np.ndarray, P: np.ndarray, gamma, deltas) -> np.ndarray:
@@ -124,6 +135,23 @@ def is_linked(M: np.ndarray, inverse: np.ndarray, P: np.ndarray, gamma, deltas) 
     g1, ok1 = right_factor(M, inverse, P[:, delta_vertices].T, gamma_values)
     g2, ok2 = right_factor(M.T, inverse, P[gamma_vertex], delta_values)
     return ok1 & ok2 & (g1 == g2)
+
+
+def bifunctor(M: np.ndarray, inverse: np.ndarray, dom_column, cod_column, g1, g2, values):
+    """`connections.bifunctor_gamma` on the tuples of cones, over the group with
+    Cayley array M: dom_column * g -> cod_column * (g1*g*g2).  Also returns
+    the mask of the tuples that factor through dom_column, the only ones the
+    cell map is defined on.  Columns, scalars and tuples broadcast.
+    """
+    g, ok = right_factor(M, inverse, dom_column, values)
+    return M[cod_column, M[M[g1, g], g2][..., None]], ok
+
+
+def chi(M: np.ndarray, inverse: np.ndarray, column, row, values):
+    """`connections.chi` on the tuples of cones: column * g -> g * row, with
+    the mask of the tuples that factor through column."""
+    g, ok = right_factor(M, inverse, column, values)
+    return M[g[..., None], row], ok
 
 
 def first_failure(n: int, bad_row: Callable[[int], np.ndarray]) -> tuple[int, int] | None:

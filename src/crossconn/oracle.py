@@ -41,17 +41,20 @@ class GenericSemigroup:
         n = len(table)
         if n == 0:
             raise NotClosed("empty multiplication table")
-        rows = []
-        for r, row in enumerate(table):
-            row = tuple(int(x) for x in row)
-            if len(row) != n:
-                raise NotClosed(f"row {r} has {len(row)} entries, expected {n}")
-            for c, v in enumerate(row):
-                if not 0 <= v < n:
-                    raise NotClosed(f"entry {v} at row {r}, column {c} is not an index below {n}")
-            rows.append(row)
+        rows = tuple(map(tuple, table))
+        # the rows before the first one of the wrong length, in one array
+        full = next((r for r, row in enumerate(rows) if len(row) != n), n)
+        entries = np.asarray(table[:full]).reshape(full, n)
+        outside = (entries < 0) | (entries >= n)
+        if outside.any():
+            r, c = divmod(int(outside.argmax()), n)
+            raise NotClosed(
+                f"entry {entries[r, c]} at row {r}, column {c} is not an index below {n}"
+            )
+        if full < n:
+            raise NotClosed(f"row {full} has {len(rows[full])} entries, expected {n}")
         self.size = n
-        self.table = tuple(rows)
+        self.table = rows
         if labels is None:
             self.labels = tuple(str(k) for k in range(n))
         else:

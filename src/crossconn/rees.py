@@ -223,11 +223,26 @@ class ReesSemigroup:
 
     def table(self) -> np.ndarray:
         """index_table() as a read-only array, built on first use and kept,
-        so that every suite of one run scans the same table."""
+        so that every suite of one run scans the same table.  When S^op
+        already holds its table, this one is read off it instead."""
         if self._table is None:
-            self._table = np.array(self.index_table(), dtype=np.int32)
-            self._table.flags.writeable = False
+            op = self._opposite
+            if op is not None and op._table is not None:
+                table = op._opposite_table()
+            else:
+                table = np.array(self.index_table(), dtype=np.int32)
+            table.flags.writeable = False
+            self._table = table
         return self._table
+
+    def _opposite_table(self) -> np.ndarray:
+        """S^op's table from table(): x*y in S^op is y*x in S, and element
+        (g, i, lam) of S is element (g, lam, i) of S^op."""
+        g, i, lam = element_arrays(self.group.order, self.n_i, self.n_lambda)
+        relabel = ((g * self.n_lambda + lam) * self.n_i + i).astype(np.int32)
+        table = np.empty_like(self.table())
+        table[np.ix_(relabel, relabel)] = relabel[self.table().T]
+        return table
 
     def element_label(self, x: ReesElement) -> str:
         return f"({self.group.names[x.g]},{x.i},{x.lam})"

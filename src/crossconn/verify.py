@@ -6,6 +6,12 @@ the triple guard, never silently truncated.  The O(|S|^2) scans run one
 row at a time on the arrays of `kernel`, reading products of S from
 `S.table()`; right-hand products run as `kernel.mul_L` over the opposite
 group (the transposed Cayley array), so one kernel serves both sides.
+The cone scans run the same way: `category.cone_product_agreement` takes
+one cone of T_L against all of T_L per row, with the category's
+composition tabulated once from `ArrowCategory.compose`, and
+`crossconn.naturality` takes one triple of objects (l1, l2, i1) per row,
+all (i2, g1, g2) and all cones of the cell at once, through
+`kernel.bifunctor` and `kernel.chi`.
 
 Tables reach the oracle as closed `GenericSemigroup`s, which do not scan
 for associativity.  Each table is scanned once, by the check that
@@ -125,19 +131,39 @@ def category_suite(S: ReesSemigroup) -> list[Check]:
     if n_cones**2 > TRIPLE_GUARD:
         checks.append(Check("category.cone_product_agreement", None, _SKIP))
     else:
-        lcat = left_category(G, S.n_lambda)
-        tl = cones.enumerate_TL(G, S.n_lambda)
-        witness = next(
-            (
-                f"{c1} * {c2}"
-                for c1 in tl
-                for c2 in tl
-                if lcat.compose_cones(c1, c2) != cones.mul_L(G, c1, c2)
-            ),
-            None,
-        )
+        witness = _cone_product_witness(G, S.n_lambda)
         checks.append(Check("category.cone_product_agreement", witness is None, witness))
     return checks
+
+
+def _cone_product_witness(G, n_lambda: int) -> str | None:
+    """The first pair of T_L whose product in the left category (`compose_cones`)
+    differs from the semigroup product `mul_L`, one row of T_L at a time.
+
+    Composition is tabulated once from `ArrowCategory.compose`, so a fault
+    in it or in the group's multiplication reaches the check.
+    """
+    lcat = left_category(G, n_lambda)
+    C = np.array(
+        [
+            [lcat.compose(Morphism(0, 0, g1), Morphism(0, 0, g2)).g for g2 in G.elements()]
+            for g1 in G.elements()
+        ],
+        dtype=np.intp,
+    )
+    M = kernel.group_array(G)
+    tl = cones.enumerate_TL(G, n_lambda)
+    tl_arrays = kernel.cone_arrays(tl)
+    values_b, vertices_b = tl_arrays
+
+    def bad_row(a: int) -> np.ndarray:
+        values, vertex = kernel.pick(tl_arrays, a)
+        # a's component at each object, followed by b's component at a's vertex
+        composite = C[values, values_b[:, vertex, None]], vertices_b
+        return kernel.differ(composite, kernel.mul_L(M, (values, vertex), tl_arrays))
+
+    bad = kernel.first_failure(len(tl), bad_row)
+    return None if bad is None else f"{tl[bad[0]]} * {tl[bad[1]]}"
 
 
 def cone_suite(S: ReesSemigroup) -> list[Check]:
@@ -291,23 +317,7 @@ def crossconn_suite(S: ReesSemigroup) -> list[Check]:
     if cost > TRIPLE_GUARD:
         checks.append(Check("crossconn.naturality", None, _SKIP))
     else:
-        witness = None
-        for l1, l2, i1, i2 in product(range(n_l), range(n_l), range(n_i), range(n_i)):
-            for g1, g2 in product(G.elements(), repeat=2):
-                rho = Morphism(l1, l2, g2)
-                kappa = Morphism(i1, i2, g1)
-                for cone in connections.gamma_cell(conn, l1, i1):
-                    left = connections.chi(conn, connections.bifunctor_gamma(conn, rho, kappa, cone), i2)
-                    right = connections.bifunctor_delta(
-                        conn, rho, kappa, connections.chi(conn, cone, i1)
-                    )
-                    if left != right:
-                        witness = f"square at ({l1},{l2},{i1},{i2}) with g1={g1}, g2={g2}"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+        witness = _naturality_witness(conn)
         checks.append(Check("crossconn.naturality", witness is None, witness))
 
     ug = connections.u_gamma(conn, bound=S.size)
@@ -361,6 +371,46 @@ def crossconn_suite(S: ReesSemigroup) -> list[Check]:
     checks.append(Check("crossconn.matrix_roundtrip", witness is None, witness))
 
     return checks
+
+
+def _naturality_witness(conn: CrossConnection) -> str | None:
+    """The first square of the duality chi between the cell maps of the two
+    bifunctors that does not commute, in (l1, l2, i1, i2, g1, g2) order.
+
+    For rho = g2 : l1 -> l2 and kappa = g1 : i1 -> i2, each cone of the cell
+    (l1, i1) goes through Gamma's cell map and then chi, and through chi and
+    then Delta's cell map, which is Gamma's over `conn.opposite` with rho and
+    kappa swapped.  One triple (l1, l2, i1) is one row: all (i2, g1, g2) and
+    all |G| cones of the cell at once.  A cone that is not on its cell fails
+    its squares.
+    """
+    G, op = conn.group, conn.opposite
+    M, P = kernel.group_array(G), np.asarray(conn.matrix.entries, dtype=np.intp)
+    M_op, P_op = kernel.group_array(op.group), np.asarray(op.matrix.entries, dtype=np.intp)
+    inverse, order = np.asarray(G.inverse), G.order
+    # axes [i2, g1, g2, cone]
+    targets = P.T[:, None, None, None, :]  # column i2 of P
+    g1 = np.arange(order).reshape(-1, 1, 1)
+    g2 = np.arange(order).reshape(1, -1, 1)
+    triples = list(product(range(conn.n_lambda), range(conn.n_lambda), range(conn.n_i)))
+
+    def bad_row(a: int) -> np.ndarray:
+        l1, l2, i1 = triples[a]
+        values, vertices = kernel.cone_arrays(connections.gamma_cell(conn, l1, i1))
+        # Gamma's cell map, then chi on the cell (l2, i2)
+        image, ok1 = kernel.bifunctor(M, inverse, P[:, i1], targets, g1, g2, values)
+        left, ok2 = kernel.chi(M, inverse, targets, P[l2], image)
+        # chi on the cell (l1, i1), then Delta's cell map
+        dual, ok3 = kernel.chi(M, inverse, P[:, i1], P[l1], values)
+        right, ok4 = kernel.bifunctor(M_op, inverse, P_op[:, l1], P_op[:, l2], g2, g1, dual)
+        on_cell = ok1 & ok2 & ok3 & ok4 & (vertices == l1)
+        return ((left != right).any(axis=-1) | ~on_cell).any(axis=-1).ravel()
+
+    bad = kernel.first_failure(len(triples), bad_row)
+    if bad is None:
+        return None
+    (l1, l2, i1), (i2, rest) = triples[bad[0]], divmod(bad[1], order * order)
+    return f"square at ({l1},{l2},{i1},{i2}) with g1={rest // order}, g2={rest % order}"
 
 
 def full_suite(S: ReesSemigroup) -> list[Check]:

@@ -5,8 +5,9 @@ reference that tests compare it against.  They call the scalar
 functions through their modules (`cones.mul_L`, `connections.phi`, ...),
 so a fault patched into one of those reaches them too.  The faults at
 the end are the ones the negative controls patch into the functors
-`connections.gamma_apply` and `connections.delta_apply`, and into both
-linkage tests.
+`connections.gamma_apply` and `connections.delta_apply`, into both
+linkage tests, into `ArrowCategory.compose`, into
+`CrossConnection.opposite` and into `connections.gamma_cell`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,18 @@ from itertools import product
 from unittest import mock
 
 from crossconn import cones, connections, kernel
-from crossconn.categories import Morphism, RealizationReport, left_category, right_category
+from crossconn.categories import (
+    ArrowCategory,
+    Cone,
+    Morphism,
+    RealizationReport,
+    left_category,
+    right_category,
+)
 from crossconn.checks import Check
-from crossconn.errors import NotComposable, NotInDomainCoset
+from crossconn.errors import ElementNotInCell, NotComposable, NotInDomainCoset
 from crossconn.oracle import GenericSemigroup, from_table, verify_map
-from crossconn.rees import ReesElement, ReesSemigroup
+from crossconn.rees import ReesElement, ReesSemigroup, SandwichMatrix
 
 
 def table_matches_product_witness(S: ReesSemigroup) -> str | None:
@@ -254,6 +262,48 @@ def linked_criterion_witness(S: ReesSemigroup) -> str | None:
     )
 
 
+def cone_product_witness(G, n_lambda: int) -> str | None:
+    """The witness of `category.cone_product_agreement`: the first pair of
+    T_L whose `compose_cones` product is not its `cones.mul_L` product."""
+    lcat = left_category(G, n_lambda)
+    tl = cones.enumerate_TL(G, n_lambda)
+    return next(
+        (
+            f"{c1} * {c2}"
+            for c1 in tl
+            for c2 in tl
+            if lcat.compose_cones(c1, c2) != cones.mul_L(G, c1, c2)
+        ),
+        None,
+    )
+
+
+def naturality_witness(conn: connections.CrossConnection) -> str | None:
+    """The witness of `crossconn.naturality`: the first (l1, l2, i1, i2, g1, g2)
+    with a cone of the cell (l1, i1) on which chi after Gamma's cell map
+    and Delta's cell map after chi differ.  A cone that does not factor
+    through its cell on either route (`ElementNotInCell`) fails its square."""
+    G, n_l, n_i = conn.group, conn.n_lambda, conn.n_i
+    for l1, l2, i1, i2 in product(range(n_l), range(n_l), range(n_i), range(n_i)):
+        for g1, g2 in product(G.elements(), repeat=2):
+            rho = Morphism(l1, l2, g2)
+            kappa = Morphism(i1, i2, g1)
+            for cone in connections.gamma_cell(conn, l1, i1):
+                try:
+                    left = connections.chi(
+                        conn, connections.bifunctor_gamma(conn, rho, kappa, cone), i2
+                    )
+                    right = connections.bifunctor_delta(
+                        conn, rho, kappa, connections.chi(conn, cone, i1)
+                    )
+                    commutes = left == right
+                except ElementNotInCell:
+                    commutes = False
+                if not commutes:
+                    return f"square at ({l1},{l2},{i1},{i2}) with g1={g1}, g2={g2}"
+    return None
+
+
 def misscaled(conn, m, image):
     """h -> h*h: identities stay identities, composites do not in a non-abelian group."""
     return replace(image, h=conn.group.mul(image.h, image.h))
@@ -314,4 +364,54 @@ def unscaled_linkage():
     with mock.patch.object(connections, "is_linked", scalar), mock.patch.object(
         kernel, "is_linked", array
     ):
+        yield
+
+
+@contextmanager
+def reversed_compose():
+    """`ArrowCategory.compose` carrying g2*g1 instead of g1*g2: the groupoid
+    laws still hold, but in a non-abelian group the cone product changes."""
+
+    def compose(self, m1, m2):
+        if m1.cod != m2.dom:
+            raise NotComposable("codomain of the first is not the domain of the second")
+        return Morphism(m1.dom, m2.cod, self.group.mul(m2.g, m1.g))
+
+    with mock.patch.object(ArrowCategory, "compose", compose):
+        yield
+
+
+@contextmanager
+def rescaled_opposite(row: int, h: int):
+    """`CrossConnection.opposite` whose P^T has row `row` (column `row` of P)
+    multiplied on the left by h in G.  With |I| > 1 the duals of a cell no
+    longer factor through the faulty P^T; with |I| = 1 the Delta route
+    ends at another cone wherever h does not commute with g2."""
+    original = connections.CrossConnection.opposite
+
+    def opposite(conn):
+        op = original.fget(conn)
+        entries = [list(r) for r in op.matrix.entries]
+        entries[row] = [conn.group.mul(h, x) for x in entries[row]]
+        return connections.CrossConnection(SandwichMatrix(op.group, entries))
+
+    with mock.patch.object(connections.CrossConnection, "opposite", property(opposite)):
+        yield
+
+
+@contextmanager
+def stray_cone(h: int, shift: int = 0):
+    """`connections.gamma_cell` with the last coordinate of its last cone
+    multiplied by h and its vertex moved on by shift (mod |Lambda|): with
+    |Lambda| > 1, that cone is off its cell unless h is the identity and
+    shift is 0, and only its naturality squares fail."""
+    original = connections.gamma_cell
+
+    def gamma_cell(conn, lam, i):
+        cell = original(conn, lam, i)
+        *values, last = cell[-1].values
+        vertex = (lam + shift) % conn.n_lambda
+        return cell[:-1] + [Cone((*values, conn.group.mul(last, h)), vertex)]
+
+    with mock.patch.object(connections, "gamma_cell", gamma_cell):
         yield

@@ -18,6 +18,7 @@ from crossconn import (
     connections,
     kernel,
     realize_category,
+    verify,
     verify_phi,
 )
 from crossconn.verify import cone_suite, crossconn_suite, rees_suite
@@ -148,6 +149,40 @@ def test_crossconnection_arrays_match_the_loops(G, n_lambda, n_i, functor, fault
         linked = {c.name: c for c in crossconn_suite(S)}["crossconn.linked_criterion_agreement"]
         witness = scalar_reference.linked_criterion_witness(S)
     assert (linked.passed, linked.witness) == (witness is None, witness)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([None, "compose", "opposite", "stray"]),
+    st.data(),
+)
+def test_cone_product_and_naturality_match_the_loops(G, n_lambda, n_i, fault, data):
+    # The scans of category.cone_product_agreement and crossconn.naturality
+    # give the same first witnesses as the loops, on sound input, under a
+    # reversed composition, a rescaled row of P^T and a cone off its cell.
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    conn = connections.CrossConnection(SandwichMatrix(G, entries))
+    h = data.draw(st.integers(0, G.order - 1))
+    context = {
+        None: contextlib.nullcontext,
+        "compose": scalar_reference.reversed_compose,
+        "opposite": lambda: scalar_reference.rescaled_opposite(
+            data.draw(st.integers(0, n_i - 1)), h
+        ),
+        "stray": lambda: scalar_reference.stray_cone(h, data.draw(st.integers(0, 1))),
+    }[fault]
+    with context():
+        assert verify._naturality_witness(conn) == scalar_reference.naturality_witness(conn)
+        # S3 with three rows has 648 cones: 419,904 scalar products, about 7 s
+        if G.order**n_lambda * n_lambda <= 100:
+            assert verify._cone_product_witness(
+                G, n_lambda
+            ) == scalar_reference.cone_product_witness(G, n_lambda)
 
 
 def test_wide_cones_z2_lambda_64():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -59,6 +61,31 @@ def test_not_closed():
             build([[0, 2], [1, 0]])
         with pytest.raises(NotClosed):
             build([[0, 1], [1]])
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([], "empty multiplication table"),
+        ([[0, 1], [1]], "row 1 has 1 entries, expected 2"),
+        ([[0, 1, 2], [0, 1, 2, 0], [0, 1, 2]], "row 1 has 4 entries, expected 3"),
+        ([[0, 1], [2, 0]], "entry 2 at row 1, column 0 is not an index below 2"),
+        ([[0, 1, 2], [0, 1, -1], [3, 1, 2]], "entry -1 at row 1, column 2 is not an index below 3"),
+        # a row-major scan meets the bad entry of row 0 before the short row 1
+        ([[0, 5], [1]], "entry 5 at row 0, column 1 is not an index below 2"),
+        ([[0], [1, 1]], "row 0 has 1 entries, expected 2"),
+    ],
+)
+def test_not_closed_messages(table, message):
+    for build in (GenericSemigroup, from_table):
+        with pytest.raises(NotClosed, match=f"^{re.escape(message)}$"):
+            build(table)
+
+
+def test_closed_table_keeps_its_entries():
+    T = GenericSemigroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    assert T.table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert all(type(v) is int for row in T.table for v in row)
 
 
 def test_green_agreement_with_rees(s1):

@@ -222,3 +222,33 @@ def test_opposite_semigroup_is_the_transposed_data(family, n_lambda, n_i, data):
     f = [(x.g * n_lambda + x.lam) * n_i + x.i for x in S.elements()]
     check = verify_map(f, from_table(transposed), from_table(S.opposite.index_table()))
     assert check.is_isomorphism, check.witness
+
+
+@pytest.mark.parametrize(
+    "family, entries",
+    [
+        (("symmetric", 3), [[1, 2, 3], [4, 5, 0], [2, 4, 1]]),
+        (("symmetric", 3), [[1, 2, 3], [4, 5, 0]]),
+        (("symmetric", 3), [[5], [1], [3]]),
+        (("cyclic", 3), [[0, 1, 2, 2]]),
+        (("klein", 0), [[1, 2], [3, 0], [0, 0]]),
+    ],
+)
+def test_opposite_table_is_read_off_the_table(family, entries):
+    # With S's table built, S^op's is its transpose relabelled by
+    # (g, i, lam) -> (g, lam, i), and no second index table is made.
+    S = ReesSemigroup(SandwichMatrix(builtin(*family), entries))
+    expected = S.opposite.index_table()
+    S = ReesSemigroup(S.matrix)
+    S.table()
+    calls = []
+    S.opposite.index_table = lambda: calls.append(1)
+    assert S.opposite.table().tolist() == expected
+    assert not S.opposite.table().flags.writeable
+    assert calls == []
+    # and the other way round: S read off S^op
+    S = ReesSemigroup(S.matrix)
+    S.opposite.table()
+    S.index_table = lambda: calls.append(1)
+    assert S.table().tolist() == ReesSemigroup(S.matrix).index_table()
+    assert calls == []

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import scalar_reference
 from hypothesis import given, settings, strategies as st
 
 from crossconn import (
+    ArrowCategory,
     Cone,
     CrossConnection,
     FiniteGroup,
@@ -23,10 +25,13 @@ from crossconn import (
     load_cayley_file,
     load_matrix_file,
     oracle,
+    verify,
     verify_phi,
 )
+from crossconn.categories import Morphism
 from crossconn.checks import all_passed, failures
 from crossconn.cli import main
+from crossconn.errors import ElementNotInCell
 from crossconn.verify import (
     category_suite,
     cone_suite,
@@ -403,3 +408,108 @@ def test_linkage_without_equal_scalars_fails_the_criterion():
         witness = scalar_reference.linked_criterion_witness(S)
     assert check.passed is False
     assert witness is not None and check.witness == witness
+
+
+def test_reversed_composition_fails_cone_product_agreement():
+    # Negative control: composition carrying g2*g1 still makes both
+    # categories groupoids, but in S3 the cone product is no longer mul_L.
+    S = _s3_fixture()
+    with scalar_reference.reversed_compose():
+        checks = {c.name: c for c in category_suite(S)}
+        witness = scalar_reference.cone_product_witness(S.group, S.n_lambda)
+    assert checks["category.left_groupoid"].passed is True
+    check = checks["category.cone_product_agreement"]
+    assert check.passed is False
+    assert witness is not None and check.witness == witness
+    assert re.fullmatch(r"Cone\(values=.*\) \* Cone\(values=.*\)", check.witness)
+
+
+def test_rescaled_dual_matrix_fails_naturality_without_raising(capsys):
+    # Negative control: with one row of P^T rescaled in the opposite
+    # connection, the duals of a cell do not factor through Delta's cells.
+    # Each scalar step of the Delta route raises ElementNotInCell; the check
+    # counts that as a failed square (exit 2), not an error.
+    S = _s3_fixture()
+    assert S.n_i > 1
+    conn = CrossConnection(S.matrix)
+    with scalar_reference.rescaled_opposite(0, 1):
+        check = _crossconn_checks(S)["crossconn.naturality"]
+        witness = scalar_reference.naturality_witness(conn)
+        cone = connections.gamma_cell(conn, 0, 0)[0]
+        with pytest.raises(ElementNotInCell):
+            connections.bifunctor_delta(
+                conn, Morphism(0, 0, 0), Morphism(0, 0, 0), connections.chi(conn, cone, 0)
+            )
+        code = main(
+            [
+                "--group", str(FIXTURES / "s3_cayley.csv"),
+                "--matrix", str(FIXTURES / "s3_P.csv"),
+                "crossconn",
+            ]
+        )
+    assert check.passed is False
+    assert check.witness == witness == "square at (0,0,0,0) with g1=0, g2=0"
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert {c["name"]: c["passed"] for c in report["checks"]}["crossconn.naturality"] is False
+
+
+def test_rescaled_dual_matrix_fails_naturality_on_one_column(s3):
+    # Negative control with |I| = 1: every dual factors, but the Delta route
+    # carries h^-1 g2 h where the Gamma route carries g2, so a square fails
+    # at the first g2 that does not commute with h.
+    S = ReesSemigroup(SandwichMatrix(s3, [[1], [4]]))
+    conn = CrossConnection(S.matrix)
+    h = next(g for g in s3.elements() if g != s3.identity)
+    with scalar_reference.rescaled_opposite(0, h):
+        check = _crossconn_checks(S)["crossconn.naturality"]
+        witness = scalar_reference.naturality_witness(conn)
+    assert check.passed is False
+    assert witness is not None and check.witness == witness
+    g2 = int(witness.rsplit("g2=", 1)[1])
+    assert s3.mul(h, g2) != s3.mul(g2, h)
+
+
+@pytest.mark.parametrize("h, shift", [(1, 0), (0, 1)])
+def test_cone_off_its_cell_fails_only_its_squares(s3, h, shift):
+    # Negative control: the last cone of each cell leaves it, by a changed
+    # coordinate or, on a matrix with two equal rows, by a changed vertex
+    # that only the domain test of the cell map can see.  Only its squares
+    # fail; a scan that needed every cone to fail would report none.
+    conn = CrossConnection(SandwichMatrix(s3, [[1, 2], [1, 2]]))
+    with scalar_reference.stray_cone(h, shift):
+        witness = scalar_reference.naturality_witness(conn)
+        assert verify._naturality_witness(conn) == witness
+    assert witness == "square at (0,0,0,0) with g1=0, g2=0"
+
+
+def test_full_suite_makes_no_scalar_cone_products(s3, monkeypatch):
+    # Regression guard on S3 3x3: the cone-product and naturality scans run
+    # on arrays.  Their scalar loops made 419,904 compose_cones calls
+    # (1,259,712 compose calls) and 104,976 bifunctor_gamma calls here.
+    calls = Counter()
+    for owner, name in (
+        (ArrowCategory, "compose"),
+        (ArrowCategory, "compose_cones"),
+        (connections, "bifunctor_gamma"),
+    ):
+
+        def counting(*args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    S = ReesSemigroup(identity_matrix(s3, 3, 3))
+    checks = {c.name: c for c in full_suite(S)}
+    assert checks["category.cone_product_agreement"].passed is True
+    assert checks["crossconn.naturality"].passed is True
+    assert calls["compose_cones"] == calls["bifunctor_gamma"] == 0
+    # the groupoid checks compose each morphism with its inverse; what the
+    # guarded checks add is at most the |G|^2 entries of one table
+    composed = calls["compose"]
+    calls.clear()
+    monkeypatch.setattr(verify, "TRIPLE_GUARD", 0)
+    checks = {c.name: c for c in full_suite(S)}
+    assert checks["category.cone_product_agreement"].passed is None
+    assert composed - calls["compose"] <= s3.order**2
