@@ -17,7 +17,6 @@ from .cones import (
     cone_table,
     coset_normalize,
     enumerate_TL,
-    enumerate_TR,
     green_cones,
     injectivity_criterion,
     is_idempotent_cone,

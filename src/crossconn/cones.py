@@ -145,11 +145,6 @@ def enumerate_TL(group: FiniteGroup, n_lambda: int, bound: int = DEFAULT_CONE_BO
     ]
 
 
-def enumerate_TR(group: FiniteGroup, n_i: int, bound: int = DEFAULT_CONE_BOUND) -> list[Cone]:
-    """All of G^I x I in lexicographic (tuple, vertex) order: the same set as T_L over I."""
-    return enumerate_TL(group, n_i, bound)
-
-
 def cone_table(group: FiniteGroup, cones: Iterable[Cone], side: str = "L") -> list[list[int]]:
     """Multiplication table of a closed cone set under mul_L ('L') or mul_R ('R'),
     indexed by enumeration order."""

@@ -282,6 +282,11 @@ class PhiReport:
     def is_isomorphism(self) -> bool:
         return self.closed and self.map_check is not None and self.map_check.is_isomorphism
 
+    @property
+    def witness(self) -> str | None:
+        """The map check's witness, or the closure witness when there is none."""
+        return self.map_check.witness if self.map_check is not None else self.closure_witness
+
 
 def _pair_cones(pairs: Sequence[LinkedPair]):
     """The gamma and the delta halves of the pairs as cone arrays."""
@@ -291,46 +296,68 @@ def _pair_cones(pairs: Sequence[LinkedPair]):
     )
 
 
+class PairArrays(NamedTuple):
+    """The linked pairs of a connection, their gamma and delta halves as cone
+    arrays, and a `KeyIndex` over the (gamma, delta) rows."""
+
+    pairs: list[LinkedPair]
+    gamma: tuple[np.ndarray, np.ndarray]
+    delta: tuple[np.ndarray, np.ndarray]
+    index: kernel.KeyIndex
+
+    def row(self, M: np.ndarray, p: int):
+        """`s_tilde_mul` of pair p with every pair, over the group with Cayley array M."""
+        return (
+            kernel.mul_L(M, kernel.pick(self.gamma, p), self.gamma),
+            kernel.mul_L(M.T, self.delta, kernel.pick(self.delta, p)),
+        )
+
+
+def pair_arrays(conn: CrossConnection, size_guard: int = DEFAULT_SIZE_GUARD) -> PairArrays:
+    """`linked_pairs` with the arrays every scan of the pairs reads."""
+    pairs = linked_pairs(conn, size_guard=size_guard)
+    gamma, delta = _pair_cones(pairs)
+    return PairArrays(pairs, gamma, delta, kernel.KeyIndex(kernel.row_keys(*gamma, *delta)))
+
+
 def _pair_table(
-    group: FiniteGroup, gamma, delta, index: kernel.KeyIndex
+    group: FiniteGroup, linked: PairArrays
 ) -> tuple[np.ndarray | None, tuple[int, int] | None]:
-    """The s_tilde_mul table of the pairs (gamma, delta) as positions in the
-    index, one row at a time; or (None, (p, q)) for the first product that
-    is not indexed."""
+    """The s_tilde_mul table of the pairs as positions in their index, one
+    row at a time; or (None, (p, q)) for the first product that is not
+    indexed."""
     M = kernel.group_array(group)
-    n = len(gamma[1])
+    n = len(linked.pairs)
     table = np.empty((n, n), dtype=np.int32)
     for p in range(n):
-        # (p.gamma * q.gamma, q.delta * p.delta) for every q
-        row = index.find(
-            kernel.row_keys(
-                *kernel.mul_L(M, kernel.pick(gamma, p), gamma),
-                *kernel.mul_L(M.T, delta, kernel.pick(delta, p)),
-            )
-        )
+        gamma, delta = linked.row(M, p)
+        row = linked.index.find(kernel.row_keys(*gamma, *delta))
         if (row < 0).any():
             return None, (p, int(np.argmax(row < 0)))
         table[p] = row
     return table, None
 
 
-def verify_phi(S: ReesSemigroup) -> PhiReport:
+def verify_phi(S: ReesSemigroup, linked: PairArrays | None = None) -> PhiReport:
     """Check closure of the linked-pair product and that phi is a bijective homomorphism.
 
+    `linked` is `pair_arrays` of S's connection, built here when not given.
     The map check goes through the independent table oracle rather than
-    any closed form.  The pair table is not scanned for associativity: a
-    bijective homomorphism from S carries S's associativity onto it.
+    any closed form; an image of phi that is no linked pair fails it.  The
+    pair table is not scanned for associativity: a bijective homomorphism
+    from S carries S's associativity onto it.
     """
-    conn = CrossConnection(S.matrix)
-    pairs = linked_pairs(conn, size_guard=S.size)
-    gamma, delta = _pair_cones(pairs)
-    index = kernel.KeyIndex(kernel.row_keys(*gamma, *delta))
-    table, bad = _pair_table(conn.group, gamma, delta, index)
+    if linked is None:
+        linked = pair_arrays(CrossConnection(S.matrix), size_guard=S.size)
+    table, bad = _pair_table(S.group, linked)
     if bad is not None:
-        p, q = (pairs[k] for k in bad)
+        p, q = (linked.pairs[k] for k in bad)
         return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
     phi_gamma, phi_delta = _pair_cones([phi(S, a) for a in S.elements()])
-    f = index.find(kernel.row_keys(*phi_gamma, *phi_delta))
+    f = linked.index.find(kernel.row_keys(*phi_gamma, *phi_delta))
+    if (f < 0).any():
+        stray = f"phi({S.element(int(np.argmax(f < 0)))}) is not a linked pair"
+        return PhiReport(True, None, MapCheck(False, False, False, stray))
     s_tilde = GenericSemigroup(kernel.int_rows(table))
     return PhiReport(True, None, verify_map(f.tolist(), S.to_generic(), s_tilde))
 

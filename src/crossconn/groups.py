@@ -128,14 +128,6 @@ class FiniteGroup:
             self._opposite = op
         return self._opposite
 
-    @property
-    def is_abelian(self) -> bool:
-        return all(
-            self.cayley[a][b] == self.cayley[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
     def label_rows(self) -> list[list[str]]:
         """The Cayley table with entries written as element labels."""
         return [[self.names[v] for v in row] for row in self.cayley]

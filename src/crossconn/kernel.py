@@ -26,9 +26,12 @@ scalings: `bifunctor` and `chi` factor a batch of tuples through a column
 of P with `right_factor`, rescale, and return the mask of the tuples that
 factor, so a cone outside its cell is a failed comparison rather than an
 exception.  The dual bifunctor is `bifunctor` over the opposite
-connection's group and matrix.  These serve `crossconn.naturality`;
-`category.cone_product_agreement` compares the category's cone product
-with `mul_L` row by row.
+connection's group and matrix.  These serve `crossconn.naturality` and
+`crossconn.duality_bijection`; `category.cone_product_agreement` compares
+the category's cone product with `mul_L` row by row.
+
+Pairs.  `connections.pair_arrays` holds the linked pairs as a gamma and a
+delta batch with one `KeyIndex`; every scan of the pairs in a suite reads it.
 
 The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
 `connections.is_linked`, `connections.bifunctor_gamma`,

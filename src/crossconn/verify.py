@@ -11,7 +11,10 @@ one cone of T_L against all of T_L per row, with the category's
 composition tabulated once from `ArrowCategory.compose`, and
 `crossconn.naturality` takes one triple of objects (l1, l2, i1) per row,
 all (i2, g1, g2) and all cones of the cell at once, through
-`kernel.bifunctor` and `kernel.chi`.
+`kernel.bifunctor` and `kernel.chi`; `crossconn.duality_bijection` takes
+one cell per row.  A suite builds the linked pairs once, as
+`connections.pair_arrays`, for `verify_phi`, the linked criterion and the
+`rbg` scans, which take one pair against all pairs per row.
 
 Tables reach the oracle as closed `GenericSemigroup`s, which do not scan
 for associativity.  Each table is scanned once, by the check that
@@ -290,27 +293,7 @@ def crossconn_suite(S: ReesSemigroup) -> list[Check]:
 
     checks.extend(connections.verify_crossconnection(conn))
 
-    witness = None
-    for lam in range(n_l):
-        for i in range(n_i):
-            cell = connections.gamma_cell(conn, lam, i)
-            dual = connections.delta_cell(conn, lam, i)
-            if len(set(cell)) != G.order or len(set(dual)) != G.order:
-                witness = f"cell ({lam},{i}) does not have {G.order} members"
-                break
-            images = [connections.chi(conn, c, i) for c in cell]
-            if sorted(set(images), key=lambda c: (c.values, c.vertex)) != sorted(
-                set(dual), key=lambda c: (c.values, c.vertex)
-            ) or len(set(images)) != G.order:
-                witness = f"duality is not a bijection on cell ({lam},{i})"
-                break
-            if any(
-                connections.chi_inv(conn, connections.chi(conn, c, i), lam) != c for c in cell
-            ):
-                witness = f"duality does not invert on cell ({lam},{i})"
-                break
-        if witness:
-            break
+    witness = _duality_witness(conn)
     checks.append(Check("crossconn.duality_bijection", witness is None, witness))
 
     cost = (n_l * n_i * G.order) ** 2 * G.order * (n_l + n_i)
@@ -322,19 +305,15 @@ def crossconn_suite(S: ReesSemigroup) -> list[Check]:
 
     ug = connections.u_gamma(conn, bound=S.size)
     ud = connections.u_delta(conn, bound=S.size)
-    M = kernel.group_array(G)
-    ok = kernel.regular_subsemigroup(M, kernel.cone_arrays(ug)) and kernel.regular_subsemigroup(
-        M.T, kernel.cone_arrays(ud)
-    )
+    M, gammas, deltas = kernel.group_array(G), kernel.cone_arrays(ug), kernel.cone_arrays(ud)
+    ok = kernel.regular_subsemigroup(M, gammas) and kernel.regular_subsemigroup(M.T, deltas)
     checks.append(Check("crossconn.u_subsemigroups", ok))
 
+    linked = connections.pair_arrays(conn, size_guard=S.size)
     if len(ug) * len(ud) * (n_l + n_i) > TRIPLE_GUARD:
         checks.append(Check("crossconn.linked_criterion_agreement", None, _SKIP))
     else:
         # each U-Gamma cone against all of U-Delta: linked exactly when a linked pair
-        pairs = connections._pair_cones(connections.linked_pairs(conn, size_guard=S.size))
-        index = kernel.KeyIndex(kernel.row_keys(*pairs[0], *pairs[1]))
-        gammas, deltas = kernel.cone_arrays(ug), kernel.cone_arrays(ud)
         P, inverse = np.asarray(S.matrix.entries), np.asarray(G.inverse)
         m = len(ud)
 
@@ -343,23 +322,16 @@ def crossconn_suite(S: ReesSemigroup) -> list[Check]:
             keys = kernel.row_keys(
                 np.broadcast_to(values, (m, n_l)), np.full(m, vertex), *deltas
             )
-            paired = index.find(keys) >= 0
+            paired = linked.index.find(keys) >= 0
             return kernel.is_linked(M, inverse, P, (values, vertex), deltas) != paired
 
         bad = kernel.first_failure(len(ug), bad_row)
         witness = None if bad is None else f"{ug[bad[0]]}, {ud[bad[1]]}"
         checks.append(Check("crossconn.linked_criterion_agreement", witness is None, witness))
 
-    report = connections.verify_phi(S)
+    report = connections.verify_phi(S, linked)
     checks.append(Check("crossconn.s_tilde_closed", report.closed, report.closure_witness))
-    mc = report.map_check
-    checks.append(
-        Check(
-            "crossconn.phi_isomorphism",
-            report.is_isomorphism,
-            mc.witness if mc is not None else report.closure_witness,
-        )
-    )
+    checks.append(Check("crossconn.phi_isomorphism", report.is_isomorphism, report.witness))
 
     handles = [connections.gamma_apply(conn, i) for i in range(n_i)]
     extracted = connections.matrix_of(G, handles)
@@ -371,6 +343,33 @@ def crossconn_suite(S: ReesSemigroup) -> list[Check]:
     checks.append(Check("crossconn.matrix_roundtrip", witness is None, witness))
 
     return checks
+
+
+def _duality_witness(conn: CrossConnection) -> str | None:
+    """The first cell (lam, i) on which chi is not a bijection onto the dual
+    cell inverted by chi_inv, which is chi over `conn.opposite`.  Each cell
+    is one row: chi of all its cones through `kernel.chi`.  A cone that does
+    not factor through its cell has no image, and the duality fails there."""
+    G, op = conn.group, conn.opposite
+    M, inverse = kernel.group_array(G), np.asarray(G.inverse)
+    P, P_op = np.asarray(conn.matrix.entries), np.asarray(op.matrix.entries)
+
+    def distinct(cones) -> set:
+        return set(kernel.row_keys(*cones).tolist())
+
+    for lam, i in product(range(conn.n_lambda), range(conn.n_i)):
+        cell = kernel.cone_arrays(connections.gamma_cell(conn, lam, i))
+        dual = kernel.cone_arrays(connections.delta_cell(conn, lam, i))
+        if len(distinct(cell)) != G.order or len(distinct(dual)) != G.order:
+            return f"cell ({lam},{i}) does not have {G.order} members"
+        values, ok = kernel.chi(M, inverse, P[:, i], P[cell[1]], cell[0])
+        if not ok.all() or distinct((values, np.full(len(values), i))) != distinct(dual):
+            return f"duality is not a bijection on cell ({lam},{i})"
+        # each image is now in the dual cell, made over conn.opposite: it factors
+        back, _ = kernel.chi(M.T, inverse, P_op[:, lam], P_op[i], values)
+        if kernel.differ((back, lam), cell).any():
+            return f"duality does not invert on cell ({lam},{i})"
+    return None
 
 
 def _naturality_witness(conn: CrossConnection) -> str | None:
@@ -418,51 +417,36 @@ def full_suite(S: ReesSemigroup) -> list[Check]:
 
 
 def rbg_suite(S: ReesSemigroup) -> list[Check]:
-    """The constant-identity connection of S: product formula and isomorphism checks."""
+    """The constant-identity connection of S: product formula and isomorphism checks.
+
+    A row is one pair p against all pairs q, with g1, g2 the first values of
+    p.gamma and q.gamma (or q.delta): `PairArrays.row` against ((g1 g2,)*|Lambda|,
+    q.gamma.vertex), ((g1 g2,)*|I|, p.delta.vertex); `kernel.is_linked` against g1 == g2.
+    """
     checks = []
-    group, n_i, n_lambda = S.group, S.n_i, S.n_lambda
-    conn = CrossConnection(S.matrix)
-    ok = all(
-        v == group.identity for row in conn.matrix.entries for v in row
-    )
-    checks.append(Check("rbg.identity_matrix", ok))
+    G, P = S.group, np.asarray(S.matrix.entries)
+    checks.append(Check("rbg.identity_matrix", bool((P == G.identity).all())))
 
-    pairs = connections.linked_pairs(conn, size_guard=S.size)
-    witness = None
-    for p1 in pairs:
-        for p2 in pairs:
-            got = connections.s_tilde_mul(conn, p1, p2)
-            g = group.mul(p1.gamma.values[0], p2.gamma.values[0])
-            expected = connections.LinkedPair(
-                cones.Cone((g,) * n_lambda, p2.gamma.vertex),
-                cones.Cone((g,) * n_i, p1.delta.vertex),
-            )
-            if got != expected:
-                witness = f"{p1} o {p2}"
-                break
-        if witness:
-            break
+    linked = connections.pair_arrays(CrossConnection(S.matrix), size_guard=S.size)
+    pairs, gamma, delta = linked.pairs, linked.gamma, linked.delta
+    M, inverse = kernel.group_array(G), np.asarray(G.inverse)
+
+    def formula_row(p: int) -> np.ndarray:
+        got_gamma, got_delta = linked.row(M, p)
+        g = M[gamma[0][p, 0], gamma[0][:, 0], None]
+        return kernel.differ(got_gamma, (g, gamma[1])) | kernel.differ(got_delta, (g, delta[1][p]))
+
+    def linked_row(p: int) -> np.ndarray:
+        got = kernel.is_linked(M, inverse, P, kernel.pick(gamma, p), delta)
+        return got != (gamma[0][p, 0] == delta[0][:, 0])
+
+    bad = kernel.first_failure(len(pairs), formula_row)
+    witness = None if bad is None else f"{pairs[bad[0]]} o {pairs[bad[1]]}"
     checks.append(Check("rbg.product_formula", witness is None, witness))
-
-    witness = None
-    for p in pairs:
-        g1 = p.gamma.values[0]
-        for q in pairs:
-            g2 = q.delta.values[0]
-            linked = connections.is_linked(conn, p.gamma, q.delta)
-            if linked != (g1 == g2):
-                witness = f"{p.gamma} vs {q.delta}"
-                break
-        if witness:
-            break
+    bad = kernel.first_failure(len(pairs), linked_row)
+    witness = None if bad is None else f"{pairs[bad[0]].gamma} vs {pairs[bad[1]].delta}"
     checks.append(Check("rbg.linked_iff_equal_scalars", witness is None, witness))
 
-    report = connections.verify_phi(S)
-    checks.append(
-        Check(
-            "rbg.phi_isomorphism",
-            report.is_isomorphism,
-            report.map_check.witness if report.map_check else report.closure_witness,
-        )
-    )
+    report = connections.verify_phi(S, linked)
+    checks.append(Check("rbg.phi_isomorphism", report.is_isomorphism, report.witness))
     return checks

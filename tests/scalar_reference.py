@@ -7,7 +7,9 @@ so a fault patched into one of those reaches them too.  The faults at
 the end are the ones the negative controls patch into the functors
 `connections.gamma_apply` and `connections.delta_apply`, into both
 linkage tests, into `ArrowCategory.compose`, into
-`CrossConnection.opposite` and into `connections.gamma_cell`.
+`CrossConnection.opposite`, into `connections.gamma_cell`, into both
+linked-pair products, into the linked-pair table and into
+`connections.linked_pairs`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from crossconn.categories import (
 )
 from crossconn.checks import Check
 from crossconn.errors import ElementNotInCell, NotComposable, NotInDomainCoset
-from crossconn.oracle import GenericSemigroup, from_table, verify_map
+from crossconn.oracle import GenericSemigroup, MapCheck, from_table, verify_map
 from crossconn.rees import ReesElement, ReesSemigroup, SandwichMatrix
 
 
@@ -177,7 +179,10 @@ def verify_phi(S: ReesSemigroup) -> connections.PhiReport:
         return connections.PhiReport(False, witness, None)
     pairs = connections.linked_pairs(connections.CrossConnection(S.matrix), size_guard=S.size)
     index = {p: k for k, p in enumerate(pairs)}
-    f = [index[connections.phi(S, a)] for a in S.elements()]
+    f = [index.get(connections.phi(S, a)) for a in S.elements()]
+    if None in f:
+        stray = f"phi({S.element(f.index(None))}) is not a linked pair"
+        return connections.PhiReport(True, None, MapCheck(False, False, False, stray))
     # like verify_phi, no associativity scan of the pair table
     check = verify_map(f, from_table(S.index_table()), GenericSemigroup(table))
     return connections.PhiReport(True, None, check)
@@ -260,6 +265,81 @@ def linked_criterion_witness(S: ReesSemigroup) -> str | None:
         ),
         None,
     )
+
+
+def duality_witness(conn: connections.CrossConnection) -> str | None:
+    """The witness of `crossconn.duality_bijection`: the first cell (lam, i)
+    on which chi is not a bijection onto the dual cell inverted by chi_inv.
+    A cone that chi or chi_inv cannot factor (`ElementNotInCell`) fails
+    the cell."""
+    G = conn.group
+    for lam, i in product(range(conn.n_lambda), range(conn.n_i)):
+        cell = connections.gamma_cell(conn, lam, i)
+        dual = connections.delta_cell(conn, lam, i)
+        if len(set(cell)) != G.order or len(set(dual)) != G.order:
+            return f"cell ({lam},{i}) does not have {G.order} members"
+        try:
+            images = [connections.chi(conn, c, i) for c in cell]
+        except ElementNotInCell:
+            return f"duality is not a bijection on cell ({lam},{i})"
+        if set(images) != set(dual):
+            return f"duality is not a bijection on cell ({lam},{i})"
+        try:
+            inverts = all(connections.chi_inv(conn, d, lam) == c for c, d in zip(cell, images))
+        except ElementNotInCell:
+            inverts = False
+        if not inverts:
+            return f"duality does not invert on cell ({lam},{i})"
+    return None
+
+
+def rbg_checks(S: ReesSemigroup) -> list[Check]:
+    """The checks of `verify.rbg_suite`, one scalar `s_tilde_mul` or
+    `is_linked` call per pair of linked pairs, and `verify_phi` above."""
+    group, n_i, n_lambda = S.group, S.n_i, S.n_lambda
+    conn = connections.CrossConnection(S.matrix)
+    ok = all(v == group.identity for row in conn.matrix.entries for v in row)
+    checks = [Check("rbg.identity_matrix", ok)]
+
+    pairs = connections.linked_pairs(conn, size_guard=S.size)
+    witness = None
+    for p1 in pairs:
+        for p2 in pairs:
+            got = connections.s_tilde_mul(conn, p1, p2)
+            g = group.mul(p1.gamma.values[0], p2.gamma.values[0])
+            expected = connections.LinkedPair(
+                cones.Cone((g,) * n_lambda, p2.gamma.vertex),
+                cones.Cone((g,) * n_i, p1.delta.vertex),
+            )
+            if got != expected:
+                witness = f"{p1} o {p2}"
+                break
+        if witness:
+            break
+    checks.append(Check("rbg.product_formula", witness is None, witness))
+
+    witness = None
+    for p in pairs:
+        g1 = p.gamma.values[0]
+        for q in pairs:
+            g2 = q.delta.values[0]
+            linked = connections.is_linked(conn, p.gamma, q.delta)
+            if linked != (g1 == g2):
+                witness = f"{p.gamma} vs {q.delta}"
+                break
+        if witness:
+            break
+    checks.append(Check("rbg.linked_iff_equal_scalars", witness is None, witness))
+
+    report = verify_phi(S)
+    checks.append(
+        Check(
+            "rbg.phi_isomorphism",
+            report.is_isomorphism,
+            report.map_check.witness if report.map_check else report.closure_witness,
+        )
+    )
+    return checks
 
 
 def cone_product_witness(G, n_lambda: int) -> str | None:
@@ -404,7 +484,8 @@ def stray_cone(h: int, shift: int = 0):
     """`connections.gamma_cell` with the last coordinate of its last cone
     multiplied by h and its vertex moved on by shift (mod |Lambda|): with
     |Lambda| > 1, that cone is off its cell unless h is the identity and
-    shift is 0, and only its naturality squares fail."""
+    shift is 0.  The dual cells (`delta_cell`) stay sound, so only the
+    naturality squares and the duality of that cell fail."""
     original = connections.gamma_cell
 
     def gamma_cell(conn, lam, i):
@@ -413,5 +494,64 @@ def stray_cone(h: int, shift: int = 0):
         vertex = (lam + shift) % conn.n_lambda
         return cell[:-1] + [Cone((*values, conn.group.mul(last, h)), vertex)]
 
-    with mock.patch.object(connections, "gamma_cell", gamma_cell):
+    def delta_cell(conn, lam, i):
+        return original(conn.opposite, i, lam)
+
+    with mock.patch.object(connections, "gamma_cell", gamma_cell), mock.patch.object(
+        connections, "delta_cell", delta_cell
+    ):
+        yield
+
+
+@contextmanager
+def reversed_delta_product():
+    """`s_tilde_mul`, scalar and array alike, with the delta factors in the
+    wrong order, p.delta * q.delta: in a non-abelian group, or with |I| > 1,
+    products of pairs change."""
+
+    def scalar(conn, p1, p2):
+        G = conn.group
+        return connections.LinkedPair(
+            cones.mul_L(G, p1.gamma, p2.gamma), cones.mul_L(G.opposite, p1.delta, p2.delta)
+        )
+
+    def row(self, M, p):
+        return (
+            kernel.mul_L(M, kernel.pick(self.gamma, p), self.gamma),
+            kernel.mul_L(M.T, kernel.pick(self.delta, p), self.delta),
+        )
+
+    with mock.patch.object(connections, "s_tilde_mul", scalar), mock.patch.object(
+        connections.PairArrays, "row", row
+    ):
+        yield
+
+
+def _swapped(table, bad):
+    """The table with its entries at (0, 0) and (0, 1) swapped, in place:
+    still closed, but no longer a homomorphic image of S."""
+    if table is not None:
+        table[0][0], table[0][1] = table[0][1], table[0][0]
+    return table, bad
+
+
+@contextmanager
+def swapped_pair_table():
+    """The linked-pair table of `verify_phi`, array and scalar alike, with two
+    entries swapped."""
+    kernel_table, scalar_table = connections._pair_table, pair_table
+    with mock.patch.object(
+        connections, "_pair_table", lambda *args: _swapped(*kernel_table(*args))
+    ), mock.patch(f"{__name__}.pair_table", lambda S: _swapped(*scalar_table(S))):
+        yield
+
+
+@contextmanager
+def missing_pair():
+    """`connections.linked_pairs` without its last pair: some products of
+    pairs are no pair, so the pair table is not closed."""
+    original = connections.linked_pairs
+    with mock.patch.object(
+        connections, "linked_pairs", lambda *args, **kwargs: original(*args, **kwargs)[:-1]
+    ):
         yield

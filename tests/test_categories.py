@@ -10,7 +10,6 @@ from crossconn import (
     SandwichMatrix,
     builtin,
     enumerate_TL,
-    enumerate_TR,
     identity_matrix,
     left_category,
     mul_L,
@@ -161,7 +160,7 @@ def test_compose_cones_matches_mul_L(z2, z3):
 
 def test_compose_cones_matches_mul_R(z3):
     cat = right_category(z3, 2)
-    cones = enumerate_TR(z3, 2)
+    cones = enumerate_TL(z3, 2)
     for c1 in cones:
         for c2 in cones:
             assert cat.compose_cones(c1, c2) == mul_R(z3, c1, c2)

@@ -13,7 +13,6 @@ from crossconn import (
     cone_table,
     coset_normalize,
     enumerate_TL,
-    enumerate_TR,
     from_table,
     green_cones,
     green_via_ideals,
@@ -89,14 +88,14 @@ def test_mul_R_right_identity_like(z2):
 
 
 def test_mul_R_associative_exhaustive(z3):
-    cones = enumerate_TR(z3, 2)
+    cones = enumerate_TL(z3, 2)
     for a, b, c in product(cones, repeat=3):
         assert mul_R(z3, mul_R(z3, a, b), c) == mul_R(z3, a, mul_R(z3, b, c))
 
 
 def test_broadcast_side_matters_nonabelian(s3):
     # with a noncommutative group the two broadcast sides must differ somewhere
-    cones = enumerate_TR(s3, 2, bound=100)
+    cones = enumerate_TL(s3, 2, bound=100)
     witness = any(
         mul_L(s3, c1, c2) != mul_R(s3, c1, c2) for c1 in cones for c2 in cones
     )
@@ -254,7 +253,7 @@ def test_idempotent_count_and_squaring(z2):
 def test_enumerate_counts(z2, z3):
     assert len(enumerate_TL(z2, 2)) == 8
     assert len(enumerate_TL(z3, 2)) == 18
-    assert len(enumerate_TR(z3, 3)) == 81
+    assert len(enumerate_TL(z3, 3)) == 81
 
 
 def test_enumerate_lexicographic(z2):
@@ -270,7 +269,7 @@ def test_enumerate_bound(z2):
 
 
 def test_cone_table_both_sides(z2):
-    cones = enumerate_TR(z2, 2)
+    cones = enumerate_TL(z2, 2)
     index = {c: k for k, c in enumerate(cones)}
     table = cone_table(z2, cones, "R")
     for c1 in cones:

@@ -16,6 +16,7 @@ from crossconn import (
     builtin,
     cones,
     connections,
+    identity_matrix,
     kernel,
     realize_category,
     verify,
@@ -58,10 +59,8 @@ def _principal_products_agree(S: ReesSemigroup) -> None:
 
 
 def _pair_table(S: ReesSemigroup):
-    pairs = connections.linked_pairs(connections.CrossConnection(S.matrix), size_guard=S.size)
-    gamma, delta = connections._pair_cones(pairs)
-    index = kernel.KeyIndex(kernel.row_keys(*gamma, *delta))
-    table, bad = connections._pair_table(S.group, gamma, delta, index)
+    linked = connections.pair_arrays(connections.CrossConnection(S.matrix), size_guard=S.size)
+    table, bad = connections._pair_table(S.group, linked)
     return (None if table is None else table.tolist()), bad
 
 
@@ -160,9 +159,10 @@ def test_crossconnection_arrays_match_the_loops(G, n_lambda, n_i, functor, fault
     st.data(),
 )
 def test_cone_product_and_naturality_match_the_loops(G, n_lambda, n_i, fault, data):
-    # The scans of category.cone_product_agreement and crossconn.naturality
-    # give the same first witnesses as the loops, on sound input, under a
-    # reversed composition, a rescaled row of P^T and a cone off its cell.
+    # The scans of category.cone_product_agreement, crossconn.naturality and
+    # crossconn.duality_bijection give the same first witnesses as the
+    # loops, on sound input, under a reversed composition, a rescaled row of
+    # P^T and a cone off its cell.
     entries = [
         [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
@@ -178,11 +178,47 @@ def test_cone_product_and_naturality_match_the_loops(G, n_lambda, n_i, fault, da
     }[fault]
     with context():
         assert verify._naturality_witness(conn) == scalar_reference.naturality_witness(conn)
+        assert verify._duality_witness(conn) == scalar_reference.duality_witness(conn)
         # S3 with three rows has 648 cones: 419,904 scalar products, about 7 s
         if G.order**n_lambda * n_lambda <= 100:
             assert verify._cone_product_witness(
                 G, n_lambda
             ) == scalar_reference.cone_product_witness(G, n_lambda)
+
+
+RBG_FAULTS = {
+    None: contextlib.nullcontext,
+    "delta order": scalar_reference.reversed_delta_product,
+    "unscaled": scalar_reference.unscaled_linkage,
+    "swapped table": scalar_reference.swapped_pair_table,
+    "missing pair": scalar_reference.missing_pair,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.sampled_from(list(RBG_FAULTS)),
+    st.data(),
+)
+def test_rbg_arrays_match_the_loops(G, n_lambda, n_i, identity, fault, data):
+    # The rbg checks give the same names, verdicts and first witnesses as
+    # their loops, on identity and random matrices, sound and with one
+    # fault in the pair product, the linkage test, the pair table or the
+    # pairs themselves (a table that is not closed).
+    if identity:
+        matrix = identity_matrix(G, n_lambda, n_i)
+    else:
+        entries = [
+            [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+        ]
+        matrix = SandwichMatrix(G, entries)
+    S = ReesSemigroup(matrix)
+    with RBG_FAULTS[fault]():
+        assert verify.rbg_suite(S) == scalar_reference.rbg_checks(S)
 
 
 def test_wide_cones_z2_lambda_64():

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 from collections import Counter
@@ -130,6 +131,22 @@ def test_missing_linked_pair_fails_closure(monkeypatch):
     assert witness is not None and check.witness == witness
 
 
+def test_phi_image_off_the_pairs_fails_isomorphism_without_raising(z2):
+    # On M[Z2; 1, 1] the pairs without the last one are still closed, but
+    # phi sends an element to the missing pair: a failed check naming it,
+    # not an IndexOutOfRange raised by the map check.
+    S = ReesSemigroup(identity_matrix(z2, 1, 1))
+    with scalar_reference.missing_pair():
+        checks = {c.name: c for c in crossconn_suite(S) + rbg_suite(S)}
+        reference = scalar_reference.verify_phi(S)
+    witness = "phi(ReesElement(g=1, i=0, lam=0)) is not a linked pair"
+    assert checks["crossconn.s_tilde_closed"].passed is True
+    assert reference.closed and reference.map_check.witness == witness
+    for name in ("crossconn.phi_isomorphism", "rbg.phi_isomorphism"):
+        assert checks[name].passed is False, name
+        assert checks[name].witness == witness
+
+
 def test_swapped_phi_fails_isomorphism(monkeypatch):
     # Negative control: phi with the images of two elements swapped is a
     # bijection onto the pairs but not a homomorphism.
@@ -220,27 +237,19 @@ def test_non_associative_cone_table_fails_tl_associative(s1, monkeypatch):
     assert check.witness == str(witness)
 
 
-def test_non_associative_pair_table_fails_isomorphism(s1, monkeypatch, capsys):
+def test_non_associative_pair_table_fails_isomorphism(s1, capsys):
     # Negative control: with two entries of the linked-pair table swapped,
     # phi is no homomorphism onto it, and the failed check (not a raised
     # NotAssociative) makes the command exit 2.
-    kernel_table, scalar_table = connections._pair_table, scalar_reference.pair_table
-    monkeypatch.setattr(
-        connections,
-        "_pair_table",
-        lambda *args: (_swap_first_two(kernel_table(*args)[0]), None),
-    )
-    monkeypatch.setattr(
-        scalar_reference, "pair_table", lambda S: (_swap_first_two(scalar_table(S)[0]), None)
-    )
     S = ReesSemigroup(s1.matrix)
-    check = _crossconn_checks(S)["crossconn.phi_isomorphism"]
-    assert oracle.associativity_witness(scalar_reference.pair_table(S)[0]) is not None
-    reference = scalar_reference.verify_phi(S)
+    with scalar_reference.swapped_pair_table():
+        check = _crossconn_checks(S)["crossconn.phi_isomorphism"]
+        assert oracle.associativity_witness(scalar_reference.pair_table(S)[0]) is not None
+        reference = scalar_reference.verify_phi(S)
+        code = main(["--group", "cyclic:2", "--matrix", str(FIXTURES / "P1.csv"), "crossconn"])
     assert check.passed is False
     assert check.witness == reference.map_check.witness
     assert check.witness.startswith("f(")
-    code = main(["--group", "cyclic:2", "--matrix", str(FIXTURES / "P1.csv"), "crossconn"])
     assert code == 2
     report = json.loads(capsys.readouterr().out)
     assert {c["name"]: c["passed"] for c in report["checks"]}["crossconn.phi_isomorphism"] is False
@@ -513,3 +522,77 @@ def test_full_suite_makes_no_scalar_cone_products(s3, monkeypatch):
     checks = {c.name: c for c in full_suite(S)}
     assert checks["category.cone_product_agreement"].passed is None
     assert composed - calls["compose"] <= s3.order**2
+
+
+@pytest.mark.parametrize(
+    "rows, h, shift, witness",
+    [
+        ([[1, 2], [3, 4]], 1, 0, "duality is not a bijection on cell (0,0)"),
+        ([[1, 2], [1, 2]], 0, 1, "duality does not invert on cell (0,0)"),
+    ],
+)
+def test_stray_cone_fails_duality_bijection_without_raising(s3, rows, h, shift, witness, capsys):
+    # A cell cone off its cell has no image under chi: a failed check with
+    # a cell witness (exit 2), not an ElementNotInCell raised out of verify.
+    # A cone on the wrong vertex whose row equals its cell's has an image,
+    # but chi_inv does not send it back.
+    S = ReesSemigroup(SandwichMatrix(s3, rows))
+    with scalar_reference.stray_cone(h, shift):
+        check = _crossconn_checks(S)["crossconn.duality_bijection"]
+        reference = scalar_reference.duality_witness(CrossConnection(S.matrix))
+        code = main(
+            [
+                "--group", str(FIXTURES / "s3_cayley.csv"),
+                "--matrix", str(FIXTURES / "s3_P.csv"),
+                "crossconn",
+            ]
+        )
+    assert check.passed is False
+    assert check.witness == reference == witness
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    assert {c["name"]: c["passed"] for c in report["checks"]}["crossconn.duality_bijection"] is False
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        ("rbg.identity_matrix", None),
+        ("rbg.product_formula", scalar_reference.reversed_delta_product),
+        ("rbg.linked_iff_equal_scalars", scalar_reference.unscaled_linkage),
+        ("rbg.phi_isomorphism", scalar_reference.swapped_pair_table),
+    ],
+)
+def test_rbg_negative_controls(name, fault):
+    # Negative controls on S3: the non-identity matrix of the fixture, and
+    # on the identity 2x2 matrix the delta factors of the pair product in
+    # the wrong order, linkage without its scalar test and two entries of
+    # the pair table swapped.  Each check reports the loop's witness.
+    S = _s3_fixture()
+    if fault is not None:
+        S = ReesSemigroup(identity_matrix(S.group, 2, 2))
+    with fault() if fault else contextlib.nullcontext():
+        checks, reference = rbg_suite(S), scalar_reference.rbg_checks(S)
+    check = {c.name: c for c in checks}[name]
+    assert check.passed is False
+    assert (check.witness is None) == (name == "rbg.identity_matrix")
+    assert checks == reference
+
+
+def test_suites_build_the_linked_pairs_once_without_scalar_pair_calls(monkeypatch):
+    # rbg_suite forms the pair products and linkage on the kernel, and each
+    # suite builds the linked pairs once for all the checks that read them.
+    calls = Counter()
+    for name in ("linked_pairs", "s_tilde_mul", "is_linked"):
+
+        def counting(*args, _name=name, _original=getattr(connections, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(connections, name, counting)
+    S = ReesSemigroup(identity_matrix(load_cayley_file(FIXTURES / "s3_cayley.csv"), 2, 2))
+    _assert_clean(rbg_suite(S))
+    assert calls == {"linked_pairs": 1}
+    calls.clear()
+    _assert_clean(full_suite(S))
+    assert calls == {"linked_pairs": 1}
