@@ -117,16 +117,13 @@ def test_wrong_side_mul_L_fails_both_principal_checks(monkeypatch):
             S._validate(ReesElement(int(g), int(i), int(lam)))
 
 
-def test_missing_linked_pair_fails_closure(monkeypatch):
+def test_missing_linked_pair_fails_closure():
     # Negative control: with one linked pair dropped, some product of two
     # pairs is no pair, and both scans name the same first one.
-    original = connections.linked_pairs
-    monkeypatch.setattr(
-        connections, "linked_pairs", lambda conn, size_guard=512: original(conn, size_guard)[:-1]
-    )
     S = _s3_fixture()
-    check = {c.name: c for c in crossconn_suite(S)}["crossconn.s_tilde_closed"]
-    _, witness = scalar_reference.pair_table(S)
+    with scalar_reference.missing_pair():
+        check = {c.name: c for c in crossconn_suite(S)}["crossconn.s_tilde_closed"]
+        _, witness = scalar_reference.pair_table(S)
     assert check.passed is False
     assert witness is not None and check.witness == witness
 
