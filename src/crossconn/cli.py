@@ -194,19 +194,19 @@ def run(config: RunConfig) -> tuple[int, dict]:
         conn = connections.CrossConnection(matrix)
         ug = connections.u_gamma(conn, bound=config.size_guard)
         ud = connections.u_delta(conn, bound=config.size_guard)
-        pairs = connections.linked_pairs(conn, size_guard=config.size_guard)
+        linked = connections.pair_arrays(conn, size_guard=config.size_guard)
         data = {
             "u_gamma_size": len(ug),
             "u_delta_size": len(ud),
-            "s_tilde_size": len(pairs),
+            "s_tilde_size": len(linked.pairs),
             "u_gamma": [_cone_json(S, c) for c in ug],
             "u_delta": [_cone_json(S, c) for c in ud],
             "s_tilde": [
                 {"gamma": _cone_json(S, p.gamma), "delta": _cone_json(S, p.delta)}
-                for p in pairs
+                for p in linked.pairs
             ],
         }
-        checks = verify.crossconn_suite(S)
+        checks = verify.crossconn_suite(S, linked)
     elif config.command == "iso-check":
         result = cones.injectivity_criterion(matrix)
         witness = None
@@ -223,12 +223,10 @@ def run(config: RunConfig) -> tuple[int, dict]:
             )
         ]
     elif config.command == "rbg":
-        conn = connections.rbg(group, matrix.cols, matrix.rows)
-        data = {
-            "order": S.size,
-            "s_tilde_size": len(connections.linked_pairs(conn, size_guard=config.size_guard)),
-        }
-        checks = verify.rbg_suite(S)
+        conn = connections.CrossConnection(matrix)
+        linked = connections.pair_arrays(conn, size_guard=config.size_guard)
+        data = {"order": S.size, "s_tilde_size": len(linked.pairs)}
+        checks = verify.rbg_suite(S, linked)
     else:  # pragma: no cover - argparse rejects unknown commands
         raise ParseError(f"unknown command {config.command!r}")
 

@@ -16,8 +16,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from . import kernel
 from .categories import Cone
-from .errors import IndexOutOfRange, ParseError, SizeGuardExceeded
+from .errors import IndexOutOfRange, NotClosed, ParseError, SizeGuardExceeded
 from .groups import FiniteGroup
 from .rees import ReesElement, ReesSemigroup, SandwichMatrix
 
@@ -145,13 +148,22 @@ def enumerate_TL(group: FiniteGroup, n_lambda: int, bound: int = DEFAULT_CONE_BO
     ]
 
 
-def cone_table(group: FiniteGroup, cones: Iterable[Cone], side: str = "L") -> list[list[int]]:
+def cone_table(group: FiniteGroup, cones: Iterable[Cone], side: str = "L") -> np.ndarray:
     """Multiplication table of a closed cone set under mul_L ('L') or mul_R ('R'),
-    indexed by enumeration order."""
+    indexed by enumeration order, as an int32 array built one row per cone
+    on `kernel.mul_L`."""
     if side == "R":
         group = group.opposite
     elif side != "L":
         raise ParseError(f"side must be 'L' or 'R', got {side!r}")
-    cones = list(cones)
-    index = {c: k for k, c in enumerate(cones)}
-    return [[index[mul_L(group, c1, c2)] for c2 in cones] for c1 in cones]
+    batch = kernel.cone_arrays(list(cones))
+    index = kernel.KeyIndex(kernel.row_keys(*batch))
+    M = kernel.group_array(group)
+    n = len(batch[1])
+    table = np.empty((n, n), dtype=np.int32)
+    for a in range(n):
+        row = index.find(kernel.row_keys(*kernel.mul_L(M, kernel.pick(batch, a), batch)))
+        if (row < 0).any():
+            raise NotClosed(f"cone {a} times cone {int(row.argmin())} is not in the set")
+        table[a] = row
+    return table

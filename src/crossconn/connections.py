@@ -358,8 +358,7 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays | None = None) -> PhiReport:
     if (f < 0).any():
         stray = f"phi({S.element(int(np.argmax(f < 0)))}) is not a linked pair"
         return PhiReport(True, None, MapCheck(False, False, False, stray))
-    s_tilde = GenericSemigroup(kernel.int_rows(table))
-    return PhiReport(True, None, verify_map(f.tolist(), S.to_generic(), s_tilde))
+    return PhiReport(True, None, verify_map(f.tolist(), S.to_generic(), GenericSemigroup(table)))
 
 
 def matrix_of(group: FiniteGroup, handles: Sequence[CosetHandle]) -> SandwichMatrix:

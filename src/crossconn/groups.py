@@ -8,11 +8,15 @@ inverses are all checked at construction time.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import permutations
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
+    CrossconnError,
     IndexOutOfRange,
     NoIdentity,
     NoInverse,
@@ -21,7 +25,7 @@ from .errors import (
     ParseError,
     SizeGuardExceeded,
 )
-from .oracle import associativity_witness
+from .oracle import GenericSemigroup, associativity_witness
 
 MAX_VALIDATED_ORDER = 256
 MAX_SYMMETRIC_DEGREE = 5
@@ -32,25 +36,13 @@ class FiniteGroup:
 
     def __init__(self, cayley: Sequence[Sequence[int]], names: Sequence[str] | None = None):
         n = len(cayley)
-        if n == 0:
-            raise NotClosed("empty Cayley table")
         if n > MAX_VALIDATED_ORDER:
             raise SizeGuardExceeded(
                 f"group order {n} exceeds the validation guard {MAX_VALIDATED_ORDER}"
             )
-        rows = []
-        for r, row in enumerate(cayley):
-            row = tuple(int(x) for x in row)
-            if len(row) != n:
-                raise NotClosed(f"row {r} has {len(row)} entries, expected {n}")
-            for c, v in enumerate(row):
-                if not 0 <= v < n:
-                    raise NotClosed(
-                        f"entry {v} at row {r}, column {c} is not an element index below {n}"
-                    )
-            rows.append(row)
+        table = GenericSemigroup(cayley).table  # closure, as for any table
         self.order = n
-        self.cayley = tuple(rows)
+        self.cayley = tuple(tuple(int(x) for x in row) for row in cayley)
 
         if names is None:
             self.names = tuple(str(k) for k in range(n))
@@ -59,7 +51,7 @@ class FiniteGroup:
             if len(self.names) != n:
                 raise ParseError(f"{len(self.names)} element names for order {n}")
 
-        bad = associativity_witness(self.cayley)
+        bad = associativity_witness(table)
         if bad is not None:
             a, b, c = bad
             raise NotAssociative(
@@ -67,25 +59,19 @@ class FiniteGroup:
                 f"{self.names[a]}*({self.names[b]}*{self.names[c]})"
             )
 
-        identity = None
-        for e in range(n):
-            if all(self.cayley[e][x] == x and self.cayley[x][e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
+        elements = np.arange(n)
+        two_sided = (table == elements).all(axis=1) & (table.T == elements).all(axis=1)
+        if not two_sided.any():
             raise NoIdentity("table has no two-sided identity element")
-        self.identity = identity
+        self.identity = int(two_sided.argmax())
 
-        inverse = []
-        for a in range(n):
-            b = next(
-                (b for b in range(n) if self.cayley[a][b] == identity == self.cayley[b][a]),
-                None,
-            )
-            if b is None:
-                raise NoInverse(f"element {self.names[a]} has no two-sided inverse")
-            inverse.append(b)
-        self.inverse = tuple(inverse)
+        # row a: the b with a*b = e = b*a
+        units = (table == self.identity) & (table.T == self.identity)
+        invertible = units.any(axis=1)
+        if not invertible.all():
+            a = int(invertible.argmin())
+            raise NoInverse(f"element {self.names[a]} has no two-sided inverse")
+        self.inverse = tuple(units.argmax(axis=1).tolist())
         self._opposite: FiniteGroup | None = None
 
     def _check(self, a: int) -> None:
@@ -182,6 +168,16 @@ def read_text(path) -> str:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
+@contextmanager
+def prefix_errors(path) -> Iterator[None]:
+    """Prefix `path: ` to every package error raised in the block, so that a
+    malformed input file is named in the message."""
+    try:
+        yield
+    except CrossconnError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_cayley_file(path) -> FiniteGroup:
     """Read a Cayley table file: first line = labels in index order, then one row per element.
 
@@ -189,12 +185,13 @@ def load_cayley_file(path) -> FiniteGroup:
     otherwise by commas.
     """
     text = read_text(path)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty Cayley table file")
-    delim = "\t" if "\t" in lines[0] else ","
-    rows = [[cell.strip() for cell in ln.split(delim)] for ln in lines]
-    return load_cayley(rows[1:], labels=rows[0])
+    with prefix_errors(path):
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ParseError("empty Cayley table file")
+        delim = "\t" if "\t" in lines[0] else ","
+        rows = [[cell.strip() for cell in ln.split(delim)] for ln in lines]
+        return load_cayley(rows[1:], labels=rows[0])
 
 
 def builtin(family: str, n: int = 0) -> FiniteGroup:

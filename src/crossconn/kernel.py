@@ -2,10 +2,11 @@
 
 Layout.  Element k of S = M[G; I, Lambda; P] is (g, i, lam) with
 k = (g*|I| + i)*|Lambda| + lam, so `element_arrays` gives its coordinates
-as three index arrays and `ReesSemigroup.table()` its product as an
-(n, n) array of indices.  A batch of cones over one object set is a pair
-(values, vertices): an (m, k) array of group indices and an (m,) array
-of vertices.  One cone is (values (k,), vertex).
+as three index arrays and `ReesSemigroup.table()` its product as a
+read-only (n, n) int32 array of indices, the one format of every
+multiplication table up to the table oracle.  A batch of cones over one
+object set is a pair (values, vertices): an (m, k) array of group
+indices and an (m,) array of vertices.  One cone is (values (k,), vertex).
 
 Rows.  A scan fixes the first factor a and forms a*b for every b in one
 numpy step, so beyond one (n, n) table it holds one (n, k) row of
@@ -31,7 +32,8 @@ connection's group and matrix.  These serve `crossconn.naturality` and
 the category's cone product with `mul_L` row by row.
 
 Pairs.  `connections.pair_arrays` holds the linked pairs as a gamma and a
-delta batch with one `KeyIndex`; every scan of the pairs in a suite reads it.
+delta batch with one `KeyIndex`; every scan of the pairs in a suite, and
+the CLI's report of them, reads it.
 
 The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
 `connections.is_linked`, `connections.bifunctor_gamma`,
@@ -54,13 +56,6 @@ def element_arrays(n_g: int, n_i: int, n_lambda: int) -> tuple[np.ndarray, np.nd
     g, rem = np.divmod(np.arange(n_g * n_i * n_lambda), n_i * n_lambda)
     i, lam = np.divmod(rem, n_lambda)
     return g, i, lam
-
-
-def int_rows(table: np.ndarray) -> list[list[int]]:
-    """A table of indices as nested lists that share one int object per value
-    (tolist() alone makes a new object for every entry above 256)."""
-    ints = list(range(int(table.max()) + 1))
-    return [list(map(ints.__getitem__, row.tolist())) for row in table]
 
 
 def group_array(group) -> np.ndarray:

@@ -3,6 +3,9 @@
 Everything here works from the raw table alone, with the textbook
 definitions (principal ideals, witness searches), so it can cross-check
 the closed-form constructions implemented elsewhere in the package.
+
+A table is one read-only (n, n) int32 array.  The scans read it one row
+or column at a time in numpy, and their witnesses hold Python ints.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import numpy as np
 from .errors import IndexOutOfRange, NotAssociative, NotClosed
 
 
-def associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+def associativity_witness(table) -> tuple[int, int, int] | None:
     """First triple (a, b, c) with (a*b)*c != a*(b*c), or None if associative."""
-    t = np.asarray(table, dtype=np.intp)
+    t = np.asarray(table, dtype=np.intp)  # fancy indexing casts any other dtype per call
     n = t.shape[0]
     for a in range(n):
         row = t[a]
@@ -32,18 +35,18 @@ def associativity_witness(table: Sequence[Sequence[int]]) -> tuple[int, int, int
 class GenericSemigroup:
     """A multiplication table on 0..size-1, checked for closure only.
 
-    Building one does not scan for associativity: `from_table` does, and
-    a caller that builds the class directly reports or establishes
-    associativity itself.
+    `table` is a read-only int32 view of the given table: an int32 array
+    is not copied.  Building one does not scan for associativity:
+    `from_table` does, and a caller that builds the class directly
+    reports or establishes associativity itself.
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], labels: Sequence[str] | None = None):
+    def __init__(self, table):
         n = len(table)
         if n == 0:
             raise NotClosed("empty multiplication table")
-        rows = tuple(map(tuple, table))
         # the rows before the first one of the wrong length, in one array
-        full = next((r for r, row in enumerate(rows) if len(row) != n), n)
+        full = next((r for r, row in enumerate(table) if len(row) != n), n)
         entries = np.asarray(table[:full]).reshape(full, n)
         outside = (entries < 0) | (entries >= n)
         if outside.any():
@@ -52,46 +55,43 @@ class GenericSemigroup:
                 f"entry {entries[r, c]} at row {r}, column {c} is not an index below {n}"
             )
         if full < n:
-            raise NotClosed(f"row {full} has {len(rows[full])} entries, expected {n}")
+            raise NotClosed(f"row {full} has {len(table[full])} entries, expected {n}")
         self.size = n
-        self.table = rows
-        if labels is None:
-            self.labels = tuple(str(k) for k in range(n))
-        else:
-            self.labels = tuple(str(x) for x in labels)
-            if len(self.labels) != n:
-                raise NotClosed(f"{len(self.labels)} labels for {n} elements")
+        self.table = entries.astype(np.int32, copy=False).view()
+        self.table.flags.writeable = False
 
     def mul(self, a: int, b: int) -> int:
         if not (0 <= a < self.size and 0 <= b < self.size):
             raise IndexOutOfRange(f"indices ({a}, {b}) out of range for size {self.size}")
-        return self.table[a][b]
+        return int(self.table[a, b])
 
     def __repr__(self) -> str:
         return f"GenericSemigroup(size={self.size})"
 
 
-def from_table(table: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> GenericSemigroup:
+def from_table(table) -> GenericSemigroup:
     """Validate a raw table (closure, then associativity) into a GenericSemigroup;
     the one entry point that rejects a non-associative table."""
-    T = GenericSemigroup(table, labels)
+    T = GenericSemigroup(table)
     bad = associativity_witness(T.table)
     if bad is not None:
         a, b, c = bad
         t = T.table
         raise NotAssociative(
-            f"({a}*{b})*{c} = {t[t[a][b]][c]} but {a}*({b}*{c}) = {t[a][t[b][c]]}"
+            f"({a}*{b})*{c} = {t[t[a, b], c]} but {a}*({b}*{c}) = {t[a, t[b, c]]}"
         )
     return T
 
 
 def left_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
-    """S^1 x, the principal left ideal with the formal identity adjoined."""
-    return frozenset({x} | {T.table[s][x] for s in range(T.size)})
+    """S^1 x, the principal left ideal with the formal identity adjoined:
+    x and column x of the table."""
+    return frozenset([x, *T.table[:, x].tolist()])
 
 
 def right_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
-    return frozenset({x} | {T.table[x][s] for s in range(T.size)})
+    """x S^1: x and row x of the table."""
+    return frozenset([x, *T.table[x].tolist()])
 
 
 def partition_by_key(keys: Sequence) -> tuple[tuple[int, ...], ...]:
@@ -144,16 +144,15 @@ def green_via_ideals(T: GenericSemigroup, kind: str) -> tuple[tuple[int, ...], .
 
 
 def idempotents(T: GenericSemigroup) -> list[int]:
-    return [x for x in range(T.size) if T.table[x][x] == x]
+    """The x with x*x = x, in index order."""
+    return np.flatnonzero(T.table.diagonal() == np.arange(T.size)).tolist()
 
 
 def is_regular(T: GenericSemigroup) -> bool:
-    """True when every x has a witness y with x*y*x = x."""
-    for x in range(T.size):
-        row = T.table[x]
-        if not any(T.table[row[y]][x] == x for y in range(T.size)):
-            return False
-    return True
+    """True when every x has a witness y with x*y*x = x: some entry of
+    column x, taken at the rows of row x, is x."""
+    t = T.table
+    return all((t[t[x], x] == x).any() for x in range(T.size))
 
 
 @dataclass(frozen=True)
@@ -180,16 +179,16 @@ def verify_map(f: Sequence[int], T1: GenericSemigroup, T2: GenericSemigroup) -> 
             raise IndexOutOfRange(f"f({x}) = {v} is not an element of the target")
 
     problems = []
+    # row a: f(a*b) against f(a)*f(b) for every b
+    image = np.asarray(f, dtype=np.intp)
     hom = True
     for a in range(T1.size):
-        for b in range(T1.size):
-            if f[T1.table[a][b]] != T2.table[f[a]][f[b]]:
-                hom = False
-                problems.append(
-                    f"f({a}*{b}) = {f[T1.table[a][b]]} but f({a})*f({b}) = {T2.table[f[a]][f[b]]}"
-                )
-                break
-        if not hom:
+        left, right = image[T1.table[a]], T2.table[f[a], image]
+        bad = left != right
+        if bad.any():
+            b = int(bad.argmax())
+            hom = False
+            problems.append(f"f({a}*{b}) = {left[b]} but f({a})*f({b}) = {right[b]}")
             break
 
     inj = True

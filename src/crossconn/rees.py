@@ -3,7 +3,8 @@
 The product is (a,i,lam)(b,j,mu) = (a * p[lam][j] * b, i, mu) for a
 Lambda x I sandwich matrix p with entries in the group.  Elements are
 enumerated in (g, i, lam) lexicographic order, which fixes every table
-layout and report ordering.
+layout and report ordering.  The multiplication table is one int32
+array, from `index_table()` through `table()` to the table oracle.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import MixedSemigroups, ParseError, SizeGuardExceeded
-from .groups import FiniteGroup, read_text
-from .kernel import element_arrays, int_rows
+from .groups import FiniteGroup, prefix_errors, read_text
+from .kernel import element_arrays
 from .oracle import GenericSemigroup, partition_by_key
 
 DEFAULT_SIZE_GUARD = 512
@@ -95,21 +96,22 @@ def identity_matrix(group: FiniteGroup, n_lambda: int, n_i: int) -> SandwichMatr
 def load_matrix_file(path, group: FiniteGroup) -> SandwichMatrix:
     """Read a sandwich matrix CSV: one line per row, entries are group element labels."""
     text = read_text(path)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty sandwich matrix file")
-    entries = []
-    for r, ln in enumerate(lines):
-        row = []
-        for c, cell in enumerate(x.strip() for x in ln.split(",")):
-            try:
-                row.append(group.index_of(cell))
-            except ParseError:
-                raise ParseError(
-                    f"{path}: row {r}, column {c}: unknown element label {cell!r}"
-                ) from None
-        entries.append(row)
-    return SandwichMatrix(group, entries)
+    with prefix_errors(path):
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ParseError("empty sandwich matrix file")
+        entries = []
+        for r, ln in enumerate(lines):
+            row = []
+            for c, cell in enumerate(x.strip() for x in ln.split(",")):
+                try:
+                    row.append(group.index_of(cell))
+                except ParseError:
+                    raise ParseError(
+                        f"row {r}, column {c}: unknown element label {cell!r}"
+                    ) from None
+            entries.append(row)
+        return SandwichMatrix(group, entries)
 
 
 class ReesSemigroup:
@@ -126,9 +128,7 @@ class ReesSemigroup:
                 f"semigroup has {self.size} elements, above the guard {size_guard}"
             )
         self._opposite: ReesSemigroup | None = None
-        # Built on first use by table() and to_generic(), never here.
-        self._table: np.ndarray | None = None
-        self._generic: GenericSemigroup | None = None
+        self._table: np.ndarray | None = None  # built on first use by table()
 
     @property
     def opposite(self) -> ReesSemigroup:
@@ -210,27 +210,27 @@ class ReesSemigroup:
             for j in range(self.n_i)
         )
 
-    def index_table(self) -> list[list[int]]:
-        """The size x size multiplication table on element indices (vectorized)."""
+    def index_table(self) -> np.ndarray:
+        """The size x size multiplication table on element indices, as a new
+        int32 array (vectorized)."""
         n_i, n_l = self.n_i, self.n_lambda
         g, i, lam = element_arrays(self.group.order, n_i, n_l)
         P = np.asarray(self.matrix.entries, dtype=np.intp)
         M = np.asarray(self.group.cayley, dtype=np.intp)
         p = P[lam[:, None], i[None, :]]
         prod_g = M[M[g[:, None], p], g[None, :]]
-        table = (prod_g * n_i + i[:, None]) * n_l + lam[None, :]
-        return int_rows(table)
+        return ((prod_g * n_i + i[:, None]) * n_l + lam[None, :]).astype(np.int32)
 
     def table(self) -> np.ndarray:
-        """index_table() as a read-only array, built on first use and kept,
-        so that every suite of one run scans the same table.  When S^op
+        """index_table() made read-only, built on first use and kept, so
+        that every suite of one run scans the same table.  When S^op
         already holds its table, this one is read off it instead."""
         if self._table is None:
             op = self._opposite
             if op is not None and op._table is not None:
                 table = op._opposite_table()
             else:
-                table = np.array(self.index_table(), dtype=np.int32)
+                table = self.index_table()
             table.flags.writeable = False
             self._table = table
         return self._table
@@ -248,13 +248,10 @@ class ReesSemigroup:
         return f"({self.group.names[x.g]},{x.i},{x.lam})"
 
     def to_generic(self) -> GenericSemigroup:
-        """Export table() to the table oracle on first use and keep it for the
-        rest of the run.  The export checks closure only: `rees.associative`
-        scans it for associativity and reports the result."""
-        if self._generic is None:
-            labels = [self.element_label(x) for x in self.elements()]
-            self._generic = GenericSemigroup(int_rows(self.table()), labels=labels)
-        return self._generic
+        """table() wrapped for the table oracle without a copy.  The wrapper
+        checks closure only: `rees.associative` scans the table for
+        associativity and reports the result."""
+        return GenericSemigroup(self.table())
 
     def __repr__(self) -> str:
         return (

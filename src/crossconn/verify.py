@@ -57,7 +57,7 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
         (
             (x, y)
             for x, row in zip(elements, table)
-            for y, entry in zip(elements, row)
+            for y, entry in zip(elements, row.tolist())
             if entry != S.index(S.mul(x, y))
         ),
         None,
@@ -67,7 +67,7 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
     checks.append(Check("rees.regular", oracle.is_regular(T)))
 
     formula = set(S.idempotents())
-    brute = {x for x in elements if S.mul(x, x) == x}
+    brute = set(map(S.element, oracle.idempotents(T)))
     ok = formula == brute and len(formula) == S.n_i * S.n_lambda
     checks.append(
         Check(
@@ -81,14 +81,11 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
         agree = S.green(kind) == oracle.green_via_ideals(T, kind)
         checks.append(Check(f"rees.green_{kind}_oracle_agreement", agree))
 
-    # S^1 x is x with column x of the table: every s*x
-    columns = S.table().T
     bad_ideal = next(
         (
             x
             for k, x in enumerate(elements)
-            if S.principal_left_ideal(x)
-            != frozenset(map(S.element, {k, *columns[k].tolist()}))
+            if S.principal_left_ideal(x) != frozenset(map(S.element, oracle.left_ideal(T, k)))
         ),
         None,
     )
@@ -285,7 +282,8 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
     return checks
 
 
-def crossconn_suite(S: ReesSemigroup) -> list[Check]:
+def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) -> list[Check]:
+    """`linked` is `connections.pair_arrays` of S's connection, built here if not given."""
     checks = []
     G = S.group
     conn = CrossConnection(S.matrix)
@@ -309,7 +307,8 @@ def crossconn_suite(S: ReesSemigroup) -> list[Check]:
     ok = kernel.regular_subsemigroup(M, gammas) and kernel.regular_subsemigroup(M.T, deltas)
     checks.append(Check("crossconn.u_subsemigroups", ok))
 
-    linked = connections.pair_arrays(conn, size_guard=S.size)
+    if linked is None:
+        linked = connections.pair_arrays(conn, size_guard=S.size)
     if len(ug) * len(ud) * (n_l + n_i) > TRIPLE_GUARD:
         checks.append(Check("crossconn.linked_criterion_agreement", None, _SKIP))
     else:
@@ -416,8 +415,9 @@ def full_suite(S: ReesSemigroup) -> list[Check]:
     return rees_suite(S) + category_suite(S) + cone_suite(S) + crossconn_suite(S)
 
 
-def rbg_suite(S: ReesSemigroup) -> list[Check]:
+def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) -> list[Check]:
     """The constant-identity connection of S: product formula and isomorphism checks.
+    `linked` is `connections.pair_arrays` of S's connection, built here if not given.
 
     A row is one pair p against all pairs q, with g1, g2 the first values of
     p.gamma and q.gamma (or q.delta): `PairArrays.row` against ((g1 g2,)*|Lambda|,
@@ -427,7 +427,8 @@ def rbg_suite(S: ReesSemigroup) -> list[Check]:
     G, P = S.group, np.asarray(S.matrix.entries)
     checks.append(Check("rbg.identity_matrix", bool((P == G.identity).all())))
 
-    linked = connections.pair_arrays(CrossConnection(S.matrix), size_guard=S.size)
+    if linked is None:
+        linked = connections.pair_arrays(CrossConnection(S.matrix), size_guard=S.size)
     pairs, gamma, delta = linked.pairs, linked.gamma, linked.delta
     M, inverse = kernel.group_array(G), np.asarray(G.inverse)
 

@@ -1,7 +1,9 @@
 """Scalar loop versions of the O(|S|^2) scans that the suites run on arrays.
 
 These are the loop bodies the array kernel replaced, kept as the
-reference that tests compare it against.  They call the scalar
+reference that tests compare it against; the table oracle's scans
+(`left_ideal`, `is_regular`, `verify_map`, ...) read the table through
+the scalar `GenericSemigroup.mul`.  They call the scalar
 functions through their modules (`cones.mul_L`, `connections.phi`, ...),
 so a fault patched into one of those reaches them too.  The faults at
 the end are the ones the negative controls patch into the functors
@@ -29,9 +31,115 @@ from crossconn.categories import (
     right_category,
 )
 from crossconn.checks import Check
-from crossconn.errors import ElementNotInCell, NotComposable, NotInDomainCoset
-from crossconn.oracle import GenericSemigroup, MapCheck, from_table, verify_map
+from crossconn.errors import ElementNotInCell, IndexOutOfRange, NotComposable, NotInDomainCoset
+from crossconn.oracle import (
+    GenericSemigroup,
+    MapCheck,
+    canonical_partition,
+    from_table,
+    partition_by_key,
+    verify_map,
+)
 from crossconn.rees import ReesElement, ReesSemigroup, SandwichMatrix
+
+
+def left_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
+    """`oracle.left_ideal`: S^1 x by a set comprehension."""
+    return frozenset({x} | {T.mul(s, x) for s in range(T.size)})
+
+
+def right_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
+    return frozenset({x} | {T.mul(x, s) for s in range(T.size)})
+
+
+def green_via_ideals(T: GenericSemigroup, kind: str) -> tuple[tuple[int, ...], ...]:
+    """`oracle.green_via_ideals` on the ideals above; D as the connected
+    components of the graph that joins L-related and R-related elements."""
+    lefts = [left_ideal(T, x) for x in range(T.size)]
+    rights = [right_ideal(T, x) for x in range(T.size)]
+    if kind == "L":
+        return partition_by_key(lefts)
+    if kind == "R":
+        return partition_by_key(rights)
+    if kind == "H":
+        return partition_by_key(list(zip(lefts, rights)))
+    if kind != "D":
+        raise IndexOutOfRange(f"unknown Green relation {kind!r}")
+    seen: set[int] = set()
+    classes = []
+    for start in range(T.size):
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop()
+            for y in range(T.size):
+                related = lefts[x] == lefts[y] or rights[x] == rights[y]
+                if related and y not in component:
+                    component.add(y)
+                    frontier.append(y)
+        seen |= component
+        classes.append(component)
+    return canonical_partition(classes)
+
+
+def idempotents(T: GenericSemigroup) -> list[int]:
+    return [x for x in range(T.size) if T.mul(x, x) == x]
+
+
+def is_regular(T: GenericSemigroup) -> bool:
+    """`oracle.is_regular`: every x has a witness y with x*y*x = x."""
+    for x in range(T.size):
+        if not any(T.mul(T.mul(x, y), x) == x for y in range(T.size)):
+            return False
+    return True
+
+
+def verify_map_loops(f, T1: GenericSemigroup, T2: GenericSemigroup) -> MapCheck:
+    """`oracle.verify_map` with the homomorphism test one pair (a, b) at a time."""
+    f = list(f)
+    if len(f) != T1.size:
+        raise IndexOutOfRange(f"map has {len(f)} entries, expected {T1.size}")
+    for x, v in enumerate(f):
+        if not 0 <= v < T2.size:
+            raise IndexOutOfRange(f"f({x}) = {v} is not an element of the target")
+
+    problems = []
+    hom = True
+    for a in range(T1.size):
+        for b in range(T1.size):
+            if f[T1.mul(a, b)] != T2.mul(f[a], f[b]):
+                hom = False
+                problems.append(
+                    f"f({a}*{b}) = {f[T1.mul(a, b)]} but f({a})*f({b}) = {T2.mul(f[a], f[b])}"
+                )
+                break
+        if not hom:
+            break
+
+    inj = True
+    seen: dict[int, int] = {}
+    for x, v in enumerate(f):
+        if v in seen:
+            inj = False
+            problems.append(f"f({seen[v]}) = f({x}) = {v}")
+            break
+        seen[v] = x
+
+    surj = len(set(f)) == T2.size
+    if not surj:
+        missing = min(set(range(T2.size)) - set(f))
+        problems.append(f"element {missing} of the target is never hit")
+
+    return MapCheck(hom, inj, surj, "; ".join(problems) if problems else None)
+
+
+def cone_table(group, cones_: list[Cone], side: str = "L") -> list[list[int]]:
+    """`cones.cone_table` by a dict lookup of each scalar `cones.mul_L` product."""
+    if side == "R":
+        group = group.opposite
+    index = {c: k for k, c in enumerate(cones_)}
+    return [[index[cones.mul_L(group, c1, c2)] for c2 in cones_] for c1 in cones_]
 
 
 def table_matches_product_witness(S: ReesSemigroup) -> str | None:

@@ -108,7 +108,7 @@ def test_criterion_03_cone_semigroup_oracle_equivalence():
             first_principles = [
                 [index[cat.compose_cones(c1, c2)] for c2 in cones] for c1 in cones
             ]
-            assert direct == first_principles
+            assert direct.tolist() == first_principles
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     _report(3, "semidirect product table equals the componentwise cone-composition table")

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crossconn.cli import RunConfig, emit, main, parse_args, run
+from crossconn import connections
+from crossconn.cli import COMMANDS, RunConfig, emit, main, parse_args, run
 from crossconn.errors import ParseError
 from crossconn.rees import ReesSemigroup
 
@@ -309,3 +315,102 @@ def test_cyclic_order_guard_comes_before_the_table():
     assert result.returncode == 1, result.stderr
     assert result.stdout == ""
     assert result.stderr == "error: group order 100000 exceeds the validation guard 256\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "crossconn", "rbg"])
+def test_each_command_builds_the_linked_pairs_once(command, monkeypatch, capsys):
+    calls = Counter()
+    original = connections.linked_pairs
+
+    def counting(*args, **kwargs):
+        calls["linked_pairs"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(connections, "linked_pairs", counting)
+    code, _, err = run_cli(["--group", "cyclic:2", "--matrix", "identity:2x2", command], capsys)
+    assert code == 0, err
+    assert calls == {"linked_pairs": 1}
+
+
+def _mutate(lines: list[str], kind: str, row: int, cell: int) -> list[str]:
+    """One text mutation of a fixture's lines at (row, cell), both taken modulo
+    the line count and the width of the chosen line."""
+    lines = list(lines)
+    r = row % len(lines)
+    delim = "\t" if "\t" in lines[r] else ","
+    cells = lines[r].split(delim)
+    c = cell % len(cells)
+    if kind == "duplicate":
+        cells[c] = cells[(c + 1) % len(cells)]
+    elif kind == "trailing":
+        cells.append("")
+    elif kind == "ragged":
+        del cells[c]
+    elif kind == "blank":
+        lines.insert(r, " " * (cell % 3))
+        return lines
+    elif kind == "swap_line":
+        delim = "," if delim == "\t" else "\t"
+    elif kind == "swap_file":
+        return [ln.replace(",", "\t") for ln in lines]
+    lines[r] = delim.join(cells)
+    return lines
+
+
+MUTATIONS = st.tuples(
+    st.sampled_from(["duplicate", "trailing", "ragged", "blank", "swap_line", "swap_file"]),
+    st.integers(0, 20),
+    st.integers(0, 20),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["s3_cayley.csv", "s3_P.csv"]), st.lists(MUTATIONS, min_size=1, max_size=3))
+def test_mutated_input_files_exit_0_or_name_the_file(target, mutations):
+    # Malformed input is one error line that names the file, exit 1; a
+    # mutation that leaves a valid file builds, exit 0.  Never a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name in ("s3_cayley.csv", "s3_P.csv"):
+            lines = (FIXTURES / name).read_text().splitlines()
+            if name == target:
+                for mutation in mutations:
+                    lines = _mutate(lines, *mutation)
+            paths[name] = os.path.join(tmp, name)
+            Path(paths[name]).write_text("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(
+                ["--group", paths["s3_cayley.csv"], "--matrix", paths["s3_P.csv"], "build"]
+            )
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(f"error: {paths[target]}: ")
+        assert err.getvalue().count("\n") == 1
+
+
+def test_no_command_imports_numpy_ma():
+    # numpy.ma costs start-up time and memory in every fresh interpreter;
+    # np.unique and np.isin import it.
+    group, matrix = FIXTURES / "s3_cayley.csv", FIXTURES / "s3_P.csv"
+    script = f"""
+import contextlib, io, sys
+from crossconn.cli import main
+for command in {list(COMMANDS)!r}:
+    spec = "identity:2x2" if command == "rbg" else {str(matrix)!r}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--group", {str(group)!r}, "--matrix", spec, command]) == 0, command
+print("numpy.ma" in sys.modules)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

@@ -221,6 +221,20 @@ def test_rbg_arrays_match_the_loops(G, n_lambda, n_i, identity, fault, data):
         assert verify.rbg_suite(S) == scalar_reference.rbg_checks(S)
 
 
+@pytest.mark.parametrize("G", GROUPS, ids=["Z2", "Z3", "S3", "S3-relabelled"])
+@pytest.mark.parametrize("side", ["L", "R"])
+def test_cone_table_matches_the_dict_lookup(G, side):
+    # T_L up to about 100 cones, on both sides: one kernel row per cone
+    # against one scalar mul_L and one dict lookup per entry.
+    for n_lambda in (1, 2, 3):
+        tl = cones.enumerate_TL(G, n_lambda)
+        if len(tl) > 100:
+            break
+        table = cones.cone_table(G, tl, side)
+        assert table.dtype == np.int32
+        assert table.tolist() == scalar_reference.cone_table(G, tl, side)
+
+
 def test_wide_cones_z2_lambda_64():
     # Cones of width 64 over Z2: a mixed-radix int64 code |G|^|Lambda| * |Lambda|
     # would not fit, the row keys compare every coordinate.

@@ -1,10 +1,15 @@
 import re
 
+import numpy as np
 import pytest
+import scalar_reference
 from hypothesis import given, settings, strategies as st
 
 from crossconn import (
     GenericSemigroup,
+    ReesSemigroup,
+    SandwichMatrix,
+    builtin,
     from_table,
     green_via_ideals,
     idempotents,
@@ -12,7 +17,7 @@ from crossconn import (
     verify_map,
 )
 from crossconn.errors import IndexOutOfRange, NotAssociative, NotClosed
-from crossconn.oracle import canonical_partition, left_ideal
+from crossconn.oracle import canonical_partition, left_ideal, right_ideal
 
 
 def test_rees_export_is_valid(s1):
@@ -50,7 +55,7 @@ def test_right_zero_semigroup():
 
 def test_not_associative_witness():
     # only from_table scans for associativity; the class checks closure only
-    assert GenericSemigroup([[0, 1], [0, 0]]).table == ((0, 1), (0, 0))
+    assert GenericSemigroup([[0, 1], [0, 0]]).table.tolist() == [[0, 1], [0, 0]]
     with pytest.raises(NotAssociative, match=r"^\(1\*0\)\*1 = 1 but 1\*\(0\*1\) = 0$"):
         from_table([[0, 1], [0, 0]])
 
@@ -84,8 +89,19 @@ def test_not_closed_messages(table, message):
 
 def test_closed_table_keeps_its_entries():
     T = GenericSemigroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    assert T.table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    assert all(type(v) is int for row in T.table for v in row)
+    assert T.table.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert T.table.dtype == np.int32 and not T.table.flags.writeable
+    assert type(T.mul(1, 2)) is int
+
+
+def test_the_oracle_wraps_the_rees_table_without_a_copy(s1):
+    S = ReesSemigroup(s1.matrix)
+    assert np.shares_memory(S.to_generic().table, S.table())
+    # a writable array stays writable for its owner, and read-only in the oracle
+    table = S.index_table()
+    T = GenericSemigroup(table)
+    assert np.shares_memory(T.table, table)
+    assert table.flags.writeable and not T.table.flags.writeable
 
 
 def test_green_agreement_with_rees(s1):
@@ -143,3 +159,76 @@ def test_green_permutation_invariance(s1, perm):
             [perm[x] for x in cls] for cls in green_via_ideals(T, kind)
         )
         assert relabeled == green_via_ideals(T2, kind)
+
+
+@st.composite
+def closed_tables(draw, max_size=12):
+    """A closed table with at most max_size elements: arbitrary entries, or a
+    null semigroup, a semilattice, or a Rees matrix semigroup over a cyclic
+    group with one entry possibly changed, relabelled at random."""
+    family = draw(st.sampled_from(["random", "null", "semilattice", "rees"]))
+    if family == "rees":
+        order = draw(st.integers(1, 3))
+        n_lambda = draw(st.integers(1, max(1, max_size // (order * 2))))
+        n_i = draw(st.integers(1, max(1, max_size // (order * n_lambda))))
+        entries = draw(
+            st.lists(
+                st.lists(st.integers(0, order - 1), min_size=n_i, max_size=n_i),
+                min_size=n_lambda,
+                max_size=n_lambda,
+            )
+        )
+        table = ReesSemigroup(SandwichMatrix(builtin("cyclic", order), entries)).index_table()
+        n = len(table)
+        if draw(st.booleans()):
+            a, b, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+            table[a, b] = v
+        table = table.tolist()
+    else:
+        n = draw(st.integers(1, max_size))
+        if family == "random":
+            row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+            table = draw(st.lists(row, min_size=n, max_size=n))
+        elif family == "null":
+            zero = draw(st.integers(0, n - 1))
+            table = [[zero] * n for _ in range(n)]
+        else:
+            table = [[min(a, b) for b in range(n)] for a in range(n)]
+    return _conjugate(table, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_tables())
+def test_array_oracle_matches_the_loops(table):
+    # Verdicts, ideals, idempotents and Green partitions of the row-at-a-time
+    # oracle equal those of the scalar loops, associative table or not.
+    T = GenericSemigroup(table)
+    assert is_regular(T) is scalar_reference.is_regular(T)
+    assert idempotents(T) == scalar_reference.idempotents(T)
+    for x in range(T.size):
+        assert left_ideal(T, x) == scalar_reference.left_ideal(T, x)
+        assert right_ideal(T, x) == scalar_reference.right_ideal(T, x)
+    for kind in "LRHD":
+        assert green_via_ideals(T, kind) == scalar_reference.green_via_ideals(T, kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_tables(), st.data())
+def test_verify_map_matches_the_loops(table, data):
+    # Random maps into a random table, and relabellings of the table onto its
+    # conjugate with at most one image moved: the whole MapCheck, witness
+    # included, is the loop's.
+    T1 = GenericSemigroup(table)
+    if data.draw(st.booleans()):
+        T2 = GenericSemigroup(data.draw(closed_tables()))
+        f = data.draw(
+            st.lists(st.integers(0, T2.size - 1), min_size=T1.size, max_size=T1.size)
+        )
+    else:
+        f = list(data.draw(st.permutations(range(T1.size))))
+        T2 = GenericSemigroup(_conjugate(table, f))
+        if data.draw(st.booleans()):
+            f[data.draw(st.integers(0, T1.size - 1))] = data.draw(st.integers(0, T1.size - 1))
+    check = verify_map(f, T1, T2)
+    assert check == scalar_reference.verify_map_loops(f, T1, T2)
+    assert check.witness is None or "np." not in check.witness

@@ -168,7 +168,8 @@ class _KeepsVertexOffRowZero(ReesSemigroup):
 
     def index_table(self):
         elements = list(self.elements())
-        return [[self.index(self.mul(x, y)) for y in elements] for x in elements]
+        rows = [[self.index(self.mul(x, y)) for y in elements] for x in elements]
+        return np.array(rows, dtype=np.int32)
 
 
 def test_faulty_translations_fail_left_realization():
@@ -193,6 +194,60 @@ def test_non_associative_table_fails_rees_associative():
     assert witness is not None
     assert check.passed is False
     assert check.witness == str(witness)
+
+
+class _IrregularFirstElement(ReesSemigroup):
+    """The index table with row 0 made constant at the first z != 0 with
+    z*0 != 0: still closed, but 0*y*0 = z*0 is never 0."""
+
+    def index_table(self):
+        table = super().index_table()
+        table[0] = next(z for z in range(1, self.size) if table[z, 0] != 0)
+        return table
+
+
+def test_element_without_an_inverse_fails_regular():
+    S = _IrregularFirstElement(_s3_fixture().matrix)
+    T = S.to_generic()
+    assert not scalar_reference.is_regular(T)
+    check = {c.name: c for c in rees_suite(S)}["rees.regular"]
+    assert check.passed is False
+
+
+class _MissingIdempotent(ReesSemigroup):
+    """The idempotent formula without its last idempotent."""
+
+    def idempotents(self):
+        return super().idempotents()[:-1]
+
+
+def test_missing_idempotent_fails_idempotent_formula():
+    S = _MissingIdempotent(_s3_fixture().matrix)
+    check = {c.name: c for c in rees_suite(S)}["rees.idempotent_formula"]
+    n = S.n_i * S.n_lambda
+    assert check.passed is False
+    assert check.witness == f"formula gives {n - 1}, scan gives {n}"
+
+
+class _MergedGreen(ReesSemigroup):
+    """Green's closed forms with the first two classes merged; D, which has
+    one class, with its last element split off instead."""
+
+    def green(self, kind):
+        partition = super().green(kind)
+        if len(partition) == 1:
+            (members,) = partition
+            return members[:-1], members[-1:]
+        first, second, *rest = partition
+        return tuple(sorted((tuple(sorted(first + second)), *rest)))
+
+
+@pytest.mark.parametrize("kind", "LRHD")
+def test_wrong_green_partition_fails_oracle_agreement(kind):
+    S = _MergedGreen(_s3_fixture().matrix)
+    assert S.green(kind) != scalar_reference.green_via_ideals(S.to_generic(), kind)
+    check = {c.name: c for c in rees_suite(S)}[f"rees.green_{kind}_oracle_agreement"]
+    assert check.passed is False
 
 
 class _OneWrongProduct(ReesSemigroup):
