@@ -2,8 +2,10 @@
 """Run the full verification suite over a battery of fixtures.
 
 Covers the named small fixtures, a batch of seeded random sandwich
-matrices, and optionally a 512-element fixture.  Exits nonzero if any
-check fails.
+matrices, and with --include-large a 512-element fixture and the
+2048-element M[Z2; 32, 32] with the identity matrix.  Each fixture is
+built with the size guard set to its own size, so it is checked in
+full.  Exits nonzero if any check fails.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import random
 import time
 
-from crossconn import ReesSemigroup, SandwichMatrix, builtin
+from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix
 from crossconn.checks import failures
 from crossconn.verify import full_suite
 
@@ -46,6 +48,7 @@ def fixture_battery(seed: int, include_large: bool):
     if include_large:
         entries = [[(lam * i) % 2 for i in range(16)] for lam in range(16)]
         fixtures.append(("Z2 16x16 (|S|=512)", SandwichMatrix(z2, entries)))
+        fixtures.append(("Z2 32x32 identity", identity_matrix(z2, 32, 32)))
     return fixtures
 
 
@@ -57,7 +60,7 @@ def main() -> int:
 
     exit_code = 0
     for name, matrix in fixture_battery(args.seed, args.include_large):
-        S = ReesSemigroup(matrix)
+        S = ReesSemigroup(matrix, size_guard=matrix.group.order * matrix.rows * matrix.cols)
         start = time.perf_counter()
         checks = full_suite(S)
         elapsed = time.perf_counter() - start

@@ -206,7 +206,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
                 for p in linked.pairs
             ],
         }
-        checks = verify.crossconn_suite(S, linked)
+        checks = verify.crossconn_suite(S, linked, (ug, ud))
     elif config.command == "iso-check":
         result = cones.injectivity_criterion(matrix)
         witness = None

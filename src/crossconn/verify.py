@@ -31,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from . import connections, cones, kernel, oracle
-from .categories import Morphism, left_category, realize_category, right_category
+from .categories import Cone, Morphism, left_category, realize_category, right_category
 from .checks import Check
 from .connections import CrossConnection
 from .rees import ReesSemigroup
@@ -282,8 +282,13 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
     return checks
 
 
-def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) -> list[Check]:
-    """`linked` is `connections.pair_arrays` of S's connection, built here if not given."""
+def crossconn_suite(
+    S: ReesSemigroup,
+    linked: connections.PairArrays | None = None,
+    u_cones: tuple[list[Cone], list[Cone]] | None = None,
+) -> list[Check]:
+    """`linked` is `connections.pair_arrays` of S's connection and `u_cones`
+    its (`u_gamma`, `u_delta`), each built here if not given."""
     checks = []
     G = S.group
     conn = CrossConnection(S.matrix)
@@ -301,8 +306,9 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays | None = No
         witness = _naturality_witness(conn)
         checks.append(Check("crossconn.naturality", witness is None, witness))
 
-    ug = connections.u_gamma(conn, bound=S.size)
-    ud = connections.u_delta(conn, bound=S.size)
+    if u_cones is None:
+        u_cones = connections.u_gamma(conn, bound=S.size), connections.u_delta(conn, bound=S.size)
+    ug, ud = u_cones
     M, gammas, deltas = kernel.group_array(G), kernel.cone_arrays(ug), kernel.cone_arrays(ud)
     ok = kernel.regular_subsemigroup(M, gammas) and kernel.regular_subsemigroup(M.T, deltas)
     checks.append(Check("crossconn.u_subsemigroups", ok))

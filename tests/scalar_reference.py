@@ -83,6 +83,26 @@ def green_via_ideals(T: GenericSemigroup, kind: str) -> tuple[tuple[int, ...], .
     return canonical_partition(classes)
 
 
+def associativity_witness(T: GenericSemigroup) -> tuple[int, int, int] | None:
+    """`oracle.associativity_witness`: the first (a, b, c), in that order,
+    with (a*b)*c != a*(b*c), by a triple loop."""
+    for a, b, c in product(range(T.size), repeat=3):
+        if T.mul(T.mul(a, b), c) != T.mul(a, T.mul(b, c)):
+            return a, b, c
+    return None
+
+
+def magma_closure(T: GenericSemigroup, gens) -> set[int]:
+    """The closure of gens under the product: add all products of two
+    members until a round adds none."""
+    closure = set(gens)
+    while True:
+        products = {T.mul(x, y) for x in closure for y in closure}
+        if products <= closure:
+            return closure
+        closure |= products
+
+
 def idempotents(T: GenericSemigroup) -> list[int]:
     return [x for x in range(T.size) if T.mul(x, x) == x]
 

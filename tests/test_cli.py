@@ -332,6 +332,22 @@ def test_each_command_builds_the_linked_pairs_once(command, monkeypatch, capsys)
     assert calls == {"linked_pairs": 1}
 
 
+@pytest.mark.parametrize("command", ["verify", "crossconn"])
+def test_each_command_builds_the_u_cones_once(command, monkeypatch, capsys):
+    # u_delta is u_gamma over the opposite connection: one build of each is 2 calls
+    calls = Counter()
+    original = connections.u_gamma
+
+    def counting(*args, **kwargs):
+        calls["u_gamma"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(connections, "u_gamma", counting)
+    code, _, err = run_cli(["--group", "cyclic:2", "--matrix", "identity:2x2", command], capsys)
+    assert code == 0, err
+    assert calls == {"u_gamma": 2}
+
+
 def _mutate(lines: list[str], kind: str, row: int, cell: int) -> list[str]:
     """One text mutation of a fixture's lines at (row, cell), both taken modulo
     the line count and the width of the chosen line."""

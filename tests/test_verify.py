@@ -289,6 +289,37 @@ def test_non_associative_cone_table_fails_tl_associative(s1, monkeypatch):
     assert check.witness == str(witness)
 
 
+def test_merged_cosets_fail_tl_green_agreement(s1, monkeypatch):
+    # Negative control: coset_normalize sends the second coset of T_L to the
+    # first, so the coset partition is coarser than the oracle's R.
+    G, original = s1.group, cones.coset_normalize
+    tl = cones.enumerate_TL(G, s1.n_lambda)
+    first, second = list(dict.fromkeys(original(G, "left", c.values) for c in tl))[:2]
+
+    def merged(group, side, values):
+        handle = original(group, side, values)
+        return first if handle == second else handle
+
+    monkeypatch.setattr(cones, "coset_normalize", merged)
+    check = {c.name: c for c in cone_suite(ReesSemigroup(s1.matrix))}["cones.tl_green_agreement"]
+    assert check.passed is False
+
+
+def test_wrong_idempotent_closed_form_fails(s1, monkeypatch):
+    # Negative control: is_idempotent_cone answers wrongly on one cone of T_L,
+    # which the check names.
+    G, original = s1.group, cones.is_idempotent_cone
+    wrong = cones.enumerate_TL(G, s1.n_lambda)[3]
+    monkeypatch.setattr(
+        cones, "is_idempotent_cone", lambda group, c: original(group, c) != (c == wrong)
+    )
+    check = {c.name: c for c in cone_suite(ReesSemigroup(s1.matrix))}[
+        "cones.idempotent_closed_form"
+    ]
+    assert check.passed is False
+    assert check.witness == str(wrong)
+
+
 def test_non_associative_pair_table_fails_isomorphism(s1, capsys):
     # Negative control: with two entries of the linked-pair table swapped,
     # phi is no homomorphism onto it, and the failed check (not a raised
@@ -321,6 +352,17 @@ def test_full_suite_scans_each_table_for_associativity_once(s1, monkeypatch):
     monkeypatch.setattr(oracle, "associativity_witness", counting)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
     assert sizes == [s1.size, len(cones.enumerate_TL(s1.group, s1.n_lambda))]
+
+
+def test_associative_tables_never_reach_the_full_scan(s1, monkeypatch):
+    # Light's test passes every associative table on its own: the full row
+    # scan runs only to find the witness of a table that fails it.
+    def full_scan(table):
+        raise AssertionError(f"full scan of a {len(table)}-element table")
+
+    monkeypatch.setattr(oracle, "_full_scan", full_scan)
+    _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
+    assert builtin("symmetric", 4).order == 24
 
 
 @settings(max_examples=10, deadline=None)
