@@ -148,22 +148,12 @@ def enumerate_TL(group: FiniteGroup, n_lambda: int, bound: int = DEFAULT_CONE_BO
     ]
 
 
-def cone_table(group: FiniteGroup, cones: Iterable[Cone], side: str = "L") -> np.ndarray:
-    """Multiplication table of a closed cone set under mul_L ('L') or mul_R ('R'),
-    indexed by enumeration order, as an int32 array built one row per cone
-    on `kernel.mul_L`."""
-    if side == "R":
-        group = group.opposite
-    elif side != "L":
-        raise ParseError(f"side must be 'L' or 'R', got {side!r}")
-    batch = kernel.cone_arrays(list(cones))
-    index = kernel.KeyIndex(kernel.row_keys(*batch))
-    M = kernel.group_array(group)
-    n = len(batch[1])
-    table = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        row = index.find(kernel.row_keys(*kernel.mul_L(M, kernel.pick(batch, a), batch)))
-        if (row < 0).any():
-            raise NotClosed(f"cone {a} times cone {int(row.argmin())} is not in the set")
-        table[a] = row
+def cone_table(group: FiniteGroup, cones: Iterable[Cone]) -> np.ndarray:
+    """Multiplication table of a closed cone set under mul_L, indexed by
+    enumeration order, as an int32 array from `kernel.cone_product_table`.
+    The table under mul_R is the one over `group.opposite`."""
+    M, batch = kernel.group_array(group), kernel.cone_arrays(list(cones))
+    table, bad = kernel.cone_product_table(M, batch)
+    if bad is not None:
+        raise NotClosed(f"cone {bad[0]} times cone {bad[1]} is not in the set")
     return table

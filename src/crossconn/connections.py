@@ -320,24 +320,6 @@ def pair_arrays(conn: CrossConnection, size_guard: int = DEFAULT_SIZE_GUARD) -> 
     return PairArrays(pairs, gamma, delta, kernel.KeyIndex(kernel.row_keys(*gamma, *delta)))
 
 
-def _pair_table(
-    group: FiniteGroup, linked: PairArrays
-) -> tuple[np.ndarray | None, tuple[int, int] | None]:
-    """The s_tilde_mul table of the pairs as positions in their index, one
-    row at a time; or (None, (p, q)) for the first product that is not
-    indexed."""
-    M = kernel.group_array(group)
-    n = len(linked.pairs)
-    table = np.empty((n, n), dtype=np.int32)
-    for p in range(n):
-        gamma, delta = linked.row(M, p)
-        row = linked.index.find(kernel.row_keys(*gamma, *delta))
-        if (row < 0).any():
-            return None, (p, int(np.argmax(row < 0)))
-        table[p] = row
-    return table, None
-
-
 def verify_phi(S: ReesSemigroup, linked: PairArrays | None = None) -> PhiReport:
     """Check closure of the linked-pair product and that phi is a bijective homomorphism.
 
@@ -349,7 +331,13 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays | None = None) -> PhiReport:
     """
     if linked is None:
         linked = pair_arrays(CrossConnection(S.matrix), size_guard=S.size)
-    table, bad = _pair_table(S.group, linked)
+    M = kernel.group_array(S.group)
+
+    def row(p: int) -> np.ndarray:
+        gamma, delta = linked.row(M, p)
+        return kernel.row_keys(*gamma, *delta)
+
+    table, bad = kernel.product_table(linked.index, len(linked.pairs), row)
     if bad is not None:
         p, q = (linked.pairs[k] for k in bad)
         return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)

@@ -35,6 +35,13 @@ Pairs.  `connections.pair_arrays` holds the linked pairs as a gamma and a
 delta batch with one `KeyIndex`; every scan of the pairs in a suite, and
 the CLI's report of them, reads it.
 
+Tables.  `product_table` is the one place a closed set becomes its
+multiplication table: one row of products at a time, looked up in the
+set's `KeyIndex`; the first product outside the set is the closure
+witness.  `cone_product_table` is its form for cones under `mul_L`.  It
+builds T_L, the linked pairs, U-Gamma, U-Delta and the principal image;
+the table oracle judges the rest of each from the table alone.
+
 The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
 `connections.is_linked`, `connections.bifunctor_gamma`,
 `connections.chi`, `ReesSemigroup.mul`) stay the definitions;
@@ -161,16 +168,22 @@ def first_failure(n: int, bad_row: Callable[[int], np.ndarray]) -> tuple[int, in
     return None
 
 
-def regular_subsemigroup(M: np.ndarray, members: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Whether the cones are closed under mul_L over the group with Cayley
-    array M and each a has some b with (a*b)*a == a."""
-    n = len(members[1])
-    index = KeyIndex(row_keys(*members))
+def product_table(
+    index: KeyIndex, n: int, row: Callable[[int], np.ndarray]
+) -> tuple[np.ndarray | None, tuple[int, int] | None]:
+    """The (n, n) int32 table whose row a holds the positions in `index` of
+    the keys row(a), the products of member a with every member; or
+    (None, (a, b)) for the first product, in row order, that is not indexed."""
+    table = np.empty((n, n), dtype=np.int32)
     for a in range(n):
-        cone = pick(members, a)
-        products = mul_L(M, cone, members)
-        if (index.find(row_keys(*products)) < 0).any():
-            return False
-        if differ(mul_L(M, products, cone), cone).all():
-            return False
-    return True
+        found = index.find(row(a))
+        if (found < 0).any():
+            return None, (a, int(found.argmin()))
+        table[a] = found
+    return table, None
+
+
+def cone_product_table(M: np.ndarray, members: tuple[np.ndarray, np.ndarray]):
+    """`product_table` of a batch of cones under mul_L over the group with Cayley array M."""
+    index, n = KeyIndex(row_keys(*members)), len(members[1])
+    return product_table(index, n, lambda a: row_keys(*mul_L(M, pick(members, a), members)))

@@ -16,12 +16,15 @@ one cell per row.  A suite builds the linked pairs once, as
 `connections.pair_arrays`, for `verify_phi`, the linked criterion and the
 `rbg` scans, which take one pair against all pairs per row.
 
-Tables reach the oracle as closed `GenericSemigroup`s, which do not scan
-for associativity.  Each table is scanned once, by the check that
-reports it (`rees.associative`, `cones.tl_associative`), so a
-non-associative table is a failed check rather than an exception.  The
-linked-pair table needs no scan: a passing `crossconn.phi_isomorphism`
-is a bijective homomorphism onto it from S.
+Every closed set a suite checks becomes its table through
+`kernel.product_table`, which names the first product outside the set.
+Tables reach the oracle as closed `GenericSemigroup`s and the oracle
+judges the rest: `oracle.is_regular` decides the principal image and
+U-Gamma/U-Delta, `oracle.verify_map` the isomorphism.  Each table is
+scanned for associativity once, by the check that reports it
+(`rees.associative`, `cones.tl_associative`), so a non-associative table
+is a failed check; the linked-pair table needs none, since a passing
+`crossconn.phi_isomorphism` carries S's associativity onto it.
 """
 
 from __future__ import annotations
@@ -214,7 +217,7 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
                 break
         checks.append(Check("cones.semidirect_law", witness is None, witness))
 
-        table = cones.cone_table(G, tl, "L")
+        table = cones.cone_table(G, tl)
         assoc = oracle.associativity_witness(table)
         checks.append(Check("cones.tl_associative", assoc is None, str(assoc) if assoc else None))
 
@@ -265,9 +268,7 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
     # one row per distinct principal cone (np.unique would import numpy.ma)
     distinct = list({key: k for k, key in enumerate(kernel.row_keys(*rho).tolist())}.values())
     image = kernel.pick(rho, distinct)
-    checks.append(
-        Check("cones.principal_image_subsemigroup", kernel.regular_subsemigroup(M, image))
-    )
+    checks.append(Check("cones.principal_image_subsemigroup", _regular_subsemigroup(M, image)))
 
     crit = cones.injectivity_criterion(S.matrix)
     injective = len(distinct) == S.size
@@ -280,6 +281,13 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
         )
     )
     return checks
+
+
+def _regular_subsemigroup(M: np.ndarray, members: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether the cones are closed under mul_L over the group with Cayley
+    array M, read from their product table, and regular, judged by the oracle."""
+    table, _ = kernel.cone_product_table(M, members)
+    return table is not None and oracle.is_regular(oracle.GenericSemigroup(table))
 
 
 def crossconn_suite(
@@ -310,7 +318,7 @@ def crossconn_suite(
         u_cones = connections.u_gamma(conn, bound=S.size), connections.u_delta(conn, bound=S.size)
     ug, ud = u_cones
     M, gammas, deltas = kernel.group_array(G), kernel.cone_arrays(ug), kernel.cone_arrays(ud)
-    ok = kernel.regular_subsemigroup(M, gammas) and kernel.regular_subsemigroup(M.T, deltas)
+    ok = _regular_subsemigroup(M, gammas) and _regular_subsemigroup(M.T, deltas)
     checks.append(Check("crossconn.u_subsemigroups", ok))
 
     if linked is None:

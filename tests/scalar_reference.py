@@ -154,10 +154,8 @@ def verify_map_loops(f, T1: GenericSemigroup, T2: GenericSemigroup) -> MapCheck:
     return MapCheck(hom, inj, surj, "; ".join(problems) if problems else None)
 
 
-def cone_table(group, cones_: list[Cone], side: str = "L") -> list[list[int]]:
+def cone_table(group, cones_: list[Cone]) -> list[list[int]]:
     """`cones.cone_table` by a dict lookup of each scalar `cones.mul_L` product."""
-    if side == "R":
-        group = group.opposite
     index = {c: k for k, c in enumerate(cones_)}
     return [[index[cones.mul_L(group, c1, c2)] for c2 in cones_] for c1 in cones_]
 
@@ -666,10 +664,12 @@ def _swapped(table, bad):
 @contextmanager
 def swapped_pair_table():
     """The linked-pair table of `verify_phi`, array and scalar alike, with two
-    entries swapped."""
-    kernel_table, scalar_table = connections._pair_table, pair_table
+    entries swapped.  The array table is swapped where it is built, in
+    `kernel.product_table`, so every table built meanwhile is swapped too;
+    in `rbg_suite` the pair table is the only one."""
+    kernel_table, scalar_table = kernel.product_table, pair_table
     with mock.patch.object(
-        connections, "_pair_table", lambda *args: _swapped(*kernel_table(*args))
+        kernel, "product_table", lambda *args: _swapped(*kernel_table(*args))
     ), mock.patch(f"{__name__}.pair_table", lambda S: _swapped(*scalar_table(S))):
         yield
 

@@ -104,7 +104,7 @@ def test_criterion_03_cone_semigroup_oracle_equivalence():
             cones = enumerate_TL(G, n_lambda)
             cat = left_category(G, n_lambda)
             index = {c: k for k, c in enumerate(cones)}
-            direct = cone_table(G, cones, "L")
+            direct = cone_table(G, cones)
             first_principles = [
                 [index[cat.compose_cones(c1, c2)] for c2 in cones] for c1 in cones
             ]
@@ -147,7 +147,7 @@ def test_criterion_06_green_oracle_agreement():
         G = builtin("cyclic", order)
         for n_lambda in (1, 2):
             cones = enumerate_TL(G, n_lambda)
-            T = from_table(cone_table(G, cones, "L"))
+            T = from_table(cone_table(G, cones))
             by_vertex = {}
             by_coset = {}
             for k, c in enumerate(cones):

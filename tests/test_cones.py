@@ -192,7 +192,7 @@ def test_same_components_not_necessarily_R_related(z2):
 def test_green_cones_oracle_agreement(z2, z3):
     for G, n in ((z2, 2), (z3, 2)):
         cones = enumerate_TL(G, n)
-        T = from_table(cone_table(G, cones, "L"))
+        T = from_table(cone_table(G, cones))
         by_vertex = {}
         by_coset = {}
         for k, c in enumerate(cones):
@@ -271,13 +271,8 @@ def test_enumerate_bound(z2):
 def test_cone_table_both_sides(z2):
     cones = enumerate_TL(z2, 2)
     index = {c: k for k, c in enumerate(cones)}
-    table = cone_table(z2, cones, "R")
+    table = cone_table(z2.opposite, cones)
     for c1 in cones:
         for c2 in cones:
             assert table[index[c1]][index[c2]] == index[mul_R(z2, c1, c2)]
     from_table(table)  # the opposite side is associative too
-
-
-def test_cone_table_rejects_unknown_side(z2):
-    with pytest.raises(ParseError, match="'L' or 'R'"):
-        cone_table(z2, enumerate_TL(z2, 1), "left")

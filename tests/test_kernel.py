@@ -2,6 +2,7 @@
 
 import contextlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,8 +60,16 @@ def _principal_products_agree(S: ReesSemigroup) -> None:
 
 
 def _pair_table(S: ReesSemigroup):
-    linked = connections.pair_arrays(connections.CrossConnection(S.matrix), size_guard=S.size)
-    table, bad = connections._pair_table(S.group, linked)
+    """The linked-pair table of `verify_phi`, caught where `kernel.product_table` returns it."""
+    built = []
+
+    def recording(*args, _original=kernel.product_table):
+        built.append(_original(*args))
+        return built[-1]
+
+    with mock.patch.object(kernel, "product_table", recording):
+        verify_phi(S)
+    (table, bad), = built
     return (None if table is None else table.tolist()), bad
 
 
@@ -106,7 +115,7 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
         (G, M, connections.u_gamma(conn)),
         (G.opposite, M.T, connections.u_delta(conn)),
     ):
-        assert kernel.regular_subsemigroup(
+        assert verify._regular_subsemigroup(
             array, kernel.cone_arrays(members)
         ) == scalar_reference.regular_subsemigroup(group, members)
 
@@ -224,15 +233,17 @@ def test_rbg_arrays_match_the_loops(G, n_lambda, n_i, identity, fault, data):
 @pytest.mark.parametrize("G", GROUPS, ids=["Z2", "Z3", "S3", "S3-relabelled"])
 @pytest.mark.parametrize("side", ["L", "R"])
 def test_cone_table_matches_the_dict_lookup(G, side):
-    # T_L up to about 100 cones, on both sides: one kernel row per cone
-    # against one scalar mul_L and one dict lookup per entry.
+    # T_L up to about 100 cones, on both sides (the right side is the left
+    # side over the opposite group): one kernel row per cone against one
+    # scalar mul_L and one dict lookup per entry.
+    group = G if side == "L" else G.opposite
     for n_lambda in (1, 2, 3):
-        tl = cones.enumerate_TL(G, n_lambda)
+        tl = cones.enumerate_TL(group, n_lambda)
         if len(tl) > 100:
             break
-        table = cones.cone_table(G, tl, side)
+        table = cones.cone_table(group, tl)
         assert table.dtype == np.int32
-        assert table.tolist() == scalar_reference.cone_table(G, tl, side)
+        assert table.tolist() == scalar_reference.cone_table(group, tl)
 
 
 def test_wide_cones_z2_lambda_64():
@@ -249,7 +260,7 @@ def test_wide_cones_z2_lambda_64():
     assert table == scalar_reference.pair_table(S)[0]
     _principal_products_agree(S)
     rho = sorted(set(_cones_of(S, 0)), key=lambda c: (c.values, c.vertex))
-    verdict = kernel.regular_subsemigroup(kernel.group_array(G), kernel.cone_arrays(rho))
+    verdict = verify._regular_subsemigroup(kernel.group_array(G), kernel.cone_arrays(rho))
     assert verdict is scalar_reference.regular_subsemigroup(G, rho) is True
 
 

@@ -282,7 +282,7 @@ def test_non_associative_cone_table_fails_tl_associative(s1, monkeypatch):
     monkeypatch.setattr(cones, "cone_table", lambda *args: _swap_first_two(original(*args)))
     check = {c.name: c for c in cone_suite(ReesSemigroup(s1.matrix))}["cones.tl_associative"]
     witness = oracle.associativity_witness(
-        cones.cone_table(s1.group, cones.enumerate_TL(s1.group, s1.n_lambda), "L")
+        cones.cone_table(s1.group, cones.enumerate_TL(s1.group, s1.n_lambda))
     )
     assert witness is not None
     assert check.passed is False
@@ -320,6 +320,112 @@ def test_wrong_idempotent_closed_form_fails(s1, monkeypatch):
     assert check.witness == str(wrong)
 
 
+def _stray_cone(G, members: list[Cone]) -> Cone:
+    """The first cone of T_L over G that is not a member."""
+    return next(c for c in cones.enumerate_TL(G, len(members[0].values)) if c not in members)
+
+
+def test_stray_member_fails_u_subsemigroups():
+    # Negative control: U-Gamma with its last cone replaced by one whose
+    # tuple is no scaled column, so that cone's products leave the set.
+    S = _s3_fixture()
+    conn = CrossConnection(S.matrix)
+    ug, ud = connections.u_gamma(conn), connections.u_delta(conn)
+    stray = [*ug[:-1], _stray_cone(S.group, ug)]
+    check = {c.name: c for c in crossconn_suite(S, u_cones=(stray, ud))}[
+        "crossconn.u_subsemigroups"
+    ]
+    assert check.passed is False
+    M = kernel.group_array(S.group)
+    assert kernel.cone_product_table(M, kernel.cone_arrays(stray))[1] is not None
+
+
+def test_stray_principal_cone_fails_principal_image_subsemigroup(monkeypatch):
+    # Negative control: the left principal cone of the last element replaced
+    # by a cone whose tuple is no scaled column, so its products leave the image.
+    S = _s3_fixture()
+    original, last = cones.principal_pair, S.element(S.size - 1)
+    stray = _stray_cone(S.group, [original(S, a)[0] for a in S.elements()])
+
+    def principal_pair(S_, a):
+        rho, lam = original(S_, a)
+        return (stray if a == last else rho), lam
+
+    monkeypatch.setattr(cones, "principal_pair", principal_pair)
+    check = {c.name: c for c in cone_suite(S)}["cones.principal_image_subsemigroup"]
+    assert check.passed is False
+
+
+def _constant_mul_L(original):
+    """`kernel.mul_L` with every product the first member of the batch it
+    multiplies: the table of any batch is closed, x*y = x0, and no member
+    but x0 is regular."""
+
+    def mul_L(M, c1, c2):
+        batch = c2 if np.ndim(c2[1]) else c1
+        values, vertices = original(M, c1, c2)
+        first = kernel.pick(batch, 0)
+        return np.broadcast_to(first[0], values.shape), np.broadcast_to(first[1], vertices.shape)
+
+    return mul_L
+
+
+@pytest.mark.parametrize(
+    "suite, name",
+    [
+        (cone_suite, "cones.principal_image_subsemigroup"),
+        (crossconn_suite, "crossconn.u_subsemigroups"),
+    ],
+)
+def test_closed_but_irregular_table_fails_its_subsemigroup_check(suite, name, monkeypatch):
+    # Negative control: every product is the batch's first member, so the
+    # table is closed and only the oracle's regularity test can fail it.
+    S = _s3_fixture()
+    monkeypatch.setattr(kernel, "mul_L", _constant_mul_L(kernel.mul_L))
+    M, ug = kernel.group_array(S.group), connections.u_gamma(CrossConnection(S.matrix))
+    table, bad = kernel.cone_product_table(M, kernel.cone_arrays(ug))
+    assert bad is None and not oracle.is_regular(oracle.GenericSemigroup(table))
+    check = {c.name: c for c in suite(S)}[name]
+    assert check.passed is False
+
+
+def test_flipped_criterion_fails_injectivity_equivalence(s1, monkeypatch):
+    # Negative control: injectivity_criterion gives the wrong verdict on a
+    # matrix whose principal map is injective.
+    original = cones.injectivity_criterion
+    monkeypatch.setattr(
+        cones,
+        "injectivity_criterion",
+        lambda P: replace(original(P), holds=not original(P).holds),
+    )
+    check = {c.name: c for c in cone_suite(ReesSemigroup(s1.matrix))}[
+        "cones.injectivity_equivalence"
+    ]
+    assert check.passed is False
+    assert check.witness == "criterion False, map injective True"
+
+
+def test_left_scaled_column_fails_matrix_roundtrip(monkeypatch):
+    # Negative control: matrix_of scales extracted column 1, (e, x) with x a
+    # 3-cycle, on the left by a transposition h.  h * (e, x) = (e, x) * h
+    # would need h x = x h, so the column is no right scaling of the original.
+    S = _s3_fixture()
+    G, original = S.group, connections.matrix_of
+    h, x = 1, original(G, [connections.gamma_apply(CrossConnection(S.matrix), 1)]).entry(1, 0)
+    assert G.mul(h, x) != G.mul(x, h)
+
+    def matrix_of(group, handles):
+        rows = [list(row) for row in original(group, handles).entries]
+        for row in rows:
+            row[1] = group.mul(h, row[1])
+        return SandwichMatrix(group, rows)
+
+    monkeypatch.setattr(connections, "matrix_of", matrix_of)
+    check = {c.name: c for c in crossconn_suite(S)}["crossconn.matrix_roundtrip"]
+    assert check.passed is False
+    assert check.witness == "extracted column 1 is not a right scaling of the original"
+
+
 def test_non_associative_pair_table_fails_isomorphism(s1, capsys):
     # Negative control: with two entries of the linked-pair table swapped,
     # phi is no homomorphism onto it, and the failed check (not a raised
@@ -352,6 +458,22 @@ def test_full_suite_scans_each_table_for_associativity_once(s1, monkeypatch):
     monkeypatch.setattr(oracle, "associativity_witness", counting)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
     assert sizes == [s1.size, len(cones.enumerate_TL(s1.group, s1.n_lambda))]
+
+
+def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
+    # T_L, the linked pairs, U-Gamma, U-Delta and the principal image each
+    # become a table through kernel.product_table, once; a closure loop of
+    # its own anywhere else would lower the count.
+    calls = Counter()
+    original = kernel.product_table
+
+    def counting(*args):
+        calls["product_table"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(kernel, "product_table", counting)
+    _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
+    assert calls == {"product_table": 5}
 
 
 def test_associative_tables_never_reach_the_full_scan(s1, monkeypatch):
