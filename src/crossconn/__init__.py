@@ -21,7 +21,6 @@ from .cones import (
     injectivity_criterion,
     is_idempotent_cone,
     mul_L,
-    mul_R,
     principal_pair,
 )
 from .connections import (
@@ -29,10 +28,8 @@ from .connections import (
     DualMorphism,
     LinkedPair,
     PhiReport,
-    bifunctor_delta,
     bifunctor_gamma,
     chi,
-    chi_inv,
     compose_duals,
     delta_apply,
     gamma_apply,

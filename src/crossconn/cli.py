@@ -8,6 +8,7 @@ size guard), 2 at least one check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ from .rees import (
     DEFAULT_SIZE_GUARD,
     ReesSemigroup,
     SandwichMatrix,
+    check_size,
     identity_matrix,
     load_matrix_file,
 )
@@ -102,18 +104,20 @@ def load_group(spec: str) -> FiniteGroup:
     return load_cayley_file(spec)
 
 
+def _identity_dims(spec: str) -> tuple[int, int] | None:
+    """(R, C) of an identity:RxC spec, or None for a matrix file."""
+    if not spec.startswith("identity:"):
+        return None
+    rows, sep, cols = spec[len("identity:"):].partition("x")
+    if sep:
+        with contextlib.suppress(ValueError):
+            return int(rows), int(cols)
+    raise ParseError(f"bad matrix spec {spec!r}: expected identity:RxC")
+
+
 def load_matrix(spec: str, group: FiniteGroup) -> SandwichMatrix:
-    if spec.startswith("identity:"):
-        dims = spec[len("identity:"):]
-        rows, sep, cols = dims.partition("x")
-        if not sep:
-            raise ParseError(f"bad matrix spec {spec!r}: expected identity:RxC")
-        try:
-            n_lambda, n_i = int(rows), int(cols)
-        except ValueError:
-            raise ParseError(f"bad matrix spec {spec!r}: expected identity:RxC") from None
-        return identity_matrix(group, n_lambda, n_i)
-    return load_matrix_file(spec, group)
+    dims = _identity_dims(spec)
+    return load_matrix_file(spec, group) if dims is None else identity_matrix(group, *dims)
 
 
 def _cone_json(S: ReesSemigroup, c: Cone) -> dict:
@@ -143,11 +147,15 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
     if config.command == "rbg":
         matrix_spec = config.matrix_spec or "identity:2x2"
-        matrix = load_matrix(matrix_spec, group)
-        if any(v != group.identity for row in matrix.entries for v in row):
-            raise ParseError("rbg needs the constant-identity matrix; use identity:RxC")
     else:
-        matrix = load_matrix(_require_matrix(config), group)
+        matrix_spec = _require_matrix(config)
+    dims = _identity_dims(matrix_spec)
+    # the guard, before R*C entries are built; SandwichMatrix refuses a dimension below 1
+    if dims is not None and min(dims) > 0:
+        check_size(group.order * dims[0] * dims[1], config.size_guard)
+    matrix = load_matrix(matrix_spec, group)
+    if config.command == "rbg" and any(v != group.identity for row in matrix.entries for v in row):
+        raise ParseError("rbg needs the constant-identity matrix; use identity:RxC")
     report["matrix"] = {
         "rows": matrix.rows,
         "cols": matrix.cols,
@@ -160,17 +168,13 @@ def run(config: RunConfig) -> tuple[int, dict]:
         data = {
             "order": S.size,
             "idempotents": [S.element_label(x) for x in S.idempotents()],
-            "green_class_counts": {kind: len(S.green(kind)) for kind in ("L", "R", "H", "D")},
+            "green_class_counts": {kind: len(p) for kind, p in S.green().items()},
         }
     elif config.command == "verify":
         data = {"order": S.size}
         checks = verify.full_suite(S)
     elif config.command == "green":
-        data = {
-            "partitions": {
-                kind: _partition_json(S, S.green(kind)) for kind in ("L", "R", "H", "D")
-            }
-        }
+        data = {"partitions": {kind: _partition_json(S, p) for kind, p in S.green().items()}}
     elif config.command == "cones":
         order = group.order
         principal = []

@@ -6,8 +6,8 @@ product broadcasts one coordinate of the second factor across the first
 factor's tuple: on the right for the left-ideal side, on the left for
 the right-ideal side.  Only the left side is written out.  The right
 side is the left side over the opposite group (and, for principal
-cones, of the opposite semigroup S^op = M[G^op; Lambda, I; P^T]), so
-each right-hand function is one call into its left twin.
+cones, of the opposite semigroup S^op = M[G^op; Lambda, I; P^T]), so a
+right-hand product is `mul_L(group.opposite, ...)`.
 """
 
 from __future__ import annotations
@@ -39,12 +39,6 @@ def mul_L(group: FiniteGroup, c1: Cone, c2: Cone) -> Cone:
     by c2's value at c1's vertex."""
     g_k = c2.values[c1.vertex]
     return Cone(tuple(group.mul(v, g_k) for v in c1.values), c2.vertex)
-
-
-def mul_R(group: FiniteGroup, c1: Cone, c2: Cone) -> Cone:
-    """Opposite-side product: the broadcast value multiplies on the left,
-    which is mul_L over the opposite group."""
-    return mul_L(group.opposite, c1, c2)
 
 
 def _left_cone(S: ReesSemigroup, a: ReesElement) -> Cone:
@@ -151,9 +145,10 @@ def enumerate_TL(group: FiniteGroup, n_lambda: int, bound: int = DEFAULT_CONE_BO
 def cone_table(group: FiniteGroup, cones: Iterable[Cone]) -> np.ndarray:
     """Multiplication table of a closed cone set under mul_L, indexed by
     enumeration order, as an int32 array from `kernel.cone_product_table`.
-    The table under mul_R is the one over `group.opposite`."""
+    The right-side table is the one over `group.opposite`."""
     M, batch = kernel.group_array(group), kernel.cone_arrays(list(cones))
-    table, bad = kernel.cone_product_table(M, batch)
+    table = kernel.cone_product_table(M, batch)
+    bad = kernel.first_hole(table)
     if bad is not None:
         raise NotClosed(f"cone {bad[0]} times cone {bad[1]} is not in the set")
     return table

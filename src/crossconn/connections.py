@@ -176,17 +176,6 @@ def bifunctor_gamma(
     return Cone(tuple(G.mul(p, scale) for p in conn.matrix.column(kappa.cod)), rho.cod)
 
 
-def bifunctor_delta(
-    conn: CrossConnection, rho: Morphism, kappa: Morphism, cone: Cone
-) -> Cone:
-    """Dual cell map: (g * row_{lam1}, i1) -> ((g1*g*g2) * row_{lam2}, i2).
-
-    It is bifunctor_gamma of the opposite connection with the two
-    morphisms swapped.
-    """
-    return bifunctor_gamma(conn.opposite, kappa, rho, cone)
-
-
 def u_gamma(conn: CrossConnection, bound: int = DEFAULT_SIZE_GUARD) -> list[Cone]:
     """All cones whose tuple is a scaled matrix column, deduplicated in (g, i, lam) order."""
     G = conn.group
@@ -218,12 +207,6 @@ def chi(conn: CrossConnection, gamma: Cone, i: int) -> Cone:
     if g is None:
         raise ElementNotInCell(f"cone tuple is not a right scaling of column {i}")
     return Cone(tuple(G.mul(g, p) for p in conn.matrix.row(gamma.vertex)), i)
-
-
-def chi_inv(conn: CrossConnection, delta: Cone, lam: int) -> Cone:
-    """Inverse duality on the cell (lam, delta.vertex): (g * row_lam, i) -> (col_i * g, lam),
-    which is chi of the opposite connection."""
-    return chi(conn.opposite, delta, lam)
 
 
 def is_linked(conn: CrossConnection, gamma: Cone, delta: Cone) -> bool:
@@ -337,7 +320,8 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays | None = None) -> PhiReport:
         gamma, delta = linked.row(M, p)
         return kernel.row_keys(*gamma, *delta)
 
-    table, bad = kernel.product_table(linked.index, len(linked.pairs), row)
+    table = kernel.product_table(linked.index, len(linked.pairs), row)
+    bad = kernel.first_hole(table)
     if bad is not None:
         p, q = (linked.pairs[k] for k in bad)
         return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)

@@ -35,12 +35,15 @@ Pairs.  `connections.pair_arrays` holds the linked pairs as a gamma and a
 delta batch with one `KeyIndex`; every scan of the pairs in a suite, and
 the CLI's report of them, reads it.
 
-Tables.  `product_table` is the one place a closed set becomes its
+Tables.  `product_table` is the one place a set of cones becomes its
 multiplication table: one row of products at a time, looked up in the
-set's `KeyIndex`; the first product outside the set is the closure
-witness.  `cone_product_table` is its form for cones under `mul_L`.  It
-builds T_L, the linked pairs, U-Gamma, U-Delta and the principal image;
-the table oracle judges the rest of each from the table alone.
+set's `KeyIndex`, with -1 wherever a product lies outside the set.  The
+set is closed when no entry is -1, and `first_hole` names the first -1
+in row order as the closure witness.  `cone_product_table` is its form
+for cones under `mul_L`.  It builds T_L, the linked pairs, U-Gamma,
+U-Delta and the principal image; the table oracle judges the rest of
+each closed table from the table alone, and `cones.principal_homomorphism`
+is read off the principal image's table.
 
 The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
 `connections.is_linked`, `connections.bifunctor_gamma`,
@@ -168,22 +171,22 @@ def first_failure(n: int, bad_row: Callable[[int], np.ndarray]) -> tuple[int, in
     return None
 
 
-def product_table(
-    index: KeyIndex, n: int, row: Callable[[int], np.ndarray]
-) -> tuple[np.ndarray | None, tuple[int, int] | None]:
+def product_table(index: KeyIndex, n: int, row: Callable[[int], np.ndarray]) -> np.ndarray:
     """The (n, n) int32 table whose row a holds the positions in `index` of
-    the keys row(a), the products of member a with every member; or
-    (None, (a, b)) for the first product, in row order, that is not indexed."""
+    the keys row(a), the products of member a with every member, and -1
+    where a product is not indexed.  The set is closed when no entry is -1."""
     table = np.empty((n, n), dtype=np.int32)
     for a in range(n):
-        found = index.find(row(a))
-        if (found < 0).any():
-            return None, (a, int(found.argmin()))
-        table[a] = found
-    return table, None
+        table[a] = index.find(row(a))
+    return table
 
 
-def cone_product_table(M: np.ndarray, members: tuple[np.ndarray, np.ndarray]):
+def first_hole(table: np.ndarray) -> tuple[int, int] | None:
+    """The first (a, b) in row order where `product_table` found no product."""
+    return first_failure(len(table), lambda a: table[a] < 0)
+
+
+def cone_product_table(M: np.ndarray, members: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """`product_table` of a batch of cones under mul_L over the group with Cayley array M."""
     index, n = KeyIndex(row_keys(*members)), len(members[1])
     return product_table(index, n, lambda a: row_keys(*mul_L(M, pick(members, a), members)))

@@ -4,8 +4,12 @@ Everything here works from the raw table alone, with the textbook
 definitions (principal ideals, witness searches), so it can cross-check
 the closed-form constructions implemented elsewhere in the package.
 
-A table is one read-only (n, n) int32 array.  The scans read it one row
-or column at a time in numpy, and their witnesses hold Python ints.
+A table is one read-only (n, n) int32 array whose entries are all
+indices below n: a kernel table with -1 holes (a set that is not closed)
+is rejected by `GenericSemigroup`, so the oracle judges closed tables
+only.  The scans read it one row or column at a time in numpy, and
+their witnesses hold Python ints.  Green's relations come as one dict of
+all four partitions, each principal ideal built once per table.
 
 Associativity is decided by Light's test (Clifford & Preston, *The
 Algebraic Theory of Semigroups* I, 1961, Section 1.2): the table is
@@ -173,39 +177,32 @@ def canonical_partition(classes) -> tuple[tuple[int, ...], ...]:
     return tuple(norm)
 
 
-def green_via_ideals(T: GenericSemigroup, kind: str) -> tuple[tuple[int, ...], ...]:
-    """Green's relation computed from principal-ideal equality.
+def green_via_ideals(T: GenericSemigroup) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """Green's relations computed from principal-ideal equality, keyed
+    "L", "R", "H" and "D".
 
-    L by equality of S^1 x, R dually, H as their intersection, and D as
-    the join (reachability across L and R classes).
+    Each principal ideal is built once.  L is equality of S^1 x, R
+    dually, H their intersection, and D the join: the union of the L and
+    R classes found, merged by union-find.
     """
-    if kind == "L":
-        return partition_by_key([left_ideal(T, x) for x in range(T.size)])
-    if kind == "R":
-        return partition_by_key([right_ideal(T, x) for x in range(T.size)])
-    if kind == "H":
-        return partition_by_key(
-            [(left_ideal(T, x), right_ideal(T, x)) for x in range(T.size)]
-        )
-    if kind == "D":
-        parent = list(range(T.size))
+    lefts = [left_ideal(T, x) for x in range(T.size)]
+    rights = [right_ideal(T, x) for x in range(T.size)]
+    green = {"L": partition_by_key(lefts), "R": partition_by_key(rights)}
+    green["H"] = partition_by_key(list(zip(lefts, rights)))
+    parent = list(range(T.size))
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-        for relation in ("L", "R"):
-            for cls in green_via_ideals(T, relation):
-                root = find(cls[0])
-                for member in cls[1:]:
-                    parent[find(member)] = root
-        classes: dict[int, list[int]] = {}
-        for x in range(T.size):
-            classes.setdefault(find(x), []).append(x)
-        return canonical_partition(classes.values())
-    raise IndexOutOfRange(f"unknown Green relation {kind!r}; expected L, R, H or D")
+    for cls in (*green["L"], *green["R"]):
+        root = find(cls[0])
+        for member in cls[1:]:
+            parent[find(member)] = root
+    green["D"] = partition_by_key([find(x) for x in range(T.size)])
+    return green
 
 
 def idempotents(T: GenericSemigroup) -> list[int]:

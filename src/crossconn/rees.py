@@ -114,6 +114,12 @@ def load_matrix_file(path, group: FiniteGroup) -> SandwichMatrix:
         return SandwichMatrix(group, entries)
 
 
+def check_size(size: int, size_guard: int) -> None:
+    """Refuse a semigroup of `size` elements above the guard."""
+    if size > size_guard:
+        raise SizeGuardExceeded(f"semigroup has {size} elements, above the guard {size_guard}")
+
+
 class ReesSemigroup:
     """The completely simple semigroup determined by a sandwich matrix."""
 
@@ -123,10 +129,7 @@ class ReesSemigroup:
         self.n_i = matrix.cols
         self.n_lambda = matrix.rows
         self.size = self.group.order * self.n_i * self.n_lambda
-        if self.size > size_guard:
-            raise SizeGuardExceeded(
-                f"semigroup has {self.size} elements, above the guard {size_guard}"
-            )
+        check_size(self.size, size_guard)
         self._opposite: ReesSemigroup | None = None
         self._table: np.ndarray | None = None  # built on first use by table()
 
@@ -182,24 +185,18 @@ class ReesSemigroup:
         ]
         return sorted(out, key=self.index)
 
-    def green(self, kind: str) -> tuple[tuple[int, ...], ...]:
-        """Green partition of element indices: L is keyed by lam, R by i, H by (i, lam).
-
-        D is the single full class; the table oracle recomputes it
-        independently from the ideals.
-        """
-        if kind == "D":
-            return (tuple(range(self.size)),)
-        if kind == "L":
-            key = lambda x: x.lam
-        elif kind == "R":
-            key = lambda x: x.i
-        elif kind == "H":
-            key = lambda x: (x.i, x.lam)
-        else:
-            raise ParseError(f"unknown Green relation {kind!r}; expected L, R, H or D")
+    def green(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """Green partitions of element indices, keyed "L", "R", "H" and "D":
+        L by lam, R by i, H by (i, lam), and D the single full class.  The
+        table oracle recomputes each independently from the ideals."""
         # elements() runs in index order, so positions are indices
-        return partition_by_key([key(x) for x in self.elements()])
+        elements = list(self.elements())
+        return {
+            "L": partition_by_key([x.lam for x in elements]),
+            "R": partition_by_key([x.i for x in elements]),
+            "H": partition_by_key([(x.i, x.lam) for x in elements]),
+            "D": (tuple(range(self.size)),),
+        }
 
     def principal_left_ideal(self, x: ReesElement) -> frozenset[ReesElement]:
         """S^1 x = everything with x's lam coordinate."""

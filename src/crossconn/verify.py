@@ -16,15 +16,21 @@ one cell per row.  A suite builds the linked pairs once, as
 `connections.pair_arrays`, for `verify_phi`, the linked criterion and the
 `rbg` scans, which take one pair against all pairs per row.
 
-Every closed set a suite checks becomes its table through
-`kernel.product_table`, which names the first product outside the set.
-Tables reach the oracle as closed `GenericSemigroup`s and the oracle
-judges the rest: `oracle.is_regular` decides the principal image and
-U-Gamma/U-Delta, `oracle.verify_map` the isomorphism.  Each table is
-scanned for associativity once, by the check that reports it
-(`rees.associative`, `cones.tl_associative`), so a non-associative table
-is a failed check; the linked-pair table needs none, since a passing
-`crossconn.phi_isomorphism` carries S's associativity onto it.
+Every set of cones a suite checks becomes its table once, through
+`kernel.product_table`, with -1 for each product outside the set; the
+set is closed when no entry is -1, and `kernel.first_hole` names the
+first in row order.  Every check on the set reads that table:
+`cones.principal_homomorphism` compares the principal image's table,
+gathered at the image positions of a and b, with the position of
+rho(ab).  Closed tables reach the oracle as `GenericSemigroup`s and the
+oracle judges the rest: `oracle.is_regular` decides the principal image
+and U-Gamma/U-Delta, `oracle.verify_map` the isomorphism, and
+`oracle.green_via_ideals` gives all four Green partitions of S and of
+T_L at once.  Each table is scanned for associativity once, by the check
+that reports it (`rees.associative`, `cones.tl_associative`), so a
+non-associative table is a failed check; the linked-pair table needs
+none, since a passing `crossconn.phi_isomorphism` carries S's
+associativity onto it.
 """
 
 from __future__ import annotations
@@ -80,9 +86,9 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
         )
     )
 
+    formula, brute = S.green(), oracle.green_via_ideals(T)
     for kind in ("L", "R", "H", "D"):
-        agree = S.green(kind) == oracle.green_via_ideals(T, kind)
-        checks.append(Check(f"rees.green_{kind}_oracle_agreement", agree))
+        checks.append(Check(f"rees.green_{kind}_oracle_agreement", formula[kind] == brute[kind]))
 
     bad_ideal = next(
         (
@@ -226,9 +232,8 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
         by_coset = oracle.partition_by_key(
             [cones.coset_normalize(G, "left", c.values) for c in tl]
         )
-        ok = by_vertex == oracle.green_via_ideals(T, "L") and by_coset == oracle.green_via_ideals(
-            T, "R"
-        )
+        green = oracle.green_via_ideals(T)
+        ok = by_vertex == green["L"] and by_coset == green["R"]
         checks.append(Check("cones.tl_green_agreement", ok))
 
         witness = next(
@@ -245,14 +250,17 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
     rho = kernel.cone_arrays([r for r, _ in pairs])
     lam = kernel.cone_arrays([l for _, l in pairs])
     M, table = kernel.group_array(G), S.table()
+    # the first element with each principal cone, and d[a] the position of
+    # rho(a) among those cones (np.unique would import numpy.ma)
+    first: dict = {}
+    at = [first.setdefault(key, k) for k, key in enumerate(kernel.row_keys(*rho).tolist())]
+    distinct = list(first.values())
+    d = np.searchsorted(distinct, at)
+    image_table = kernel.cone_product_table(M, kernel.pick(rho, distinct))
     for name, bad_row in (
-        # rho(a) rho(b) against rho(ab), for every b at once
-        (
-            "cones.principal_homomorphism",
-            lambda a: kernel.differ(
-                kernel.mul_L(M, kernel.pick(rho, a), rho), kernel.pick(rho, table[a])
-            ),
-        ),
+        # rho(a) rho(b) against rho(ab), for every b at once, read off the
+        # image's table: a -1 there, a product outside the image, is no position
+        ("cones.principal_homomorphism", lambda a: image_table[d[a], d] != d[table[a]]),
         # lam(b) lam(a) over the opposite group against lam(ab)
         (
             "cones.dual_antihomomorphism",
@@ -265,10 +273,7 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
         witness = None if bad is None else ", ".join(str(elements[k]) for k in bad)
         checks.append(Check(name, witness is None, witness))
 
-    # one row per distinct principal cone (np.unique would import numpy.ma)
-    distinct = list({key: k for k, key in enumerate(kernel.row_keys(*rho).tolist())}.values())
-    image = kernel.pick(rho, distinct)
-    checks.append(Check("cones.principal_image_subsemigroup", _regular_subsemigroup(M, image)))
+    checks.append(Check("cones.principal_image_subsemigroup", _regular(image_table)))
 
     crit = cones.injectivity_criterion(S.matrix)
     injective = len(distinct) == S.size
@@ -283,11 +288,10 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
     return checks
 
 
-def _regular_subsemigroup(M: np.ndarray, members: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Whether the cones are closed under mul_L over the group with Cayley
-    array M, read from their product table, and regular, judged by the oracle."""
-    table, _ = kernel.cone_product_table(M, members)
-    return table is not None and oracle.is_regular(oracle.GenericSemigroup(table))
+def _regular(table: np.ndarray) -> bool:
+    """Whether a set with this `kernel.product_table` is closed (no -1) and,
+    judged by the oracle, regular."""
+    return bool((table >= 0).all()) and oracle.is_regular(oracle.GenericSemigroup(table))
 
 
 def crossconn_suite(
@@ -318,7 +322,9 @@ def crossconn_suite(
         u_cones = connections.u_gamma(conn, bound=S.size), connections.u_delta(conn, bound=S.size)
     ug, ud = u_cones
     M, gammas, deltas = kernel.group_array(G), kernel.cone_arrays(ug), kernel.cone_arrays(ud)
-    ok = _regular_subsemigroup(M, gammas) and _regular_subsemigroup(M.T, deltas)
+    ok = _regular(kernel.cone_product_table(M, gammas)) and _regular(
+        kernel.cone_product_table(M.T, deltas)
+    )
     checks.append(Check("crossconn.u_subsemigroups", ok))
 
     if linked is None:
@@ -360,9 +366,9 @@ def crossconn_suite(
 
 def _duality_witness(conn: CrossConnection) -> str | None:
     """The first cell (lam, i) on which chi is not a bijection onto the dual
-    cell inverted by chi_inv, which is chi over `conn.opposite`.  Each cell
-    is one row: chi of all its cones through `kernel.chi`.  A cone that does
-    not factor through its cell has no image, and the duality fails there."""
+    cell inverted by chi over `conn.opposite`.  Each cell is one row: chi of
+    all its cones through `kernel.chi`.  A cone that does not factor
+    through its cell has no image, and the duality fails there."""
     G, op = conn.group, conn.opposite
     M, inverse = kernel.group_array(G), np.asarray(G.inverse)
     P, P_op = np.asarray(conn.matrix.entries), np.asarray(op.matrix.entries)

@@ -52,19 +52,11 @@ def right_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
     return frozenset({x} | {T.mul(x, s) for s in range(T.size)})
 
 
-def green_via_ideals(T: GenericSemigroup, kind: str) -> tuple[tuple[int, ...], ...]:
+def green_via_ideals(T: GenericSemigroup) -> dict[str, tuple[tuple[int, ...], ...]]:
     """`oracle.green_via_ideals` on the ideals above; D as the connected
     components of the graph that joins L-related and R-related elements."""
     lefts = [left_ideal(T, x) for x in range(T.size)]
     rights = [right_ideal(T, x) for x in range(T.size)]
-    if kind == "L":
-        return partition_by_key(lefts)
-    if kind == "R":
-        return partition_by_key(rights)
-    if kind == "H":
-        return partition_by_key(list(zip(lefts, rights)))
-    if kind != "D":
-        raise IndexOutOfRange(f"unknown Green relation {kind!r}")
     seen: set[int] = set()
     classes = []
     for start in range(T.size):
@@ -80,7 +72,12 @@ def green_via_ideals(T: GenericSemigroup, kind: str) -> tuple[tuple[int, ...], .
                     frontier.append(y)
         seen |= component
         classes.append(component)
-    return canonical_partition(classes)
+    return {
+        "L": partition_by_key(lefts),
+        "R": partition_by_key(rights),
+        "H": partition_by_key(list(zip(lefts, rights))),
+        "D": canonical_partition(classes),
+    }
 
 
 def associativity_witness(T: GenericSemigroup) -> tuple[int, int, int] | None:
@@ -395,9 +392,9 @@ def linked_criterion_witness(S: ReesSemigroup) -> str | None:
 
 def duality_witness(conn: connections.CrossConnection) -> str | None:
     """The witness of `crossconn.duality_bijection`: the first cell (lam, i)
-    on which chi is not a bijection onto the dual cell inverted by chi_inv.
-    A cone that chi or chi_inv cannot factor (`ElementNotInCell`) fails
-    the cell."""
+    on which chi is not a bijection onto the dual cell inverted by chi over
+    `conn.opposite`.  A cone that either chi cannot factor
+    (`ElementNotInCell`) fails the cell."""
     G = conn.group
     for lam, i in product(range(conn.n_lambda), range(conn.n_i)):
         cell = connections.gamma_cell(conn, lam, i)
@@ -411,7 +408,9 @@ def duality_witness(conn: connections.CrossConnection) -> str | None:
         if set(images) != set(dual):
             return f"duality is not a bijection on cell ({lam},{i})"
         try:
-            inverts = all(connections.chi_inv(conn, d, lam) == c for c, d in zip(cell, images))
+            inverts = all(
+                connections.chi(conn.opposite, d, lam) == c for c, d in zip(cell, images)
+            )
         except ElementNotInCell:
             inverts = False
         if not inverts:
@@ -499,8 +498,8 @@ def naturality_witness(conn: connections.CrossConnection) -> str | None:
                     left = connections.chi(
                         conn, connections.bifunctor_gamma(conn, rho, kappa, cone), i2
                     )
-                    right = connections.bifunctor_delta(
-                        conn, rho, kappa, connections.chi(conn, cone, i1)
+                    right = connections.bifunctor_gamma(
+                        conn.opposite, kappa, rho, connections.chi(conn, cone, i1)
                     )
                     commutes = left == right
                 except ElementNotInCell:
@@ -653,12 +652,12 @@ def reversed_delta_product():
         yield
 
 
-def _swapped(table, bad):
+def _swapped(table):
     """The table with its entries at (0, 0) and (0, 1) swapped, in place:
     still closed, but no longer a homomorphic image of S."""
     if table is not None:
         table[0][0], table[0][1] = table[0][1], table[0][0]
-    return table, bad
+    return table
 
 
 @contextmanager
@@ -668,9 +667,14 @@ def swapped_pair_table():
     `kernel.product_table`, so every table built meanwhile is swapped too;
     in `rbg_suite` the pair table is the only one."""
     kernel_table, scalar_table = kernel.product_table, pair_table
+
+    def scalar(S):
+        table, witness = scalar_table(S)
+        return _swapped(table), witness
+
     with mock.patch.object(
-        kernel, "product_table", lambda *args: _swapped(*kernel_table(*args))
-    ), mock.patch(f"{__name__}.pair_table", lambda S: _swapped(*scalar_table(S))):
+        kernel, "product_table", lambda *args: _swapped(kernel_table(*args))
+    ), mock.patch(f"{__name__}.pair_table", scalar):
         yield
 
 

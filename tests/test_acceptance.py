@@ -17,7 +17,6 @@ from crossconn import (
     ReesElement,
     ReesSemigroup,
     SandwichMatrix,
-    bifunctor_delta,
     bifunctor_gamma,
     builtin,
     chi,
@@ -30,7 +29,6 @@ from crossconn import (
     left_category,
     linked_pairs,
     mul_L,
-    mul_R,
     principal_pair,
     rbg,
     right_category,
@@ -125,7 +123,7 @@ def test_criterion_04_principal_cone_homomorphism():
             for b in S.elements():
                 ab = S.mul(a, b)
                 assert mul_L(G, rho[a], rho[b]) == rho[ab], name
-                assert mul_R(G, lam[b], lam[a]) == lam[ab], name
+                assert mul_L(G.opposite, lam[b], lam[a]) == lam[ab], name
     _report(4, "a -> rho^a is a homomorphism and a -> lambda^a is anti-compatible")
 
 
@@ -153,8 +151,8 @@ def test_criterion_06_green_oracle_agreement():
             for k, c in enumerate(cones):
                 by_vertex.setdefault(c.vertex, []).append(k)
                 by_coset.setdefault(coset_normalize(G, "left", c.values), []).append(k)
-            assert canonical_partition(by_vertex.values()) == green_via_ideals(T, "L")
-            assert canonical_partition(by_coset.values()) == green_via_ideals(T, "R")
+            assert canonical_partition(by_vertex.values()) == green_via_ideals(T)["L"]
+            assert canonical_partition(by_coset.values()) == green_via_ideals(T)["R"]
     _report(6, "vertex/coset predicates match the ideal-based Green partitions")
 
 
@@ -187,7 +185,7 @@ def test_criterion_07_duality_and_naturality():
                 for g in G.elements():
                     cone = Cone(tuple(G.mul(p, g) for p in conn.matrix.column(i1)), l1)
                     via_gamma = chi(conn, bifunctor_gamma(conn, rho_m, kappa_m, cone), i2)
-                    via_delta = bifunctor_delta(conn, rho_m, kappa_m, chi(conn, cone, i1))
+                    via_delta = bifunctor_gamma(conn.opposite, kappa_m, rho_m, chi(conn, cone, i1))
                     assert via_gamma == via_delta
     _report(7, "all cell bijections have group cardinality and all naturality squares commute")
 

@@ -13,7 +13,6 @@ from crossconn import (
     identity_matrix,
     left_category,
     mul_L,
-    mul_R,
     realize_category,
     right_category,
 )
@@ -163,7 +162,7 @@ def test_compose_cones_matches_mul_R(z3):
     cones = enumerate_TL(z3, 2)
     for c1 in cones:
         for c2 in cones:
-            assert cat.compose_cones(c1, c2) == mul_R(z3, c1, c2)
+            assert cat.compose_cones(c1, c2) == mul_L(z3.opposite, c1, c2)
 
 
 def test_compose_cones_associative(z2):

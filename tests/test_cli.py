@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossconn import connections
+from crossconn import cli, connections
 from crossconn.cli import COMMANDS, RunConfig, emit, main, parse_args, run
 from crossconn.errors import ParseError
 from crossconn.rees import ReesSemigroup
@@ -297,6 +297,31 @@ def test_help_still_exits_0(capsys):
 def _cap_address_space():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "spec, extra, env, message",
+    [
+        ("identity:100000x100000", [], None, "20000000000 elements, above the guard 512"),
+        ("identity:2x2", ["--size-guard", "7"], None, "8 elements, above the guard 7"),
+        ("identity:2x2", [], "7", "8 elements, above the guard 7"),
+    ],
+)
+def test_identity_spec_above_the_guard_builds_no_matrix(
+    spec, extra, env, message, monkeypatch, capsys
+):
+    # The guard in force refuses an identity:RxC spec from its dimensions,
+    # before R*C entries are built (10^10 of them in the first case).
+    def unbuilt(*args):
+        raise AssertionError("the matrix was built")
+
+    monkeypatch.setattr(cli, "identity_matrix", unbuilt)
+    if env is not None:
+        monkeypatch.setenv("CROSSCONN_SIZE_GUARD", env)
+    argv = ["--group", "cyclic:2", "--matrix", spec, *extra, "verify"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: semigroup has {message}\n"
 
 
 def test_cyclic_order_guard_comes_before_the_table():

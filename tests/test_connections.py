@@ -13,10 +13,8 @@ from crossconn import (
     ReesElement,
     ReesSemigroup,
     SandwichMatrix,
-    bifunctor_delta,
     bifunctor_gamma,
     chi,
-    chi_inv,
     compose_duals,
     delta_apply,
     gamma_apply,
@@ -26,7 +24,6 @@ from crossconn import (
     linked_pairs,
     matrix_of,
     mul_L,
-    mul_R,
     phi,
     principal_pair,
     rbg,
@@ -179,7 +176,7 @@ def test_bifunctor_identity_morphisms(conn1):
                 cone = Cone(tuple(G.mul(p, g) for p in conn1.matrix.column(i)), lam)
                 assert bifunctor_gamma(conn1, rho, kappa, cone) == cone
                 dual = Cone(tuple(G.mul(g, p) for p in conn1.matrix.row(lam)), i)
-                assert bifunctor_delta(conn1, rho, kappa, dual) == dual
+                assert bifunctor_gamma(conn1.opposite, kappa, rho, dual) == dual
 
 
 def test_bifunctor_evaluation_orders_agree(conn1, conn_z3):
@@ -233,7 +230,7 @@ def test_u_closed_under_products(conn_z3):
     ud_set = set(ud)
     for a in ud:
         for b in ud:
-            assert mul_R(G, a, b) in ud_set
+            assert mul_L(G.opposite, a, b) in ud_set
 
 
 def test_chi_fixture(conn1):
@@ -255,7 +252,7 @@ def test_chi_roundtrip(conn_z3):
                 assert delta == Cone(
                     tuple(G.mul(g, p) for p in conn_z3.matrix.row(lam)), i
                 )
-                assert chi_inv(conn_z3, delta, lam) == gamma
+                assert chi(conn_z3.opposite, delta, lam) == gamma
 
 
 def test_chi_cell_bijection_cardinality(conn1, conn_z3):
@@ -278,7 +275,7 @@ def test_chi_rejects_foreign_cone(conn1):
     with pytest.raises(ElementNotInCell):
         chi(conn1, Cone((0, 0, 0), 0), 0)  # wrong tuple length
     with pytest.raises(ElementNotInCell):
-        chi_inv(conn1, Cone((1, 1), 0), 1)  # (1,1) is not g*(0,1) for any g
+        chi(conn1.opposite, Cone((1, 1), 0), 1)  # (1,1) is not g*(0,1) for any g
 
 
 def test_is_linked_wrong_shape(conn1):
@@ -297,7 +294,7 @@ def test_naturality_squares(conn1, conn_z3):
                 for g in G.elements():
                     cone = Cone(tuple(G.mul(p, g) for p in conn.matrix.column(i1)), l1)
                     via_gamma = chi(conn, bifunctor_gamma(conn, rho, kappa, cone), i2)
-                    via_delta = bifunctor_delta(conn, rho, kappa, chi(conn, cone, i1))
+                    via_delta = bifunctor_gamma(conn.opposite, kappa, rho, chi(conn, cone, i1))
                     assert via_gamma == via_delta
 
 

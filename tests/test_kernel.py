@@ -69,8 +69,8 @@ def _pair_table(S: ReesSemigroup):
 
     with mock.patch.object(kernel, "product_table", recording):
         verify_phi(S)
-    (table, bad), = built
-    return (None if table is None else table.tolist()), bad
+    (table,) = built
+    return table.tolist(), kernel.first_hole(table)
 
 
 @settings(max_examples=30, deadline=None)
@@ -115,9 +115,8 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
         (G, M, connections.u_gamma(conn)),
         (G.opposite, M.T, connections.u_delta(conn)),
     ):
-        assert verify._regular_subsemigroup(
-            array, kernel.cone_arrays(members)
-        ) == scalar_reference.regular_subsemigroup(group, members)
+        table = kernel.cone_product_table(array, kernel.cone_arrays(members))
+        assert verify._regular(table) == scalar_reference.regular_subsemigroup(group, members)
 
 
 IMAGE_FAULTS = [
@@ -260,8 +259,23 @@ def test_wide_cones_z2_lambda_64():
     assert table == scalar_reference.pair_table(S)[0]
     _principal_products_agree(S)
     rho = sorted(set(_cones_of(S, 0)), key=lambda c: (c.values, c.vertex))
-    verdict = verify._regular_subsemigroup(kernel.group_array(G), kernel.cone_arrays(rho))
+    table = kernel.cone_product_table(kernel.group_array(G), kernel.cone_arrays(rho))
+    verdict = verify._regular(table)
     assert verdict is scalar_reference.regular_subsemigroup(G, rho) is True
+
+
+def test_product_table_marks_each_absent_product():
+    # a + b mod m on {0, 1, 2}: mod 4 the product 3 is outside the set and
+    # reads -1, and the first -1 in row order is the closure witness.
+    members = np.arange(3)
+    index = kernel.KeyIndex(kernel.row_keys(members))
+    table = kernel.product_table(index, 3, lambda a: kernel.row_keys((a + members) % 4))
+    assert table.dtype == np.int32
+    assert table.tolist() == [[0, 1, 2], [1, 2, -1], [2, -1, 0]]
+    assert kernel.first_hole(table) == (1, 2)
+    closed = kernel.product_table(index, 3, lambda a: kernel.row_keys((a + members) % 3))
+    assert closed.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert kernel.first_hole(closed) is None
 
 
 def test_key_index_is_exact():

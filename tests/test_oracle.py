@@ -31,8 +31,7 @@ def test_trivial_semigroup():
     T = from_table([[0]])
     assert idempotents(T) == [0]
     assert is_regular(T)
-    for kind in "LRHD":
-        assert green_via_ideals(T, kind) == ((0,),)
+    assert green_via_ideals(T) == {kind: ((0,),) for kind in "LRHD"}
 
 
 def test_left_zero_semigroup():
@@ -42,16 +41,18 @@ def test_left_zero_semigroup():
     assert is_regular(T)
     # every element generates the whole left ideal, so L is a single class;
     # principal right ideals are singletons, so R is trivial
-    assert green_via_ideals(T, "L") == ((0, 1),)
-    assert green_via_ideals(T, "R") == ((0,), (1,))
+    green = green_via_ideals(T)
+    assert green["L"] == ((0, 1),)
+    assert green["R"] == ((0,), (1,))
 
 
 def test_right_zero_semigroup():
     # x*y = y: principal left ideals are singletons
     T = from_table([[0, 1], [0, 1]])
     assert left_ideal(T, 0) == frozenset({0})
-    assert green_via_ideals(T, "L") == ((0,), (1,))
-    assert green_via_ideals(T, "R") == ((0, 1),)
+    green = green_via_ideals(T)
+    assert green["L"] == ((0,), (1,))
+    assert green["R"] == ((0, 1),)
 
 
 def test_not_associative_witness():
@@ -106,14 +107,7 @@ def test_the_oracle_wraps_the_rees_table_without_a_copy(s1):
 
 
 def test_green_agreement_with_rees(s1):
-    T = s1.to_generic()
-    for kind in "LRHD":
-        assert green_via_ideals(T, kind) == s1.green(kind)
-
-
-def test_unknown_relation(s1):
-    with pytest.raises(IndexOutOfRange):
-        green_via_ideals(s1.to_generic(), "J")
+    assert green_via_ideals(s1.to_generic()) == s1.green()
 
 
 def test_verify_map_identity(s1):
@@ -155,11 +149,11 @@ def test_green_permutation_invariance(s1, perm):
     table = s1.index_table()
     T = from_table(table)
     T2 = from_table(_conjugate(table, list(perm)))
-    for kind in "LRHD":
-        relabeled = canonical_partition(
-            [perm[x] for x in cls] for cls in green_via_ideals(T, kind)
-        )
-        assert relabeled == green_via_ideals(T2, kind)
+    relabeled = {
+        kind: canonical_partition([perm[x] for x in cls] for cls in partition)
+        for kind, partition in green_via_ideals(T).items()
+    }
+    assert relabeled == green_via_ideals(T2)
 
 
 @st.composite
@@ -209,8 +203,7 @@ def test_array_oracle_matches_the_loops(table):
     for x in range(T.size):
         assert left_ideal(T, x) == scalar_reference.left_ideal(T, x)
         assert right_ideal(T, x) == scalar_reference.right_ideal(T, x)
-    for kind in "LRHD":
-        assert green_via_ideals(T, kind) == scalar_reference.green_via_ideals(T, kind)
+    assert green_via_ideals(T) == scalar_reference.green_via_ideals(T)
 
 
 @settings(max_examples=150, deadline=None)

@@ -91,13 +91,11 @@ def test_idempotents_random_fixtures(make_random_matrix):
 
 
 def test_green_fixture(s1):
-    L = s1.green("L")
-    assert len(L) == 2 and all(len(cls) == 4 for cls in L)
-    H = s1.green("H")
-    assert len(H) == 4 and all(len(cls) == 2 for cls in H)
-    assert s1.green("D") == (tuple(range(8)),)
-    with pytest.raises(ParseError):
-        s1.green("J")
+    green = s1.green()
+    assert list(green) == ["L", "R", "H", "D"]
+    assert len(green["L"]) == 2 and all(len(cls) == 4 for cls in green["L"])
+    assert len(green["H"]) == 4 and all(len(cls) == 2 for cls in green["H"])
+    assert green["D"] == (tuple(range(8)),)
 
 
 def test_green_oracle_agreement(s1, z3, s3):
@@ -107,9 +105,7 @@ def test_green_oracle_agreement(s1, z3, s3):
         ReesSemigroup(SandwichMatrix(s3, [[0, 3], [1, 0]])),
     ]
     for S in fixtures:
-        T = S.to_generic()
-        for kind in "LRHD":
-            assert S.green(kind) == green_via_ideals(T, kind)
+        assert S.green() == green_via_ideals(S.to_generic())
 
 
 def test_principal_left_ideal_fixture(s1):

@@ -184,6 +184,34 @@ def test_faulty_translations_fail_left_realization():
     assert check.witness == "; ".join(reference.mismatches)
 
 
+def test_swapped_opposite_table_fails_right_realization(s1, monkeypatch):
+    # Negative control: S^op's table, read off S's, with two entries swapped.
+    # Translations by the first elements of S^op then leave their ideals;
+    # the left side, on S's own table, still passes.
+    original = ReesSemigroup._opposite_table
+    monkeypatch.setattr(
+        ReesSemigroup, "_opposite_table", lambda self: _swap_first_two(original(self))
+    )
+    checks = {c.name: c for c in category_suite(ReesSemigroup(s1.matrix))}
+    assert checks["category.left_realization"].passed is True
+    check = checks["category.right_realization"]
+    assert check.passed is False
+    assert check.witness.startswith(
+        "hom(0,0): translation by ReesElement(g=0, i=0, lam=0) leaves the ideal; "
+    )
+
+
+def test_inverse_that_keeps_g_fails_both_groupoid_checks(z3, monkeypatch):
+    # Negative control: invert keeps g, so g followed by its "inverse"
+    # carries g*g, which on Z3 is no identity for g = 1.
+    monkeypatch.setattr(ArrowCategory, "invert", lambda self, m: Morphism(m.cod, m.dom, m.g))
+    checks = {c.name: c for c in category_suite(ReesSemigroup(identity_matrix(z3, 2, 2)))}
+    for side in ("left", "right"):
+        check = checks[f"category.{side}_groupoid"]
+        assert check.passed is False, side
+        assert check.witness == "Morphism(dom=0, cod=0, g=1) has no two-sided inverse"
+
+
 def test_non_associative_table_fails_rees_associative():
     # Negative control: the faulty product's table is not associative. The
     # check's own scan is the only one, so the suite reports it instead of
@@ -230,24 +258,33 @@ def test_missing_idempotent_fails_idempotent_formula():
 
 
 class _MergedGreen(ReesSemigroup):
-    """Green's closed forms with the first two classes merged; D, which has
-    one class, with its last element split off instead."""
+    """Green's closed forms with the first two classes of one partition
+    merged; D, which has one class, with its last element split off instead."""
 
-    def green(self, kind):
-        partition = super().green(kind)
+    KIND = "L"
+
+    def green(self):
+        green = super().green()
+        partition = green[self.KIND]
         if len(partition) == 1:
             (members,) = partition
-            return members[:-1], members[-1:]
-        first, second, *rest = partition
-        return tuple(sorted((tuple(sorted(first + second)), *rest)))
+            green[self.KIND] = members[:-1], members[-1:]
+        else:
+            first, second, *rest = partition
+            green[self.KIND] = tuple(sorted((tuple(sorted(first + second)), *rest)))
+        return green
 
 
 @pytest.mark.parametrize("kind", "LRHD")
 def test_wrong_green_partition_fails_oracle_agreement(kind):
     S = _MergedGreen(_s3_fixture().matrix)
-    assert S.green(kind) != scalar_reference.green_via_ideals(S.to_generic(), kind)
-    check = {c.name: c for c in rees_suite(S)}[f"rees.green_{kind}_oracle_agreement"]
-    assert check.passed is False
+    S.KIND = kind
+    brute = scalar_reference.green_via_ideals(S.to_generic())
+    assert {k: S.green()[k] == brute[k] for k in "LRHD"} == {k: k != kind for k in "LRHD"}
+    checks = {c.name: c.passed for c in rees_suite(S)}
+    assert {k: checks[f"rees.green_{k}_oracle_agreement"] for k in "LRHD"} == {
+        k: k != kind for k in "LRHD"
+    }
 
 
 class _OneWrongProduct(ReesSemigroup):
@@ -275,6 +312,24 @@ def _swap_first_two(table):
     return table
 
 
+class _SwappedTable(ReesSemigroup):
+    """S.table() with its entries at (0, 0) and (0, 1) swapped."""
+
+    def index_table(self):
+        return _swap_first_two(super().index_table())
+
+
+def test_wrong_table_entry_fails_principal_homomorphism_inside_the_image(s1):
+    # Negative control: every product of principal cones lies in the image,
+    # so the image's table has no -1, and only the comparison of positions
+    # with rho(ab), read from S.table(), can fail the check.
+    checks = {c.name: c for c in cone_suite(_SwappedTable(s1.matrix))}
+    assert checks["cones.principal_image_subsemigroup"].passed is True
+    check = checks["cones.principal_homomorphism"]
+    assert check.passed is False
+    assert check.witness == "ReesElement(g=0, i=0, lam=0), ReesElement(g=0, i=0, lam=0)"
+
+
 def test_non_associative_cone_table_fails_tl_associative(s1, monkeypatch):
     # Negative control on M[Z2; 2, 2], whose |T_L| = 8 is small enough for
     # the cone-table checks to run.
@@ -287,6 +342,17 @@ def test_non_associative_cone_table_fails_tl_associative(s1, monkeypatch):
     assert witness is not None
     assert check.passed is False
     assert check.witness == str(witness)
+
+
+def test_act_on_the_next_coordinate_fails_semidirect_law(s1, monkeypatch):
+    # Negative control: the action broadcasts the coordinate after k, so the
+    # expected product scales c1 by the wrong coordinate of c2.
+    monkeypatch.setattr(
+        cones, "act", lambda group, k, values: (values[(k + 1) % len(values)],) * len(values)
+    )
+    check = {c.name: c for c in cone_suite(ReesSemigroup(s1.matrix))}["cones.semidirect_law"]
+    assert check.passed is False
+    assert check.witness == "Cone(values=(0, 0), vertex=0) * Cone(values=(0, 1), vertex=0)"
 
 
 def test_merged_cosets_fail_tl_green_agreement(s1, monkeypatch):
@@ -337,7 +403,7 @@ def test_stray_member_fails_u_subsemigroups():
     ]
     assert check.passed is False
     M = kernel.group_array(S.group)
-    assert kernel.cone_product_table(M, kernel.cone_arrays(stray))[1] is not None
+    assert kernel.first_hole(kernel.cone_product_table(M, kernel.cone_arrays(stray))) is not None
 
 
 def test_stray_principal_cone_fails_principal_image_subsemigroup(monkeypatch):
@@ -383,8 +449,9 @@ def test_closed_but_irregular_table_fails_its_subsemigroup_check(suite, name, mo
     S = _s3_fixture()
     monkeypatch.setattr(kernel, "mul_L", _constant_mul_L(kernel.mul_L))
     M, ug = kernel.group_array(S.group), connections.u_gamma(CrossConnection(S.matrix))
-    table, bad = kernel.cone_product_table(M, kernel.cone_arrays(ug))
-    assert bad is None and not oracle.is_regular(oracle.GenericSemigroup(table))
+    table = kernel.cone_product_table(M, kernel.cone_arrays(ug))
+    assert kernel.first_hole(table) is None
+    assert not oracle.is_regular(oracle.GenericSemigroup(table))
     check = {c.name: c for c in suite(S)}[name]
     assert check.passed is False
 
@@ -474,6 +541,37 @@ def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
     monkeypatch.setattr(kernel, "product_table", counting)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
     assert calls == {"product_table": 5}
+
+
+def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
+    # All four Green partitions come from one left and one right ideal per
+    # element; rees.principal_left_ideal builds the left ones once more.
+    calls = Counter()
+    for name in ("left_ideal", "right_ideal"):
+
+        def counting(*args, _name=name, _original=getattr(oracle, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(oracle, name, counting)
+    _assert_clean(rees_suite(ReesSemigroup(s1.matrix)))
+    assert calls == {"left_ideal": 2 * s1.size, "right_ideal": s1.size}
+
+
+def test_cone_suite_forms_no_principal_product_twice(s1, monkeypatch):
+    # One kernel row per cone of T_L (8) and of the principal image (8), and
+    # one per element for the dual antihomomorphism (8): the principal
+    # homomorphism is read off the image's table.
+    calls = Counter()
+    original = kernel.mul_L
+
+    def counting(*args):
+        calls["mul_L"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(kernel, "mul_L", counting)
+    _assert_clean(cone_suite(ReesSemigroup(s1.matrix)))
+    assert calls == {"mul_L": 24}
 
 
 def test_associative_tables_never_reach_the_full_scan(s1, monkeypatch):
@@ -662,8 +760,8 @@ def test_rescaled_dual_matrix_fails_naturality_without_raising(capsys):
         witness = scalar_reference.naturality_witness(conn)
         cone = connections.gamma_cell(conn, 0, 0)[0]
         with pytest.raises(ElementNotInCell):
-            connections.bifunctor_delta(
-                conn, Morphism(0, 0, 0), Morphism(0, 0, 0), connections.chi(conn, cone, 0)
+            connections.bifunctor_gamma(
+                conn.opposite, Morphism(0, 0, 0), Morphism(0, 0, 0), connections.chi(conn, cone, 0)
             )
         code = main(
             [
@@ -751,7 +849,7 @@ def test_stray_cone_fails_duality_bijection_without_raising(s3, rows, h, shift, 
     # A cell cone off its cell has no image under chi: a failed check with
     # a cell witness (exit 2), not an ElementNotInCell raised out of verify.
     # A cone on the wrong vertex whose row equals its cell's has an image,
-    # but chi_inv does not send it back.
+    # but chi over the opposite connection does not send it back.
     S = ReesSemigroup(SandwichMatrix(s3, rows))
     with scalar_reference.stray_cone(h, shift):
         check = _crossconn_checks(S)["crossconn.duality_bijection"]
