@@ -114,6 +114,24 @@ def load_matrix_file(path, group: FiniteGroup) -> SandwichMatrix:
         return SandwichMatrix(group, entries)
 
 
+def product(
+    cayley: Sequence[Sequence[int]],
+    entries: Sequence[Sequence[int]],
+    a: int,
+    i: int,
+    lam: int,
+    b: int,
+    j: int,
+    mu: int,
+) -> tuple[int, int, int]:
+    """(a, i, lam)(b, j, mu) = (a * p[lam][j] * b, i, mu) on plain coordinates,
+    over a group's Cayley table and a sandwich matrix's entries; unchecked.
+    The one statement of the product: `ReesSemigroup.mul` validates its
+    arguments and calls it, and `rees.table_matches_product` evaluates it
+    against every entry of `ReesSemigroup.table()`."""
+    return cayley[cayley[a][entries[lam][j]]][b], i, mu
+
+
 def check_size(size: int, size_guard: int) -> None:
     """Refuse a semigroup of `size` elements above the guard."""
     if size > size_guard:
@@ -172,9 +190,9 @@ class ReesSemigroup:
     def mul(self, x: ReesElement, y: ReesElement) -> ReesElement:
         self._validate(x)
         self._validate(y)
-        p = self.matrix.entry(x.lam, y.i)
-        g = self.group.mul(self.group.mul(x.g, p), y.g)
-        return ReesElement(g, x.i, y.lam)
+        return ReesElement(
+            *product(self.group.cayley, self.matrix.entries, x.g, x.i, x.lam, y.g, y.i, y.lam)
+        )
 
     def idempotents(self) -> list[ReesElement]:
         """Exactly the elements (p[lam][i]^-1, i, lam), one per matrix cell."""
@@ -198,14 +216,11 @@ class ReesSemigroup:
             "D": (tuple(range(self.size)),),
         }
 
-    def principal_left_ideal(self, x: ReesElement) -> frozenset[ReesElement]:
-        """S^1 x = everything with x's lam coordinate."""
+    def principal_left_ideal(self, x: ReesElement) -> frozenset[int]:
+        """S^1 x = G x I x {x.lam}, as element indices: every index with
+        x's lam coordinate, lam being the index modulo |Lambda|."""
         self._validate(x)
-        return frozenset(
-            ReesElement(h, j, x.lam)
-            for h in range(self.group.order)
-            for j in range(self.n_i)
-        )
+        return frozenset(range(x.lam, self.size, self.n_lambda))
 
     def index_table(self) -> np.ndarray:
         """The size x size multiplication table on element indices, as a new

@@ -2,10 +2,17 @@
 
 These back the CLI's verify / crossconn / rbg commands.  Scans whose cost
 grows with the cone semigroup are skipped (passed=None) once they exceed
-the triple guard, never silently truncated.  The O(|S|^2) scans run one
-row at a time on the arrays of `kernel`, reading products of S from
-`S.table()`; right-hand products run as `kernel.mul_L` over the opposite
-group (the transposed Cayley array), so one kernel serves both sides.
+the triple guard, never silently truncated.
+
+`rees_suite` checks the closed forms of S on plain integers, with no
+`ReesSemigroup.mul` call and no `ReesElement` per pair:
+`rees.table_matches_product` evaluates `rees.product` on the coordinates
+of every pair, one row of `S.table()` at a time, and
+`rees.principal_left_ideal` compares index sets with the oracle's ideals.
+The other O(|S|^2) scans run one row at a time on the arrays of
+`kernel`, reading products of S from `S.table()`; right-hand products
+run as `kernel.mul_L` over the opposite group (the transposed Cayley
+array), so one kernel serves both sides.
 The cone scans run the same way: `category.cone_product_agreement` takes
 one cone of T_L against all of T_L per row, with the category's
 composition tabulated once from `ArrowCategory.compose`, and
@@ -22,9 +29,11 @@ set is closed when no entry is -1, and `kernel.first_hole` names the
 first in row order.  Every check on the set reads that table:
 `cones.principal_homomorphism` compares the principal image's table,
 gathered at the image positions of a and b, with the position of
-rho(ab).  Closed tables reach the oracle as `GenericSemigroup`s and the
-oracle judges the rest: `oracle.is_regular` decides the principal image
-and U-Gamma/U-Delta, `oracle.verify_map` the isomorphism, and
+rho(ab), and `cones.dual_antihomomorphism` the dual image's table at
+those of b and a with the position of lam(ab).  Closed tables reach the
+oracle as `GenericSemigroup`s and the oracle judges the rest:
+`oracle.is_regular` decides the principal image and U-Gamma/U-Delta,
+`oracle.verify_map` the isomorphism, and
 `oracle.green_via_ideals` gives all four Green partitions of S and of
 T_L at once.  Each table is scanned for associativity once, by the check
 that reports it (`rees.associative`, `cones.tl_associative`), so a
@@ -39,7 +48,7 @@ from itertools import product
 
 import numpy as np
 
-from . import connections, cones, kernel, oracle
+from . import connections, cones, kernel, oracle, rees
 from .categories import Cone, Morphism, left_category, realize_category, right_category
 from .checks import Check
 from .connections import CrossConnection
@@ -62,15 +71,7 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
 
     # elements() runs in index order, so row k of the table belongs to element k
     elements = list(S.elements())
-    bad = next(
-        (
-            (x, y)
-            for x, row in zip(elements, table)
-            for y, entry in zip(elements, row.tolist())
-            if entry != S.index(S.mul(x, y))
-        ),
-        None,
-    )
+    bad = _product_witness(S, elements, table)
     checks.append(Check("rees.table_matches_product", bad is None, str(bad) if bad else None))
 
     checks.append(Check("rees.regular", oracle.is_regular(T)))
@@ -94,7 +95,7 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
         (
             x
             for k, x in enumerate(elements)
-            if S.principal_left_ideal(x) != frozenset(map(S.element, oracle.left_ideal(T, k)))
+            if S.principal_left_ideal(x) != oracle.left_ideal(T, k)
         ),
         None,
     )
@@ -106,6 +107,23 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
         )
     )
     return checks
+
+
+def _product_witness(S: ReesSemigroup, elements: list, table: np.ndarray) -> tuple | None:
+    """The first (x, y) in row order whose entry in the table is not the index
+    of x*y by `rees.product`.  Each row is evaluated in plain Python over
+    the Cayley table and the matrix entries, never through `index_table`,
+    and compared with the row of the table as one list."""
+    coords = [(x.g, x.i, x.lam) for x in elements]
+    cayley, entries, n_i, n_l = S.group.cayley, S.matrix.entries, S.n_i, S.n_lambda
+    for x, (a, i, lam), row in zip(elements, coords, table):
+        products = (rees.product(cayley, entries, a, i, lam, b, j, mu) for b, j, mu in coords)
+        expected = [(g * n_i + k) * n_l + nu for g, k, nu in products]
+        got = row.tolist()
+        if got != expected:
+            b = next(b for b, (entry, want) in enumerate(zip(got, expected)) if entry != want)
+            return x, elements[b]
+    return None
 
 
 def category_suite(S: ReesSemigroup) -> list[Check]:
@@ -250,24 +268,14 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
     rho = kernel.cone_arrays([r for r, _ in pairs])
     lam = kernel.cone_arrays([l for _, l in pairs])
     M, table = kernel.group_array(G), S.table()
-    # the first element with each principal cone, and d[a] the position of
-    # rho(a) among those cones (np.unique would import numpy.ma)
-    first: dict = {}
-    at = [first.setdefault(key, k) for k, key in enumerate(kernel.row_keys(*rho).tolist())]
-    distinct = list(first.values())
-    d = np.searchsorted(distinct, at)
-    image_table = kernel.cone_product_table(M, kernel.pick(rho, distinct))
+    d, image_table = _image(M, rho)
+    e, dual_table = _image(M.T, lam)
     for name, bad_row in (
         # rho(a) rho(b) against rho(ab), for every b at once, read off the
         # image's table: a -1 there, a product outside the image, is no position
         ("cones.principal_homomorphism", lambda a: image_table[d[a], d] != d[table[a]]),
         # lam(b) lam(a) over the opposite group against lam(ab)
-        (
-            "cones.dual_antihomomorphism",
-            lambda a: kernel.differ(
-                kernel.mul_L(M.T, lam, kernel.pick(lam, a)), kernel.pick(lam, table[a])
-            ),
-        ),
+        ("cones.dual_antihomomorphism", lambda a: dual_table[e, e[a]] != e[table[a]]),
     ):
         bad = kernel.first_failure(S.size, bad_row)
         witness = None if bad is None else ", ".join(str(elements[k]) for k in bad)
@@ -276,7 +284,7 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
     checks.append(Check("cones.principal_image_subsemigroup", _regular(image_table)))
 
     crit = cones.injectivity_criterion(S.matrix)
-    injective = len(distinct) == S.size
+    injective = len(image_table) == S.size
     agree = crit.holds == injective
     checks.append(
         Check(
@@ -286,6 +294,18 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
         )
     )
     return checks
+
+
+def _image(M: np.ndarray, cones_: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The image of a principal cone map, one cone per element, as (d, table):
+    d[a] the position of a's cone among the distinct cones, in order of
+    first appearance, and `kernel.cone_product_table` of those cones over
+    the group with Cayley array M."""
+    # the first element with each cone (np.unique would import numpy.ma)
+    first: dict = {}
+    at = [first.setdefault(key, k) for k, key in enumerate(kernel.row_keys(*cones_).tolist())]
+    distinct = list(first.values())
+    return np.searchsorted(distinct, at), kernel.cone_product_table(M, kernel.pick(cones_, distinct))
 
 
 def _regular(table: np.ndarray) -> bool:

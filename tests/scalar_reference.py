@@ -176,13 +176,15 @@ def table_matches_product_witness(S: ReesSemigroup) -> str | None:
 
 
 def principal_left_ideal_witness(S: ReesSemigroup) -> str | None:
-    """The witness of `rees.principal_left_ideal`."""
+    """The witness of `rees.principal_left_ideal`: the first x whose closed
+    form is not the indices of x and of every s*x by `S.mul`."""
     elements = list(S.elements())
     bad_ideal = next(
         (
             x
             for x in elements
-            if S.principal_left_ideal(x) != frozenset({x} | {S.mul(s, x) for s in elements})
+            if S.principal_left_ideal(x)
+            != frozenset({S.index(x)} | {S.index(S.mul(s, x)) for s in elements})
         ),
         None,
     )

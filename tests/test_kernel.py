@@ -101,8 +101,9 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
     for side in ("left", "right"):
         assert realize_category(S, side) == scalar_reference.realize_category(S, side)
 
-    ideal = {c.name: c.witness for c in rees_suite(S)}["rees.principal_left_ideal"]
-    assert ideal == scalar_reference.principal_left_ideal_witness(S)
+    by_name = {c.name: c.witness for c in rees_suite(S)}
+    assert by_name["rees.table_matches_product"] == scalar_reference.table_matches_product_witness(S)
+    assert by_name["rees.principal_left_ideal"] == scalar_reference.principal_left_ideal_witness(S)
 
     # Subsemigroup verdicts, on sets that are and sets that are not ones.
     M = kernel.group_array(G)

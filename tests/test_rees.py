@@ -110,14 +110,14 @@ def test_green_oracle_agreement(s1, z3, s3):
 
 def test_principal_left_ideal_fixture(s1):
     ideal = s1.principal_left_ideal(ReesElement(1, 0, 1))
-    assert ideal == {x for x in s1.elements() if x.lam == 1}
+    assert ideal == {s1.index(x) for x in s1.elements() if x.lam == 1}
     assert len(ideal) == 4  # |G| * |I|
 
 
 def test_principal_left_ideal_brute_force(s1):
     elements = list(s1.elements())
     for x in elements:
-        brute = frozenset({x} | {s1.mul(s, x) for s in elements})
+        brute = frozenset({s1.index(x)} | {s1.index(s1.mul(s, x)) for s in elements})
         assert s1.principal_left_ideal(x) == brute
     for x in elements:
         for y in elements:

@@ -26,6 +26,7 @@ from crossconn import (
     load_cayley_file,
     load_matrix_file,
     oracle,
+    rees,
     verify,
     verify_phi,
 )
@@ -287,22 +288,41 @@ def test_wrong_green_partition_fails_oracle_agreement(kind):
     }
 
 
-class _OneWrongProduct(ReesSemigroup):
-    """S.mul with the product of one pair moved to the next group element;
-    the index table stays the true one."""
+def _one_wrong_product(pair, original=rees.product):
+    """`rees.product` with the product of one pair of elements moved to the
+    next group element; `index_table`, which does not use it, stays true."""
 
-    PAIR = (ReesElement(1, 0, 1), ReesElement(0, 1, 0))
+    def product(cayley, entries, a, i, lam, b, j, mu):
+        g, i, mu = original(cayley, entries, a, i, lam, b, j, mu)
+        wrong = (ReesElement(a, i, lam), ReesElement(b, j, mu)) == pair
+        return ((g + 1) % len(cayley) if wrong else g), i, mu
 
-    def mul(self, x, y):
-        z = super().mul(x, y)
-        return replace(z, g=(z.g + 1) % self.group.order) if (x, y) == self.PAIR else z
+    return product
 
 
-def test_product_off_the_table_fails_table_matches_product():
-    S = _OneWrongProduct(_s3_fixture().matrix)
-    check = {c.name: c for c in rees_suite(S)}["rees.table_matches_product"]
-    assert check.passed is False
-    assert check.witness == scalar_reference.table_matches_product_witness(S) == str(S.PAIR)
+def test_product_off_the_table_fails_table_matches_product(monkeypatch):
+    # Negative control: one pair's product changed in the one product
+    # formula, which S.mul, and so the scalar reference, calls too; the
+    # pair inside the table, and its first and last entries.
+    S = _s3_fixture()
+    first, last = S.element(0), S.element(S.size - 1)
+    for pair in ((ReesElement(1, 0, 1), ReesElement(0, 1, 0)), (first, first), (last, last)):
+        monkeypatch.setattr(rees, "product", _one_wrong_product(pair))
+        check = {c.name: c for c in rees_suite(S)}["rees.table_matches_product"]
+        x, y = pair
+        assert S.table()[S.index(x), S.index(y)] != S.index(S.mul(x, y))
+        assert check.passed is False
+        assert check.witness == scalar_reference.table_matches_product_witness(S) == str(pair)
+
+
+def test_rees_suite_never_calls_the_scalar_product(s1, monkeypatch):
+    # Regression guard: every check of rees_suite reads the table or the
+    # formula on plain coordinates, never S.mul pair by pair.
+    def refuse(self, x, y):
+        raise AssertionError(f"ReesSemigroup.mul({x}, {y})")
+
+    monkeypatch.setattr(ReesSemigroup, "mul", refuse)
+    _assert_clean(rees_suite(ReesSemigroup(s1.matrix)))
 
 
 def _swap_first_two(table):
@@ -528,9 +548,9 @@ def test_full_suite_scans_each_table_for_associativity_once(s1, monkeypatch):
 
 
 def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
-    # T_L, the linked pairs, U-Gamma, U-Delta and the principal image each
-    # become a table through kernel.product_table, once; a closure loop of
-    # its own anywhere else would lower the count.
+    # T_L, the linked pairs, U-Gamma, U-Delta, the principal image and the
+    # dual image each become a table through kernel.product_table, once; a
+    # closure loop of its own anywhere else would lower the count.
     calls = Counter()
     original = kernel.product_table
 
@@ -540,7 +560,7 @@ def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
 
     monkeypatch.setattr(kernel, "product_table", counting)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
-    assert calls == {"product_table": 5}
+    assert calls == {"product_table": 6}
 
 
 def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
@@ -559,9 +579,9 @@ def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
 
 
 def test_cone_suite_forms_no_principal_product_twice(s1, monkeypatch):
-    # One kernel row per cone of T_L (8) and of the principal image (8), and
-    # one per element for the dual antihomomorphism (8): the principal
-    # homomorphism is read off the image's table.
+    # One kernel row per cone of T_L (8), of the principal image (8) and of
+    # the dual image (8): both principal checks are read off the image's
+    # table.
     calls = Counter()
     original = kernel.mul_L
 
@@ -620,7 +640,8 @@ def test_faulty_closed_form_fails_principal_left_ideal(monkeypatch):
 
     def short(self, x):
         ideal = original(self, x)
-        return ideal - {ReesElement(1, 0, x.lam)} if x.lam == self.n_lambda - 1 else ideal
+        dropped = self.index(ReesElement(1, 0, x.lam))
+        return ideal - {dropped} if x.lam == self.n_lambda - 1 else ideal
 
     monkeypatch.setattr(ReesSemigroup, "principal_left_ideal", short)
     S = _s3_fixture()
