@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the verification suites on a ladder of fixtures; write BENCH_<label>.json.
 
-    PYTHONPATH=src python scripts/bench.py --label L [--runs K] [--include-large]
+    PYTHONPATH=src python scripts/bench.py --label L [--include-large]
 
 The ladder is |S| = 8, 64, 480, 512, 1024 and 2048: M[G; n, n] with the
 identity matrix over Z2, Z4, S5, Z2, Z4 and Z2.  --include-large adds the
@@ -50,6 +50,7 @@ LADDER = (
     ("cyclic", 2, 32),
 )
 LARGE = ("cyclic", 4, 32)
+RUNS = 5  # timed runs per rung
 
 
 def rungs(include_large: bool) -> list[tuple[str, SandwichMatrix]]:
@@ -114,16 +115,13 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", help="write BENCH_<label>.json at the repository root")
-    parser.add_argument("--runs", type=int, default=5, help="timed runs per rung (default 5)")
     parser.add_argument("--include-large", action="store_true", help="add the 4096-element rung")
     parser.add_argument("--rung", help=argparse.SUPPRESS)  # measure one rung, print its JSON
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
 
     if args.rung is not None:
         matrix = dict(rungs(include_large=True))[args.rung]
-        print(json.dumps(measure(args.rung, matrix, args.runs)))
+        print(json.dumps(measure(args.rung, matrix, RUNS)))
         return 0
     if not args.label:
         parser.error("--label is required")
@@ -131,7 +129,7 @@ def main() -> int:
     results = []
     for name, _ in rungs(args.include_large):
         child = subprocess.run(
-            [sys.executable, __file__, "--rung", name, "--runs", str(args.runs)],
+            [sys.executable, __file__, "--rung", name],
             capture_output=True,
             text=True,
             check=True,
@@ -151,7 +149,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "runs": args.runs,
+        "runs": RUNS,
         "rungs": results,
     }
     path = ROOT / f"BENCH_{args.label}.json"

@@ -41,10 +41,9 @@ set's `KeyIndex`, with -1 wherever a product lies outside the set.  The
 set is closed when no entry is -1, and `first_hole` names the first -1
 in row order as the closure witness.  `cone_product_table` is its form
 for cones under `mul_L`.  It builds T_L, the linked pairs, U-Gamma,
-U-Delta, the principal image and the dual image; the table oracle judges
-the rest of each closed table from the table alone, and
-`cones.principal_homomorphism` and `cones.dual_antihomomorphism` are
-read off the two images' tables.
+U-Delta and the principal image; the table oracle judges the rest of
+each closed table from the table alone, and `cones.principal_homomorphism`
+is read off the principal image's table.
 
 The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
 `connections.is_linked`, `connections.bifunctor_gamma`,

@@ -29,9 +29,11 @@ set is closed when no entry is -1, and `kernel.first_hole` names the
 first in row order.  Every check on the set reads that table:
 `cones.principal_homomorphism` compares the principal image's table,
 gathered at the image positions of a and b, with the position of
-rho(ab), and `cones.dual_antihomomorphism` the dual image's table at
-those of b and a with the position of lam(ab).  Closed tables reach the
-oracle as `GenericSemigroup`s and the oracle judges the rest:
+rho(ab).  `cones.dual_antihomomorphism` is a row scan instead, one row
+of dual cone products over the opposite group per element: where the
+dual cones are all distinct, their table costs more than the scan.
+Closed tables reach the oracle as `GenericSemigroup`s and the oracle
+judges the rest:
 `oracle.is_regular` decides the principal image and U-Gamma/U-Delta,
 `oracle.verify_map` the isomorphism, and
 `oracle.green_via_ideals` gives all four Green partitions of S and of
@@ -113,12 +115,15 @@ def _product_witness(S: ReesSemigroup, elements: list, table: np.ndarray) -> tup
     """The first (x, y) in row order whose entry in the table is not the index
     of x*y by `rees.product`.  Each row is evaluated in plain Python over
     the Cayley table and the matrix entries, never through `index_table`,
-    and compared with the row of the table as one list."""
+    and compared with the row of the table as one list; a product's index
+    is `S.index` of its coordinates, read once per element."""
     coords = [(x.g, x.i, x.lam) for x in elements]
-    cayley, entries, n_i, n_l = S.group.cayley, S.matrix.entries, S.n_i, S.n_lambda
+    position = {c: S.index(x) for c, x in zip(coords, elements)}
+    cayley, entries = S.group.cayley, S.matrix.entries
     for x, (a, i, lam), row in zip(elements, coords, table):
-        products = (rees.product(cayley, entries, a, i, lam, b, j, mu) for b, j, mu in coords)
-        expected = [(g * n_i + k) * n_l + nu for g, k, nu in products]
+        expected = [
+            position[rees.product(cayley, entries, a, i, lam, b, j, mu)] for b, j, mu in coords
+        ]
         got = row.tolist()
         if got != expected:
             b = next(b for b, (entry, want) in enumerate(zip(got, expected)) if entry != want)
@@ -268,14 +273,24 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
     rho = kernel.cone_arrays([r for r, _ in pairs])
     lam = kernel.cone_arrays([l for _, l in pairs])
     M, table = kernel.group_array(G), S.table()
-    d, image_table = _image(M, rho)
-    e, dual_table = _image(M.T, lam)
+    # the first element with each principal cone, and d[a] the position of
+    # rho(a) among those cones (np.unique would import numpy.ma)
+    first: dict = {}
+    at = [first.setdefault(key, k) for k, key in enumerate(kernel.row_keys(*rho).tolist())]
+    distinct = list(first.values())
+    d = np.searchsorted(distinct, at)
+    image_table = kernel.cone_product_table(M, kernel.pick(rho, distinct))
     for name, bad_row in (
         # rho(a) rho(b) against rho(ab), for every b at once, read off the
         # image's table: a -1 there, a product outside the image, is no position
         ("cones.principal_homomorphism", lambda a: image_table[d[a], d] != d[table[a]]),
         # lam(b) lam(a) over the opposite group against lam(ab)
-        ("cones.dual_antihomomorphism", lambda a: dual_table[e, e[a]] != e[table[a]]),
+        (
+            "cones.dual_antihomomorphism",
+            lambda a: kernel.differ(
+                kernel.mul_L(M.T, lam, kernel.pick(lam, a)), kernel.pick(lam, table[a])
+            ),
+        ),
     ):
         bad = kernel.first_failure(S.size, bad_row)
         witness = None if bad is None else ", ".join(str(elements[k]) for k in bad)
@@ -284,7 +299,7 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
     checks.append(Check("cones.principal_image_subsemigroup", _regular(image_table)))
 
     crit = cones.injectivity_criterion(S.matrix)
-    injective = len(image_table) == S.size
+    injective = len(distinct) == S.size
     agree = crit.holds == injective
     checks.append(
         Check(
@@ -294,18 +309,6 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
         )
     )
     return checks
-
-
-def _image(M: np.ndarray, cones_: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The image of a principal cone map, one cone per element, as (d, table):
-    d[a] the position of a's cone among the distinct cones, in order of
-    first appearance, and `kernel.cone_product_table` of those cones over
-    the group with Cayley array M."""
-    # the first element with each cone (np.unique would import numpy.ma)
-    first: dict = {}
-    at = [first.setdefault(key, k) for k, key in enumerate(kernel.row_keys(*cones_).tolist())]
-    distinct = list(first.values())
-    return np.searchsorted(distinct, at), kernel.cone_product_table(M, kernel.pick(cones_, distinct))
 
 
 def _regular(table: np.ndarray) -> bool:

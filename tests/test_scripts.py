@@ -57,3 +57,12 @@ def test_bench_measures_the_smallest_rung():
     parts = ("rees_suite", "category_suite", "cone_suite", "crossconn_suite")
     assert suites["full_suite"]["checks"] == sum(suites[s]["checks"] for s in parts)
     assert suites["full_suite"]["skipped"] == 0
+
+
+def test_bench_include_large_adds_only_the_4096_rung():
+    bench = _load_script("bench")
+    ladder, large = bench.rungs(include_large=False), bench.rungs(include_large=True)
+    assert large[:-1] == ladder
+    name, matrix = large[-1]
+    assert name == "Z4 32x32 identity"
+    assert matrix.group.order * matrix.rows * matrix.cols == 4096
