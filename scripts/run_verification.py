@@ -2,8 +2,11 @@
 """Run the full verification suite over a battery of fixtures.
 
 Covers the named small fixtures, a batch of seeded random sandwich
-matrices, and with --include-large a 512-element fixture and the
-2048-element M[Z2; 32, 32] with the identity matrix.  Each fixture is
+matrices, and with --include-large a 512-element fixture over Z2, a
+480-element M[S5; 2, 2] with a generic matrix (no two columns differ by a
+constant factor, nor two rows, so all 480 cones of U-Gamma and of U-Delta
+are distinct, over a non-abelian group) and the 2048-element
+M[Z2; 32, 32] with the identity matrix.  Each fixture is
 built with the size guard set to its own size, so it is checked in
 full.  Exits nonzero if any check fails.
 """
@@ -48,6 +51,9 @@ def fixture_battery(seed: int, include_large: bool):
     if include_large:
         entries = [[(lam * i) % 2 for i in range(16)] for lam in range(16)]
         fixtures.append(("Z2 16x16 (|S|=512)", SandwichMatrix(z2, entries)))
+        s5 = builtin("symmetric", 5)
+        e, x = s5.identity, next(g for g in s5.elements() if g != s5.identity)
+        fixtures.append(("S5 2x2 generic", SandwichMatrix(s5, [[e, e], [e, x]])))
         fixtures.append(("Z2 32x32 identity", identity_matrix(z2, 32, 32)))
     return fixtures
 

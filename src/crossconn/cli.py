@@ -196,9 +196,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
         }
     elif config.command == "crossconn":
         conn = connections.CrossConnection(matrix)
-        ug = connections.u_gamma(conn, bound=config.size_guard)
-        ud = connections.u_delta(conn, bound=config.size_guard)
         linked = connections.pair_arrays(conn, size_guard=config.size_guard)
+        ug, ud = linked.u_gamma.cones, linked.u_delta.cones
         data = {
             "u_gamma_size": len(ug),
             "u_delta_size": len(ud),
@@ -210,7 +209,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
                 for p in linked.pairs
             ],
         }
-        checks = verify.crossconn_suite(S, linked, (ug, ud))
+        checks = verify.crossconn_suite(S, linked)
     elif config.command == "iso-check":
         result = cones.injectivity_criterion(matrix)
         witness = None

@@ -279,58 +279,106 @@ def _pair_cones(pairs: Sequence[LinkedPair]):
     )
 
 
+class UCones(NamedTuple):
+    """U-Gamma (or U-Delta) as cones, as cone arrays, with a `KeyIndex` over
+    them and their `kernel.cone_product_table`, padded with a last row and
+    column of -1 so that the position -1 of an absent cone reads -1."""
+
+    cones: list[Cone]
+    arrays: tuple[np.ndarray, np.ndarray]
+    index: kernel.KeyIndex
+    table: np.ndarray
+
+    def find(self, cones: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The position of each cone of the batch here, or -1 where it is absent."""
+        return self.index.find(kernel.row_keys(*cones))
+
+
+def _u_cones(cones: list[Cone], M: np.ndarray) -> UCones:
+    """`UCones` of the cones, tabulated under mul_L over the group with Cayley array M."""
+    arrays = kernel.cone_arrays(cones)
+    table = np.pad(kernel.cone_product_table(M, arrays), (0, 1), constant_values=-1)
+    return UCones(cones, arrays, kernel.KeyIndex(kernel.row_keys(*arrays)), table)
+
+
 class PairArrays(NamedTuple):
-    """The linked pairs of a connection, their gamma and delta halves as cone
-    arrays, and a `KeyIndex` over the (gamma, delta) rows."""
+    """The linked pairs of a connection and the tables every scan of them reads.
+
+    `gamma` and `delta` are the pairs' halves as cone arrays, and `g` and `d`
+    their positions in U-Gamma and U-Delta (-1 where a half is absent).
+    `pair_at[x, y]` is the pair with halves U-Gamma[x] and U-Delta[y], or
+    -1; its last row and column, all -1, absorb the -1 of an absent cone.
+    `table` is the pairs' product table, -1 where a product is no pair.
+    """
 
     pairs: list[LinkedPair]
     gamma: tuple[np.ndarray, np.ndarray]
     delta: tuple[np.ndarray, np.ndarray]
-    index: kernel.KeyIndex
+    u_gamma: UCones
+    u_delta: UCones
+    g: np.ndarray
+    d: np.ndarray
+    pair_at: np.ndarray
+    table: np.ndarray
 
-    def row(self, M: np.ndarray, p: int):
-        """`s_tilde_mul` of pair p with every pair, over the group with Cayley array M."""
-        return (
-            kernel.mul_L(M, kernel.pick(self.gamma, p), self.gamma),
-            kernel.mul_L(M.T, self.delta, kernel.pick(self.delta, p)),
-        )
+    def product_halves(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """The positions in U-Gamma and U-Delta of the halves of `s_tilde_mul`
+        of pair p with every pair q, gamma_p gamma_q and delta_q delta_p,
+        read off the two tables: -1 where a half is outside its set."""
+        return self.u_gamma.table[self.g[p], self.g], self.u_delta.table[self.d, self.d[p]]
 
 
 def pair_arrays(conn: CrossConnection, size_guard: int = DEFAULT_SIZE_GUARD) -> PairArrays:
-    """`linked_pairs` with the arrays every scan of the pairs reads."""
+    """`linked_pairs`, `u_gamma` and `u_delta` with the arrays and tables
+    every scan of them reads.  The product of two pairs is componentwise,
+    so row p of the pair table is gathered from the U-Gamma and U-Delta
+    tables, `pair_at` at `product_halves(p)`: no product of two pairs is
+    formed and no pair key is searched."""
     pairs = linked_pairs(conn, size_guard=size_guard)
     gamma, delta = _pair_cones(pairs)
-    return PairArrays(pairs, gamma, delta, kernel.KeyIndex(kernel.row_keys(*gamma, *delta)))
+    M = kernel.group_array(conn.group)
+    ug = _u_cones(u_gamma(conn, bound=size_guard), M)
+    ud = _u_cones(u_delta(conn, bound=size_guard), M.T)
+    g, d = ug.find(gamma), ud.find(delta)
+    pair_at = np.full((len(ug.cones) + 1, len(ud.cones) + 1), -1, dtype=np.int32)
+    inside = (g >= 0) & (d >= 0)
+    pair_at[g[inside], d[inside]] = np.flatnonzero(inside)
+    table = np.empty((len(pairs),) * 2, dtype=np.int32)
+    linked = PairArrays(pairs, gamma, delta, ug, ud, g, d, pair_at, table)
+    for p in range(len(pairs)):
+        linked.table[p] = pair_at[linked.product_halves(p)]
+    return linked
 
 
 def verify_phi(S: ReesSemigroup, linked: PairArrays | None = None) -> PhiReport:
     """Check closure of the linked-pair product and that phi is a bijective homomorphism.
 
     `linked` is `pair_arrays` of S's connection, built here when not given.
-    The map check goes through the independent table oracle rather than
-    any closed form; an image of phi that is no linked pair fails it.  The
-    pair table is not scanned for associativity: a bijective homomorphism
-    from S carries S's associativity onto it.
+    The pairs are closed when each pair's halves lie in U-Gamma and U-Delta
+    and the gathered table has no -1.  The map check goes through the
+    independent table oracle rather than any closed form; an image of phi
+    that is no linked pair fails it.  The pair table is not scanned for
+    associativity: a bijective homomorphism from S carries S's
+    associativity onto it.
     """
     if linked is None:
         linked = pair_arrays(CrossConnection(S.matrix), size_guard=S.size)
-    M = kernel.group_array(S.group)
-
-    def row(p: int) -> np.ndarray:
-        gamma, delta = linked.row(M, p)
-        return kernel.row_keys(*gamma, *delta)
-
-    table = kernel.product_table(linked.index, len(linked.pairs), row)
-    bad = kernel.first_hole(table)
+    outside = (linked.g < 0) | (linked.d < 0)
+    if outside.any():
+        p = int(outside.argmax())
+        half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
+        return PhiReport(False, f"the {half} half of {linked.pairs[p]} is not in {where}", None)
+    bad = kernel.first_hole(linked.table)
     if bad is not None:
         p, q = (linked.pairs[k] for k in bad)
         return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
     phi_gamma, phi_delta = _pair_cones([phi(S, a) for a in S.elements()])
-    f = linked.index.find(kernel.row_keys(*phi_gamma, *phi_delta))
+    f = linked.pair_at[linked.u_gamma.find(phi_gamma), linked.u_delta.find(phi_delta)]
     if (f < 0).any():
         stray = f"phi({S.element(int(np.argmax(f < 0)))}) is not a linked pair"
         return PhiReport(True, None, MapCheck(False, False, False, stray))
-    return PhiReport(True, None, verify_map(f.tolist(), S.to_generic(), GenericSemigroup(table)))
+    check = verify_map(f.tolist(), S.to_generic(), GenericSemigroup(linked.table))
+    return PhiReport(True, None, check)
 
 
 def matrix_of(group: FiniteGroup, handles: Sequence[CosetHandle]) -> SandwichMatrix:

@@ -12,11 +12,12 @@ Rows.  A scan fixes the first factor a and forms a*b for every b in one
 numpy step, so beyond one (n, n) table it holds one (n, k) row of
 products at a time and never an (n, n, k) array.
 
-Keys.  Membership is exact.  The key of a cone (or of a pair of cones)
-is its row of int32 coordinates read as one np.void of raw bytes.  A
-`KeyIndex` sorts the keys once and finds each query with searchsorted,
-then confirms the candidate by equality.  No key is packed into one
-integer, so none can overflow, however wide the cones are.
+Keys.  Membership is exact.  The key of a cone is its row of int32
+coordinates read as one np.void of raw bytes.  A `KeyIndex` sorts the
+keys once and finds each query with searchsorted, then confirms the
+candidate by equality.  No key is packed into one integer, so none can
+overflow, however wide the cones are.  Only sets of cones are indexed;
+pairs of cones are found by the positions of their two halves.
 
 Linkage.  `right_factor` extracts the scalar g with values == base * g
 for a batch of tuples at once, and `is_linked` tests one gamma cone
@@ -32,18 +33,24 @@ connection's group and matrix.  These serve `crossconn.naturality` and
 the category's cone product with `mul_L` row by row.
 
 Pairs.  `connections.pair_arrays` holds the linked pairs as a gamma and a
-delta batch with one `KeyIndex`; every scan of the pairs in a suite, and
-the CLI's report of them, reads it.
+delta batch, U-Gamma and U-Delta with their tables GT and DT, and the
+pair table.  The product of two pairs is componentwise, so the pair
+table is a gather: with g[p] and d[p] the positions of pair p's halves in
+U-Gamma and U-Delta, and `pair_at[x, y]` the pair with halves at x and y
+(or -1), row p is pair_at[GT[g[p], g], DT[d, d[p]]].  No product of two
+pairs is formed and no pair key is searched.  Every scan of the pairs in
+a suite, and the CLI's report of them, reads it.
 
 Tables.  `product_table` is the one place a set of cones becomes its
 multiplication table: one row of products at a time, looked up in the
 set's `KeyIndex`, with -1 wherever a product lies outside the set.  The
 set is closed when no entry is -1, and `first_hole` names the first -1
 in row order as the closure witness.  `cone_product_table` is its form
-for cones under `mul_L`.  It builds T_L, the linked pairs, U-Gamma,
-U-Delta and the principal image; the table oracle judges the rest of
-each closed table from the table alone, and `cones.principal_homomorphism`
-is read off the principal image's table.
+for cones under `mul_L`.  It builds T_L, U-Gamma, U-Delta and the
+principal image, and the linked-pair table is gathered from the U-Gamma
+and U-Delta tables; the table oracle judges the rest of each closed
+table from the table alone, and `cones.principal_homomorphism` is read
+off the principal image's table.
 
 The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
 `connections.is_linked`, `connections.bifunctor_gamma`,

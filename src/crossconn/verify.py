@@ -20,13 +20,18 @@ composition tabulated once from `ArrowCategory.compose`, and
 all (i2, g1, g2) and all cones of the cell at once, through
 `kernel.bifunctor` and `kernel.chi`; `crossconn.duality_bijection` takes
 one cell per row.  A suite builds the linked pairs once, as
-`connections.pair_arrays`, for `verify_phi`, the linked criterion and the
-`rbg` scans, which take one pair against all pairs per row.
+`connections.pair_arrays`, together with U-Gamma, U-Delta, their tables
+and the pair table gathered from those, for `crossconn.u_subsemigroups`,
+`verify_phi`, the linked criterion and the `rbg` scans: the criterion
+reads membership of a (gamma, delta) pair off `pair_at`, and
+`rbg.product_formula` reads each product's halves off the U tables.
 
 Every set of cones a suite checks becomes its table once, through
 `kernel.product_table`, with -1 for each product outside the set; the
 set is closed when no entry is -1, and `kernel.first_hole` names the
-first in row order.  Every check on the set reads that table:
+first in row order.  The linked pairs are the exception: their table is
+gathered from the U-Gamma and U-Delta tables, and they are closed when
+every pair's halves lie in U-Gamma and U-Delta and no entry is -1.  Every check on the set reads that table:
 `cones.principal_homomorphism` compares the principal image's table,
 gathered at the image positions of a and b, with the position of
 rho(ab).  `cones.dual_antihomomorphism` is a row scan instead, one row
@@ -51,7 +56,7 @@ from itertools import product
 import numpy as np
 
 from . import connections, cones, kernel, oracle, rees
-from .categories import Cone, Morphism, left_category, realize_category, right_category
+from .categories import Morphism, left_category, realize_category, right_category
 from .checks import Check
 from .connections import CrossConnection
 from .rees import ReesSemigroup
@@ -317,13 +322,8 @@ def _regular(table: np.ndarray) -> bool:
     return bool((table >= 0).all()) and oracle.is_regular(oracle.GenericSemigroup(table))
 
 
-def crossconn_suite(
-    S: ReesSemigroup,
-    linked: connections.PairArrays | None = None,
-    u_cones: tuple[list[Cone], list[Cone]] | None = None,
-) -> list[Check]:
-    """`linked` is `connections.pair_arrays` of S's connection and `u_cones`
-    its (`u_gamma`, `u_delta`), each built here if not given."""
+def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) -> list[Check]:
+    """`linked` is `connections.pair_arrays` of S's connection, built here if not given."""
     checks = []
     G = S.group
     conn = CrossConnection(S.matrix)
@@ -341,34 +341,24 @@ def crossconn_suite(
         witness = _naturality_witness(conn)
         checks.append(Check("crossconn.naturality", witness is None, witness))
 
-    if u_cones is None:
-        u_cones = connections.u_gamma(conn, bound=S.size), connections.u_delta(conn, bound=S.size)
-    ug, ud = u_cones
-    M, gammas, deltas = kernel.group_array(G), kernel.cone_arrays(ug), kernel.cone_arrays(ud)
-    ok = _regular(kernel.cone_product_table(M, gammas)) and _regular(
-        kernel.cone_product_table(M.T, deltas)
-    )
-    checks.append(Check("crossconn.u_subsemigroups", ok))
-
     if linked is None:
         linked = connections.pair_arrays(conn, size_guard=S.size)
-    if len(ug) * len(ud) * (n_l + n_i) > TRIPLE_GUARD:
+    ug, ud = linked.u_gamma, linked.u_delta
+    ok = _regular(ug.table[:-1, :-1]) and _regular(ud.table[:-1, :-1])
+    checks.append(Check("crossconn.u_subsemigroups", ok))
+
+    if len(ug.cones) * len(ud.cones) * (n_l + n_i) > TRIPLE_GUARD:
         checks.append(Check("crossconn.linked_criterion_agreement", None, _SKIP))
     else:
         # each U-Gamma cone against all of U-Delta: linked exactly when a linked pair
-        P, inverse = np.asarray(S.matrix.entries), np.asarray(G.inverse)
-        m = len(ud)
+        M, P, inverse = kernel.group_array(G), np.asarray(S.matrix.entries), np.asarray(G.inverse)
 
         def bad_row(a: int) -> np.ndarray:
-            values, vertex = kernel.pick(gammas, a)
-            keys = kernel.row_keys(
-                np.broadcast_to(values, (m, n_l)), np.full(m, vertex), *deltas
-            )
-            paired = linked.index.find(keys) >= 0
-            return kernel.is_linked(M, inverse, P, (values, vertex), deltas) != paired
+            paired = linked.pair_at[a, :-1] >= 0
+            return kernel.is_linked(M, inverse, P, kernel.pick(ug.arrays, a), ud.arrays) != paired
 
-        bad = kernel.first_failure(len(ug), bad_row)
-        witness = None if bad is None else f"{ug[bad[0]]}, {ud[bad[1]]}"
+        bad = kernel.first_failure(len(ug.cones), bad_row)
+        witness = None if bad is None else f"{ug.cones[bad[0]]}, {ud.cones[bad[1]]}"
         checks.append(Check("crossconn.linked_criterion_agreement", witness is None, witness))
 
     report = connections.verify_phi(S, linked)
@@ -463,8 +453,12 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) ->
     `linked` is `connections.pair_arrays` of S's connection, built here if not given.
 
     A row is one pair p against all pairs q, with g1, g2 the first values of
-    p.gamma and q.gamma (or q.delta): `PairArrays.row` against ((g1 g2,)*|Lambda|,
-    q.gamma.vertex), ((g1 g2,)*|I|, p.delta.vertex); `kernel.is_linked` against g1 == g2.
+    p.gamma and q.gamma (or q.delta): the U-Gamma and U-Delta cones at
+    `PairArrays.product_halves(p)` against ((g1 g2,)*|Lambda|, q.gamma.vertex),
+    ((g1 g2,)*|I|, p.delta.vertex), a product outside U-Gamma or U-Delta
+    failing; `kernel.is_linked` against g1 == g2.  The halves are read from
+    the U sets, not from the pair table, so that a product which is no
+    listed pair still has its formula checked.
     """
     checks = []
     G, P = S.group, np.asarray(S.matrix.entries)
@@ -476,9 +470,11 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) ->
     M, inverse = kernel.group_array(G), np.asarray(G.inverse)
 
     def formula_row(p: int) -> np.ndarray:
-        got_gamma, got_delta = linked.row(M, p)
+        at_gamma, at_delta = linked.product_halves(p)
         g = M[gamma[0][p, 0], gamma[0][:, 0], None]
-        return kernel.differ(got_gamma, (g, gamma[1])) | kernel.differ(got_delta, (g, delta[1][p]))
+        bad = kernel.differ(kernel.pick(linked.u_gamma.arrays, at_gamma), (g, gamma[1]))
+        bad |= kernel.differ(kernel.pick(linked.u_delta.arrays, at_delta), (g, delta[1][p]))
+        return bad | (at_gamma < 0) | (at_delta < 0)
 
     def linked_row(p: int) -> np.ndarray:
         got = kernel.is_linked(M, inverse, P, kernel.pick(gamma, p), delta)

@@ -642,14 +642,11 @@ def reversed_delta_product():
             cones.mul_L(G, p1.gamma, p2.gamma), cones.mul_L(G.opposite, p1.delta, p2.delta)
         )
 
-    def row(self, M, p):
-        return (
-            kernel.mul_L(M, kernel.pick(self.gamma, p), self.gamma),
-            kernel.mul_L(M.T, kernel.pick(self.delta, p), self.delta),
-        )
+    def product_halves(self, p):
+        return self.u_gamma.table[self.g[p], self.g], self.u_delta.table[self.d[p], self.d]
 
     with mock.patch.object(connections, "s_tilde_mul", scalar), mock.patch.object(
-        connections.PairArrays, "row", row
+        connections.PairArrays, "product_halves", product_halves
     ):
         yield
 
@@ -666,17 +663,21 @@ def _swapped(table):
 def swapped_pair_table():
     """The linked-pair table of `verify_phi`, array and scalar alike, with two
     entries swapped.  The array table is swapped where it is built, in
-    `kernel.product_table`, so every table built meanwhile is swapped too;
-    in `rbg_suite` the pair table is the only one."""
-    kernel_table, scalar_table = kernel.product_table, pair_table
+    `connections.pair_arrays`, and no other table is touched."""
+    arrays, scalar_table = connections.pair_arrays, pair_table
+
+    def pair_arrays(*args, **kwargs):
+        linked = arrays(*args, **kwargs)
+        _swapped(linked.table)
+        return linked
 
     def scalar(S):
         table, witness = scalar_table(S)
         return _swapped(table), witness
 
-    with mock.patch.object(
-        kernel, "product_table", lambda *args: _swapped(kernel_table(*args))
-    ), mock.patch(f"{__name__}.pair_table", scalar):
+    with mock.patch.object(connections, "pair_arrays", pair_arrays), mock.patch(
+        f"{__name__}.pair_table", scalar
+    ):
         yield
 
 

@@ -357,7 +357,7 @@ def test_each_command_builds_the_linked_pairs_once(command, monkeypatch, capsys)
     assert calls == {"linked_pairs": 1}
 
 
-@pytest.mark.parametrize("command", ["verify", "crossconn"])
+@pytest.mark.parametrize("command", ["verify", "crossconn", "rbg"])
 def test_each_command_builds_the_u_cones_once(command, monkeypatch, capsys):
     # u_delta is u_gamma over the opposite connection: one build of each is 2 calls
     calls = Counter()

@@ -2,7 +2,6 @@
 
 import contextlib
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,17 +59,9 @@ def _principal_products_agree(S: ReesSemigroup) -> None:
 
 
 def _pair_table(S: ReesSemigroup):
-    """The linked-pair table of `verify_phi`, caught where `kernel.product_table` returns it."""
-    built = []
-
-    def recording(*args, _original=kernel.product_table):
-        built.append(_original(*args))
-        return built[-1]
-
-    with mock.patch.object(kernel, "product_table", recording):
-        verify_phi(S)
-    (table,) = built
-    return table.tolist(), kernel.first_hole(table)
+    """The linked-pair table that `verify_phi` reads, gathered by `connections.pair_arrays`."""
+    linked = connections.pair_arrays(connections.CrossConnection(S.matrix), size_guard=S.size)
+    return linked.table.tolist(), kernel.first_hole(linked.table)
 
 
 @settings(max_examples=30, deadline=None)

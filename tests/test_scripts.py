@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from crossconn import connections
+
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
@@ -35,6 +37,18 @@ def _load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_run_verification_large_battery_has_a_generic_s5():
+    # the large battery's S5 2x2 fixture: non-abelian, 480 elements, and
+    # every cone of U-Gamma and of U-Delta distinct
+    battery = dict(_load_script("run_verification").fixture_battery(7, include_large=True))
+    matrix = battery["S5 2x2 generic"]
+    G = matrix.group
+    assert G.order * matrix.rows * matrix.cols == 480
+    assert any(G.mul(a, b) != G.mul(b, a) for a in G.elements() for b in G.elements())
+    conn = connections.CrossConnection(matrix)
+    assert len(connections.u_gamma(conn)) == len(connections.u_delta(conn)) == 480
 
 
 def test_bench_measures_the_smallest_rung():

@@ -411,19 +411,96 @@ def _stray_cone(G, members: list[Cone]) -> Cone:
     return next(c for c in cones.enumerate_TL(G, len(members[0].values)) if c not in members)
 
 
+@contextlib.contextmanager
+def _edited_u_cones(S, side: str, edit):
+    """`connections.u_gamma` with edit applied to U-Gamma ("gamma") or to
+    U-Delta ("delta") of S's connection alone; U-Delta is U-Gamma of the
+    opposite connection, whose matrix is not S's."""
+    original = connections.u_gamma
+
+    def u_gamma(conn, *args, **kwargs):
+        members = original(conn, *args, **kwargs)
+        return edit(members) if (conn.matrix is S.matrix) == (side == "gamma") else members
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(connections, "u_gamma", u_gamma)
+        yield
+
+
 def test_stray_member_fails_u_subsemigroups():
     # Negative control: U-Gamma with its last cone replaced by one whose
     # tuple is no scaled column, so that cone's products leave the set.
     S = _s3_fixture()
-    conn = CrossConnection(S.matrix)
-    ug, ud = connections.u_gamma(conn), connections.u_delta(conn)
+    ug = connections.u_gamma(CrossConnection(S.matrix))
     stray = [*ug[:-1], _stray_cone(S.group, ug)]
-    check = {c.name: c for c in crossconn_suite(S, u_cones=(stray, ud))}[
-        "crossconn.u_subsemigroups"
-    ]
+    with _edited_u_cones(S, "gamma", lambda members: stray):
+        check = {c.name: c for c in crossconn_suite(S)}["crossconn.u_subsemigroups"]
     assert check.passed is False
     M = kernel.group_array(S.group)
     assert kernel.first_hole(kernel.cone_product_table(M, kernel.cone_arrays(stray))) is not None
+
+
+@pytest.mark.parametrize("side, where", [("gamma", "U-Gamma"), ("delta", "U-Delta")])
+def test_pair_half_outside_its_u_set_fails_closure(side, where):
+    # Negative control: U-Gamma (or U-Delta) without the half of a middle
+    # pair.  The pairs are not closed, and the witness names the first pair
+    # with that half, not a product that is no linked pair.
+    S = _s3_fixture()
+    pairs = connections.linked_pairs(CrossConnection(S.matrix), size_guard=S.size)
+    half = getattr(pairs[len(pairs) // 2], side)
+    first = next(p for p in pairs if getattr(p, side) == half)
+    with _edited_u_cones(S, side, lambda members: [c for c in members if c != half]):
+        checks = {c.name: c for c in crossconn_suite(S)}
+        table = connections.pair_arrays(CrossConnection(S.matrix), size_guard=S.size).table
+    witness = f"the {side} half of {first} is not in {where}"
+    for name in ("crossconn.s_tilde_closed", "crossconn.phi_isomorphism"):
+        assert checks[name].passed is False, name
+        assert checks[name].witness == witness
+    # that pair's row and column of the gathered table read -1 throughout
+    k = pairs.index(first)
+    assert (table[k] == -1).all() and (table[:, k] == -1).all()
+
+
+def test_product_outside_u_gamma_fails_rbg_product_formula():
+    # Negative control: on the identity 2x2 matrix over S3, U-Gamma without
+    # its last cone.  Where a pair's gamma half or a product's is that cone,
+    # the product cannot be read off the U-Gamma table, and the formula
+    # fails at the first such product.
+    S = ReesSemigroup(identity_matrix(_s3_fixture().group, 2, 2))
+    conn = CrossConnection(S.matrix)
+    pairs = connections.linked_pairs(conn, size_guard=S.size)
+    last = connections.u_gamma(conn)[-1]
+    p, q = next(
+        (p, q)
+        for p in pairs
+        for q in pairs
+        if last in (p.gamma, q.gamma, connections.s_tilde_mul(conn, p, q).gamma)
+    )
+    with _edited_u_cones(S, "gamma", lambda members: members[:-1]):
+        check = {c.name: c for c in rbg_suite(S)}["rbg.product_formula"]
+    assert check.passed is False
+    assert check.witness == f"{p} o {q}"
+
+
+def test_phi_image_outside_u_gamma_fails_isomorphism(monkeypatch):
+    # Negative control: phi sends the last element to a pair whose gamma
+    # half is a cone of T_L outside U-Gamma.  The pairs stay closed, and
+    # the map check fails, naming the element, as the dict loop does.
+    S = _s3_fixture()
+    original, last = connections.phi, S.element(S.size - 1)
+    stray = _stray_cone(S.group, connections.u_gamma(CrossConnection(S.matrix)))
+    monkeypatch.setattr(
+        connections,
+        "phi",
+        lambda S_, a: replace(original(S_, a), gamma=stray) if a == last else original(S_, a),
+    )
+    checks = {c.name: c for c in crossconn_suite(S)}
+    reference = scalar_reference.verify_phi(S)
+    witness = f"phi({last}) is not a linked pair"
+    assert checks["crossconn.s_tilde_closed"].passed is True
+    assert reference.closed and reference.map_check.witness == witness
+    assert checks["crossconn.phi_isomorphism"].passed is False
+    assert checks["crossconn.phi_isomorphism"].witness == witness
 
 
 def test_stray_principal_cone_fails_principal_image_subsemigroup(monkeypatch):
@@ -548,9 +625,10 @@ def test_full_suite_scans_each_table_for_associativity_once(s1, monkeypatch):
 
 
 def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
-    # T_L, the linked pairs, U-Gamma, U-Delta and the principal image each
-    # become a table through kernel.product_table, once; a closure loop of
-    # its own anywhere else would lower the count.
+    # T_L, U-Gamma, U-Delta and the principal image each become a table
+    # through kernel.product_table, once; a closure loop of its own anywhere
+    # else would lower the count.  The linked-pair table is gathered from
+    # the U-Gamma and U-Delta tables.
     calls = Counter()
     original = kernel.product_table
 
@@ -560,7 +638,42 @@ def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
 
     monkeypatch.setattr(kernel, "product_table", counting)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
-    assert calls == {"product_table": 5}
+    assert calls == {"product_table": 4}
+
+
+def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
+    # rbg_suite (on the identity matrix of S1's shape) and full_suite each
+    # tabulate U-Gamma and U-Delta once, one kernel row per member, and
+    # gather the pair table from those tables: no kernel row multiplies two
+    # pairs.  In full_suite, the tables of T_L and the principal image come
+    # first, and the rest of the rows are category_suite's 8 and cone_suite's 24.
+    tables, calls = [], Counter()
+
+    def cone_product_table(M, members, _original=kernel.cone_product_table):
+        tables.append(kernel.row_keys(*members).tolist())
+        return _original(M, members)
+
+    def mul_L(*args, _original=kernel.mul_L):
+        calls["mul_L"] += 1
+        return _original(*args)
+
+    def u_keys(S):
+        conn = CrossConnection(S.matrix)
+        u = connections.u_gamma(conn), connections.u_delta(conn)
+        return [kernel.row_keys(*kernel.cone_arrays(members)).tolist() for members in u]
+
+    monkeypatch.setattr(kernel, "cone_product_table", cone_product_table)
+    monkeypatch.setattr(kernel, "mul_L", mul_L)
+    for suite, S, before, rows in (
+        (rbg_suite, ReesSemigroup(identity_matrix(s1.group, 2, 2)), 0, 0),
+        (full_suite, ReesSemigroup(s1.matrix), 2, 32),
+    ):
+        tables.clear()
+        calls.clear()
+        _assert_clean(suite(S))
+        keys = u_keys(S)
+        assert len(tables) == before + 2 and tables[before:] == keys
+        assert calls == {"mul_L": rows + sum(map(len, keys))}
 
 
 def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
