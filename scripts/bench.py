@@ -10,13 +10,14 @@ set to its own size, so it is checked in full.
 
 Each rung runs in a fresh interpreter, one after another, so that its
 peak RSS is its own.  There, each of K runs builds the semigroup afresh
-and times rees_suite, category_suite, cone_suite and crossconn_suite in
-turn, which is what full_suite does (the first of them builds the table,
-and full_suite's time is their sum), and then rbg_suite on another fresh
-semigroup.  Times are raw wall seconds, in-process.  The file gives, per
-rung and per suite, the median and quartiles of the K times and the
-number of checks, skips and failures; per rung, the peak RSS; and the
-Python and numpy versions and the CPU count.
+and times rees_suite, category_suite, connections.pair_arrays, cone_suite
+and crossconn_suite in turn, the last two given the pairs, which is what
+full_suite does (the first of them builds the table, and full_suite's time
+is their sum), and then rbg_suite on another fresh semigroup.  Times are
+raw wall seconds, in-process.  The file gives, per rung and per suite,
+the median and quartiles of the K times and the number of checks, skips
+and failures; per rung, the peak RSS; and the Python and numpy versions
+and the CPU count.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ import numpy as np
 
 from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix
 from crossconn.checks import failures
+from crossconn.connections import pair_arrays
 from crossconn.verify import category_suite, cone_suite, crossconn_suite, rbg_suite, rees_suite
 
 ROOT = Path(__file__).resolve().parent.parent
-FULL_SUITE = (rees_suite, category_suite, cone_suite, crossconn_suite)
+# full_suite's parts, in its order; pair_arrays makes no checks
+FULL_SUITE = ("rees_suite", "category_suite", "pair_arrays", "cone_suite", "crossconn_suite")
 # (group family, order, n) of M[G; n, n] with the identity matrix
 LADDER = (
     ("cyclic", 2, 2),
@@ -67,10 +70,10 @@ def _semigroup(matrix: SandwichMatrix) -> ReesSemigroup:
     return ReesSemigroup(matrix, size_guard=matrix.group.order * matrix.rows * matrix.cols)
 
 
-def _timed(suite, S: ReesSemigroup) -> tuple[float, list]:
+def _timed(part, *args) -> tuple[float, object]:
     start = time.perf_counter()
-    checks = suite(S)
-    return time.perf_counter() - start, checks
+    result = part(*args)
+    return time.perf_counter() - start, result
 
 
 def _summary(times: list[float], checks: list) -> dict:
@@ -90,17 +93,29 @@ def _summary(times: list[float], checks: list) -> dict:
 def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
     """One rung in this interpreter: every suite timed `runs` times, and the
     interpreter's peak RSS so far."""
-    names = [s.__name__ for s in FULL_SUITE] + ["full_suite", "rbg_suite"]
+    names = [*FULL_SUITE, "full_suite", "rbg_suite"]
     times: dict[str, list[float]] = {n: [] for n in names}
-    checks: dict[str, list] = {}
+    checks: dict[str, list] = {"pair_arrays": []}
+
+    def run(name: str, part, *args):
+        seconds, result = _timed(part, *args)
+        times[name].append(seconds)
+        if name != "pair_arrays":
+            checks[name] = result
+        return result
+
+    def full_suite() -> list:
+        # as verify.full_suite: the pairs are freed on return, not held into the next run
+        S = _semigroup(matrix)
+        full = run("rees_suite", rees_suite, S) + run("category_suite", category_suite, S)
+        linked = run("pair_arrays", pair_arrays, S)
+        return full + run("cone_suite", cone_suite, S, linked) + run(
+            "crossconn_suite", crossconn_suite, S, linked
+        )
+
     for _ in range(runs):
-        S, full = _semigroup(matrix), []
-        for suite in FULL_SUITE:
-            seconds, checks[suite.__name__] = _timed(suite, S)
-            times[suite.__name__].append(seconds)
-            full += checks[suite.__name__]
-        times["full_suite"].append(sum(times[s.__name__][-1] for s in FULL_SUITE))
-        checks["full_suite"] = full
+        checks["full_suite"] = full_suite()
+        times["full_suite"].append(sum(times[n][-1] for n in FULL_SUITE))
         seconds, checks["rbg_suite"] = _timed(rbg_suite, _semigroup(matrix))
         times["rbg_suite"].append(seconds)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux

@@ -8,7 +8,9 @@ constant factor, nor two rows, so all 480 cones of U-Gamma and of U-Delta
 are distinct, over a non-abelian group) and the 2048-element
 M[Z2; 32, 32] with the identity matrix.  Each fixture is
 built with the size guard set to its own size, so it is checked in
-full.  Exits nonzero if any check fails.
+full.  A fixture whose matrix is the constant identity is also checked
+by rbg_suite, the rectangular band of groups.  Exits nonzero if any
+check fails.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 
 from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix
 from crossconn.checks import failures
-from crossconn.verify import full_suite
+from crossconn.verify import full_suite, rbg_suite
 
 
 def random_matrix(group, n_lambda, n_i, rng):
@@ -58,6 +60,12 @@ def fixture_battery(seed: int, include_large: bool):
     return fixtures
 
 
+def suites(matrix: SandwichMatrix) -> list:
+    """full_suite, and rbg_suite too where the matrix is the constant identity."""
+    identity = all(v == matrix.group.identity for row in matrix.entries for v in row)
+    return [full_suite, rbg_suite] if identity else [full_suite]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=20260810)
@@ -67,19 +75,20 @@ def main() -> int:
     exit_code = 0
     for name, matrix in fixture_battery(args.seed, args.include_large):
         S = ReesSemigroup(matrix, size_guard=matrix.group.order * matrix.rows * matrix.cols)
-        start = time.perf_counter()
-        checks = full_suite(S)
-        elapsed = time.perf_counter() - start
-        bad = failures(checks)
-        skipped = sum(1 for c in checks if c.passed is None)
-        status = "PASS" if not bad else "FAIL"
-        print(
-            f"{status}  {name:24s}  |S|={S.size:<4d} "
-            f"{len(checks) - skipped - len(bad)} ok, {skipped} skipped  ({elapsed:.2f}s)"
-        )
-        for c in bad:
-            print(f"      FAIL {c.name}: {c.witness}")
-            exit_code = 2
+        for suite in suites(matrix):
+            start = time.perf_counter()
+            checks = suite(S)
+            elapsed = time.perf_counter() - start
+            bad = failures(checks)
+            skipped = sum(1 for c in checks if c.passed is None)
+            status = "PASS" if not bad else "FAIL"
+            print(
+                f"{status}  {name:24s}  {suite.__name__:10s}  |S|={S.size:<4d} "
+                f"{len(checks) - skipped - len(bad)} ok, {skipped} skipped  ({elapsed:.2f}s)"
+            )
+            for c in bad:
+                print(f"      FAIL {c.name}: {c.witness}")
+                exit_code = 2
     return exit_code
 
 

@@ -195,8 +195,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
             "principal": principal,
         }
     elif config.command == "crossconn":
-        conn = connections.CrossConnection(matrix)
-        linked = connections.pair_arrays(conn, size_guard=config.size_guard)
+        linked = connections.pair_arrays(S)
         ug, ud = linked.u_gamma.cones, linked.u_delta.cones
         data = {
             "u_gamma_size": len(ug),
@@ -226,8 +225,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
             )
         ]
     elif config.command == "rbg":
-        conn = connections.CrossConnection(matrix)
-        linked = connections.pair_arrays(conn, size_guard=config.size_guard)
+        linked = connections.pair_arrays(S)
         data = {"order": S.size, "s_tilde_size": len(linked.pairs)}
         checks = verify.rbg_suite(S, linked)
     else:  # pragma: no cover - argparse rejects unknown commands

@@ -309,6 +309,9 @@ class PairArrays(NamedTuple):
     `pair_at[x, y]` is the pair with halves U-Gamma[x] and U-Delta[y], or
     -1; its last row and column, all -1, absorb the -1 of an absent cone.
     `table` is the pairs' product table, -1 where a product is no pair.
+    `phi_at` is (r, l): for each element a of S, in index order, the
+    positions in U-Gamma and U-Delta of the halves of `phi(S, a)`, its
+    principal cones, or -1 where a half is absent.
     """
 
     pairs: list[LinkedPair]
@@ -320,6 +323,7 @@ class PairArrays(NamedTuple):
     d: np.ndarray
     pair_at: np.ndarray
     table: np.ndarray
+    phi_at: tuple[np.ndarray, np.ndarray]
 
     def product_halves(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """The positions in U-Gamma and U-Delta of the halves of `s_tilde_mul`
@@ -328,23 +332,27 @@ class PairArrays(NamedTuple):
         return self.u_gamma.table[self.g[p], self.g], self.u_delta.table[self.d, self.d[p]]
 
 
-def pair_arrays(conn: CrossConnection, size_guard: int = DEFAULT_SIZE_GUARD) -> PairArrays:
-    """`linked_pairs`, `u_gamma` and `u_delta` with the arrays and tables
-    every scan of them reads.  The product of two pairs is componentwise,
-    so row p of the pair table is gathered from the U-Gamma and U-Delta
-    tables, `pair_at` at `product_halves(p)`: no product of two pairs is
-    formed and no pair key is searched."""
-    pairs = linked_pairs(conn, size_guard=size_guard)
+def pair_arrays(S: ReesSemigroup) -> PairArrays:
+    """`linked_pairs`, `u_gamma` and `u_delta` of S's connection, with the
+    arrays and tables every scan of them reads, and the positions of phi's
+    images.  The product of two pairs is componentwise, so row p of the
+    pair table is gathered from the U-Gamma and U-Delta tables, `pair_at`
+    at `product_halves(p)`: no product of two pairs is formed and no pair
+    key is searched.  Building S has already enforced the size guard."""
+    conn = CrossConnection(S.matrix)
+    pairs = linked_pairs(conn, size_guard=S.size)
     gamma, delta = _pair_cones(pairs)
     M = kernel.group_array(conn.group)
-    ug = _u_cones(u_gamma(conn, bound=size_guard), M)
-    ud = _u_cones(u_delta(conn, bound=size_guard), M.T)
+    ug = _u_cones(u_gamma(conn, bound=S.size), M)
+    ud = _u_cones(u_delta(conn, bound=S.size), M.T)
     g, d = ug.find(gamma), ud.find(delta)
     pair_at = np.full((len(ug.cones) + 1, len(ud.cones) + 1), -1, dtype=np.int32)
     inside = (g >= 0) & (d >= 0)
     pair_at[g[inside], d[inside]] = np.flatnonzero(inside)
+    rho, lam = _pair_cones([phi(S, a) for a in S.elements()])
+    phi_at = ug.find(rho), ud.find(lam)
     table = np.empty((len(pairs),) * 2, dtype=np.int32)
-    linked = PairArrays(pairs, gamma, delta, ug, ud, g, d, pair_at, table)
+    linked = PairArrays(pairs, gamma, delta, ug, ud, g, d, pair_at, table, phi_at)
     for p in range(len(pairs)):
         linked.table[p] = pair_at[linked.product_halves(p)]
     return linked
@@ -353,16 +361,16 @@ def pair_arrays(conn: CrossConnection, size_guard: int = DEFAULT_SIZE_GUARD) -> 
 def verify_phi(S: ReesSemigroup, linked: PairArrays | None = None) -> PhiReport:
     """Check closure of the linked-pair product and that phi is a bijective homomorphism.
 
-    `linked` is `pair_arrays` of S's connection, built here when not given.
-    The pairs are closed when each pair's halves lie in U-Gamma and U-Delta
-    and the gathered table has no -1.  The map check goes through the
-    independent table oracle rather than any closed form; an image of phi
-    that is no linked pair fails it.  The pair table is not scanned for
+    `linked` is `pair_arrays(S)`, built here when not given.  The pairs are
+    closed when each pair's halves lie in U-Gamma and U-Delta and the
+    gathered table has no -1.  The map check goes through the independent
+    table oracle rather than any closed form; an image of phi that is no
+    linked pair fails it.  The pair table is not scanned for
     associativity: a bijective homomorphism from S carries S's
     associativity onto it.
     """
     if linked is None:
-        linked = pair_arrays(CrossConnection(S.matrix), size_guard=S.size)
+        linked = pair_arrays(S)
     outside = (linked.g < 0) | (linked.d < 0)
     if outside.any():
         p = int(outside.argmax())
@@ -372,8 +380,7 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays | None = None) -> PhiReport:
     if bad is not None:
         p, q = (linked.pairs[k] for k in bad)
         return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
-    phi_gamma, phi_delta = _pair_cones([phi(S, a) for a in S.elements()])
-    f = linked.pair_at[linked.u_gamma.find(phi_gamma), linked.u_delta.find(phi_delta)]
+    f = linked.pair_at[linked.phi_at]
     if (f < 0).any():
         stray = f"phi({S.element(int(np.argmax(f < 0)))}) is not a linked pair"
         return PhiReport(True, None, MapCheck(False, False, False, stray))

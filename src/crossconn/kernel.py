@@ -38,19 +38,22 @@ pair table.  The product of two pairs is componentwise, so the pair
 table is a gather: with g[p] and d[p] the positions of pair p's halves in
 U-Gamma and U-Delta, and `pair_at[x, y]` the pair with halves at x and y
 (or -1), row p is pair_at[GT[g[p], g], DT[d, d[p]]].  No product of two
-pairs is formed and no pair key is searched.  Every scan of the pairs in
-a suite, and the CLI's report of them, reads it.
+pairs is formed and no pair key is searched.  It also holds the
+positions in U-Gamma and U-Delta of each element's principal cones, the
+halves of phi.  Every scan of the pairs or of the principal cones in a
+suite, and the CLI's report of the pairs, reads it.
 
 Tables.  `product_table` is the one place a set of cones becomes its
 multiplication table: one row of products at a time, looked up in the
 set's `KeyIndex`, with -1 wherever a product lies outside the set.  The
 set is closed when no entry is -1, and `first_hole` names the first -1
 in row order as the closure witness.  `cone_product_table` is its form
-for cones under `mul_L`.  It builds T_L, U-Gamma, U-Delta and the
-principal image, and the linked-pair table is gathered from the U-Gamma
-and U-Delta tables; the table oracle judges the rest of each closed
-table from the table alone, and `cones.principal_homomorphism` is read
-off the principal image's table.
+for cones under `mul_L`.  It builds three tables, T_L, U-Gamma and
+U-Delta, and the linked-pair table is gathered from the U-Gamma and
+U-Delta tables; the table oracle judges the rest of each closed table
+from the table alone.  The principal image is U-Gamma and the dual
+image U-Delta, so `cones.principal_homomorphism` and
+`cones.dual_antihomomorphism` are read off their tables.
 
 The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
 `connections.is_linked`, `connections.bifunctor_gamma`,

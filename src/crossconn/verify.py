@@ -19,24 +19,31 @@ composition tabulated once from `ArrowCategory.compose`, and
 `crossconn.naturality` takes one triple of objects (l1, l2, i1) per row,
 all (i2, g1, g2) and all cones of the cell at once, through
 `kernel.bifunctor` and `kernel.chi`; `crossconn.duality_bijection` takes
-one cell per row.  A suite builds the linked pairs once, as
-`connections.pair_arrays`, together with U-Gamma, U-Delta, their tables
-and the pair table gathered from those, for `crossconn.u_subsemigroups`,
-`verify_phi`, the linked criterion and the `rbg` scans: the criterion
-reads membership of a (gamma, delta) pair off `pair_at`, and
-`rbg.product_formula` reads each product's halves off the U tables.
+one cell per row.  `connections.pair_arrays(S)` is built once per
+command: the linked pairs, U-Gamma, U-Delta, their tables, the pair
+table gathered from those, and the positions of phi's images in U-Gamma
+and U-Delta.  `full_suite` builds it after `rees_suite` and
+`category_suite` and hands it to `cone_suite` and `crossconn_suite`.
+The principal cones rho(a) = (col_i g, lam) and lam(a) = (g row_lam, i)
+of a = (g, i, lam) are exactly the cones of U-Gamma and U-Delta, so the
+principal checks read the U tables; `crossconn.u_subsemigroups`,
+`verify_phi`, the linked criterion and the `rbg` scans read the rest:
+the criterion and `rbg.linked_iff_equal_scalars` read one linkage table
+of U-Gamma x U-Delta (`_linkage`), and `rbg.product_formula` reads each
+product's halves off the U tables.
 
 Every set of cones a suite checks becomes its table once, through
 `kernel.product_table`, with -1 for each product outside the set; the
 set is closed when no entry is -1, and `kernel.first_hole` names the
 first in row order.  The linked pairs are the exception: their table is
 gathered from the U-Gamma and U-Delta tables, and they are closed when
-every pair's halves lie in U-Gamma and U-Delta and no entry is -1.  Every check on the set reads that table:
-`cones.principal_homomorphism` compares the principal image's table,
-gathered at the image positions of a and b, with the position of
-rho(ab).  `cones.dual_antihomomorphism` is a row scan instead, one row
-of dual cone products over the opposite group per element: where the
-dual cones are all distinct, their table costs more than the scan.
+every pair's halves lie in U-Gamma and U-Delta and no entry is -1.
+Every check on a set reads its table.  With r[a] and l[a] the positions
+of rho(a) and lam(a) in U-Gamma and U-Delta, `cones.principal_homomorphism`
+compares GT[r[a], r] with r[ab] and `cones.dual_antihomomorphism`
+compares DT[l, l[a]] with l[ab], a cone of a, b or ab outside its U set
+failing; `cones.principal_image_subsemigroup` reads GT restricted to the
+positions r hits.
 Closed tables reach the oracle as `GenericSemigroup`s and the oracle
 judges the rest:
 `oracle.is_regular` decides the principal image and U-Gamma/U-Delta,
@@ -203,7 +210,10 @@ def _cone_product_witness(G, n_lambda: int) -> str | None:
     return None if bad is None else f"{tl[bad[0]]} * {tl[bad[1]]}"
 
 
-def cone_suite(S: ReesSemigroup) -> list[Check]:
+def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
+    """`linked` is `connections.pair_arrays(S)`: the principal cones of S are
+    the cones of U-Gamma and U-Delta at `linked.phi_at`, and every principal
+    check reads their tables."""
     checks = []
     G = S.group
     n_l = S.n_lambda
@@ -274,37 +284,29 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
         )
         checks.append(Check("cones.idempotent_closed_form", witness is None, witness))
 
-    pairs = [cones.principal_pair(S, a) for a in elements]
-    rho = kernel.cone_arrays([r for r, _ in pairs])
-    lam = kernel.cone_arrays([l for _, l in pairs])
-    M, table = kernel.group_array(G), S.table()
-    # the first element with each principal cone, and d[a] the position of
-    # rho(a) among those cones (np.unique would import numpy.ma)
-    first: dict = {}
-    at = [first.setdefault(key, k) for k, key in enumerate(kernel.row_keys(*rho).tolist())]
-    distinct = list(first.values())
-    d = np.searchsorted(distinct, at)
-    image_table = kernel.cone_product_table(M, kernel.pick(rho, distinct))
+    # r[a] and l[a]: the positions of rho(a) and lam(a) in U-Gamma and U-Delta
+    r, l = linked.phi_at
+    GT, DT, table = linked.u_gamma.table, linked.u_delta.table, S.table()
     for name, bad_row in (
-        # rho(a) rho(b) against rho(ab), for every b at once, read off the
-        # image's table: a -1 there, a product outside the image, is no position
-        ("cones.principal_homomorphism", lambda a: image_table[d[a], d] != d[table[a]]),
+        # rho(a) rho(b) against rho(ab), for every b at once
+        ("cones.principal_homomorphism", lambda a: _misplaced(GT[r[a], r], r[table[a]])),
         # lam(b) lam(a) over the opposite group against lam(ab)
-        (
-            "cones.dual_antihomomorphism",
-            lambda a: kernel.differ(
-                kernel.mul_L(M.T, lam, kernel.pick(lam, a)), kernel.pick(lam, table[a])
-            ),
-        ),
+        ("cones.dual_antihomomorphism", lambda a: _misplaced(DT[l, l[a]], l[table[a]])),
     ):
         bad = kernel.first_failure(S.size, bad_row)
         witness = None if bad is None else ", ".join(str(elements[k]) for k in bad)
         checks.append(Check(name, witness is None, witness))
 
-    checks.append(Check("cones.principal_image_subsemigroup", _regular(image_table)))
+    # the image's positions in U-Gamma, -1 first where a cone is outside it;
+    # its table is GT restricted to them and renumbered, -1 off the image
+    hit = sorted(set(r.tolist()))
+    renumber = np.full(len(GT), -1, dtype=np.int32)
+    renumber[hit] = np.arange(len(hit))
+    image_ok = hit[0] >= 0 and _regular(renumber[GT[np.ix_(hit, hit)]])
+    checks.append(Check("cones.principal_image_subsemigroup", image_ok))
 
     crit = cones.injectivity_criterion(S.matrix)
-    injective = len(distinct) == S.size
+    injective = len(hit) == S.size
     agree = crit.holds == injective
     checks.append(
         Check(
@@ -316,6 +318,12 @@ def cone_suite(S: ReesSemigroup) -> list[Check]:
     return checks
 
 
+def _misplaced(got: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """Where the positions in a U set differ, or the expected one is -1: a
+    cone outside the set fails rather than compare -1 with -1."""
+    return (got != expected) | (expected < 0)
+
+
 def _regular(table: np.ndarray) -> bool:
     """Whether a set with this `kernel.product_table` is closed (no -1) and,
     judged by the oracle, regular."""
@@ -323,7 +331,7 @@ def _regular(table: np.ndarray) -> bool:
 
 
 def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) -> list[Check]:
-    """`linked` is `connections.pair_arrays` of S's connection, built here if not given."""
+    """`linked` is `connections.pair_arrays(S)`, built here if not given."""
     checks = []
     G = S.group
     conn = CrossConnection(S.matrix)
@@ -342,7 +350,7 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays | None = No
         checks.append(Check("crossconn.naturality", witness is None, witness))
 
     if linked is None:
-        linked = connections.pair_arrays(conn, size_guard=S.size)
+        linked = connections.pair_arrays(S)
     ug, ud = linked.u_gamma, linked.u_delta
     ok = _regular(ug.table[:-1, :-1]) and _regular(ud.table[:-1, :-1])
     checks.append(Check("crossconn.u_subsemigroups", ok))
@@ -350,14 +358,9 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays | None = No
     if len(ug.cones) * len(ud.cones) * (n_l + n_i) > TRIPLE_GUARD:
         checks.append(Check("crossconn.linked_criterion_agreement", None, _SKIP))
     else:
-        # each U-Gamma cone against all of U-Delta: linked exactly when a linked pair
-        M, P, inverse = kernel.group_array(G), np.asarray(S.matrix.entries), np.asarray(G.inverse)
-
-        def bad_row(a: int) -> np.ndarray:
-            paired = linked.pair_at[a, :-1] >= 0
-            return kernel.is_linked(M, inverse, P, kernel.pick(ug.arrays, a), ud.arrays) != paired
-
-        bad = kernel.first_failure(len(ug.cones), bad_row)
+        # linked exactly when a linked pair
+        mismatch = _linkage(S, linked) != (linked.pair_at[:-1, :-1] >= 0)
+        bad = kernel.first_failure(len(ug.cones), lambda x: mismatch[x])
         witness = None if bad is None else f"{ug.cones[bad[0]]}, {ud.cones[bad[1]]}"
         checks.append(Check("crossconn.linked_criterion_agreement", witness is None, witness))
 
@@ -444,30 +447,42 @@ def _naturality_witness(conn: CrossConnection) -> str | None:
     return f"square at ({l1},{l2},{i1},{i2}) with g1={rest // order}, g2={rest % order}"
 
 
+def _linkage(S: ReesSemigroup, linked: connections.PairArrays) -> np.ndarray:
+    """The (|U-Gamma|, |U-Delta|) table of `kernel.is_linked`: row x is
+    U-Gamma's cone x against all of U-Delta."""
+    G, ug, ud = S.group, linked.u_gamma, linked.u_delta
+    M, P, inverse = kernel.group_array(G), np.asarray(S.matrix.entries), np.asarray(G.inverse)
+    return np.array([kernel.is_linked(M, inverse, P, cone, ud.arrays) for cone in zip(*ug.arrays)])
+
+
 def full_suite(S: ReesSemigroup) -> list[Check]:
-    return rees_suite(S) + category_suite(S) + cone_suite(S) + crossconn_suite(S)
+    checks = rees_suite(S) + category_suite(S)
+    # built after the two suites above, so that their peak memory and its own do not add up
+    linked = connections.pair_arrays(S)
+    return checks + cone_suite(S, linked) + crossconn_suite(S, linked)
 
 
 def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) -> list[Check]:
     """The constant-identity connection of S: product formula and isomorphism checks.
-    `linked` is `connections.pair_arrays` of S's connection, built here if not given.
+    `linked` is `connections.pair_arrays(S)`, built here if not given.
 
     A row is one pair p against all pairs q, with g1, g2 the first values of
     p.gamma and q.gamma (or q.delta): the U-Gamma and U-Delta cones at
     `PairArrays.product_halves(p)` against ((g1 g2,)*|Lambda|, q.gamma.vertex),
     ((g1 g2,)*|I|, p.delta.vertex), a product outside U-Gamma or U-Delta
-    failing; `kernel.is_linked` against g1 == g2.  The halves are read from
-    the U sets, not from the pair table, so that a product which is no
-    listed pair still has its formula checked.
+    failing; the linkage table of U-Gamma x U-Delta at the pairs' halves
+    against g1 == g2, a half outside U-Gamma or U-Delta failing.  The halves
+    are read from the U sets, not from the pair table, so that a product
+    which is no listed pair still has its formula checked.
     """
     checks = []
     G, P = S.group, np.asarray(S.matrix.entries)
     checks.append(Check("rbg.identity_matrix", bool((P == G.identity).all())))
 
     if linked is None:
-        linked = connections.pair_arrays(CrossConnection(S.matrix), size_guard=S.size)
+        linked = connections.pair_arrays(S)
     pairs, gamma, delta = linked.pairs, linked.gamma, linked.delta
-    M, inverse = kernel.group_array(G), np.asarray(G.inverse)
+    M, linkage = kernel.group_array(G), _linkage(S, linked)
 
     def formula_row(p: int) -> np.ndarray:
         at_gamma, at_delta = linked.product_halves(p)
@@ -477,8 +492,9 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) ->
         return bad | (at_gamma < 0) | (at_delta < 0)
 
     def linked_row(p: int) -> np.ndarray:
-        got = kernel.is_linked(M, inverse, P, kernel.pick(gamma, p), delta)
-        return got != (gamma[0][p, 0] == delta[0][:, 0])
+        # a half outside its U set, position -1, fails rather than wrap to the last row
+        got = linkage[linked.g[p], linked.d] != (gamma[0][p, 0] == delta[0][:, 0])
+        return got | (linked.g[p] < 0) | (linked.d < 0)
 
     bad = kernel.first_failure(len(pairs), formula_row)
     witness = None if bad is None else f"{pairs[bad[0]]} o {pairs[bad[1]]}"

@@ -60,7 +60,7 @@ def _principal_products_agree(S: ReesSemigroup) -> None:
 
 def _pair_table(S: ReesSemigroup):
     """The linked-pair table that `verify_phi` reads, gathered by `connections.pair_arrays`."""
-    linked = connections.pair_arrays(connections.CrossConnection(S.matrix), size_guard=S.size)
+    linked = connections.pair_arrays(S)
     return linked.table.tolist(), kernel.first_hole(linked.table)
 
 
@@ -83,7 +83,7 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
     assert verify_phi(S) == scalar_reference.verify_phi(S)
 
     _principal_products_agree(S)
-    by_name = {c.name: c.witness for c in cone_suite(S)}
+    by_name = {c.name: c.witness for c in cone_suite(S, connections.pair_arrays(S))}
     assert (
         by_name["cones.principal_homomorphism"],
         by_name["cones.dual_antihomomorphism"],

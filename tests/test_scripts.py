@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 from crossconn import connections
+from crossconn.verify import full_suite, rbg_suite
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
@@ -51,6 +52,20 @@ def test_run_verification_large_battery_has_a_generic_s5():
     assert len(connections.u_gamma(conn)) == len(connections.u_delta(conn)) == 480
 
 
+def test_run_verification_runs_rbg_on_the_identity_fixtures():
+    # rbg_suite joins full_suite exactly on the constant-identity matrices,
+    # the 2048-element M[Z2; 32, 32] of the large battery among them
+    script = _load_script("run_verification")
+    battery = script.fixture_battery(7, include_large=True)
+    with_rbg = {name for name, matrix in battery if rbg_suite in script.suites(matrix)}
+    assert {"klein identity 2x2", "Z2 32x32 identity"} <= with_rbg
+    for name, matrix in battery:
+        G = matrix.group
+        identity = all(v == G.identity for row in matrix.entries for v in row)
+        assert (name in with_rbg) == identity, name
+        assert script.suites(matrix)[0] is full_suite
+
+
 def test_bench_measures_the_smallest_rung():
     bench = _load_script("bench")
     name, matrix = bench.rungs(include_large=False)[0]
@@ -60,6 +75,7 @@ def test_bench_measures_the_smallest_rung():
     assert list(suites) == [
         "rees_suite",
         "category_suite",
+        "pair_arrays",
         "cone_suite",
         "crossconn_suite",
         "full_suite",
@@ -68,7 +84,8 @@ def test_bench_measures_the_smallest_rung():
     for summary in suites.values():
         assert 0 <= summary["q1_s"] <= summary["median_s"] <= summary["q3_s"]
         assert summary["failed"] == 0
-    parts = ("rees_suite", "category_suite", "cone_suite", "crossconn_suite")
+    parts = ("rees_suite", "category_suite", "pair_arrays", "cone_suite", "crossconn_suite")
+    assert suites["pair_arrays"]["checks"] == 0
     assert suites["full_suite"]["checks"] == sum(suites[s]["checks"] for s in parts)
     assert suites["full_suite"]["skipped"] == 0
 

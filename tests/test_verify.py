@@ -50,6 +50,10 @@ def _assert_clean(checks):
     assert all_passed(checks), [(c.name, c.witness) for c in failures(checks)]
 
 
+def _cone_suite(S):
+    return cone_suite(S, connections.pair_arrays(S))
+
+
 def test_full_suite_edge_shapes(z2, z3):
     fixtures = [
         ReesSemigroup(identity_matrix(z2, 1, 1)),      # S is the group itself
@@ -63,7 +67,7 @@ def test_full_suite_edge_shapes(z2, z3):
 def test_cone_suite_skips_above_triple_guard(klein):
     # |TL| = 4^4 * 4 = 1024, so the cone-table scans must report skipped
     S = ReesSemigroup(identity_matrix(klein, 4, 4))
-    checks = cone_suite(S)
+    checks = _cone_suite(S)
     by_name = {c.name: c for c in checks}
     assert by_name["cones.tl_associative"].passed is None
     assert by_name["cones.action_law"].passed is None
@@ -103,7 +107,7 @@ def test_wrong_side_mul_L_fails_both_principal_checks(monkeypatch):
 
     S = _s3_fixture()
     monkeypatch.setattr(kernel, "mul_L", wrong_side)
-    by_name = {c.name: c for c in cone_suite(S)}
+    by_name = {c.name: c for c in _cone_suite(S)}
     monkeypatch.setattr(cones, "mul_L", scalar_wrong_side)
     expected = scalar_reference.principal_witnesses(S)
     for name, witness in zip(
@@ -343,7 +347,7 @@ def test_wrong_table_entry_fails_principal_homomorphism_inside_the_image(s1):
     # Negative control: every product of principal cones lies in the image,
     # so the image's table has no -1, and only the comparison of positions
     # with rho(ab), read from S.table(), can fail the check.
-    checks = {c.name: c for c in cone_suite(_SwappedTable(s1.matrix))}
+    checks = {c.name: c for c in _cone_suite(_SwappedTable(s1.matrix))}
     assert checks["cones.principal_image_subsemigroup"].passed is True
     check = checks["cones.principal_homomorphism"]
     assert check.passed is False
@@ -355,7 +359,7 @@ def test_non_associative_cone_table_fails_tl_associative(s1, monkeypatch):
     # the cone-table checks to run.
     original = cones.cone_table
     monkeypatch.setattr(cones, "cone_table", lambda *args: _swap_first_two(original(*args)))
-    check = {c.name: c for c in cone_suite(ReesSemigroup(s1.matrix))}["cones.tl_associative"]
+    check = {c.name: c for c in _cone_suite(ReesSemigroup(s1.matrix))}["cones.tl_associative"]
     witness = oracle.associativity_witness(
         cones.cone_table(s1.group, cones.enumerate_TL(s1.group, s1.n_lambda))
     )
@@ -370,7 +374,7 @@ def test_act_on_the_next_coordinate_fails_semidirect_law(s1, monkeypatch):
     monkeypatch.setattr(
         cones, "act", lambda group, k, values: (values[(k + 1) % len(values)],) * len(values)
     )
-    check = {c.name: c for c in cone_suite(ReesSemigroup(s1.matrix))}["cones.semidirect_law"]
+    check = {c.name: c for c in _cone_suite(ReesSemigroup(s1.matrix))}["cones.semidirect_law"]
     assert check.passed is False
     assert check.witness == "Cone(values=(0, 0), vertex=0) * Cone(values=(0, 1), vertex=0)"
 
@@ -387,7 +391,7 @@ def test_merged_cosets_fail_tl_green_agreement(s1, monkeypatch):
         return first if handle == second else handle
 
     monkeypatch.setattr(cones, "coset_normalize", merged)
-    check = {c.name: c for c in cone_suite(ReesSemigroup(s1.matrix))}["cones.tl_green_agreement"]
+    check = {c.name: c for c in _cone_suite(ReesSemigroup(s1.matrix))}["cones.tl_green_agreement"]
     assert check.passed is False
 
 
@@ -399,7 +403,7 @@ def test_wrong_idempotent_closed_form_fails(s1, monkeypatch):
     monkeypatch.setattr(
         cones, "is_idempotent_cone", lambda group, c: original(group, c) != (c == wrong)
     )
-    check = {c.name: c for c in cone_suite(ReesSemigroup(s1.matrix))}[
+    check = {c.name: c for c in _cone_suite(ReesSemigroup(s1.matrix))}[
         "cones.idempotent_closed_form"
     ]
     assert check.passed is False
@@ -451,7 +455,7 @@ def test_pair_half_outside_its_u_set_fails_closure(side, where):
     first = next(p for p in pairs if getattr(p, side) == half)
     with _edited_u_cones(S, side, lambda members: [c for c in members if c != half]):
         checks = {c.name: c for c in crossconn_suite(S)}
-        table = connections.pair_arrays(CrossConnection(S.matrix), size_guard=S.size).table
+        table = connections.pair_arrays(S).table
     witness = f"the {side} half of {first} is not in {where}"
     for name in ("crossconn.s_tilde_closed", "crossconn.phi_isomorphism"):
         assert checks[name].passed is False, name
@@ -482,6 +486,29 @@ def test_product_outside_u_gamma_fails_rbg_product_formula():
     assert check.witness == f"{p} o {q}"
 
 
+@pytest.mark.parametrize("side", ["gamma", "delta"])
+def test_half_outside_its_u_set_fails_rbg_linked_iff_equal_scalars(side):
+    # Negative control: on the identity 2x2 matrix over S3, U-Gamma (or
+    # U-Delta) without its last cone.  The linkage table has no row (or
+    # column) for a pair's half that is that cone, and the check fails at
+    # the first such pair rather than read the table's last row (or
+    # column), whose cone links exactly as the missing one would.
+    S = ReesSemigroup(identity_matrix(_s3_fixture().group, 2, 2))
+    conn = CrossConnection(S.matrix)
+    pairs = connections.linked_pairs(conn, size_guard=S.size)
+    last = getattr(connections, f"u_{side}")(conn)[-1]
+    p, q = next(
+        (p, q)
+        for p in pairs
+        for q in pairs
+        if last == (p.gamma if side == "gamma" else q.delta)
+    )
+    with _edited_u_cones(S, side, lambda members: members[:-1]):
+        check = {c.name: c for c in rbg_suite(S)}["rbg.linked_iff_equal_scalars"]
+    assert check.passed is False
+    assert check.witness == f"{p.gamma} vs {q.delta}"
+
+
 def test_phi_image_outside_u_gamma_fails_isomorphism(monkeypatch):
     # Negative control: phi sends the last element to a pair whose gamma
     # half is a cone of T_L outside U-Gamma.  The pairs stay closed, and
@@ -505,18 +532,71 @@ def test_phi_image_outside_u_gamma_fails_isomorphism(monkeypatch):
 
 def test_stray_principal_cone_fails_principal_image_subsemigroup(monkeypatch):
     # Negative control: the left principal cone of the last element replaced
-    # by a cone whose tuple is no scaled column, so its products leave the image.
+    # by a cone whose tuple is no scaled column, so it lies outside U-Gamma.
     S = _s3_fixture()
-    original, last = cones.principal_pair, S.element(S.size - 1)
-    stray = _stray_cone(S.group, [original(S, a)[0] for a in S.elements()])
-
-    def principal_pair(S_, a):
-        rho, lam = original(S_, a)
-        return (stray if a == last else rho), lam
-
-    monkeypatch.setattr(cones, "principal_pair", principal_pair)
-    check = {c.name: c for c in cone_suite(S)}["cones.principal_image_subsemigroup"]
+    original, last = connections.phi, S.element(S.size - 1)
+    stray = _stray_cone(S.group, [original(S, a).gamma for a in S.elements()])
+    monkeypatch.setattr(
+        connections,
+        "phi",
+        lambda S_, a: replace(original(S_, a), gamma=stray) if a == last else original(S_, a),
+    )
+    check = {c.name: c for c in _cone_suite(S)}["cones.principal_image_subsemigroup"]
     assert check.passed is False
+
+
+@pytest.mark.parametrize("at", ["first", "middle"])
+@pytest.mark.parametrize(
+    "side, u_set, name",
+    [
+        ("gamma", connections.u_gamma, "cones.principal_homomorphism"),
+        ("delta", connections.u_delta, "cones.dual_antihomomorphism"),
+    ],
+)
+def test_principal_cone_outside_its_u_set_fails(side, u_set, name, at, monkeypatch):
+    # Negative control on the identity 2x2 matrix over S3: phi's gamma (or
+    # delta) half of one element replaced by a cone outside U-Gamma (or
+    # U-Delta).  Its (anti)homomorphism check fails at the first pair where
+    # a, b or ab is that element, the other check passes, and a stray rho
+    # fails principal_image_subsemigroup.  The first element is idempotent,
+    # so a, b and ab all carry the stray cone at the first pair; and rho is
+    # not injective here, so the rest of the image is all of U-Gamma.
+    S = ReesSemigroup(identity_matrix(builtin("symmetric", 3), 2, 2))
+    original = connections.phi
+    target = S.element(0 if at == "first" else S.size // 2)
+    stray = _stray_cone(S.group, u_set(CrossConnection(S.matrix)))
+
+    def phi(S_, a):
+        pair = original(S_, a)
+        return replace(pair, **{side: stray}) if a == target else pair
+
+    monkeypatch.setattr(connections, "phi", phi)
+    checks = {c.name: c for c in _cone_suite(S)}
+    elements = list(S.elements())
+    a, b = next((a, b) for a in elements for b in elements if target in (a, b, S.mul(a, b)))
+    assert checks[name].passed is False
+    assert checks[name].witness == f"{a}, {b}"
+    other = {"cones.principal_homomorphism", "cones.dual_antihomomorphism"} - {name}
+    assert checks[other.pop()].passed is True
+    assert checks["cones.principal_image_subsemigroup"].passed is (side == "delta")
+
+
+def test_principal_image_short_of_u_gamma_is_judged_alone(monkeypatch):
+    # Negative control: rho of the last element replaced by rho of the
+    # first, so that the principal image misses a cone of U-Gamma.  The
+    # check judges the image alone, as the scalar loop does.
+    S = _s3_fixture()
+    original, first, last = connections.phi, S.element(0), S.element(S.size - 1)
+
+    def phi(S_, a):
+        pair = original(S_, a)
+        return replace(pair, gamma=original(S_, first).gamma) if a == last else pair
+
+    monkeypatch.setattr(connections, "phi", phi)
+    image = list(dict.fromkeys(phi(S, a).gamma for a in S.elements()))
+    assert len(image) < len(connections.u_gamma(CrossConnection(S.matrix)))
+    check = {c.name: c for c in _cone_suite(S)}["cones.principal_image_subsemigroup"]
+    assert check.passed is scalar_reference.regular_subsemigroup(S.group, image)
 
 
 def _constant_mul_L(original):
@@ -549,7 +629,7 @@ def test_closed_but_irregular_table_fails_its_subsemigroup_check(suite, name, mo
     table = kernel.cone_product_table(M, kernel.cone_arrays(ug))
     assert kernel.first_hole(table) is None
     assert not oracle.is_regular(oracle.GenericSemigroup(table))
-    check = {c.name: c for c in suite(S)}[name]
+    check = {c.name: c for c in suite(S, connections.pair_arrays(S))}[name]
     assert check.passed is False
 
 
@@ -562,7 +642,7 @@ def test_flipped_criterion_fails_injectivity_equivalence(s1, monkeypatch):
         "injectivity_criterion",
         lambda P: replace(original(P), holds=not original(P).holds),
     )
-    check = {c.name: c for c in cone_suite(ReesSemigroup(s1.matrix))}[
+    check = {c.name: c for c in _cone_suite(ReesSemigroup(s1.matrix))}[
         "cones.injectivity_equivalence"
     ]
     assert check.passed is False
@@ -625,10 +705,10 @@ def test_full_suite_scans_each_table_for_associativity_once(s1, monkeypatch):
 
 
 def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
-    # T_L, U-Gamma, U-Delta and the principal image each become a table
-    # through kernel.product_table, once; a closure loop of its own anywhere
-    # else would lower the count.  The linked-pair table is gathered from
-    # the U-Gamma and U-Delta tables.
+    # T_L, U-Gamma and U-Delta each become a table through
+    # kernel.product_table, once; a closure loop of its own anywhere else
+    # would lower the count.  The linked-pair table is gathered from the
+    # U-Gamma and U-Delta tables, and the principal checks read those.
     calls = Counter()
     original = kernel.product_table
 
@@ -638,15 +718,32 @@ def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
 
     monkeypatch.setattr(kernel, "product_table", counting)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
-    assert calls == {"product_table": 4}
+    assert calls == {"product_table": 3}
+
+
+def test_full_suite_forms_phi_once_per_element(s1, monkeypatch):
+    # phi's images are formed once per element, in connections.pair_arrays,
+    # and both cone_suite's principal checks and verify_phi read their
+    # positions; no suite forms a principal pair of its own.
+    calls = Counter()
+    for module, name in ((connections, "phi"), (cones, "principal_pair")):
+
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
+    assert calls == {"phi": s1.size}
 
 
 def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
     # rbg_suite (on the identity matrix of S1's shape) and full_suite each
     # tabulate U-Gamma and U-Delta once, one kernel row per member, and
     # gather the pair table from those tables: no kernel row multiplies two
-    # pairs.  In full_suite, the tables of T_L and the principal image come
-    # first, and the rest of the rows are category_suite's 8 and cone_suite's 24.
+    # pairs.  In full_suite the U tables come first; then T_L's, and the
+    # rest of the rows are category_suite's 8 and T_L's 8.  Linkage is
+    # tested once per U-Gamma cone, against all of U-Delta, not per pair.
     tables, calls = [], Counter()
 
     def cone_product_table(M, members, _original=kernel.cone_product_table):
@@ -657,6 +754,10 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
         calls["mul_L"] += 1
         return _original(*args)
 
+    def is_linked(*args, _original=kernel.is_linked):
+        calls["is_linked"] += 1
+        return _original(*args)
+
     def u_keys(S):
         conn = CrossConnection(S.matrix)
         u = connections.u_gamma(conn), connections.u_delta(conn)
@@ -664,16 +765,17 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
 
     monkeypatch.setattr(kernel, "cone_product_table", cone_product_table)
     monkeypatch.setattr(kernel, "mul_L", mul_L)
-    for suite, S, before, rows in (
+    monkeypatch.setattr(kernel, "is_linked", is_linked)
+    for suite, S, after, rows in (
         (rbg_suite, ReesSemigroup(identity_matrix(s1.group, 2, 2)), 0, 0),
-        (full_suite, ReesSemigroup(s1.matrix), 2, 32),
+        (full_suite, ReesSemigroup(s1.matrix), 1, 16),
     ):
         tables.clear()
         calls.clear()
         _assert_clean(suite(S))
         keys = u_keys(S)
-        assert len(tables) == before + 2 and tables[before:] == keys
-        assert calls == {"mul_L": rows + sum(map(len, keys))}
+        assert len(tables) == 2 + after and tables[:2] == keys
+        assert calls == {"mul_L": rows + sum(map(len, keys)), "is_linked": len(keys[0])}
 
 
 def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
@@ -692,9 +794,8 @@ def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
 
 
 def test_cone_suite_forms_no_principal_product_twice(s1, monkeypatch):
-    # One kernel row per cone of T_L (8) and of the principal image (8), and
-    # one per element for the dual antihomomorphism (8): the principal
-    # homomorphism is read off the image's table.
+    # One kernel row per cone of T_L (8) and none for the principal checks,
+    # which read the U-Gamma and U-Delta tables of the pairs given.
     calls = Counter()
     original = kernel.mul_L
 
@@ -702,9 +803,11 @@ def test_cone_suite_forms_no_principal_product_twice(s1, monkeypatch):
         calls["mul_L"] += 1
         return original(*args)
 
+    S = ReesSemigroup(s1.matrix)
+    linked = connections.pair_arrays(S)
     monkeypatch.setattr(kernel, "mul_L", counting)
-    _assert_clean(cone_suite(ReesSemigroup(s1.matrix)))
-    assert calls == {"mul_L": 24}
+    _assert_clean(cone_suite(S, linked))
+    assert calls == {"mul_L": 8}
 
 
 def test_associative_tables_never_reach_the_full_scan(s1, monkeypatch):
