@@ -13,11 +13,14 @@ peak RSS is its own.  There, each of K runs builds the semigroup afresh
 and times rees_suite, category_suite, connections.pair_arrays, cone_suite
 and crossconn_suite in turn, the last two given the pairs, which is what
 full_suite does (the first of them builds the table, and full_suite's time
-is their sum), and then rbg_suite on another fresh semigroup.  Times are
-raw wall seconds, in-process.  The file gives, per rung and per suite,
+is their sum), and then rbg_suite on another fresh semigroup, given its
+pairs from connections.pair_arrays, whose build its time includes.  Times
+are raw wall seconds, in-process.  The file gives, per rung and per suite,
 the median and quartiles of the K times and the number of checks, skips
-and failures; per rung, the peak RSS; and the Python and numpy versions
-and the CPU count.
+and failures; per rung, the peak RSS, read once, after the first
+full_suite and rbg_suite (later runs in the same interpreter creep
+upwards without any one command needing more); and the Python and numpy
+versions and the CPU count.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def _summary(times: list[float], checks: list) -> dict:
 
 def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
     """One rung in this interpreter: every suite timed `runs` times, and the
-    interpreter's peak RSS so far."""
+    interpreter's peak RSS after the first full_suite and rbg_suite."""
     names = [*FULL_SUITE, "full_suite", "rbg_suite"]
     times: dict[str, list[float]] = {n: [] for n in names}
     checks: dict[str, list] = {"pair_arrays": []}
@@ -113,12 +116,16 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
             "crossconn_suite", crossconn_suite, S, linked
         )
 
-    for _ in range(runs):
+    def rbg(S: ReesSemigroup) -> list:
+        return rbg_suite(S, pair_arrays(S))
+
+    for k in range(runs):
         checks["full_suite"] = full_suite()
         times["full_suite"].append(sum(times[n][-1] for n in FULL_SUITE))
-        seconds, checks["rbg_suite"] = _timed(rbg_suite, _semigroup(matrix))
+        seconds, checks["rbg_suite"] = _timed(rbg, _semigroup(matrix))
         times["rbg_suite"].append(seconds)
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+        if k == 0:
+            peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     return {
         "name": name,
         "size": _semigroup(matrix).size,

@@ -5,12 +5,13 @@ Covers the named small fixtures, a batch of seeded random sandwich
 matrices, and with --include-large a 512-element fixture over Z2, a
 480-element M[S5; 2, 2] with a generic matrix (no two columns differ by a
 constant factor, nor two rows, so all 480 cones of U-Gamma and of U-Delta
-are distinct, over a non-abelian group) and the 2048-element
-M[Z2; 32, 32] with the identity matrix.  Each fixture is
-built with the size guard set to its own size, so it is checked in
-full.  A fixture whose matrix is the constant identity is also checked
-by rbg_suite, the rectangular band of groups.  Exits nonzero if any
-check fails.
+are distinct, over a non-abelian group), and the 2048-element
+M[Z2; 32, 32] and 4096-element M[Z4; 32, 32] with the identity matrix.
+Each fixture is built with the size guard set to its own size, so it is
+checked in full.  A fixture whose matrix is the constant identity is
+also checked by rbg_suite, the rectangular band of groups, given the
+pairs of connections.pair_arrays, whose build its time includes.  Exits
+nonzero if any check fails.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import time
 
 from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix
 from crossconn.checks import failures
+from crossconn.connections import pair_arrays
 from crossconn.verify import full_suite, rbg_suite
 
 
@@ -57,6 +59,7 @@ def fixture_battery(seed: int, include_large: bool):
         e, x = s5.identity, next(g for g in s5.elements() if g != s5.identity)
         fixtures.append(("S5 2x2 generic", SandwichMatrix(s5, [[e, e], [e, x]])))
         fixtures.append(("Z2 32x32 identity", identity_matrix(z2, 32, 32)))
+        fixtures.append(("Z4 32x32 identity", identity_matrix(builtin("cyclic", 4), 32, 32)))
     return fixtures
 
 
@@ -77,7 +80,7 @@ def main() -> int:
         S = ReesSemigroup(matrix, size_guard=matrix.group.order * matrix.rows * matrix.cols)
         for suite in suites(matrix):
             start = time.perf_counter()
-            checks = suite(S)
+            checks = suite(S) if suite is full_suite else suite(S, pair_arrays(S))
             elapsed = time.perf_counter() - start
             bad = failures(checks)
             skipped = sum(1 for c in checks if c.passed is None)

@@ -36,6 +36,7 @@ from .connections import (
     is_linked,
     linked_pairs,
     matrix_of,
+    pair_arrays,
     phi,
     rbg,
     s_tilde_mul,

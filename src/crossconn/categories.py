@@ -150,7 +150,6 @@ def realize_category(
     if side != "left":
         raise IndexOutOfRange(f"side must be 'left' or 'right', got {side!r}")
     G = S.group
-    M = kernel.group_array(G)
     table = S.table()
     g, i, lam = kernel.element_arrays(G.order, S.n_i, S.n_lambda)
 
@@ -178,7 +177,7 @@ def realize_category(
                 concrete.add(tuple(column))
 
         # row h: x -> (x.g * h, x.i, cod) on the domain ideal
-        h_images = (M[g[dom_carrier], :].T * S.n_i + i[dom_carrier]) * S.n_lambda + cod
+        h_images = (G.array[g[dom_carrier], :].T * S.n_i + i[dom_carrier]) * S.n_lambda + cod
         abstract = set(map(tuple, h_images.tolist()))
 
         hom_sizes[(dom, cod)] = len(concrete)

@@ -146,8 +146,9 @@ def cone_table(group: FiniteGroup, cones: Iterable[Cone]) -> np.ndarray:
     """Multiplication table of a closed cone set under mul_L, indexed by
     enumeration order, as an int32 array from `kernel.cone_product_table`.
     The right-side table is the one over `group.opposite`."""
-    M, batch = kernel.group_array(group), kernel.cone_arrays(list(cones))
-    table = kernel.cone_product_table(M, batch)
+    batch = kernel.cone_arrays(list(cones))
+    index = kernel.KeyIndex(kernel.row_keys(*batch))
+    table = kernel.cone_product_table(group.array, batch, index)
     bad = kernel.first_hole(table)
     if bad is not None:
         raise NotClosed(f"cone {bad[0]} times cone {bad[1]} is not in the set")

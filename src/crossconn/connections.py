@@ -295,10 +295,11 @@ class UCones(NamedTuple):
 
 
 def _u_cones(cones: list[Cone], M: np.ndarray) -> UCones:
-    """`UCones` of the cones, tabulated under mul_L over the group with Cayley array M."""
+    """`UCones` of the cones, indexed once and tabulated under mul_L over M."""
     arrays = kernel.cone_arrays(cones)
-    table = np.pad(kernel.cone_product_table(M, arrays), (0, 1), constant_values=-1)
-    return UCones(cones, arrays, kernel.KeyIndex(kernel.row_keys(*arrays)), table)
+    index = kernel.KeyIndex(kernel.row_keys(*arrays))
+    table = np.pad(kernel.cone_product_table(M, arrays, index), (0, 1), constant_values=-1)
+    return UCones(cones, arrays, index, table)
 
 
 class PairArrays(NamedTuple):
@@ -342,9 +343,8 @@ def pair_arrays(S: ReesSemigroup) -> PairArrays:
     conn = CrossConnection(S.matrix)
     pairs = linked_pairs(conn, size_guard=S.size)
     gamma, delta = _pair_cones(pairs)
-    M = kernel.group_array(conn.group)
-    ug = _u_cones(u_gamma(conn, bound=S.size), M)
-    ud = _u_cones(u_delta(conn, bound=S.size), M.T)
+    ug = _u_cones(u_gamma(conn, bound=S.size), S.group.array)
+    ud = _u_cones(u_delta(conn, bound=S.size), S.group.opposite.array)
     g, d = ug.find(gamma), ud.find(delta)
     pair_at = np.full((len(ug.cones) + 1, len(ud.cones) + 1), -1, dtype=np.int32)
     inside = (g >= 0) & (d >= 0)
@@ -358,10 +358,10 @@ def pair_arrays(S: ReesSemigroup) -> PairArrays:
     return linked
 
 
-def verify_phi(S: ReesSemigroup, linked: PairArrays | None = None) -> PhiReport:
+def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
     """Check closure of the linked-pair product and that phi is a bijective homomorphism.
 
-    `linked` is `pair_arrays(S)`, built here when not given.  The pairs are
+    `linked` is `pair_arrays(S)`, which the caller builds.  The pairs are
     closed when each pair's halves lie in U-Gamma and U-Delta and the
     gathered table has no -1.  The map check goes through the independent
     table oracle rather than any closed form; an image of phi that is no
@@ -369,8 +369,6 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays | None = None) -> PhiReport:
     associativity: a bijective homomorphism from S carries S's
     associativity onto it.
     """
-    if linked is None:
-        linked = pair_arrays(S)
     outside = (linked.g < 0) | (linked.d < 0)
     if outside.any():
         p = int(outside.argmax())
@@ -435,8 +433,7 @@ def _images(conn: CrossConnection, cat, apply_) -> _Images:
     table = np.array(rows, dtype=np.intp).reshape(n, n, cat.group.order, 3)
     h, dom, cod = np.moveaxis(table, -1, 0)
     canonical = np.array([handle.canonical for _, handle in ids], dtype=np.intp)
-    M = kernel.group_array(_kind_group(conn.group, images[0].kind))
-    return _Images(h, dom, cod, canonical, M)
+    return _Images(h, dom, cod, canonical, _kind_group(conn.group, images[0].kind).array)
 
 
 def _functor_witness(cat, im: _Images) -> str | None:
@@ -447,7 +444,7 @@ def _functor_witness(cat, im: _Images) -> str | None:
         if im.h[obj, obj, e] != e or im.dom[obj, obj, e] != im.cod[obj, obj, e]:
             return f"identity at object {obj} is not sent to an identity"
     n, order = cat.n_objects, cat.group.order
-    C = kernel.group_array(cat.group)
+    C = cat.group.array
 
     def bad_row(a: int) -> np.ndarray:
         # axes [o3, g1, g2]: the image of m1 * m2 against the composite of the images
@@ -488,10 +485,9 @@ def verify_crossconnection(conn: CrossConnection) -> list[Check]:
     # Fully faithful: on each hom-set the induced coset maps are pairwise
     # distinct and there are exactly |G| of them.  An image whose domain is
     # not the object's coset induces no map on it.
-    M = kernel.group_array(G)
     witness = None
     for i1, i2 in product(range(n_i), repeat=2):
-        members = M[np.array(gamma_apply(conn, i1).canonical)].T  # row g: dom * g
+        members = G.array[np.array(gamma_apply(conn, i1).canonical)].T  # row g: dom * g
         members = members[np.lexsort(members.T[::-1])]
         first = members[:, 0]
         base = gamma.canonical[gamma.dom[i1, i2]]

@@ -32,7 +32,8 @@ MAX_SYMMETRIC_DEGREE = 5
 
 
 class FiniteGroup:
-    """A finite group: Cayley table, detected identity, inverse table."""
+    """A finite group: Cayley table (`cayley` as tuples, and `array` as the
+    read-only np.intp array every scan reads), detected identity, inverse table."""
 
     def __init__(self, cayley: Sequence[Sequence[int]], names: Sequence[str] | None = None):
         n = len(cayley)
@@ -43,6 +44,8 @@ class FiniteGroup:
         table = GenericSemigroup(cayley).table  # closure, as for any table
         self.order = n
         self.cayley = tuple(tuple(int(x) for x in row) for row in cayley)
+        self.array = table.astype(np.intp)
+        self.array.flags.writeable = False
 
         if names is None:
             self.names = tuple(str(k) for k in range(n))
@@ -102,14 +105,16 @@ class FiniteGroup:
 
     @property
     def opposite(self) -> FiniteGroup:
-        """The opposite group (a*b there is b*a here): the transposed table with the
-        same names, identity and inverses, built once; G.opposite.opposite is G."""
+        """The opposite group (a*b there is b*a here): the transposed table and
+        the view `array.T`, same names, identity and inverses; built once, so
+        G.opposite.opposite is G."""
         if self._opposite is None:
             # No re-validation: the transpose of a group table is a group table.
             # Attributes go in __init__'s order, never via cached_property, so both
             # instances keep the instance-dict layout that makes mul's reads fast.
             op = object.__new__(FiniteGroup)
-            op.order, op.cayley, op.names = self.order, tuple(zip(*self.cayley)), self.names
+            op.order, op.cayley, op.array = self.order, tuple(zip(*self.cayley)), self.array.T
+            op.names = self.names
             op.identity, op.inverse, op._opposite = self.identity, self.inverse, self
             self._opposite = op
         return self._opposite

@@ -4,9 +4,12 @@ Layout.  Element k of S = M[G; I, Lambda; P] is (g, i, lam) with
 k = (g*|I| + i)*|Lambda| + lam, so `element_arrays` gives its coordinates
 as three index arrays and `ReesSemigroup.table()` its product as a
 read-only (n, n) int32 array of indices, the one format of every
-multiplication table up to the table oracle.  A batch of cones over one
-object set is a pair (values, vertices): an (m, k) array of group
-indices and an (m,) array of vertices.  One cone is (values (k,), vertex).
+multiplication table up to the table oracle.  G and P own their arrays,
+read-only and built once: `FiniteGroup.array` is the Cayley table M,
+`SandwichMatrix.array` the (|Lambda|, |I|) matrix P, and G^op's and
+P^T's are the views M.T and P.T.  A batch of cones over one object set
+is a pair (values, vertices): an (m, k) array of group indices and an
+(m,) array of vertices.  One cone is (values (k,), vertex).
 
 Rows.  A scan fixes the first factor a and forms a*b for every b in one
 numpy step, so beyond one (n, n) table it holds one (n, k) row of
@@ -16,8 +19,9 @@ Keys.  Membership is exact.  The key of a cone is its row of int32
 coordinates read as one np.void of raw bytes.  A `KeyIndex` sorts the
 keys once and finds each query with searchsorted, then confirms the
 candidate by equality.  No key is packed into one integer, so none can
-overflow, however wide the cones are.  Only sets of cones are indexed;
-pairs of cones are found by the positions of their two halves.
+overflow, however wide the cones are.  Only sets of cones are indexed,
+each once, by `cones.cone_table` (T_L) or `connections.pair_arrays`
+(U-Gamma, U-Delta); pairs are found by the positions of their halves.
 
 Linkage.  `right_factor` extracts the scalar g with values == base * g
 for a batch of tuples at once, and `is_linked` tests one gamma cone
@@ -41,19 +45,20 @@ U-Gamma and U-Delta, and `pair_at[x, y]` the pair with halves at x and y
 pairs is formed and no pair key is searched.  It also holds the
 positions in U-Gamma and U-Delta of each element's principal cones, the
 halves of phi.  Every scan of the pairs or of the principal cones in a
-suite, and the CLI's report of the pairs, reads it.
+suite, and the CLI's report of the pairs, reads it; each suite and
+`connections.verify_phi` takes it from its caller.
 
-Tables.  `product_table` is the one place a set of cones becomes its
-multiplication table: one row of products at a time, looked up in the
-set's `KeyIndex`, with -1 wherever a product lies outside the set.  The
-set is closed when no entry is -1, and `first_hole` names the first -1
-in row order as the closure witness.  `cone_product_table` is its form
-for cones under `mul_L`.  It builds three tables, T_L, U-Gamma and
-U-Delta, and the linked-pair table is gathered from the U-Gamma and
-U-Delta tables; the table oracle judges the rest of each closed table
-from the table alone.  The principal image is U-Gamma and the dual
-image U-Delta, so `cones.principal_homomorphism` and
-`cones.dual_antihomomorphism` are read off their tables.
+Tables.  `cone_product_table` is the one place a set of cones becomes
+its multiplication table: one row of products under `mul_L` at a time,
+looked up in the set's own `KeyIndex`, with -1 wherever a product lies
+outside the set.  The set is closed when no entry is -1, and
+`first_hole` names the first -1 in row order as the closure witness.
+It builds three tables, T_L, U-Gamma and U-Delta, and the linked-pair
+table is gathered from the U-Gamma and U-Delta tables; the table oracle
+judges the rest of each closed table from the table alone.  The
+principal image is U-Gamma and the dual image U-Delta, so
+`cones.principal_homomorphism` and `cones.dual_antihomomorphism` are
+read off their tables.
 
 The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
 `connections.is_linked`, `connections.bifunctor_gamma`,
@@ -78,11 +83,6 @@ def element_arrays(n_g: int, n_i: int, n_lambda: int) -> tuple[np.ndarray, np.nd
     g, rem = np.divmod(np.arange(n_g * n_i * n_lambda), n_i * n_lambda)
     i, lam = np.divmod(rem, n_lambda)
     return g, i, lam
-
-
-def group_array(group) -> np.ndarray:
-    """The Cayley table as an array; its transpose is the opposite group's."""
-    return np.asarray(group.cayley, dtype=np.intp)
 
 
 def cone_arrays(cones: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -183,22 +183,17 @@ def first_failure(n: int, bad_row: Callable[[int], np.ndarray]) -> tuple[int, in
     return None
 
 
-def product_table(index: KeyIndex, n: int, row: Callable[[int], np.ndarray]) -> np.ndarray:
-    """The (n, n) int32 table whose row a holds the positions in `index` of
-    the keys row(a), the products of member a with every member, and -1
-    where a product is not indexed.  The set is closed when no entry is -1."""
-    table = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        table[a] = index.find(row(a))
-    return table
-
-
 def first_hole(table: np.ndarray) -> tuple[int, int] | None:
-    """The first (a, b) in row order where `product_table` found no product."""
+    """The first (a, b) in row order where `cone_product_table` found no product."""
     return first_failure(len(table), lambda a: table[a] < 0)
 
 
-def cone_product_table(M: np.ndarray, members: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """`product_table` of a batch of cones under mul_L over the group with Cayley array M."""
-    index, n = KeyIndex(row_keys(*members)), len(members[1])
-    return product_table(index, n, lambda a: row_keys(*mul_L(M, pick(members, a), members)))
+def cone_product_table(M: np.ndarray, members, index: KeyIndex) -> np.ndarray:
+    """The (n, n) int32 table of a batch of n cones under mul_L over the group
+    with Cayley array M, given the batch's own `KeyIndex`: row a holds the
+    positions of member a times every member, -1 where a product is not a
+    member.  The set is closed when no entry is -1."""
+    table = np.empty((len(members[1]),) * 2, dtype=np.int32)
+    for a in range(len(table)):
+        table[a] = index.find(row_keys(*mul_L(M, pick(members, a), members)))
+    return table

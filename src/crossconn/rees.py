@@ -30,7 +30,8 @@ class ReesElement:
 
 
 class SandwichMatrix:
-    """A Lambda x I matrix of group element indices; entry(lam, i) mediates the product."""
+    """A Lambda x I matrix of group element indices; entry(lam, i) mediates the product.
+    `entries` holds it as tuples, `array` as the read-only np.intp array scans read."""
 
     def __init__(self, group: FiniteGroup, entries: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(x) for x in row) for row in entries)
@@ -48,6 +49,8 @@ class SandwichMatrix:
                     )
         self.group = group
         self.entries = rows
+        self.array = np.array(rows, dtype=np.intp)
+        self.array.flags.writeable = False
         self._transpose: SandwichMatrix | None = None
 
     @property
@@ -72,10 +75,11 @@ class SandwichMatrix:
 
     @property
     def transpose(self) -> SandwichMatrix:
-        """P^T over the opposite group, the matrix of S^op; P.transpose.transpose is P."""
+        """P^T over the opposite group, the matrix of S^op, its array the view
+        `array.T`; P.transpose.transpose is P."""
         if self._transpose is None:
             t = SandwichMatrix(self.group.opposite, tuple(zip(*self.entries)))
-            t._transpose = self
+            t.array, t._transpose = self.array.T, self
             self._transpose = t
         return self._transpose
 
@@ -227,9 +231,8 @@ class ReesSemigroup:
         int32 array (vectorized)."""
         n_i, n_l = self.n_i, self.n_lambda
         g, i, lam = element_arrays(self.group.order, n_i, n_l)
-        P = np.asarray(self.matrix.entries, dtype=np.intp)
-        M = np.asarray(self.group.cayley, dtype=np.intp)
-        p = P[lam[:, None], i[None, :]]
+        M = self.group.array
+        p = self.matrix.array[lam[:, None], i[None, :]]
         prod_g = M[M[g[:, None], p], g[None, :]]
         return ((prod_g * n_i + i[:, None]) * n_l + lam[None, :]).astype(np.int32)
 

@@ -10,9 +10,10 @@ the triple guard, never silently truncated.
 of every pair, one row of `S.table()` at a time, and
 `rees.principal_left_ideal` compares index sets with the oracle's ideals.
 The other O(|S|^2) scans run one row at a time on the arrays of
-`kernel`, reading products of S from `S.table()`; right-hand products
-run as `kernel.mul_L` over the opposite group (the transposed Cayley
-array), so one kernel serves both sides.
+`kernel`, reading products of S from `S.table()` and of G and P from
+`G.array` and `P.array`, which G and P build once; right-hand products
+run as `kernel.mul_L` over the opposite group, whose array is the view
+`G.array.T`, so one kernel serves both sides.
 The cone scans run the same way: `category.cone_product_agreement` takes
 one cone of T_L against all of T_L per row, with the category's
 composition tabulated once from `ArrowCategory.compose`, and
@@ -22,8 +23,10 @@ all (i2, g1, g2) and all cones of the cell at once, through
 one cell per row.  `connections.pair_arrays(S)` is built once per
 command: the linked pairs, U-Gamma, U-Delta, their tables, the pair
 table gathered from those, and the positions of phi's images in U-Gamma
-and U-Delta.  `full_suite` builds it after `rees_suite` and
-`category_suite` and hands it to `cone_suite` and `crossconn_suite`.
+and U-Delta.  `cone_suite`, `crossconn_suite`, `rbg_suite` and
+`connections.verify_phi` take it as a required argument and never build
+it: `full_suite` builds it after `rees_suite` and `category_suite`, and
+the CLI's `crossconn` and `rbg` build it for their suite.
 The principal cones rho(a) = (col_i g, lam) and lam(a) = (g row_lam, i)
 of a = (g, i, lam) are exactly the cones of U-Gamma and U-Delta, so the
 principal checks read the U tables; `crossconn.u_subsemigroups`,
@@ -33,7 +36,8 @@ of U-Gamma x U-Delta (`_linkage`), and `rbg.product_formula` reads each
 product's halves off the U tables.
 
 Every set of cones a suite checks becomes its table once, through
-`kernel.product_table`, with -1 for each product outside the set; the
+`kernel.cone_product_table` and the one `KeyIndex` of the set (T_L,
+U-Gamma and U-Delta), with -1 for each product outside the set; the
 set is closed when no entry is -1, and `kernel.first_hole` names the
 first in row order.  The linked pairs are the exception: their table is
 gathered from the U-Gamma and U-Delta tables, and they are closed when
@@ -195,7 +199,6 @@ def _cone_product_witness(G, n_lambda: int) -> str | None:
         ],
         dtype=np.intp,
     )
-    M = kernel.group_array(G)
     tl = cones.enumerate_TL(G, n_lambda)
     tl_arrays = kernel.cone_arrays(tl)
     values_b, vertices_b = tl_arrays
@@ -204,7 +207,7 @@ def _cone_product_witness(G, n_lambda: int) -> str | None:
         values, vertex = kernel.pick(tl_arrays, a)
         # a's component at each object, followed by b's component at a's vertex
         composite = C[values, values_b[:, vertex, None]], vertices_b
-        return kernel.differ(composite, kernel.mul_L(M, (values, vertex), tl_arrays))
+        return kernel.differ(composite, kernel.mul_L(G.array, (values, vertex), tl_arrays))
 
     bad = kernel.first_failure(len(tl), bad_row)
     return None if bad is None else f"{tl[bad[0]]} * {tl[bad[1]]}"
@@ -325,13 +328,13 @@ def _misplaced(got: np.ndarray, expected: np.ndarray) -> np.ndarray:
 
 
 def _regular(table: np.ndarray) -> bool:
-    """Whether a set with this `kernel.product_table` is closed (no -1) and,
+    """Whether a set with this `kernel.cone_product_table` is closed (no -1) and,
     judged by the oracle, regular."""
     return bool((table >= 0).all()) and oracle.is_regular(oracle.GenericSemigroup(table))
 
 
-def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) -> list[Check]:
-    """`linked` is `connections.pair_arrays(S)`, built here if not given."""
+def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
+    """`linked` is `connections.pair_arrays(S)`."""
     checks = []
     G = S.group
     conn = CrossConnection(S.matrix)
@@ -349,8 +352,6 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays | None = No
         witness = _naturality_witness(conn)
         checks.append(Check("crossconn.naturality", witness is None, witness))
 
-    if linked is None:
-        linked = connections.pair_arrays(S)
     ug, ud = linked.u_gamma, linked.u_delta
     ok = _regular(ug.table[:-1, :-1]) and _regular(ud.table[:-1, :-1])
     checks.append(Check("crossconn.u_subsemigroups", ok))
@@ -386,8 +387,8 @@ def _duality_witness(conn: CrossConnection) -> str | None:
     all its cones through `kernel.chi`.  A cone that does not factor
     through its cell has no image, and the duality fails there."""
     G, op = conn.group, conn.opposite
-    M, inverse = kernel.group_array(G), np.asarray(G.inverse)
-    P, P_op = np.asarray(conn.matrix.entries), np.asarray(op.matrix.entries)
+    M, inverse = G.array, np.asarray(G.inverse)
+    P, P_op = conn.matrix.array, op.matrix.array
 
     def distinct(cones) -> set:
         return set(kernel.row_keys(*cones).tolist())
@@ -419,8 +420,7 @@ def _naturality_witness(conn: CrossConnection) -> str | None:
     its squares.
     """
     G, op = conn.group, conn.opposite
-    M, P = kernel.group_array(G), np.asarray(conn.matrix.entries, dtype=np.intp)
-    M_op, P_op = kernel.group_array(op.group), np.asarray(op.matrix.entries, dtype=np.intp)
+    M, P, M_op, P_op = G.array, conn.matrix.array, op.group.array, op.matrix.array
     inverse, order = np.asarray(G.inverse), G.order
     # axes [i2, g1, g2, cone]
     targets = P.T[:, None, None, None, :]  # column i2 of P
@@ -451,7 +451,7 @@ def _linkage(S: ReesSemigroup, linked: connections.PairArrays) -> np.ndarray:
     """The (|U-Gamma|, |U-Delta|) table of `kernel.is_linked`: row x is
     U-Gamma's cone x against all of U-Delta."""
     G, ug, ud = S.group, linked.u_gamma, linked.u_delta
-    M, P, inverse = kernel.group_array(G), np.asarray(S.matrix.entries), np.asarray(G.inverse)
+    M, P, inverse = G.array, S.matrix.array, np.asarray(G.inverse)
     return np.array([kernel.is_linked(M, inverse, P, cone, ud.arrays) for cone in zip(*ug.arrays)])
 
 
@@ -462,9 +462,9 @@ def full_suite(S: ReesSemigroup) -> list[Check]:
     return checks + cone_suite(S, linked) + crossconn_suite(S, linked)
 
 
-def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) -> list[Check]:
+def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     """The constant-identity connection of S: product formula and isomorphism checks.
-    `linked` is `connections.pair_arrays(S)`, built here if not given.
+    `linked` is `connections.pair_arrays(S)`.
 
     A row is one pair p against all pairs q, with g1, g2 the first values of
     p.gamma and q.gamma (or q.delta): the U-Gamma and U-Delta cones at
@@ -476,13 +476,11 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays | None = None) ->
     which is no listed pair still has its formula checked.
     """
     checks = []
-    G, P = S.group, np.asarray(S.matrix.entries)
-    checks.append(Check("rbg.identity_matrix", bool((P == G.identity).all())))
+    G = S.group
+    checks.append(Check("rbg.identity_matrix", bool((S.matrix.array == G.identity).all())))
 
-    if linked is None:
-        linked = connections.pair_arrays(S)
     pairs, gamma, delta = linked.pairs, linked.gamma, linked.delta
-    M, linkage = kernel.group_array(G), _linkage(S, linked)
+    M, linkage = G.array, _linkage(S, linked)
 
     def formula_row(p: int) -> np.ndarray:
         at_gamma, at_delta = linked.product_halves(p)

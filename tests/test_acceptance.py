@@ -29,6 +29,7 @@ from crossconn import (
     left_category,
     linked_pairs,
     mul_L,
+    pair_arrays,
     principal_pair,
     rbg,
     right_category,
@@ -200,7 +201,7 @@ def test_criterion_08_main_theorem_isomorphism():
     for name, S in fixtures:
         assert S.size <= 512
         start = time.perf_counter()
-        report = verify_phi(S)
+        report = verify_phi(S, pair_arrays(S))
         elapsed = time.perf_counter() - start
         assert report.closed, name
         assert report.is_isomorphism, (name, report.map_check)
@@ -224,7 +225,7 @@ def test_criterion_09_rectangular_band_corollary():
             checked += 1
     assert checked == 64
     S = ReesSemigroup(identity_matrix(z2, 2, 2))
-    assert verify_phi(S).is_isomorphism
+    assert verify_phi(S, pair_arrays(S)).is_isomorphism
     _report(9, "rectangular band of groups follows the broadcast product formula")
 
 

@@ -153,6 +153,37 @@ def test_determinism(p1_csv):
     assert emit(run(config)[1], "text") == emit(run(config)[1], "text")
 
 
+def test_reports_do_not_depend_on_the_hash_seed():
+    # Every command on the string-labelled S3 fixture, in one fresh
+    # interpreter per seed: set and dict orders that followed string
+    # hashes would show as reports that differ between the seeds.
+    group, matrix = FIXTURES / "s3_cayley.csv", FIXTURES / "s3_P.csv"
+    script = f"""
+from crossconn.cli import COMMANDS, main
+for command in COMMANDS:
+    spec = "identity:2x2" if command == "rbg" else {str(matrix)!r}
+    main(["--group", {str(group)!r}, "--matrix", spec, command])
+"""
+    outputs = []
+    for seed in ("0", "4242"):
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            timeout=120,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(SRC),
+                "OPENBLAS_NUM_THREADS": "1",
+                "PYTHONHASHSEED": seed,
+            },
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    for command in ("verify", "crossconn", "green"):
+        assert f'"command": "{command}"'.encode() in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_text_format(p1_csv, capsys):
     code, out, _ = run_cli(
         ["--group", "cyclic:2", "--matrix", p1_csv, "--format", "text", "build"], capsys

@@ -24,6 +24,7 @@ from crossconn import (
     linked_pairs,
     matrix_of,
     mul_L,
+    pair_arrays,
     phi,
     principal_pair,
     rbg,
@@ -383,7 +384,7 @@ def test_verify_phi_fixtures(s1, z3, s3):
         ReesSemigroup(SandwichMatrix(s3, [[0, 3], [1, 0]])),
     ]
     for S in fixtures:
-        report = verify_phi(S)
+        report = verify_phi(S, pair_arrays(S))
         assert report.closed
         assert report.is_isomorphism, report.map_check
 
@@ -448,4 +449,4 @@ def test_rbg_single_cell_is_group(s3):
             got = s_tilde_mul(conn, p, q)
             assert got.gamma.values[0] == s3.mul(p.gamma.values[0], q.gamma.values[0])
     S = ReesSemigroup(identity_matrix(s3, 1, 1))
-    assert verify_phi(S).is_isomorphism
+    assert verify_phi(S, pair_arrays(S)).is_isomorphism

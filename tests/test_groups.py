@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -204,6 +205,17 @@ def test_opposite_group(G):
         assert op.mul(a, b) == G.mul(b, a)
     abelian = all(G.mul(a, b) == G.mul(b, a) for a, b in product(G.elements(), repeat=2))
     assert (op == G) == abelian
+
+
+def test_group_array_is_the_read_only_cayley_table(s3):
+    # G owns its array; G^op's is the transposed view of it, not a copy
+    for G in (s3, s3.opposite, _relabelled_s3()):
+        assert G.array.dtype == np.intp
+        assert G.array.tolist() == [list(row) for row in G.cayley]
+        with pytest.raises(ValueError):
+            G.array[0, 0] = G.array[0, 1]
+    assert s3.opposite.array.base is s3.array
+    assert (s3.opposite.array == s3.array.T).all()
 
 
 def test_relabelled_identity_not_at_zero():

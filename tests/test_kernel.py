@@ -46,7 +46,7 @@ def _cones_of(S, side):
 def _principal_products_agree(S: ReesSemigroup) -> None:
     """Every row of the kernel's principal products equals the scalar mul_L."""
     G = S.group
-    M = kernel.group_array(G)
+    M = G.array
     rho, lam = _cones_of(S, 0), _cones_of(S, 1)
     rho_arrays, lam_arrays = kernel.cone_arrays(rho), kernel.cone_arrays(lam)
     for a in range(S.size):
@@ -56,6 +56,12 @@ def _principal_products_agree(S: ReesSemigroup) -> None:
         got = kernel.mul_L(M.T, lam_arrays, kernel.pick(lam_arrays, a))
         assert got[0].tolist() == [list(cones.mul_L(G.opposite, b, lam[a]).values) for b in lam]
         assert got[1].tolist() == [lam[a].vertex] * S.size
+
+
+def _cone_product_table(M, members):
+    """`kernel.cone_product_table` of a list of cones, with their own `KeyIndex`."""
+    arrays = kernel.cone_arrays(members)
+    return kernel.cone_product_table(M, arrays, kernel.KeyIndex(kernel.row_keys(*arrays)))
 
 
 def _pair_table(S: ReesSemigroup):
@@ -80,7 +86,7 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
     table, bad = _pair_table(S)
     assert bad is None
     assert table == scalar_reference.pair_table(S)[0]
-    assert verify_phi(S) == scalar_reference.verify_phi(S)
+    assert verify_phi(S, connections.pair_arrays(S)) == scalar_reference.verify_phi(S)
 
     _principal_products_agree(S)
     by_name = {c.name: c.witness for c in cone_suite(S, connections.pair_arrays(S))}
@@ -97,7 +103,7 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
     assert by_name["rees.principal_left_ideal"] == scalar_reference.principal_left_ideal_witness(S)
 
     # Subsemigroup verdicts, on sets that are and sets that are not ones.
-    M = kernel.group_array(G)
+    M = G.array
     conn = connections.CrossConnection(S.matrix)
     image = sorted(set(_cones_of(S, 0)), key=lambda c: (c.values, c.vertex))
     subset = data.draw(st.lists(st.sampled_from(image), min_size=1, unique=True))
@@ -107,7 +113,7 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
         (G, M, connections.u_gamma(conn)),
         (G.opposite, M.T, connections.u_delta(conn)),
     ):
-        table = kernel.cone_product_table(array, kernel.cone_arrays(members))
+        table = _cone_product_table(array, members)
         assert verify._regular(table) == scalar_reference.regular_subsemigroup(group, members)
 
 
@@ -145,7 +151,8 @@ def test_crossconnection_arrays_match_the_loops(G, n_lambda, n_i, functor, fault
     assert got[: len(expected)] == expected
 
     with scalar_reference.unscaled_linkage() if unscaled else contextlib.nullcontext():
-        linked = {c.name: c for c in crossconn_suite(S)}["crossconn.linked_criterion_agreement"]
+        checks = crossconn_suite(S, connections.pair_arrays(S))
+        linked = {c.name: c for c in checks}["crossconn.linked_criterion_agreement"]
         witness = scalar_reference.linked_criterion_witness(S)
     assert (linked.passed, linked.witness) == (witness is None, witness)
 
@@ -218,7 +225,8 @@ def test_rbg_arrays_match_the_loops(G, n_lambda, n_i, identity, fault, data):
         matrix = SandwichMatrix(G, entries)
     S = ReesSemigroup(matrix)
     with RBG_FAULTS[fault]():
-        assert verify.rbg_suite(S) == scalar_reference.rbg_checks(S)
+        checks = verify.rbg_suite(S, connections.pair_arrays(S))
+        assert checks == scalar_reference.rbg_checks(S)
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=["Z2", "Z3", "S3", "S3-relabelled"])
@@ -251,21 +259,22 @@ def test_wide_cones_z2_lambda_64():
     assert table == scalar_reference.pair_table(S)[0]
     _principal_products_agree(S)
     rho = sorted(set(_cones_of(S, 0)), key=lambda c: (c.values, c.vertex))
-    table = kernel.cone_product_table(kernel.group_array(G), kernel.cone_arrays(rho))
+    table = _cone_product_table(G.array, rho)
     verdict = verify._regular(table)
     assert verdict is scalar_reference.regular_subsemigroup(G, rho) is True
 
 
-def test_product_table_marks_each_absent_product():
-    # a + b mod m on {0, 1, 2}: mod 4 the product 3 is outside the set and
-    # reads -1, and the first -1 in row order is the closure witness.
-    members = np.arange(3)
-    index = kernel.KeyIndex(kernel.row_keys(members))
-    table = kernel.product_table(index, 3, lambda a: kernel.row_keys((a + members) % 4))
+def test_cone_product_table_marks_each_absent_product():
+    # The one-object cones (a,) for a in {0, 1, 2}, whose product under
+    # mul_L is (a + b mod m,): over Z4 the product (3,) is outside the set
+    # and reads -1, and the first -1 in row order is the closure witness.
+    members = np.arange(3).reshape(3, 1), np.zeros(3, dtype=np.intp)
+    index = kernel.KeyIndex(kernel.row_keys(*members))
+    table = kernel.cone_product_table(builtin("cyclic", 4).array, members, index)
     assert table.dtype == np.int32
     assert table.tolist() == [[0, 1, 2], [1, 2, -1], [2, -1, 0]]
     assert kernel.first_hole(table) == (1, 2)
-    closed = kernel.product_table(index, 3, lambda a: kernel.row_keys((a + members) % 3))
+    closed = kernel.cone_product_table(builtin("cyclic", 3).array, members, index)
     assert closed.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     assert kernel.first_hole(closed) is None
 

@@ -193,6 +193,19 @@ def test_transpose_involution(s3):
         assert T.entry(i, lam) == P.entry(lam, i)
 
 
+def test_matrix_array_is_the_read_only_entries(s3):
+    # P owns its (|Lambda|, |I|) array; P^T's is the transposed view of it
+    P = SandwichMatrix(s3, [[0, 3, 1], [2, 5, 4]])
+    for matrix in (P, P.transpose):
+        assert matrix.array.dtype == np.intp
+        assert matrix.array.tolist() == [list(row) for row in matrix.entries]
+        with pytest.raises(ValueError):
+            matrix.array[0, 0] = 1
+    assert P.array.shape == (P.rows, P.cols)
+    assert P.transpose.array.base is P.array
+    assert (P.transpose.array == P.array.T).all()
+
+
 def test_opposite_semigroup_linked_both_ways(s1):
     assert s1.opposite.opposite is s1
     assert s1.opposite.matrix is s1.matrix.transpose

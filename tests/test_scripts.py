@@ -2,6 +2,7 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from crossconn import connections
 from crossconn.verify import full_suite, rbg_suite
@@ -54,11 +55,14 @@ def test_run_verification_large_battery_has_a_generic_s5():
 
 def test_run_verification_runs_rbg_on_the_identity_fixtures():
     # rbg_suite joins full_suite exactly on the constant-identity matrices,
-    # the 2048-element M[Z2; 32, 32] of the large battery among them
+    # the 2048-element M[Z2; 32, 32] and the 4096-element M[Z4; 32, 32] of
+    # the large battery among them
     script = _load_script("run_verification")
     battery = script.fixture_battery(7, include_large=True)
     with_rbg = {name for name, matrix in battery if rbg_suite in script.suites(matrix)}
-    assert {"klein identity 2x2", "Z2 32x32 identity"} <= with_rbg
+    assert {"klein identity 2x2", "Z2 32x32 identity", "Z4 32x32 identity"} <= with_rbg
+    large = dict(battery)["Z4 32x32 identity"]
+    assert large.group.order * large.rows * large.cols == 4096
     for name, matrix in battery:
         G = matrix.group
         identity = all(v == G.identity for row in matrix.entries for v in row)
@@ -88,6 +92,28 @@ def test_bench_measures_the_smallest_rung():
     assert suites["pair_arrays"]["checks"] == 0
     assert suites["full_suite"]["checks"] == sum(suites[s]["checks"] for s in parts)
     assert suites["full_suite"]["skipped"] == 0
+
+
+def test_bench_reads_the_peak_rss_after_the_first_runs(monkeypatch):
+    # The peak is read once, after the rung's first full_suite and
+    # rbg_suite, not after the last run: a fake peak that grows with every
+    # rbg_suite run reads as after one run, however many runs follow.
+    bench = _load_script("bench")
+    runs, original = [], bench.rbg_suite
+
+    def rbg_suite(*args):
+        runs.append(1)
+        return original(*args)
+
+    def getrusage(who):
+        return SimpleNamespace(ru_maxrss=1024 * len(runs))  # KiB: one MB per run
+
+    monkeypatch.setattr(bench, "rbg_suite", rbg_suite)
+    monkeypatch.setattr(bench.resource, "getrusage", getrusage)
+    name, matrix = bench.rungs(include_large=False)[0]
+    rung = bench.measure(name, matrix, runs=3)
+    assert len(runs) == 3
+    assert rung["peak_rss_mb"] == 1.0
 
 
 def test_bench_include_large_adds_only_the_4096_rung():

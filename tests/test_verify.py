@@ -54,6 +54,20 @@ def _cone_suite(S):
     return cone_suite(S, connections.pair_arrays(S))
 
 
+def _crossconn_suite(S):
+    return crossconn_suite(S, connections.pair_arrays(S))
+
+
+def _rbg_suite(S):
+    return rbg_suite(S, connections.pair_arrays(S))
+
+
+def _cone_product_table(M, members):
+    """`kernel.cone_product_table` of a list of cones, with their own `KeyIndex`."""
+    arrays = kernel.cone_arrays(members)
+    return kernel.cone_product_table(M, arrays, kernel.KeyIndex(kernel.row_keys(*arrays)))
+
+
 def test_full_suite_edge_shapes(z2, z3):
     fixtures = [
         ReesSemigroup(identity_matrix(z2, 1, 1)),      # S is the group itself
@@ -78,12 +92,12 @@ def test_cone_suite_skips_above_triple_guard(klein):
 
 def test_crossconn_suite_on_nonsquare(z3):
     S = ReesSemigroup(SandwichMatrix(z3, [[0, 1, 2], [2, 2, 0]]))
-    _assert_clean(crossconn_suite(S))
+    _assert_clean(_crossconn_suite(S))
 
 
 def test_rbg_suite_degenerate(s3):
-    _assert_clean(rbg_suite(ReesSemigroup(identity_matrix(s3, 1, 1))))
-    _assert_clean(rbg_suite(ReesSemigroup(identity_matrix(s3, 2, 1))))
+    _assert_clean(_rbg_suite(ReesSemigroup(identity_matrix(s3, 1, 1))))
+    _assert_clean(_rbg_suite(ReesSemigroup(identity_matrix(s3, 2, 1))))
 
 
 def _s3_fixture():
@@ -127,7 +141,7 @@ def test_missing_linked_pair_fails_closure():
     # pairs is no pair, and both scans name the same first one.
     S = _s3_fixture()
     with scalar_reference.missing_pair():
-        check = {c.name: c for c in crossconn_suite(S)}["crossconn.s_tilde_closed"]
+        check = {c.name: c for c in _crossconn_suite(S)}["crossconn.s_tilde_closed"]
         _, witness = scalar_reference.pair_table(S)
     assert check.passed is False
     assert witness is not None and check.witness == witness
@@ -139,7 +153,7 @@ def test_phi_image_off_the_pairs_fails_isomorphism_without_raising(z2):
     # not an IndexOutOfRange raised by the map check.
     S = ReesSemigroup(identity_matrix(z2, 1, 1))
     with scalar_reference.missing_pair():
-        checks = {c.name: c for c in crossconn_suite(S) + rbg_suite(S)}
+        checks = {c.name: c for c in _crossconn_suite(S) + _rbg_suite(S)}
         reference = scalar_reference.verify_phi(S)
     witness = "phi(ReesElement(g=1, i=0, lam=0)) is not a linked pair"
     assert checks["crossconn.s_tilde_closed"].passed is True
@@ -156,7 +170,7 @@ def test_swapped_phi_fails_isomorphism(monkeypatch):
     swap = {ReesElement(0, 0, 0): ReesElement(1, 0, 0), ReesElement(1, 0, 0): ReesElement(0, 0, 0)}
     monkeypatch.setattr(connections, "phi", lambda S, a: original(S, swap.get(a, a)))
     S = _s3_fixture()
-    check = {c.name: c for c in crossconn_suite(S)}["crossconn.phi_isomorphism"]
+    check = {c.name: c for c in _crossconn_suite(S)}["crossconn.phi_isomorphism"]
     reference = scalar_reference.verify_phi(S)
     assert reference.closed and not reference.map_check.is_homomorphism
     assert check.passed is False
@@ -438,10 +452,9 @@ def test_stray_member_fails_u_subsemigroups():
     ug = connections.u_gamma(CrossConnection(S.matrix))
     stray = [*ug[:-1], _stray_cone(S.group, ug)]
     with _edited_u_cones(S, "gamma", lambda members: stray):
-        check = {c.name: c for c in crossconn_suite(S)}["crossconn.u_subsemigroups"]
+        check = {c.name: c for c in _crossconn_suite(S)}["crossconn.u_subsemigroups"]
     assert check.passed is False
-    M = kernel.group_array(S.group)
-    assert kernel.first_hole(kernel.cone_product_table(M, kernel.cone_arrays(stray))) is not None
+    assert kernel.first_hole(_cone_product_table(S.group.array, stray)) is not None
 
 
 @pytest.mark.parametrize("side, where", [("gamma", "U-Gamma"), ("delta", "U-Delta")])
@@ -454,7 +467,7 @@ def test_pair_half_outside_its_u_set_fails_closure(side, where):
     half = getattr(pairs[len(pairs) // 2], side)
     first = next(p for p in pairs if getattr(p, side) == half)
     with _edited_u_cones(S, side, lambda members: [c for c in members if c != half]):
-        checks = {c.name: c for c in crossconn_suite(S)}
+        checks = {c.name: c for c in _crossconn_suite(S)}
         table = connections.pair_arrays(S).table
     witness = f"the {side} half of {first} is not in {where}"
     for name in ("crossconn.s_tilde_closed", "crossconn.phi_isomorphism"):
@@ -481,7 +494,7 @@ def test_product_outside_u_gamma_fails_rbg_product_formula():
         if last in (p.gamma, q.gamma, connections.s_tilde_mul(conn, p, q).gamma)
     )
     with _edited_u_cones(S, "gamma", lambda members: members[:-1]):
-        check = {c.name: c for c in rbg_suite(S)}["rbg.product_formula"]
+        check = {c.name: c for c in _rbg_suite(S)}["rbg.product_formula"]
     assert check.passed is False
     assert check.witness == f"{p} o {q}"
 
@@ -504,7 +517,7 @@ def test_half_outside_its_u_set_fails_rbg_linked_iff_equal_scalars(side):
         if last == (p.gamma if side == "gamma" else q.delta)
     )
     with _edited_u_cones(S, side, lambda members: members[:-1]):
-        check = {c.name: c for c in rbg_suite(S)}["rbg.linked_iff_equal_scalars"]
+        check = {c.name: c for c in _rbg_suite(S)}["rbg.linked_iff_equal_scalars"]
     assert check.passed is False
     assert check.witness == f"{p.gamma} vs {q.delta}"
 
@@ -521,7 +534,7 @@ def test_phi_image_outside_u_gamma_fails_isomorphism(monkeypatch):
         "phi",
         lambda S_, a: replace(original(S_, a), gamma=stray) if a == last else original(S_, a),
     )
-    checks = {c.name: c for c in crossconn_suite(S)}
+    checks = {c.name: c for c in _crossconn_suite(S)}
     reference = scalar_reference.verify_phi(S)
     witness = f"phi({last}) is not a linked pair"
     assert checks["crossconn.s_tilde_closed"].passed is True
@@ -625,8 +638,8 @@ def test_closed_but_irregular_table_fails_its_subsemigroup_check(suite, name, mo
     # table is closed and only the oracle's regularity test can fail it.
     S = _s3_fixture()
     monkeypatch.setattr(kernel, "mul_L", _constant_mul_L(kernel.mul_L))
-    M, ug = kernel.group_array(S.group), connections.u_gamma(CrossConnection(S.matrix))
-    table = kernel.cone_product_table(M, kernel.cone_arrays(ug))
+    ug = connections.u_gamma(CrossConnection(S.matrix))
+    table = _cone_product_table(S.group.array, ug)
     assert kernel.first_hole(table) is None
     assert not oracle.is_regular(oracle.GenericSemigroup(table))
     check = {c.name: c for c in suite(S, connections.pair_arrays(S))}[name]
@@ -665,7 +678,7 @@ def test_left_scaled_column_fails_matrix_roundtrip(monkeypatch):
         return SandwichMatrix(group, rows)
 
     monkeypatch.setattr(connections, "matrix_of", matrix_of)
-    check = {c.name: c for c in crossconn_suite(S)}["crossconn.matrix_roundtrip"]
+    check = {c.name: c for c in _crossconn_suite(S)}["crossconn.matrix_roundtrip"]
     assert check.passed is False
     assert check.witness == "extracted column 1 is not a right scaling of the original"
 
@@ -706,19 +719,36 @@ def test_full_suite_scans_each_table_for_associativity_once(s1, monkeypatch):
 
 def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
     # T_L, U-Gamma and U-Delta each become a table through
-    # kernel.product_table, once; a closure loop of its own anywhere else
-    # would lower the count.  The linked-pair table is gathered from the
-    # U-Gamma and U-Delta tables, and the principal checks read those.
+    # kernel.cone_product_table, once; a closure loop of its own anywhere
+    # else would lower the count.  The linked-pair table is gathered from
+    # the U-Gamma and U-Delta tables, and the principal checks read those.
     calls = Counter()
-    original = kernel.product_table
+    original = kernel.cone_product_table
 
     def counting(*args):
-        calls["product_table"] += 1
+        calls["cone_product_table"] += 1
         return original(*args)
 
-    monkeypatch.setattr(kernel, "product_table", counting)
+    monkeypatch.setattr(kernel, "cone_product_table", counting)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
-    assert calls == {"product_table": 3}
+    assert calls == {"cone_product_table": 3}
+
+
+def test_full_suite_indexes_each_cone_set_once(s1, monkeypatch):
+    # T_L, U-Gamma and U-Delta each get one KeyIndex, which both their
+    # table and every later lookup of their members read.
+    built = []
+
+    class CountingIndex(kernel.KeyIndex):
+        def __init__(self, keys):
+            built.append(len(keys))
+            super().__init__(keys)
+
+    monkeypatch.setattr(kernel, "KeyIndex", CountingIndex)
+    _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
+    conn = CrossConnection(s1.matrix)
+    sizes = [len(connections.u_gamma(conn)), len(connections.u_delta(conn))]
+    assert built == [*sizes, len(cones.enumerate_TL(s1.group, s1.n_lambda))]
 
 
 def test_full_suite_forms_phi_once_per_element(s1, monkeypatch):
@@ -738,17 +768,17 @@ def test_full_suite_forms_phi_once_per_element(s1, monkeypatch):
 
 
 def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
-    # rbg_suite (on the identity matrix of S1's shape) and full_suite each
-    # tabulate U-Gamma and U-Delta once, one kernel row per member, and
-    # gather the pair table from those tables: no kernel row multiplies two
-    # pairs.  In full_suite the U tables come first; then T_L's, and the
+    # rbg_suite given its pairs (on the identity matrix of S1's shape) and
+    # full_suite each tabulate U-Gamma and U-Delta once, one kernel row per
+    # member, and gather the pair table from those tables: no kernel row
+    # multiplies two pairs.  In full_suite the U tables come first; then T_L's, and the
     # rest of the rows are category_suite's 8 and T_L's 8.  Linkage is
     # tested once per U-Gamma cone, against all of U-Delta, not per pair.
     tables, calls = [], Counter()
 
-    def cone_product_table(M, members, _original=kernel.cone_product_table):
+    def cone_product_table(M, members, index, _original=kernel.cone_product_table):
         tables.append(kernel.row_keys(*members).tolist())
-        return _original(M, members)
+        return _original(M, members, index)
 
     def mul_L(*args, _original=kernel.mul_L):
         calls["mul_L"] += 1
@@ -767,7 +797,7 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
     monkeypatch.setattr(kernel, "mul_L", mul_L)
     monkeypatch.setattr(kernel, "is_linked", is_linked)
     for suite, S, after, rows in (
-        (rbg_suite, ReesSemigroup(identity_matrix(s1.group, 2, 2)), 0, 0),
+        (_rbg_suite, ReesSemigroup(identity_matrix(s1.group, 2, 2)), 0, 0),
         (full_suite, ReesSemigroup(s1.matrix), 1, 16),
     ):
         tables.clear()
@@ -881,11 +911,11 @@ def test_phi_isomorphism_on_random_matrices(order, n_lambda, n_i, data):
         [data.draw(st.integers(0, order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
     S = ReesSemigroup(SandwichMatrix(G, entries))
-    assert verify_phi(S).is_isomorphism
+    assert verify_phi(S, connections.pair_arrays(S)).is_isomorphism
 
 
 def _crossconn_checks(S):
-    return {c.name: c for c in crossconn_suite(S)}
+    return {c.name: c for c in _crossconn_suite(S)}
 
 
 def _reference_checks(S):
@@ -1123,7 +1153,7 @@ def test_rbg_negative_controls(name, fault):
     if fault is not None:
         S = ReesSemigroup(identity_matrix(S.group, 2, 2))
     with fault() if fault else contextlib.nullcontext():
-        checks, reference = rbg_suite(S), scalar_reference.rbg_checks(S)
+        checks, reference = _rbg_suite(S), scalar_reference.rbg_checks(S)
     check = {c.name: c for c in checks}[name]
     assert check.passed is False
     assert (check.witness is None) == (name == "rbg.identity_matrix")
@@ -1142,7 +1172,7 @@ def test_suites_build_the_linked_pairs_once_without_scalar_pair_calls(monkeypatc
 
         monkeypatch.setattr(connections, name, counting)
     S = ReesSemigroup(identity_matrix(load_cayley_file(FIXTURES / "s3_cayley.csv"), 2, 2))
-    _assert_clean(rbg_suite(S))
+    _assert_clean(_rbg_suite(S))
     assert calls == {"linked_pairs": 1}
     calls.clear()
     _assert_clean(full_suite(S))
