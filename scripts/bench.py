@@ -4,9 +4,13 @@
     PYTHONPATH=src python scripts/bench.py --label L [--include-large]
 
 The ladder is |S| = 8, 64, 480, 512, 1024 and 2048: M[G; n, n] with the
-identity matrix over Z2, Z4, S5, Z2, Z4 and Z2.  --include-large adds the
-4096-element M[Z4; 32, 32].  Each fixture is built with the size guard
-set to its own size, so it is checked in full.
+identity matrix over Z2, Z4, S5, Z2, Z4 and Z2, and then the 2048-element
+M[Z2; 32, 32] with a generic matrix: first row and first column the
+identity, the other entries drawn by random.Random(7).  With the identity
+matrix U-Gamma and U-Delta hold |G|*n cones, with the generic one all |S|.
+--include-large adds the 4096-element M[Z4; 32, 32] with the identity and
+with the generic matrix.  Each fixture is built with the size guard set
+to its own size, so it is checked in full.
 
 Each rung runs in a fresh interpreter, one after another, so that its
 peak RSS is its own.  There, each of K runs builds the semigroup afresh
@@ -14,7 +18,8 @@ and times rees_suite, category_suite, connections.pair_arrays, cone_suite
 and crossconn_suite in turn, the last two given the pairs, which is what
 full_suite does (the first of them builds the table, and full_suite's time
 is their sum), and then rbg_suite on another fresh semigroup, given its
-pairs from connections.pair_arrays, whose build its time includes.  Times
+pairs from connections.pair_arrays, whose build its time includes, on
+the identity rungs only: rbg_suite checks the identity's connection.  Times
 are raw wall seconds, in-process.  The file gives, per rung and per suite,
 the median and quartiles of the K times and the number of checks, skips
 and failures; per rung, the peak RSS, read once, after the first
@@ -29,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import resource
 import statistics
 import subprocess
@@ -56,17 +62,40 @@ LADDER = (
     ("cyclic", 2, 32),
 )
 LARGE = ("cyclic", 4, 32)
+# the same with the generic matrix, after the identity rungs
+GENERIC = ("cyclic", 2, 32)
+LARGE_GENERIC = ("cyclic", 4, 32)
 RUNS = 5  # timed runs per rung
 
 
+def generic_matrix(group, n: int) -> SandwichMatrix:
+    """The n x n matrix with first row and first column the identity and the
+    other entries drawn by random.Random(7), row by row."""
+    rng, e = random.Random(7), group.identity
+    return SandwichMatrix(
+        group,
+        [[e if lam == 0 or i == 0 else rng.randrange(group.order) for i in range(n)] for lam in range(n)],
+    )
+
+
 def rungs(include_large: bool) -> list[tuple[str, SandwichMatrix]]:
-    """(name, matrix) of each rung, smallest first: constant-identity matrices,
-    so that rbg_suite, which checks that connection, applies to every rung."""
+    """(name, matrix) of each rung: the identity ladder smallest first, then
+    the generic rungs."""
+    identity = LADDER + ((LARGE,) if include_large else ())
+    generic = (GENERIC,) + ((LARGE_GENERIC,) if include_large else ())
     out = []
-    for family, order, n in LADDER + ((LARGE,) if include_large else ()):
-        name = f"{'Z' if family == 'cyclic' else 'S'}{order} {n}x{n} identity"
-        out.append((name, identity_matrix(builtin(family, order), n, n)))
+    for kind, make, family_rungs in (
+        ("identity", lambda G, n: identity_matrix(G, n, n), identity),
+        ("generic", generic_matrix, generic),
+    ):
+        for family, order, n in family_rungs:
+            name = f"{'Z' if family == 'cyclic' else 'S'}{order} {n}x{n} {kind}"
+            out.append((name, make(builtin(family, order), n)))
     return out
+
+
+def _is_identity(matrix: SandwichMatrix) -> bool:
+    return bool((matrix.array == matrix.group.identity).all())
 
 
 def _semigroup(matrix: SandwichMatrix) -> ReesSemigroup:
@@ -95,8 +124,10 @@ def _summary(times: list[float], checks: list) -> dict:
 
 def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
     """One rung in this interpreter: every suite timed `runs` times, and the
-    interpreter's peak RSS after the first full_suite and rbg_suite."""
-    names = [*FULL_SUITE, "full_suite", "rbg_suite"]
+    interpreter's peak RSS after the first full_suite and rbg_suite.
+    rbg_suite runs on the constant-identity matrices only."""
+    with_rbg = _is_identity(matrix)
+    names = [*FULL_SUITE, "full_suite", *(["rbg_suite"] if with_rbg else [])]
     times: dict[str, list[float]] = {n: [] for n in names}
     checks: dict[str, list] = {"pair_arrays": []}
 
@@ -122,8 +153,9 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
     for k in range(runs):
         checks["full_suite"] = full_suite()
         times["full_suite"].append(sum(times[n][-1] for n in FULL_SUITE))
-        seconds, checks["rbg_suite"] = _timed(rbg, _semigroup(matrix))
-        times["rbg_suite"].append(seconds)
+        if with_rbg:
+            seconds, checks["rbg_suite"] = _timed(rbg, _semigroup(matrix))
+            times["rbg_suite"].append(seconds)
         if k == 0:
             peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     return {
@@ -137,7 +169,7 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", help="write BENCH_<label>.json at the repository root")
-    parser.add_argument("--include-large", action="store_true", help="add the 4096-element rung")
+    parser.add_argument("--include-large", action="store_true", help="add the 4096-element rungs")
     parser.add_argument("--rung", help=argparse.SUPPRESS)  # measure one rung, print its JSON
     args = parser.parse_args()
 

@@ -146,9 +146,8 @@ def cone_table(group: FiniteGroup, cones: Iterable[Cone]) -> np.ndarray:
     """Multiplication table of a closed cone set under mul_L, indexed by
     enumeration order, as an int32 array from `kernel.cone_product_table`.
     The right-side table is the one over `group.opposite`."""
-    batch = kernel.cone_arrays(list(cones))
-    index = kernel.KeyIndex(kernel.row_keys(*batch))
-    table = kernel.cone_product_table(group.array, batch, index)
+    classes = kernel.ConeClasses(kernel.cone_arrays(list(cones)))
+    table = kernel.cone_product_table(group.array, classes)
     bad = kernel.first_hole(table)
     if bad is not None:
         raise NotClosed(f"cone {bad[0]} times cone {bad[1]} is not in the set")

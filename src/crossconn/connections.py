@@ -280,26 +280,21 @@ def _pair_cones(pairs: Sequence[LinkedPair]):
 
 
 class UCones(NamedTuple):
-    """U-Gamma (or U-Delta) as cones, as cone arrays, with a `KeyIndex` over
-    them and their `kernel.cone_product_table`, padded with a last row and
-    column of -1 so that the position -1 of an absent cone reads -1."""
+    """U-Gamma (or U-Delta) as cones, by tuple class (`kernel.ConeClasses`,
+    which finds them), and their `kernel.cone_product_table`, padded with a
+    last row and column of -1 so that the position -1 of an absent cone
+    reads -1."""
 
     cones: list[Cone]
-    arrays: tuple[np.ndarray, np.ndarray]
-    index: kernel.KeyIndex
+    classes: kernel.ConeClasses
     table: np.ndarray
-
-    def find(self, cones: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The position of each cone of the batch here, or -1 where it is absent."""
-        return self.index.find(kernel.row_keys(*cones))
 
 
 def _u_cones(cones: list[Cone], M: np.ndarray) -> UCones:
-    """`UCones` of the cones, indexed once and tabulated under mul_L over M."""
-    arrays = kernel.cone_arrays(cones)
-    index = kernel.KeyIndex(kernel.row_keys(*arrays))
-    table = np.pad(kernel.cone_product_table(M, arrays, index), (0, 1), constant_values=-1)
-    return UCones(cones, arrays, index, table)
+    """`UCones` of the cones, classed once and tabulated under mul_L over M."""
+    classes = kernel.ConeClasses(kernel.cone_arrays(cones))
+    table = np.pad(kernel.cone_product_table(M, classes), (0, 1), constant_values=-1)
+    return UCones(cones, classes, table)
 
 
 class PairArrays(NamedTuple):
@@ -345,12 +340,12 @@ def pair_arrays(S: ReesSemigroup) -> PairArrays:
     gamma, delta = _pair_cones(pairs)
     ug = _u_cones(u_gamma(conn, bound=S.size), S.group.array)
     ud = _u_cones(u_delta(conn, bound=S.size), S.group.opposite.array)
-    g, d = ug.find(gamma), ud.find(delta)
+    g, d = ug.classes.find(gamma), ud.classes.find(delta)
     pair_at = np.full((len(ug.cones) + 1, len(ud.cones) + 1), -1, dtype=np.int32)
     inside = (g >= 0) & (d >= 0)
     pair_at[g[inside], d[inside]] = np.flatnonzero(inside)
     rho, lam = _pair_cones([phi(S, a) for a in S.elements()])
-    phi_at = ug.find(rho), ud.find(lam)
+    phi_at = ug.classes.find(rho), ud.classes.find(lam)
     table = np.empty((len(pairs),) * 2, dtype=np.int32)
     linked = PairArrays(pairs, gamma, delta, ug, ud, g, d, pair_at, table, phi_at)
     for p in range(len(pairs)):

@@ -13,19 +13,28 @@ is a pair (values, vertices): an (m, k) array of group indices and an
 
 Rows.  A scan fixes the first factor a and forms a*b for every b in one
 numpy step, so beyond one (n, n) table it holds one (n, k) row of
-products at a time and never an (n, n, k) array.
+products at a time and never an (n, n, k) array.  A table gathered from
+smaller tables is filled in blocks of about BLOCK entries, so that no
+(n, n) temporary is held beside it, and a batch of scalings is formed in
+blocks of the same size.
 
-Keys.  Membership is exact.  The key of a cone is its row of int32
+Keys.  Membership is exact.  The key of a tuple is its row of int32
 coordinates read as one np.void of raw bytes.  A `KeyIndex` sorts the
 keys once and finds each query with searchsorted, then confirms the
 candidate by equality.  No key is packed into one integer, so none can
-overflow, however wide the cones are.  Only sets of cones are indexed,
-each once, by `cones.cone_table` (T_L) or `connections.pair_arrays`
-(U-Gamma, U-Delta); pairs are found by the positions of their halves.
+overflow, however wide the cones are.  Only the distinct tuples of a
+set of cones are indexed, each set once, by its `ConeClasses`:
+`cones.cone_table` for T_L, `connections.pair_arrays` for U-Gamma and
+U-Delta.  A cone is found as pos[t, vertex], the position of the cone
+with tuple class t and that vertex; pairs are found by the positions of
+their halves.
 
 Linkage.  `right_factor` extracts the scalar g with values == base * g
-for a batch of tuples at once, and `is_linked` tests one gamma cone
-against a batch of delta cones with it, over M and its transpose M.T.
+for a batch of tuples at once.  Linkage depends only on the tuples and
+vertices of the two cones, so `linkage_table` factors each gamma tuple
+through each column of P and each delta tuple through each row over M.T
+(`factors`, -1 where a tuple does not factor), and compares the two
+factors of every gamma and delta cone in one gather (`same_factor`).
 
 Cells.  A cell map of the connection bifunctor and the duality chi are
 scalings: `bifunctor` and `chi` factor a batch of tuples through a column
@@ -49,24 +58,30 @@ suite, and the CLI's report of the pairs, reads it; each suite and
 `connections.verify_phi` takes it from its caller.
 
 Tables.  `cone_product_table` is the one place a set of cones becomes
-its multiplication table: one row of products under `mul_L` at a time,
-looked up in the set's own `KeyIndex`, with -1 wherever a product lies
-outside the set.  The set is closed when no entry is -1, and
-`first_hole` names the first -1 in row order as the closure witness.
-It builds three tables, T_L, U-Gamma and U-Delta, and the linked-pair
-table is gathered from the U-Gamma and U-Delta tables; the table oracle
-judges the rest of each closed table from the table alone.  The
-principal image is U-Gamma and the dual image U-Delta, so
-`cones.principal_homomorphism` and `cones.dual_antihomomorphism` are
-read off their tables.
+its multiplication table, with -1 wherever a product lies outside the
+set.  A product a*b is a's tuple scaled by b's value s at a's vertex,
+with b's vertex, so it depends only on a's tuple class, s and b's
+vertex: `mul_L` scales every class by every group element, in a
+batch per block of classes, `ConeClasses` looks the |T|*|G| scaled
+tuples up, and the table is one gather from that (|T|, |G|) table and
+the (|T|, k) positions.  The
+set is closed when no entry is -1, and `first_hole` names the first -1
+in row order as the closure witness.  It builds three tables, T_L,
+U-Gamma and U-Delta, and the linked-pair table is gathered from the
+U-Gamma and U-Delta tables; the table oracle judges the rest of each
+closed table from the table alone.  The principal image is U-Gamma and
+the dual image U-Delta, so `cones.principal_homomorphism` and
+`cones.dual_antihomomorphism` are read off their tables.
 
 The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
 `connections.is_linked`, `connections.bifunctor_gamma`,
-`connections.chi`, `rees.product`) stay the definitions.
+`connections.chi`, `rees.product`) stay the definitions, and so does
+`mul_L` for the tables.
 `rees.table_matches_product` ties `table()` to `rees.product`, the Rees
 product on plain coordinates that `ReesSemigroup.mul` calls, evaluated
 in plain Python one row at a time and never through this kernel; tests
-compare every scan with its scalar loop.
+compare every scan with its scalar loop, and the class tables with
+their row-by-row versions.
 """
 
 from __future__ import annotations
@@ -76,6 +91,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 KEY_DTYPE = np.int32
+# Entries per block of a batch of scalings or of a gathered table.  Blocks
+# of 2^16 entries left the heap grown: S5 2x2 `verify` peaked 0.8 MB higher.
+BLOCK = 1 << 14
 
 
 def element_arrays(n_g: int, n_i: int, n_lambda: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,6 +153,34 @@ class KeyIndex:
         return np.where(self._sorted[at] == keys, self._order[at], -1)
 
 
+class ConeClasses:
+    """A batch of cones (values, vertices) by tuple class: the distinct tuples
+    T, indexed once by a `KeyIndex`; `tid[a]`, the class of cone a; and
+    `pos[t, mu]`, the position of the cone (T[t], mu), or -1, with a last
+    row of -1 that the class -1 of an absent tuple reads.  Among equal cones
+    the last position wins, as in `KeyIndex`."""
+
+    def __init__(self, members):
+        self.members = members
+        values, self.vertices = members
+        keys, first, self.tid = np.unique(
+            row_keys(values), return_index=True, return_inverse=True
+        )
+        self.tuples = values[first]
+        self._index = KeyIndex(keys)
+        self.pos = np.full((len(keys) + 1, values.shape[1]), -1, dtype=np.int32)
+        self.pos[self.tid, self.vertices] = np.arange(len(self.vertices))
+
+    def find_tuples(self, values: np.ndarray) -> np.ndarray:
+        """The class of each tuple (row of values), or -1 where it is no member's."""
+        return self._index.find(row_keys(values)).astype(np.int32)
+
+    def find(self, cones) -> np.ndarray:
+        """The position of each cone of the batch among the members, or -1."""
+        values, vertices = cones
+        return self.pos[self.find_tuples(values), vertices]
+
+
 def right_factor(M: np.ndarray, inverse: np.ndarray, base, values) -> tuple[np.ndarray, np.ndarray]:
     """`connections._right_factor` row by row over the group with Cayley array M:
     g = base[0]^-1 * values[0], and whether values == base * g holds pointwise.
@@ -147,14 +193,43 @@ def right_factor(M: np.ndarray, inverse: np.ndarray, base, values) -> tuple[np.n
     return g, (M[base, g[..., None]] == values).all(axis=-1)
 
 
-def is_linked(M: np.ndarray, inverse: np.ndarray, P: np.ndarray, gamma, deltas) -> np.ndarray:
-    """`connections.is_linked` of one gamma cone against a batch of delta cones,
-    for the sandwich matrix P as an (|Lambda|, |I|) array: both cones factor
-    through the cell (gamma's vertex, delta's vertex) by the same scalar."""
-    (gamma_values, gamma_vertex), (delta_values, delta_vertices) = gamma, deltas
-    g1, ok1 = right_factor(M, inverse, P[:, delta_vertices].T, gamma_values)
-    g2, ok2 = right_factor(M.T, inverse, P[gamma_vertex], delta_values)
-    return ok1 & ok2 & (g1 == g2)
+def factors(M: np.ndarray, inverse: np.ndarray, bases: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """The (len(tuples), len(bases)) int32 table of `right_factor`: entry
+    (t, j) is the g with tuples[t] == bases[j] * g, or -1 where there is none."""
+    g, ok = right_factor(M, inverse, bases, tuples[:, None])
+    return np.where(ok, g, -1).astype(np.int32)
+
+
+def same_factor(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Where two factors from `factors` exist and coincide."""
+    return (f1 >= 0) & (f1 == f2)
+
+
+def _blocks(n_rows: int, row_size: int):
+    """Slices of consecutive rows, of row_size entries each, about BLOCK entries
+    to a slice."""
+    step = max(1, BLOCK // max(1, row_size))
+    return (slice(start, start + step) for start in range(0, n_rows, step))
+
+
+def linkage_table(
+    M: np.ndarray, inverse: np.ndarray, P: np.ndarray, gammas: ConeClasses, deltas: ConeClasses
+) -> np.ndarray:
+    """`connections.is_linked` of every gamma cone against every delta cone, for
+    the sandwich matrix P as an (|Lambda|, |I|) array, as an (m, n) bool table.
+
+    A gamma and a delta cone are linked when gamma's tuple factors through
+    the column of P at delta's vertex, and delta's tuple through the row at
+    gamma's vertex over the opposite group, by the same scalar.  So F1 holds
+    the factor of each gamma tuple through each column and F2 that of each
+    delta tuple through each row, and the table is `same_factor` of the two
+    gathered at the classes and vertices, in blocks of rows."""
+    f1 = factors(M, inverse, P.T, gammas.tuples)[:, deltas.vertices]
+    f2 = factors(M.T, inverse, P, deltas.tuples).T[:, deltas.tid]
+    table = np.empty((len(gammas.tid), len(deltas.tid)), dtype=bool)
+    for rows in _blocks(*table.shape):
+        table[rows] = same_factor(f1[gammas.tid[rows]], f2[gammas.vertices[rows]])
+    return table
 
 
 def bifunctor(M: np.ndarray, inverse: np.ndarray, dom_column, cod_column, g1, g2, values):
@@ -188,12 +263,28 @@ def first_hole(table: np.ndarray) -> tuple[int, int] | None:
     return first_failure(len(table), lambda a: table[a] < 0)
 
 
-def cone_product_table(M: np.ndarray, members, index: KeyIndex) -> np.ndarray:
-    """The (n, n) int32 table of a batch of n cones under mul_L over the group
-    with Cayley array M, given the batch's own `KeyIndex`: row a holds the
+def cone_product_table(M: np.ndarray, classes: ConeClasses) -> np.ndarray:
+    """The (n, n) int32 table of a batch of n cones, given by tuple class,
+    under mul_L over the group with Cayley array M: row a holds the
     positions of member a times every member, -1 where a product is not a
-    member.  The set is closed when no entry is -1."""
-    table = np.empty((len(members[1]),) * 2, dtype=np.int32)
-    for a in range(len(table)):
-        table[a] = index.find(row_keys(*mul_L(M, pick(members, a), members)))
+    member.  The set is closed when no entry is -1.
+
+    a*b is a's tuple scaled by s, b's value at a's vertex, with b's vertex,
+    so with scale[t, s] the class of T[t]*s the table is one gather,
+    pos[scale[tid[a], s], vertex[b]], taken in blocks of rows.  scale is
+    one `mul_L` batch per block of classes (one for a small set), each
+    (T[t], s) times the cone (0, 1, ..., |G|-1), whose value at s is s,
+    looked up among the classes: -1 where T[t]*s is no member's tuple.
+    """
+    (values, vertices), order, tuples = classes.members, len(M), classes.tuples
+    scale = np.empty((len(tuples), order), dtype=np.int32)
+    for rows in _blocks(len(tuples), order * tuples.shape[1]):
+        part = tuples[rows]
+        scalings = np.repeat(part, order, axis=0), np.tile(np.arange(order), len(part))
+        scaled, _ = mul_L(M, scalings, (np.arange(order), 0))
+        scale[rows] = classes.find_tuples(scaled).reshape(len(part), order)
+    at = values.T.astype(np.int32)  # at[v, b]: member b's value at object v
+    table = np.empty((len(vertices),) * 2, dtype=np.int32)
+    for rows in _blocks(*table.shape):
+        table[rows] = classes.pos[scale[classes.tid[rows, None], at[vertices[rows]]], vertices]
     return table

@@ -32,16 +32,20 @@ of a = (g, i, lam) are exactly the cones of U-Gamma and U-Delta, so the
 principal checks read the U tables; `crossconn.u_subsemigroups`,
 `verify_phi`, the linked criterion and the `rbg` scans read the rest:
 the criterion and `rbg.linked_iff_equal_scalars` read one linkage table
-of U-Gamma x U-Delta (`_linkage`), and `rbg.product_formula` reads each
-product's halves off the U tables.
+of U-Gamma x U-Delta (`_linkage`, `kernel.linkage_table`), gathered
+from the factors of each tuple class through the columns and rows of P,
+and `rbg.product_formula` reads each product's halves off the U tables
+and compares them as integers, each U cone's constant value and vertex.
 
 Every set of cones a suite checks becomes its table once, through
-`kernel.cone_product_table` and the one `KeyIndex` of the set (T_L,
-U-Gamma and U-Delta), with -1 for each product outside the set; the
-set is closed when no entry is -1, and `kernel.first_hole` names the
-first in row order.  The linked pairs are the exception: their table is
-gathered from the U-Gamma and U-Delta tables, and they are closed when
-every pair's halves lie in U-Gamma and U-Delta and no entry is -1.
+`kernel.cone_product_table` on the tuple classes of the set (T_L,
+U-Gamma and U-Delta), whose one `KeyIndex` holds the set's distinct
+tuples: scalings of the tuples, their lookup and one gather, with -1 for each
+product outside the set; the set is closed when no entry is -1, and
+`kernel.first_hole` names the first in row order.  The linked pairs are
+the exception: their table is gathered from the U-Gamma and U-Delta
+tables, and they are closed when every pair's halves lie in U-Gamma and
+U-Delta and no entry is -1.
 Every check on a set reads its table.  With r[a] and l[a] the positions
 of rho(a) and lam(a) in U-Gamma and U-Delta, `cones.principal_homomorphism`
 compares GT[r[a], r] with r[ab] and `cones.dual_antihomomorphism`
@@ -448,11 +452,11 @@ def _naturality_witness(conn: CrossConnection) -> str | None:
 
 
 def _linkage(S: ReesSemigroup, linked: connections.PairArrays) -> np.ndarray:
-    """The (|U-Gamma|, |U-Delta|) table of `kernel.is_linked`: row x is
-    U-Gamma's cone x against all of U-Delta."""
-    G, ug, ud = S.group, linked.u_gamma, linked.u_delta
+    """The (|U-Gamma|, |U-Delta|) table of `connections.is_linked`, by tuple
+    class (`kernel.linkage_table`)."""
+    G = S.group
     M, P, inverse = G.array, S.matrix.array, np.asarray(G.inverse)
-    return np.array([kernel.is_linked(M, inverse, P, cone, ud.arrays) for cone in zip(*ug.arrays)])
+    return kernel.linkage_table(M, inverse, P, linked.u_gamma.classes, linked.u_delta.classes)
 
 
 def full_suite(S: ReesSemigroup) -> list[Check]:
@@ -460,6 +464,12 @@ def full_suite(S: ReesSemigroup) -> list[Check]:
     # built after the two suites above, so that their peak memory and its own do not add up
     linked = connections.pair_arrays(S)
     return checks + cone_suite(S, linked) + crossconn_suite(S, linked)
+
+
+def _constant_values(cones) -> tuple[np.ndarray, np.ndarray]:
+    """Each cone's constant value, -1 where its tuple is not constant, and its vertex."""
+    values, vertices = cones
+    return np.where((values == values[:, :1]).all(axis=1), values[:, 0], -1), vertices
 
 
 def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
@@ -470,7 +480,9 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     p.gamma and q.gamma (or q.delta): the U-Gamma and U-Delta cones at
     `PairArrays.product_halves(p)` against ((g1 g2,)*|Lambda|, q.gamma.vertex),
     ((g1 g2,)*|I|, p.delta.vertex), a product outside U-Gamma or U-Delta
-    failing; the linkage table of U-Gamma x U-Delta at the pairs' halves
+    failing.  Each U cone is compared as two integers, its constant value
+    (-1 if its tuple is not constant) and its vertex.  The other scan is
+    the linkage table of U-Gamma x U-Delta at the pairs' halves
     against g1 == g2, a half outside U-Gamma or U-Delta failing.  The halves
     are read from the U sets, not from the pair table, so that a product
     which is no listed pair still has its formula checked.
@@ -481,12 +493,15 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
 
     pairs, gamma, delta = linked.pairs, linked.gamma, linked.delta
     M, linkage = G.array, _linkage(S, linked)
+    (gamma_scalar, gamma_vertex), (delta_scalar, delta_vertex) = (
+        _constant_values(u.classes.members) for u in (linked.u_gamma, linked.u_delta)
+    )
 
     def formula_row(p: int) -> np.ndarray:
         at_gamma, at_delta = linked.product_halves(p)
-        g = M[gamma[0][p, 0], gamma[0][:, 0], None]
-        bad = kernel.differ(kernel.pick(linked.u_gamma.arrays, at_gamma), (g, gamma[1]))
-        bad |= kernel.differ(kernel.pick(linked.u_delta.arrays, at_delta), (g, delta[1][p]))
+        g = M[gamma[0][p, 0], gamma[0][:, 0]]
+        bad = (gamma_scalar[at_gamma] != g) | (gamma_vertex[at_gamma] != gamma[1])
+        bad |= (delta_scalar[at_delta] != g) | (delta_vertex[at_delta] != delta[1][p])
         return bad | (at_gamma < 0) | (at_delta < 0)
 
     def linked_row(p: int) -> np.ndarray:

@@ -3,12 +3,15 @@
 These are the loop bodies the array kernel replaced, kept as the
 reference that tests compare it against; the table oracle's scans
 (`left_ideal`, `is_regular`, `verify_map`, ...) read the table through
-the scalar `GenericSemigroup.mul`.  They call the scalar
+the scalar `GenericSemigroup.mul`.  `cone_product_table` and
+`is_linked_row` are the row-at-a-time kernel scans that the tables by
+tuple class replaced.  They call the scalar
 functions through their modules (`cones.mul_L`, `connections.phi`, ...),
 so a fault patched into one of those reaches them too.  The faults at
 the end are the ones the negative controls patch into the functors
 `connections.gamma_apply` and `connections.delta_apply`, into both
-linkage tests, into `ArrowCategory.compose`, into
+linkage tests (the scalar `is_linked` and the array comparison
+`kernel.same_factor`), into `ArrowCategory.compose`, into
 `CrossConnection.opposite`, into `connections.gamma_cell`, into both
 linked-pair products, into the linked-pair table and into
 `connections.linked_pairs`.
@@ -20,6 +23,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
 from unittest import mock
+
+import numpy as np
 
 from crossconn import cones, connections, kernel
 from crossconn.categories import (
@@ -155,6 +160,27 @@ def cone_table(group, cones_: list[Cone]) -> list[list[int]]:
     """`cones.cone_table` by a dict lookup of each scalar `cones.mul_L` product."""
     index = {c: k for k, c in enumerate(cones_)}
     return [[index[cones.mul_L(group, c1, c2)] for c2 in cones_] for c1 in cones_]
+
+
+def cone_product_table(M, members) -> np.ndarray:
+    """`kernel.cone_product_table` one row at a time: member a times every
+    member under `kernel.mul_L`, each product's key looked up in the
+    members' own `KeyIndex`, -1 where a product is not a member."""
+    index = kernel.KeyIndex(kernel.row_keys(*members))
+    table = np.empty((len(members[1]),) * 2, dtype=np.int32)
+    for a in range(len(table)):
+        table[a] = index.find(kernel.row_keys(*kernel.mul_L(M, kernel.pick(members, a), members)))
+    return table
+
+
+def is_linked_row(M, inverse, P, gamma, deltas) -> np.ndarray:
+    """`connections.is_linked` of one gamma cone against a batch of delta
+    cones, for P as an (|Lambda|, |I|) array: both cones factor through the
+    cell (gamma's vertex, delta's vertex) by the same scalar."""
+    (gamma_values, gamma_vertex), (delta_values, delta_vertices) = gamma, deltas
+    g1, ok1 = kernel.right_factor(M, inverse, P[:, delta_vertices].T, gamma_values)
+    g2, ok2 = kernel.right_factor(M.T, inverse, P[gamma_vertex], delta_values)
+    return ok1 & ok2 & (g1 == g2)
 
 
 def table_matches_product_witness(S: ReesSemigroup) -> str | None:
@@ -553,7 +579,8 @@ def faulty_images(name: str, fault):
 
 @contextmanager
 def unscaled_linkage():
-    """`is_linked`, scalar and array alike, without its g1 == g2 test: cones of
+    """`is_linked` without its g1 == g2 test, scalar and on arrays alike (the
+    array linkage compares the factors in `kernel.same_factor`): cones of
     one cell that factor through different scalars count as linked."""
 
     def scalar(conn, gamma, delta):
@@ -562,14 +589,11 @@ def unscaled_linkage():
         g2 = connections._right_factor(G.opposite, P.row(gamma.vertex), delta.values)
         return g1 is not None and g2 is not None
 
-    def array(M, inverse, P, gamma, deltas):
-        (values, vertex), (delta_values, delta_vertices) = gamma, deltas
-        _, ok1 = kernel.right_factor(M, inverse, P[:, delta_vertices].T, values)
-        _, ok2 = kernel.right_factor(M.T, inverse, P[vertex], delta_values)
-        return ok1 & ok2
+    def same_factor(f1, f2):
+        return (f1 >= 0) & (f2 >= 0)
 
     with mock.patch.object(connections, "is_linked", scalar), mock.patch.object(
-        kernel, "is_linked", array
+        kernel, "same_factor", same_factor
     ):
         yield
 

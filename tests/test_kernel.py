@@ -2,6 +2,7 @@
 
 import contextlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scalar_reference
 from hypothesis import given, settings, strategies as st
 
 from crossconn import (
+    Cone,
     FiniteGroup,
     ReesElement,
     ReesSemigroup,
@@ -59,9 +61,8 @@ def _principal_products_agree(S: ReesSemigroup) -> None:
 
 
 def _cone_product_table(M, members):
-    """`kernel.cone_product_table` of a list of cones, with their own `KeyIndex`."""
-    arrays = kernel.cone_arrays(members)
-    return kernel.cone_product_table(M, arrays, kernel.KeyIndex(kernel.row_keys(*arrays)))
+    """`kernel.cone_product_table` of a list of cones, by their tuple classes."""
+    return kernel.cone_product_table(M, kernel.ConeClasses(kernel.cone_arrays(members)))
 
 
 def _pair_table(S: ReesSemigroup):
@@ -115,6 +116,58 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
     ):
         table = _cone_product_table(array, members)
         assert verify._regular(table) == scalar_reference.regular_subsemigroup(group, members)
+
+
+def _cones(G: FiniteGroup, width: int, known: list) -> st.SearchStrategy:
+    """Lists of distinct cones of the given width: known ones and drawn ones."""
+    drawn = st.builds(
+        Cone,
+        st.tuples(*[st.integers(0, G.order - 1)] * width),
+        st.integers(0, width - 1),
+    )
+    return st.lists(st.sampled_from(known) | drawn, min_size=1, max_size=16, unique=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_class_tables_match_the_row_tables(G, n_lambda, n_i, data):
+    # The tables by tuple class against their row-by-row references: the
+    # cone table of U-Gamma (U-Delta) over G (G^op), closed, and of drawn
+    # sets over both, mostly not closed, whose -1 holes must match; and the
+    # linkage table of drawn gamma and delta cones against the kernel's
+    # row test and the scalar connections.is_linked.  Small blocks make the
+    # scalings and the gathers run in several blocks, the last one short.
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    conn = connections.CrossConnection(SandwichMatrix(G, entries))
+    ug, ud = connections.u_gamma(conn), connections.u_delta(conn)
+    gammas = data.draw(_cones(G, n_lambda, ug))
+    deltas = data.draw(_cones(G, n_i, ud))
+    block = data.draw(st.sampled_from([1, 7, kernel.BLOCK]))
+    M, inverse, P = G.array, np.asarray(G.inverse), conn.matrix.array
+    with mock.patch.object(kernel, "BLOCK", block):
+        for array, members in ((M, ug), (M.T, ud), (M, gammas), (M.T, gammas), (M.T, deltas)):
+            cone_arrays = kernel.cone_arrays(members)
+            table = kernel.cone_product_table(array, kernel.ConeClasses(cone_arrays))
+            assert table.dtype == np.int32
+            assert np.array_equal(table, scalar_reference.cone_product_table(array, cone_arrays))
+
+        gamma_arrays, delta_arrays = kernel.cone_arrays(gammas), kernel.cone_arrays(deltas)
+        linkage = kernel.linkage_table(
+            M, inverse, P, kernel.ConeClasses(gamma_arrays), kernel.ConeClasses(delta_arrays)
+        )
+    rows = [
+        scalar_reference.is_linked_row(M, inverse, P, gamma, delta_arrays)
+        for gamma in zip(*gamma_arrays)
+    ]
+    assert np.array_equal(linkage, np.array(rows))
+    assert linkage.tolist() == [[connections.is_linked(conn, g, d) for d in deltas] for g in gammas]
 
 
 IMAGE_FAULTS = [
@@ -268,13 +321,12 @@ def test_cone_product_table_marks_each_absent_product():
     # The one-object cones (a,) for a in {0, 1, 2}, whose product under
     # mul_L is (a + b mod m,): over Z4 the product (3,) is outside the set
     # and reads -1, and the first -1 in row order is the closure witness.
-    members = np.arange(3).reshape(3, 1), np.zeros(3, dtype=np.intp)
-    index = kernel.KeyIndex(kernel.row_keys(*members))
-    table = kernel.cone_product_table(builtin("cyclic", 4).array, members, index)
+    classes = kernel.ConeClasses((np.arange(3).reshape(3, 1), np.zeros(3, dtype=np.intp)))
+    table = kernel.cone_product_table(builtin("cyclic", 4).array, classes)
     assert table.dtype == np.int32
     assert table.tolist() == [[0, 1, 2], [1, 2, -1], [2, -1, 0]]
     assert kernel.first_hole(table) == (1, 2)
-    closed = kernel.cone_product_table(builtin("cyclic", 3).array, members, index)
+    closed = kernel.cone_product_table(builtin("cyclic", 3).array, classes)
     assert closed.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     assert kernel.first_hole(closed) is None
 

@@ -4,7 +4,9 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from crossconn import connections
+import numpy as np
+
+from crossconn import SandwichMatrix, builtin, connections
 from crossconn.verify import full_suite, rbg_suite
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -119,7 +121,19 @@ def test_bench_reads_the_peak_rss_after_the_first_runs(monkeypatch):
 def test_bench_include_large_adds_only_the_4096_rung():
     bench = _load_script("bench")
     ladder, large = bench.rungs(include_large=False), bench.rungs(include_large=True)
-    assert large[:-1] == ladder
-    name, matrix = large[-1]
-    assert name == "Z4 32x32 identity"
-    assert matrix.group.order * matrix.rows * matrix.cols == 4096
+    added = [rung for rung in large if rung not in ladder]
+    assert [rung for rung in large if rung not in added] == ladder
+    assert [name for name, _ in added] == ["Z4 32x32 identity", "Z4 32x32 generic"]
+    for _, matrix in added:
+        assert matrix.group.order * matrix.rows * matrix.cols == 4096
+
+
+def test_bench_generic_rungs_skip_rbg_suite():
+    # The generic matrix has the identity in its first row and column only,
+    # and on a matrix that is not the constant identity rbg_suite does not run.
+    bench = _load_script("bench")
+    matrix = dict(bench.rungs(include_large=False))["Z2 32x32 generic"]
+    entries = np.array(matrix.entries)
+    assert (entries[0] == 0).all() and (entries[:, 0] == 0).all() and entries.any()
+    rung = bench.measure("S1", SandwichMatrix(builtin("cyclic", 2), [[0, 0], [0, 1]]), runs=1)
+    assert "rbg_suite" not in rung["suites"] and rung["suites"]["full_suite"]["failed"] == 0

@@ -63,9 +63,8 @@ def _rbg_suite(S):
 
 
 def _cone_product_table(M, members):
-    """`kernel.cone_product_table` of a list of cones, with their own `KeyIndex`."""
-    arrays = kernel.cone_arrays(members)
-    return kernel.cone_product_table(M, arrays, kernel.KeyIndex(kernel.row_keys(*arrays)))
+    """`kernel.cone_product_table` of a list of cones, by their tuple classes."""
+    return kernel.cone_product_table(M, kernel.ConeClasses(kernel.cone_arrays(members)))
 
 
 def test_full_suite_edge_shapes(z2, z3):
@@ -614,8 +613,12 @@ def test_principal_image_short_of_u_gamma_is_judged_alone(monkeypatch):
 
 def _constant_mul_L(original):
     """`kernel.mul_L` with every product the first member of the batch it
-    multiplies: the table of any batch is closed, x*y = x0, and no member
-    but x0 is regular."""
+    multiplies.  A small cone table multiplies one batch, each of its
+    tuple classes against each group element, whose first member has the
+    first class's tuple: every product x*y then has that tuple and y's
+    vertex, as `kernel.cone_product_table` reads the vertex off y.  So a set with
+    that tuple at every vertex, as U-Gamma has, is closed, and no member
+    with another tuple is regular."""
 
     def mul_L(M, c1, c2):
         batch = c2 if np.ndim(c2[1]) else c1
@@ -735,8 +738,9 @@ def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
 
 
 def test_full_suite_indexes_each_cone_set_once(s1, monkeypatch):
-    # T_L, U-Gamma and U-Delta each get one KeyIndex, which both their
-    # table and every later lookup of their members read.
+    # T_L, U-Gamma and U-Delta each get one KeyIndex, over their distinct
+    # tuples, which both their table and every later lookup of their
+    # members read.
     built = []
 
     class CountingIndex(kernel.KeyIndex):
@@ -747,8 +751,8 @@ def test_full_suite_indexes_each_cone_set_once(s1, monkeypatch):
     monkeypatch.setattr(kernel, "KeyIndex", CountingIndex)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
     conn = CrossConnection(s1.matrix)
-    sizes = [len(connections.u_gamma(conn)), len(connections.u_delta(conn))]
-    assert built == [*sizes, len(cones.enumerate_TL(s1.group, s1.n_lambda))]
+    sets = [connections.u_gamma(conn), connections.u_delta(conn), cones.enumerate_TL(s1.group, 2)]
+    assert built == [len({c.values for c in members}) for members in sets] == [4, 4, 4]
 
 
 def test_full_suite_forms_phi_once_per_element(s1, monkeypatch):
@@ -769,23 +773,25 @@ def test_full_suite_forms_phi_once_per_element(s1, monkeypatch):
 
 def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
     # rbg_suite given its pairs (on the identity matrix of S1's shape) and
-    # full_suite each tabulate U-Gamma and U-Delta once, one kernel row per
-    # member, and gather the pair table from those tables: no kernel row
-    # multiplies two pairs.  In full_suite the U tables come first; then T_L's, and the
-    # rest of the rows are category_suite's 8 and T_L's 8.  Linkage is
-    # tested once per U-Gamma cone, against all of U-Delta, not per pair.
+    # full_suite each tabulate U-Gamma and U-Delta once, with one kernel
+    # mul_L batch of scalings per block of tuple classes (one block for
+    # sets this small), and gather the pair table from those
+    # tables: no kernel row multiplies two pairs.  In full_suite the U
+    # tables come first; then T_L's, and the other mul_L calls are
+    # category_suite's 8 rows and T_L's one batch.  Linkage is one table of
+    # U-Gamma x U-Delta per suite, not one test per pair.
     tables, calls = [], Counter()
 
-    def cone_product_table(M, members, index, _original=kernel.cone_product_table):
-        tables.append(kernel.row_keys(*members).tolist())
-        return _original(M, members, index)
+    def cone_product_table(M, classes, _original=kernel.cone_product_table):
+        tables.append(kernel.row_keys(*classes.members).tolist())
+        return _original(M, classes)
 
     def mul_L(*args, _original=kernel.mul_L):
         calls["mul_L"] += 1
         return _original(*args)
 
-    def is_linked(*args, _original=kernel.is_linked):
-        calls["is_linked"] += 1
+    def linkage_table(*args, _original=kernel.linkage_table):
+        calls["linkage_table"] += 1
         return _original(*args)
 
     def u_keys(S):
@@ -795,17 +801,17 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
 
     monkeypatch.setattr(kernel, "cone_product_table", cone_product_table)
     monkeypatch.setattr(kernel, "mul_L", mul_L)
-    monkeypatch.setattr(kernel, "is_linked", is_linked)
+    monkeypatch.setattr(kernel, "linkage_table", linkage_table)
     for suite, S, after, rows in (
         (_rbg_suite, ReesSemigroup(identity_matrix(s1.group, 2, 2)), 0, 0),
-        (full_suite, ReesSemigroup(s1.matrix), 1, 16),
+        (full_suite, ReesSemigroup(s1.matrix), 1, 9),
     ):
         tables.clear()
         calls.clear()
         _assert_clean(suite(S))
         keys = u_keys(S)
         assert len(tables) == 2 + after and tables[:2] == keys
-        assert calls == {"mul_L": rows + sum(map(len, keys)), "is_linked": len(keys[0])}
+        assert calls == {"mul_L": rows + 2, "linkage_table": 1}
 
 
 def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
@@ -824,8 +830,9 @@ def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
 
 
 def test_cone_suite_forms_no_principal_product_twice(s1, monkeypatch):
-    # One kernel row per cone of T_L (8) and none for the principal checks,
-    # which read the U-Gamma and U-Delta tables of the pairs given.
+    # One kernel batch of scalings for T_L's table (one block of tuple
+    # classes) and none for the principal checks, which read the U-Gamma
+    # and U-Delta tables of the pairs given.
     calls = Counter()
     original = kernel.mul_L
 
@@ -837,7 +844,7 @@ def test_cone_suite_forms_no_principal_product_twice(s1, monkeypatch):
     linked = connections.pair_arrays(S)
     monkeypatch.setattr(kernel, "mul_L", counting)
     _assert_clean(cone_suite(S, linked))
-    assert calls == {"mul_L": 8}
+    assert calls == {"mul_L": 1}
 
 
 def test_associative_tables_never_reach_the_full_scan(s1, monkeypatch):
