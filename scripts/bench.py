@@ -19,13 +19,16 @@ and crossconn_suite in turn, the last two given the pairs, which is what
 full_suite does (the first of them builds the table, and full_suite's time
 is their sum), and then rbg_suite on another fresh semigroup, given its
 pairs from connections.pair_arrays, whose build its time includes, on
-the identity rungs only: rbg_suite checks the identity's connection.  Times
+the identity rungs only: rbg_suite checks the identity's connection.  Then
+one call each times the table oracle's two largest parts on the rung's
+table, oracle.green_via_ideals and oracle.associativity_witness (Light's
+test), and counts the generators that Light's test runs over.  Times
 are raw wall seconds, in-process.  The file gives, per rung and per suite,
 the median and quartiles of the K times and the number of checks, skips
 and failures; per rung, the peak RSS, read once, after the first
 full_suite and rbg_suite (later runs in the same interpreter creep
-upwards without any one command needing more); and the Python and numpy
-versions and the CPU count.
+upwards without any one command needing more), and the oracle's parts;
+and the Python and numpy versions and the CPU count.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix
+from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix, oracle
 from crossconn.checks import failures
 from crossconn.connections import pair_arrays
 from crossconn.verify import category_suite, cone_suite, crossconn_suite, rbg_suite, rees_suite
@@ -158,11 +161,18 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
             times["rbg_suite"].append(seconds)
         if k == 0:
             peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    S = _semigroup(matrix)
+    T = S.to_generic()
     return {
         "name": name,
-        "size": _semigroup(matrix).size,
+        "size": S.size,
         "peak_rss_mb": round(peak_kb / 1024, 1),
         "suites": {n: _summary(times[n], checks[n]) for n in names},
+        "oracle": {
+            "green_via_ideals_s": round(_timed(oracle.green_via_ideals, T)[0], 4),
+            "associativity_witness_s": round(_timed(oracle.associativity_witness, T.table)[0], 4),
+            "generators": len(oracle.generators(T.table)),
+        },
     }
 
 

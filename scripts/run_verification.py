@@ -5,8 +5,10 @@ Covers the named small fixtures, a batch of seeded random sandwich
 matrices, and with --include-large a 512-element fixture over Z2, a
 480-element M[S5; 2, 2] with a generic matrix (no two columns differ by a
 constant factor, nor two rows, so all 480 cones of U-Gamma and of U-Delta
-are distinct, over a non-abelian group), and the 2048-element
-M[Z2; 32, 32] and 4096-element M[Z4; 32, 32] with the identity matrix.
+are distinct, over a non-abelian group), the 2048-element M[Z2; 32, 32]
+with the identity matrix and with bench.py's generic matrix (first row
+and first column the identity, the rest from random.Random(7)), and the
+4096-element M[Z4; 32, 32] with the identity matrix.
 Each fixture is built with the size guard set to its own size, so it is
 checked in full.  A fixture whose matrix is the constant identity is
 also checked by rbg_suite, the rectangular band of groups, given the
@@ -20,6 +22,7 @@ import argparse
 import random
 import time
 
+from bench import generic_matrix  # this file's directory is on sys.path when it runs
 from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix
 from crossconn.checks import failures
 from crossconn.connections import pair_arrays
@@ -59,6 +62,7 @@ def fixture_battery(seed: int, include_large: bool):
         e, x = s5.identity, next(g for g in s5.elements() if g != s5.identity)
         fixtures.append(("S5 2x2 generic", SandwichMatrix(s5, [[e, e], [e, x]])))
         fixtures.append(("Z2 32x32 identity", identity_matrix(z2, 32, 32)))
+        fixtures.append(("Z2 32x32 generic", generic_matrix(z2, 32)))
         fixtures.append(("Z4 32x32 identity", identity_matrix(builtin("cyclic", 4), 32, 32)))
     return fixtures
 

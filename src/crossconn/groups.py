@@ -222,14 +222,14 @@ def builtin(family: str, n: int = 0) -> FiniteGroup:
             raise SizeGuardExceeded(
                 f"symmetric group degree {n} exceeds the guard {MAX_SYMMETRIC_DEGREE}"
             )
-        perms = sorted(permutations(range(n)))
-        index = {p: k for k, p in enumerate(perms)}
-        table = [
-            [index[tuple(a[b[x]] for x in range(n))] for b in perms]
-            for a in perms
-        ]
-        names = ["".join(str(v) for v in p) for p in perms]
-        return FiniteGroup(table, names=names)
+        perms = np.array(sorted(permutations(range(n))), dtype=np.intp)
+        # a*b is perms[a][perms[b]]; a permutation's base-n code grows with
+        # its lexicographic rank, so searchsorted on the codes finds its index
+        weights = n ** np.arange(n - 1, -1, -1)
+        products = perms[np.arange(len(perms))[:, None, None], perms[None, :, :]]
+        table = np.searchsorted(perms @ weights, products @ weights)
+        names = ["".join(str(v) for v in p) for p in perms.tolist()]
+        return FiniteGroup(table.tolist(), names=names)
     if family == "klein":
         table = [[a ^ b for b in range(4)] for a in range(4)]
         return FiniteGroup(table, names=["e", "a", "b", "ab"])

@@ -16,7 +16,10 @@ numpy step, so beyond one (n, n) table it holds one (n, k) row of
 products at a time and never an (n, n, k) array.  A table gathered from
 smaller tables is filled in blocks of about BLOCK entries, so that no
 (n, n) temporary is held beside it, and a batch of scalings is formed in
-blocks of the same size.
+blocks of the same size.  `blocks` gives the slices of rows: S's table
+(`ReesSemigroup.index_table`) and S^op's are filled through it too, and
+the table oracle scans through it, with `first_block_failure` naming the
+first failing (a, b) in row order, as a scan one row at a time would.
 
 Keys.  Membership is exact.  The key of a tuple is its row of int32
 coordinates read as one np.void of raw bytes.  A `KeyIndex` sorts the
@@ -205,7 +208,7 @@ def same_factor(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return (f1 >= 0) & (f1 == f2)
 
 
-def _blocks(n_rows: int, row_size: int):
+def blocks(n_rows: int, row_size: int):
     """Slices of consecutive rows, of row_size entries each, about BLOCK entries
     to a slice."""
     step = max(1, BLOCK // max(1, row_size))
@@ -227,7 +230,7 @@ def linkage_table(
     f1 = factors(M, inverse, P.T, gammas.tuples)[:, deltas.vertices]
     f2 = factors(M.T, inverse, P, deltas.tuples).T[:, deltas.tid]
     table = np.empty((len(gammas.tid), len(deltas.tid)), dtype=bool)
-    for rows in _blocks(*table.shape):
+    for rows in blocks(*table.shape):
         table[rows] = same_factor(f1[gammas.tid[rows]], f2[gammas.vertices[rows]])
     return table
 
@@ -258,6 +261,20 @@ def first_failure(n: int, bad_row: Callable[[int], np.ndarray]) -> tuple[int, in
     return None
 
 
+def first_block_failure(
+    n_rows: int, row_size: int, bad_rows: Callable[[slice], np.ndarray]
+) -> tuple[int, int] | None:
+    """The first (a, b) in row order where the mask bad_rows(rows) is true,
+    for slices of rows of about BLOCK entries from `blocks`; bad_rows(rows)
+    has one row of the mask per row of the slice."""
+    for rows in blocks(n_rows, row_size):
+        bad = bad_rows(rows)
+        if bad.any():
+            a, b = divmod(int(bad.argmax()), bad.shape[1])
+            return rows.start + a, b
+    return None
+
+
 def first_hole(table: np.ndarray) -> tuple[int, int] | None:
     """The first (a, b) in row order where `cone_product_table` found no product."""
     return first_failure(len(table), lambda a: table[a] < 0)
@@ -278,13 +295,13 @@ def cone_product_table(M: np.ndarray, classes: ConeClasses) -> np.ndarray:
     """
     (values, vertices), order, tuples = classes.members, len(M), classes.tuples
     scale = np.empty((len(tuples), order), dtype=np.int32)
-    for rows in _blocks(len(tuples), order * tuples.shape[1]):
+    for rows in blocks(len(tuples), order * tuples.shape[1]):
         part = tuples[rows]
         scalings = np.repeat(part, order, axis=0), np.tile(np.arange(order), len(part))
         scaled, _ = mul_L(M, scalings, (np.arange(order), 0))
         scale[rows] = classes.find_tuples(scaled).reshape(len(part), order)
     at = values.T.astype(np.int32)  # at[v, b]: member b's value at object v
     table = np.empty((len(vertices),) * 2, dtype=np.int32)
-    for rows in _blocks(*table.shape):
+    for rows in blocks(*table.shape):
         table[rows] = classes.pos[scale[classes.tid[rows, None], at[vertices[rows]]], vertices]
     return table

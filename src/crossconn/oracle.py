@@ -7,17 +7,37 @@ the closed-form constructions implemented elsewhere in the package.
 A table is one read-only (n, n) int32 array whose entries are all
 indices below n: a kernel table with -1 holes (a set that is not closed)
 is rejected by `GenericSemigroup`, so the oracle judges closed tables
-only.  The scans read it one row or column at a time in numpy, and
-their witnesses hold Python ints.  Green's relations come as one dict of
-all four partitions, each principal ideal built once per table.
+only.  The scans read it in blocks of rows of about `kernel.BLOCK`
+entries, so that no temporary is larger than the table (only the full
+scan of a table that fails Light's test, below, holds an intp copy), and
+their witnesses hold Python ints: the first failing (a, b) in row order,
+then column order, as a scan one row at a time would find it.
+
+Ideals are bit rows.  `ideal_rows` gives the principal left ideals S^1 x
+(x and column x of the table) and right ideals x S^1 (x and row x) of
+every element as packed bit rows, each block of rows one boolean
+scatter; the bytes of a row are an exact key of its ideal.  Green's
+relations come as one dict of all four partitions, keyed by those bytes:
+L and R by the row of each side, H by the pair, and D by union-find over
+the L and R classes.  A caller that needs the rows more than once (Light's
+test, Green's relations and the principal-ideal check of one table)
+builds them once and passes them on.
 
 Associativity is decided by Light's test (Clifford & Preston, *The
 Algebraic Theory of Semigroups* I, 1961, Section 1.2): the table is
 associative when (x a) y = x (a y) holds for all x, y and every a of a
-generating set A, found greedily from the table.  That reads
-O(n^2 |A|) products instead of O(n^3).  Only a table that fails it is
-scanned in full, row by row, for the first failing triple, so the
-witness is the one a full scan reports.
+generating set A.  That reads O(n^2 |A|) products instead of O(n^3).
+`generators` picks A from the table: the lowest element outside the
+closure so far whose L- and R-classes the closure does not meet, or else
+the lowest outside, and closes a whole frontier per numpy step.  In a
+completely simple semigroup a product is R-related to its first factor
+and L-related to its last, so every generating set meets each R- and
+L-class, and this choice stays near the rank (Ruskuc, "On the rank of
+completely 0-simple semigroups", 1994): 33 generators for M[Z4; 32, 32]
+where the lowest index alone takes 64.  Any generating set makes the
+test sound, so the choice decides only its cost.  Only a table that
+fails it is scanned in full, row by row, for the first failing triple,
+so the witness is the one a full scan reports.
 """
 
 from __future__ import annotations
@@ -27,10 +47,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import kernel
 from .errors import IndexOutOfRange, NotAssociative, NotClosed
 
 
-def associativity_witness(table) -> tuple[int, int, int] | None:
+def associativity_witness(table, ideals=None) -> tuple[int, int, int] | None:
     """First triple (a, b, c) with (a*b)*c != a*(b*c), or None if associative.
 
     Light's test runs first.  The set N of elements a with (x a) y = x (a y)
@@ -39,52 +60,64 @@ def associativity_witness(table) -> tuple[int, int, int] | None:
     a generating set A, it holds the whole table, and the table is
     associative.  `generators` builds its closure from table products
     only, so that closure lies inside the subsemigroup A generates, and
-    the test is sound.  For each a of A, all (x, y) are one array
-    comparison.  Only when the test fails does the full row scan run, and
-    it returns the first triple in (a, b, c) order.
+    the test is sound whichever generators it picks.  For each a of A,
+    all (x, y) are compared in blocks of rows x.  Only when the test fails
+    does the full row scan run, and it returns the first triple in
+    (a, b, c) order.  `ideals`, the table's `ideal_rows` if the caller has
+    them, is passed on to `generators`.
     """
     t = np.asarray(table, dtype=np.int32)
-    for a in generators(t):
-        # left[x, y] = t[t[x, a], y], right[x, y] = t[x, t[a, y]]
-        left, right = np.take(t, t[:, a], axis=0), np.take(t, t[a], axis=1)
-        if not np.array_equal(left, right):
-            return _full_scan(t)
+    n = len(t)
+    for a in generators(t, ideals):
+        column, row = t[:, a], t[a]
+        for rows in kernel.blocks(n, n):
+            # left[x, y] = t[t[x, a], y] against right[x, y] = t[x, t[a, y]]
+            left, right = np.take(t, column[rows], axis=0), np.take(t[rows], row, axis=1)
+            if not np.array_equal(left, right):
+                return _full_scan(t)
     return None
 
 
-def generators(table) -> list[int]:
-    """A greedy generating set of the table as a magma, in increasing order.
+def generators(table, ideals=None) -> list[int]:
+    """A generating set of the table as a magma, in the order chosen.
 
-    Take the lowest index not yet in the closure, then close under the
-    product one element u at a time: u times every member and every
-    member times u (row u and column u at the members).  Each pair of
-    members meets when the later of the two is taken, so the closure is
-    closed under all products.
+    Each generator is the lowest element outside the closure so far whose
+    L-class and R-class (equal `ideal_rows` on each side) the closure
+    does not meet yet, or, when every outside element's classes are met,
+    the lowest element outside (see the module's notes on the rank).  The
+    closure grows in waves: the elements a wave adds (the frontier)
+    times every member, and every member times them, in blocks of
+    frontier elements.  Each pair of members meets in the wave of the
+    later of the two, so the closure is closed under all products.
+    `ideals` is the table's `ideal_rows`, built here when it is None.
     """
     t = np.asarray(table)
     n = len(t)
+    lefts, rights = ideal_rows(t) if ideals is None else ideals
+    classes = [_class_ids(lefts), _class_ids(rights)]
+    met = [np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)]  # per class id
     inside = np.zeros(n, dtype=bool)
     members = np.empty(n, dtype=np.intp)  # the closure, in the order reached
-    reached = taken = 0
+    reached = 0
     out = []
-    for x in range(n):
-        if inside[x]:
-            continue
+    while reached < n:
+        fresh = ~inside & ~met[0][classes[0]] & ~met[1][classes[1]]
+        x = int(fresh.argmax()) if fresh.any() else int(inside.argmin())
         out.append(x)
-        inside[x] = True
-        members[reached] = x
-        reached += 1
-        while taken < reached:
-            u, current = members[taken], members[:reached]
-            taken += 1
+        frontier = np.array([x])
+        while len(frontier):
+            inside[frontier] = True
+            members[reached : reached + len(frontier)] = frontier
+            reached += len(frontier)
+            for ids, seen in zip(classes, met):
+                seen[ids[frontier]] = True
+            current = members[:reached]
             # np.unique would import numpy.ma: mark the products instead
             hit = np.zeros(n, dtype=bool)
-            hit[t[u, current]] = True
-            hit[t[current, u]] = True
-            new = np.flatnonzero(hit & ~inside)
-            inside[new] = True
-            members[reached : reached + len(new)] = new
-            reached += len(new)
+            for rows in kernel.blocks(len(frontier), reached):
+                hit[t[np.ix_(frontier[rows], current)]] = True
+                hit[t[np.ix_(current, frontier[rows])]] = True
+            frontier = np.flatnonzero(hit & ~inside)
     return out
 
 
@@ -152,15 +185,40 @@ def from_table(table) -> GenericSemigroup:
     return T
 
 
-def left_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
-    """S^1 x, the principal left ideal with the formal identity adjoined:
-    x and column x of the table."""
-    return frozenset([x, *T.table[:, x].tolist()])
+def ideal_rows(table) -> tuple[np.ndarray, np.ndarray]:
+    """The principal left ideals S^1 x and right ideals x S^1 of every
+    element as packed bit rows, two (n, ceil(n/8)) uint8 arrays: row x of
+    the first, unpacked by `np.unpackbits`, marks x and column x of the
+    table, and row x of the second x and row x.  Equal ideals are equal
+    rows, so the bytes of a row are an exact key of its ideal.  Each block
+    of rows is one boolean scatter, packed."""
+    t = np.asarray(table)
+    n = len(t)
+    sides = []
+    for lines in (t.T, t):
+        packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+        for rows in kernel.blocks(n, n):
+            x = np.arange(n)[rows]
+            hit = np.zeros((len(x), n), dtype=bool)
+            # the flat positions of row k of the block start at k*n
+            starts = np.arange(0, hit.size, n)
+            hit.ravel()[lines[rows] + starts[:, None]] = True
+            hit.ravel()[starts + x] = True
+            packed[rows] = np.packbits(hit, axis=1)
+        sides.append(packed)
+    return sides[0], sides[1]
 
 
-def right_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
-    """x S^1: x and row x of the table."""
-    return frozenset([x, *T.table[x].tolist()])
+def _keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each packed row, as hashable keys."""
+    data, width = rows.tobytes(), rows.shape[1]
+    return [data[k : k + width] for k in range(0, len(data), width)]
+
+
+def _class_ids(rows: np.ndarray) -> np.ndarray:
+    """The class of each row, numbered by first appearance: equal rows, equal ids."""
+    ids: dict[bytes, int] = {}
+    return np.array([ids.setdefault(key, len(ids)) for key in _keys(rows)], dtype=np.intp)
 
 
 def partition_by_key(keys: Sequence) -> tuple[tuple[int, ...], ...]:
@@ -177,16 +235,15 @@ def canonical_partition(classes) -> tuple[tuple[int, ...], ...]:
     return tuple(norm)
 
 
-def green_via_ideals(T: GenericSemigroup) -> dict[str, tuple[tuple[int, ...], ...]]:
+def green_via_ideals(T: GenericSemigroup, ideals=None) -> dict[str, tuple[tuple[int, ...], ...]]:
     """Green's relations computed from principal-ideal equality, keyed
     "L", "R", "H" and "D".
 
-    Each principal ideal is built once.  L is equality of S^1 x, R
-    dually, H their intersection, and D the join: the union of the L and
-    R classes found, merged by union-find.
+    `ideals` is T's `ideal_rows`, built here when it is None.  L is
+    equality of the rows of S^1 x, R dually, H equality of the pair, and D
+    the join: the union of the L and R classes found, merged by union-find.
     """
-    lefts = [left_ideal(T, x) for x in range(T.size)]
-    rights = [right_ideal(T, x) for x in range(T.size)]
+    lefts, rights = map(_keys, ideal_rows(T.table) if ideals is None else ideals)
     green = {"L": partition_by_key(lefts), "R": partition_by_key(rights)}
     green["H"] = partition_by_key(list(zip(lefts, rights)))
     parent = list(range(T.size))
@@ -212,9 +269,17 @@ def idempotents(T: GenericSemigroup) -> list[int]:
 
 def is_regular(T: GenericSemigroup) -> bool:
     """True when every x has a witness y with x*y*x = x: some entry of
-    column x, taken at the rows of row x, is x."""
-    t = T.table
-    return all((t[t[x], x] == x).any() for x in range(T.size))
+    column x, taken at the rows of row x, is x.  Rows x go in blocks, read
+    from the table as one flat array (a copy only if the table is a strided
+    view)."""
+    t, flat = T.table, T.table.ravel()
+
+    def irregular(rows: slice) -> np.ndarray:
+        x = np.arange(T.size)[rows, None]
+        # t[t[x, y], x], read from the flat table: 1-d takes are the fastest gathers
+        return ~(np.take(flat, t[rows] * np.intp(T.size) + x) == x).any(axis=1, keepdims=True)
+
+    return kernel.first_block_failure(T.size, T.size, irregular) is None
 
 
 @dataclass(frozen=True)
@@ -241,17 +306,21 @@ def verify_map(f: Sequence[int], T1: GenericSemigroup, T2: GenericSemigroup) -> 
             raise IndexOutOfRange(f"f({x}) = {v} is not an element of the target")
 
     problems = []
-    # row a: f(a*b) against f(a)*f(b) for every b
-    image = np.asarray(f, dtype=np.intp)
-    hom = True
-    for a in range(T1.size):
-        left, right = image[T1.table[a]], T2.table[f[a], image]
-        bad = left != right
-        if bad.any():
-            b = int(bad.argmax())
-            hom = False
-            problems.append(f"f({a}*{b}) = {left[b]} but f({a})*f({b}) = {right[b]}")
-            break
+    # rows a of a block: f(a*b) against f(a)*f(b) for every b
+    image, flat = np.asarray(f, dtype=np.intp), T2.table.ravel()
+    bad = kernel.first_block_failure(
+        T1.size,
+        T1.size,
+        lambda rows: np.take(image, T1.table[rows])
+        != np.take(flat, image[rows, None] * T2.size + image),
+    )
+    hom = bad is None
+    if not hom:
+        a, b = bad
+        product = int(T1.table[a, b])
+        problems.append(
+            f"f({a}*{b}) = {f[product]} but f({a})*f({b}) = {int(T2.table[f[a], f[b]])}"
+        )
 
     inj = True
     seen: dict[int, int] = {}

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MixedSemigroups, ParseError, SizeGuardExceeded
 from .groups import FiniteGroup, prefix_errors, read_text
-from .kernel import element_arrays
+from .kernel import blocks, element_arrays
 from .oracle import GenericSemigroup, partition_by_key
 
 DEFAULT_SIZE_GUARD = 512
@@ -228,13 +228,16 @@ class ReesSemigroup:
 
     def index_table(self) -> np.ndarray:
         """The size x size multiplication table on element indices, as a new
-        int32 array (vectorized)."""
+        int32 array, filled in blocks of rows of about `kernel.BLOCK` entries:
+        row (g, i, lam) holds (g * p[lam][j] * h, i, mu) for every (h, j, mu)."""
         n_i, n_l = self.n_i, self.n_lambda
         g, i, lam = element_arrays(self.group.order, n_i, n_l)
-        M = self.group.array
-        p = self.matrix.array[lam[:, None], i[None, :]]
-        prod_g = M[M[g[:, None], p], g[None, :]]
-        return ((prod_g * n_i + i[:, None]) * n_l + lam[None, :]).astype(np.int32)
+        M, P = self.group.array, self.matrix.array
+        table = np.empty((self.size, self.size), dtype=np.int32)
+        for rows in blocks(self.size, self.size):
+            prod_g = M[M[g[rows, None], P[lam[rows, None], i]], g]
+            table[rows] = prod_g * (n_i * n_l) + (i[rows, None] * n_l + lam)
+        return table
 
     def table(self) -> np.ndarray:
         """index_table() made read-only, built on first use and kept, so
@@ -252,11 +255,17 @@ class ReesSemigroup:
 
     def _opposite_table(self) -> np.ndarray:
         """S^op's table from table(): x*y in S^op is y*x in S, and element
-        (g, i, lam) of S is element (g, lam, i) of S^op."""
+        (g, i, lam) of S is element (g, lam, i) of S^op.  With inverse the
+        S-index of each S^op element, row u of S^op's table is relabel of
+        column inverse[u] of S's, read at the rows inverse, in blocks of rows."""
         g, i, lam = element_arrays(self.group.order, self.n_i, self.n_lambda)
         relabel = ((g * self.n_lambda + lam) * self.n_i + i).astype(np.int32)
+        inverse = np.empty_like(relabel)
+        inverse[relabel] = np.arange(self.size, dtype=np.int32)
+        columns = self.table().T
         table = np.empty_like(self.table())
-        table[np.ix_(relabel, relabel)] = relabel[self.table().T]
+        for rows in blocks(self.size, self.size):
+            table[rows] = relabel[columns[inverse[rows, None], inverse]]
         return table
 
     def element_label(self, x: ReesElement) -> str:

@@ -7,8 +7,10 @@ the triple guard, never silently truncated.
 `rees_suite` checks the closed forms of S on plain integers, with no
 `ReesSemigroup.mul` call and no `ReesElement` per pair:
 `rees.table_matches_product` evaluates `rees.product` on the coordinates
-of every pair, one row of `S.table()` at a time, and
-`rees.principal_left_ideal` compares index sets with the oracle's ideals.
+of every pair, one row of `S.table()` at a time.  The left and right
+`oracle.ideal_rows` of S's table are built once and serve Light's test,
+`oracle.green_via_ideals` and `rees.principal_left_ideal`, which compares
+each closed form, in order, with the members of that element's bit row.
 The other O(|S|^2) scans run one row at a time on the arrays of
 `kernel`, reading products of S from `S.table()` and of G and P from
 `G.array` and `P.array`, which G and P build once; right-hand products
@@ -57,8 +59,10 @@ judges the rest:
 `oracle.is_regular` decides the principal image and U-Gamma/U-Delta,
 `oracle.verify_map` the isomorphism, and
 `oracle.green_via_ideals` gives all four Green partitions of S and of
-T_L at once.  Each table is scanned for associativity once, by the check
-that reports it (`rees.associative`, `cones.tl_associative`), so a
+T_L at once, keyed by the bytes of the ideal rows by which Light's test
+of the same table chose its generators.  Each table is scanned for
+associativity once, by the check that reports it (`rees.associative`,
+`cones.tl_associative`), so a
 non-associative table is a failed check; the linked-pair table needs
 none, since a passing `crossconn.phi_isomorphism` carries S's
 associativity onto it.
@@ -85,8 +89,9 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
     checks = []
     T = S.to_generic()
     table = T.table
+    ideals = oracle.ideal_rows(table)
 
-    witness = oracle.associativity_witness(table)
+    witness = oracle.associativity_witness(table, ideals)
     checks.append(
         Check("rees.associative", witness is None, str(witness) if witness else None)
     )
@@ -109,15 +114,17 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
         )
     )
 
-    formula, brute = S.green(), oracle.green_via_ideals(T)
+    formula, brute = S.green(), oracle.green_via_ideals(T, ideals)
     for kind in ("L", "R", "H", "D"):
         checks.append(Check(f"rees.green_{kind}_oracle_agreement", formula[kind] == brute[kind]))
 
+    # row k of the left ideal rows, unpacked: the members of S^1 x in order
     bad_ideal = next(
         (
             x
-            for k, x in enumerate(elements)
-            if S.principal_left_ideal(x) != oracle.left_ideal(T, k)
+            for x, row in zip(elements, ideals[0])
+            if sorted(S.principal_left_ideal(x))
+            != np.flatnonzero(np.unpackbits(row, count=S.size)).tolist()
         ),
         None,
     )
@@ -269,7 +276,8 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         checks.append(Check("cones.semidirect_law", witness is None, witness))
 
         table = cones.cone_table(G, tl)
-        assoc = oracle.associativity_witness(table)
+        ideals = oracle.ideal_rows(table)
+        assoc = oracle.associativity_witness(table, ideals)
         checks.append(Check("cones.tl_associative", assoc is None, str(assoc) if assoc else None))
 
         T = oracle.GenericSemigroup(table)
@@ -277,7 +285,7 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         by_coset = oracle.partition_by_key(
             [cones.coset_normalize(G, "left", c.values) for c in tl]
         )
-        green = oracle.green_via_ideals(T)
+        green = oracle.green_via_ideals(T, ideals)
         ok = by_vertex == green["L"] and by_coset == green["R"]
         checks.append(Check("cones.tl_green_agreement", ok))
 

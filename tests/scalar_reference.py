@@ -2,8 +2,8 @@
 
 These are the loop bodies the array kernel replaced, kept as the
 reference that tests compare it against; the table oracle's scans
-(`left_ideal`, `is_regular`, `verify_map`, ...) read the table through
-the scalar `GenericSemigroup.mul`.  `cone_product_table` and
+(`left_ideal`, `right_ideal`, `is_regular`, `verify_map`, ...) read the
+table through the scalar `GenericSemigroup.mul`.  `cone_product_table` and
 `is_linked_row` are the row-at-a-time kernel scans that the tables by
 tuple class replaced.  They call the scalar
 functions through their modules (`cones.mul_L`, `connections.phi`, ...),
@@ -49,11 +49,12 @@ from crossconn.rees import ReesElement, ReesSemigroup, SandwichMatrix
 
 
 def left_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
-    """`oracle.left_ideal`: S^1 x by a set comprehension."""
+    """Row x of the left `oracle.ideal_rows`: S^1 x by a set comprehension."""
     return frozenset({x} | {T.mul(s, x) for s in range(T.size)})
 
 
 def right_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
+    """Row x of the right `oracle.ideal_rows`: x S^1."""
     return frozenset({x} | {T.mul(x, s) for s in range(T.size)})
 
 

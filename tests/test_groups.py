@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -33,6 +33,20 @@ def test_symmetric3_shape(s3):
     assert s3.order == 6
     assert s3.identity == 0
     assert s3.names[0] == "012"
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_table_is_the_composition_of_sorted_permutations(n):
+    # The definition: permutations of 0..n-1 in lexicographic order, a*b
+    # being "apply b, then a", its index looked up in a dict.
+    perms = sorted(permutations(range(n)))
+    index = {p: k for k, p in enumerate(perms)}
+    G = builtin("symmetric", n)
+    assert G.cayley == tuple(
+        tuple(index[tuple(a[b[x]] for x in range(n))] for b in perms) for a in perms
+    )
+    assert G.names == tuple("".join(map(str, p)) for p in perms)
+    assert G.identity == 0
 
 
 def test_symmetric3_noncommutative_witness(s3):

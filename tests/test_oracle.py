@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +16,17 @@ from crossconn import (
     green_via_ideals,
     idempotents,
     is_regular,
+    kernel,
     verify_map,
 )
 from crossconn.errors import IndexOutOfRange, NotAssociative, NotClosed
-from crossconn.oracle import canonical_partition, generators, left_ideal, right_ideal
+from crossconn.oracle import canonical_partition, generators, ideal_rows
+
+
+def _ideals(T, side):
+    """The members of each principal ideal, unpacked from `ideal_rows`."""
+    rows = np.unpackbits(ideal_rows(T.table)[side == "right"], axis=1, count=T.size)
+    return [frozenset(np.flatnonzero(row).tolist()) for row in rows]
 
 
 def test_rees_export_is_valid(s1):
@@ -49,7 +57,7 @@ def test_left_zero_semigroup():
 def test_right_zero_semigroup():
     # x*y = y: principal left ideals are singletons
     T = from_table([[0, 1], [0, 1]])
-    assert left_ideal(T, 0) == frozenset({0})
+    assert _ideals(T, "left") == [frozenset({0}), frozenset({1})]
     green = green_via_ideals(T)
     assert green["L"] == ((0,), (1,))
     assert green["R"] == ((0, 1),)
@@ -192,26 +200,33 @@ def closed_tables(draw, max_size=12):
     return _conjugate(table, draw(st.permutations(range(n))))
 
 
+# block sizes in entries: one row per block, a few rows, and the default
+BLOCKS = st.sampled_from([1, 7, kernel.BLOCK])
+
+
 @settings(max_examples=150, deadline=None)
-@given(closed_tables())
-def test_array_oracle_matches_the_loops(table):
-    # Verdicts, ideals, idempotents and Green partitions of the row-at-a-time
+@given(closed_tables(), BLOCKS)
+def test_array_oracle_matches_the_loops(table, block):
+    # Verdicts, ideals, idempotents and Green partitions of the blocked
     # oracle equal those of the scalar loops, associative table or not.
     T = GenericSemigroup(table)
-    assert is_regular(T) is scalar_reference.is_regular(T)
-    assert idempotents(T) == scalar_reference.idempotents(T)
-    for x in range(T.size):
-        assert left_ideal(T, x) == scalar_reference.left_ideal(T, x)
-        assert right_ideal(T, x) == scalar_reference.right_ideal(T, x)
-    assert green_via_ideals(T) == scalar_reference.green_via_ideals(T)
+    with mock.patch.object(kernel, "BLOCK", block):
+        assert is_regular(T) is scalar_reference.is_regular(T)
+        assert idempotents(T) == scalar_reference.idempotents(T)
+        for side, reference in (
+            ("left", scalar_reference.left_ideal),
+            ("right", scalar_reference.right_ideal),
+        ):
+            assert _ideals(T, side) == [reference(T, x) for x in range(T.size)]
+        assert green_via_ideals(T) == scalar_reference.green_via_ideals(T)
 
 
 @settings(max_examples=150, deadline=None)
-@given(closed_tables(), st.data())
-def test_verify_map_matches_the_loops(table, data):
+@given(closed_tables(), st.data(), BLOCKS)
+def test_verify_map_matches_the_loops(table, data, block):
     # Random maps into a random table, and relabellings of the table onto its
     # conjugate with at most one image moved: the whole MapCheck, witness
-    # included, is the loop's.
+    # included, is the loop's, whatever the blocks of rows.
     T1 = GenericSemigroup(table)
     if data.draw(st.booleans()):
         T2 = GenericSemigroup(data.draw(closed_tables()))
@@ -223,30 +238,41 @@ def test_verify_map_matches_the_loops(table, data):
         T2 = GenericSemigroup(_conjugate(table, f))
         if data.draw(st.booleans()):
             f[data.draw(st.integers(0, T1.size - 1))] = data.draw(st.integers(0, T1.size - 1))
-    check = verify_map(f, T1, T2)
+    with mock.patch.object(kernel, "BLOCK", block):
+        check = verify_map(f, T1, T2)
     assert check == scalar_reference.verify_map_loops(f, T1, T2)
     assert check.witness is None or "np." not in check.witness
 
 
 @settings(max_examples=200, deadline=None)
-@given(closed_tables())
+@given(closed_tables(), BLOCKS)
 # Z4 with 2+3 changed to 0: the generators are 0 and 1, and only 1 fails
-@example([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 0], [3, 0, 1, 2]])
-def test_associativity_witness_matches_the_triple_loop(table):
-    # Light's test, then the full row scan on failure: the verdict and the
-    # first witness are those of all n^3 triples in (a, b, c) order.
+@example([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 0], [3, 0, 1, 2]], kernel.BLOCK)
+def test_associativity_witness_matches_the_triple_loop(table, block):
+    # Light's test in blocks of rows, then the full row scan on failure:
+    # the verdict and the first witness are those of all n^3 triples in
+    # (a, b, c) order.
     T = GenericSemigroup(table)
-    assert associativity_witness(T.table) == scalar_reference.associativity_witness(T)
+    with mock.patch.object(kernel, "BLOCK", block):
+        assert associativity_witness(T.table) == scalar_reference.associativity_witness(T)
 
 
 @settings(max_examples=150, deadline=None)
-@given(closed_tables())
-def test_generators_are_the_greedy_generating_set(table):
+@given(closed_tables(), BLOCKS)
+def test_generators_are_the_greedy_generating_set(table, block):
     # Each generator is the least element outside the closure of those
-    # before it, and all of them close to the whole table.
+    # before it whose principal left and right ideals are those of no
+    # element of that closure, or, when every outside element shares one,
+    # the least element outside; and all of them close to the whole table.
     T = GenericSemigroup(table)
-    gens = generators(T.table)
-    everything = set(range(T.size))
+    with mock.patch.object(kernel, "BLOCK", block):
+        gens = generators(T.table)
+    lefts = [scalar_reference.left_ideal(T, x) for x in range(T.size)]
+    rights = [scalar_reference.right_ideal(T, x) for x in range(T.size)]
     for k, x in enumerate(gens):
-        assert x == min(everything - scalar_reference.magma_closure(T, gens[:k]))
-    assert scalar_reference.magma_closure(T, gens) == everything
+        closure = scalar_reference.magma_closure(T, gens[:k])
+        outside = sorted(set(range(T.size)) - closure)
+        met = {lefts[y] for y in closure}, {rights[y] for y in closure}
+        fresh = [y for y in outside if lefts[y] not in met[0] and rights[y] not in met[1]]
+        assert x == (fresh or outside)[0]
+    assert scalar_reference.magma_closure(T, gens) == set(range(T.size))

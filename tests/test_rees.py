@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from crossconn import (
     from_table,
     green_via_ideals,
     identity_matrix,
+    kernel,
     load_matrix_file,
+    rees,
 )
 from crossconn.errors import MixedSemigroups, ParseError, SizeGuardExceeded
 from crossconn.oracle import verify_map
@@ -146,6 +149,41 @@ def test_index_table_matches_scalar_product(s1, z3):
             for y in S.elements():
                 assert table[S.index(x)][S.index(y)] == S.index(S.mul(x, y))
         from_table(table)  # validates associativity
+
+
+def _product_table(S):
+    """The table of `rees.product` on the coordinates of every pair, in index order."""
+    coords = [(x.g, x.i, x.lam) for x in S.elements()]
+    cayley, entries = S.group.cayley, S.matrix.entries
+    return [
+        [S.index(ReesElement(*rees.product(cayley, entries, *x, *y))) for y in coords]
+        for x in coords
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([("cyclic", 1), ("cyclic", 3), ("klein", 0), ("symmetric", 3)]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1, 7, kernel.BLOCK]),
+    st.data(),
+)
+def test_blocked_index_table_is_the_product(family, n_lambda, n_i, block, data):
+    # Whatever the blocks of rows, index_table is rees.product on every
+    # pair, in int32, and S^op's table read off it is S^op's own product.
+    G = builtin(*family)
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    S = ReesSemigroup(SandwichMatrix(G, entries), size_guard=10**4)
+    with mock.patch.object(kernel, "BLOCK", block):
+        table = S.index_table()
+        S.table()
+        opposite = S.opposite.table()
+    assert table.dtype == opposite.dtype == np.int32
+    assert table.tolist() == _product_table(S)
+    assert opposite.tolist() == _product_table(S.opposite)
 
 
 def test_idempotent_iff_inverse_entry(s1):

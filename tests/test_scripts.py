@@ -3,10 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
-from crossconn import SandwichMatrix, builtin, connections
+from crossconn import SandwichMatrix, builtin, connections, oracle
 from crossconn.verify import full_suite, rbg_suite
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -37,9 +38,11 @@ def test_z2_matrix_sweep_script():
 
 
 def _load_script(name: str):
+    # as when the script runs, its directory is on sys.path for its imports
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with mock.patch.object(sys, "path", [str(SCRIPTS), *sys.path]):
+        spec.loader.exec_module(module)
     return module
 
 
@@ -53,6 +56,13 @@ def test_run_verification_large_battery_has_a_generic_s5():
     assert any(G.mul(a, b) != G.mul(b, a) for a in G.elements() for b in G.elements())
     conn = connections.CrossConnection(matrix)
     assert len(connections.u_gamma(conn)) == len(connections.u_delta(conn)) == 480
+
+
+def test_run_verification_large_battery_has_the_generic_2048_rung():
+    # the generic rung of bench.py's ladder, which the identity ladder hides
+    battery = dict(_load_script("run_verification").fixture_battery(7, include_large=True))
+    rung = dict(_load_script("bench").rungs(include_large=False))["Z2 32x32 generic"]
+    assert battery["Z2 32x32 generic"] == rung
 
 
 def test_run_verification_runs_rbg_on_the_identity_fixtures():
@@ -94,6 +104,9 @@ def test_bench_measures_the_smallest_rung():
     assert suites["pair_arrays"]["checks"] == 0
     assert suites["full_suite"]["checks"] == sum(suites[s]["checks"] for s in parts)
     assert suites["full_suite"]["skipped"] == 0
+    parts = rung["oracle"]
+    assert parts["generators"] == len(oracle.generators(bench._semigroup(matrix).table()))
+    assert min(parts["green_via_ideals_s"], parts["associativity_witness_s"]) >= 0
 
 
 def test_bench_reads_the_peak_rss_after_the_first_runs(monkeypatch):

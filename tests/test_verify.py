@@ -305,6 +305,44 @@ def test_wrong_green_partition_fails_oracle_agreement(kind):
     }
 
 
+class _CorruptedTable(ReesSemigroup):
+    """The index table with the entries at ENTRIES, (row, column): value,
+    replaced, and the closed forms left true."""
+
+    ENTRIES: dict = {}
+
+    def index_table(self):
+        table = super().index_table()
+        for (a, b), value in self.ENTRIES.items():
+            table[a, b] = value
+        return table
+
+
+@pytest.mark.parametrize(
+    "matrix, entries, L",
+    [
+        # One entry: column 0 gains element 1, of another L-class, so S^1 0
+        # is no other element's ideal.  Every member of a principal left
+        # ideal stands |Lambda| times in its column, so one entry can add a
+        # member but never remove one: a single entry splits an L-class.
+        (lambda: _s3_fixture().matrix, {(1, 0): 1}, None),
+        # M[Z1; 1, 2] is the right zero semigroup, L-classes {0} and {1};
+        # with both products of distinct elements swapped it is the left
+        # zero semigroup, whose two L-classes merge.
+        (lambda: SandwichMatrix(builtin("cyclic", 1), [[0], [0]]), {(0, 1): 0, (1, 0): 1}, ((0, 1),)),
+    ],
+)
+def test_corrupted_table_fails_green_L_agreement(matrix, entries, L):
+    # Negative control: a table whose L-classes differ from the closed form.
+    S = _CorruptedTable(matrix())
+    S.ENTRIES = entries
+    brute = scalar_reference.green_via_ideals(S.to_generic())["L"]
+    assert brute != S.green()["L"]
+    assert L is None or brute == L
+    check = {c.name: c for c in rees_suite(S)}["rees.green_L_oracle_agreement"]
+    assert check.passed is False
+
+
 def _one_wrong_product(pair, original=rees.product):
     """`rees.product` with the product of one pair of elements moved to the
     next group element; `index_table`, which does not use it, stays true."""
@@ -711,9 +749,9 @@ def test_full_suite_scans_each_table_for_associativity_once(s1, monkeypatch):
     sizes = []
     original = oracle.associativity_witness
 
-    def counting(table):
+    def counting(table, *args):
         sizes.append(len(table))
-        return original(table)
+        return original(table, *args)
 
     monkeypatch.setattr(oracle, "associativity_witness", counting)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
@@ -815,18 +853,19 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
 
 
 def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
-    # All four Green partitions come from one left and one right ideal per
-    # element; rees.principal_left_ideal builds the left ones once more.
-    calls = Counter()
-    for name in ("left_ideal", "right_ideal"):
+    # The ideal rows of S's table, left and right, are built once: Light's
+    # test picks its generators by their keys, all four Green partitions
+    # come from them, and rees.principal_left_ideal reads the left ones.
+    sizes = []
+    original = oracle.ideal_rows
 
-        def counting(*args, _name=name, _original=getattr(oracle, name)):
-            calls[_name] += 1
-            return _original(*args)
+    def counting(table):
+        sizes.append(len(table))
+        return original(table)
 
-        monkeypatch.setattr(oracle, name, counting)
+    monkeypatch.setattr(oracle, "ideal_rows", counting)
     _assert_clean(rees_suite(ReesSemigroup(s1.matrix)))
-    assert calls == {"left_ideal": 2 * s1.size, "right_ideal": s1.size}
+    assert sizes == [s1.size]
 
 
 def test_cone_suite_forms_no_principal_product_twice(s1, monkeypatch):
