@@ -28,12 +28,17 @@ the median and quartiles of the K times and the number of checks, skips
 and failures; per rung, the peak RSS, read once, after the first
 full_suite and rbg_suite (later runs in the same interpreter creep
 upwards without any one command needing more), and the oracle's parts;
-and the Python and numpy versions and the CPU count.
+and the Python and numpy versions and the CPU count.  Before each
+full_suite and rbg_suite the garbage of the run before is collected: S
+and S.opposite refer to each other, so a semigroup, and its table with
+it, is freed only by the cyclic collector, and when that runs depends on
+how many Python objects the run before made.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -154,9 +159,11 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
         return rbg_suite(S, pair_arrays(S))
 
     for k in range(runs):
+        gc.collect()
         checks["full_suite"] = full_suite()
         times["full_suite"].append(sum(times[n][-1] for n in FULL_SUITE))
         if with_rbg:
+            gc.collect()
             seconds, checks["rbg_suite"] = _timed(rbg, _semigroup(matrix))
             times["rbg_suite"].append(seconds)
         if k == 0:

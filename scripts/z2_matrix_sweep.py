@@ -15,7 +15,8 @@ from crossconn import (
     SandwichMatrix,
     builtin,
     injectivity_criterion,
-    principal_pair,
+    kernel,
+    pair_cones,
 )
 
 
@@ -27,8 +28,8 @@ def main() -> int:
         matrix = SandwichMatrix(z2, [[a, b], [c, d]])
         S = ReesSemigroup(matrix)
         crit = injectivity_criterion(matrix)
-        images = {principal_pair(S, x)[0] for x in S.elements()}
-        injective = len(images) == S.size
+        rho, _ = pair_cones(matrix)  # the principal left cone of each element
+        injective = len(set(kernel.row_keys(*rho).tolist())) == S.size
         mark = "ok" if crit.holds == injective else "MISMATCH"
         if crit.holds != injective:
             disagreements += 1

@@ -17,32 +17,23 @@ from .cones import (
     cone_table,
     coset_normalize,
     enumerate_TL,
-    green_cones,
     injectivity_criterion,
     is_idempotent_cone,
     mul_L,
-    principal_pair,
 )
 from .connections import (
     CrossConnection,
     DualMorphism,
     LinkedPair,
     PhiReport,
-    bifunctor_gamma,
-    chi,
     compose_duals,
     delta_apply,
     gamma_apply,
-    is_linked,
-    linked_pairs,
     matrix_of,
     pair_arrays,
-    phi,
-    rbg,
-    s_tilde_mul,
+    pair_cones,
     sigma_apply,
-    u_delta,
-    u_gamma,
+    u_cones,
     verify_crossconnection,
     verify_phi,
 )

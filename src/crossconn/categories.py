@@ -91,25 +91,6 @@ class ArrowCategory:
                 for g in self.group.elements():
                     yield Morphism(dom, cod, g)
 
-    def cone_component(self, cone: Cone, obj: int) -> Morphism:
-        """The component of a cone at an object: obj -> vertex with the stored element."""
-        if not 0 <= obj < self.n_objects:
-            raise IndexOutOfRange(f"object {obj} out of range for {self.n_objects} objects")
-        return Morphism(obj, cone.vertex, cone.values[obj])
-
-    def compose_cones(self, gamma: Cone, sigma: Cone) -> Cone:
-        """Cone product from first principles, componentwise.
-
-        The new component at each object is gamma's component followed by
-        sigma's component at gamma's vertex (which is its own epimorphic
-        part); the result has sigma's vertex.
-        """
-        link = self.cone_component(sigma, gamma.vertex)
-        values = tuple(
-            self.compose(self.cone_component(gamma, a), link).g for a in self.objects()
-        )
-        return Cone(values, sigma.vertex)
-
 
 def left_category(group: FiniteGroup, n_lambda: int) -> ArrowCategory:
     """The category of principal left ideals: right translations, plain group order."""

@@ -177,16 +177,12 @@ def run(config: RunConfig) -> tuple[int, dict]:
         data = {"partitions": {kind: _partition_json(S, p) for kind, p in S.green().items()}}
     elif config.command == "cones":
         order = group.order
-        principal = []
-        for a in S.elements():
-            rho, lam = cones.principal_pair(S, a)
-            principal.append(
-                {
-                    "element": S.element_label(a),
-                    "rho": _cone_json(S, rho),
-                    "lambda": _cone_json(S, lam),
-                }
-            )
+        # pair a is a's principal cones rho(a) and lambda(a)
+        rho, lam = (connections.as_cones(half) for half in connections.pair_cones(matrix))
+        principal = [
+            {"element": S.element_label(a), "rho": _cone_json(S, r), "lambda": _cone_json(S, l)}
+            for a, r, l in zip(S.elements(), rho, lam)
+        ]
         data = {
             "tl_size": (order**S.n_lambda) * S.n_lambda,
             "tr_size": (order**S.n_i) * S.n_i,
@@ -196,16 +192,16 @@ def run(config: RunConfig) -> tuple[int, dict]:
         }
     elif config.command == "crossconn":
         linked = connections.pair_arrays(S)
-        ug, ud = linked.u_gamma.cones, linked.u_delta.cones
+        ug, ud = (connections.as_cones(u.classes.members) for u in (linked.u_gamma, linked.u_delta))
+        pairs = zip(connections.as_cones(linked.gamma), connections.as_cones(linked.delta))
         data = {
             "u_gamma_size": len(ug),
             "u_delta_size": len(ud),
-            "s_tilde_size": len(linked.pairs),
+            "s_tilde_size": len(linked.table),
             "u_gamma": [_cone_json(S, c) for c in ug],
             "u_delta": [_cone_json(S, c) for c in ud],
             "s_tilde": [
-                {"gamma": _cone_json(S, p.gamma), "delta": _cone_json(S, p.delta)}
-                for p in linked.pairs
+                {"gamma": _cone_json(S, g), "delta": _cone_json(S, d)} for g, d in pairs
             ],
         }
         checks = verify.crossconn_suite(S, linked)
@@ -226,7 +222,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         ]
     elif config.command == "rbg":
         linked = connections.pair_arrays(S)
-        data = {"order": S.size, "s_tilde_size": len(linked.pairs)}
+        data = {"order": S.size, "s_tilde_size": len(linked.table)}
         checks = verify.rbg_suite(S, linked)
     else:  # pragma: no cover - argparse rejects unknown commands
         raise ParseError(f"unknown command {config.command!r}")

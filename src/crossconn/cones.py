@@ -22,7 +22,7 @@ from . import kernel
 from .categories import Cone
 from .errors import IndexOutOfRange, NotClosed, ParseError, SizeGuardExceeded
 from .groups import FiniteGroup
-from .rees import ReesElement, ReesSemigroup, SandwichMatrix
+from .rees import SandwichMatrix
 
 DEFAULT_CONE_BOUND = 100_000
 
@@ -39,22 +39,6 @@ def mul_L(group: FiniteGroup, c1: Cone, c2: Cone) -> Cone:
     by c2's value at c1's vertex."""
     g_k = c2.values[c1.vertex]
     return Cone(tuple(group.mul(v, g_k) for v in c1.values), c2.vertex)
-
-
-def _left_cone(S: ReesSemigroup, a: ReesElement) -> Cone:
-    return Cone(tuple(S.group.mul(p, a.g) for p in S.matrix.column(a.i)), a.lam)
-
-
-def principal_pair(S: ReesSemigroup, a: ReesElement) -> tuple[Cone, Cone]:
-    """The cone pair induced by translations by a.
-
-    The left cone is column a.i of the sandwich matrix scaled on the
-    right by a.g, with vertex a.lam.  The right cone is the left cone of
-    (a.g, a.lam, a.i) in S^op: row a.lam scaled on the left by a.g, with
-    vertex a.i.
-    """
-    S._validate(a)
-    return _left_cone(S, a), _left_cone(S.opposite, ReesElement(a.g, a.lam, a.i))
 
 
 @dataclass(frozen=True)
@@ -106,21 +90,6 @@ def coset_normalize(group: FiniteGroup, side: str, values: Sequence[int]) -> Cos
         raise ParseError(f"side must be 'left' or 'right', got {side!r}")
     a = group.inv(values[0])
     return CosetHandle(side, tuple(group.mul(v, a) for v in values))
-
-
-def green_cones(group: FiniteGroup, kind: str, c1: Cone, c2: Cone) -> bool:
-    """Green's L/R for cones on the left-ideal side.
-
-    L is vertex equality; R is equality of the left cosets tuple*G, which
-    never depends on the vertices.
-    """
-    if kind == "L":
-        return c1.vertex == c2.vertex
-    if kind == "R":
-        left = coset_normalize(group, "left", c1.values)
-        right = coset_normalize(group, "left", c2.values)
-        return left == right
-    raise ParseError(f"unknown Green relation {kind!r}; expected L or R")
 
 
 def is_idempotent_cone(group: FiniteGroup, c: Cone) -> bool:

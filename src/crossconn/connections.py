@@ -6,10 +6,20 @@ connection), each row a right coset inside G^I (its dual).  The linked
 cone pairs form a semigroup isomorphic to the Rees matrix semigroup
 itself, which is what the verification suite checks exhaustively.
 
+Every cone set of the connection is read off one array,
+`SandwichMatrix.scaled`, whose entry [i, g] is col_i * g.  U-Gamma is its
+distinct tuples at every vertex (`u_cones`); the cell (lam, i) of the
+bifunctor is its slice [i] at vertex lam (`gamma_cell`); and the linked
+pair of the element (g, i, lam) is ((col_i * g, lam), (g * row_lam, i))
+(`pair_cones`), which is that element's image under phi, its pair of
+principal cones.  So pair k is phi of element k, by one formula, and no
+second list of phi's images is formed.
+
 The dual side is never written out: a row of P is a column of P^T, a
-right coset over G is a left coset over G^op, so every dual map is its
-connection-side twin applied to `CrossConnection.opposite`, the
-connection of the transposed matrix over the opposite group.
+right coset over G is a left coset over G^op, so every dual set is its
+connection-side twin over the transposed matrix (`SandwichMatrix.transpose`,
+whose `scaled` is [lam, g] = g * row_lam) and every dual map its twin
+applied to `CrossConnection.opposite`.
 
 `verify_crossconnection` calls each functor once per morphism and records
 the images as (h, dom id, cod id) arrays; the functor laws,
@@ -30,17 +40,11 @@ import numpy as np
 from . import kernel
 from .categories import Cone, Morphism, left_category, right_category
 from .checks import Check
-from .cones import CosetHandle, coset_normalize, mul_L, principal_pair
-from .errors import (
-    ElementNotInCell,
-    NotComposable,
-    NotInDomainCoset,
-    ParseError,
-    SizeGuardExceeded,
-)
+from .cones import CosetHandle, coset_normalize
+from .errors import NotComposable, NotInDomainCoset, ParseError
 from .groups import FiniteGroup
 from .oracle import GenericSemigroup, MapCheck, verify_map
-from .rees import DEFAULT_SIZE_GUARD, ReesElement, ReesSemigroup, SandwichMatrix, identity_matrix
+from .rees import ReesSemigroup, SandwichMatrix
 
 
 @dataclass(frozen=True)
@@ -145,112 +149,55 @@ def _right_factor(group: FiniteGroup, base: Sequence[int], values: Sequence[int]
     return None
 
 
-def gamma_cell(conn: CrossConnection, lam: int, i: int) -> list[Cone]:
-    """The cell of the connection bifunctor: all right scalings of column i, vertex lam."""
-    G = conn.group
-    col = conn.matrix.column(i)
-    return [Cone(tuple(G.mul(p, g) for p in col), lam) for g in G.elements()]
+Cones = tuple[np.ndarray, np.ndarray]
 
 
-def delta_cell(conn: CrossConnection, lam: int, i: int) -> list[Cone]:
-    """The dual cell: all left scalings of row lam, vertex i."""
+def as_cones(cones: Cones) -> list[Cone]:
+    """A batch of cones (values, vertices) as `Cone`s of Python ints, for
+    witnesses and reports."""
+    values, vertices = cones
+    return [Cone(tuple(v), x) for v, x in zip(values.tolist(), vertices.tolist())]
+
+
+def as_cone(cones: Cones, k: int) -> Cone:
+    """Cone k of a batch, as a `Cone` of Python ints."""
+    return as_cones(kernel.pick(cones, [k]))[0]
+
+
+def gamma_cell(conn: CrossConnection, lam: int, i: int) -> Cones:
+    """The cell (lam, i) of the connection bifunctor: the right scalings of
+    column i, `scaled[i]` (one per group element), at vertex lam."""
+    values = conn.matrix.scaled[i]
+    return values, np.full(len(values), lam)
+
+
+def delta_cell(conn: CrossConnection, lam: int, i: int) -> Cones:
+    """The dual cell: the left scalings of row lam, vertex i."""
     return gamma_cell(conn.opposite, i, lam)
 
 
-def bifunctor_gamma(
-    conn: CrossConnection, rho: Morphism, kappa: Morphism, cone: Cone
-) -> Cone:
-    """Cell map of the bifunctor: (col_{i1} * g, lam1) -> (col_{i2} * (g1*g*g2), lam2)
-
-    for rho = g2 : lam1 -> lam2 and kappa = g1 : i1 -> i2.
-    """
-    G = conn.group
-    if cone.vertex != rho.dom:
-        raise ElementNotInCell(
-            f"cone vertex {cone.vertex} is not the domain {rho.dom} of the first morphism"
-        )
-    g = _right_factor(G, conn.matrix.column(kappa.dom), cone.values)
-    if g is None:
-        raise ElementNotInCell(f"cone tuple is not a right scaling of column {kappa.dom}")
-    scale = G.mul(G.mul(kappa.g, g), rho.g)
-    return Cone(tuple(G.mul(p, scale) for p in conn.matrix.column(kappa.cod)), rho.cod)
+def u_cones(P: SandwichMatrix) -> Cones:
+    """U-Gamma of P's connection: the distinct tuples col_i * g of `P.scaled`
+    in their first appearance over (g, i), each at every vertex in turn.
+    U-Delta is u_cones(P.transpose)."""
+    tuples = P.scaled.transpose(1, 0, 2).reshape(-1, P.rows)
+    _, first = np.unique(kernel.row_keys(tuples), return_index=True)
+    tuples = tuples[np.sort(first)]
+    return np.repeat(tuples, P.rows, axis=0), np.tile(np.arange(P.rows), len(tuples))
 
 
-def u_gamma(conn: CrossConnection, bound: int = DEFAULT_SIZE_GUARD) -> list[Cone]:
-    """All cones whose tuple is a scaled matrix column, deduplicated in (g, i, lam) order."""
-    G = conn.group
-    total = G.order * conn.n_i * conn.n_lambda
-    if total > bound:
-        raise SizeGuardExceeded(f"would enumerate {total} cones, above the bound {bound}")
-    out: list[Cone] = []
-    seen: set[Cone] = set()
-    for g in G.elements():
-        for i in range(conn.n_i):
-            values = tuple(G.mul(p, g) for p in conn.matrix.column(i))
-            for lam in range(conn.n_lambda):
-                c = Cone(values, lam)
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-    return out
-
-
-def u_delta(conn: CrossConnection, bound: int = DEFAULT_SIZE_GUARD) -> list[Cone]:
-    """All cones whose tuple is a left-scaled matrix row, deduplicated in (g, lam, i) order."""
-    return u_gamma(conn.opposite, bound)
-
-
-def chi(conn: CrossConnection, gamma: Cone, i: int) -> Cone:
-    """The duality on the cell (gamma.vertex, i): (col_i * g, lam) -> (g * row_lam, i)."""
-    G = conn.group
-    g = _right_factor(G, conn.matrix.column(i), gamma.values)
-    if g is None:
-        raise ElementNotInCell(f"cone tuple is not a right scaling of column {i}")
-    return Cone(tuple(G.mul(g, p) for p in conn.matrix.row(gamma.vertex)), i)
-
-
-def is_linked(conn: CrossConnection, gamma: Cone, delta: Cone) -> bool:
-    """Linkage test: both cones factor through the cell (gamma.vertex, delta.vertex)
-    and the two extracted scalars coincide (the first-coordinate criterion)."""
-    g1 = _right_factor(conn.group, conn.matrix.column(delta.vertex), gamma.values)
-    if g1 is None:
-        return False
-    g2 = _right_factor(conn.group.opposite, conn.matrix.row(gamma.vertex), delta.values)
-    return g2 is not None and g1 == g2
+def pair_cones(P: SandwichMatrix) -> tuple[Cones, Cones]:
+    """The linked pairs of P's connection as a gamma and a delta batch, in
+    element order: pair k, of the element (g, i, lam), is
+    ((col_i * g, lam), (g * row_lam, i)), the element's image under phi."""
+    g, i, lam = kernel.element_arrays(P.group.order, P.cols, P.rows)
+    return (P.scaled[i, g], lam), (P.transpose.scaled[lam, g], i)
 
 
 @dataclass(frozen=True)
 class LinkedPair:
     gamma: Cone
     delta: Cone
-
-
-def linked_pairs(conn: CrossConnection, size_guard: int = DEFAULT_SIZE_GUARD) -> list[LinkedPair]:
-    """The linked cone pairs ((col_i * g, lam), (g * row_lam, i)) in (g, i, lam) order."""
-    G = conn.group
-    total = G.order * conn.n_i * conn.n_lambda
-    if total > size_guard:
-        raise SizeGuardExceeded(f"would enumerate {total} pairs, above the guard {size_guard}")
-    out = []
-    for g in G.elements():
-        for i in range(conn.n_i):
-            gamma_values = tuple(G.mul(p, g) for p in conn.matrix.column(i))
-            for lam in range(conn.n_lambda):
-                delta_values = tuple(G.mul(g, p) for p in conn.matrix.row(lam))
-                out.append(LinkedPair(Cone(gamma_values, lam), Cone(delta_values, i)))
-    return out
-
-
-def s_tilde_mul(conn: CrossConnection, p1: LinkedPair, p2: LinkedPair) -> LinkedPair:
-    """(gamma, delta) o (gamma', delta') = (gamma * gamma', delta' * delta)."""
-    G = conn.group
-    return LinkedPair(mul_L(G, p1.gamma, p2.gamma), mul_L(G.opposite, p2.delta, p1.delta))
-
-
-def phi(S: ReesSemigroup, a: ReesElement) -> LinkedPair:
-    """The representation of an element as its pair of principal cones."""
-    rho, lam = principal_pair(S, a)
-    return LinkedPair(rho, lam)
 
 
 @dataclass(frozen=True)
@@ -271,84 +218,71 @@ class PhiReport:
         return self.map_check.witness if self.map_check is not None else self.closure_witness
 
 
-def _pair_cones(pairs: Sequence[LinkedPair]):
-    """The gamma and the delta halves of the pairs as cone arrays."""
-    return (
-        kernel.cone_arrays([p.gamma for p in pairs]),
-        kernel.cone_arrays([p.delta for p in pairs]),
-    )
-
-
 class UCones(NamedTuple):
-    """U-Gamma (or U-Delta) as cones, by tuple class (`kernel.ConeClasses`,
-    which finds them), and their `kernel.cone_product_table`, padded with a
-    last row and column of -1 so that the position -1 of an absent cone
-    reads -1."""
+    """U-Gamma (or U-Delta) by tuple class (`kernel.ConeClasses`, which finds
+    its cones), and its `kernel.cone_product_table`, padded with a last row
+    and column of -1 so that the position -1 of an absent cone reads -1."""
 
-    cones: list[Cone]
     classes: kernel.ConeClasses
     table: np.ndarray
 
 
-def _u_cones(cones: list[Cone], M: np.ndarray) -> UCones:
+def _tabulate(cones: Cones, M: np.ndarray) -> UCones:
     """`UCones` of the cones, classed once and tabulated under mul_L over M."""
-    classes = kernel.ConeClasses(kernel.cone_arrays(cones))
+    classes = kernel.ConeClasses(cones)
     table = np.pad(kernel.cone_product_table(M, classes), (0, 1), constant_values=-1)
-    return UCones(cones, classes, table)
+    return UCones(classes, table)
 
 
 class PairArrays(NamedTuple):
     """The linked pairs of a connection and the tables every scan of them reads.
 
-    `gamma` and `delta` are the pairs' halves as cone arrays, and `g` and `d`
-    their positions in U-Gamma and U-Delta (-1 where a half is absent).
-    `pair_at[x, y]` is the pair with halves U-Gamma[x] and U-Delta[y], or
-    -1; its last row and column, all -1, absorb the -1 of an absent cone.
-    `table` is the pairs' product table, -1 where a product is no pair.
-    `phi_at` is (r, l): for each element a of S, in index order, the
-    positions in U-Gamma and U-Delta of the halves of `phi(S, a)`, its
-    principal cones, or -1 where a half is absent.
+    `gamma` and `delta` are the pairs' halves from `pair_cones`, pair k
+    being phi of element k, and `g` and `d` their positions in U-Gamma and
+    U-Delta (-1 where a half is absent): the positions of each element's
+    principal cones.  `pair_at[x, y]` is the pair with halves U-Gamma[x] and
+    U-Delta[y], or -1; its last row and column, all -1, absorb the -1 of an
+    absent cone.  `table` is the pairs' product table, -1 where a product is
+    no pair.
     """
 
-    pairs: list[LinkedPair]
-    gamma: tuple[np.ndarray, np.ndarray]
-    delta: tuple[np.ndarray, np.ndarray]
+    gamma: Cones
+    delta: Cones
     u_gamma: UCones
     u_delta: UCones
     g: np.ndarray
     d: np.ndarray
     pair_at: np.ndarray
     table: np.ndarray
-    phi_at: tuple[np.ndarray, np.ndarray]
+
+    def pair(self, p: int) -> LinkedPair:
+        return LinkedPair(as_cone(self.gamma, p), as_cone(self.delta, p))
 
     def product_halves(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """The positions in U-Gamma and U-Delta of the halves of `s_tilde_mul`
-        of pair p with every pair q, gamma_p gamma_q and delta_q delta_p,
+        """The positions in U-Gamma and U-Delta of the halves of the product of
+        pair p with every pair q, gamma_p gamma_q and delta_q delta_p,
         read off the two tables: -1 where a half is outside its set."""
         return self.u_gamma.table[self.g[p], self.g], self.u_delta.table[self.d, self.d[p]]
 
 
 def pair_arrays(S: ReesSemigroup) -> PairArrays:
-    """`linked_pairs`, `u_gamma` and `u_delta` of S's connection, with the
-    arrays and tables every scan of them reads, and the positions of phi's
-    images.  The product of two pairs is componentwise, so row p of the
-    pair table is gathered from the U-Gamma and U-Delta tables, `pair_at`
-    at `product_halves(p)`: no product of two pairs is formed and no pair
-    key is searched.  Building S has already enforced the size guard."""
-    conn = CrossConnection(S.matrix)
-    pairs = linked_pairs(conn, size_guard=S.size)
-    gamma, delta = _pair_cones(pairs)
-    ug = _u_cones(u_gamma(conn, bound=S.size), S.group.array)
-    ud = _u_cones(u_delta(conn, bound=S.size), S.group.opposite.array)
+    """The linked pairs (`pair_cones`), U-Gamma and U-Delta (`u_cones`) of S's
+    connection, with the arrays and tables every scan of them reads.  The
+    product of two pairs is componentwise, so row p of the pair table is
+    gathered from the U-Gamma and U-Delta tables, `pair_at` at
+    `product_halves(p)`: no product of two pairs is formed and no pair key
+    is searched."""
+    P = S.matrix
+    gamma, delta = pair_cones(P)
+    ug = _tabulate(u_cones(P), S.group.array)
+    ud = _tabulate(u_cones(P.transpose), S.group.opposite.array)
     g, d = ug.classes.find(gamma), ud.classes.find(delta)
-    pair_at = np.full((len(ug.cones) + 1, len(ud.cones) + 1), -1, dtype=np.int32)
+    pair_at = np.full((len(ug.classes) + 1, len(ud.classes) + 1), -1, dtype=np.int32)
     inside = (g >= 0) & (d >= 0)
     pair_at[g[inside], d[inside]] = np.flatnonzero(inside)
-    rho, lam = _pair_cones([phi(S, a) for a in S.elements()])
-    phi_at = ug.classes.find(rho), ud.classes.find(lam)
-    table = np.empty((len(pairs),) * 2, dtype=np.int32)
-    linked = PairArrays(pairs, gamma, delta, ug, ud, g, d, pair_at, table, phi_at)
-    for p in range(len(pairs)):
+    table = np.empty((len(g),) * 2, dtype=np.int32)
+    linked = PairArrays(gamma, delta, ug, ud, g, d, pair_at, table)
+    for p in range(len(g)):
         linked.table[p] = pair_at[linked.product_halves(p)]
     return linked
 
@@ -358,25 +292,22 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
 
     `linked` is `pair_arrays(S)`, which the caller builds.  The pairs are
     closed when each pair's halves lie in U-Gamma and U-Delta and the
-    gathered table has no -1.  The map check goes through the independent
-    table oracle rather than any closed form; an image of phi that is no
-    linked pair fails it.  The pair table is not scanned for
-    associativity: a bijective homomorphism from S carries S's
-    associativity onto it.
+    gathered table has no -1.  Pair k is phi of element k, so phi sends k
+    to that pair's position in `pair_at`; the map check goes through the
+    independent table oracle rather than any closed form.  The pair table
+    is not scanned for associativity: a bijective homomorphism from S
+    carries S's associativity onto it.
     """
     outside = (linked.g < 0) | (linked.d < 0)
     if outside.any():
         p = int(outside.argmax())
         half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
-        return PhiReport(False, f"the {half} half of {linked.pairs[p]} is not in {where}", None)
+        return PhiReport(False, f"the {half} half of {linked.pair(p)} is not in {where}", None)
     bad = kernel.first_hole(linked.table)
     if bad is not None:
-        p, q = (linked.pairs[k] for k in bad)
+        p, q = (linked.pair(k) for k in bad)
         return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
-    f = linked.pair_at[linked.phi_at]
-    if (f < 0).any():
-        stray = f"phi({S.element(int(np.argmax(f < 0)))}) is not a linked pair"
-        return PhiReport(True, None, MapCheck(False, False, False, stray))
+    f = linked.pair_at[linked.g, linked.d]
     check = verify_map(f.tolist(), S.to_generic(), GenericSemigroup(linked.table))
     return PhiReport(True, None, check)
 
@@ -393,11 +324,6 @@ def matrix_of(group: FiniteGroup, handles: Sequence[CosetHandle]) -> SandwichMat
         raise ParseError("coset handles have inconsistent lengths")
     entries = [[h.canonical[lam] for h in handles] for lam in range(depth)]
     return SandwichMatrix(group, entries)
-
-
-def rbg(group: FiniteGroup, n_i: int, n_lambda: int) -> CrossConnection:
-    """The rectangular band of groups: the connection of the constant-identity matrix."""
-    return CrossConnection(identity_matrix(group, n_lambda, n_i))
 
 
 class _Images(NamedTuple):

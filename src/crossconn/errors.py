@@ -41,9 +41,5 @@ class NotInDomainCoset(CrossconnError):
     """A tuple fed to a normal-dual morphism lies outside its domain coset."""
 
 
-class ElementNotInCell(CrossconnError):
-    """A cone fed to a cell map is not a scaled matrix column or row."""
-
-
 class ParseError(CrossconnError):
     """Malformed input: a file, a label, or a command-line argument."""

@@ -7,9 +7,12 @@ read-only (n, n) int32 array of indices, the one format of every
 multiplication table up to the table oracle.  G and P own their arrays,
 read-only and built once: `FiniteGroup.array` is the Cayley table M,
 `SandwichMatrix.array` the (|Lambda|, |I|) matrix P, and G^op's and
-P^T's are the views M.T and P.T.  A batch of cones over one object set
-is a pair (values, vertices): an (m, k) array of group indices and an
-(m,) array of vertices.  One cone is (values (k,), vertex).
+P^T's are the views M.T and P.T; `SandwichMatrix.scaled` is the
+(|I|, |G|, |Lambda|) array of the columns scaled on the right,
+[i, g] = col_i * g, and P^T's is [lam, g] = g * row_lam.  A batch of
+cones over one object set is a pair (values, vertices): an (m, k) array
+of group indices and an (m,) array of vertices.  One cone is
+(values (k,), vertex).
 
 Rows.  A scan fixes the first factor a and forms a*b for every b in one
 numpy step, so beyond one (n, n) table it holds one (n, k) row of
@@ -25,8 +28,9 @@ Keys.  Membership is exact.  The key of a tuple is its row of int32
 coordinates read as one np.void of raw bytes.  A `KeyIndex` sorts the
 keys once and finds each query with searchsorted, then confirms the
 candidate by equality.  No key is packed into one integer, so none can
-overflow, however wide the cones are.  Only the distinct tuples of a
-set of cones are indexed, each set once, by its `ConeClasses`:
+overflow, however wide the cones are.  `connections.u_cones` keeps the
+first of equal keys of the scaled columns, and only the distinct tuples
+of a set of cones are indexed, each set once, by its `ConeClasses`:
 `cones.cone_table` for T_L, `connections.pair_arrays` for U-Gamma and
 U-Delta.  A cone is found as pos[t, vertex], the position of the cone
 with tuple class t and that vertex; pairs are found by the positions of
@@ -49,16 +53,19 @@ connection's group and matrix.  These serve `crossconn.naturality` and
 the category's cone product with `mul_L` row by row.
 
 Pairs.  `connections.pair_arrays` holds the linked pairs as a gamma and a
-delta batch, U-Gamma and U-Delta with their tables GT and DT, and the
-pair table.  The product of two pairs is componentwise, so the pair
-table is a gather: with g[p] and d[p] the positions of pair p's halves in
-U-Gamma and U-Delta, and `pair_at[x, y]` the pair with halves at x and y
-(or -1), row p is pair_at[GT[g[p], g], DT[d, d[p]]].  No product of two
-pairs is formed and no pair key is searched.  It also holds the
-positions in U-Gamma and U-Delta of each element's principal cones, the
-halves of phi.  Every scan of the pairs or of the principal cones in a
-suite, and the CLI's report of the pairs, reads it; each suite and
-`connections.verify_phi` takes it from its caller.
+delta batch, read off `SandwichMatrix.scaled` at the coordinates of each
+element (`connections.pair_cones`), U-Gamma and U-Delta with their
+tables GT and DT, and the pair table.  Pair k is phi of element k, its
+pair of principal cones, so g[k] and d[k], the positions of pair k's
+halves in U-Gamma and U-Delta, are also those of element k's principal
+cones.  The product of two pairs is componentwise, so the pair table is
+a gather: with `pair_at[x, y]` the pair with halves at x and y (or -1),
+row p is pair_at[GT[g[p], g], DT[d, d[p]]].  No product of two pairs is
+formed and no pair key is searched.  Every scan of the pairs or of the
+principal cones in a suite reads it; each suite and
+`connections.verify_phi` takes it from its caller.  Witnesses and reports
+turn cones of a batch into `Cone`s of Python ints
+(`connections.as_cones`).
 
 Tables.  `cone_product_table` is the one place a set of cones becomes
 its multiplication table, with -1 wherever a product lies outside the
@@ -76,15 +83,17 @@ closed table from the table alone.  The principal image is U-Gamma and
 the dual image U-Delta, so `cones.principal_homomorphism` and
 `cones.dual_antihomomorphism` are read off their tables.
 
-The scalar functions (`cones.mul_L`, `connections.s_tilde_mul`,
-`connections.is_linked`, `connections.bifunctor_gamma`,
-`connections.chi`, `rees.product`) stay the definitions, and so does
-`mul_L` for the tables.
-`rees.table_matches_product` ties `table()` to `rees.product`, the Rees
-product on plain coordinates that `ReesSemigroup.mul` calls, evaluated
-in plain Python one row at a time and never through this kernel; tests
-compare every scan with its scalar loop, and the class tables with
-their row-by-row versions.
+The package keeps two scalar definitions: `cones.mul_L`, against which
+`cones.semidirect_law` and `category.cone_product_agreement` check the
+kernel's products, and `rees.product`, the Rees product on plain
+coordinates that `ReesSemigroup.mul` calls.  `rees.table_matches_product`
+ties `table()` to it, evaluated in plain Python one row at a time and
+never through this kernel.  The scalar definitions of the connection's
+cone sets and maps (the linked pairs and their product, U-Gamma and
+U-Delta, the cells, the cell map, chi, linkage and phi) live in
+tests/scalar_reference.py, where tests compare every scan and every set
+read off `SandwichMatrix.scaled` with its loop, and the class tables
+with their row-by-row versions.
 """
 
 from __future__ import annotations
@@ -174,6 +183,9 @@ class ConeClasses:
         self.pos = np.full((len(keys) + 1, values.shape[1]), -1, dtype=np.int32)
         self.pos[self.tid, self.vertices] = np.arange(len(self.vertices))
 
+    def __len__(self) -> int:
+        return len(self.vertices)
+
     def find_tuples(self, values: np.ndarray) -> np.ndarray:
         """The class of each tuple (row of values), or -1 where it is no member's."""
         return self._index.find(row_keys(values)).astype(np.int32)
@@ -218,8 +230,8 @@ def blocks(n_rows: int, row_size: int):
 def linkage_table(
     M: np.ndarray, inverse: np.ndarray, P: np.ndarray, gammas: ConeClasses, deltas: ConeClasses
 ) -> np.ndarray:
-    """`connections.is_linked` of every gamma cone against every delta cone, for
-    the sandwich matrix P as an (|Lambda|, |I|) array, as an (m, n) bool table.
+    """Whether each gamma cone is linked with each delta cone, for the sandwich
+    matrix P as an (|Lambda|, |I|) array, as an (m, n) bool table.
 
     A gamma and a delta cone are linked when gamma's tuple factors through
     the column of P at delta's vertex, and delta's tuple through the row at
@@ -236,8 +248,9 @@ def linkage_table(
 
 
 def bifunctor(M: np.ndarray, inverse: np.ndarray, dom_column, cod_column, g1, g2, values):
-    """`connections.bifunctor_gamma` on the tuples of cones, over the group with
-    Cayley array M: dom_column * g -> cod_column * (g1*g*g2).  Also returns
+    """The cell map of the connection bifunctor on the tuples of cones, over the
+    group with Cayley array M: dom_column * g -> cod_column * (g1*g*g2), for
+    rho = g2 and kappa = g1.  Also returns
     the mask of the tuples that factor through dom_column, the only ones the
     cell map is defined on.  Columns, scalars and tuples broadcast.
     """
@@ -246,8 +259,8 @@ def bifunctor(M: np.ndarray, inverse: np.ndarray, dom_column, cod_column, g1, g2
 
 
 def chi(M: np.ndarray, inverse: np.ndarray, column, row, values):
-    """`connections.chi` on the tuples of cones: column * g -> g * row, with
-    the mask of the tuples that factor through column."""
+    """The duality chi of a cell on the tuples of cones: column * g -> g * row,
+    with the mask of the tuples that factor through column."""
     g, ok = right_factor(M, inverse, column, values)
     return M[g[..., None], row], ok
 

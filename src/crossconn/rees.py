@@ -31,7 +31,11 @@ class ReesElement:
 
 class SandwichMatrix:
     """A Lambda x I matrix of group element indices; entry(lam, i) mediates the product.
-    `entries` holds it as tuples, `array` as the read-only np.intp array scans read."""
+    `entries` holds it as tuples, `array` as the read-only np.intp array scans read,
+    and `scaled` its columns scaled on the right by every group element: the
+    read-only (|I|, |G|, |Lambda|) array whose entry [i, g] is col_i * g.  Every
+    cone set of the connection is read off it; over P.transpose it is
+    [lam, g] = g * row_lam."""
 
     def __init__(self, group: FiniteGroup, entries: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(x) for x in row) for row in entries)
@@ -51,6 +55,8 @@ class SandwichMatrix:
         self.entries = rows
         self.array = np.array(rows, dtype=np.intp)
         self.array.flags.writeable = False
+        self.scaled = group.array[self.array.T[:, None, :], np.arange(group.order)[None, :, None]]
+        self.scaled.flags.writeable = False
         self._transpose: SandwichMatrix | None = None
 
     @property

@@ -22,16 +22,19 @@ composition tabulated once from `ArrowCategory.compose`, and
 `crossconn.naturality` takes one triple of objects (l1, l2, i1) per row,
 all (i2, g1, g2) and all cones of the cell at once, through
 `kernel.bifunctor` and `kernel.chi`; `crossconn.duality_bijection` takes
-one cell per row.  `connections.pair_arrays(S)` is built once per
-command: the linked pairs, U-Gamma, U-Delta, their tables, the pair
-table gathered from those, and the positions of phi's images in U-Gamma
-and U-Delta.  `cone_suite`, `crossconn_suite`, `rbg_suite` and
-`connections.verify_phi` take it as a required argument and never build
-it: `full_suite` builds it after `rees_suite` and `category_suite`, and
-the CLI's `crossconn` and `rbg` build it for their suite.
-The principal cones rho(a) = (col_i g, lam) and lam(a) = (g row_lam, i)
-of a = (g, i, lam) are exactly the cones of U-Gamma and U-Delta, so the
-principal checks read the U tables; `crossconn.u_subsemigroups`,
+one cell per row.  Each cell is one slice of `SandwichMatrix.scaled`
+(`connections.gamma_cell`).  `connections.pair_arrays(S)` is built once
+per command: the linked pairs, U-Gamma, U-Delta, their tables, the pair
+table gathered from those, and the positions of the pairs' halves in
+U-Gamma and U-Delta, all read off `SandwichMatrix.scaled`.  `cone_suite`,
+`crossconn_suite`, `rbg_suite` and `connections.verify_phi` take it as a
+required argument and never build it: `full_suite` builds it after
+`rees_suite` and `category_suite`, and the CLI's `crossconn` and `rbg`
+build it for their suite.
+The linked pair k is phi of element k: the principal cones
+rho(a) = (col_i g, lam) and lam(a) = (g row_lam, i) of a = (g, i, lam),
+cones of U-Gamma and U-Delta, so the principal checks read the U tables
+at the pairs' positions `linked.g` and `linked.d`; `crossconn.u_subsemigroups`,
 `verify_phi`, the linked criterion and the `rbg` scans read the rest:
 the criterion and `rbg.linked_iff_equal_scalars` read one linkage table
 of U-Gamma x U-Delta (`_linkage`, `kernel.linkage_table`), gathered
@@ -196,8 +199,9 @@ def category_suite(S: ReesSemigroup) -> list[Check]:
 
 
 def _cone_product_witness(G, n_lambda: int) -> str | None:
-    """The first pair of T_L whose product in the left category (`compose_cones`)
-    differs from the semigroup product `mul_L`, one row of T_L at a time.
+    """The first pair of T_L whose product in the left category differs from
+    the semigroup product `mul_L`, one row of T_L at a time: a's component
+    at each object, followed by b's component at a's vertex, with b's vertex.
 
     Composition is tabulated once from `ArrowCategory.compose`, so a fault
     in it or in the group's multiplication reaches the check.
@@ -225,9 +229,9 @@ def _cone_product_witness(G, n_lambda: int) -> str | None:
 
 
 def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
-    """`linked` is `connections.pair_arrays(S)`: the principal cones of S are
-    the cones of U-Gamma and U-Delta at `linked.phi_at`, and every principal
-    check reads their tables."""
+    """`linked` is `connections.pair_arrays(S)`: pair a is phi(a), so the
+    principal cones of a are the cones of U-Gamma and U-Delta at `linked.g[a]`
+    and `linked.d[a]`, and every principal check reads their tables."""
     checks = []
     G = S.group
     n_l = S.n_lambda
@@ -300,7 +304,7 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         checks.append(Check("cones.idempotent_closed_form", witness is None, witness))
 
     # r[a] and l[a]: the positions of rho(a) and lam(a) in U-Gamma and U-Delta
-    r, l = linked.phi_at
+    r, l = linked.g, linked.d
     GT, DT, table = linked.u_gamma.table, linked.u_delta.table, S.table()
     for name, bad_row in (
         # rho(a) rho(b) against rho(ab), for every b at once
@@ -368,13 +372,17 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
     ok = _regular(ug.table[:-1, :-1]) and _regular(ud.table[:-1, :-1])
     checks.append(Check("crossconn.u_subsemigroups", ok))
 
-    if len(ug.cones) * len(ud.cones) * (n_l + n_i) > TRIPLE_GUARD:
+    if len(ug.classes) * len(ud.classes) * (n_l + n_i) > TRIPLE_GUARD:
         checks.append(Check("crossconn.linked_criterion_agreement", None, _SKIP))
     else:
         # linked exactly when a linked pair
         mismatch = _linkage(S, linked) != (linked.pair_at[:-1, :-1] >= 0)
-        bad = kernel.first_failure(len(ug.cones), lambda x: mismatch[x])
-        witness = None if bad is None else f"{ug.cones[bad[0]]}, {ud.cones[bad[1]]}"
+        bad = kernel.first_failure(len(ug.classes), lambda x: mismatch[x])
+        witness = None
+        if bad is not None:
+            x, y = bad
+            gamma, delta = ug.classes.members, ud.classes.members
+            witness = f"{connections.as_cone(gamma, x)}, {connections.as_cone(delta, y)}"
         checks.append(Check("crossconn.linked_criterion_agreement", witness is None, witness))
 
     report = connections.verify_phi(S, linked)
@@ -406,8 +414,8 @@ def _duality_witness(conn: CrossConnection) -> str | None:
         return set(kernel.row_keys(*cones).tolist())
 
     for lam, i in product(range(conn.n_lambda), range(conn.n_i)):
-        cell = kernel.cone_arrays(connections.gamma_cell(conn, lam, i))
-        dual = kernel.cone_arrays(connections.delta_cell(conn, lam, i))
+        cell = connections.gamma_cell(conn, lam, i)
+        dual = connections.delta_cell(conn, lam, i)
         if len(distinct(cell)) != G.order or len(distinct(dual)) != G.order:
             return f"cell ({lam},{i}) does not have {G.order} members"
         values, ok = kernel.chi(M, inverse, P[:, i], P[cell[1]], cell[0])
@@ -442,7 +450,7 @@ def _naturality_witness(conn: CrossConnection) -> str | None:
 
     def bad_row(a: int) -> np.ndarray:
         l1, l2, i1 = triples[a]
-        values, vertices = kernel.cone_arrays(connections.gamma_cell(conn, l1, i1))
+        values, vertices = connections.gamma_cell(conn, l1, i1)
         # Gamma's cell map, then chi on the cell (l2, i2)
         image, ok1 = kernel.bifunctor(M, inverse, P[:, i1], targets, g1, g2, values)
         left, ok2 = kernel.chi(M, inverse, targets, P[l2], image)
@@ -460,8 +468,8 @@ def _naturality_witness(conn: CrossConnection) -> str | None:
 
 
 def _linkage(S: ReesSemigroup, linked: connections.PairArrays) -> np.ndarray:
-    """The (|U-Gamma|, |U-Delta|) table of `connections.is_linked`, by tuple
-    class (`kernel.linkage_table`)."""
+    """Whether each cone of U-Gamma is linked with each cone of U-Delta, as a
+    (|U-Gamma|, |U-Delta|) table by tuple class (`kernel.linkage_table`)."""
     G = S.group
     M, P, inverse = G.array, S.matrix.array, np.asarray(G.inverse)
     return kernel.linkage_table(M, inverse, P, linked.u_gamma.classes, linked.u_delta.classes)
@@ -499,7 +507,7 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     G = S.group
     checks.append(Check("rbg.identity_matrix", bool((S.matrix.array == G.identity).all())))
 
-    pairs, gamma, delta = linked.pairs, linked.gamma, linked.delta
+    gamma, delta = linked.gamma, linked.delta
     M, linkage = G.array, _linkage(S, linked)
     (gamma_scalar, gamma_vertex), (delta_scalar, delta_vertex) = (
         _constant_values(u.classes.members) for u in (linked.u_gamma, linked.u_delta)
@@ -517,11 +525,11 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         got = linkage[linked.g[p], linked.d] != (gamma[0][p, 0] == delta[0][:, 0])
         return got | (linked.g[p] < 0) | (linked.d < 0)
 
-    bad = kernel.first_failure(len(pairs), formula_row)
-    witness = None if bad is None else f"{pairs[bad[0]]} o {pairs[bad[1]]}"
+    bad = kernel.first_failure(len(linked.g), formula_row)
+    witness = None if bad is None else f"{linked.pair(bad[0])} o {linked.pair(bad[1])}"
     checks.append(Check("rbg.product_formula", witness is None, witness))
-    bad = kernel.first_failure(len(pairs), linked_row)
-    witness = None if bad is None else f"{pairs[bad[0]].gamma} vs {pairs[bad[1]].delta}"
+    bad = kernel.first_failure(len(linked.g), linked_row)
+    witness = None if bad is None else f"{linked.pair(bad[0]).gamma} vs {linked.pair(bad[1]).delta}"
     checks.append(Check("rbg.linked_iff_equal_scalars", witness is None, witness))
 
     report = connections.verify_phi(S, linked)

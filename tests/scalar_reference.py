@@ -5,16 +5,27 @@ reference that tests compare it against; the table oracle's scans
 (`left_ideal`, `right_ideal`, `is_regular`, `verify_map`, ...) read the
 table through the scalar `GenericSemigroup.mul`.  `cone_product_table` and
 `is_linked_row` are the row-at-a-time kernel scans that the tables by
-tuple class replaced.  They call the scalar
-functions through their modules (`cones.mul_L`, `connections.phi`, ...),
-so a fault patched into one of those reaches them too.  The faults at
-the end are the ones the negative controls patch into the functors
-`connections.gamma_apply` and `connections.delta_apply`, into both
-linkage tests (the scalar `is_linked` and the array comparison
+tuple class replaced.
+
+The scalar definitions of the connection's cone sets live here too,
+each a loop over `FiniteGroup.mul`: the principal cones (`principal_pair`,
+`phi`), the linked pairs and their product (`linked_pairs`,
+`s_tilde_mul`), U-Gamma and U-Delta, the cells of the bifunctor, its cell
+map, the duality `chi`, linkage (`is_linked`), the Green relations of
+cones and the category's cone product (`compose_cones`).  The package
+reads every one of those sets off `SandwichMatrix.scaled`, and tests
+compare the two.  The loops call the scalar functions through their
+modules (`cones.mul_L`, `connections.gamma_apply`, ...) or this one's
+globals, so a fault patched into one of those reaches them too.
+
+The faults at the end are the ones the negative controls patch into the
+functors `connections.gamma_apply` and `connections.delta_apply`, into
+both linkage tests (the scalar `is_linked` and the array comparison
 `kernel.same_factor`), into `ArrowCategory.compose`, into
-`CrossConnection.opposite`, into `connections.gamma_cell`, into both
-linked-pair products, into the linked-pair table and into
-`connections.linked_pairs`.
+`CrossConnection.opposite`, into the cells (`connections.gamma_cell`),
+into both linked-pair products, into the linked-pair table and into the
+pairs themselves (`connections.pair_cones`); each patches the array
+builder and its scalar reference here alike.
 """
 
 from __future__ import annotations
@@ -36,7 +47,15 @@ from crossconn.categories import (
     right_category,
 )
 from crossconn.checks import Check
-from crossconn.errors import ElementNotInCell, IndexOutOfRange, NotComposable, NotInDomainCoset
+from crossconn.connections import CrossConnection, LinkedPair
+from crossconn.errors import (
+    CrossconnError,
+    IndexOutOfRange,
+    NotComposable,
+    NotInDomainCoset,
+    ParseError,
+)
+from crossconn.groups import FiniteGroup
 from crossconn.oracle import (
     GenericSemigroup,
     MapCheck,
@@ -45,7 +64,171 @@ from crossconn.oracle import (
     partition_by_key,
     verify_map,
 )
-from crossconn.rees import ReesElement, ReesSemigroup, SandwichMatrix
+from crossconn.rees import ReesElement, ReesSemigroup, SandwichMatrix, identity_matrix
+
+
+class ElementNotInCell(CrossconnError):
+    """A cone fed to a scalar cell map is not a scaled matrix column or row.
+    The array scans never raise it: such a cone fails its check."""
+
+
+def _left_cone(S: ReesSemigroup, a: ReesElement) -> Cone:
+    return Cone(tuple(S.group.mul(p, a.g) for p in S.matrix.column(a.i)), a.lam)
+
+
+def principal_pair(S: ReesSemigroup, a: ReesElement) -> tuple[Cone, Cone]:
+    """The cone pair induced by translations by a.
+
+    The left cone is column a.i of the sandwich matrix scaled on the
+    right by a.g, with vertex a.lam.  The right cone is the left cone of
+    (a.g, a.lam, a.i) in S^op: row a.lam scaled on the left by a.g, with
+    vertex a.i.
+    """
+    S._validate(a)
+    return _left_cone(S, a), _left_cone(S.opposite, ReesElement(a.g, a.lam, a.i))
+
+
+def phi(S: ReesSemigroup, a: ReesElement) -> LinkedPair:
+    """The representation of an element as its pair of principal cones."""
+    rho, lam = principal_pair(S, a)
+    return LinkedPair(rho, lam)
+
+
+def green_cones(group: FiniteGroup, kind: str, c1: Cone, c2: Cone) -> bool:
+    """Green's L/R for cones on the left-ideal side.
+
+    L is vertex equality; R is equality of the left cosets tuple*G, which
+    never depends on the vertices.
+    """
+    if kind == "L":
+        return c1.vertex == c2.vertex
+    if kind == "R":
+        left = cones.coset_normalize(group, "left", c1.values)
+        right = cones.coset_normalize(group, "left", c2.values)
+        return left == right
+    raise ParseError(f"unknown Green relation {kind!r}; expected L or R")
+
+
+def cone_component(cat: ArrowCategory, cone: Cone, obj: int) -> Morphism:
+    """The component of a cone at an object: obj -> vertex with the stored element."""
+    if not 0 <= obj < cat.n_objects:
+        raise IndexOutOfRange(f"object {obj} out of range for {cat.n_objects} objects")
+    return Morphism(obj, cone.vertex, cone.values[obj])
+
+
+def compose_cones(cat: ArrowCategory, gamma: Cone, sigma: Cone) -> Cone:
+    """Cone product from first principles, componentwise.
+
+    The new component at each object is gamma's component followed by
+    sigma's component at gamma's vertex (which is its own epimorphic
+    part); the result has sigma's vertex.
+    """
+    link = cone_component(cat, sigma, gamma.vertex)
+    values = tuple(cat.compose(cone_component(cat, gamma, a), link).g for a in cat.objects())
+    return Cone(values, sigma.vertex)
+
+
+def gamma_cell(conn: CrossConnection, lam: int, i: int) -> list[Cone]:
+    """The cell of the connection bifunctor: all right scalings of column i, vertex lam."""
+    G = conn.group
+    col = conn.matrix.column(i)
+    return [Cone(tuple(G.mul(p, g) for p in col), lam) for g in G.elements()]
+
+
+def delta_cell(conn: CrossConnection, lam: int, i: int) -> list[Cone]:
+    """The dual cell: all left scalings of row lam, vertex i."""
+    return gamma_cell(conn.opposite, i, lam)
+
+
+def bifunctor_gamma(conn: CrossConnection, rho: Morphism, kappa: Morphism, cone: Cone) -> Cone:
+    """Cell map of the bifunctor: (col_{i1} * g, lam1) -> (col_{i2} * (g1*g*g2), lam2)
+
+    for rho = g2 : lam1 -> lam2 and kappa = g1 : i1 -> i2.
+    """
+    G = conn.group
+    if cone.vertex != rho.dom:
+        raise ElementNotInCell(
+            f"cone vertex {cone.vertex} is not the domain {rho.dom} of the first morphism"
+        )
+    g = connections._right_factor(G, conn.matrix.column(kappa.dom), cone.values)
+    if g is None:
+        raise ElementNotInCell(f"cone tuple is not a right scaling of column {kappa.dom}")
+    scale = G.mul(G.mul(kappa.g, g), rho.g)
+    return Cone(tuple(G.mul(p, scale) for p in conn.matrix.column(kappa.cod)), rho.cod)
+
+
+def u_gamma(conn: CrossConnection) -> list[Cone]:
+    """All cones whose tuple is a scaled matrix column, deduplicated in (g, i, lam) order."""
+    G = conn.group
+    out: list[Cone] = []
+    seen: set[Cone] = set()
+    for g in G.elements():
+        for i in range(conn.n_i):
+            values = tuple(G.mul(p, g) for p in conn.matrix.column(i))
+            for lam in range(conn.n_lambda):
+                c = Cone(values, lam)
+                if c not in seen:
+                    seen.add(c)
+                    out.append(c)
+    return out
+
+
+def u_delta(conn: CrossConnection) -> list[Cone]:
+    """All cones whose tuple is a left-scaled matrix row, deduplicated in (g, lam, i) order."""
+    return u_gamma(conn.opposite)
+
+
+def chi(conn: CrossConnection, gamma: Cone, i: int) -> Cone:
+    """The duality on the cell (gamma.vertex, i): (col_i * g, lam) -> (g * row_lam, i)."""
+    G = conn.group
+    g = connections._right_factor(G, conn.matrix.column(i), gamma.values)
+    if g is None:
+        raise ElementNotInCell(f"cone tuple is not a right scaling of column {i}")
+    return Cone(tuple(G.mul(g, p) for p in conn.matrix.row(gamma.vertex)), i)
+
+
+def is_linked(conn: CrossConnection, gamma: Cone, delta: Cone) -> bool:
+    """Linkage test: both cones factor through the cell (gamma.vertex, delta.vertex)
+    and the two extracted scalars coincide (the first-coordinate criterion)."""
+    g1 = connections._right_factor(conn.group, conn.matrix.column(delta.vertex), gamma.values)
+    if g1 is None:
+        return False
+    g2 = connections._right_factor(conn.group.opposite, conn.matrix.row(gamma.vertex), delta.values)
+    return g2 is not None and g1 == g2
+
+
+def linked_pairs(conn: CrossConnection) -> list[LinkedPair]:
+    """The linked cone pairs ((col_i * g, lam), (g * row_lam, i)) in (g, i, lam) order."""
+    G = conn.group
+    out = []
+    for g in G.elements():
+        for i in range(conn.n_i):
+            gamma_values = tuple(G.mul(p, g) for p in conn.matrix.column(i))
+            for lam in range(conn.n_lambda):
+                delta_values = tuple(G.mul(g, p) for p in conn.matrix.row(lam))
+                out.append(LinkedPair(Cone(gamma_values, lam), Cone(delta_values, i)))
+    return out
+
+
+def s_tilde_mul(conn: CrossConnection, p1: LinkedPair, p2: LinkedPair) -> LinkedPair:
+    """(gamma, delta) o (gamma', delta') = (gamma * gamma', delta' * delta)."""
+    G = conn.group
+    return LinkedPair(
+        cones.mul_L(G, p1.gamma, p2.gamma), cones.mul_L(G.opposite, p2.delta, p1.delta)
+    )
+
+
+def _pair_cones(pairs: list[LinkedPair]):
+    """The gamma and the delta halves of the pairs as cone arrays."""
+    return (
+        kernel.cone_arrays([p.gamma for p in pairs]),
+        kernel.cone_arrays([p.delta for p in pairs]),
+    )
+
+
+def rbg(group: FiniteGroup, n_i: int, n_lambda: int) -> CrossConnection:
+    """The rectangular band of groups: the connection of the constant-identity matrix."""
+    return CrossConnection(identity_matrix(group, n_lambda, n_i))
 
 
 def left_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
@@ -175,7 +358,7 @@ def cone_product_table(M, members) -> np.ndarray:
 
 
 def is_linked_row(M, inverse, P, gamma, deltas) -> np.ndarray:
-    """`connections.is_linked` of one gamma cone against a batch of delta
+    """`is_linked` of one gamma cone against a batch of delta
     cones, for P as an (|Lambda|, |I|) array: both cones factor through the
     cell (gamma's vertex, delta's vertex) by the same scalar."""
     (gamma_values, gamma_vertex), (delta_values, delta_vertices) = gamma, deltas
@@ -271,8 +454,8 @@ def principal_witnesses(S: ReesSemigroup) -> tuple[str | None, str | None]:
     """The witnesses of `cones.principal_homomorphism` and `cones.dual_antihomomorphism`."""
     G = S.group
     elements = list(S.elements())
-    rho = {a: cones.principal_pair(S, a)[0] for a in elements}
-    lam = {a: cones.principal_pair(S, a)[1] for a in elements}
+    rho = {a: principal_pair(S, a)[0] for a in elements}
+    lam = {a: principal_pair(S, a)[1] for a in elements}
     hom = next(
         (
             f"{a}, {b}"
@@ -309,13 +492,13 @@ def regular_subsemigroup(group, members: list[cones.Cone]) -> bool:
 def pair_table(S: ReesSemigroup) -> tuple[list[list[int]] | None, str | None]:
     """The linked-pair product table of `verify_phi`, or None and the closure witness."""
     conn = connections.CrossConnection(S.matrix)
-    pairs = connections.linked_pairs(conn, size_guard=S.size)
+    pairs = linked_pairs(conn)
     index = {p: k for k, p in enumerate(pairs)}
     table = []
     for p in pairs:
         row = []
         for q in pairs:
-            prod = connections.s_tilde_mul(conn, p, q)
+            prod = s_tilde_mul(conn, p, q)
             k = index.get(prod)
             if k is None:
                 return None, f"product of {p} and {q} is not a linked pair"
@@ -329,9 +512,9 @@ def verify_phi(S: ReesSemigroup) -> connections.PhiReport:
     table, witness = pair_table(S)
     if table is None:
         return connections.PhiReport(False, witness, None)
-    pairs = connections.linked_pairs(connections.CrossConnection(S.matrix), size_guard=S.size)
+    pairs = linked_pairs(CrossConnection(S.matrix))
     index = {p: k for k, p in enumerate(pairs)}
-    f = [index.get(connections.phi(S, a)) for a in S.elements()]
+    f = [index.get(phi(S, a)) for a in S.elements()]
     if None in f:
         stray = f"phi({S.element(f.index(None))}) is not a linked pair"
         return connections.PhiReport(True, None, MapCheck(False, False, False, stray))
@@ -406,14 +589,14 @@ def linked_criterion_witness(S: ReesSemigroup) -> str | None:
     membership disagree."""
     conn = connections.CrossConnection(S.matrix)
     pair_set = {
-        (p.gamma, p.delta) for p in connections.linked_pairs(conn, size_guard=S.size)
+        (p.gamma, p.delta) for p in linked_pairs(conn)
     }
     return next(
         (
             f"{g}, {d}"
-            for g in connections.u_gamma(conn, bound=S.size)
-            for d in connections.u_delta(conn, bound=S.size)
-            if connections.is_linked(conn, g, d) != ((g, d) in pair_set)
+            for g in u_gamma(conn)
+            for d in u_delta(conn)
+            if is_linked(conn, g, d) != ((g, d) in pair_set)
         ),
         None,
     )
@@ -426,19 +609,19 @@ def duality_witness(conn: connections.CrossConnection) -> str | None:
     (`ElementNotInCell`) fails the cell."""
     G = conn.group
     for lam, i in product(range(conn.n_lambda), range(conn.n_i)):
-        cell = connections.gamma_cell(conn, lam, i)
-        dual = connections.delta_cell(conn, lam, i)
+        cell = gamma_cell(conn, lam, i)
+        dual = delta_cell(conn, lam, i)
         if len(set(cell)) != G.order or len(set(dual)) != G.order:
             return f"cell ({lam},{i}) does not have {G.order} members"
         try:
-            images = [connections.chi(conn, c, i) for c in cell]
+            images = [chi(conn, c, i) for c in cell]
         except ElementNotInCell:
             return f"duality is not a bijection on cell ({lam},{i})"
         if set(images) != set(dual):
             return f"duality is not a bijection on cell ({lam},{i})"
         try:
             inverts = all(
-                connections.chi(conn.opposite, d, lam) == c for c, d in zip(cell, images)
+                chi(conn.opposite, d, lam) == c for c, d in zip(cell, images)
             )
         except ElementNotInCell:
             inverts = False
@@ -455,13 +638,13 @@ def rbg_checks(S: ReesSemigroup) -> list[Check]:
     ok = all(v == group.identity for row in conn.matrix.entries for v in row)
     checks = [Check("rbg.identity_matrix", ok)]
 
-    pairs = connections.linked_pairs(conn, size_guard=S.size)
+    pairs = linked_pairs(conn)
     witness = None
     for p1 in pairs:
         for p2 in pairs:
-            got = connections.s_tilde_mul(conn, p1, p2)
+            got = s_tilde_mul(conn, p1, p2)
             g = group.mul(p1.gamma.values[0], p2.gamma.values[0])
-            expected = connections.LinkedPair(
+            expected = LinkedPair(
                 cones.Cone((g,) * n_lambda, p2.gamma.vertex),
                 cones.Cone((g,) * n_i, p1.delta.vertex),
             )
@@ -477,7 +660,7 @@ def rbg_checks(S: ReesSemigroup) -> list[Check]:
         g1 = p.gamma.values[0]
         for q in pairs:
             g2 = q.delta.values[0]
-            linked = connections.is_linked(conn, p.gamma, q.delta)
+            linked = is_linked(conn, p.gamma, q.delta)
             if linked != (g1 == g2):
                 witness = f"{p.gamma} vs {q.delta}"
                 break
@@ -506,7 +689,7 @@ def cone_product_witness(G, n_lambda: int) -> str | None:
             f"{c1} * {c2}"
             for c1 in tl
             for c2 in tl
-            if lcat.compose_cones(c1, c2) != cones.mul_L(G, c1, c2)
+            if compose_cones(lcat, c1, c2) != cones.mul_L(G, c1, c2)
         ),
         None,
     )
@@ -522,13 +705,13 @@ def naturality_witness(conn: connections.CrossConnection) -> str | None:
         for g1, g2 in product(G.elements(), repeat=2):
             rho = Morphism(l1, l2, g2)
             kappa = Morphism(i1, i2, g1)
-            for cone in connections.gamma_cell(conn, l1, i1):
+            for cone in gamma_cell(conn, l1, i1):
                 try:
-                    left = connections.chi(
-                        conn, connections.bifunctor_gamma(conn, rho, kappa, cone), i2
+                    left = chi(
+                        conn, bifunctor_gamma(conn, rho, kappa, cone), i2
                     )
-                    right = connections.bifunctor_gamma(
-                        conn.opposite, kappa, rho, connections.chi(conn, cone, i1)
+                    right = bifunctor_gamma(
+                        conn.opposite, kappa, rho, chi(conn, cone, i1)
                     )
                     commutes = left == right
                 except ElementNotInCell:
@@ -593,7 +776,7 @@ def unscaled_linkage():
     def same_factor(f1, f2):
         return (f1 >= 0) & (f2 >= 0)
 
-    with mock.patch.object(connections, "is_linked", scalar), mock.patch.object(
+    with mock.patch(f"{__name__}.is_linked", scalar), mock.patch.object(
         kernel, "same_factor", same_factor
     ):
         yield
@@ -633,24 +816,30 @@ def rescaled_opposite(row: int, h: int):
 
 @contextmanager
 def stray_cone(h: int, shift: int = 0):
-    """`connections.gamma_cell` with the last coordinate of its last cone
+    """The cells of the bifunctor, array (`connections.gamma_cell`) and scalar
+    (`gamma_cell`) alike, with the last coordinate of the last cone of each
     multiplied by h and its vertex moved on by shift (mod |Lambda|): with
     |Lambda| > 1, that cone is off its cell unless h is the identity and
     shift is 0.  The dual cells (`delta_cell`) stay sound, so only the
     naturality squares and the duality of that cell fail."""
-    original = connections.gamma_cell
+    arrays, scalar = connections.gamma_cell, gamma_cell
 
-    def gamma_cell(conn, lam, i):
-        cell = original(conn, lam, i)
+    def array_cell(conn, lam, i):
+        values, vertices = (x.copy() for x in arrays(conn, lam, i))
+        values[-1, -1] = conn.group.array[values[-1, -1], h]
+        vertices[-1] = (lam + shift) % conn.n_lambda
+        return values, vertices
+
+    def scalar_cell(conn, lam, i):
+        cell = scalar(conn, lam, i)
         *values, last = cell[-1].values
         vertex = (lam + shift) % conn.n_lambda
         return cell[:-1] + [Cone((*values, conn.group.mul(last, h)), vertex)]
 
-    def delta_cell(conn, lam, i):
-        return original(conn.opposite, i, lam)
-
-    with mock.patch.object(connections, "gamma_cell", gamma_cell), mock.patch.object(
-        connections, "delta_cell", delta_cell
+    with mock.patch.object(connections, "gamma_cell", array_cell), mock.patch.object(
+        connections, "delta_cell", lambda conn, lam, i: arrays(conn.opposite, i, lam)
+    ), mock.patch(f"{__name__}.gamma_cell", scalar_cell), mock.patch(
+        f"{__name__}.delta_cell", lambda conn, lam, i: scalar(conn.opposite, i, lam)
     ):
         yield
 
@@ -663,14 +852,14 @@ def reversed_delta_product():
 
     def scalar(conn, p1, p2):
         G = conn.group
-        return connections.LinkedPair(
+        return LinkedPair(
             cones.mul_L(G, p1.gamma, p2.gamma), cones.mul_L(G.opposite, p1.delta, p2.delta)
         )
 
     def product_halves(self, p):
         return self.u_gamma.table[self.g[p], self.g], self.u_delta.table[self.d[p], self.d]
 
-    with mock.patch.object(connections, "s_tilde_mul", scalar), mock.patch.object(
+    with mock.patch(f"{__name__}.s_tilde_mul", scalar), mock.patch.object(
         connections.PairArrays, "product_halves", product_halves
     ):
         yield
@@ -707,11 +896,31 @@ def swapped_pair_table():
 
 
 @contextmanager
-def missing_pair():
-    """`connections.linked_pairs` without its last pair: some products of
-    pairs are no pair, so the pair table is not closed."""
-    original = connections.linked_pairs
-    with mock.patch.object(
-        connections, "linked_pairs", lambda *args, **kwargs: original(*args, **kwargs)[:-1]
-    ):
+def edited_pairs(edit):
+    """The linked pairs with edit applied to their list, array
+    (`connections.pair_cones`) and scalar (`linked_pairs`) alike, and the
+    scalar `phi` with them: pair k stays phi of element k, as in the
+    package, where the pairs are phi's images."""
+    arrays, scalar = connections.pair_cones, linked_pairs
+
+    def pair_cones(P):
+        gamma, delta = (connections.as_cones(half) for half in arrays(P))
+        return _pair_cones(edit([LinkedPair(g, d) for g, d in zip(gamma, delta)]))
+
+    def pairs(conn):
+        return edit(scalar(conn))
+
+    def phi_(S, a):
+        return pairs(CrossConnection(S.matrix))[S.index(a)]
+
+    with mock.patch.object(connections, "pair_cones", pair_cones), mock.patch(
+        f"{__name__}.linked_pairs", pairs
+    ), mock.patch(f"{__name__}.phi", phi_):
         yield
+
+
+def missing_pair():
+    """The pairs with the last one replaced by a copy of the first (and phi
+    with them): the set of pairs misses the last pair, so some products of
+    pairs are no pair and the pair table is not closed."""
+    return edited_pairs(lambda pairs: pairs[:-1] + pairs[:1])

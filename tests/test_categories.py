@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from scalar_reference import compose_cones, cone_component
 
 from crossconn import (
     Cone,
@@ -123,21 +124,21 @@ def test_hom_sets(z3):
 def test_cone_component(z2):
     cat = left_category(z2, 2)
     c = Cone((0, 1), 0)
-    assert cat.cone_component(c, 1) == Morphism(1, 0, 1)
-    assert cat.is_identity(cat.cone_component(c, 0))
+    assert cone_component(cat, c, 1) == Morphism(1, 0, 1)
+    assert cat.is_identity(cone_component(cat, c, 0))
 
 
 def test_all_cone_components_invertible(z2):
     cat = left_category(z2, 2)
     for c in enumerate_TL(z2, 2):
         for obj in cat.objects():
-            m = cat.cone_component(c, obj)
+            m = cone_component(cat, c, obj)
             assert cat.is_identity(cat.compose(m, cat.invert(m)))
 
 
 def test_compose_cones_fixture(z2):
     cat = left_category(z2, 2)
-    got = cat.compose_cones(Cone((0, 1), 0), Cone((1, 1), 1))
+    got = compose_cones(cat, Cone((0, 1), 0), Cone((1, 1), 1))
     assert got == Cone((1, 0), 1)
 
 
@@ -145,7 +146,7 @@ def test_compose_cones_identity_tuple(z2):
     cat = left_category(z2, 2)
     gamma = Cone((1, 0), 1)
     sigma = Cone((0, 0), 1)  # identity tuple, same vertex
-    assert cat.compose_cones(gamma, sigma) == gamma
+    assert compose_cones(cat, gamma, sigma) == gamma
 
 
 def test_compose_cones_matches_mul_L(z2, z3):
@@ -154,7 +155,7 @@ def test_compose_cones_matches_mul_L(z2, z3):
         cones = enumerate_TL(G, 2)
         for c1 in cones:
             for c2 in cones:
-                assert cat.compose_cones(c1, c2) == mul_L(G, c1, c2)
+                assert compose_cones(cat, c1, c2) == mul_L(G, c1, c2)
 
 
 def test_compose_cones_matches_mul_R(z3):
@@ -162,15 +163,15 @@ def test_compose_cones_matches_mul_R(z3):
     cones = enumerate_TL(z3, 2)
     for c1 in cones:
         for c2 in cones:
-            assert cat.compose_cones(c1, c2) == mul_L(z3.opposite, c1, c2)
+            assert compose_cones(cat, c1, c2) == mul_L(z3.opposite, c1, c2)
 
 
 def test_compose_cones_associative(z2):
     cat = left_category(z2, 2)
     cones = enumerate_TL(z2, 2)
     for a, b, c in product(cones, repeat=3):
-        assert cat.compose_cones(cat.compose_cones(a, b), c) == cat.compose_cones(
-            a, cat.compose_cones(b, c)
+        assert compose_cones(cat, compose_cones(cat, a, b), c) == compose_cones(
+            cat, a, compose_cones(cat, b, c)
         )
 
 

@@ -376,32 +376,32 @@ def test_cyclic_order_guard_comes_before_the_table():
 @pytest.mark.parametrize("command", ["verify", "crossconn", "rbg"])
 def test_each_command_builds_the_linked_pairs_once(command, monkeypatch, capsys):
     calls = Counter()
-    original = connections.linked_pairs
+    original = connections.pair_cones
 
     def counting(*args, **kwargs):
-        calls["linked_pairs"] += 1
+        calls["pair_cones"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(connections, "linked_pairs", counting)
+    monkeypatch.setattr(connections, "pair_cones", counting)
     code, _, err = run_cli(["--group", "cyclic:2", "--matrix", "identity:2x2", command], capsys)
     assert code == 0, err
-    assert calls == {"linked_pairs": 1}
+    assert calls == {"pair_cones": 1}
 
 
 @pytest.mark.parametrize("command", ["verify", "crossconn", "rbg"])
 def test_each_command_builds_the_u_cones_once(command, monkeypatch, capsys):
-    # u_delta is u_gamma over the opposite connection: one build of each is 2 calls
+    # U-Delta is u_cones of the transposed matrix: one build of each is 2 calls
     calls = Counter()
-    original = connections.u_gamma
+    original = connections.u_cones
 
     def counting(*args, **kwargs):
-        calls["u_gamma"] += 1
+        calls["u_cones"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(connections, "u_gamma", counting)
+    monkeypatch.setattr(connections, "u_cones", counting)
     code, _, err = run_cli(["--group", "cyclic:2", "--matrix", "identity:2x2", command], capsys)
     assert code == 0, err
-    assert calls == {"u_gamma": 2}
+    assert calls == {"u_cones": 2}
 
 
 def _mutate(lines: list[str], kind: str, row: int, cell: int) -> list[str]:

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
+from scalar_reference import green_cones, principal_pair
 
 from crossconn import (
     Cone,
@@ -14,13 +15,11 @@ from crossconn import (
     coset_normalize,
     enumerate_TL,
     from_table,
-    green_cones,
     green_via_ideals,
     identity_matrix,
     injectivity_criterion,
     is_idempotent_cone,
     mul_L,
-    principal_pair,
 )
 from crossconn.errors import IndexOutOfRange, ParseError, SizeGuardExceeded
 from crossconn.oracle import canonical_partition

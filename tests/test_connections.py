@@ -2,6 +2,19 @@ import random
 from itertools import product
 
 import pytest
+from scalar_reference import (
+    ElementNotInCell,
+    bifunctor_gamma,
+    chi,
+    is_linked,
+    linked_pairs,
+    phi,
+    principal_pair,
+    rbg,
+    s_tilde_mul,
+    u_delta,
+    u_gamma,
+)
 
 from crossconn import (
     Cone,
@@ -13,31 +26,21 @@ from crossconn import (
     ReesElement,
     ReesSemigroup,
     SandwichMatrix,
-    bifunctor_gamma,
-    chi,
     compose_duals,
     delta_apply,
     gamma_apply,
     identity_matrix,
-    is_linked,
     left_category,
-    linked_pairs,
     matrix_of,
     mul_L,
     pair_arrays,
-    phi,
-    principal_pair,
-    rbg,
     right_category,
-    s_tilde_mul,
     sigma_apply,
-    u_delta,
-    u_gamma,
     verify_crossconnection,
     verify_phi,
 )
 from crossconn.checks import all_passed
-from crossconn.errors import ElementNotInCell, NotComposable, NotInDomainCoset
+from crossconn.errors import NotComposable, NotInDomainCoset
 
 
 @pytest.fixture(scope="session")

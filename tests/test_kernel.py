@@ -2,6 +2,8 @@
 
 import contextlib
 import random
+from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from crossconn import (
     connections,
     identity_matrix,
     kernel,
+    load_cayley,
     realize_category,
     verify,
     verify_phi,
@@ -41,8 +44,25 @@ def _relabelled_s3() -> FiniteGroup:
 GROUPS = [builtin("cyclic", 2), builtin("cyclic", 3), builtin("symmetric", 3), _relabelled_s3()]
 
 
+def _relabelled_s3_fixture() -> FiniteGroup:
+    """fixtures/s3_cayley.csv with its elements indexed in another order:
+    the identity, first in the file, comes last."""
+    path = Path(__file__).resolve().parent.parent / "fixtures" / "s3_cayley.csv"
+    labels, *rows = [line.split(",") for line in path.read_text().split()]
+    product_of = {(a, b): c for a, row in zip(labels, rows) for b, c in zip(labels, row)}
+    order = labels[1:] + labels[:1]
+    return load_cayley([[product_of[a, b] for b in order] for a in order], labels=order)
+
+
+SCALED_GROUPS = [
+    *(builtin("cyclic", n) for n in range(1, 5)),
+    builtin("klein"),
+    _relabelled_s3_fixture(),
+]
+
+
 def _cones_of(S, side):
-    return [cones.principal_pair(S, a)[side] for a in S.elements()]
+    return [scalar_reference.principal_pair(S, a)[side] for a in S.elements()]
 
 
 def _principal_products_agree(S: ReesSemigroup) -> None:
@@ -111,11 +131,64 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
     for group, array, members in (
         (G, M, image),
         (G, M, subset),
-        (G, M, connections.u_gamma(conn)),
-        (G.opposite, M.T, connections.u_delta(conn)),
+        (G, M, scalar_reference.u_gamma(conn)),
+        (G.opposite, M.T, scalar_reference.u_delta(conn)),
     ):
         table = _cone_product_table(array, members)
         assert verify._regular(table) == scalar_reference.regular_subsemigroup(group, members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SCALED_GROUPS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.data(),
+)
+def test_scaled_array_gives_every_cone_set_of_the_loops(G, n_lambda, n_i, identity, data):
+    # Every cone set the package reads off SandwichMatrix.scaled against its
+    # scalar loop: U-Gamma and U-Delta in order, the linked pairs, which are
+    # phi's images and so the principal cones, and the cells.  Objects made
+    # from the arrays print as the loops' objects do, so no numpy integer
+    # reaches a witness or a report.
+    if identity:
+        matrix = identity_matrix(G, n_lambda, n_i)
+    else:
+        entries = [
+            [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+        ]
+        matrix = SandwichMatrix(G, entries)
+    S = ReesSemigroup(matrix)
+    conn = connections.CrossConnection(matrix)
+    assert matrix.scaled.shape == (n_i, G.order, n_lambda)
+    linked = connections.pair_arrays(S)
+
+    for u, expected in (
+        (linked.u_gamma, scalar_reference.u_gamma(conn)),
+        (linked.u_delta, scalar_reference.u_delta(conn)),
+    ):
+        members = u.classes.members
+        assert len(u.classes) == len(expected)
+        assert [repr(connections.as_cone(members, x)) for x in range(len(expected))] == [
+            repr(c) for c in expected
+        ]
+        assert connections.as_cones(members) == expected
+
+    pairs = scalar_reference.linked_pairs(conn)
+    assert len(linked.table) == len(pairs) == S.size
+    for k, a in enumerate(S.elements()):
+        pair = linked.pair(k)
+        assert repr(pair) == repr(pairs[k]) == repr(scalar_reference.phi(S, a))
+        assert (pair.gamma, pair.delta) == scalar_reference.principal_pair(S, a)
+
+    for lam, i in product(range(n_lambda), range(n_i)):
+        for array_cell, scalar_cell in (
+            (connections.gamma_cell, scalar_reference.gamma_cell),
+            (connections.delta_cell, scalar_reference.delta_cell),
+        ):
+            cell = connections.as_cones(array_cell(conn, lam, i))
+            assert [repr(c) for c in cell] == [repr(c) for c in scalar_cell(conn, lam, i)]
 
 
 def _cones(G: FiniteGroup, width: int, known: list) -> st.SearchStrategy:
@@ -140,13 +213,13 @@ def test_class_tables_match_the_row_tables(G, n_lambda, n_i, data):
     # cone table of U-Gamma (U-Delta) over G (G^op), closed, and of drawn
     # sets over both, mostly not closed, whose -1 holes must match; and the
     # linkage table of drawn gamma and delta cones against the kernel's
-    # row test and the scalar connections.is_linked.  Small blocks make the
+    # row test and the scalar is_linked.  Small blocks make the
     # scalings and the gathers run in several blocks, the last one short.
     entries = [
         [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
     conn = connections.CrossConnection(SandwichMatrix(G, entries))
-    ug, ud = connections.u_gamma(conn), connections.u_delta(conn)
+    ug, ud = scalar_reference.u_gamma(conn), scalar_reference.u_delta(conn)
     gammas = data.draw(_cones(G, n_lambda, ug))
     deltas = data.draw(_cones(G, n_i, ud))
     block = data.draw(st.sampled_from([1, 7, kernel.BLOCK]))
@@ -167,7 +240,9 @@ def test_class_tables_match_the_row_tables(G, n_lambda, n_i, data):
         for gamma in zip(*gamma_arrays)
     ]
     assert np.array_equal(linkage, np.array(rows))
-    assert linkage.tolist() == [[connections.is_linked(conn, g, d) for d in deltas] for g in gammas]
+    assert linkage.tolist() == [
+        [scalar_reference.is_linked(conn, g, d) for d in deltas] for g in gammas
+    ]
 
 
 IMAGE_FAULTS = [

@@ -33,7 +33,6 @@ from crossconn import (
 from crossconn.categories import Morphism
 from crossconn.checks import all_passed, failures
 from crossconn.cli import main
-from crossconn.errors import ElementNotInCell
 from crossconn.verify import (
     category_suite,
     cone_suite,
@@ -136,8 +135,9 @@ def test_wrong_side_mul_L_fails_both_principal_checks(monkeypatch):
 
 
 def test_missing_linked_pair_fails_closure():
-    # Negative control: with one linked pair dropped, some product of two
-    # pairs is no pair, and both scans name the same first one.
+    # Negative control: with the last linked pair replaced by a copy of the
+    # first, the set of pairs misses one, some product of two pairs is no
+    # pair, and both scans name the same first one.
     S = _s3_fixture()
     with scalar_reference.missing_pair():
         check = {c.name: c for c in _crossconn_suite(S)}["crossconn.s_tilde_closed"]
@@ -147,14 +147,15 @@ def test_missing_linked_pair_fails_closure():
 
 
 def test_phi_image_off_the_pairs_fails_isomorphism_without_raising(z2):
-    # On M[Z2; 1, 1] the pairs without the last one are still closed, but
-    # phi sends an element to the missing pair: a failed check naming it,
-    # not an IndexOutOfRange raised by the map check.
+    # On M[Z2; 1, 1] the pairs with the last one a copy of the first are
+    # still closed, but phi, whose images the pairs are, sends both
+    # elements to one pair: a failed check, not an exception raised by the
+    # map check.
     S = ReesSemigroup(identity_matrix(z2, 1, 1))
     with scalar_reference.missing_pair():
         checks = {c.name: c for c in _crossconn_suite(S) + _rbg_suite(S)}
         reference = scalar_reference.verify_phi(S)
-    witness = "phi(ReesElement(g=1, i=0, lam=0)) is not a linked pair"
+    witness = "f(0) = f(1) = 1; element 0 of the target is never hit"
     assert checks["crossconn.s_tilde_closed"].passed is True
     assert reference.closed and reference.map_check.witness == witness
     for name in ("crossconn.phi_isomorphism", "rbg.phi_isomorphism"):
@@ -162,15 +163,21 @@ def test_phi_image_off_the_pairs_fails_isomorphism_without_raising(z2):
         assert checks[name].witness == witness
 
 
-def test_swapped_phi_fails_isomorphism(monkeypatch):
+def test_swapped_phi_fails_isomorphism():
     # Negative control: phi with the images of two elements swapped is a
-    # bijection onto the pairs but not a homomorphism.
-    original = connections.phi
-    swap = {ReesElement(0, 0, 0): ReesElement(1, 0, 0), ReesElement(1, 0, 0): ReesElement(0, 0, 0)}
-    monkeypatch.setattr(connections, "phi", lambda S, a: original(S, swap.get(a, a)))
+    # bijection onto the pairs but not a homomorphism.  The pairs are phi's
+    # images, so the pairs of (0, 0, 0) and (1, 0, 0) trade places.
     S = _s3_fixture()
-    check = {c.name: c for c in _crossconn_suite(S)}["crossconn.phi_isomorphism"]
-    reference = scalar_reference.verify_phi(S)
+    k = S.index(ReesElement(1, 0, 0))
+
+    def swap(pairs):
+        pairs = list(pairs)
+        pairs[0], pairs[k] = pairs[k], pairs[0]
+        return pairs
+
+    with scalar_reference.edited_pairs(swap):
+        check = {c.name: c for c in _crossconn_suite(S)}["crossconn.phi_isomorphism"]
+        reference = scalar_reference.verify_phi(S)
     assert reference.closed and not reference.map_check.is_homomorphism
     assert check.passed is False
     assert check.witness == reference.map_check.witness
@@ -468,25 +475,35 @@ def _stray_cone(G, members: list[Cone]) -> Cone:
 
 @contextlib.contextmanager
 def _edited_u_cones(S, side: str, edit):
-    """`connections.u_gamma` with edit applied to U-Gamma ("gamma") or to
-    U-Delta ("delta") of S's connection alone; U-Delta is U-Gamma of the
-    opposite connection, whose matrix is not S's."""
-    original = connections.u_gamma
+    """`connections.u_cones` with edit applied to the list of cones of U-Gamma
+    ("gamma") or of U-Delta ("delta") of S's connection alone; U-Delta is
+    u_cones of the transposed matrix, which is not S's."""
+    original = connections.u_cones
 
-    def u_gamma(conn, *args, **kwargs):
-        members = original(conn, *args, **kwargs)
-        return edit(members) if (conn.matrix is S.matrix) == (side == "gamma") else members
+    def u_cones(P):
+        members = original(P)
+        if (P is S.matrix) != (side == "gamma"):
+            return members
+        return kernel.cone_arrays(edit(connections.as_cones(members)))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(connections, "u_gamma", u_gamma)
+        patch.setattr(connections, "u_cones", u_cones)
         yield
+
+
+def _edited_pair(k: int, **halves):
+    """`scalar_reference.edited_pairs` with the given halves of pair k, which is
+    phi of element k, replaced."""
+    return scalar_reference.edited_pairs(
+        lambda pairs: [replace(p, **halves) if j == k else p for j, p in enumerate(pairs)]
+    )
 
 
 def test_stray_member_fails_u_subsemigroups():
     # Negative control: U-Gamma with its last cone replaced by one whose
     # tuple is no scaled column, so that cone's products leave the set.
     S = _s3_fixture()
-    ug = connections.u_gamma(CrossConnection(S.matrix))
+    ug = scalar_reference.u_gamma(CrossConnection(S.matrix))
     stray = [*ug[:-1], _stray_cone(S.group, ug)]
     with _edited_u_cones(S, "gamma", lambda members: stray):
         check = {c.name: c for c in _crossconn_suite(S)}["crossconn.u_subsemigroups"]
@@ -500,7 +517,7 @@ def test_pair_half_outside_its_u_set_fails_closure(side, where):
     # pair.  The pairs are not closed, and the witness names the first pair
     # with that half, not a product that is no linked pair.
     S = _s3_fixture()
-    pairs = connections.linked_pairs(CrossConnection(S.matrix), size_guard=S.size)
+    pairs = scalar_reference.linked_pairs(CrossConnection(S.matrix))
     half = getattr(pairs[len(pairs) // 2], side)
     first = next(p for p in pairs if getattr(p, side) == half)
     with _edited_u_cones(S, side, lambda members: [c for c in members if c != half]):
@@ -522,13 +539,13 @@ def test_product_outside_u_gamma_fails_rbg_product_formula():
     # fails at the first such product.
     S = ReesSemigroup(identity_matrix(_s3_fixture().group, 2, 2))
     conn = CrossConnection(S.matrix)
-    pairs = connections.linked_pairs(conn, size_guard=S.size)
-    last = connections.u_gamma(conn)[-1]
+    pairs = scalar_reference.linked_pairs(conn)
+    last = scalar_reference.u_gamma(conn)[-1]
     p, q = next(
         (p, q)
         for p in pairs
         for q in pairs
-        if last in (p.gamma, q.gamma, connections.s_tilde_mul(conn, p, q).gamma)
+        if last in (p.gamma, q.gamma, scalar_reference.s_tilde_mul(conn, p, q).gamma)
     )
     with _edited_u_cones(S, "gamma", lambda members: members[:-1]):
         check = {c.name: c for c in _rbg_suite(S)}["rbg.product_formula"]
@@ -545,8 +562,8 @@ def test_half_outside_its_u_set_fails_rbg_linked_iff_equal_scalars(side):
     # column), whose cone links exactly as the missing one would.
     S = ReesSemigroup(identity_matrix(_s3_fixture().group, 2, 2))
     conn = CrossConnection(S.matrix)
-    pairs = connections.linked_pairs(conn, size_guard=S.size)
-    last = getattr(connections, f"u_{side}")(conn)[-1]
+    pairs = scalar_reference.linked_pairs(conn)
+    last = getattr(scalar_reference, f"u_{side}")(conn)[-1]
     p, q = next(
         (p, q)
         for p in pairs
@@ -559,39 +576,32 @@ def test_half_outside_its_u_set_fails_rbg_linked_iff_equal_scalars(side):
     assert check.witness == f"{p.gamma} vs {q.delta}"
 
 
-def test_phi_image_outside_u_gamma_fails_isomorphism(monkeypatch):
+def test_phi_image_outside_u_gamma_fails_isomorphism():
     # Negative control: phi sends the last element to a pair whose gamma
-    # half is a cone of T_L outside U-Gamma.  The pairs stay closed, and
-    # the map check fails, naming the element, as the dict loop does.
+    # half is a cone of T_L outside U-Gamma.  That pair is phi's image, so
+    # the pairs are not closed, and both checks name it, as the dict loop
+    # fails to find its products among the pairs.
     S = _s3_fixture()
-    original, last = connections.phi, S.element(S.size - 1)
-    stray = _stray_cone(S.group, connections.u_gamma(CrossConnection(S.matrix)))
-    monkeypatch.setattr(
-        connections,
-        "phi",
-        lambda S_, a: replace(original(S_, a), gamma=stray) if a == last else original(S_, a),
-    )
-    checks = {c.name: c for c in _crossconn_suite(S)}
-    reference = scalar_reference.verify_phi(S)
-    witness = f"phi({last}) is not a linked pair"
-    assert checks["crossconn.s_tilde_closed"].passed is True
-    assert reference.closed and reference.map_check.witness == witness
-    assert checks["crossconn.phi_isomorphism"].passed is False
-    assert checks["crossconn.phi_isomorphism"].witness == witness
+    k = S.size - 1
+    stray = _stray_cone(S.group, scalar_reference.u_gamma(CrossConnection(S.matrix)))
+    pair = replace(scalar_reference.phi(S, S.element(k)), gamma=stray)
+    with _edited_pair(k, gamma=stray):
+        checks = {c.name: c for c in _crossconn_suite(S)}
+        reference = scalar_reference.verify_phi(S)
+    witness = f"the gamma half of {pair} is not in U-Gamma"
+    assert not reference.closed and not reference.is_isomorphism
+    for name in ("crossconn.s_tilde_closed", "crossconn.phi_isomorphism"):
+        assert checks[name].passed is False, name
+        assert checks[name].witness == witness
 
 
-def test_stray_principal_cone_fails_principal_image_subsemigroup(monkeypatch):
+def test_stray_principal_cone_fails_principal_image_subsemigroup():
     # Negative control: the left principal cone of the last element replaced
     # by a cone whose tuple is no scaled column, so it lies outside U-Gamma.
     S = _s3_fixture()
-    original, last = connections.phi, S.element(S.size - 1)
-    stray = _stray_cone(S.group, [original(S, a).gamma for a in S.elements()])
-    monkeypatch.setattr(
-        connections,
-        "phi",
-        lambda S_, a: replace(original(S_, a), gamma=stray) if a == last else original(S_, a),
-    )
-    check = {c.name: c for c in _cone_suite(S)}["cones.principal_image_subsemigroup"]
+    stray = _stray_cone(S.group, [scalar_reference.phi(S, a).gamma for a in S.elements()])
+    with _edited_pair(S.size - 1, gamma=stray):
+        check = {c.name: c for c in _cone_suite(S)}["cones.principal_image_subsemigroup"]
     assert check.passed is False
 
 
@@ -599,11 +609,11 @@ def test_stray_principal_cone_fails_principal_image_subsemigroup(monkeypatch):
 @pytest.mark.parametrize(
     "side, u_set, name",
     [
-        ("gamma", connections.u_gamma, "cones.principal_homomorphism"),
-        ("delta", connections.u_delta, "cones.dual_antihomomorphism"),
+        ("gamma", scalar_reference.u_gamma, "cones.principal_homomorphism"),
+        ("delta", scalar_reference.u_delta, "cones.dual_antihomomorphism"),
     ],
 )
-def test_principal_cone_outside_its_u_set_fails(side, u_set, name, at, monkeypatch):
+def test_principal_cone_outside_its_u_set_fails(side, u_set, name, at):
     # Negative control on the identity 2x2 matrix over S3: phi's gamma (or
     # delta) half of one element replaced by a cone outside U-Gamma (or
     # U-Delta).  Its (anti)homomorphism check fails at the first pair where
@@ -612,16 +622,10 @@ def test_principal_cone_outside_its_u_set_fails(side, u_set, name, at, monkeypat
     # so a, b and ab all carry the stray cone at the first pair; and rho is
     # not injective here, so the rest of the image is all of U-Gamma.
     S = ReesSemigroup(identity_matrix(builtin("symmetric", 3), 2, 2))
-    original = connections.phi
     target = S.element(0 if at == "first" else S.size // 2)
     stray = _stray_cone(S.group, u_set(CrossConnection(S.matrix)))
-
-    def phi(S_, a):
-        pair = original(S_, a)
-        return replace(pair, **{side: stray}) if a == target else pair
-
-    monkeypatch.setattr(connections, "phi", phi)
-    checks = {c.name: c for c in _cone_suite(S)}
+    with _edited_pair(S.index(target), **{side: stray}):
+        checks = {c.name: c for c in _cone_suite(S)}
     elements = list(S.elements())
     a, b = next((a, b) for a in elements for b in elements if target in (a, b, S.mul(a, b)))
     assert checks[name].passed is False
@@ -631,21 +635,15 @@ def test_principal_cone_outside_its_u_set_fails(side, u_set, name, at, monkeypat
     assert checks["cones.principal_image_subsemigroup"].passed is (side == "delta")
 
 
-def test_principal_image_short_of_u_gamma_is_judged_alone(monkeypatch):
+def test_principal_image_short_of_u_gamma_is_judged_alone():
     # Negative control: rho of the last element replaced by rho of the
     # first, so that the principal image misses a cone of U-Gamma.  The
     # check judges the image alone, as the scalar loop does.
     S = _s3_fixture()
-    original, first, last = connections.phi, S.element(0), S.element(S.size - 1)
-
-    def phi(S_, a):
-        pair = original(S_, a)
-        return replace(pair, gamma=original(S_, first).gamma) if a == last else pair
-
-    monkeypatch.setattr(connections, "phi", phi)
-    image = list(dict.fromkeys(phi(S, a).gamma for a in S.elements()))
-    assert len(image) < len(connections.u_gamma(CrossConnection(S.matrix)))
-    check = {c.name: c for c in _cone_suite(S)}["cones.principal_image_subsemigroup"]
+    with _edited_pair(S.size - 1, gamma=scalar_reference.phi(S, S.element(0)).gamma):
+        image = list(dict.fromkeys(scalar_reference.phi(S, a).gamma for a in S.elements()))
+        check = {c.name: c for c in _cone_suite(S)}["cones.principal_image_subsemigroup"]
+    assert len(image) < len(scalar_reference.u_gamma(CrossConnection(S.matrix)))
     assert check.passed is scalar_reference.regular_subsemigroup(S.group, image)
 
 
@@ -679,7 +677,7 @@ def test_closed_but_irregular_table_fails_its_subsemigroup_check(suite, name, mo
     # table is closed and only the oracle's regularity test can fail it.
     S = _s3_fixture()
     monkeypatch.setattr(kernel, "mul_L", _constant_mul_L(kernel.mul_L))
-    ug = connections.u_gamma(CrossConnection(S.matrix))
+    ug = scalar_reference.u_gamma(CrossConnection(S.matrix))
     table = _cone_product_table(S.group.array, ug)
     assert kernel.first_hole(table) is None
     assert not oracle.is_regular(oracle.GenericSemigroup(table))
@@ -789,24 +787,32 @@ def test_full_suite_indexes_each_cone_set_once(s1, monkeypatch):
     monkeypatch.setattr(kernel, "KeyIndex", CountingIndex)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
     conn = CrossConnection(s1.matrix)
-    sets = [connections.u_gamma(conn), connections.u_delta(conn), cones.enumerate_TL(s1.group, 2)]
+    sets = [
+        scalar_reference.u_gamma(conn),
+        scalar_reference.u_delta(conn),
+        cones.enumerate_TL(s1.group, 2),
+    ]
     assert built == [len({c.values for c in members}) for members in sets] == [4, 4, 4]
 
 
 def test_full_suite_forms_phi_once_per_element(s1, monkeypatch):
-    # phi's images are formed once per element, in connections.pair_arrays,
-    # and both cone_suite's principal checks and verify_phi read their
-    # positions; no suite forms a principal pair of its own.
+    # phi's images are the linked pairs, formed once, by one
+    # connections.pair_cones call in connections.pair_arrays, and both
+    # cone_suite's principal checks and verify_phi read their positions; the
+    # package has no scalar principal pair to form one of its own.
     calls = Counter()
-    for module, name in ((connections, "phi"), (cones, "principal_pair")):
+    original = connections.pair_cones
 
-        def counting(*args, _name=name, _original=getattr(module, name)):
-            calls[_name] += 1
-            return _original(*args)
+    def counting(P):
+        calls["pair_cones"] += 1
+        gamma, delta = original(P)
+        calls["pairs"] += len(gamma[1])
+        return gamma, delta
 
-        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(connections, "pair_cones", counting)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
-    assert calls == {"phi": s1.size}
+    assert calls == {"pair_cones": 1, "pairs": s1.size}
+    assert not hasattr(cones, "principal_pair") and not hasattr(connections, "phi")
 
 
 def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
@@ -834,7 +840,7 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
 
     def u_keys(S):
         conn = CrossConnection(S.matrix)
-        u = connections.u_gamma(conn), connections.u_delta(conn)
+        u = scalar_reference.u_gamma(conn), scalar_reference.u_delta(conn)
         return [kernel.row_keys(*kernel.cone_arrays(members)).tolist() for members in u]
 
     monkeypatch.setattr(kernel, "cone_product_table", cone_product_table)
@@ -1071,10 +1077,13 @@ def test_rescaled_dual_matrix_fails_naturality_without_raising(capsys):
     with scalar_reference.rescaled_opposite(0, 1):
         check = _crossconn_checks(S)["crossconn.naturality"]
         witness = scalar_reference.naturality_witness(conn)
-        cone = connections.gamma_cell(conn, 0, 0)[0]
-        with pytest.raises(ElementNotInCell):
-            connections.bifunctor_gamma(
-                conn.opposite, Morphism(0, 0, 0), Morphism(0, 0, 0), connections.chi(conn, cone, 0)
+        cone = scalar_reference.gamma_cell(conn, 0, 0)[0]
+        with pytest.raises(scalar_reference.ElementNotInCell):
+            scalar_reference.bifunctor_gamma(
+                conn.opposite,
+                Morphism(0, 0, 0),
+                Morphism(0, 0, 0),
+                scalar_reference.chi(conn, cone, 0),
             )
         code = main(
             [
@@ -1122,25 +1131,22 @@ def test_cone_off_its_cell_fails_only_its_squares(s3, h, shift):
 def test_full_suite_makes_no_scalar_cone_products(s3, monkeypatch):
     # Regression guard on S3 3x3: the cone-product and naturality scans run
     # on arrays.  Their scalar loops made 419,904 compose_cones calls
-    # (1,259,712 compose calls) and 104,976 bifunctor_gamma calls here.
+    # (1,259,712 compose calls) and 104,976 bifunctor_gamma calls here;
+    # both now live in tests/scalar_reference.py alone.
     calls = Counter()
-    for owner, name in (
-        (ArrowCategory, "compose"),
-        (ArrowCategory, "compose_cones"),
-        (connections, "bifunctor_gamma"),
-    ):
+    original = ArrowCategory.compose
 
-        def counting(*args, _original=getattr(owner, name), _name=name):
-            calls[_name] += 1
-            return _original(*args)
+    def counting(*args):
+        calls["compose"] += 1
+        return original(*args)
 
-        monkeypatch.setattr(owner, name, counting)
-
+    monkeypatch.setattr(ArrowCategory, "compose", counting)
     S = ReesSemigroup(identity_matrix(s3, 3, 3))
     checks = {c.name: c for c in full_suite(S)}
     assert checks["category.cone_product_agreement"].passed is True
     assert checks["crossconn.naturality"].passed is True
-    assert calls["compose_cones"] == calls["bifunctor_gamma"] == 0
+    assert not hasattr(ArrowCategory, "compose_cones")
+    assert not hasattr(connections, "bifunctor_gamma")
     # the groupoid checks compose each morphism with its inverse; what the
     # guarded checks add is at most the |G|^2 entries of one table
     composed = calls["compose"]
@@ -1208,18 +1214,22 @@ def test_rbg_negative_controls(name, fault):
 
 def test_suites_build_the_linked_pairs_once_without_scalar_pair_calls(monkeypatch):
     # rbg_suite forms the pair products and linkage on the kernel, and each
-    # suite builds the linked pairs once for all the checks that read them.
+    # suite builds the linked pairs once for all the checks that read them;
+    # the scalar pair builders, product and linkage test are the tests'
+    # references alone.
     calls = Counter()
-    for name in ("linked_pairs", "s_tilde_mul", "is_linked"):
+    original = connections.pair_cones
 
-        def counting(*args, _name=name, _original=getattr(connections, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counting(P):
+        calls["pair_cones"] += 1
+        return original(P)
 
-        monkeypatch.setattr(connections, name, counting)
+    monkeypatch.setattr(connections, "pair_cones", counting)
     S = ReesSemigroup(identity_matrix(load_cayley_file(FIXTURES / "s3_cayley.csv"), 2, 2))
     _assert_clean(_rbg_suite(S))
-    assert calls == {"linked_pairs": 1}
+    assert calls == {"pair_cones": 1}
     calls.clear()
     _assert_clean(full_suite(S))
-    assert calls == {"linked_pairs": 1}
+    assert calls == {"pair_cones": 1}
+    for name in ("linked_pairs", "s_tilde_mul", "is_linked"):
+        assert not hasattr(connections, name), name
