@@ -27,8 +27,6 @@ from .connections import (
     LinkedPair,
     PhiReport,
     compose_duals,
-    delta_apply,
-    gamma_apply,
     matrix_of,
     pair_arrays,
     pair_cones,

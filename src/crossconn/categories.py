@@ -20,7 +20,7 @@ import numpy as np
 from . import kernel
 from .errors import IndexOutOfRange, NotComposable, SizeGuardExceeded
 from .groups import FiniteGroup
-from .rees import DEFAULT_SIZE_GUARD, ReesElement, ReesSemigroup
+from .rees import DEFAULT_SIZE_GUARD, ReesSemigroup
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,16 @@ def realize_category(
     induced map must equal the action of exactly one abstract morphism and
     vice versa, and every hom-set must have exactly |G| members.  The
     right side (s*x over fSe) is the left side of S.opposite.
+
+    Every hom-set (dom, cod) is realized in one array pass: eSf of every
+    pair of base idempotents, then one row per translation, its images of
+    the domain ideal, gathered from the table in blocks of rows.  The maps
+    of a hom-set are its distinct rows that stay in the codomain ideal, and
+    its abstract maps x -> (x.g * h, x.i, cod) are the same rows for every
+    domain.  Sets of rows are counted per hom-set by
+    `kernel.distinct_counts`: the two sets of a hom-set are equal when their
+    union has no more members than either.  The mismatches are read off the
+    masks, hom-set by hom-set.
     """
     if S.size > size_guard:
         raise SizeGuardExceeded(f"|S| = {S.size} exceeds the guard {size_guard}")
@@ -130,45 +140,53 @@ def realize_category(
         return replace(realize_category(S.opposite, "left", size_guard), side="right")
     if side != "left":
         raise IndexOutOfRange(f"side must be 'left' or 'right', got {side!r}")
-    G = S.group
+    G, n_l, order = S.group, S.n_lambda, S.group.order
     table = S.table()
-    g, i, lam = kernel.element_arrays(G.order, S.n_i, S.n_lambda)
+    objects = np.arange(n_l)
+    # the base idempotent (p[obj][0]^-1, 0, obj) of each object, by the index layout
+    base = np.asarray(G.inverse)[S.matrix.array[:, 0]] * (S.n_i * n_l) + objects
 
-    def base_idempotent(obj: int) -> int:
-        return S.index(ReesElement(G.inv(S.matrix.entry(obj, 0)), 0, obj))
+    # in_middle[dom, cod, s]: whether s is in eSf, for the base idempotents e of dom and f of cod
+    in_middle = np.zeros((n_l, n_l, S.size), dtype=bool)
+    for rows in kernel.blocks(n_l, S.size * n_l):
+        esf = table[table[base[rows]][:, :, None], base]
+        in_middle[objects[rows, None, None], objects, esf] = True
+    # one translation per row, hom-set by hom-set in (dom, cod) order, s in index order
+    dom, cod, s = np.nonzero(in_middle)
+    hom = dom * n_l + cod
 
-    hom_sizes: dict[tuple[int, int], int] = {}
+    # the domain ideal of dom is (g, i, dom) in index order: member j is j*|Lambda| + dom
+    width = S.size // n_l
+    images = np.empty((len(s), width), dtype=np.int32)
+    for rows in kernel.blocks(len(s), width):
+        images[rows] = table[dom[rows, None] + n_l * np.arange(width), s[rows, None]]
+    leaves = (images % n_l != cod[:, None]).any(axis=1)
+    kept = ~leaves
+
+    # row (cod, h): x -> (x.g * h, x.i, cod) on a domain ideal, whatever the domain
+    g, i = np.divmod(np.arange(width), S.n_i)
+    abstract = (G.array[g].T * S.n_i + i)[None] * n_l + objects[:, None, None]
+    n_homs, cods = n_l * n_l, np.arange(n_l * n_l) % n_l
+    labels, translations = hom[kept], images[kept]
+    maps = kernel.distinct_counts(labels, n_homs, translations)
+    members = kernel.distinct_counts(np.repeat(objects, order), n_l, abstract.reshape(-1, width))
+    # each hom-set's translations beside its abstract maps, which are its codomain's
+    union = kernel.distinct_counts(
+        np.concatenate([labels, np.repeat(np.arange(n_homs), order)]),
+        n_homs,
+        np.concatenate([translations, abstract[cods].reshape(-1, width)]),
+    )
+    disagree = (union != maps) | (union != members[cods])
+
+    hom_sizes = dict(zip(product(range(n_l), repeat=2), maps.tolist()))
     mismatches: list[str] = []
-    for dom, cod in product(range(S.n_lambda), repeat=2):
-        e, f = base_idempotent(dom), base_idempotent(cod)
-        dom_carrier = np.flatnonzero(lam == dom)
-
-        # eSf in index order.  Column s of the table, restricted to the
-        # domain ideal, is the translation x -> x*s, keyed by its images.
-        middle = np.flatnonzero(np.bincount(table[table[e], f], minlength=S.size))
-        images = table[np.ix_(dom_carrier, middle)]
-        leaves = (lam[images] != cod).any(axis=0)
-        concrete: set[tuple] = set()
-        for s, column, out in zip(middle.tolist(), images.T.tolist(), leaves.tolist()):
-            if out:
-                mismatches.append(
-                    f"hom({dom},{cod}): translation by {S.element(s)} leaves the ideal"
-                )
-            else:
-                concrete.add(tuple(column))
-
-        # row h: x -> (x.g * h, x.i, cod) on the domain ideal
-        h_images = (G.array[g[dom_carrier], :].T * S.n_i + i[dom_carrier]) * S.n_lambda + cod
-        abstract = set(map(tuple, h_images.tolist()))
-
-        hom_sizes[(dom, cod)] = len(concrete)
-        if len(concrete) != G.order:
-            mismatches.append(
-                f"hom({dom},{cod}) realizes {len(concrete)} maps, expected {G.order}"
-            )
-        if concrete != abstract:
-            mismatches.append(
-                f"hom({dom},{cod}): translation maps and abstract morphisms disagree"
-            )
+    for k in np.flatnonzero(disagree | (np.bincount(hom[leaves], minlength=n_homs) > 0)):
+        d, c = divmod(int(k), n_l)
+        for x in s[leaves & (hom == k)].tolist():
+            mismatches.append(f"hom({d},{c}): translation by {S.element(x)} leaves the ideal")
+        if maps[k] != order:
+            mismatches.append(f"hom({d},{c}) realizes {maps[k]} maps, expected {order}")
+        if disagree[k]:
+            mismatches.append(f"hom({d},{c}): translation maps and abstract morphisms disagree")
 
     return RealizationReport(side, hom_sizes, not mismatches, mismatches)

@@ -48,9 +48,15 @@ scalings: `bifunctor` and `chi` factor a batch of tuples through a column
 of P with `right_factor`, rescale, and return the mask of the tuples that
 factor, so a cone outside its cell is a failed comparison rather than an
 exception.  The dual bifunctor is `bifunctor` over the opposite
-connection's group and matrix.  These serve `crossconn.naturality` and
-`crossconn.duality_bijection`; `category.cone_product_agreement` compares
-the category's cone product with `mul_L` row by row.
+connection's group and matrix.  Columns, rows and tuples broadcast, so
+`crossconn.duality_bijection` runs every cell of a block of cells through
+one `chi` there and one back, and `crossconn.naturality` one triple of
+objects (l1, l2, i1) per row; `category.cone_product_agreement` compares
+the category's cone product with `mul_L` row by row.  Sets that are one
+per cell, hom-set or object (the cones of a cell, the translation maps of
+a hom-set, the images of a functor) are counted in one sort by
+`distinct_counts`, each row keyed with its label, and two such sets are
+equal exactly when their union counts no more than each of them.
 
 Pairs.  `connections.pair_arrays` holds the linked pairs as a gamma and a
 delta batch, read off `SandwichMatrix.scaled` at the coordinates of each
@@ -90,10 +96,10 @@ coordinates that `ReesSemigroup.mul` calls.  `rees.table_matches_product`
 ties `table()` to it, evaluated in plain Python one row at a time and
 never through this kernel.  The scalar definitions of the connection's
 cone sets and maps (the linked pairs and their product, U-Gamma and
-U-Delta, the cells, the cell map, chi, linkage and phi) live in
-tests/scalar_reference.py, where tests compare every scan and every set
-read off `SandwichMatrix.scaled` with its loop, and the class tables
-with their row-by-row versions.
+U-Delta, the cells, the cell map, chi, linkage, phi and the two
+functors) live in tests/scalar_reference.py, where tests compare every
+scan and every set read off `SandwichMatrix.scaled` with its loop, and
+the class tables with their row-by-row versions.
 """
 
 from __future__ import annotations
@@ -149,6 +155,25 @@ def row_keys(*columns: np.ndarray) -> np.ndarray:
     """One exact key per row of the arrays ((m, k) or (m,)) laid side by side."""
     rows = np.ascontiguousarray(np.column_stack(columns), dtype=KEY_DTYPE)
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
+def distinct_counts(labels: np.ndarray, n_labels: int, *columns: np.ndarray) -> np.ndarray:
+    """The number of distinct rows of the columns laid side by side among the
+    rows of each label 0..n_labels-1: many small sets counted in one sort."""
+    _, first = np.unique(row_keys(labels, *columns), return_index=True)
+    return np.bincount(labels[first], minlength=n_labels)
+
+
+def gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The (len(rows), len(cols)) array table[rows[:, None], cols], -1 wherever
+    a row or a column is -1, the position of an absent cone.  The rows are
+    taken first and then the columns of each, which is faster than one 2-d
+    fancy gather; the -1 rows and columns read the table's last ones, and
+    are overwritten."""
+    out = np.take(table[rows], cols, axis=1)
+    out[rows < 0] = -1
+    out[:, cols < 0] = -1
+    return out
 
 
 class KeyIndex:

@@ -16,14 +16,20 @@ The other O(|S|^2) scans run one row at a time on the arrays of
 `G.array` and `P.array`, which G and P build once; right-hand products
 run as `kernel.mul_L` over the opposite group, whose array is the view
 `G.array.T`, so one kernel serves both sides.
+`category_suite` realizes both ideal categories
+(`categories.realize_category`) and `crossconn_suite` checks the
+connection functors (`connections.verify_crossconnection`) as one array
+pass over all hom-sets, in blocks where the arrays grow.
 The cone scans run the same way: `category.cone_product_agreement` takes
 one cone of T_L against all of T_L per row, with the category's
 composition tabulated once from `ArrowCategory.compose`, and
 `crossconn.naturality` takes one triple of objects (l1, l2, i1) per row,
 all (i2, g1, g2) and all cones of the cell at once, through
 `kernel.bifunctor` and `kernel.chi`; `crossconn.duality_bijection` takes
-one cell per row.  Each cell is one slice of `SandwichMatrix.scaled`
-(`connections.gamma_cell`).  `connections.pair_arrays(S)` is built once
+a block of cells per step, all their cones through one broadcasting
+`kernel.chi` and back, with the first failing cell and condition as the
+witness.  Each cell is one slice of `SandwichMatrix.scaled`
+(`connections.gamma_cells`).  `connections.pair_arrays(S)` is built once
 per command: the linked pairs, U-Gamma, U-Delta, their tables, the pair
 table gathered from those, and the positions of the pairs' halves in
 U-Gamma and U-Delta, all read off `SandwichMatrix.scaled`.  `cone_suite`,
@@ -54,12 +60,15 @@ U-Delta and no entry is -1.
 Every check on a set reads its table.  With r[a] and l[a] the positions
 of rho(a) and lam(a) in U-Gamma and U-Delta, `cones.principal_homomorphism`
 compares GT[r[a], r] with r[ab] and `cones.dual_antihomomorphism`
-compares DT[l, l[a]] with l[ab], a cone of a, b or ab outside its U set
-failing; `cones.principal_image_subsemigroup` reads GT restricted to the
-positions r hits.
+compares DT[l, l[a]] with l[ab], in blocks of rows a, a cone of a, b or
+ab outside its U set failing (`kernel.gather` reads -1 for a product
+with an absent cone); `cones.principal_image_subsemigroup` reads GT
+restricted to the positions r hits.
 Closed tables reach the oracle as `GenericSemigroup`s and the oracle
 judges the rest:
-`oracle.is_regular` decides the principal image and U-Gamma/U-Delta,
+`oracle.is_regular` decides the principal image and U-Gamma/U-Delta, one
+verdict per U table (`connections.UCones.regular`), which the principal
+image shares when it is all of U-Gamma, as it is unless phi is at fault;
 `oracle.verify_map` the isomorphism, and
 `oracle.green_via_ideals` gives all four Green partitions of S and of
 T_L at once, keyed by the bytes of the ideal rows by which Light's test
@@ -80,6 +89,7 @@ import numpy as np
 from . import connections, cones, kernel, oracle, rees
 from .categories import Morphism, left_category, realize_category, right_category
 from .checks import Check
+from .cones import CosetHandle
 from .connections import CrossConnection
 from .rees import ReesSemigroup
 
@@ -306,22 +316,35 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     # r[a] and l[a]: the positions of rho(a) and lam(a) in U-Gamma and U-Delta
     r, l = linked.g, linked.d
     GT, DT, table = linked.u_gamma.table, linked.u_delta.table, S.table()
-    for name, bad_row in (
-        # rho(a) rho(b) against rho(ab), for every b at once
-        ("cones.principal_homomorphism", lambda a: _misplaced(GT[r[a], r], r[table[a]])),
+    for name, bad_rows in (
+        # rho(a) rho(b) against rho(ab), for a block of a and every b at once
+        (
+            "cones.principal_homomorphism",
+            lambda a: _misplaced(kernel.gather(GT, r[a], r), r[table[a]]),
+        ),
         # lam(b) lam(a) over the opposite group against lam(ab)
-        ("cones.dual_antihomomorphism", lambda a: _misplaced(DT[l, l[a]], l[table[a]])),
+        (
+            "cones.dual_antihomomorphism",
+            lambda a: _misplaced(kernel.gather(DT.T, l[a], l), l[table[a]]),
+        ),
     ):
-        bad = kernel.first_failure(S.size, bad_row)
+        bad = kernel.first_block_failure(S.size, S.size, bad_rows)
         witness = None if bad is None else ", ".join(str(elements[k]) for k in bad)
         checks.append(Check(name, witness is None, witness))
 
     # the image's positions in U-Gamma, -1 first where a cone is outside it;
-    # its table is GT restricted to them and renumbered, -1 off the image
+    # its table is GT restricted to them and renumbered, -1 off the image.
+    # An image that is all of U-Gamma has GT itself as its table, whose
+    # verdict `crossconn.u_subsemigroups` reads too.
     hit = sorted(set(r.tolist()))
-    renumber = np.full(len(GT), -1, dtype=np.int32)
-    renumber[hit] = np.arange(len(hit))
-    image_ok = hit[0] >= 0 and _regular(renumber[GT[np.ix_(hit, hit)]])
+    if hit[0] < 0:
+        image_ok = False
+    elif len(hit) == len(GT):
+        image_ok = linked.u_gamma.regular
+    else:
+        renumber = np.full(len(GT), -1, dtype=np.int32)
+        renumber[hit] = np.arange(len(hit))
+        image_ok = connections.is_regular_set(renumber[GT[np.ix_(hit, hit)]])
     checks.append(Check("cones.principal_image_subsemigroup", image_ok))
 
     crit = cones.injectivity_criterion(S.matrix)
@@ -341,12 +364,6 @@ def _misplaced(got: np.ndarray, expected: np.ndarray) -> np.ndarray:
     """Where the positions in a U set differ, or the expected one is -1: a
     cone outside the set fails rather than compare -1 with -1."""
     return (got != expected) | (expected < 0)
-
-
-def _regular(table: np.ndarray) -> bool:
-    """Whether a set with this `kernel.cone_product_table` is closed (no -1) and,
-    judged by the oracle, regular."""
-    return bool((table >= 0).all()) and oracle.is_regular(oracle.GenericSemigroup(table))
 
 
 def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
@@ -369,8 +386,7 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
         checks.append(Check("crossconn.naturality", witness is None, witness))
 
     ug, ud = linked.u_gamma, linked.u_delta
-    ok = _regular(ug.table[:-1, :-1]) and _regular(ud.table[:-1, :-1])
-    checks.append(Check("crossconn.u_subsemigroups", ok))
+    checks.append(Check("crossconn.u_subsemigroups", ug.regular and ud.regular))
 
     if len(ug.classes) * len(ud.classes) * (n_l + n_i) > TRIPLE_GUARD:
         checks.append(Check("crossconn.linked_criterion_agreement", None, _SKIP))
@@ -389,8 +405,8 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
     checks.append(Check("crossconn.s_tilde_closed", report.closed, report.closure_witness))
     checks.append(Check("crossconn.phi_isomorphism", report.is_isomorphism, report.witness))
 
-    handles = [connections.gamma_apply(conn, i) for i in range(n_i)]
-    extracted = connections.matrix_of(G, handles)
+    objects = connections.gamma_images(conn).objects.tolist()
+    extracted = connections.matrix_of(G, [CosetHandle("left", tuple(c)) for c in objects])
     witness = None
     for i in range(n_i):
         if connections._right_factor(G, S.matrix.column(i), extracted.column(i)) is None:
@@ -403,29 +419,57 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
 
 def _duality_witness(conn: CrossConnection) -> str | None:
     """The first cell (lam, i) on which chi is not a bijection onto the dual
-    cell inverted by chi over `conn.opposite`.  Each cell is one row: chi of
-    all its cones through `kernel.chi`.  A cone that does not factor
-    through its cell has no image, and the duality fails there."""
+    cell inverted by chi over `conn.opposite`, with the first of the three
+    conditions it fails: |G| members in the cell and in its dual, chi onto
+    the dual, chi over `conn.opposite` back.  Cells run in blocks, all the
+    cones of a block through one broadcasting `kernel.chi` and one back.  A
+    cone that does not factor through its cell has no image, and the
+    duality fails there.  chi's images and the dual cell are equal sets
+    when their union has no more members than either."""
     G, op = conn.group, conn.opposite
-    M, inverse = G.array, np.asarray(G.inverse)
+    M, inverse, order = G.array, np.asarray(G.inverse), G.order
     P, P_op = conn.matrix.array, op.matrix.array
+    n_cells = conn.n_lambda * conn.n_i
+    cells, duals = (
+        (values.reshape(n_cells, order, -1), vertices.reshape(n_cells, order))
+        for values, vertices in (connections.gamma_cells(conn), connections.delta_cells(conn))
+    )
 
-    def distinct(cones) -> set:
-        return set(kernel.row_keys(*cones).tolist())
+    def bad_rows(rows: slice) -> np.ndarray:
+        # axes [cell, cone, coordinate]
+        lam, i = (x[:, None] for x in np.divmod(np.arange(n_cells)[rows], conn.n_i))
+        cell, dual = kernel.pick(cells, rows), kernel.pick(duals, rows)
+        images, ok = kernel.chi(M, inverse, P.T[i], P[cell[1]], cell[0])
+        image = images, np.broadcast_to(i, ok.shape)
+        # an image that is in the dual cell, made over conn.opposite, factors back
+        back, _ = kernel.chi(M.T, inverse, P_op.T[lam], P_op[i], images)
+        union = _members(*(np.concatenate(x, axis=1) for x in zip(image, dual)))
+        return np.stack(
+            [
+                (_members(*cell) != order) | (_members(*dual) != order),
+                ~ok.all(axis=1) | (union != _members(*image)) | (union != _members(*dual)),
+                kernel.differ((back, lam), cell).any(axis=1),
+            ],
+            axis=1,
+        )
 
-    for lam, i in product(range(conn.n_lambda), range(conn.n_i)):
-        cell = connections.gamma_cell(conn, lam, i)
-        dual = connections.delta_cell(conn, lam, i)
-        if len(distinct(cell)) != G.order or len(distinct(dual)) != G.order:
-            return f"cell ({lam},{i}) does not have {G.order} members"
-        values, ok = kernel.chi(M, inverse, P[:, i], P[cell[1]], cell[0])
-        if not ok.all() or distinct((values, np.full(len(values), i))) != distinct(dual):
-            return f"duality is not a bijection on cell ({lam},{i})"
-        # each image is now in the dual cell, made over conn.opposite: it factors
-        back, _ = kernel.chi(M.T, inverse, P_op[:, lam], P_op[i], values)
-        if kernel.differ((back, lam), cell).any():
-            return f"duality does not invert on cell ({lam},{i})"
-    return None
+    bad = kernel.first_block_failure(n_cells, order * (conn.n_lambda + conn.n_i), bad_rows)
+    if bad is None:
+        return None
+    lam, i = divmod(bad[0], conn.n_i)
+    return (
+        f"cell ({lam},{i}) does not have {order} members",
+        f"duality is not a bijection on cell ({lam},{i})",
+        f"duality does not invert on cell ({lam},{i})",
+    )[bad[1]]
+
+
+def _members(values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The number of distinct cones in each row of a batch of cells, values
+    (cells, cones, k) and vertices (cells, cones)."""
+    m, size = vertices.shape
+    labels = np.repeat(np.arange(m), size)
+    return kernel.distinct_counts(labels, m, values.reshape(m * size, -1), vertices.ravel())
 
 
 def _naturality_witness(conn: CrossConnection) -> str | None:
@@ -447,10 +491,11 @@ def _naturality_witness(conn: CrossConnection) -> str | None:
     g1 = np.arange(order).reshape(-1, 1, 1)
     g2 = np.arange(order).reshape(1, -1, 1)
     triples = list(product(range(conn.n_lambda), range(conn.n_lambda), range(conn.n_i)))
+    cells = connections.gamma_cells(conn)
 
     def bad_row(a: int) -> np.ndarray:
         l1, l2, i1 = triples[a]
-        values, vertices = connections.gamma_cell(conn, l1, i1)
+        values, vertices = (x[l1, i1] for x in cells)
         # Gamma's cell map, then chi on the cell (l2, i2)
         image, ok1 = kernel.bifunctor(M, inverse, P[:, i1], targets, g1, g2, values)
         left, ok2 = kernel.chi(M, inverse, targets, P[l2], image)
@@ -494,7 +539,8 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
 
     A row is one pair p against all pairs q, with g1, g2 the first values of
     p.gamma and q.gamma (or q.delta): the U-Gamma and U-Delta cones at
-    `PairArrays.product_halves(p)` against ((g1 g2,)*|Lambda|, q.gamma.vertex),
+    `PairArrays.product_halves`, in blocks of rows, against
+    ((g1 g2,)*|Lambda|, q.gamma.vertex),
     ((g1 g2,)*|I|, p.delta.vertex), a product outside U-Gamma or U-Delta
     failing.  Each U cone is compared as two integers, its constant value
     (-1 if its tuple is not constant) and its vertex.  The other scan is
@@ -513,11 +559,11 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         _constant_values(u.classes.members) for u in (linked.u_gamma, linked.u_delta)
     )
 
-    def formula_row(p: int) -> np.ndarray:
-        at_gamma, at_delta = linked.product_halves(p)
-        g = M[gamma[0][p, 0], gamma[0][:, 0]]
+    def formula_rows(rows: slice) -> np.ndarray:
+        at_gamma, at_delta = linked.product_halves(rows)
+        g = M[gamma[0][rows, :1], gamma[0][:, 0]]
         bad = (gamma_scalar[at_gamma] != g) | (gamma_vertex[at_gamma] != gamma[1])
-        bad |= (delta_scalar[at_delta] != g) | (delta_vertex[at_delta] != delta[1][p])
+        bad |= (delta_scalar[at_delta] != g) | (delta_vertex[at_delta] != delta[1][rows, None])
         return bad | (at_gamma < 0) | (at_delta < 0)
 
     def linked_row(p: int) -> np.ndarray:
@@ -525,7 +571,7 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         got = linkage[linked.g[p], linked.d] != (gamma[0][p, 0] == delta[0][:, 0])
         return got | (linked.g[p] < 0) | (linked.d < 0)
 
-    bad = kernel.first_failure(len(linked.g), formula_row)
+    bad = kernel.first_block_failure(len(linked.g), len(linked.g), formula_rows)
     witness = None if bad is None else f"{linked.pair(bad[0])} o {linked.pair(bad[1])}"
     checks.append(Check("rbg.product_formula", witness is None, witness))
     bad = kernel.first_failure(len(linked.g), linked_row)

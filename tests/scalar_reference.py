@@ -7,25 +7,29 @@ table through the scalar `GenericSemigroup.mul`.  `cone_product_table` and
 `is_linked_row` are the row-at-a-time kernel scans that the tables by
 tuple class replaced.
 
-The scalar definitions of the connection's cone sets live here too,
-each a loop over `FiniteGroup.mul`: the principal cones (`principal_pair`,
-`phi`), the linked pairs and their product (`linked_pairs`,
-`s_tilde_mul`), U-Gamma and U-Delta, the cells of the bifunctor, its cell
-map, the duality `chi`, linkage (`is_linked`), the Green relations of
-cones and the category's cone product (`compose_cones`).  The package
-reads every one of those sets off `SandwichMatrix.scaled`, and tests
-compare the two.  The loops call the scalar functions through their
-modules (`cones.mul_L`, `connections.gamma_apply`, ...) or this one's
-globals, so a fault patched into one of those reaches them too.
+The scalar definitions of the connection's cone sets and functors live
+here too, each a loop over `FiniteGroup.mul`: the principal cones
+(`principal_pair`, `phi`), the linked pairs and their product
+(`linked_pairs`, `s_tilde_mul`), U-Gamma and U-Delta, the cells of the
+bifunctor, its cell map, the duality `chi`, linkage (`is_linked`), the
+connection functor and its dual (`gamma_apply`, `delta_apply`), the
+Green relations of cones and the category's cone product
+(`compose_cones`).  The package reads every one of those sets off
+`SandwichMatrix.scaled`, and the functors' images off
+`SandwichMatrix.array`, and tests compare the two.  The loops call the
+scalar functions through their modules (`cones.mul_L`,
+`cones.coset_normalize`, ...) or this one's globals, so a fault patched
+into one of those reaches them too.
 
 The faults at the end are the ones the negative controls patch into the
-functors `connections.gamma_apply` and `connections.delta_apply`, into
-both linkage tests (the scalar `is_linked` and the array comparison
-`kernel.same_factor`), into `ArrowCategory.compose`, into
-`CrossConnection.opposite`, into the cells (`connections.gamma_cell`),
-into both linked-pair products, into the linked-pair table and into the
-pairs themselves (`connections.pair_cones`); each patches the array
-builder and its scalar reference here alike.
+functors (`gamma_apply` and `delta_apply` here, `connections.gamma_images`
+and `delta_images` in the package), into both linkage tests (the scalar
+`is_linked` and the array comparison `kernel.same_factor`), into
+`ArrowCategory.compose`, into `CrossConnection.opposite`, into the cells
+(`connections.gamma_cells`), into both linked-pair products, into the
+linked-pair table and into the pairs themselves
+(`connections.pair_cones`); each patches the array builder and its
+scalar reference here alike.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ from crossconn.categories import (
     right_category,
 )
 from crossconn.checks import Check
-from crossconn.connections import CrossConnection, LinkedPair
+from crossconn.cones import CosetHandle
+from crossconn.connections import CrossConnection, DualMorphism, Images, LinkedPair
 from crossconn.errors import (
     CrossconnError,
     IndexOutOfRange,
@@ -92,6 +97,24 @@ def phi(S: ReesSemigroup, a: ReesElement) -> LinkedPair:
     """The representation of an element as its pair of principal cones."""
     rho, lam = principal_pair(S, a)
     return LinkedPair(rho, lam)
+
+
+def gamma_apply(conn: CrossConnection, x):
+    """The connection functor on the right-ideal category.
+
+    An object index i goes to the left coset of column i; a morphism
+    kappa(g) goes to sigma_g between the corresponding cosets.
+    """
+    if isinstance(x, Morphism):
+        return DualMorphism("sigma", x.g, gamma_apply(conn, x.dom), gamma_apply(conn, x.cod))
+    return cones.coset_normalize(conn.group, "left", conn.matrix.column(x))
+
+
+def delta_apply(conn: CrossConnection, x):
+    """The dual functor on the left-ideal category: lam -> right coset of row lam, rho(g) -> tau_g."""
+    if isinstance(x, Morphism):
+        return DualMorphism("tau", x.g, delta_apply(conn, x.dom), delta_apply(conn, x.cod))
+    return cones.coset_normalize(conn.group, "right", conn.matrix.row(x))
 
 
 def green_cones(group: FiniteGroup, kind: str, c1: Cone, c2: Cone) -> bool:
@@ -532,8 +555,8 @@ def crossconnection_checks(conn: connections.CrossConnection) -> list[Check]:
     n_i = conn.n_i
     checks = []
     for name, cat, apply_ in (
-        ("gamma", right_category(G, n_i), connections.gamma_apply),
-        ("delta", left_category(G, conn.n_lambda), connections.delta_apply),
+        ("gamma", right_category(G, n_i), gamma_apply),
+        ("delta", left_category(G, conn.n_lambda), delta_apply),
     ):
         witness = None
         for obj in cat.objects():
@@ -559,11 +582,11 @@ def crossconnection_checks(conn: connections.CrossConnection) -> list[Check]:
 
     witness = None
     for i1, i2 in product(range(n_i), repeat=2):
-        dom = connections.gamma_apply(conn, i1)
+        dom = gamma_apply(conn, i1)
         members = sorted(tuple(G.mul(c, g) for c in dom.canonical) for g in G.elements())
         actions = set()
         for g in G.elements():
-            sg = connections.gamma_apply(conn, Morphism(i1, i2, g))
+            sg = gamma_apply(conn, Morphism(i1, i2, g))
             try:
                 actions.add(tuple(connections.sigma_apply(G, sg, x) for x in members))
             except NotInDomainCoset:
@@ -575,7 +598,7 @@ def crossconnection_checks(conn: connections.CrossConnection) -> list[Check]:
 
     witness = None
     for i in range(n_i):
-        images = {connections.gamma_apply(conn, Morphism(i, i, g)) for g in G.elements()}
+        images = {gamma_apply(conn, Morphism(i, i, g)) for g in G.elements()}
         if len(images) != G.order:
             witness = f"restriction to object {i} is not a bijection on endomorphisms"
             break
@@ -742,22 +765,67 @@ def relabelled(conn, m, image):
     """Objects 0 and 1 trade coset handles: still a functor, but an image's
     domain is no longer the coset of its object."""
     sigma = image.kind == "sigma"
-    apply_ = connections.gamma_apply if sigma else connections.delta_apply
+    apply_ = gamma_apply if sigma else delta_apply
     swap = {0: 1, 1: 0} if (conn.n_i if sigma else conn.n_lambda) > 1 else {}
     dom, cod = (apply_(conn, swap.get(k, k)) for k in (m.dom, m.cod))
     return replace(image, dom=dom, cod=cod)
 
 
+def _encoded(images: list[DualMorphism], n: int, M, objects) -> Images:
+    """`connections.Images` of the images of every morphism in (dom, cod, g)
+    order.  A coset id stands for a kind together with a handle, numbered by
+    first appearance over (dom, cod) of each image in turn, so a functor
+    whose images mix kinds fails the functor law on the ids."""
+    ids: dict = {}
+    rows = [
+        (m.h, ids.setdefault((m.kind, m.dom), len(ids)), ids.setdefault((m.kind, m.cod), len(ids)))
+        for m in images
+    ]
+    table = np.array(rows, dtype=np.intp).reshape(n, n, -1, 3)
+    h, dom, cod = np.moveaxis(table, -1, 0)
+    canonical = np.array([handle.canonical for _, handle in ids], dtype=np.intp)
+    return Images(h, dom, cod, canonical, M, objects)
+
+
 @contextmanager
 def faulty_images(name: str, fault):
-    """`connections.<name>` with every morphism image passed through fault."""
-    original = getattr(connections, name)
+    """The functor `name` (`gamma_apply` or `delta_apply`) with every morphism
+    image passed through fault, scalar (`name` here) and array
+    (`connections.gamma_images` or `delta_images`) alike.  The arrays are
+    decoded into one `DualMorphism` per morphism, each passed through fault
+    with its morphism, and encoded again; the object images stay as they
+    are.  The other functor stays sound."""
+    side = name.split("_")[0]
+    arrays, scalar = connections.gamma_images, globals()[name]
+    kind, coset = {"gamma": ("sigma", "left"), "delta": ("tau", "right")}[side]
+
+    def images(conn):
+        im = arrays(conn if side == "gamma" else conn.opposite)
+        n, order = len(im.objects), len(im.M)
+        handles = [CosetHandle(coset, tuple(c)) for c in im.canonical.tolist()]
+        decoded = [
+            fault(
+                conn,
+                Morphism(dom, cod, g),
+                DualMorphism(
+                    kind,
+                    int(im.h[dom, cod, g]),
+                    handles[im.dom[dom, cod, g]],
+                    handles[im.cod[dom, cod, g]],
+                ),
+            )
+            for dom, cod, g in product(range(n), range(n), range(order))
+        ]
+        return _encoded(decoded, n, im.M, im.objects)
 
     def apply_(conn, x):
-        image = original(conn, x)
+        image = scalar(conn, x)
         return fault(conn, x, image) if isinstance(x, Morphism) else image
 
-    with mock.patch.object(connections, name, apply_):
+    # delta_images is gamma_images over the opposite connection: pin both
+    patched = {"gamma_images": arrays, "delta_images": lambda conn: arrays(conn.opposite)}
+    patched[f"{side}_images"] = images
+    with mock.patch.multiple(connections, **patched), mock.patch(f"{__name__}.{name}", apply_):
         yield
 
 
@@ -816,18 +884,18 @@ def rescaled_opposite(row: int, h: int):
 
 @contextmanager
 def stray_cone(h: int, shift: int = 0):
-    """The cells of the bifunctor, array (`connections.gamma_cell`) and scalar
+    """The cells of the bifunctor, array (`connections.gamma_cells`) and scalar
     (`gamma_cell`) alike, with the last coordinate of the last cone of each
     multiplied by h and its vertex moved on by shift (mod |Lambda|): with
     |Lambda| > 1, that cone is off its cell unless h is the identity and
-    shift is 0.  The dual cells (`delta_cell`) stay sound, so only the
-    naturality squares and the duality of that cell fail."""
-    arrays, scalar = connections.gamma_cell, gamma_cell
+    shift is 0.  The dual cells (`delta_cells`, `delta_cell`) stay sound, so
+    only the naturality squares and the duality of that cell fail."""
+    arrays, scalar = connections.gamma_cells, gamma_cell
 
-    def array_cell(conn, lam, i):
-        values, vertices = (x.copy() for x in arrays(conn, lam, i))
-        values[-1, -1] = conn.group.array[values[-1, -1], h]
-        vertices[-1] = (lam + shift) % conn.n_lambda
+    def array_cells(conn):
+        values, vertices = (np.array(x) for x in arrays(conn))
+        values[:, :, -1, -1] = conn.group.array[values[:, :, -1, -1], h]
+        vertices[:, :, -1] = (np.arange(conn.n_lambda)[:, None] + shift) % conn.n_lambda
         return values, vertices
 
     def scalar_cell(conn, lam, i):
@@ -836,8 +904,12 @@ def stray_cone(h: int, shift: int = 0):
         vertex = (lam + shift) % conn.n_lambda
         return cell[:-1] + [Cone((*values, conn.group.mul(last, h)), vertex)]
 
-    with mock.patch.object(connections, "gamma_cell", array_cell), mock.patch.object(
-        connections, "delta_cell", lambda conn, lam, i: arrays(conn.opposite, i, lam)
+    def sound_duals(conn):
+        values, vertices = arrays(conn.opposite)
+        return values.swapaxes(0, 1), vertices.swapaxes(0, 1)
+
+    with mock.patch.object(connections, "gamma_cells", array_cells), mock.patch.object(
+        connections, "delta_cells", sound_duals
     ), mock.patch(f"{__name__}.gamma_cell", scalar_cell), mock.patch(
         f"{__name__}.delta_cell", lambda conn, lam, i: scalar(conn.opposite, i, lam)
     ):
@@ -856,8 +928,12 @@ def reversed_delta_product():
             cones.mul_L(G, p1.gamma, p2.gamma), cones.mul_L(G.opposite, p1.delta, p2.delta)
         )
 
-    def product_halves(self, p):
-        return self.u_gamma.table[self.g[p], self.g], self.u_delta.table[self.d[p], self.d]
+    def product_halves(self, rows):
+        g, d = self.g, self.d
+        return (
+            kernel.gather(self.u_gamma.table, g[rows], g),
+            kernel.gather(self.u_delta.table, d[rows], d),
+        )
 
     with mock.patch(f"{__name__}.s_tilde_mul", scalar), mock.patch.object(
         connections.PairArrays, "product_halves", product_halves

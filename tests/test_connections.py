@@ -6,6 +6,8 @@ from scalar_reference import (
     ElementNotInCell,
     bifunctor_gamma,
     chi,
+    delta_apply,
+    gamma_apply,
     is_linked,
     linked_pairs,
     phi,
@@ -27,8 +29,6 @@ from crossconn import (
     ReesSemigroup,
     SandwichMatrix,
     compose_duals,
-    delta_apply,
-    gamma_apply,
     identity_matrix,
     left_category,
     matrix_of,

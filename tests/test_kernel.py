@@ -135,7 +135,8 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
         (G.opposite, M.T, scalar_reference.u_delta(conn)),
     ):
         table = _cone_product_table(array, members)
-        assert verify._regular(table) == scalar_reference.regular_subsemigroup(group, members)
+        verdict = connections.is_regular_set(table)
+        assert verdict == scalar_reference.regular_subsemigroup(group, members)
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,13 +183,91 @@ def test_scaled_array_gives_every_cone_set_of_the_loops(G, n_lambda, n_i, identi
         assert repr(pair) == repr(pairs[k]) == repr(scalar_reference.phi(S, a))
         assert (pair.gamma, pair.delta) == scalar_reference.principal_pair(S, a)
 
-    for lam, i in product(range(n_lambda), range(n_i)):
-        for array_cell, scalar_cell in (
-            (connections.gamma_cell, scalar_reference.gamma_cell),
-            (connections.delta_cell, scalar_reference.delta_cell),
-        ):
-            cell = connections.as_cones(array_cell(conn, lam, i))
+    for array_cells, scalar_cell in (
+        (connections.gamma_cells, scalar_reference.gamma_cell),
+        (connections.delta_cells, scalar_reference.delta_cell),
+    ):
+        values, vertices = array_cells(conn)
+        assert values.shape == (n_lambda, n_i, G.order, values.shape[-1])
+        for lam, i in product(range(n_lambda), range(n_i)):
+            cell = connections.as_cones((values[lam, i], vertices[lam, i]))
             assert [repr(c) for c in cell] == [repr(c) for c in scalar_cell(conn, lam, i)]
+
+
+class _CorruptedProduct(ReesSemigroup):
+    """A faulty product: corrupt(S, x, y, z) in place of the true product z of
+    x and y; its index table is made from it."""
+
+    def __init__(self, matrix, corrupt):
+        super().__init__(matrix)
+        self.corrupt = corrupt
+
+    def mul(self, x, y):
+        return self.corrupt(self, x, y, super().mul(x, y))
+
+    def index_table(self):
+        elements = list(self.elements())
+        rows = [[self.index(self.mul(x, y)) for y in elements] for x in elements]
+        return np.array(rows, dtype=np.int32)
+
+
+def _keeps_vertex(k):
+    """x's vertex kept when x.i != k: translations leave their ideals."""
+    return lambda S, x, y, z: ReesElement(z.g, z.i, x.lam) if x.i != k else z
+
+
+def _moves_vertex(k):
+    """The vertex moved on by one when x.g == k: some translations leave their
+    ideals, others stay in them as maps that no abstract morphism induces."""
+    return lambda S, x, y, z: (
+        ReesElement(z.g, z.i, (z.lam + 1) % S.n_lambda) if x.g == k % S.group.order else z
+    )
+
+
+def _rescaled(k):
+    """The product's scalar multiplied by element k when x.i == 0: the maps
+    stay in their ideals, but one that scales only part of its domain is
+    no abstract one."""
+    return lambda S, x, y, z: (
+        ReesElement(S.group.mul(z.g, k % S.group.order), z.i, z.lam) if x.i == 0 else z
+    )
+
+
+def _collapsed(k):
+    """The product's scalar sent to the identity when y.g == k: hom-sets
+    realize fewer maps."""
+    return lambda S, x, y, z: (
+        ReesElement(S.group.identity, z.i, z.lam) if y.g == k % S.group.order else z
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([_keeps_vertex, _moves_vertex, _rescaled, _collapsed]),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from(["left", "right"]),
+    st.data(),
+)
+def test_realize_category_matches_the_loops_on_faulty_products(
+    G, n_lambda, n_i, corruption, k, side, data
+):
+    # The array realization against the loop over S.mul, mismatch list in
+    # order and hom-set sizes included, on faulty products.  For the right
+    # side, S is sound and its opposite, which the right side realizes,
+    # carries the faulty product.
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    P = SandwichMatrix(G, entries)
+    if side == "left":
+        S = _CorruptedProduct(P, corruption(k))
+    else:
+        S, op = ReesSemigroup(P), _CorruptedProduct(P.transpose, corruption(k))
+        S._opposite, op._opposite = op, S
+    assert realize_category(S, side) == scalar_reference.realize_category(S, side)
 
 
 def _cones(G: FiniteGroup, width: int, known: list) -> st.SearchStrategy:
@@ -388,7 +467,7 @@ def test_wide_cones_z2_lambda_64():
     _principal_products_agree(S)
     rho = sorted(set(_cones_of(S, 0)), key=lambda c: (c.values, c.vertex))
     table = _cone_product_table(G.array, rho)
-    verdict = verify._regular(table)
+    verdict = connections.is_regular_set(table)
     assert verdict is scalar_reference.regular_subsemigroup(G, rho) is True
 
 

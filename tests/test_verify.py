@@ -707,7 +707,7 @@ def test_left_scaled_column_fails_matrix_roundtrip(monkeypatch):
     # would need h x = x h, so the column is no right scaling of the original.
     S = _s3_fixture()
     G, original = S.group, connections.matrix_of
-    h, x = 1, original(G, [connections.gamma_apply(CrossConnection(S.matrix), 1)]).entry(1, 0)
+    h, x = 1, original(G, [scalar_reference.gamma_apply(CrossConnection(S.matrix), 1)]).entry(1, 0)
     assert G.mul(h, x) != G.mul(x, h)
 
     def matrix_of(group, handles):
@@ -793,6 +793,63 @@ def test_full_suite_indexes_each_cone_set_once(s1, monkeypatch):
         cones.enumerate_TL(s1.group, 2),
     ]
     assert built == [len({c.values for c in members}) for members in sets] == [4, 4, 4]
+
+
+def test_wide_index_full_suite_makes_few_scalar_group_products(monkeypatch):
+    # One full_suite on M[Z2; 16, 16] with p[lam][i] = lam*i mod 2: both
+    # realizations, the connection functors and the duality cells are array
+    # passes, so the scalar products left are the groupoid checks'
+    # compositions (4,096), matrix_roundtrip's right factors and the
+    # injectivity criterion's; no coset is normalized one tuple at a time.
+    G = builtin("cyclic", 2)
+    S = ReesSemigroup(SandwichMatrix(G, [[lam * i % 2 for i in range(16)] for lam in range(16)]))
+    calls = Counter()
+    mul, normalize = FiniteGroup.mul, cones.coset_normalize
+
+    def counting_mul(self, a, b):
+        calls["mul"] += 1
+        return mul(self, a, b)
+
+    def counting_normalize(*args):
+        calls["coset_normalize"] += 1
+        return normalize(*args)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counting_mul)
+    monkeypatch.setattr(cones, "coset_normalize", counting_normalize)
+    _assert_clean(full_suite(S))
+    assert calls["mul"] <= 4400
+    calls.clear()
+    _assert_clean(connections.verify_crossconnection(CrossConnection(S.matrix)))
+    assert calls["coset_normalize"] == 0
+
+
+def test_full_suite_judges_u_gamma_regular_once(monkeypatch):
+    # phi's image is all of U-Gamma, so cones.principal_image_subsemigroup
+    # and the U-Gamma half of crossconn.u_subsemigroups read one verdict of
+    # oracle.is_regular on U-Gamma's table.  With the identity matrix phi is
+    # not injective, so U-Gamma's table is not S's.
+    S = ReesSemigroup(identity_matrix(builtin("symmetric", 3), 2, 3))
+    judged, built = [], []
+    is_regular, pair_arrays = oracle.is_regular, connections.pair_arrays
+
+    def counting(T):
+        judged.append(T.table)
+        return is_regular(T)
+
+    def recording(S):
+        built.append(pair_arrays(S))
+        return built[-1]
+
+    monkeypatch.setattr(oracle, "is_regular", counting)
+    monkeypatch.setattr(connections, "is_regular", counting)
+    monkeypatch.setattr(connections, "pair_arrays", recording)
+    checks = {c.name: c for c in full_suite(S)}
+    (linked,) = built
+    ug, ud = linked.u_gamma.table, linked.u_delta.table
+    assert checks["cones.principal_image_subsemigroup"].passed is True
+    assert checks["crossconn.u_subsemigroups"].passed is True
+    assert len(ug) < S.size
+    assert sum(np.array_equal(table, ug) for table in judged) == 1
 
 
 def test_full_suite_forms_phi_once_per_element(s1, monkeypatch):
