@@ -13,7 +13,12 @@ with the generic matrix.  Each fixture is built with the size guard set
 to its own size, so it is checked in full.
 
 Each rung runs in a fresh interpreter, one after another, so that its
-peak RSS is its own.  There, each of K runs builds the semigroup afresh
+peak RSS is its own.  There, first, a fixed piece of pure-Python work
+(`host_probe`, no crossconn code) is timed PROBES times, and the median
+is recorded: the host is shared, other tenants slow it by up to about
+1.8x for tens of seconds at a time, and the probe slows with it, so two
+BENCH files taken under different load read apart in it where a code
+change leaves it alone.  Then each of K runs builds the semigroup afresh
 and times rees_suite, category_suite, connections.pair_arrays, cone_suite
 and crossconn_suite in turn, the last two given the pairs, which is what
 full_suite does (the first of them builds the table, and full_suite's time
@@ -25,7 +30,7 @@ table, oracle.green_via_ideals and oracle.associativity_witness (Light's
 test), and counts the generators that Light's test runs over.  Times
 are raw wall seconds, in-process.  The file gives, per rung and per suite,
 the median and quartiles of the K times and the number of checks, skips
-and failures; per rung, the peak RSS, read once, after the first
+and failures; per rung, the probe's median time, the peak RSS, read once, after the first
 full_suite and rbg_suite (later runs in the same interpreter creep
 upwards without any one command needing more), and the oracle's parts;
 and the Python and numpy versions and the CPU count.  Before each
@@ -74,6 +79,7 @@ LARGE = ("cyclic", 4, 32)
 GENERIC = ("cyclic", 2, 32)
 LARGE_GENERIC = ("cyclic", 4, 32)
 RUNS = 5  # timed runs per rung
+PROBES = 21  # timings of host_probe per rung
 
 
 def generic_matrix(group, n: int) -> SandwichMatrix:
@@ -116,6 +122,27 @@ def _timed(part, *args) -> tuple[float, object]:
     return time.perf_counter() - start, result
 
 
+def host_probe() -> int:
+    """A fixed mix of pure-Python work, under a millisecond: dict updates with
+    tuple keys, calls of a bound method on a small table, and integer
+    arithmetic, the kinds of work the suites' Python parts do."""
+    table = [[(a * b + a) % 12 for b in range(12)] for a in range(12)]
+    row = table.__getitem__
+    counts: dict[tuple[int, int], int] = {}
+    total = 0
+    for a in range(600):
+        key = (a & 15, a % 7)
+        counts[key] = counts.get(key, 0) + 1
+        total += row(a % 12)[a % 11] * (a ^ 0x5A) % 97
+    return total + len(counts)
+
+
+def _probe_ms() -> float:
+    """The median time of PROBES runs of host_probe, in milliseconds."""
+    times = [_timed(host_probe)[0] for _ in range(PROBES)]
+    return round(statistics.median(times) * 1000, 4)
+
+
 def _summary(times: list[float], checks: list) -> dict:
     q1, median, q3 = (
         statistics.quantiles(times, n=4, method="inclusive") if len(times) > 1 else times * 3
@@ -131,9 +158,11 @@ def _summary(times: list[float], checks: list) -> dict:
 
 
 def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
-    """One rung in this interpreter: every suite timed `runs` times, and the
-    interpreter's peak RSS after the first full_suite and rbg_suite.
+    """One rung in this interpreter: the host's speed on host_probe, taken
+    first, every suite timed `runs` times, and the interpreter's peak RSS
+    after the first full_suite and rbg_suite.
     rbg_suite runs on the constant-identity matrices only."""
+    probe_ms = _probe_ms()
     with_rbg = _is_identity(matrix)
     names = [*FULL_SUITE, "full_suite", *(["rbg_suite"] if with_rbg else [])]
     times: dict[str, list[float]] = {n: [] for n in names}
@@ -173,6 +202,7 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
     return {
         "name": name,
         "size": S.size,
+        "host_probe_ms": probe_ms,
         "peak_rss_mb": round(peak_kb / 1024, 1),
         "suites": {n: _summary(times[n], checks[n]) for n in names},
         "oracle": {
@@ -210,7 +240,7 @@ def main() -> int:
         print(
             f"{name:20s} |S|={rung['size']:<5d} full_suite {full['median_s']:.3f}s "
             f"({full['checks'] - full['skipped']} run, {full['skipped']} skipped), "
-            f"peak RSS {rung['peak_rss_mb']} MB",
+            f"peak RSS {rung['peak_rss_mb']} MB, probe {rung['host_probe_ms']} ms",
             flush=True,
         )
         results.append(rung)

@@ -10,17 +10,7 @@ from .categories import (
     right_category,
 )
 from .checks import Check, all_passed, failures
-from .cones import (
-    CosetHandle,
-    InjectivityResult,
-    act,
-    cone_table,
-    coset_normalize,
-    enumerate_TL,
-    injectivity_criterion,
-    is_idempotent_cone,
-    mul_L,
-)
+from .cones import CosetHandle, InjectivityResult, cone_table, enumerate_TL, injectivity_criterion
 from .connections import (
     CrossConnection,
     DualMorphism,

@@ -7,14 +7,17 @@ everywhere.  The right-ideal category of S is the left-ideal category of
 S^op = M[G^op; Lambda, I; P^T]: its morphisms are left translations, so
 it is built over the opposite group and realized from S.opposite, with
 no second code path.
+
+A `Morphism` whose fields are arrays stands for a batch of arrows, and
+`ArrowCategory`'s methods take such a batch elementwise, broadcasting as
+numpy arrays do, with one array step per call: `morphisms()` is every
+arrow of the category as one batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator
-
 import numpy as np
 
 from . import kernel
@@ -25,7 +28,8 @@ from .rees import DEFAULT_SIZE_GUARD, ReesSemigroup
 
 @dataclass(frozen=True)
 class Morphism:
-    """An arrow dom -> cod carrying a group element."""
+    """An arrow dom -> cod carrying a group element; with arrays for fields, a
+    batch of arrows."""
 
     dom: int
     cod: int
@@ -58,21 +62,21 @@ class ArrowCategory:
     def identity(self, obj: int) -> Morphism:
         return Morphism(obj, obj, self.group.identity)
 
-    def is_identity(self, m: Morphism) -> bool:
-        return m.dom == m.cod and m.g == self.group.identity
+    def is_identity(self, m: Morphism):
+        return (m.dom == m.cod) & (m.g == self.group.identity)
 
     def compose(self, m1: Morphism, m2: Morphism) -> Morphism:
         """m1 followed by m2; requires m1.cod == m2.dom."""
-        if m1.cod != m2.dom:
+        if np.any(m1.cod != m2.dom):
             raise NotComposable(
                 f"codomain {m1.cod} of the first morphism is not the domain {m2.dom} "
                 "of the second"
             )
-        return Morphism(m1.dom, m2.cod, self.group.mul(m1.g, m2.g))
+        return Morphism(m1.dom, m2.cod, _element(self.group, self.group.array, m1.g, m2.g))
 
     def invert(self, m: Morphism) -> Morphism:
         """Every morphism is an isomorphism; the inverse carries the group inverse."""
-        return Morphism(m.cod, m.dom, self.group.inv(m.g))
+        return Morphism(m.cod, m.dom, _element(self.group, np.asarray(self.group.inverse), m.g))
 
     def normal_factorization(self, m: Morphism) -> tuple[Morphism, Morphism, Morphism]:
         """(retraction, isomorphism, inclusion).
@@ -82,14 +86,19 @@ class ArrowCategory:
         """
         return (self.identity(m.dom), m, self.identity(m.cod))
 
-    def hom(self, dom: int, cod: int) -> list[Morphism]:
-        return [Morphism(dom, cod, g) for g in self.group.elements()]
+    def morphisms(self) -> Morphism:
+        """Every morphism, in (dom, cod, g) order, as one batch."""
+        n = self.n_objects
+        return Morphism(*np.indices((n, n, self.group.order)).reshape(3, -1))
 
-    def morphisms(self) -> Iterator[Morphism]:
-        for dom in self.objects():
-            for cod in self.objects():
-                for g in self.group.elements():
-                    yield Morphism(dom, cod, g)
+
+def _element(group: FiniteGroup, table: np.ndarray, *index):
+    """table[index] for elements of the group: an array for arrays of them, an
+    int for elements; an index outside the group raises, as `group.mul` does."""
+    if any(np.any((np.asarray(x) < 0) | (np.asarray(x) >= group.order)) for x in index):
+        raise IndexOutOfRange(f"element index out of range for order {group.order}")
+    out = table[index]
+    return out if np.ndim(out) else int(out)
 
 
 def left_category(group: FiniteGroup, n_lambda: int) -> ArrowCategory:

@@ -1,44 +1,50 @@
 """Normal-cone semigroups: the semidirect product of G^Lambda with the
 right-zero semigroup Lambda, and its opposite twin over G^I and I.
 
-A cone is a tuple over the object set plus a vertex.  The semigroup
-product broadcasts one coordinate of the second factor across the first
-factor's tuple: on the right for the left-ideal side, on the left for
-the right-ideal side.  Only the left side is written out.  The right
-side is the left side over the opposite group (and, for principal
-cones, of the opposite semigroup S^op = M[G^op; Lambda, I; P^T]), so a
-right-hand product is `mul_L(group.opposite, ...)`.
+A cone is a tuple over the object set plus a vertex, and a set of cones
+is one batch (values, vertices), an (m, k) array of group indices and an
+(m,) array of vertices.  The semigroup product broadcasts one coordinate
+of the second factor across the first factor's tuple: on the right for
+the left-ideal side, on the left for the right-ideal side.  Only the left
+side is written out, as `kernel.mul_L`, the product every cone table is
+built from.  The right side is the left side over the opposite group
+(and, for principal cones, of the opposite semigroup
+S^op = M[G^op; Lambda, I; P^T]), so a right-hand product is
+`kernel.mul_L` over `group.opposite.array`.
+
+T_L = G^Lambda x Lambda is one batch (`enumerate_TL`), and `cone_table`
+its table.  The action of the objects on tuples (`act`) and the closed
+form of the idempotents (`is_idempotent_cone`) take batches too: the T_L
+checks of `verify.cone_suite` hold `kernel.mul_L` against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import kernel
-from .categories import Cone
-from .errors import IndexOutOfRange, NotClosed, ParseError, SizeGuardExceeded
+from .errors import IndexOutOfRange, NotClosed, SizeGuardExceeded
 from .groups import FiniteGroup
 from .rees import SandwichMatrix
 
 DEFAULT_CONE_BOUND = 100_000
 
 
-def act(group: FiniteGroup, k: int, values: Sequence[int]) -> tuple[int, ...]:
-    """Left action of object k on a tuple: broadcast the k-th coordinate."""
-    if not 0 <= k < len(values):
-        raise IndexOutOfRange(f"object {k} out of range for a tuple of length {len(values)}")
-    return (values[k],) * len(values)
+def act(k, values: np.ndarray) -> np.ndarray:
+    """Left action of objects on tuples: each tuple's k-th coordinate broadcast
+    across it.  The tuples (rows of values) and the objects k broadcast
+    against each other; the result has their broadcast shape."""
+    values, at = np.broadcast_arrays(values, np.expand_dims(k, -1))
+    return np.broadcast_to(np.take_along_axis(values, at[..., :1], axis=-1), values.shape)
 
 
-def mul_L(group: FiniteGroup, c1: Cone, c2: Cone) -> Cone:
-    """Semidirect product on the left-ideal side: scale c1's tuple on the right
-    by c2's value at c1's vertex."""
-    g_k = c2.values[c1.vertex]
-    return Cone(tuple(group.mul(v, g_k) for v in c1.values), c2.vertex)
+def is_idempotent_cone(group: FiniteGroup, cones) -> np.ndarray:
+    """Closed form, for a batch of cones: the coordinate at the vertex is the identity."""
+    values, vertices = cones
+    at = np.take_along_axis(values, np.expand_dims(vertices, -1), axis=-1)
+    return at[..., 0] == group.identity
 
 
 @dataclass(frozen=True)
@@ -80,43 +86,25 @@ class CosetHandle:
     canonical: tuple[int, ...]
 
 
-def coset_normalize(group: FiniteGroup, side: str, values: Sequence[int]) -> CosetHandle:
-    values = tuple(int(v) for v in values)
-    if not values:
-        raise IndexOutOfRange("cannot normalize an empty tuple")
-    if side == "right":
-        group = group.opposite
-    elif side != "left":
-        raise ParseError(f"side must be 'left' or 'right', got {side!r}")
-    a = group.inv(values[0])
-    return CosetHandle(side, tuple(group.mul(v, a) for v in values))
-
-
-def is_idempotent_cone(group: FiniteGroup, c: Cone) -> bool:
-    """Closed form: the coordinate at the vertex is the identity."""
-    return c.values[c.vertex] == group.identity
-
-
-def enumerate_TL(group: FiniteGroup, n_lambda: int, bound: int = DEFAULT_CONE_BOUND) -> list[Cone]:
-    """All of G^Lambda x Lambda in lexicographic (tuple, vertex) order."""
+def enumerate_TL(
+    group: FiniteGroup, n_lambda: int, bound: int = DEFAULT_CONE_BOUND
+) -> tuple[np.ndarray, np.ndarray]:
+    """All of G^Lambda x Lambda as one batch (values, vertices), in
+    lexicographic (tuple, vertex) order."""
     if n_lambda < 1:
         raise IndexOutOfRange(f"need at least one object, got {n_lambda}")
     total = (group.order ** n_lambda) * n_lambda
     if total > bound:
         raise SizeGuardExceeded(f"cone semigroup has {total} elements, above the bound {bound}")
-    return [
-        Cone(values, vertex)
-        for values in product(group.elements(), repeat=n_lambda)
-        for vertex in range(n_lambda)
-    ]
+    tuples = np.indices((group.order,) * n_lambda).reshape(n_lambda, -1).T
+    return np.repeat(tuples, n_lambda, axis=0), np.tile(np.arange(n_lambda), len(tuples))
 
 
-def cone_table(group: FiniteGroup, cones: Iterable[Cone]) -> np.ndarray:
-    """Multiplication table of a closed cone set under mul_L, indexed by
-    enumeration order, as an int32 array from `kernel.cone_product_table`.
+def cone_table(group: FiniteGroup, cones) -> np.ndarray:
+    """Multiplication table of a closed batch of cones under mul_L, indexed by
+    batch order, as an int32 array from `kernel.cone_product_table`.
     The right-side table is the one over `group.opposite`."""
-    classes = kernel.ConeClasses(kernel.cone_arrays(list(cones)))
-    table = kernel.cone_product_table(group.array, classes)
+    table = kernel.cone_product_table(group.array, kernel.ConeClasses(cones))
     bad = kernel.first_hole(table)
     if bad is not None:
         raise NotClosed(f"cone {bad[0]} times cone {bad[1]} is not in the set")

@@ -122,16 +122,6 @@ def compose_duals(group: FiniteGroup, m1: DualMorphism, m2: DualMorphism) -> Dua
     return DualMorphism(m1.kind, h, m1.dom, m2.cod)
 
 
-def _right_factor(group: FiniteGroup, base: Sequence[int], values: Sequence[int]) -> int | None:
-    """g with values == base * g pointwise, or None."""
-    if len(base) != len(values):
-        return None
-    g = group.mul(group.inv(base[0]), values[0])
-    if all(group.mul(b, g) == v for b, v in zip(base, values)):
-        return g
-    return None
-
-
 Cones = tuple[np.ndarray, np.ndarray]
 
 
@@ -347,13 +337,13 @@ def gamma_images(conn: CrossConnection) -> Images:
     """The connection functor on the right-ideal category, as arrays.
 
     Object i goes to the left coset of column i, whose canonical tuple is
-    col_i * col_i[0]^-1: all columns in one gather, M[col, inverse[col[0]]]
-    over `SandwichMatrix.array`.  kappa(g): i1 -> i2 goes to sigma_g
+    col_i * col_i[0]^-1: all columns in one gather, `kernel.canonical` of
+    the rows of P^T.  kappa(g): i1 -> i2 goes to sigma_g
     between the cosets of i1 and i2.  A coset id stands for a canonical
     tuple, so two images agree exactly when their (h, dom, cod) agree.
     """
-    G, P = conn.group, conn.matrix.array
-    objects = G.array[P, np.asarray(G.inverse)[P[0]]].T
+    G = conn.group
+    objects = kernel.canonical(G.array, np.asarray(G.inverse), conn.matrix.array.T)
     _, first, ids = np.unique(kernel.row_keys(objects), return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))

@@ -1,4 +1,4 @@
-"""Row-at-a-time array kernel for the O(|S|^2) scans of the verification suites.
+"""Block-at-a-time array kernel for the O(|S|^2) scans of the verification suites.
 
 Layout.  Element k of S = M[G; I, Lambda; P] is (g, i, lam) with
 k = (g*|I| + i)*|Lambda| + lam, so `element_arrays` gives its coordinates
@@ -12,17 +12,22 @@ P^T's are the views M.T and P.T; `SandwichMatrix.scaled` is the
 [i, g] = col_i * g, and P^T's is [lam, g] = g * row_lam.  A batch of
 cones over one object set is a pair (values, vertices): an (m, k) array
 of group indices and an (m,) array of vertices.  One cone is
-(values (k,), vertex).
+(values (k,), vertex).  Cones and batches broadcast over their leading
+axes, so a block of cones with an axis of length one against a batch is
+every pair of them: `mul_L` multiplies them so, and the abstract
+categories compose a `Morphism` of arrays the same way.
 
-Rows.  A scan fixes the first factor a and forms a*b for every b in one
-numpy step, so beyond one (n, n) table it holds one (n, k) row of
-products at a time and never an (n, n, k) array.  A table gathered from
-smaller tables is filled in blocks of about BLOCK entries, so that no
-(n, n) temporary is held beside it, and a batch of scalings is formed in
-blocks of the same size.  `blocks` gives the slices of rows: S's table
-(`ReesSemigroup.index_table`) and S^op's are filled through it too, and
-the table oracle scans through it, with `first_block_failure` naming the
-first failing (a, b) in row order, as a scan one row at a time would.
+Blocks.  A scan takes a block of first factors a and forms a*b for every
+b in one numpy step.  `blocks` gives the slices of rows, of about BLOCK
+entries of the scan's largest temporary each, so beyond one (n, n) table
+a scan never holds an (n, n, k) array, and a table gathered from smaller
+tables is filled without an (n, n) temporary beside it; a batch of
+scalings is formed in blocks of the same size.  S's table
+(`ReesSemigroup.index_table`) and S^op's are filled through it too.
+`first_block_failure` is the one loop over blocks: it names the first failing
+(a, b) in row order, as a scan one pair at a time would.  The table
+oracle's scans, the closure witness `first_hole` and the suites' block
+scans all run through it.
 
 Keys.  Membership is exact.  The key of a tuple is its row of int32
 coordinates read as one np.void of raw bytes.  A `KeyIndex` sorts the
@@ -50,9 +55,11 @@ factor, so a cone outside its cell is a failed comparison rather than an
 exception.  The dual bifunctor is `bifunctor` over the opposite
 connection's group and matrix.  Columns, rows and tuples broadcast, so
 `crossconn.duality_bijection` runs every cell of a block of cells through
-one `chi` there and one back, and `crossconn.naturality` one triple of
-objects (l1, l2, i1) per row; `category.cone_product_agreement` compares
-the category's cone product with `mul_L` row by row.  Sets that are one
+one `chi` there and one back, and `crossconn.naturality` a block of
+triples of objects (l1, l2, i1) per step.  `canonical` gives each tuple's
+coset key, the member of its coset with the identity at coordinate 0,
+for the objects of the connection functor and the cosets of T_L alike.
+Sets that are one
 per cell, hom-set or object (the cones of a cell, the translation maps of
 a hom-set, the images of a functor) are counted in one sort by
 `distinct_counts`, each row keyed with its label, and two such sets are
@@ -89,12 +96,16 @@ closed table from the table alone.  The principal image is U-Gamma and
 the dual image U-Delta, so `cones.principal_homomorphism` and
 `cones.dual_antihomomorphism` are read off their tables.
 
-The package keeps two scalar definitions: `cones.mul_L`, against which
-`cones.semidirect_law` and `category.cone_product_agreement` check the
-kernel's products, and `rees.product`, the Rees product on plain
-coordinates that `ReesSemigroup.mul` calls.  `rees.table_matches_product`
-ties `table()` to it, evaluated in plain Python one row at a time and
-never through this kernel.  The scalar definitions of the connection's
+`mul_L` is the cone product every table is built from, and the checks
+hold it against independent statements of it: `cones.semidirect_law`
+against the action `cones.act`, `cones.idempotent_closed_form` against
+`cones.is_idempotent_cone` and `category.cone_product_agreement` against
+the category's composition.  The package keeps one scalar definition,
+`rees.product`, the Rees product on plain coordinates that
+`ReesSemigroup.mul` calls.  `rees.table_matches_product` ties `table()`
+to it, evaluated in plain Python one row at a time and never through
+this kernel.  The scalar definitions of the cone product, the action,
+the coset key and the idempotent closed form, and of the connection's
 cone sets and maps (the linked pairs and their product, U-Gamma and
 U-Delta, the cells, the cell map, chi, linkage, phi and the two
 functors) live in tests/scalar_reference.py, where tests compare every
@@ -104,7 +115,7 @@ the class tables with their row-by-row versions.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -121,12 +132,6 @@ def element_arrays(n_g: int, n_i: int, n_lambda: int) -> tuple[np.ndarray, np.nd
     return g, i, lam
 
 
-def cone_arrays(cones: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Cones over one object set as (values (m, k), vertices (m,))."""
-    values = np.array([c.values for c in cones], dtype=np.intp).reshape(len(cones), -1)
-    return values, np.array([c.vertex for c in cones], dtype=np.intp)
-
-
 def pick(cones: tuple[np.ndarray, np.ndarray], rows):
     """The cones at the given rows (one cone for an int)."""
     values, vertices = cones
@@ -134,15 +139,18 @@ def pick(cones: tuple[np.ndarray, np.ndarray], rows):
 
 
 def mul_L(M: np.ndarray, c1, c2) -> tuple[np.ndarray, np.ndarray]:
-    """`cones.mul_L` over the group with Cayley array M: c1's values scaled on
-    the right by c2's value at c1's vertex, with c2's vertex.
+    """The semidirect product on the left-ideal side over the group with
+    Cayley array M: c1's values scaled on the right by c2's value at c1's
+    vertex, with c2's vertex.
 
-    Either factor may be one cone or a batch; against a batch the product
-    is taken row by row.  The result is always a batch.
+    Cones and batches broadcast over their leading axes as numpy arrays do
+    (values (..., k), vertices (...)): a batch against a batch is taken row
+    by row, one cone against a batch cone by cone, and a block of cones
+    with an axis of length one against a batch gives every product.
     """
     (v1, x1), (v2, x2) = c1, c2
-    scale = np.take_along_axis(np.atleast_2d(v2), np.reshape(x1, (-1, 1)), axis=1)
-    values = M[v1, scale]
+    v2, at = np.broadcast_arrays(v2, np.expand_dims(x1, -1))
+    values = M[v1, np.take_along_axis(v2, at[..., :1], axis=-1)]
     return values, np.broadcast_to(x2, values.shape[:-1])
 
 
@@ -222,8 +230,9 @@ class ConeClasses:
 
 
 def right_factor(M: np.ndarray, inverse: np.ndarray, base, values) -> tuple[np.ndarray, np.ndarray]:
-    """`connections._right_factor` row by row over the group with Cayley array M:
-    g = base[0]^-1 * values[0], and whether values == base * g holds pointwise.
+    """The scalar g with values == base * g, row by row over the group with
+    Cayley array M: g = base[0]^-1 * values[0], and whether values == base * g
+    holds pointwise.
 
     base and values are (..., k) arrays that broadcast against each other;
     the result is two arrays of their broadcast leading shape.
@@ -231,6 +240,15 @@ def right_factor(M: np.ndarray, inverse: np.ndarray, base, values) -> tuple[np.n
     base, values = np.broadcast_arrays(base, values)
     g = M[inverse[base[..., 0]], values[..., 0]]
     return g, (M[base, g[..., None]] == values).all(axis=-1)
+
+
+def canonical(M: np.ndarray, inverse: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The canonical representative of the left coset values * G of each
+    tuple (row of values) over the group with Cayley array M:
+    values * values[0]^-1, with the identity at coordinate 0, so that two
+    tuples span one coset exactly when their representatives are equal.
+    Over M.T it is the representative of the right coset G * values."""
+    return M[values, inverse[values[..., :1]]]
 
 
 def factors(M: np.ndarray, inverse: np.ndarray, bases: np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -290,15 +308,6 @@ def chi(M: np.ndarray, inverse: np.ndarray, column, row, values):
     return M[g[..., None], row], ok
 
 
-def first_failure(n: int, bad_row: Callable[[int], np.ndarray]) -> tuple[int, int] | None:
-    """The first (a, b) in row order where the mask bad_row(a) is true."""
-    for a in range(n):
-        bad = bad_row(a)
-        if bad.any():
-            return a, int(bad.argmax())
-    return None
-
-
 def first_block_failure(
     n_rows: int, row_size: int, bad_rows: Callable[[slice], np.ndarray]
 ) -> tuple[int, int] | None:
@@ -315,7 +324,7 @@ def first_block_failure(
 
 def first_hole(table: np.ndarray) -> tuple[int, int] | None:
     """The first (a, b) in row order where `cone_product_table` found no product."""
-    return first_failure(len(table), lambda a: table[a] < 0)
+    return first_block_failure(*table.shape, lambda rows: table[rows] < 0)
 
 
 def cone_product_table(M: np.ndarray, classes: ConeClasses) -> np.ndarray:

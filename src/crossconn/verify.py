@@ -11,24 +11,32 @@ of every pair, one row of `S.table()` at a time.  The left and right
 `oracle.ideal_rows` of S's table are built once and serve Light's test,
 `oracle.green_via_ideals` and `rees.principal_left_ideal`, which compares
 each closed form, in order, with the members of that element's bit row.
-The other O(|S|^2) scans run one row at a time on the arrays of
-`kernel`, reading products of S from `S.table()` and of G and P from
-`G.array` and `P.array`, which G and P build once; right-hand products
-run as `kernel.mul_L` over the opposite group, whose array is the view
-`G.array.T`, so one kernel serves both sides.
+The other O(|S|^2) scans run a block of rows at a time on the arrays of
+`kernel` (`kernel.first_block_failure`), reading products of S from
+`S.table()` and of G and P from `G.array` and `P.array`, which G and P
+build once; right-hand products run as `kernel.mul_L` over the opposite
+group, whose array is the view `G.array.T`, so one kernel serves both
+sides.
 `category_suite` realizes both ideal categories
 (`categories.realize_category`) and `crossconn_suite` checks the
 connection functors (`connections.verify_crossconnection`) as one array
-pass over all hom-sets, in blocks where the arrays grow.
-The cone scans run the same way: `category.cone_product_agreement` takes
-one cone of T_L against all of T_L per row, with the category's
-composition tabulated once from `ArrowCategory.compose`, and
-`crossconn.naturality` takes one triple of objects (l1, l2, i1) per row,
-all (i2, g1, g2) and all cones of the cell at once, through
-`kernel.bifunctor` and `kernel.chi`; `crossconn.duality_bijection` takes
-a block of cells per step, all their cones through one broadcasting
-`kernel.chi` and back, with the first failing cell and condition as the
-witness.  Each cell is one slice of `SandwichMatrix.scaled`
+pass over all hom-sets, in blocks where the arrays grow.  The groupoid
+checks run `ArrowCategory`'s own methods once on all the morphisms of
+each category, a `Morphism` of arrays.
+The cone scans run the same way, over T_L as one batch
+(`cones.enumerate_TL`): `cones.semidirect_law` and
+`category.cone_product_agreement` take a block of cones of T_L against
+all of T_L per step, `kernel.mul_L` against the action `cones.act` and
+against `ArrowCategory.compose` on arrays; `cones.action_law` a block of
+object pairs (k, l) against every tuple; and `cones.tl_green_agreement`
+keys the cosets by `kernel.canonical`.  `crossconn.naturality` takes a
+block of triples of objects (l1, l2, i1) per step, all (i2, g1, g2) and
+all cones of each cell at once, through `kernel.bifunctor` and
+`kernel.chi`, and `crossconn.duality_bijection` a block of cells per
+step, all their cones through one broadcasting `kernel.chi` and back,
+with the first failing cell and condition as the witness.  `crossconn.matrix_roundtrip`
+factors every column of P through its extracted column in one
+`kernel.right_factor`.  Each cell is one slice of `SandwichMatrix.scaled`
 (`connections.gamma_cells`).  `connections.pair_arrays(S)` is built once
 per command: the linked pairs, U-Gamma, U-Delta, their tables, the pair
 table gathered from those, and the positions of the pairs' halves in
@@ -82,7 +90,6 @@ associativity onto it.
 
 from __future__ import annotations
 
-from itertools import product
 
 import numpy as np
 
@@ -185,18 +192,21 @@ def category_suite(S: ReesSemigroup) -> list[Check]:
         )
 
     for name, cat in (("left", left_category(G, S.n_lambda)), ("right", right_category(G, S.n_i))):
+        # every morphism at once, through the category's own methods
+        m = cat.morphisms()
+        inv = cat.invert(m)
+        no_inverse = ~(cat.is_identity(cat.compose(m, inv)) & cat.is_identity(cat.compose(inv, m)))
+        e, u, j = cat.normal_factorization(m)
+        f = cat.compose(cat.compose(e, u), j)
+        bad = np.flatnonzero(no_inverse | (f.dom != m.dom) | (f.cod != m.cod) | (f.g != m.g))
         witness = None
-        for m in cat.morphisms():
-            inv = cat.invert(m)
-            if not (
-                cat.is_identity(cat.compose(m, inv)) and cat.is_identity(cat.compose(inv, m))
-            ):
-                witness = f"{m} has no two-sided inverse"
-                break
-            e, u, j = cat.normal_factorization(m)
-            if cat.compose(cat.compose(e, u), j) != m:
-                witness = f"normal factorization of {m} does not recompose"
-                break
+        if len(bad):
+            first = Morphism(*(int(x[bad[0]]) for x in (m.dom, m.cod, m.g)))
+            witness = (
+                f"{first} has no two-sided inverse"
+                if no_inverse[bad[0]]
+                else f"normal factorization of {first} does not recompose"
+            )
         checks.append(Check(f"category.{name}_groupoid", witness is None, witness))
 
     n_cones = (G.order ** S.n_lambda) * S.n_lambda
@@ -210,32 +220,27 @@ def category_suite(S: ReesSemigroup) -> list[Check]:
 
 def _cone_product_witness(G, n_lambda: int) -> str | None:
     """The first pair of T_L whose product in the left category differs from
-    the semigroup product `mul_L`, one row of T_L at a time: a's component
-    at each object, followed by b's component at a's vertex, with b's vertex.
+    the semigroup product `kernel.mul_L`, in blocks of rows of T_L: a's
+    component at each object, followed by b's component at a's vertex, with
+    b's vertex.
 
-    Composition is tabulated once from `ArrowCategory.compose`, so a fault
-    in it or in the group's multiplication reaches the check.
+    The components are composed by `ArrowCategory.compose` on arrays, so a
+    fault in it or in the group's multiplication reaches every pair.
     """
     lcat = left_category(G, n_lambda)
-    C = np.array(
-        [
-            [lcat.compose(Morphism(0, 0, g1), Morphism(0, 0, g2)).g for g2 in G.elements()]
-            for g1 in G.elements()
-        ],
-        dtype=np.intp,
-    )
-    tl = cones.enumerate_TL(G, n_lambda)
-    tl_arrays = kernel.cone_arrays(tl)
-    values_b, vertices_b = tl_arrays
+    tl = values, vertices = cones.enumerate_TL(G, n_lambda)
+    objects = np.arange(n_lambda)
 
-    def bad_row(a: int) -> np.ndarray:
-        values, vertex = kernel.pick(tl_arrays, a)
-        # a's component at each object, followed by b's component at a's vertex
-        composite = C[values, values_b[:, vertex, None]], vertices_b
-        return kernel.differ(composite, kernel.mul_L(G.array, (values, vertex), tl_arrays))
+    def bad_rows(rows: slice) -> np.ndarray:
+        # axes [a, b, object]
+        a = values[rows, None], vertices[rows, None]
+        component = Morphism(objects, a[1][..., None], a[0])
+        link = Morphism(a[1][..., None], vertices[:, None], values.T[vertices[rows], :, None])
+        composite = lcat.compose(component, link).g, vertices
+        return kernel.differ(composite, kernel.mul_L(G.array, a, tl))
 
-    bad = kernel.first_failure(len(tl), bad_row)
-    return None if bad is None else f"{tl[bad[0]]} * {tl[bad[1]]}"
+    bad = kernel.first_block_failure(len(vertices), len(vertices) * n_lambda, bad_rows)
+    return None if bad is None else " * ".join(str(connections.as_cone(tl, k)) for k in bad)
 
 
 def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
@@ -257,36 +262,33 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         checks.append(Check("cones.tl_green_agreement", None, _SKIP))
         checks.append(Check("cones.idempotent_closed_form", None, _SKIP))
     else:
-        # k*(l*v) must equal (kl)*v = l*v, the object set being right zero
-        tuples = list(product(G.elements(), repeat=n_l))
-        witness = next(
-            (
-                f"k={k}, l={l}, tuple={values}"
-                for k in range(n_l)
-                for l in range(n_l)
-                for values in tuples
-                if cones.act(G, k, cones.act(G, l, values)) != cones.act(G, l, values)
-            ),
-            None,
-        )
+        tl = values, vertices = cones.enumerate_TL(G, n_l)
+        M = G.array
+        tuples = values[::n_l]  # each tuple once, in lexicographic order
+
+        # k*(l*v) must equal (kl)*v = l*v, the object set being right zero;
+        # one row per (k, l), all tuples at once
+        def unlawful_actions(rows: slice) -> np.ndarray:
+            k, l = (x[:, None] for x in np.divmod(np.arange(n_l * n_l)[rows], n_l))
+            once = cones.act(l, tuples)
+            return (cones.act(k, once) != once).any(axis=-1)
+
+        bad = kernel.first_block_failure(n_l * n_l, tuples.size, unlawful_actions)
+        witness = None
+        if bad is not None:
+            k, l = divmod(bad[0], n_l)
+            witness = f"k={k}, l={l}, tuple={tuple(tuples[bad[1]].tolist())}"
         checks.append(Check("cones.action_law", witness is None, witness))
 
-        tl = cones.enumerate_TL(G, n_l)
-        witness = None
-        for c1 in tl:
-            for c2 in tl:
-                expected = cones.Cone(
-                    tuple(
-                        G.mul(v, w)
-                        for v, w in zip(c1.values, cones.act(G, c1.vertex, c2.values))
-                    ),
-                    c2.vertex,
-                )
-                if cones.mul_L(G, c1, c2) != expected:
-                    witness = f"{c1} * {c2}"
-                    break
-            if witness:
-                break
+        # c1 * c2 against c1's tuple times c2's tuple acted on by c1's vertex,
+        # for a block of c1 and every c2 at once
+        def unlawful_products(rows: slice) -> np.ndarray:
+            c1 = values[rows, None], vertices[rows, None]
+            expected = M[c1[0], cones.act(c1[1], values)], vertices
+            return kernel.differ(expected, kernel.mul_L(M, c1, tl))
+
+        bad = kernel.first_block_failure(len(vertices), values.size, unlawful_products)
+        witness = None if bad is None else " * ".join(str(connections.as_cone(tl, k)) for k in bad)
         checks.append(Check("cones.semidirect_law", witness is None, witness))
 
         table = cones.cone_table(G, tl)
@@ -295,22 +297,16 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         checks.append(Check("cones.tl_associative", assoc is None, str(assoc) if assoc else None))
 
         T = oracle.GenericSemigroup(table)
-        by_vertex = oracle.partition_by_key([c.vertex for c in tl])
-        by_coset = oracle.partition_by_key(
-            [cones.coset_normalize(G, "left", c.values) for c in tl]
-        )
+        by_vertex = oracle.partition_by_key(vertices.tolist())
+        coset = kernel.row_keys(kernel.canonical(M, np.asarray(G.inverse), values))
+        by_coset = oracle.partition_by_key(np.unique(coset, return_inverse=True)[1].tolist())
         green = oracle.green_via_ideals(T, ideals)
         ok = by_vertex == green["L"] and by_coset == green["R"]
         checks.append(Check("cones.tl_green_agreement", ok))
 
-        witness = next(
-            (
-                str(c)
-                for c in tl
-                if cones.is_idempotent_cone(G, c) != (cones.mul_L(G, c, c) == c)
-            ),
-            None,
-        )
+        squares = ~kernel.differ(kernel.mul_L(M, tl, tl), tl)
+        bad = np.flatnonzero(cones.is_idempotent_cone(G, tl) != squares)
+        witness = str(connections.as_cone(tl, bad[0])) if len(bad) else None
         checks.append(Check("cones.idempotent_closed_form", witness is None, witness))
 
     # r[a] and l[a]: the positions of rho(a) and lam(a) in U-Gamma and U-Delta
@@ -393,7 +389,7 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
     else:
         # linked exactly when a linked pair
         mismatch = _linkage(S, linked) != (linked.pair_at[:-1, :-1] >= 0)
-        bad = kernel.first_failure(len(ug.classes), lambda x: mismatch[x])
+        bad = kernel.first_block_failure(*mismatch.shape, lambda rows: mismatch[rows])
         witness = None
         if bad is not None:
             x, y = bad
@@ -407,11 +403,12 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
 
     objects = connections.gamma_images(conn).objects.tolist()
     extracted = connections.matrix_of(G, [CosetHandle("left", tuple(c)) for c in objects])
+    # every column of P against its extracted column at once
+    _, scaled = kernel.right_factor(G.array, np.asarray(G.inverse), S.matrix.array.T, extracted.array.T)
+    bad = np.flatnonzero(~scaled)
     witness = None
-    for i in range(n_i):
-        if connections._right_factor(G, S.matrix.column(i), extracted.column(i)) is None:
-            witness = f"extracted column {i} is not a right scaling of the original"
-            break
+    if len(bad):
+        witness = f"extracted column {bad[0]} is not a right scaling of the original"
     checks.append(Check("crossconn.matrix_roundtrip", witness is None, witness))
 
     return checks
@@ -480,35 +477,39 @@ def _naturality_witness(conn: CrossConnection) -> str | None:
     (l1, i1) goes through Gamma's cell map and then chi, and through chi and
     then Delta's cell map, which is Gamma's over `conn.opposite` with rho and
     kappa swapped.  One triple (l1, l2, i1) is one row: all (i2, g1, g2) and
-    all |G| cones of the cell at once.  A cone that is not on its cell fails
-    its squares.
+    all |G| cones of the cell at once, in blocks of rows.  A cone that is
+    not on its cell fails its squares.
     """
     G, op = conn.group, conn.opposite
     M, P, M_op, P_op = G.array, conn.matrix.array, op.group.array, op.matrix.array
     inverse, order = np.asarray(G.inverse), G.order
-    # axes [i2, g1, g2, cone]
-    targets = P.T[:, None, None, None, :]  # column i2 of P
+    n_l, n_i = conn.n_lambda, conn.n_i
+    # axes [triple, i2, g1, g2, cone]; columns and rows gain a coordinate axis
+    targets = P.T[None, :, None, None, None, :]  # column i2 of P
     g1 = np.arange(order).reshape(-1, 1, 1)
     g2 = np.arange(order).reshape(1, -1, 1)
-    triples = list(product(range(conn.n_lambda), range(conn.n_lambda), range(conn.n_i)))
+    triples = np.indices((n_l, n_l, n_i)).reshape(3, -1)
     cells = connections.gamma_cells(conn)
 
-    def bad_row(a: int) -> np.ndarray:
-        l1, l2, i1 = triples[a]
+    def bad_rows(rows: slice) -> np.ndarray:
+        l1, l2, i1 = (x[rows].reshape(-1, 1, 1, 1) for x in triples)
         values, vertices = (x[l1, i1] for x in cells)
+        column, row1, row2 = P.T[i1][..., None, :], P[l1][..., None, :], P[l2][..., None, :]
         # Gamma's cell map, then chi on the cell (l2, i2)
-        image, ok1 = kernel.bifunctor(M, inverse, P[:, i1], targets, g1, g2, values)
-        left, ok2 = kernel.chi(M, inverse, targets, P[l2], image)
+        image, ok1 = kernel.bifunctor(M, inverse, column, targets, g1, g2, values)
+        left, ok2 = kernel.chi(M, inverse, targets, row2, image)
         # chi on the cell (l1, i1), then Delta's cell map
-        dual, ok3 = kernel.chi(M, inverse, P[:, i1], P[l1], values)
-        right, ok4 = kernel.bifunctor(M_op, inverse, P_op[:, l1], P_op[:, l2], g2, g1, dual)
-        on_cell = ok1 & ok2 & ok3 & ok4 & (vertices == l1)
-        return ((left != right).any(axis=-1) | ~on_cell).any(axis=-1).ravel()
+        dual, ok3 = kernel.chi(M, inverse, column, row1, values)
+        dom, cod = P_op.T[l1][..., None, :], P_op.T[l2][..., None, :]
+        right, ok4 = kernel.bifunctor(M_op, inverse, dom, cod, g2, g1, dual)
+        on_cell = ok1 & ok2 & ok3 & ok4 & (vertices == l1[..., None])
+        bad = (left != right).any(axis=-1) | ~on_cell
+        return bad.any(axis=-1).reshape(len(l1), -1)
 
-    bad = kernel.first_failure(len(triples), bad_row)
+    bad = kernel.first_block_failure(triples.shape[1], n_i * order**3 * max(n_l, n_i), bad_rows)
     if bad is None:
         return None
-    (l1, l2, i1), (i2, rest) = triples[bad[0]], divmod(bad[1], order * order)
+    (l1, l2, i1), (i2, rest) = triples[:, bad[0]].tolist(), divmod(bad[1], order * order)
     return f"square at ({l1},{l2},{i1},{i2}) with g1={rest // order}, g2={rest % order}"
 
 
@@ -566,15 +567,16 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         bad |= (delta_scalar[at_delta] != g) | (delta_vertex[at_delta] != delta[1][rows, None])
         return bad | (at_gamma < 0) | (at_delta < 0)
 
-    def linked_row(p: int) -> np.ndarray:
+    def linked_rows(rows: slice) -> np.ndarray:
         # a half outside its U set, position -1, fails rather than wrap to the last row
-        got = linkage[linked.g[p], linked.d] != (gamma[0][p, 0] == delta[0][:, 0])
-        return got | (linked.g[p] < 0) | (linked.d < 0)
+        g = linked.g[rows, None]
+        got = linkage[g, linked.d] != (gamma[0][rows, :1] == delta[0][:, 0])
+        return got | (g < 0) | (linked.d < 0)
 
     bad = kernel.first_block_failure(len(linked.g), len(linked.g), formula_rows)
     witness = None if bad is None else f"{linked.pair(bad[0])} o {linked.pair(bad[1])}"
     checks.append(Check("rbg.product_formula", witness is None, witness))
-    bad = kernel.first_failure(len(linked.g), linked_row)
+    bad = kernel.first_block_failure(len(linked.g), len(linked.g), linked_rows)
     witness = None if bad is None else f"{linked.pair(bad[0]).gamma} vs {linked.pair(bad[1]).delta}"
     checks.append(Check("rbg.linked_iff_equal_scalars", witness is None, witness))
 

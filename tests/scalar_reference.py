@@ -7,8 +7,13 @@ table through the scalar `GenericSemigroup.mul`.  `cone_product_table` and
 `is_linked_row` are the row-at-a-time kernel scans that the tables by
 tuple class replaced.
 
-The scalar definitions of the connection's cone sets and functors live
-here too, each a loop over `FiniteGroup.mul`: the principal cones
+The scalar definitions of the cone product and of what the T_L checks
+hold it against live here too: `mul_L`, the action `act`, the coset key
+`coset_normalize`, `is_idempotent_cone` and the list `enumerate_TL`, with
+the loops of those checks (`tl_checks`) and of the groupoid checks
+(`groupoid_witness`).  So do the scalar definitions of the connection's
+cone sets and functors, each a loop over `FiniteGroup.mul`: the
+`right_factor` of a tuple, the principal cones
 (`principal_pair`, `phi`), the linked pairs and their product
 (`linked_pairs`, `s_tilde_mul`), U-Gamma and U-Delta, the cells of the
 bifunctor, its cell map, the duality `chi`, linkage (`is_linked`), the
@@ -17,11 +22,12 @@ Green relations of cones and the category's cone product
 (`compose_cones`).  The package reads every one of those sets off
 `SandwichMatrix.scaled`, and the functors' images off
 `SandwichMatrix.array`, and tests compare the two.  The loops call the
-scalar functions through their modules (`cones.mul_L`,
-`cones.coset_normalize`, ...) or this one's globals, so a fault patched
+scalar functions through this module's globals (`mul_L`,
+`coset_normalize`, ...) or the package's modules, so a fault patched
 into one of those reaches them too.
 
 The faults at the end are the ones the negative controls patch into the
+action of the objects on tuples (`cones.act` and `act`), into the
 functors (`gamma_apply` and `delta_apply` here, `connections.gamma_images`
 and `delta_images` in the package), into both linkage tests (the scalar
 `is_linked` and the array comparison `kernel.same_factor`), into
@@ -77,6 +83,126 @@ class ElementNotInCell(CrossconnError):
     The array scans never raise it: such a cone fails its check."""
 
 
+def cone_arrays(cones_) -> tuple[np.ndarray, np.ndarray]:
+    """Cones over one object set, a list of `Cone`s, as one batch (values (m, k),
+    vertices (m,)): the inverse of `connections.as_cones`."""
+    values = np.array([c.values for c in cones_], dtype=np.intp).reshape(len(cones_), -1)
+    return values, np.array([c.vertex for c in cones_], dtype=np.intp)
+
+
+def act(group: FiniteGroup, k: int, values) -> tuple[int, ...]:
+    """Left action of object k on a tuple: broadcast the k-th coordinate."""
+    if not 0 <= k < len(values):
+        raise IndexOutOfRange(f"object {k} out of range for a tuple of length {len(values)}")
+    return (values[k],) * len(values)
+
+
+def mul_L(group: FiniteGroup, c1: Cone, c2: Cone) -> Cone:
+    """Semidirect product on the left-ideal side: scale c1's tuple on the right
+    by c2's value at c1's vertex."""
+    g_k = c2.values[c1.vertex]
+    return Cone(tuple(group.mul(v, g_k) for v in c1.values), c2.vertex)
+
+
+def coset_normalize(group: FiniteGroup, side: str, values) -> CosetHandle:
+    """The handle of the coset tuple*G (side 'left') or G*tuple ('right'):
+    its member with the identity in coordinate 0."""
+    values = tuple(int(v) for v in values)
+    if not values:
+        raise IndexOutOfRange("cannot normalize an empty tuple")
+    if side == "right":
+        group = group.opposite
+    elif side != "left":
+        raise ParseError(f"side must be 'left' or 'right', got {side!r}")
+    a = group.inv(values[0])
+    return CosetHandle(side, tuple(group.mul(v, a) for v in values))
+
+
+def is_idempotent_cone(group: FiniteGroup, c: Cone) -> bool:
+    """Closed form: the coordinate at the vertex is the identity."""
+    return c.values[c.vertex] == group.identity
+
+
+def enumerate_TL(group: FiniteGroup, n_lambda: int) -> list[Cone]:
+    """All of G^Lambda x Lambda in lexicographic (tuple, vertex) order."""
+    return [
+        Cone(values, vertex)
+        for values in product(group.elements(), repeat=n_lambda)
+        for vertex in range(n_lambda)
+    ]
+
+
+def right_factor(group: FiniteGroup, base, values) -> int | None:
+    """g with values == base * g pointwise, or None."""
+    if len(base) != len(values):
+        return None
+    g = group.mul(group.inv(base[0]), values[0])
+    if all(group.mul(b, g) == v for b, v in zip(base, values)):
+        return g
+    return None
+
+
+def tl_checks(G: FiniteGroup, n_lambda: int) -> list[Check]:
+    """The T_L checks of `verify.cone_suite` but `cones.tl_associative`, one
+    scalar call per tuple, cone or pair of cones."""
+    checks = []
+    witness = next(
+        (
+            f"k={k}, l={l}, tuple={values}"
+            for k in range(n_lambda)
+            for l in range(n_lambda)
+            for values in product(G.elements(), repeat=n_lambda)
+            if act(G, k, act(G, l, values)) != act(G, l, values)
+        ),
+        None,
+    )
+    checks.append(Check("cones.action_law", witness is None, witness))
+
+    tl = enumerate_TL(G, n_lambda)
+    witness = next(
+        (
+            f"{c1} * {c2}"
+            for c1 in tl
+            for c2 in tl
+            if mul_L(G, c1, c2)
+            != Cone(
+                tuple(G.mul(v, w) for v, w in zip(c1.values, act(G, c1.vertex, c2.values))),
+                c2.vertex,
+            )
+        ),
+        None,
+    )
+    checks.append(Check("cones.semidirect_law", witness is None, witness))
+
+    T = from_table(cone_table(G, tl))
+    by_vertex = partition_by_key([c.vertex for c in tl])
+    by_coset = partition_by_key([coset_normalize(G, "left", c.values) for c in tl])
+    green = green_via_ideals(T)
+    checks.append(Check("cones.tl_green_agreement", (by_vertex, by_coset) == (green["L"], green["R"])))
+
+    witness = next(
+        (str(c) for c in tl if is_idempotent_cone(G, c) != (mul_L(G, c, c) == c)), None
+    )
+    checks.append(Check("cones.idempotent_closed_form", witness is None, witness))
+    return checks
+
+
+def groupoid_witness(cat: ArrowCategory) -> str | None:
+    """The witness of `category.left_groupoid` (or right) for the category:
+    the first morphism in (dom, cod, g) order without a two-sided inverse or
+    whose normal factorization does not recompose, one scalar morphism at a
+    time."""
+    for dom, cod, g in product(cat.objects(), cat.objects(), cat.group.elements()):
+        m = Morphism(dom, cod, g)
+        inv = cat.invert(m)
+        if not (cat.is_identity(cat.compose(m, inv)) and cat.is_identity(cat.compose(inv, m))):
+            return f"{m} has no two-sided inverse"
+        e, u, j = cat.normal_factorization(m)
+        if cat.compose(cat.compose(e, u), j) != m:
+            return f"normal factorization of {m} does not recompose"
+    return None
+
+
 def _left_cone(S: ReesSemigroup, a: ReesElement) -> Cone:
     return Cone(tuple(S.group.mul(p, a.g) for p in S.matrix.column(a.i)), a.lam)
 
@@ -107,14 +233,14 @@ def gamma_apply(conn: CrossConnection, x):
     """
     if isinstance(x, Morphism):
         return DualMorphism("sigma", x.g, gamma_apply(conn, x.dom), gamma_apply(conn, x.cod))
-    return cones.coset_normalize(conn.group, "left", conn.matrix.column(x))
+    return coset_normalize(conn.group, "left", conn.matrix.column(x))
 
 
 def delta_apply(conn: CrossConnection, x):
     """The dual functor on the left-ideal category: lam -> right coset of row lam, rho(g) -> tau_g."""
     if isinstance(x, Morphism):
         return DualMorphism("tau", x.g, delta_apply(conn, x.dom), delta_apply(conn, x.cod))
-    return cones.coset_normalize(conn.group, "right", conn.matrix.row(x))
+    return coset_normalize(conn.group, "right", conn.matrix.row(x))
 
 
 def green_cones(group: FiniteGroup, kind: str, c1: Cone, c2: Cone) -> bool:
@@ -126,8 +252,8 @@ def green_cones(group: FiniteGroup, kind: str, c1: Cone, c2: Cone) -> bool:
     if kind == "L":
         return c1.vertex == c2.vertex
     if kind == "R":
-        left = cones.coset_normalize(group, "left", c1.values)
-        right = cones.coset_normalize(group, "left", c2.values)
+        left = coset_normalize(group, "left", c1.values)
+        right = coset_normalize(group, "left", c2.values)
         return left == right
     raise ParseError(f"unknown Green relation {kind!r}; expected L or R")
 
@@ -173,7 +299,7 @@ def bifunctor_gamma(conn: CrossConnection, rho: Morphism, kappa: Morphism, cone:
         raise ElementNotInCell(
             f"cone vertex {cone.vertex} is not the domain {rho.dom} of the first morphism"
         )
-    g = connections._right_factor(G, conn.matrix.column(kappa.dom), cone.values)
+    g = right_factor(G, conn.matrix.column(kappa.dom), cone.values)
     if g is None:
         raise ElementNotInCell(f"cone tuple is not a right scaling of column {kappa.dom}")
     scale = G.mul(G.mul(kappa.g, g), rho.g)
@@ -204,7 +330,7 @@ def u_delta(conn: CrossConnection) -> list[Cone]:
 def chi(conn: CrossConnection, gamma: Cone, i: int) -> Cone:
     """The duality on the cell (gamma.vertex, i): (col_i * g, lam) -> (g * row_lam, i)."""
     G = conn.group
-    g = connections._right_factor(G, conn.matrix.column(i), gamma.values)
+    g = right_factor(G, conn.matrix.column(i), gamma.values)
     if g is None:
         raise ElementNotInCell(f"cone tuple is not a right scaling of column {i}")
     return Cone(tuple(G.mul(g, p) for p in conn.matrix.row(gamma.vertex)), i)
@@ -213,10 +339,10 @@ def chi(conn: CrossConnection, gamma: Cone, i: int) -> Cone:
 def is_linked(conn: CrossConnection, gamma: Cone, delta: Cone) -> bool:
     """Linkage test: both cones factor through the cell (gamma.vertex, delta.vertex)
     and the two extracted scalars coincide (the first-coordinate criterion)."""
-    g1 = connections._right_factor(conn.group, conn.matrix.column(delta.vertex), gamma.values)
+    g1 = right_factor(conn.group, conn.matrix.column(delta.vertex), gamma.values)
     if g1 is None:
         return False
-    g2 = connections._right_factor(conn.group.opposite, conn.matrix.row(gamma.vertex), delta.values)
+    g2 = right_factor(conn.group.opposite, conn.matrix.row(gamma.vertex), delta.values)
     return g2 is not None and g1 == g2
 
 
@@ -237,15 +363,15 @@ def s_tilde_mul(conn: CrossConnection, p1: LinkedPair, p2: LinkedPair) -> Linked
     """(gamma, delta) o (gamma', delta') = (gamma * gamma', delta' * delta)."""
     G = conn.group
     return LinkedPair(
-        cones.mul_L(G, p1.gamma, p2.gamma), cones.mul_L(G.opposite, p2.delta, p1.delta)
+        mul_L(G, p1.gamma, p2.gamma), mul_L(G.opposite, p2.delta, p1.delta)
     )
 
 
 def _pair_cones(pairs: list[LinkedPair]):
     """The gamma and the delta halves of the pairs as cone arrays."""
     return (
-        kernel.cone_arrays([p.gamma for p in pairs]),
-        kernel.cone_arrays([p.delta for p in pairs]),
+        cone_arrays([p.gamma for p in pairs]),
+        cone_arrays([p.delta for p in pairs]),
     )
 
 
@@ -364,9 +490,9 @@ def verify_map_loops(f, T1: GenericSemigroup, T2: GenericSemigroup) -> MapCheck:
 
 
 def cone_table(group, cones_: list[Cone]) -> list[list[int]]:
-    """`cones.cone_table` by a dict lookup of each scalar `cones.mul_L` product."""
+    """`cones.cone_table` by a dict lookup of each scalar `mul_L` product."""
     index = {c: k for k, c in enumerate(cones_)}
-    return [[index[cones.mul_L(group, c1, c2)] for c2 in cones_] for c1 in cones_]
+    return [[index[mul_L(group, c1, c2)] for c2 in cones_] for c1 in cones_]
 
 
 def cone_product_table(M, members) -> np.ndarray:
@@ -484,7 +610,7 @@ def principal_witnesses(S: ReesSemigroup) -> tuple[str | None, str | None]:
             f"{a}, {b}"
             for a in elements
             for b in elements
-            if cones.mul_L(G, rho[a], rho[b]) != rho[S.mul(a, b)]
+            if mul_L(G, rho[a], rho[b]) != rho[S.mul(a, b)]
         ),
         None,
     )
@@ -494,20 +620,20 @@ def principal_witnesses(S: ReesSemigroup) -> tuple[str | None, str | None]:
             f"{a}, {b}"
             for a in elements
             for b in elements
-            if cones.mul_L(G_op, lam[b], lam[a]) != lam[S.mul(a, b)]
+            if mul_L(G_op, lam[b], lam[a]) != lam[S.mul(a, b)]
         ),
         None,
     )
     return hom, dual
 
 
-def regular_subsemigroup(group, members: list[cones.Cone]) -> bool:
+def regular_subsemigroup(group, members: list[Cone]) -> bool:
     """Whether the cones are closed under mul_L over the group and each is
     regular within them."""
     member_set = set(members)
-    closed = all(cones.mul_L(group, a, b) in member_set for a in members for b in members)
+    closed = all(mul_L(group, a, b) in member_set for a in members for b in members)
     return closed and all(
-        any(cones.mul_L(group, cones.mul_L(group, a, b), a) == a for b in members)
+        any(mul_L(group, mul_L(group, a, b), a) == a for b in members)
         for a in members
     )
 
@@ -668,8 +794,8 @@ def rbg_checks(S: ReesSemigroup) -> list[Check]:
             got = s_tilde_mul(conn, p1, p2)
             g = group.mul(p1.gamma.values[0], p2.gamma.values[0])
             expected = LinkedPair(
-                cones.Cone((g,) * n_lambda, p2.gamma.vertex),
-                cones.Cone((g,) * n_i, p1.delta.vertex),
+                Cone((g,) * n_lambda, p2.gamma.vertex),
+                Cone((g,) * n_i, p1.delta.vertex),
             )
             if got != expected:
                 witness = f"{p1} o {p2}"
@@ -704,15 +830,15 @@ def rbg_checks(S: ReesSemigroup) -> list[Check]:
 
 def cone_product_witness(G, n_lambda: int) -> str | None:
     """The witness of `category.cone_product_agreement`: the first pair of
-    T_L whose `compose_cones` product is not its `cones.mul_L` product."""
+    T_L whose `compose_cones` product is not its `mul_L` product."""
     lcat = left_category(G, n_lambda)
-    tl = cones.enumerate_TL(G, n_lambda)
+    tl = enumerate_TL(G, n_lambda)
     return next(
         (
             f"{c1} * {c2}"
             for c1 in tl
             for c2 in tl
-            if compose_cones(lcat, c1, c2) != cones.mul_L(G, c1, c2)
+            if compose_cones(lcat, c1, c2) != mul_L(G, c1, c2)
         ),
         None,
     )
@@ -830,6 +956,23 @@ def faulty_images(name: str, fault):
 
 
 @contextmanager
+def inverted_action(group: FiniteGroup):
+    """The action of the objects on tuples broadcasting the inverse of the
+    k-th coordinate, on batches (`cones.act`) and scalar (`act`) alike: then
+    k*(l*v) is v_l where l*v is v_l^-1, which differ wherever v_l has order
+    greater than 2."""
+    batch, inverse = cones.act, np.asarray(group.inverse)
+
+    def scalar(group, k, values):
+        return (group.inv(values[k]),) * len(values)
+
+    with mock.patch.object(cones, "act", lambda k, values: inverse[batch(k, values)]), mock.patch(
+        f"{__name__}.act", scalar
+    ):
+        yield
+
+
+@contextmanager
 def unscaled_linkage():
     """`is_linked` without its g1 == g2 test, scalar and on arrays alike (the
     array linkage compares the factors in `kernel.same_factor`): cones of
@@ -837,8 +980,8 @@ def unscaled_linkage():
 
     def scalar(conn, gamma, delta):
         G, P = conn.group, conn.matrix
-        g1 = connections._right_factor(G, P.column(delta.vertex), gamma.values)
-        g2 = connections._right_factor(G.opposite, P.row(gamma.vertex), delta.values)
+        g1 = right_factor(G, P.column(delta.vertex), gamma.values)
+        g2 = right_factor(G.opposite, P.row(gamma.vertex), delta.values)
         return g1 is not None and g2 is not None
 
     def same_factor(f1, f2):
@@ -852,13 +995,14 @@ def unscaled_linkage():
 
 @contextmanager
 def reversed_compose():
-    """`ArrowCategory.compose` carrying g2*g1 instead of g1*g2: the groupoid
-    laws still hold, but in a non-abelian group the cone product changes."""
+    """`ArrowCategory.compose` carrying g2*g1 instead of g1*g2, on morphisms
+    and on batches of them alike (the real compose with the two group
+    elements swapped): the groupoid laws still hold, but in a non-abelian
+    group the cone product changes."""
+    original = ArrowCategory.compose
 
     def compose(self, m1, m2):
-        if m1.cod != m2.dom:
-            raise NotComposable("codomain of the first is not the domain of the second")
-        return Morphism(m1.dom, m2.cod, self.group.mul(m2.g, m1.g))
+        return original(self, replace(m1, g=m2.g), replace(m2, g=m1.g))
 
     with mock.patch.object(ArrowCategory, "compose", compose):
         yield
@@ -925,7 +1069,7 @@ def reversed_delta_product():
     def scalar(conn, p1, p2):
         G = conn.group
         return LinkedPair(
-            cones.mul_L(G, p1.gamma, p2.gamma), cones.mul_L(G.opposite, p1.delta, p2.delta)
+            mul_L(G, p1.gamma, p2.gamma), mul_L(G.opposite, p1.delta, p2.delta)
         )
 
     def product_halves(self, rows):

@@ -1,7 +1,8 @@
 from itertools import product
 
+import numpy as np
 import pytest
-from scalar_reference import compose_cones, cone_component
+from scalar_reference import compose_cones, cone_component, enumerate_TL, mul_L
 
 from crossconn import (
     Cone,
@@ -10,14 +11,12 @@ from crossconn import (
     ReesSemigroup,
     SandwichMatrix,
     builtin,
-    enumerate_TL,
     identity_matrix,
     left_category,
-    mul_L,
     realize_category,
     right_category,
 )
-from crossconn.errors import NotComposable, SizeGuardExceeded
+from crossconn.errors import IndexOutOfRange, NotComposable, SizeGuardExceeded
 
 
 def test_compose_left_additive(z3):
@@ -96,17 +95,48 @@ def test_invert(z3):
 
 
 def test_groupoid_laws_exhaustive(z3, s3):
+    # all morphisms at once, and one at a time
     for G, n in ((z3, 2), (s3, 2)):
         for cat in (left_category(G, n), right_category(G, n)):
-            for m in cat.morphisms():
-                inv = cat.invert(m)
-                assert cat.is_identity(cat.compose(m, inv))
-                assert cat.is_identity(cat.compose(inv, m))
+            m = cat.morphisms()
+            inv = cat.invert(m)
+            assert cat.is_identity(cat.compose(m, inv)).all()
+            assert cat.is_identity(cat.compose(inv, m)).all()
+            for one in _each(m):
+                inv = cat.invert(one)
+                assert cat.is_identity(cat.compose(one, inv))
+                assert cat.is_identity(cat.compose(inv, one))
+
+
+def _each(m: Morphism) -> list[Morphism]:
+    """The morphisms of a batch one by one, as Python ints."""
+    return [Morphism(*x) for x in zip(m.dom.tolist(), m.cod.tolist(), m.g.tolist())]
+
+
+def test_batch_methods_agree_with_scalar_ones(s3):
+    # compose, invert and is_identity on a batch give, morphism by morphism,
+    # what they give on each morphism alone, with Python ints
+    for cat in (left_category(s3, 2), right_category(s3, 2)):
+        m = cat.morphisms()
+        first = Morphism(m.cod, m.cod, np.roll(m.g, 1))
+        batch = cat.compose(m, first)
+        assert _each(batch) == [cat.compose(a, b) for a, b in zip(_each(m), _each(first))]
+        assert _each(cat.invert(m)) == [cat.invert(a) for a in _each(m)]
+        assert cat.is_identity(m).tolist() == [cat.is_identity(a) for a in _each(m)]
+        assert all(type(x) is int for x in vars(cat.compose(*_each(m)[:2])).values())
+        with pytest.raises(NotComposable):
+            cat.compose(m, m)
+        # an element outside the group raises, on a batch as on one morphism
+        for g in (-1, s3.order, np.array([0, -1])):
+            with pytest.raises(IndexOutOfRange):
+                cat.compose(Morphism(0, 0, g), Morphism(0, 0, 0))
+            with pytest.raises(IndexOutOfRange):
+                cat.invert(Morphism(0, 0, g))
 
 
 def test_normal_factorization(z3):
     cat = left_category(z3, 2)
-    for m in cat.morphisms():
+    for m in _each(cat.morphisms()):
         e, u, j = cat.normal_factorization(m)
         assert cat.is_identity(e) and cat.is_identity(j)
         assert u == m
@@ -114,11 +144,15 @@ def test_normal_factorization(z3):
 
 
 def test_hom_sets(z3):
+    # every hom-set a copy of the group, in (dom, cod, g) order
     for cat in (left_category(z3, 2), right_category(z3, 2)):
-        for dom in cat.objects():
-            for cod in cat.objects():
-                assert len(cat.hom(dom, cod)) == z3.order
-        assert len(list(cat.morphisms())) == 2 * 2 * 3
+        morphisms = _each(cat.morphisms())
+        assert len(morphisms) == 2 * 2 * 3
+        assert morphisms == [
+            Morphism(dom, cod, g)
+            for dom, cod in product(cat.objects(), repeat=2)
+            for g in z3.elements()
+        ]
 
 
 def test_cone_component(z2):

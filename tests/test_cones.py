@@ -1,26 +1,33 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scalar_reference import green_cones, principal_pair
+from scalar_reference import (
+    act,
+    coset_normalize,
+    enumerate_TL,
+    green_cones,
+    is_idempotent_cone,
+    mul_L,
+    principal_pair,
+)
 
 from crossconn import (
     Cone,
     ReesElement,
     ReesSemigroup,
     SandwichMatrix,
-    act,
     builtin,
     cone_table,
-    coset_normalize,
-    enumerate_TL,
+    cones as batch,
     from_table,
     green_via_ideals,
     identity_matrix,
     injectivity_criterion,
-    is_idempotent_cone,
-    mul_L,
+    kernel,
 )
+from crossconn.connections import as_cones
 from crossconn.errors import IndexOutOfRange, ParseError, SizeGuardExceeded
 from crossconn.oracle import canonical_partition
 
@@ -93,7 +100,7 @@ def test_mul_R_associative_exhaustive(z3):
 
 def test_broadcast_side_matters_nonabelian(s3):
     # with a noncommutative group the two broadcast sides must differ somewhere
-    cones = enumerate_TL(s3, 2, bound=100)
+    cones = enumerate_TL(s3, 2)
     witness = any(
         mul_L(s3, c1, c2) != mul_L(s3.opposite, c1, c2) for c1 in cones for c2 in cones
     )
@@ -190,7 +197,7 @@ def test_same_components_not_necessarily_R_related(z2):
 def test_green_cones_oracle_agreement(z2, z3):
     for G, n in ((z2, 2), (z3, 2)):
         cones = enumerate_TL(G, n)
-        T = from_table(cone_table(G, cones))
+        T = from_table(cone_table(G, batch.enumerate_TL(G, n)))
         by_vertex = {}
         by_coset = {}
         for k, c in enumerate(cones):
@@ -249,27 +256,57 @@ def test_idempotent_count_and_squaring(z2):
 
 
 def test_enumerate_counts(z2, z3):
-    assert len(enumerate_TL(z2, 2)) == 8
-    assert len(enumerate_TL(z3, 2)) == 18
-    assert len(enumerate_TL(z3, 3)) == 81
+    assert len(batch.enumerate_TL(z2, 2)[1]) == 8
+    assert len(batch.enumerate_TL(z3, 2)[1]) == 18
+    assert len(batch.enumerate_TL(z3, 3)[1]) == 81
 
 
-def test_enumerate_lexicographic(z2):
-    cones = enumerate_TL(z2, 2)
+def test_enumerate_lexicographic(z2, z3, s3):
+    cones = as_cones(batch.enumerate_TL(z2, 2))
     keys = [(c.values, c.vertex) for c in cones]
     assert keys == sorted(keys)
     assert cones[0] == Cone((0, 0), 0)
+    for G, n in ((z2, 1), (z3, 3), (s3, 2)):
+        assert as_cones(batch.enumerate_TL(G, n)) == enumerate_TL(G, n)
 
 
 def test_enumerate_bound(z2):
     with pytest.raises(SizeGuardExceeded):
-        enumerate_TL(z2, 2, bound=7)
+        batch.enumerate_TL(z2, 2, bound=7)
+    with pytest.raises(IndexOutOfRange):
+        batch.enumerate_TL(z2, 0)
+
+
+def test_batch_act_matches_the_scalar_action(z3, s3):
+    # every object on every tuple, one object per row and all tuples at once
+    for G, n in ((z3, 3), (s3, 2)):
+        tuples = np.array(list(product(G.elements(), repeat=n)))
+        got = batch.act(np.arange(n)[:, None], tuples)
+        assert got.tolist() == [[list(act(G, k, tuple(t))) for t in tuples.tolist()] for k in range(n)]
+
+
+def test_batch_idempotent_closed_form_matches_the_scalar_one(z3, s3):
+    for G, n in ((z3, 3), (s3, 2)):
+        tl = batch.enumerate_TL(G, n)
+        expected = [is_idempotent_cone(G, c) for c in as_cones(tl)]
+        assert batch.is_idempotent_cone(G, tl).tolist() == expected
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_canonical_matches_coset_normalize(s3, side):
+    # the right coset's representative is the left one's over the opposite group
+    M = s3.array if side == "left" else s3.array.T
+    tuples = np.array(list(product(s3.elements(), repeat=3)))
+    got = kernel.canonical(M, np.asarray(s3.inverse), tuples)
+    assert [tuple(t) for t in got.tolist()] == [
+        coset_normalize(s3, side, t).canonical for t in tuples.tolist()
+    ]
 
 
 def test_cone_table_both_sides(z2):
     cones = enumerate_TL(z2, 2)
     index = {c: k for k, c in enumerate(cones)}
-    table = cone_table(z2.opposite, cones)
+    table = cone_table(z2.opposite, batch.enumerate_TL(z2, 2))
     for c1 in cones:
         for c2 in cones:
             assert table[index[c1]][index[c2]] == index[mul_L(z2.opposite, c1, c2)]

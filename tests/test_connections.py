@@ -10,9 +10,11 @@ from scalar_reference import (
     gamma_apply,
     is_linked,
     linked_pairs,
+    mul_L,
     phi,
     principal_pair,
     rbg,
+    right_factor,
     s_tilde_mul,
     u_delta,
     u_gamma,
@@ -32,7 +34,6 @@ from crossconn import (
     identity_matrix,
     left_category,
     matrix_of,
-    mul_L,
     pair_arrays,
     right_category,
     sigma_apply,
@@ -418,15 +419,13 @@ def test_matrix_of_roundtrip(conn1):
 
 
 def test_matrix_of_random_roundtrip(z3, make_random_matrix):
-    from crossconn.connections import _right_factor
-
     rng = random.Random(987)
     for _ in range(20):
         P = make_random_matrix(z3, rng.randint(1, 3), rng.randint(1, 3), rng)
         conn = CrossConnection(P)
         extracted = matrix_of(z3, [gamma_apply(conn, i) for i in range(conn.n_i)])
         for i in range(conn.n_i):
-            assert _right_factor(z3, P.column(i), extracted.column(i)) is not None
+            assert right_factor(z3, P.column(i), extracted.column(i)) is not None
 
 
 def test_rbg_fixture(z2):

@@ -22,8 +22,10 @@ from crossconn import (
     connections,
     identity_matrix,
     kernel,
+    left_category,
     load_cayley,
     realize_category,
+    right_category,
     verify,
     verify_phi,
 )
@@ -70,19 +72,19 @@ def _principal_products_agree(S: ReesSemigroup) -> None:
     G = S.group
     M = G.array
     rho, lam = _cones_of(S, 0), _cones_of(S, 1)
-    rho_arrays, lam_arrays = kernel.cone_arrays(rho), kernel.cone_arrays(lam)
+    rho_arrays, lam_arrays = scalar_reference.cone_arrays(rho), scalar_reference.cone_arrays(lam)
     for a in range(S.size):
         got = kernel.mul_L(M, kernel.pick(rho_arrays, a), rho_arrays)
-        assert got[0].tolist() == [list(cones.mul_L(G, rho[a], b).values) for b in rho]
+        assert got[0].tolist() == [list(scalar_reference.mul_L(G, rho[a], b).values) for b in rho]
         assert got[1].tolist() == [b.vertex for b in rho]
         got = kernel.mul_L(M.T, lam_arrays, kernel.pick(lam_arrays, a))
-        assert got[0].tolist() == [list(cones.mul_L(G.opposite, b, lam[a]).values) for b in lam]
+        assert got[0].tolist() == [list(scalar_reference.mul_L(G.opposite, b, lam[a]).values) for b in lam]
         assert got[1].tolist() == [lam[a].vertex] * S.size
 
 
 def _cone_product_table(M, members):
     """`kernel.cone_product_table` of a list of cones, by their tuple classes."""
-    return kernel.cone_product_table(M, kernel.ConeClasses(kernel.cone_arrays(members)))
+    return kernel.cone_product_table(M, kernel.ConeClasses(scalar_reference.cone_arrays(members)))
 
 
 def _pair_table(S: ReesSemigroup):
@@ -305,12 +307,12 @@ def test_class_tables_match_the_row_tables(G, n_lambda, n_i, data):
     M, inverse, P = G.array, np.asarray(G.inverse), conn.matrix.array
     with mock.patch.object(kernel, "BLOCK", block):
         for array, members in ((M, ug), (M.T, ud), (M, gammas), (M.T, gammas), (M.T, deltas)):
-            cone_arrays = kernel.cone_arrays(members)
+            cone_arrays = scalar_reference.cone_arrays(members)
             table = kernel.cone_product_table(array, kernel.ConeClasses(cone_arrays))
             assert table.dtype == np.int32
             assert np.array_equal(table, scalar_reference.cone_product_table(array, cone_arrays))
 
-        gamma_arrays, delta_arrays = kernel.cone_arrays(gammas), kernel.cone_arrays(deltas)
+        gamma_arrays, delta_arrays = scalar_reference.cone_arrays(gammas), scalar_reference.cone_arrays(deltas)
         linkage = kernel.linkage_table(
             M, inverse, P, kernel.ConeClasses(gamma_arrays), kernel.ConeClasses(delta_arrays)
         )
@@ -445,11 +447,44 @@ def test_cone_table_matches_the_dict_lookup(G, side):
     group = G if side == "L" else G.opposite
     for n_lambda in (1, 2, 3):
         tl = cones.enumerate_TL(group, n_lambda)
-        if len(tl) > 100:
+        if len(tl[1]) > 100:
             break
         table = cones.cone_table(group, tl)
         assert table.dtype == np.int32
-        assert table.tolist() == scalar_reference.cone_table(group, tl)
+        assert table.tolist() == scalar_reference.cone_table(group, connections.as_cones(tl))
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=["Z2", "Z3", "S3", "S3-relabelled"])
+def test_mul_L_broadcasts_a_block_against_a_batch(G):
+    # a block of cones with an axis of length one against all of T_L gives
+    # every product, each the scalar mul_L's, on both sides
+    tl = values, vertices = cones.enumerate_TL(G, 2)
+    listed = connections.as_cones(tl)
+    for group in (G, G.opposite):
+        got = kernel.mul_L(group.array, (values[:, None], vertices[:, None]), tl)
+        products = [[scalar_reference.mul_L(group, a, b) for b in listed] for a in listed]
+        assert got[0].tolist() == [[list(c.values) for c in row] for row in products]
+        assert got[1].tolist() == [[c.vertex for c in row] for row in products]
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=["Z2", "Z3", "S3", "S3-relabelled"])
+def test_tl_and_category_checks_match_the_loops(G):
+    # cone_suite's T_L checks, the groupoid checks and the cone product
+    # against their scalar loops, wherever the triple guard lets them run
+    for n_lambda in (1, 2, 3):
+        if ((G.order**n_lambda) * n_lambda) ** 3 > verify.TRIPLE_GUARD:
+            break
+        S = ReesSemigroup(identity_matrix(G, n_lambda, 2))
+        checks = cone_suite(S, connections.pair_arrays(S))
+        names = ("cones.action_law", "cones.semidirect_law", "cones.tl_green_agreement")
+        names += ("cones.idempotent_closed_form",)
+        assert [c for c in checks if c.name in names] == scalar_reference.tl_checks(G, n_lambda)
+        by_name = {c.name: c.witness for c in verify.category_suite(S)}
+        assert by_name["category.cone_product_agreement"] == scalar_reference.cone_product_witness(
+            G, n_lambda
+        )
+        for name, cat in (("left", left_category(G, n_lambda)), ("right", right_category(G, 2))):
+            assert by_name[f"category.{name}_groupoid"] == scalar_reference.groupoid_witness(cat)
 
 
 def test_wide_cones_z2_lambda_64():

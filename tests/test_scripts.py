@@ -88,6 +88,8 @@ def test_bench_measures_the_smallest_rung():
     name, matrix = bench.rungs(include_large=False)[0]
     rung = bench.measure(name, matrix, runs=2)
     assert rung["size"] == 8 and rung["peak_rss_mb"] > 0
+    # the host's speed, timed on a fixed probe before the rung
+    assert rung["host_probe_ms"] > 0
     suites = rung["suites"]
     assert list(suites) == [
         "rees_suite",

@@ -23,10 +23,12 @@ from crossconn import (
     connections,
     identity_matrix,
     kernel,
+    left_category,
     load_cayley_file,
     load_matrix_file,
     oracle,
     rees,
+    right_category,
     verify,
     verify_phi,
 )
@@ -63,7 +65,7 @@ def _rbg_suite(S):
 
 def _cone_product_table(M, members):
     """`kernel.cone_product_table` of a list of cones, by their tuple classes."""
-    return kernel.cone_product_table(M, kernel.ConeClasses(kernel.cone_arrays(members)))
+    return kernel.cone_product_table(M, kernel.ConeClasses(scalar_reference.cone_arrays(members)))
 
 
 def test_full_suite_edge_shapes(z2, z3):
@@ -120,7 +122,7 @@ def test_wrong_side_mul_L_fails_both_principal_checks(monkeypatch):
     S = _s3_fixture()
     monkeypatch.setattr(kernel, "mul_L", wrong_side)
     by_name = {c.name: c for c in _cone_suite(S)}
-    monkeypatch.setattr(cones, "mul_L", scalar_wrong_side)
+    monkeypatch.setattr(scalar_reference, "mul_L", scalar_wrong_side)
     expected = scalar_reference.principal_witnesses(S)
     for name, witness in zip(
         ("cones.principal_homomorphism", "cones.dual_antihomomorphism"), expected
@@ -235,6 +237,30 @@ def test_inverse_that_keeps_g_fails_both_groupoid_checks(z3, monkeypatch):
         check = checks[f"category.{side}_groupoid"]
         assert check.passed is False, side
         assert check.witness == "Morphism(dom=0, cod=0, g=1) has no two-sided inverse"
+
+
+@pytest.mark.parametrize(
+    "method, fault",
+    [
+        ("invert", lambda self, m: Morphism(m.cod, m.dom, m.g)),
+        (
+            "normal_factorization",
+            lambda self, m: (self.identity(m.dom), m, Morphism(m.cod, m.cod, m.g)),
+        ),
+    ],
+    ids=["invert keeps g", "inclusion carries g"],
+)
+def test_faulty_groupoid_methods_fail_at_the_loops_first_morphism(s3, method, fault, monkeypatch):
+    # Negative controls on both halves of the groupoid checks: the pass over
+    # every morphism at once names the morphism the scalar loop meets first,
+    # an element of order 3 for the inverse and the first non-identity for
+    # an inclusion that carries g and so recomposes to g*g.
+    monkeypatch.setattr(ArrowCategory, method, fault)
+    checks = {c.name: c for c in category_suite(ReesSemigroup(identity_matrix(s3, 2, 3)))}
+    for name, cat in (("left", left_category(s3, 2)), ("right", right_category(s3, 3))):
+        check, witness = checks[f"category.{name}_groupoid"], scalar_reference.groupoid_witness(cat)
+        assert check.passed is False, name
+        assert witness is not None and check.witness == witness
 
 
 def test_non_associative_table_fails_rees_associative():
@@ -429,26 +455,45 @@ def test_non_associative_cone_table_fails_tl_associative(s1, monkeypatch):
 def test_act_on_the_next_coordinate_fails_semidirect_law(s1, monkeypatch):
     # Negative control: the action broadcasts the coordinate after k, so the
     # expected product scales c1 by the wrong coordinate of c2.
-    monkeypatch.setattr(
-        cones, "act", lambda group, k, values: (values[(k + 1) % len(values)],) * len(values)
-    )
+    original = cones.act
+    monkeypatch.setattr(cones, "act", lambda k, values: original((k + 1) % values.shape[-1], values))
     check = {c.name: c for c in _cone_suite(ReesSemigroup(s1.matrix))}["cones.semidirect_law"]
     assert check.passed is False
     assert check.witness == "Cone(values=(0, 0), vertex=0) * Cone(values=(0, 1), vertex=0)"
 
 
+def test_inverted_action_fails_action_law(s1):
+    # Negative control: the action broadcasts the inverse of the k-th
+    # coordinate, so k*(l*v) is v_l where l*v is v_l^-1.  On S3 a 3-cycle
+    # at coordinate l shows it, at the witness of the scalar loop; on Z2,
+    # where every element is its own inverse, the fault is invisible.
+    S = _s3_fixture()
+    with scalar_reference.inverted_action(S.group):
+        check = {c.name: c for c in _cone_suite(S)}["cones.action_law"]
+        (reference,) = (
+            c for c in scalar_reference.tl_checks(S.group, S.n_lambda) if c.name == check.name
+        )
+    assert check.passed is False
+    assert reference.passed is False and check.witness == reference.witness
+    with scalar_reference.inverted_action(s1.group):
+        check = {c.name: c for c in _cone_suite(ReesSemigroup(s1.matrix))}["cones.action_law"]
+    assert check.passed is True
+
+
 def test_merged_cosets_fail_tl_green_agreement(s1, monkeypatch):
-    # Negative control: coset_normalize sends the second coset of T_L to the
-    # first, so the coset partition is coarser than the oracle's R.
-    G, original = s1.group, cones.coset_normalize
-    tl = cones.enumerate_TL(G, s1.n_lambda)
-    first, second = list(dict.fromkeys(original(G, "left", c.values) for c in tl))[:2]
+    # Negative control: the canonical representative of the second coset of
+    # T_L is the first's, so the coset partition is coarser than the
+    # oracle's R.
+    G, original = s1.group, kernel.canonical
+    values, _ = cones.enumerate_TL(G, s1.n_lambda)
+    canonical = original(G.array, np.asarray(G.inverse), values)
+    first, second = np.unique(canonical, axis=0)[:2]
 
-    def merged(group, side, values):
-        handle = original(group, side, values)
-        return first if handle == second else handle
+    def merged(M, inverse, values):
+        out = original(M, inverse, values)
+        return np.where((out == second).all(axis=-1, keepdims=True), first, out)
 
-    monkeypatch.setattr(cones, "coset_normalize", merged)
+    monkeypatch.setattr(kernel, "canonical", merged)
     check = {c.name: c for c in _cone_suite(ReesSemigroup(s1.matrix))}["cones.tl_green_agreement"]
     assert check.passed is False
 
@@ -457,9 +502,12 @@ def test_wrong_idempotent_closed_form_fails(s1, monkeypatch):
     # Negative control: is_idempotent_cone answers wrongly on one cone of T_L,
     # which the check names.
     G, original = s1.group, cones.is_idempotent_cone
-    wrong = cones.enumerate_TL(G, s1.n_lambda)[3]
+    tl = cones.enumerate_TL(G, s1.n_lambda)
+    wrong = connections.as_cone(tl, 3)
     monkeypatch.setattr(
-        cones, "is_idempotent_cone", lambda group, c: original(group, c) != (c == wrong)
+        cones,
+        "is_idempotent_cone",
+        lambda group, c: original(group, c) != ~kernel.differ(c, kernel.pick(tl, 3)),
     )
     check = {c.name: c for c in _cone_suite(ReesSemigroup(s1.matrix))}[
         "cones.idempotent_closed_form"
@@ -470,7 +518,8 @@ def test_wrong_idempotent_closed_form_fails(s1, monkeypatch):
 
 def _stray_cone(G, members: list[Cone]) -> Cone:
     """The first cone of T_L over G that is not a member."""
-    return next(c for c in cones.enumerate_TL(G, len(members[0].values)) if c not in members)
+    tl = cones.enumerate_TL(G, len(members[0].values))
+    return next(c for c in connections.as_cones(tl) if c not in members)
 
 
 @contextlib.contextmanager
@@ -484,7 +533,7 @@ def _edited_u_cones(S, side: str, edit):
         members = original(P)
         if (P is S.matrix) != (side == "gamma"):
             return members
-        return kernel.cone_arrays(edit(connections.as_cones(members)))
+        return scalar_reference.cone_arrays(edit(connections.as_cones(members)))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(connections, "u_cones", u_cones)
@@ -753,7 +802,7 @@ def test_full_suite_scans_each_table_for_associativity_once(s1, monkeypatch):
 
     monkeypatch.setattr(oracle, "associativity_witness", counting)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
-    assert sizes == [s1.size, len(cones.enumerate_TL(s1.group, s1.n_lambda))]
+    assert sizes == [s1.size, len(cones.enumerate_TL(s1.group, s1.n_lambda)[1])]
 
 
 def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
@@ -790,37 +839,50 @@ def test_full_suite_indexes_each_cone_set_once(s1, monkeypatch):
     sets = [
         scalar_reference.u_gamma(conn),
         scalar_reference.u_delta(conn),
-        cones.enumerate_TL(s1.group, 2),
+        connections.as_cones(cones.enumerate_TL(s1.group, 2)),
     ]
     assert built == [len({c.values for c in members}) for members in sets] == [4, 4, 4]
 
 
-def test_wide_index_full_suite_makes_few_scalar_group_products(monkeypatch):
-    # One full_suite on M[Z2; 16, 16] with p[lam][i] = lam*i mod 2: both
-    # realizations, the connection functors and the duality cells are array
-    # passes, so the scalar products left are the groupoid checks'
-    # compositions (4,096), matrix_roundtrip's right factors and the
-    # injectivity criterion's; no coset is normalized one tuple at a time.
-    G = builtin("cyclic", 2)
-    S = ReesSemigroup(SandwichMatrix(G, [[lam * i % 2 for i in range(16)] for lam in range(16)]))
+def _scalar_group_products(S, monkeypatch) -> dict:
+    """The checks of one full_suite on S, by name, and the number of scalar
+    `FiniteGroup.mul` calls it made."""
     calls = Counter()
-    mul, normalize = FiniteGroup.mul, cones.coset_normalize
+    mul = FiniteGroup.mul
 
     def counting_mul(self, a, b):
         calls["mul"] += 1
         return mul(self, a, b)
 
-    def counting_normalize(*args):
-        calls["coset_normalize"] += 1
-        return normalize(*args)
-
     monkeypatch.setattr(FiniteGroup, "mul", counting_mul)
-    monkeypatch.setattr(cones, "coset_normalize", counting_normalize)
-    _assert_clean(full_suite(S))
-    assert calls["mul"] <= 4400
-    calls.clear()
-    _assert_clean(connections.verify_crossconnection(CrossConnection(S.matrix)))
-    assert calls["coset_normalize"] == 0
+    checks = full_suite(S)
+    _assert_clean(checks)
+    return {c.name: c for c in checks}, calls["mul"]
+
+
+def test_wide_index_full_suite_makes_few_scalar_group_products(monkeypatch):
+    # One full_suite on M[Z2; 16, 16] with p[lam][i] = lam*i mod 2: both
+    # realizations, the groupoid checks, the connection functors, the
+    # duality cells and matrix_roundtrip are array passes, so the scalar
+    # products left are the injectivity criterion's (4,386 before the
+    # groupoid checks ran on arrays); no coset is normalized one tuple at a
+    # time, since the package has no scalar coset_normalize.
+    G = builtin("cyclic", 2)
+    S = ReesSemigroup(SandwichMatrix(G, [[lam * i % 2 for i in range(16)] for lam in range(16)]))
+    _, calls = _scalar_group_products(S, monkeypatch)
+    assert calls <= 18
+    assert not hasattr(cones, "coset_normalize")
+
+
+def test_s3_full_suite_makes_few_scalar_group_products(monkeypatch):
+    # One full_suite on the S3 2x2 fixture, where the T_L checks and the
+    # cone product run: each is a block pass over T_L, so the scalar
+    # products left are the injectivity criterion's (21,272 when the T_L
+    # checks and the groupoid checks looped over scalar cones and morphisms).
+    checks, calls = _scalar_group_products(_s3_fixture(), monkeypatch)
+    assert checks["cones.semidirect_law"].passed is True
+    assert checks["category.cone_product_agreement"].passed is True
+    assert calls <= 14
 
 
 def test_full_suite_judges_u_gamma_regular_once(monkeypatch):
@@ -878,9 +940,10 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
     # mul_L batch of scalings per block of tuple classes (one block for
     # sets this small), and gather the pair table from those
     # tables: no kernel row multiplies two pairs.  In full_suite the U
-    # tables come first; then T_L's, and the other mul_L calls are
-    # category_suite's 8 rows and T_L's one batch.  Linkage is one table of
-    # U-Gamma x U-Delta per suite, not one test per pair.
+    # tables come first; then T_L's, and the other mul_L calls are one
+    # block each for T_L's table, category_suite's cone product, the
+    # semidirect law and the idempotent closed form.  Linkage is one table
+    # of U-Gamma x U-Delta per suite, not one test per pair.
     tables, calls = [], Counter()
 
     def cone_product_table(M, classes, _original=kernel.cone_product_table):
@@ -898,14 +961,14 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
     def u_keys(S):
         conn = CrossConnection(S.matrix)
         u = scalar_reference.u_gamma(conn), scalar_reference.u_delta(conn)
-        return [kernel.row_keys(*kernel.cone_arrays(members)).tolist() for members in u]
+        return [kernel.row_keys(*scalar_reference.cone_arrays(members)).tolist() for members in u]
 
     monkeypatch.setattr(kernel, "cone_product_table", cone_product_table)
     monkeypatch.setattr(kernel, "mul_L", mul_L)
     monkeypatch.setattr(kernel, "linkage_table", linkage_table)
     for suite, S, after, rows in (
         (_rbg_suite, ReesSemigroup(identity_matrix(s1.group, 2, 2)), 0, 0),
-        (full_suite, ReesSemigroup(s1.matrix), 1, 9),
+        (full_suite, ReesSemigroup(s1.matrix), 1, 4),
     ):
         tables.clear()
         calls.clear()
@@ -933,8 +996,10 @@ def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
 
 def test_cone_suite_forms_no_principal_product_twice(s1, monkeypatch):
     # One kernel batch of scalings for T_L's table (one block of tuple
-    # classes) and none for the principal checks, which read the U-Gamma
-    # and U-Delta tables of the pairs given.
+    # classes), one block of T_L against T_L for the semidirect law and the
+    # squares of T_L for the idempotent closed form, and none for the
+    # principal checks, which read the U-Gamma and U-Delta tables of the
+    # pairs given.
     calls = Counter()
     original = kernel.mul_L
 
@@ -946,7 +1011,7 @@ def test_cone_suite_forms_no_principal_product_twice(s1, monkeypatch):
     linked = connections.pair_arrays(S)
     monkeypatch.setattr(kernel, "mul_L", counting)
     _assert_clean(cone_suite(S, linked))
-    assert calls == {"mul_L": 1}
+    assert calls == {"mul_L": 3}
 
 
 def test_associative_tables_never_reach_the_full_scan(s1, monkeypatch):
@@ -1186,10 +1251,10 @@ def test_cone_off_its_cell_fails_only_its_squares(s3, h, shift):
 
 
 def test_full_suite_makes_no_scalar_cone_products(s3, monkeypatch):
-    # Regression guard on S3 3x3: the cone-product and naturality scans run
-    # on arrays.  Their scalar loops made 419,904 compose_cones calls
-    # (1,259,712 compose calls) and 104,976 bifunctor_gamma calls here;
-    # both now live in tests/scalar_reference.py alone.
+    # Regression guard on S3 3x3: the groupoid, cone-product and naturality
+    # scans run on arrays.  Their scalar loops made 419,904 compose_cones
+    # calls (1,259,712 compose calls) and 104,976 bifunctor_gamma calls
+    # here; both now live in tests/scalar_reference.py alone.
     calls = Counter()
     original = ArrowCategory.compose
 
@@ -1204,14 +1269,18 @@ def test_full_suite_makes_no_scalar_cone_products(s3, monkeypatch):
     assert checks["crossconn.naturality"].passed is True
     assert not hasattr(ArrowCategory, "compose_cones")
     assert not hasattr(connections, "bifunctor_gamma")
-    # the groupoid checks compose each morphism with its inverse; what the
-    # guarded checks add is at most the |G|^2 entries of one table
+    # the groupoid checks compose all the morphisms of a category in four
+    # calls (with the inverses both ways, then the normal factorization);
+    # the cone product composes the components of one block of rows of T_L
+    # per call
     composed = calls["compose"]
     calls.clear()
     monkeypatch.setattr(verify, "TRIPLE_GUARD", 0)
     checks = {c.name: c for c in full_suite(S)}
     assert checks["category.cone_product_agreement"].passed is None
-    assert composed - calls["compose"] <= s3.order**2
+    assert calls["compose"] == 2 * 4
+    n_cones = s3.order**3 * 3
+    assert composed - calls["compose"] == len(list(kernel.blocks(n_cones, n_cones * 3)))
 
 
 @pytest.mark.parametrize(
