@@ -1,8 +1,9 @@
 """Block-at-a-time array kernel for the O(|S|^2) scans of the verification suites.
 
 Layout.  Element k of S = M[G; I, Lambda; P] is (g, i, lam) with
-k = (g*|I| + i)*|Lambda| + lam, so `element_arrays` gives its coordinates
-as three index arrays and `ReesSemigroup.table()` its product as a
+k = (g*|I| + i)*|Lambda| + lam, so `coordinates` decodes indices into
+three index arrays, `element_arrays` gives those of every element, and
+`ReesSemigroup.table()` its product as a
 read-only (n, n) int32 array of indices, the one format of every
 multiplication table up to the table oracle.  G and P own their arrays,
 read-only and built once: `FiniteGroup.array` is the Cayley table M,
@@ -27,7 +28,7 @@ scalings is formed in blocks of the same size.  S's table
 `first_block_failure` is the one loop over blocks: it names the first failing
 (a, b) in row order, as a scan one pair at a time would.  The table
 oracle's scans, the closure witness `first_hole` and the suites' block
-scans all run through it.
+scans, `rees.table_matches_product` among them, all run through it.
 
 Keys.  Membership is exact.  The key of a tuple is its row of int32
 coordinates read as one np.void of raw bytes.  A `KeyIndex` sorts the
@@ -100,17 +101,20 @@ the dual image U-Delta, so `cones.principal_homomorphism` and
 hold it against independent statements of it: `cones.semidirect_law`
 against the action `cones.act`, `cones.idempotent_closed_form` against
 `cones.is_idempotent_cone` and `category.cone_product_agreement` against
-the category's composition.  The package keeps one scalar definition,
-`rees.product`, the Rees product on plain coordinates that
-`ReesSemigroup.mul` calls.  `rees.table_matches_product` ties `table()`
-to it, evaluated in plain Python one row at a time and never through
-this kernel.  The scalar definitions of the cone product, the action,
-the coset key and the idempotent closed form, and of the connection's
-cone sets and maps (the linked pairs and their product, U-Gamma and
-U-Delta, the cells, the cell map, chi, linkage, phi and the two
-functors) live in tests/scalar_reference.py, where tests compare every
-scan and every set read off `SandwichMatrix.scaled` with its loop, and
-the class tables with their row-by-row versions.
+the category's composition.  The package keeps one definition of the
+Rees product, `rees.product` on plain coordinates, which
+`ReesSemigroup.mul` calls on ints and `rees.table_matches_product` on
+the coordinate arrays of `element_arrays`, a block of rows against every
+element per step of `first_block_failure`.  That check decodes each
+block of `table()` with `coordinates` and compares the three, so
+`index_table`'s own encoding stays the other route.  The scalar
+definitions of the cone product, the action, the coset key and the
+idempotent closed form, and of the connection's cone sets and maps (the
+linked pairs and their product, U-Gamma and U-Delta, the cells, the cell
+map, chi, linkage, phi and the two functors) live in
+tests/scalar_reference.py, where tests compare every scan and every set
+read off `SandwichMatrix.scaled` with its loop, and the class tables
+with their row-by-row versions.
 """
 
 from __future__ import annotations
@@ -125,11 +129,16 @@ KEY_DTYPE = np.int32
 BLOCK = 1 << 14
 
 
-def element_arrays(n_g: int, n_i: int, n_lambda: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (g, i, lam) coordinates of elements 0..n-1, in element order."""
-    g, rem = np.divmod(np.arange(n_g * n_i * n_lambda), n_i * n_lambda)
+def coordinates(k: np.ndarray, n_i: int, n_lambda: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (g, i, lam) coordinates of an array of element indices, by divmod."""
+    g, rem = np.divmod(k, n_i * n_lambda)
     i, lam = np.divmod(rem, n_lambda)
     return g, i, lam
+
+
+def element_arrays(n_g: int, n_i: int, n_lambda: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (g, i, lam) coordinates of elements 0..n-1, in element order."""
+    return coordinates(np.arange(n_g * n_i * n_lambda), n_i, n_lambda)
 
 
 def pick(cones: tuple[np.ndarray, np.ndarray], rows):

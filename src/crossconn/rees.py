@@ -124,22 +124,15 @@ def load_matrix_file(path, group: FiniteGroup) -> SandwichMatrix:
         return SandwichMatrix(group, entries)
 
 
-def product(
-    cayley: Sequence[Sequence[int]],
-    entries: Sequence[Sequence[int]],
-    a: int,
-    i: int,
-    lam: int,
-    b: int,
-    j: int,
-    mu: int,
-) -> tuple[int, int, int]:
+def product(cayley: np.ndarray, entries: np.ndarray, a, i, lam, b, j, mu):
     """(a, i, lam)(b, j, mu) = (a * p[lam][j] * b, i, mu) on plain coordinates,
-    over a group's Cayley table and a sandwich matrix's entries; unchecked.
-    The one statement of the product: `ReesSemigroup.mul` validates its
-    arguments and calls it, and `rees.table_matches_product` evaluates it
-    against every entry of `ReesSemigroup.table()`."""
-    return cayley[cayley[a][entries[lam][j]]][b], i, mu
+    over a group's Cayley array and a sandwich matrix's array; unchecked.
+    The coordinates are ints or index arrays that broadcast against each
+    other, as numpy indexing does.  The one statement of the product:
+    `ReesSemigroup.mul` validates its arguments and calls it on ints, and
+    `rees.table_matches_product` evaluates it on a block of rows against
+    every element and compares it with `ReesSemigroup.table()`."""
+    return cayley[cayley[a, entries[lam, j]], b], i, mu
 
 
 def check_size(size: int, size_guard: int) -> None:
@@ -200,9 +193,8 @@ class ReesSemigroup:
     def mul(self, x: ReesElement, y: ReesElement) -> ReesElement:
         self._validate(x)
         self._validate(y)
-        return ReesElement(
-            *product(self.group.cayley, self.matrix.entries, x.g, x.i, x.lam, y.g, y.i, y.lam)
-        )
+        g, i, mu = product(self.group.array, self.matrix.array, x.g, x.i, x.lam, y.g, y.i, y.lam)
+        return ReesElement(int(g), int(i), int(mu))
 
     def idempotents(self) -> list[ReesElement]:
         """Exactly the elements (p[lam][i]^-1, i, lam), one per matrix cell."""

@@ -6,8 +6,10 @@ the triple guard, never silently truncated.
 
 `rees_suite` checks the closed forms of S on plain integers, with no
 `ReesSemigroup.mul` call and no `ReesElement` per pair:
-`rees.table_matches_product` evaluates `rees.product` on the coordinates
-of every pair, one row of `S.table()` at a time.  The left and right
+`rees.table_matches_product` evaluates `rees.product` on the coordinate
+arrays of a block of rows against every element per step, and compares
+its three coordinates with those of the block of `S.table()`, decoded by
+divmod in S's index layout.  The left and right
 `oracle.ideal_rows` of S's table are built once and serve Light's test,
 `oracle.green_via_ideals` and `rees.principal_left_ideal`, which compares
 each closed form, in order, with the members of that element's bit row.
@@ -116,9 +118,7 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
         Check("rees.associative", witness is None, str(witness) if witness else None)
     )
 
-    # elements() runs in index order, so row k of the table belongs to element k
-    elements = list(S.elements())
-    bad = _product_witness(S, elements, table)
+    bad = _product_witness(S, table)
     checks.append(Check("rees.table_matches_product", bad is None, str(bad) if bad else None))
 
     checks.append(Check("rees.regular", oracle.is_regular(T)))
@@ -138,11 +138,12 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
     for kind in ("L", "R", "H", "D"):
         checks.append(Check(f"rees.green_{kind}_oracle_agreement", formula[kind] == brute[kind]))
 
-    # row k of the left ideal rows, unpacked: the members of S^1 x in order
+    # elements() runs in index order, so row k of the left ideal rows,
+    # unpacked, holds the members of S^1 x for element k, in order
     bad_ideal = next(
         (
             x
-            for x, row in zip(elements, ideals[0])
+            for x, row in zip(S.elements(), ideals[0])
             if sorted(S.principal_left_ideal(x))
             != np.flatnonzero(np.unpackbits(row, count=S.size)).tolist()
         ),
@@ -158,24 +159,26 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
     return checks
 
 
-def _product_witness(S: ReesSemigroup, elements: list, table: np.ndarray) -> tuple | None:
+def _product_witness(S: ReesSemigroup, table: np.ndarray) -> tuple | None:
     """The first (x, y) in row order whose entry in the table is not the index
-    of x*y by `rees.product`.  Each row is evaluated in plain Python over
-    the Cayley table and the matrix entries, never through `index_table`,
-    and compared with the row of the table as one list; a product's index
-    is `S.index` of its coordinates, read once per element."""
-    coords = [(x.g, x.i, x.lam) for x in elements]
-    position = {c: S.index(x) for c, x in zip(coords, elements)}
-    cayley, entries = S.group.cayley, S.matrix.entries
-    for x, (a, i, lam), row in zip(elements, coords, table):
-        expected = [
-            position[rees.product(cayley, entries, a, i, lam, b, j, mu)] for b, j, mu in coords
-        ]
-        got = row.tolist()
-        if got != expected:
-            b = next(b for b, (entry, want) in enumerate(zip(got, expected)) if entry != want)
-            return x, elements[b]
-    return None
+    of x*y by `rees.product`, as `ReesElement`s.  Each step evaluates the
+    product of a block of rows x against every y on the coordinates of
+    `kernel.element_arrays`, decodes the block's entries into coordinates
+    (`kernel.coordinates`, divmod in S's index layout), and compares the
+    three.  `index_table` encodes with its own formula, so the two routes
+    stay independent."""
+    g, i, lam = kernel.element_arrays(S.group.order, S.n_i, S.n_lambda)
+    M, P = S.group.array, S.matrix.array
+
+    def bad_rows(rows: slice) -> np.ndarray:
+        got_g, got_i, got_lam = kernel.coordinates(table[rows], S.n_i, S.n_lambda)
+        want_g, want_i, want_lam = rees.product(
+            M, P, g[rows, None], i[rows, None], lam[rows, None], g, i, lam
+        )
+        return (got_g != want_g) | (got_i != want_i) | (got_lam != want_lam)
+
+    bad = kernel.first_block_failure(S.size, S.size, bad_rows)
+    return None if bad is None else (S.element(bad[0]), S.element(bad[1]))
 
 
 def category_suite(S: ReesSemigroup) -> list[Check]:

@@ -35,7 +35,8 @@ and `delta_images` in the package), into both linkage tests (the scalar
 (`connections.gamma_cells`), into both linked-pair products, into the
 linked-pair table and into the pairs themselves
 (`connections.pair_cones`); each patches the array builder and its
-scalar reference here alike.
+scalar reference here alike.  `CorruptedTable` replaces entries of the
+index table, which the suites and the scalar references read alike.
 """
 
 from __future__ import annotations
@@ -1144,3 +1145,16 @@ def missing_pair():
     with them): the set of pairs misses the last pair, so some products of
     pairs are no pair and the pair table is not closed."""
     return edited_pairs(lambda pairs: pairs[:-1] + pairs[:1])
+
+
+class CorruptedTable(ReesSemigroup):
+    """The index table with the entries at ENTRIES, (row, column): value,
+    replaced, and the closed forms left true."""
+
+    ENTRIES: dict = {}
+
+    def index_table(self):
+        table = super().index_table()
+        for (a, b), value in self.ENTRIES.items():
+            table[a, b] = value
+        return table

@@ -143,6 +143,30 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    st.sampled_from(GROUPS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([1, 7, kernel.BLOCK]),
+    st.data(),
+)
+def test_table_matches_product_finds_one_corrupt_entry(G, n_lambda, n_i, block, data):
+    # One entry of the index table changed to any other element: whatever
+    # the blocks of rows, the block pass names that pair, as the loop does.
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    S = scalar_reference.CorruptedTable(SandwichMatrix(G, entries))
+    a, b = (data.draw(st.integers(0, S.size - 1)) for _ in range(2))
+    value = (int(S.index_table()[a, b]) + data.draw(st.integers(1, S.size - 1))) % S.size
+    S.ENTRIES = {(a, b): value}
+    with mock.patch.object(kernel, "BLOCK", block):
+        witness = {c.name: c.witness for c in rees_suite(S)}["rees.table_matches_product"]
+    assert witness == scalar_reference.table_matches_product_witness(S)
+    assert witness == str((S.element(a), S.element(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     st.sampled_from(SCALED_GROUPS),
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=1, max_value=3),

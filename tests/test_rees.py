@@ -154,9 +154,9 @@ def test_index_table_matches_scalar_product(s1, z3):
 def _product_table(S):
     """The table of `rees.product` on the coordinates of every pair, in index order."""
     coords = [(x.g, x.i, x.lam) for x in S.elements()]
-    cayley, entries = S.group.cayley, S.matrix.entries
+    cayley, entries = S.group.array, S.matrix.array
     return [
-        [S.index(ReesElement(*rees.product(cayley, entries, *x, *y))) for y in coords]
+        [S.index(ReesElement(*map(int, rees.product(cayley, entries, *x, *y)))) for y in coords]
         for x in coords
     ]
 

@@ -338,19 +338,6 @@ def test_wrong_green_partition_fails_oracle_agreement(kind):
     }
 
 
-class _CorruptedTable(ReesSemigroup):
-    """The index table with the entries at ENTRIES, (row, column): value,
-    replaced, and the closed forms left true."""
-
-    ENTRIES: dict = {}
-
-    def index_table(self):
-        table = super().index_table()
-        for (a, b), value in self.ENTRIES.items():
-            table[a, b] = value
-        return table
-
-
 @pytest.mark.parametrize(
     "matrix, entries, L",
     [
@@ -367,7 +354,7 @@ class _CorruptedTable(ReesSemigroup):
 )
 def test_corrupted_table_fails_green_L_agreement(matrix, entries, L):
     # Negative control: a table whose L-classes differ from the closed form.
-    S = _CorruptedTable(matrix())
+    S = scalar_reference.CorruptedTable(matrix())
     S.ENTRIES = entries
     brute = scalar_reference.green_via_ideals(S.to_generic())["L"]
     assert brute != S.green()["L"]
@@ -378,12 +365,15 @@ def test_corrupted_table_fails_green_L_agreement(matrix, entries, L):
 
 def _one_wrong_product(pair, original=rees.product):
     """`rees.product` with the product of one pair of elements moved to the
-    next group element; `index_table`, which does not use it, stays true."""
+    next group element, on ints and on broadcast arrays alike: the pair is
+    matched on all six coordinates.  `index_table`, which does not use it,
+    stays true."""
+    x, y = pair
 
     def product(cayley, entries, a, i, lam, b, j, mu):
-        g, i, mu = original(cayley, entries, a, i, lam, b, j, mu)
-        wrong = (ReesElement(a, i, lam), ReesElement(b, j, mu)) == pair
-        return ((g + 1) % len(cayley) if wrong else g), i, mu
+        g, i_out, mu_out = original(cayley, entries, a, i, lam, b, j, mu)
+        wrong = (a == x.g) & (i == x.i) & (lam == x.lam) & (b == y.g) & (j == y.i) & (mu == y.lam)
+        return np.where(wrong, (g + 1) % len(cayley), g), i_out, mu_out
 
     return product
 
@@ -401,6 +391,47 @@ def test_product_off_the_table_fails_table_matches_product(monkeypatch):
         assert S.table()[S.index(x), S.index(y)] != S.index(S.mul(x, y))
         assert check.passed is False
         assert check.witness == scalar_reference.table_matches_product_witness(S) == str(pair)
+
+
+@pytest.mark.parametrize("coordinate", ["g", "i", "lam"])
+def test_entry_off_its_coordinate_fails_table_matches_product(coordinate):
+    # Negative control for each coordinate the check decodes: one entry of
+    # the index table moved to another g, i or mu, the other two kept.
+    true = _s3_fixture()
+    x, y = true.element(7), true.element(13)
+    xy = true.mul(x, y)
+    size = {"g": true.group.order, "i": true.n_i, "lam": true.n_lambda}[coordinate]
+    moved = replace(xy, **{coordinate: (getattr(xy, coordinate) + 1) % size})
+    S = scalar_reference.CorruptedTable(true.matrix)
+    S.ENTRIES = {(true.index(x), true.index(y)): true.index(moved)}
+    check = {c.name: c for c in rees_suite(S)}["rees.table_matches_product"]
+    assert check.passed is False
+    assert check.witness == scalar_reference.table_matches_product_witness(S) == str((x, y))
+
+
+def test_rees_suite_evaluates_the_product_once_per_block(s1, monkeypatch):
+    # Regression guard: table_matches_product evaluates rees.product on a
+    # block of rows at a time, never once per pair, and S.mul still returns
+    # Python ints.
+    calls = []
+
+    def counted(*args, original=rees.product):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rees, "product", counted)
+    # one block of all 8 rows, then 4 blocks of 2 rows
+    for block, n_blocks in ((kernel.BLOCK, 1), (2 * s1.size, 4)):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "BLOCK", block)
+            assert len(list(kernel.blocks(s1.size, s1.size))) == n_blocks
+            _assert_clean(rees_suite(ReesSemigroup(s1.matrix)))
+        assert 1 <= len(calls) <= n_blocks < s1.size**2
+
+    x, y = s1.element(3), s1.element(6)
+    xy = s1.mul(x, y)
+    assert (type(xy.g), type(xy.i), type(xy.lam)) == (int, int, int)
 
 
 def test_rees_suite_never_calls_the_scalar_product(s1, monkeypatch):
