@@ -27,12 +27,13 @@ pairs from connections.pair_arrays, whose build its time includes, on
 the identity rungs only: rbg_suite checks the identity's connection.  Then
 one call each times the table oracle's two largest parts on the rung's
 table, oracle.green_via_ideals and oracle.associativity_witness (Light's
-test), and counts the generators that Light's test runs over.  Times
+test), and counts the generators that Light's test runs over, and the
+dtype and size in bytes of the rung's table, `S.table()`.  Times
 are raw wall seconds, in-process.  The file gives, per rung and per suite,
 the median and quartiles of the K times and the number of checks, skips
 and failures; per rung, the probe's median time, the peak RSS, read once, after the first
 full_suite and rbg_suite (later runs in the same interpreter creep
-upwards without any one command needing more), and the oracle's parts;
+upwards without any one command needing more), the oracle's parts and the table's format;
 and the Python and numpy versions and the CPU count.  Before each
 full_suite and rbg_suite the garbage of the run before is collected: S
 and S.opposite refer to each other, so a semigroup, and its table with
@@ -204,6 +205,7 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
         "size": S.size,
         "host_probe_ms": probe_ms,
         "peak_rss_mb": round(peak_kb / 1024, 1),
+        "table": {"dtype": str(T.table.dtype), "nbytes": T.table.nbytes},
         "suites": {n: _summary(times[n], checks[n]) for n in names},
         "oracle": {
             "green_via_ideals_s": round(_timed(oracle.green_via_ideals, T)[0], 4),

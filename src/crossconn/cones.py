@@ -102,7 +102,7 @@ def enumerate_TL(
 
 def cone_table(group: FiniteGroup, cones) -> np.ndarray:
     """Multiplication table of a closed batch of cones under mul_L, indexed by
-    batch order, as an int32 array from `kernel.cone_product_table`.
+    batch order, from `kernel.cone_product_table`.
     The right-side table is the one over `group.opposite`."""
     table = kernel.cone_product_table(group.array, kernel.ConeClasses(cones))
     bad = kernel.first_hole(table)

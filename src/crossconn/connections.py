@@ -274,7 +274,7 @@ def pair_arrays(S: ReesSemigroup) -> PairArrays:
     pair_at = np.full((len(ug.classes) + 1, len(ud.classes) + 1), -1, dtype=np.int32)
     inside = (g >= 0) & (d >= 0)
     pair_at[g[inside], d[inside]] = np.flatnonzero(inside)
-    table = np.empty((len(g),) * 2, dtype=np.int32)
+    table = np.empty((len(g),) * 2, dtype=kernel.index_dtype(len(g)))
     linked = PairArrays(gamma, delta, ug, ud, g, d, pair_at, table)
     for rows in kernel.blocks(*table.shape):
         linked.table[rows] = pair_at[linked.product_halves(rows)]

@@ -3,9 +3,9 @@
 Layout.  Element k of S = M[G; I, Lambda; P] is (g, i, lam) with
 k = (g*|I| + i)*|Lambda| + lam, so `coordinates` decodes indices into
 three index arrays, `element_arrays` gives those of every element, and
-`ReesSemigroup.table()` its product as a
-read-only (n, n) int32 array of indices, the one format of every
-multiplication table up to the table oracle.  G and P own their arrays,
+`ReesSemigroup.table()` its product as a read-only (n, n) array of
+indices in `index_dtype(n)`, the one format of every multiplication
+table up to the table oracle.  G and P own their arrays,
 read-only and built once: `FiniteGroup.array` is the Cayley table M,
 `SandwichMatrix.array` the (|Lambda|, |I|) matrix P, and G^op's and
 P^T's are the views M.T and P.T; `SandwichMatrix.scaled` is the
@@ -23,8 +23,8 @@ b in one numpy step.  `blocks` gives the slices of rows, of about BLOCK
 entries of the scan's largest temporary each, so beyond one (n, n) table
 a scan never holds an (n, n, k) array, and a table gathered from smaller
 tables is filled without an (n, n) temporary beside it; a batch of
-scalings is formed in blocks of the same size.  S's table
-(`ReesSemigroup.index_table`) and S^op's are filled through it too.
+scalings is formed in blocks of the same size.  S^op's table
+(`ReesSemigroup.table`) is filled through it too.
 `first_block_failure` is the one loop over blocks: it names the first failing
 (a, b) in row order, as a scan one pair at a time would.  The table
 oracle's scans, the closure witness `first_hole` and the suites' block
@@ -127,6 +127,12 @@ KEY_DTYPE = np.int32
 # Entries per block of a batch of scalings or of a gathered table.  Blocks
 # of 2^16 entries left the heap grown: S5 2x2 `verify` peaked 0.8 MB higher.
 BLOCK = 1 << 14
+
+
+def index_dtype(n: int) -> np.dtype:
+    """The format of an (n, n) table of indices below n, -1 for a hole:
+    int16 while n < 2^15, int32 beyond."""
+    return np.dtype(np.int16 if n < 1 << 15 else np.int32)
 
 
 def coordinates(k: np.ndarray, n_i: int, n_lambda: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,7 +343,7 @@ def first_hole(table: np.ndarray) -> tuple[int, int] | None:
 
 
 def cone_product_table(M: np.ndarray, classes: ConeClasses) -> np.ndarray:
-    """The (n, n) int32 table of a batch of n cones, given by tuple class,
+    """The (n, n) table of a batch of n cones, given by tuple class,
     under mul_L over the group with Cayley array M: row a holds the
     positions of member a times every member, -1 where a product is not a
     member.  The set is closed when no entry is -1.
@@ -357,7 +363,7 @@ def cone_product_table(M: np.ndarray, classes: ConeClasses) -> np.ndarray:
         scaled, _ = mul_L(M, scalings, (np.arange(order), 0))
         scale[rows] = classes.find_tuples(scaled).reshape(len(part), order)
     at = values.T.astype(np.int32)  # at[v, b]: member b's value at object v
-    table = np.empty((len(vertices),) * 2, dtype=np.int32)
+    table = np.empty((len(vertices),) * 2, dtype=index_dtype(len(vertices)))
     for rows in blocks(*table.shape):
         table[rows] = classes.pos[scale[classes.tid[rows, None], at[vertices[rows]]], vertices]
     return table

@@ -4,8 +4,8 @@ Everything here works from the raw table alone, with the textbook
 definitions (principal ideals, witness searches), so it can cross-check
 the closed-form constructions implemented elsewhere in the package.
 
-A table is one read-only (n, n) int32 array whose entries are all
-indices below n: a kernel table with -1 holes (a set that is not closed)
+A table is one read-only (n, n) `kernel.index_dtype(n)` or int32 array
+of indices below n: a kernel table with -1 holes (a set that is not closed)
 is rejected by `GenericSemigroup`, so the oracle judges closed tables
 only.  The scans read it in blocks of rows of about `kernel.BLOCK`
 entries, so that no temporary is larger than the table (only the full
@@ -66,7 +66,7 @@ def associativity_witness(table, ideals=None) -> tuple[int, int, int] | None:
     (a, b, c) order.  `ideals`, the table's `ideal_rows` if the caller has
     them, is passed on to `generators`.
     """
-    t = np.asarray(table, dtype=np.int32)
+    t = np.asarray(table)
     n = len(t)
     for a in generators(t, ideals):
         column, row = t[:, a], t[a]
@@ -137,10 +137,10 @@ def _full_scan(t: np.ndarray) -> tuple[int, int, int] | None:
 class GenericSemigroup:
     """A multiplication table on 0..size-1, checked for closure only.
 
-    `table` is a read-only int32 view of the given table: an int32 array
-    is not copied.  Building one does not scan for associativity:
-    `from_table` does, and a caller that builds the class directly
-    reports or establishes associativity itself.
+    `table` is a read-only view of the given table, not copied if int16 or
+    int32, else cast to `kernel.index_dtype(size)`.  Building one does not
+    scan for associativity: `from_table` does, and a caller that builds the
+    class directly reports or establishes associativity itself.
     """
 
     def __init__(self, table):
@@ -159,7 +159,9 @@ class GenericSemigroup:
         if full < n:
             raise NotClosed(f"row {full} has {len(table[full])} entries, expected {n}")
         self.size = n
-        self.table = entries.astype(np.int32, copy=False).view()
+        if entries.dtype not in (np.int16, np.int32):
+            entries = entries.astype(kernel.index_dtype(n))
+        self.table = entries.view()
         self.table.flags.writeable = False
 
     def mul(self, a: int, b: int) -> int:

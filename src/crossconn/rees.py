@@ -3,8 +3,8 @@
 The product is (a,i,lam)(b,j,mu) = (a * p[lam][j] * b, i, mu) for a
 Lambda x I sandwich matrix p with entries in the group.  Elements are
 enumerated in (g, i, lam) lexicographic order, which fixes every table
-layout and report ordering.  The multiplication table is one int32
-array, from `index_table()` through `table()` to the table oracle.
+layout and report ordering.  The multiplication table is one
+`kernel.index_dtype` array from `index_table()` through `table()` to the oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MixedSemigroups, ParseError, SizeGuardExceeded
 from .groups import FiniteGroup, prefix_errors, read_text
-from .kernel import blocks, element_arrays
+from .kernel import blocks, coordinates, element_arrays, index_dtype
 from .oracle import GenericSemigroup, partition_by_key
 
 DEFAULT_SIZE_GUARD = 512
@@ -218,24 +218,25 @@ class ReesSemigroup:
             "D": (tuple(range(self.size)),),
         }
 
-    def principal_left_ideal(self, x: ReesElement) -> frozenset[int]:
-        """S^1 x = G x I x {x.lam}, as element indices: every index with
-        x's lam coordinate, lam being the index modulo |Lambda|."""
-        self._validate(x)
-        return frozenset(range(x.lam, self.size, self.n_lambda))
+    def left_ideal_rows(self) -> np.ndarray:
+        """S^1 x = G x I x {lam} of each L-class lam as a packed bit row, as in
+        `oracle.ideal_rows`: every index congruent to lam modulo |Lambda|."""
+        lam = np.arange(self.n_lambda)[:, None]
+        return np.packbits(np.arange(self.size) % self.n_lambda == lam, axis=1)
 
     def index_table(self) -> np.ndarray:
         """The size x size multiplication table on element indices, as a new
-        int32 array, filled in blocks of rows of about `kernel.BLOCK` entries:
-        row (g, i, lam) holds (g * p[lam][j] * h, i, mu) for every (h, j, mu)."""
-        n_i, n_l = self.n_i, self.n_lambda
-        g, i, lam = element_arrays(self.group.order, n_i, n_l)
-        M, P = self.group.array, self.matrix.array
-        table = np.empty((self.size, self.size), dtype=np.int32)
-        for rows in blocks(self.size, self.size):
-            prod_g = M[M[g[rows, None], P[lam[rows, None], i]], g]
-            table[rows] = prod_g * (n_i * n_l) + (i[rows, None] * n_l + lam)
-        return table
+        `kernel.index_dtype` array: row (g, i, lam) holds (g * p[lam][j] * h,
+        i, mu) for every (h, j, mu), gathered for i = 0 from the scaled group
+        part [g, lam, j, h], plus mu, and for i > 0 those plus i*|Lambda|."""
+        n_g, n_i, n_l = self.group.order, self.n_i, self.n_lambda
+        dtype, M = index_dtype(self.size), self.group.array
+        h, j, mu = coordinates(np.arange(self.size, dtype=dtype), n_i, n_l)  # of each column
+        prod_g = (M[M[:, self.matrix.array][..., None], np.arange(n_g)] * (n_i * n_l)).astype(dtype)
+        table = np.empty((n_g, n_i, n_l, self.size), dtype=dtype)
+        np.add(prod_g.reshape(n_g, n_l, -1)[:, :, j * n_g + h], mu, out=table[:, 0])
+        np.add(table[:, :1], np.arange(1, n_i, dtype=dtype)[:, None, None] * n_l, out=table[:, 1:])
+        return table.reshape(self.size, self.size)
 
     def table(self) -> np.ndarray:
         """index_table() made read-only, built on first use and kept, so
@@ -257,9 +258,8 @@ class ReesSemigroup:
         S-index of each S^op element, row u of S^op's table is relabel of
         column inverse[u] of S's, read at the rows inverse, in blocks of rows."""
         g, i, lam = element_arrays(self.group.order, self.n_i, self.n_lambda)
-        relabel = ((g * self.n_lambda + lam) * self.n_i + i).astype(np.int32)
-        inverse = np.empty_like(relabel)
-        inverse[relabel] = np.arange(self.size, dtype=np.int32)
+        relabel = ((g * self.n_lambda + lam) * self.n_i + i).astype(self.table().dtype)
+        inverse = np.argsort(relabel)
         columns = self.table().T
         table = np.empty_like(self.table())
         for rows in blocks(self.size, self.size):

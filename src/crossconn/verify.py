@@ -12,7 +12,7 @@ its three coordinates with those of the block of `S.table()`, decoded by
 divmod in S's index layout.  The left and right
 `oracle.ideal_rows` of S's table are built once and serve Light's test,
 `oracle.green_via_ideals` and `rees.principal_left_ideal`, which compares
-each closed form, in order, with the members of that element's bit row.
+the left rows with `ReesSemigroup.left_ideal_rows` in one step.
 The other O(|S|^2) scans run a block of rows at a time on the arrays of
 `kernel` (`kernel.first_block_failure`), reading products of S from
 `S.table()` and of G and P from `G.array` and `P.array`, which G and P
@@ -138,24 +138,11 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
     for kind in ("L", "R", "H", "D"):
         checks.append(Check(f"rees.green_{kind}_oracle_agreement", formula[kind] == brute[kind]))
 
-    # elements() runs in index order, so row k of the left ideal rows,
-    # unpacked, holds the members of S^1 x for element k, in order
-    bad_ideal = next(
-        (
-            x
-            for x, row in zip(S.elements(), ideals[0])
-            if sorted(S.principal_left_ideal(x))
-            != np.flatnonzero(np.unpackbits(row, count=S.size)).tolist()
-        ),
-        None,
-    )
-    checks.append(
-        Check(
-            "rees.principal_left_ideal",
-            bad_ideal is None,
-            str(bad_ideal) if bad_ideal else None,
-        )
-    )
+    # row k against the closed form of k's L-class, k mod |Lambda|
+    lefts = ideals[0].reshape(-1, S.n_lambda, ideals[0].shape[1])
+    bad = (lefts != S.left_ideal_rows()).any(axis=2).ravel()
+    witness = str(S.element(int(bad.argmax()))) if bad.any() else None
+    checks.append(Check("rees.principal_left_ideal", witness is None, witness))
     return checks
 
 
@@ -341,7 +328,7 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     elif len(hit) == len(GT):
         image_ok = linked.u_gamma.regular
     else:
-        renumber = np.full(len(GT), -1, dtype=np.int32)
+        renumber = np.full(len(GT), -1, dtype=kernel.index_dtype(len(hit)))
         renumber[hit] = np.arange(len(hit))
         image_ok = connections.is_regular_set(renumber[GT[np.ix_(hit, hit)]])
     checks.append(Check("cones.principal_image_subsemigroup", image_ok))

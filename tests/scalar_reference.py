@@ -535,15 +535,27 @@ def table_matches_product_witness(S: ReesSemigroup) -> str | None:
     return str(bad) if bad else None
 
 
+def principal_left_ideal(S: ReesSemigroup, x: ReesElement) -> frozenset[int]:
+    """S^1 x = G x I x {x.lam}, as element indices: every index with x's lam
+    coordinate, lam being the index modulo |Lambda|."""
+    S.index(x)  # validates x
+    return frozenset(range(x.lam, S.size, S.n_lambda))
+
+
 def principal_left_ideal_witness(S: ReesSemigroup) -> str | None:
     """The witness of `rees.principal_left_ideal`: the first x whose closed
-    form is not the indices of x and of every s*x by `S.mul`."""
+    form, the members of the row of x's L-class in `S.left_ideal_rows()`,
+    is not the indices of x and of every s*x by `S.mul`."""
     elements = list(S.elements())
+    closed = [
+        frozenset(np.flatnonzero(np.unpackbits(row, count=S.size)).tolist())
+        for row in S.left_ideal_rows()
+    ]
     bad_ideal = next(
         (
             x
             for x in elements
-            if S.principal_left_ideal(x)
+            if closed[x.lam]
             != frozenset({S.index(x)} | {S.index(S.mul(s, x)) for s in elements})
         ),
         None,

@@ -333,7 +333,7 @@ def test_class_tables_match_the_row_tables(G, n_lambda, n_i, data):
         for array, members in ((M, ug), (M.T, ud), (M, gammas), (M.T, gammas), (M.T, deltas)):
             cone_arrays = scalar_reference.cone_arrays(members)
             table = kernel.cone_product_table(array, kernel.ConeClasses(cone_arrays))
-            assert table.dtype == np.int32
+            assert table.dtype == kernel.index_dtype(len(table))
             assert np.array_equal(table, scalar_reference.cone_product_table(array, cone_arrays))
 
         gamma_arrays, delta_arrays = scalar_reference.cone_arrays(gammas), scalar_reference.cone_arrays(deltas)
@@ -474,7 +474,7 @@ def test_cone_table_matches_the_dict_lookup(G, side):
         if len(tl[1]) > 100:
             break
         table = cones.cone_table(group, tl)
-        assert table.dtype == np.int32
+        assert table.dtype == kernel.index_dtype(len(table))
         assert table.tolist() == scalar_reference.cone_table(group, connections.as_cones(tl))
 
 
@@ -530,13 +530,21 @@ def test_wide_cones_z2_lambda_64():
     assert verdict is scalar_reference.regular_subsemigroup(G, rho) is True
 
 
+def test_index_dtype_boundary():
+    # int16 holds every index below 2^15 and -1; the rule is read from n
+    # alone, so no table of that size is built
+    assert kernel.index_dtype(1) == kernel.index_dtype(2**15 - 1) == np.int16
+    assert kernel.index_dtype(2**15) == kernel.index_dtype(2**20) == np.int32
+    assert np.iinfo(np.int16).max == 2**15 - 1
+
+
 def test_cone_product_table_marks_each_absent_product():
     # The one-object cones (a,) for a in {0, 1, 2}, whose product under
     # mul_L is (a + b mod m,): over Z4 the product (3,) is outside the set
     # and reads -1, and the first -1 in row order is the closure witness.
     classes = kernel.ConeClasses((np.arange(3).reshape(3, 1), np.zeros(3, dtype=np.intp)))
     table = kernel.cone_product_table(builtin("cyclic", 4).array, classes)
-    assert table.dtype == np.int32
+    assert table.dtype == kernel.index_dtype(3) == np.int16
     assert table.tolist() == [[0, 1, 2], [1, 2, -1], [2, -1, 0]]
     assert kernel.first_hole(table) == (1, 2)
     closed = kernel.cone_product_table(builtin("cyclic", 3).array, classes)

@@ -12,8 +12,10 @@ from crossconn import (
     SandwichMatrix,
     associativity_witness,
     builtin,
+    connections,
     from_table,
     green_via_ideals,
+    identity_matrix,
     idempotents,
     is_regular,
     kernel,
@@ -100,7 +102,7 @@ def test_not_closed_messages(table, message):
 def test_closed_table_keeps_its_entries():
     T = GenericSemigroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     assert T.table.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-    assert T.table.dtype == np.int32 and not T.table.flags.writeable
+    assert T.table.dtype == kernel.index_dtype(3) and not T.table.flags.writeable
     assert type(T.mul(1, 2)) is int
 
 
@@ -112,6 +114,90 @@ def test_the_oracle_wraps_the_rees_table_without_a_copy(s1):
     T = GenericSemigroup(table)
     assert np.shares_memory(T.table, table)
     assert table.flags.writeable and not T.table.flags.writeable
+
+
+def test_the_oracle_reads_both_table_formats_as_they_are(s1):
+    # every product table is built narrow, and the oracle reads the narrow
+    # and the int32 format without a copy; any other input is cast to the
+    # narrow format
+    narrow = s1.index_table()
+    linked = connections.pair_arrays(s1)
+    for table in (narrow, linked.table, linked.u_gamma.table, linked.u_delta.table):
+        assert table.dtype == kernel.index_dtype(len(table)) == np.int16
+    for table in (narrow, linked.table, narrow.astype(np.int32)):
+        T = GenericSemigroup(table)
+        assert T.table.dtype == table.dtype and np.shares_memory(T.table, table)
+    for table in (narrow.astype(np.int64), narrow.tolist()):
+        T = GenericSemigroup(table)
+        assert T.table.dtype == np.int16 and T.table.tolist() == narrow.tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_messages_quote_table_entries_as_plain_ints(dtype):
+    # Z4 with 2+3 changed to 0: (1*1)*3 = 2*3 = 0 but 1*(1*3) = 1*0 = 1
+    table = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 0], [3, 0, 1, 2]], dtype=dtype)
+    with pytest.raises(NotAssociative, match=r"^\(1\*1\)\*3 = 0 but 1\*\(1\*3\) = 1$"):
+        from_table(table)
+    table[0, 1] = 7
+    with pytest.raises(NotClosed, match="^entry 7 at row 0, column 1 is not an index below 4$"):
+        GenericSemigroup(table)
+
+
+def _same_verdicts_on_both_formats(S, f):
+    """Light's test, regularity, Green's relations and the map check read S's
+    narrow table and its int32 copy alike, witnesses included."""
+    narrow = S.to_generic()
+    wide = GenericSemigroup(narrow.table.astype(np.int32))
+    assert (narrow.table.dtype, wide.table.dtype) == (np.int16, np.int32)
+    witness = associativity_witness(narrow.table)
+    assert witness == associativity_witness(wide.table)
+    assert witness is None or all(type(x) is int for x in witness)
+    assert is_regular(narrow) is is_regular(wide)
+    assert green_via_ideals(narrow) == green_via_ideals(wide)
+    for g in (f, range(S.size)):
+        assert verify_map(g, narrow, narrow) == verify_map(g, wide, wide)
+        assert verify_map(g, narrow, wide) == verify_map(g, wide, narrow)
+    return witness
+
+
+def _corrupt(S, a, b, shift):
+    """S with entry (a, b) of its table moved `shift` places, modulo |S|."""
+    S.ENTRIES = {(a, b): (int(S.index_table()[a, b]) + shift) % S.size}
+    return S
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([builtin("cyclic", 2), builtin("cyclic", 3), builtin("symmetric", 3)]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.data(),
+)
+def test_narrow_and_int32_tables_get_the_same_verdicts(G, n_lambda, n_i, corrupt, data):
+    # Random matrices, with one entry of the table changed or none; the
+    # witness of Light's test is also the triple loop's.
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    S = scalar_reference.CorruptedTable(SandwichMatrix(G, entries))
+    if corrupt:
+        a, b = (data.draw(st.integers(0, S.size - 1)) for _ in range(2))
+        _corrupt(S, a, b, data.draw(st.integers(1, S.size - 1)))
+    f = data.draw(st.lists(st.integers(0, S.size - 1), min_size=S.size, max_size=S.size))
+    witness = _same_verdicts_on_both_formats(S, f)
+    assert witness == scalar_reference.associativity_witness(S.to_generic())
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_narrow_and_int32_tables_agree_past_int16_products(corrupt):
+    # |S| = 512, the wide_index shape: index arithmetic such as x*|S| + y
+    # exceeds int16 here, so a scan that forgot to widen would differ
+    S = scalar_reference.CorruptedTable(identity_matrix(builtin("cyclic", 2), 16, 16))
+    if corrupt:
+        _corrupt(S, 300, 7, 1)
+    f = [(7 * x + 3) % S.size for x in range(S.size)]
+    assert (_same_verdicts_on_both_formats(S, f) is None) is not corrupt
 
 
 def test_green_agreement_with_rees(s1):

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scalar_reference
 from hypothesis import given, settings, strategies as st
 
 from crossconn import (
@@ -112,20 +113,25 @@ def test_green_oracle_agreement(s1, z3, s3):
 
 
 def test_principal_left_ideal_fixture(s1):
-    ideal = s1.principal_left_ideal(ReesElement(1, 0, 1))
+    ideal = scalar_reference.principal_left_ideal(s1, ReesElement(1, 0, 1))
     assert ideal == {s1.index(x) for x in s1.elements() if x.lam == 1}
     assert len(ideal) == 4  # |G| * |I|
 
 
 def test_principal_left_ideal_brute_force(s1):
+    # the scalar closed form is S^1 x by S.mul, and the packed closed form
+    # of each L-class holds the members of the scalar one of its elements
     elements = list(s1.elements())
+    closed = {x: scalar_reference.principal_left_ideal(s1, x) for x in elements}
+    rows = s1.left_ideal_rows()
+    assert rows.shape == (s1.n_lambda, (s1.size + 7) // 8)
     for x in elements:
         brute = frozenset({s1.index(x)} | {s1.index(s1.mul(s, x)) for s in elements})
-        assert s1.principal_left_ideal(x) == brute
+        assert closed[x] == brute
+        assert np.flatnonzero(np.unpackbits(rows[x.lam], count=s1.size)).tolist() == sorted(brute)
     for x in elements:
         for y in elements:
-            share = s1.principal_left_ideal(x) == s1.principal_left_ideal(y)
-            assert share == (x.lam == y.lam)
+            assert (closed[x] == closed[y]) == (x.lam == y.lam)
 
 
 def test_regularity(s1):
@@ -171,7 +177,8 @@ def _product_table(S):
 )
 def test_blocked_index_table_is_the_product(family, n_lambda, n_i, block, data):
     # Whatever the blocks of rows, index_table is rees.product on every
-    # pair, in int32, and S^op's table read off it is S^op's own product.
+    # pair, in kernel.index_dtype(|S|), and S^op's table read off it is
+    # S^op's own product.
     G = builtin(*family)
     entries = [
         [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
@@ -181,7 +188,7 @@ def test_blocked_index_table_is_the_product(family, n_lambda, n_i, block, data):
         table = S.index_table()
         S.table()
         opposite = S.opposite.table()
-    assert table.dtype == opposite.dtype == np.int32
+    assert table.dtype == opposite.dtype == kernel.index_dtype(S.size) == np.int16
     assert table.tolist() == _product_table(S)
     assert opposite.tolist() == _product_table(S.opposite)
 

@@ -110,6 +110,8 @@ def test_bench_measures_the_smallest_rung():
     parts = rung["oracle"]
     assert parts["generators"] == len(oracle.generators(bench._semigroup(matrix).table()))
     assert min(parts["green_via_ideals_s"], parts["associativity_witness_s"]) >= 0
+    # the rung's table in kernel.index_dtype(8), 8 x 8 entries of 2 bytes
+    assert rung["table"] == {"dtype": "int16", "nbytes": 128}
 
 
 def test_bench_reads_the_peak_rss_after_the_first_runs(monkeypatch):

@@ -1086,15 +1086,15 @@ def test_full_suite_invariant_under_relabelling_s3(perm, n_lambda, n_i, data):
 
 def test_faulty_closed_form_fails_principal_left_ideal(monkeypatch):
     # Negative control: a closed form that drops one member of S^1 x for
-    # every x in the last L-class.
-    original = ReesSemigroup.principal_left_ideal
+    # every x in the last L-class, from that class's packed row.
+    original = ReesSemigroup.left_ideal_rows
 
-    def short(self, x):
-        ideal = original(self, x)
-        dropped = self.index(ReesElement(1, 0, x.lam))
-        return ideal - {dropped} if x.lam == self.n_lambda - 1 else ideal
+    def short(self):
+        rows = np.unpackbits(original(self), count=self.size, axis=1)
+        rows[-1, self.index(ReesElement(1, 0, self.n_lambda - 1))] = 0
+        return np.packbits(rows, axis=1)
 
-    monkeypatch.setattr(ReesSemigroup, "principal_left_ideal", short)
+    monkeypatch.setattr(ReesSemigroup, "left_ideal_rows", short)
     S = _s3_fixture()
     check = {c.name: c for c in rees_suite(S)}["rees.principal_left_ideal"]
     witness = scalar_reference.principal_left_ideal_witness(S)
