@@ -39,6 +39,14 @@ full_suite and rbg_suite the garbage of the run before is collected: S
 and S.opposite refer to each other, so a semigroup, and its table with
 it, is freed only by the cyclic collector, and when that runs depends on
 how many Python objects the run before made.
+
+Before the ladder, STARTUPS fresh interpreters each time `import
+crossconn.cli` and list the crossconn modules it loaded, as every CLI
+process pays it: under PYTHONDONTWRITEBYTECODE=1 from a copy of the
+imported package's source with no __pycache__, so each compiles the
+package from source, as a fresh checkout does.  The file gives the
+median and quartiles in milliseconds, the lists of modules loaded, and
+host_probe_ms taken just before.
 """
 
 from __future__ import annotations
@@ -50,14 +58,17 @@ import os
 import platform
 import random
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
+import crossconn
 from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix, oracle
 from crossconn.checks import failures
 from crossconn.connections import pair_arrays
@@ -81,6 +92,16 @@ GENERIC = ("cyclic", 2, 32)
 LARGE_GENERIC = ("cyclic", 4, 32)
 RUNS = 5  # timed runs per rung
 PROBES = 21  # timings of host_probe per rung
+STARTUPS = 21  # fresh interpreters timing `import crossconn.cli`
+# json is imported after the timing: crossconn.cli imports it
+STARTUP_SCRIPT = """
+import sys, time
+start = time.perf_counter()
+import crossconn.cli
+seconds = time.perf_counter() - start
+import json
+print(json.dumps([seconds, sorted(m for m in sys.modules if m.split(".")[0] == "crossconn")]))
+"""
 
 
 def generic_matrix(group, n: int) -> SandwichMatrix:
@@ -158,6 +179,37 @@ def _summary(times: list[float], checks: list) -> dict:
     }
 
 
+def startup(runs: int) -> dict:
+    """`import crossconn.cli` timed in `runs` fresh single-threaded
+    interpreters without bytecode, and the crossconn modules they loaded."""
+    probe_ms = _probe_ms()
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(crossconn.__file__).parent
+        shutil.copytree(
+            source, Path(tmp) / "crossconn", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        children = [
+            json.loads(
+                subprocess.run(
+                    [sys.executable, "-c", STARTUP_SCRIPT],
+                    env={**env, "PYTHONPATH": tmp},
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+            for _ in range(runs)
+        ]
+    quartiles = statistics.quantiles([s for s, _ in children], n=4, method="inclusive")
+    return {
+        "import_cli_ms": {k: round(v * 1000, 2) for k, v in zip(("q1", "median", "q3"), quartiles)},
+        "runs": runs,
+        "modules": [list(m) for m in sorted({tuple(modules) for _, modules in children})],
+        "host_probe_ms": probe_ms,
+    }
+
+
 def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
     """One rung in this interpreter: the host's speed on host_probe, taken
     first, every suite timed `runs` times, and the interpreter's peak RSS
@@ -229,6 +281,12 @@ def main() -> int:
     if not args.label:
         parser.error("--label is required")
 
+    start = startup(STARTUPS)
+    print(
+        f"import crossconn.cli {start['import_cli_ms']['median']:.1f} ms "
+        f"({len(start['modules'][0])} crossconn modules), probe {start['host_probe_ms']} ms",
+        flush=True,
+    )
     results = []
     for name, _ in rungs(args.include_large):
         child = subprocess.run(
@@ -253,6 +311,7 @@ def main() -> int:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "runs": RUNS,
+        "startup": start,
         "rungs": results,
     }
     path = ROOT / f"BENCH_{args.label}.json"

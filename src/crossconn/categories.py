@@ -16,8 +16,9 @@ arrow of the category as one batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import product
+from typing import NamedTuple
+
 import numpy as np
 
 from . import kernel
@@ -26,8 +27,7 @@ from .groups import FiniteGroup
 from .rees import DEFAULT_SIZE_GUARD, ReesSemigroup
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
     """An arrow dom -> cod carrying a group element; with arrays for fields, a
     batch of arrows."""
 
@@ -36,8 +36,7 @@ class Morphism:
     g: int
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """A tuple of group elements indexed by the object set, plus a vertex object."""
 
     values: tuple[int, ...]
@@ -112,8 +111,7 @@ def right_category(group: FiniteGroup, n_i: int) -> ArrowCategory:
     return ArrowCategory(group.opposite, n_i)
 
 
-@dataclass
-class RealizationReport:
+class RealizationReport(NamedTuple):
     """Outcome of rebuilding a category from actual ideals and translation maps."""
 
     side: str
@@ -146,7 +144,7 @@ def realize_category(
     if S.size > size_guard:
         raise SizeGuardExceeded(f"|S| = {S.size} exceeds the guard {size_guard}")
     if side == "right":
-        return replace(realize_category(S.opposite, "left", size_guard), side="right")
+        return realize_category(S.opposite, "left", size_guard)._replace(side="right")
     if side != "left":
         raise IndexOutOfRange(f"side must be 'left' or 'right', got {side!r}")
     G, n_l, order = S.group, S.n_lambda, S.group.order

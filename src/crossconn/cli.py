@@ -3,6 +3,10 @@
 Reports are deterministic: the same inputs produce byte-identical output.
 Exit codes: 0 all requested checks pass, 1 operational error (bad input,
 size guard), 2 at least one check failed.
+
+Each process runs one command, so `run` imports `cones`, `connections` and
+`verify` in the branches that use them: `build` and `green` load none of
+them, `iso-check` only `cones`, and `categories` comes in with `connections`.
 """
 
 from __future__ import annotations
@@ -12,10 +16,8 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import connections, cones, verify
-from .categories import Cone
 from .checks import Check, all_passed
 from .errors import CrossconnError, ParseError
 from .groups import FiniteGroup, builtin, load_cayley_file
@@ -32,8 +34,7 @@ COMMANDS = ("build", "verify", "green", "cones", "crossconn", "iso-check", "rbg"
 ENV_SIZE_GUARD = "CROSSCONN_SIZE_GUARD"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     group_spec: str
     matrix_spec: str | None
     command: str
@@ -120,7 +121,7 @@ def load_matrix(spec: str, group: FiniteGroup) -> SandwichMatrix:
     return load_matrix_file(spec, group) if dims is None else identity_matrix(group, *dims)
 
 
-def _cone_json(S: ReesSemigroup, c: Cone) -> dict:
+def _cone_json(S: ReesSemigroup, c) -> dict:
     return {"tuple": [S.group.names[v] for v in c.values], "vertex": c.vertex}
 
 
@@ -146,7 +147,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     data: dict = {}
 
     if config.command == "rbg":
-        matrix_spec = config.matrix_spec or "identity:2x2"
+        matrix_spec = "identity:2x2" if config.matrix_spec is None else config.matrix_spec
     else:
         matrix_spec = _require_matrix(config)
     dims = _identity_dims(matrix_spec)
@@ -171,11 +172,15 @@ def run(config: RunConfig) -> tuple[int, dict]:
             "green_class_counts": {kind: len(p) for kind, p in S.green().items()},
         }
     elif config.command == "verify":
+        from . import verify
+
         data = {"order": S.size}
         checks = verify.full_suite(S)
     elif config.command == "green":
         data = {"partitions": {kind: _partition_json(S, p) for kind, p in S.green().items()}}
     elif config.command == "cones":
+        from . import connections
+
         order = group.order
         # pair a is a's principal cones rho(a) and lambda(a)
         rho, lam = (connections.as_cones(half) for half in connections.pair_cones(matrix))
@@ -191,6 +196,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
             "principal": principal,
         }
     elif config.command == "crossconn":
+        from . import connections, verify
+
         linked = connections.pair_arrays(S)
         ug, ud = (connections.as_cones(u.classes.members) for u in (linked.u_gamma, linked.u_delta))
         pairs = zip(connections.as_cones(linked.gamma), connections.as_cones(linked.delta))
@@ -206,6 +213,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
         }
         checks = verify.crossconn_suite(S, linked)
     elif config.command == "iso-check":
+        from . import cones
+
         result = cones.injectivity_criterion(matrix)
         witness = None
         if result.witness is not None:
@@ -221,6 +230,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
             )
         ]
     elif config.command == "rbg":
+        from . import connections, verify
+
         linked = connections.pair_arrays(S)
         data = {"order": S.size, "s_tilde_size": len(linked.table)}
         checks = verify.rbg_suite(S, linked)

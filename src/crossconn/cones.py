@@ -20,7 +20,7 @@ checks of `verify.cone_suite` hold `kernel.mul_L` against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ def is_idempotent_cone(group: FiniteGroup, cones) -> np.ndarray:
     return at[..., 0] == group.identity
 
 
-@dataclass(frozen=True)
-class InjectivityResult:
+class InjectivityResult(NamedTuple):
     holds: bool
     witness: tuple[int, int, int] | None  # (g, i1, i2) with columns i1 = i2 * g
 
@@ -72,8 +71,7 @@ def injectivity_criterion(P: SandwichMatrix) -> InjectivityResult:
     return InjectivityResult(True, None)
 
 
-@dataclass(frozen=True)
-class CosetHandle:
+class CosetHandle(NamedTuple):
     """Canonical representative of a coset of the diagonal copy of G.
 
     side 'left' stands for tuple*G, side 'right' for G*tuple (the left

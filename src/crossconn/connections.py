@@ -34,7 +34,6 @@ tests/scalar_reference.py as the reference that tests compare them with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -50,8 +49,7 @@ from .oracle import GenericSemigroup, MapCheck, is_regular, verify_map
 from .rees import ReesSemigroup, SandwichMatrix
 
 
-@dataclass(frozen=True)
-class CrossConnection:
+class CrossConnection(NamedTuple):
     """A connection and its dual, both read off one representative matrix."""
 
     matrix: SandwichMatrix
@@ -74,8 +72,7 @@ class CrossConnection:
         return CrossConnection(self.matrix.transpose)
 
 
-@dataclass(frozen=True)
-class DualMorphism:
+class DualMorphism(NamedTuple):
     """A morphism of a normal dual: 'sigma' between left cosets, 'tau' between right cosets."""
 
     kind: str
@@ -172,14 +169,12 @@ def pair_cones(P: SandwichMatrix) -> tuple[Cones, Cones]:
     return (P.scaled[i, g], lam), (P.transpose.scaled[lam, g], i)
 
 
-@dataclass(frozen=True)
-class LinkedPair:
+class LinkedPair(NamedTuple):
     gamma: Cone
     delta: Cone
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(NamedTuple):
     """Outcome of checking that the pair representation is an isomorphism."""
 
     closed: bool
@@ -202,14 +197,14 @@ def is_regular_set(table: np.ndarray) -> bool:
     return bool((table >= 0).all()) and is_regular(GenericSemigroup(table))
 
 
-@dataclass
 class UCones:
     """U-Gamma (or U-Delta) by tuple class (`kernel.ConeClasses`, which finds
     its cones), and its `kernel.cone_product_table`.  A position -1 stands for
     an absent cone, so a product with one is read with `kernel.gather`."""
 
-    classes: kernel.ConeClasses
-    table: np.ndarray
+    def __init__(self, classes: kernel.ConeClasses, table: np.ndarray):
+        self.classes = classes
+        self.table = table
 
     @cached_property
     def regular(self) -> bool:

@@ -166,7 +166,9 @@ def load_cayley(table: Sequence[Sequence[str]], labels: Sequence[str] | None = N
 
 def read_text(path) -> str:
     """The contents of a UTF-8 input file, less a leading byte-order mark;
-    any other encoding is a ParseError."""
+    any other encoding is a ParseError, as is an empty path, which Path reads as '.'."""
+    if path == "":
+        raise ParseError("empty file name ''")
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:

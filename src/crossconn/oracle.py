@@ -42,8 +42,7 @@ so the witness is the one a full scan reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -284,8 +283,7 @@ def is_regular(T: GenericSemigroup) -> bool:
     return kernel.first_block_failure(T.size, T.size, irregular) is None
 
 
-@dataclass(frozen=True)
-class MapCheck:
+class MapCheck(NamedTuple):
     """Outcome of checking a candidate map between two table semigroups."""
 
     is_homomorphism: bool

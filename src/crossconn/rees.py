@@ -9,8 +9,7 @@ layout and report ordering.  The multiplication table is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .oracle import GenericSemigroup, partition_by_key
 DEFAULT_SIZE_GUARD = 512
 
 
-@dataclass(frozen=True)
-class ReesElement:
+class ReesElement(NamedTuple):
     g: int
     i: int
     lam: int

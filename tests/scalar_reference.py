@@ -42,7 +42,6 @@ index table, which the suites and the scalar references read alike.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 from itertools import product
 from unittest import mock
 
@@ -566,7 +565,7 @@ def principal_left_ideal_witness(S: ReesSemigroup) -> str | None:
 def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
     """`categories.realize_category` with every translation map made by S.mul."""
     if side == "right":
-        return replace(realize_category(S.opposite, "left"), side="right")
+        return realize_category(S.opposite, "left")._replace(side="right")
     G = S.group
     elements = list(S.elements())
 
@@ -885,19 +884,19 @@ def naturality_witness(conn: connections.CrossConnection) -> str | None:
 
 def misscaled(conn, m, image):
     """h -> h*h: identities stay identities, composites do not in a non-abelian group."""
-    return replace(image, h=conn.group.mul(image.h, image.h))
+    return image._replace(h=conn.group.mul(image.h, image.h))
 
 
 def collapsed(conn, m, image):
     """The first non-identity scalar is sent where the identity goes."""
     G = conn.group
     other = next(g for g in G.elements() if g != G.identity)
-    return replace(image, h=G.identity) if image.h == other else image
+    return image._replace(h=G.identity) if image.h == other else image
 
 
 def endomorphic(conn, m, image):
     """Every image ends where it starts, so images of m1 and m2 need not compose."""
-    return replace(image, cod=image.dom)
+    return image._replace(cod=image.dom)
 
 
 def relabelled(conn, m, image):
@@ -907,7 +906,7 @@ def relabelled(conn, m, image):
     apply_ = gamma_apply if sigma else delta_apply
     swap = {0: 1, 1: 0} if (conn.n_i if sigma else conn.n_lambda) > 1 else {}
     dom, cod = (apply_(conn, swap.get(k, k)) for k in (m.dom, m.cod))
-    return replace(image, dom=dom, cod=cod)
+    return image._replace(dom=dom, cod=cod)
 
 
 def _encoded(images: list[DualMorphism], n: int, M, objects) -> Images:
@@ -1015,7 +1014,7 @@ def reversed_compose():
     original = ArrowCategory.compose
 
     def compose(self, m1, m2):
-        return original(self, replace(m1, g=m2.g), replace(m2, g=m1.g))
+        return original(self, m1._replace(g=m2.g), m2._replace(g=m1.g))
 
     with mock.patch.object(ArrowCategory, "compose", compose):
         yield

@@ -123,7 +123,7 @@ def test_batch_methods_agree_with_scalar_ones(s3):
         assert _each(batch) == [cat.compose(a, b) for a, b in zip(_each(m), _each(first))]
         assert _each(cat.invert(m)) == [cat.invert(a) for a in _each(m)]
         assert cat.is_identity(m).tolist() == [cat.is_identity(a) for a in _each(m)]
-        assert all(type(x) is int for x in vars(cat.compose(*_each(m)[:2])).values())
+        assert all(type(x) is int for x in cat.compose(*_each(m)[:2])._asdict().values())
         with pytest.raises(NotComposable):
             cat.compose(m, m)
         # an element outside the group raises, on a batch as on one morphism

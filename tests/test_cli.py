@@ -486,3 +486,75 @@ print("numpy.ma" in sys.modules)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "flag, command", [("--group", "build"), ("--matrix", "build"), ("--matrix", "rbg")]
+)
+def test_empty_path_is_an_input_error(flag, command, capsys):
+    # Path("") is the current directory: without a check of its own an empty
+    # spec read as '.' and failed with "[Errno 21] Is a directory".  rbg, whose
+    # matrix defaults to identity:2x2, read an empty --matrix as no matrix.
+    specs = {"--group": "cyclic:2", "--matrix": "identity:2x2", flag: ""}
+    argv = ["--group", specs["--group"], "--matrix", specs["--matrix"], command]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: empty file name ''\n"
+
+
+# the modules that only some commands run
+COMMAND_MODULES = ("categories", "cones", "connections", "verify")
+STARTUP_SCRIPT = """
+import sys
+from crossconn import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+loaded = [m for m in {modules!r} if "crossconn." + m in sys.modules]
+print(code, loaded, "dataclasses" in sys.modules, file=sys.stderr)
+"""
+
+
+def _fresh_cli(*argv) -> tuple[str, str]:
+    """(stdout, last stderr line) of one CLI run in a fresh interpreter
+    without bytecode, as the CLI runs from a fresh checkout; the line gives
+    the exit code, the command modules loaded and whether dataclasses was."""
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT.format(modules=COMMAND_MODULES), *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={
+            **os.environ,
+            "PYTHONPATH": str(SRC),
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout, result.stderr.splitlines()[-1]
+
+
+S3_FILES = ["--group", str(FIXTURES / "s3_cayley.csv"), "--matrix", str(FIXTURES / "s3_P.csv")]
+
+
+def test_importing_the_cli_loads_no_command_module():
+    assert _fresh_cli() == ("", "0 [] False")
+
+
+@pytest.mark.parametrize("command", ["build", "green"])
+def test_build_and_green_load_no_command_module(command):
+    out, loaded = _fresh_cli(*S3_FILES, command)
+    assert json.loads(out)["command"] == command
+    assert loaded == "0 [] False"
+
+
+def test_iso_check_loads_only_cones():
+    out, loaded = _fresh_cli(*S3_FILES, "iso-check")
+    assert json.loads(out)["command"] == "iso-check"
+    assert loaded == "0 ['cones'] False"
+
+
+def test_verify_in_a_fresh_interpreter_prints_the_in_process_report():
+    out, loaded = _fresh_cli(*S3_FILES, "verify")
+    assert out == emit(run(parse_args([*S3_FILES, "verify"]))[1], "json")
+    assert loaded == f"0 {list(COMMAND_MODULES)} False"

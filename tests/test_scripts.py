@@ -112,6 +112,14 @@ def test_bench_measures_the_smallest_rung():
     assert min(parts["green_via_ideals_s"], parts["associativity_witness_s"]) >= 0
     # the rung's table in kernel.index_dtype(8), 8 x 8 entries of 2 bytes
     assert rung["table"] == {"dtype": "int16", "nbytes": 128}
+    # start-up: fresh interpreters time `import crossconn.cli`, which loads
+    # none of the modules that only some commands run
+    start = bench.startup(runs=3)
+    assert start["runs"] == 3 and start["host_probe_ms"] > 0
+    times = start["import_cli_ms"]
+    assert 0 < times["q1"] <= times["median"] <= times["q3"]
+    modules = ["checks", "cli", "errors", "groups", "kernel", "oracle", "rees"]
+    assert start["modules"] == [["crossconn", *(f"crossconn.{m}" for m in modules)]]
 
 
 def test_bench_reads_the_peak_rss_after_the_first_runs(monkeypatch):

@@ -2,7 +2,6 @@ import contextlib
 import json
 import re
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -401,7 +400,7 @@ def test_entry_off_its_coordinate_fails_table_matches_product(coordinate):
     x, y = true.element(7), true.element(13)
     xy = true.mul(x, y)
     size = {"g": true.group.order, "i": true.n_i, "lam": true.n_lambda}[coordinate]
-    moved = replace(xy, **{coordinate: (getattr(xy, coordinate) + 1) % size})
+    moved = xy._replace(**{coordinate: (getattr(xy, coordinate) + 1) % size})
     S = scalar_reference.CorruptedTable(true.matrix)
     S.ENTRIES = {(true.index(x), true.index(y)): true.index(moved)}
     check = {c.name: c for c in rees_suite(S)}["rees.table_matches_product"]
@@ -575,7 +574,7 @@ def _edited_pair(k: int, **halves):
     """`scalar_reference.edited_pairs` with the given halves of pair k, which is
     phi of element k, replaced."""
     return scalar_reference.edited_pairs(
-        lambda pairs: [replace(p, **halves) if j == k else p for j, p in enumerate(pairs)]
+        lambda pairs: [p._replace(**halves) if j == k else p for j, p in enumerate(pairs)]
     )
 
 
@@ -664,7 +663,7 @@ def test_phi_image_outside_u_gamma_fails_isomorphism():
     S = _s3_fixture()
     k = S.size - 1
     stray = _stray_cone(S.group, scalar_reference.u_gamma(CrossConnection(S.matrix)))
-    pair = replace(scalar_reference.phi(S, S.element(k)), gamma=stray)
+    pair = scalar_reference.phi(S, S.element(k))._replace(gamma=stray)
     with _edited_pair(k, gamma=stray):
         checks = {c.name: c for c in _crossconn_suite(S)}
         reference = scalar_reference.verify_phi(S)
@@ -772,7 +771,7 @@ def test_flipped_criterion_fails_injectivity_equivalence(s1, monkeypatch):
     monkeypatch.setattr(
         cones,
         "injectivity_criterion",
-        lambda P: replace(original(P), holds=not original(P).holds),
+        lambda P: original(P)._replace(holds=not original(P).holds),
     )
     check = {c.name: c for c in _cone_suite(ReesSemigroup(s1.matrix))}[
         "cones.injectivity_equivalence"
