@@ -13,12 +13,7 @@ with the generic matrix.  Each fixture is built with the size guard set
 to its own size, so it is checked in full.
 
 Each rung runs in a fresh interpreter, one after another, so that its
-peak RSS is its own.  There, first, a fixed piece of pure-Python work
-(`host_probe`, no crossconn code) is timed PROBES times, and the median
-is recorded: the host is shared, other tenants slow it by up to about
-1.8x for tens of seconds at a time, and the probe slows with it, so two
-BENCH files taken under different load read apart in it where a code
-change leaves it alone.  Then each of K runs builds the semigroup afresh
+peak RSS is its own.  There each of K runs builds the semigroup afresh
 and times rees_suite, category_suite, connections.pair_arrays, cone_suite
 and crossconn_suite in turn, the last two given the pairs, which is what
 full_suite does (the first of them builds the table, and full_suite's time
@@ -34,25 +29,31 @@ the median and quartiles of the K times and the number of checks, skips
 and failures; per rung, the probe's median time, the peak RSS, read once, after the first
 full_suite and rbg_suite (later runs in the same interpreter creep
 upwards without any one command needing more), the oracle's parts and the table's format;
-and the Python and numpy versions and the CPU count.  Before each
-full_suite and rbg_suite the garbage of the run before is collected: S
-and S.opposite refer to each other, so a semigroup, and its table with
-it, is freed only by the cyclic collector, and when that runs depends on
-how many Python objects the run before made.
+and the Python and numpy versions and the CPU count.
 
-Before the ladder, STARTUPS fresh interpreters each time `import
+The probe is a fixed piece of work with no crossconn code (`host_probe`),
+timed PROBES times after a rung's runs, so that its arrays stay out of
+the rung's peak RSS, and its median recorded: pure-Python dict and
+arithmetic work, and a numpy gather of a few MB in a scattered order, the
+two kinds of work the suites do.  The host is shared, other tenants slow
+it by up to about 1.8x for tens of seconds at a time, and the probe slows
+with it, so two BENCH files taken under different load read apart in it
+where a code change leaves it alone.
+
+After the ladder, STARTUPS fresh interpreters each time `import
 crossconn.cli` and list the crossconn modules it loaded, as every CLI
 process pays it: under PYTHONDONTWRITEBYTECODE=1 from a copy of the
 imported package's source with no __pycache__, so each compiles the
 package from source, as a fresh checkout does.  The file gives the
 median and quartiles in milliseconds, the lists of modules loaded, and
-host_probe_ms taken just before.
+host_probe_ms taken just before.  This comes last because a child
+process starts with its parent's peak RSS: the probe's arrays in this
+process would raise the peak of every rung started after it.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import platform
@@ -92,6 +93,7 @@ GENERIC = ("cyclic", 2, 32)
 LARGE_GENERIC = ("cyclic", 4, 32)
 RUNS = 5  # timed runs per rung
 PROBES = 21  # timings of host_probe per rung
+GATHER = 1 << 20  # entries of host_probe's gather: 4 MB of uint32
 STARTUPS = 21  # fresh interpreters timing `import crossconn.cli`
 # json is imported after the timing: crossconn.cli imports it
 STARTUP_SCRIPT = """
@@ -145,9 +147,12 @@ def _timed(part, *args) -> tuple[float, object]:
 
 
 def host_probe() -> int:
-    """A fixed mix of pure-Python work, under a millisecond: dict updates with
-    tuple keys, calls of a bound method on a small table, and integer
-    arithmetic, the kinds of work the suites' Python parts do."""
+    """A fixed mix of work: dict updates with tuple keys, calls of a bound
+    method on a small table and integer arithmetic, the kinds of work the
+    suites' Python parts do, and a gather of GATHER entries in the order of
+    a fixed permutation (an odd multiplier modulo GATHER), the kind their
+    array parts do."""
+    index = (np.arange(GATHER, dtype=np.uint32) * np.uint32(2654435761)) & np.uint32(GATHER - 1)
     table = [[(a * b + a) % 12 for b in range(12)] for a in range(12)]
     row = table.__getitem__
     counts: dict[tuple[int, int], int] = {}
@@ -156,7 +161,7 @@ def host_probe() -> int:
         key = (a & 15, a % 7)
         counts[key] = counts.get(key, 0) + 1
         total += row(a % 12)[a % 11] * (a ^ 0x5A) % 97
-    return total + len(counts)
+    return total + len(counts) + int(index[index][-1])
 
 
 def _probe_ms() -> float:
@@ -211,11 +216,10 @@ def startup(runs: int) -> dict:
 
 
 def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
-    """One rung in this interpreter: the host's speed on host_probe, taken
-    first, every suite timed `runs` times, and the interpreter's peak RSS
-    after the first full_suite and rbg_suite.
+    """One rung in this interpreter: every suite timed `runs` times, the
+    interpreter's peak RSS after the first full_suite and rbg_suite, and
+    then the host's speed on host_probe.
     rbg_suite runs on the constant-identity matrices only."""
-    probe_ms = _probe_ms()
     with_rbg = _is_identity(matrix)
     names = [*FULL_SUITE, "full_suite", *(["rbg_suite"] if with_rbg else [])]
     times: dict[str, list[float]] = {n: [] for n in names}
@@ -241,15 +245,14 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
         return rbg_suite(S, pair_arrays(S))
 
     for k in range(runs):
-        gc.collect()
         checks["full_suite"] = full_suite()
         times["full_suite"].append(sum(times[n][-1] for n in FULL_SUITE))
         if with_rbg:
-            gc.collect()
             seconds, checks["rbg_suite"] = _timed(rbg, _semigroup(matrix))
             times["rbg_suite"].append(seconds)
         if k == 0:
             peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    probe_ms = _probe_ms()
     S = _semigroup(matrix)
     T = S.to_generic()
     return {
@@ -281,12 +284,6 @@ def main() -> int:
     if not args.label:
         parser.error("--label is required")
 
-    start = startup(STARTUPS)
-    print(
-        f"import crossconn.cli {start['import_cli_ms']['median']:.1f} ms "
-        f"({len(start['modules'][0])} crossconn modules), probe {start['host_probe_ms']} ms",
-        flush=True,
-    )
     results = []
     for name, _ in rungs(args.include_large):
         child = subprocess.run(
@@ -304,6 +301,12 @@ def main() -> int:
             flush=True,
         )
         results.append(rung)
+    start = startup(STARTUPS)
+    print(
+        f"import crossconn.cli {start['import_cli_ms']['median']:.1f} ms "
+        f"({len(start['modules'][0])} crossconn modules), probe {start['host_probe_ms']} ms",
+        flush=True,
+    )
 
     bench = {
         "label": args.label,

@@ -5,8 +5,8 @@ ideals) or by I (right ideals), and every hom-set is a copy of the
 ground group.  Composition is written diagrammatically (left to right)
 everywhere.  The right-ideal category of S is the left-ideal category of
 S^op = M[G^op; Lambda, I; P^T]: its morphisms are left translations, so
-it is built over the opposite group and realized from S.opposite, with
-no second code path.
+it is built over the opposite group and realized by the same code path,
+with S^op's products read through S's own table.
 
 A `Morphism` whose fields are arrays stands for a batch of arrows, and
 `ArrowCategory`'s methods take such a batch elementwise, broadcasting as
@@ -24,7 +24,7 @@ import numpy as np
 from . import kernel
 from .errors import IndexOutOfRange, NotComposable, SizeGuardExceeded
 from .groups import FiniteGroup
-from .rees import DEFAULT_SIZE_GUARD, ReesSemigroup
+from .rees import DEFAULT_SIZE_GUARD, ReesElement, ReesSemigroup
 
 
 class Morphism(NamedTuple):
@@ -126,10 +126,11 @@ def realize_category(
     """Build the ideal category concretely and match it against the abstract one.
 
     Objects are the actual ideal sets; morphisms are the translation maps
-    x -> x*s for s ranging over eSf, read as columns of S.table().  Each
-    induced map must equal the action of exactly one abstract morphism and
-    vice versa, and every hom-set must have exactly |G| members.  The
-    right side (s*x over fSe) is the left side of S.opposite.
+    x -> x*s for s ranging over eSf, read off S.table().  Each induced map
+    must equal the action of exactly one abstract morphism and vice versa,
+    and every hom-set must have exactly |G| members.  The right side
+    (s*x over fSe) is the left side of S^op = M[G^op; Lambda, I; P^T], whose
+    u*v is relabel[table[inverse[v], inverse[u]]]: (g, lam, i) there is (g, i, lam) here.
 
     Every hom-set (dom, cod) is realized in one array pass: eSf of every
     pair of base idempotents, then one row per translation, its images of
@@ -143,20 +144,32 @@ def realize_category(
     """
     if S.size > size_guard:
         raise SizeGuardExceeded(f"|S| = {S.size} exceeds the guard {size_guard}")
-    if side == "right":
-        return realize_category(S.opposite, "left", size_guard)._replace(side="right")
-    if side != "left":
+    if side not in ("left", "right"):
         raise IndexOutOfRange(f"side must be 'left' or 'right', got {side!r}")
-    G, n_l, order = S.group, S.n_lambda, S.group.order
     table = S.table()
+    if side == "left":
+        G, n_i, n_l, P = S.group, S.n_i, S.n_lambda, S.matrix.array
+
+        def mul(u, v):
+            return table[u, v]
+
+    else:
+        G, n_i, n_l, P = S.group.opposite, S.n_lambda, S.n_i, S.matrix.array.T
+        g, i, lam = kernel.element_arrays(S.group.order, S.n_i, S.n_lambda)
+        relabel = ((g * S.n_lambda + lam) * S.n_i + i).astype(table.dtype)  # S -> S^op
+        inverse = np.argsort(relabel)  # S^op -> S
+
+        def mul(u, v):
+            return relabel[table[inverse[v], inverse[u]]]
+
     objects = np.arange(n_l)
     # the base idempotent (p[obj][0]^-1, 0, obj) of each object, by the index layout
-    base = np.asarray(G.inverse)[S.matrix.array[:, 0]] * (S.n_i * n_l) + objects
+    base = np.asarray(G.inverse)[P[:, 0]] * (n_i * n_l) + objects
 
     # in_middle[dom, cod, s]: whether s is in eSf, for the base idempotents e of dom and f of cod
     in_middle = np.zeros((n_l, n_l, S.size), dtype=bool)
     for rows in kernel.blocks(n_l, S.size * n_l):
-        esf = table[table[base[rows]][:, :, None], base]
+        esf = mul(mul(base[rows, None], np.arange(S.size))[:, :, None], base)
         in_middle[objects[rows, None, None], objects, esf] = True
     # one translation per row, hom-set by hom-set in (dom, cod) order, s in index order
     dom, cod, s = np.nonzero(in_middle)
@@ -166,20 +179,20 @@ def realize_category(
     width = S.size // n_l
     images = np.empty((len(s), width), dtype=np.int32)
     for rows in kernel.blocks(len(s), width):
-        images[rows] = table[dom[rows, None] + n_l * np.arange(width), s[rows, None]]
+        images[rows] = mul(dom[rows, None] + n_l * np.arange(width), s[rows, None])
     leaves = (images % n_l != cod[:, None]).any(axis=1)
     kept = ~leaves
 
     # row (cod, h): x -> (x.g * h, x.i, cod) on a domain ideal, whatever the domain
-    g, i = np.divmod(np.arange(width), S.n_i)
-    abstract = (G.array[g].T * S.n_i + i)[None] * n_l + objects[:, None, None]
+    g, i = np.divmod(np.arange(width), n_i)
+    abstract = (G.array[g].T * n_i + i)[None] * n_l + objects[:, None, None]
     n_homs, cods = n_l * n_l, np.arange(n_l * n_l) % n_l
     labels, translations = hom[kept], images[kept]
     maps = kernel.distinct_counts(labels, n_homs, translations)
-    members = kernel.distinct_counts(np.repeat(objects, order), n_l, abstract.reshape(-1, width))
+    members = kernel.distinct_counts(np.repeat(objects, G.order), n_l, abstract.reshape(-1, width))
     # each hom-set's translations beside its abstract maps, which are its codomain's
     union = kernel.distinct_counts(
-        np.concatenate([labels, np.repeat(np.arange(n_homs), order)]),
+        np.concatenate([labels, np.repeat(np.arange(n_homs), G.order)]),
         n_homs,
         np.concatenate([translations, abstract[cods].reshape(-1, width)]),
     )
@@ -190,9 +203,10 @@ def realize_category(
     for k in np.flatnonzero(disagree | (np.bincount(hom[leaves], minlength=n_homs) > 0)):
         d, c = divmod(int(k), n_l)
         for x in s[leaves & (hom == k)].tolist():
-            mismatches.append(f"hom({d},{c}): translation by {S.element(x)} leaves the ideal")
-        if maps[k] != order:
-            mismatches.append(f"hom({d},{c}) realizes {maps[k]} maps, expected {order}")
+            element = ReesElement(*map(int, kernel.coordinates(x, n_i, n_l)))  # S^op's on the right
+            mismatches.append(f"hom({d},{c}): translation by {element} leaves the ideal")
+        if maps[k] != G.order:
+            mismatches.append(f"hom({d},{c}) realizes {maps[k]} maps, expected {G.order}")
         if disagree[k]:
             mismatches.append(f"hom({d},{c}): translation maps and abstract morphisms disagree")
 

@@ -23,8 +23,8 @@ b in one numpy step.  `blocks` gives the slices of rows, of about BLOCK
 entries of the scan's largest temporary each, so beyond one (n, n) table
 a scan never holds an (n, n, k) array, and a table gathered from smaller
 tables is filled without an (n, n) temporary beside it; a batch of
-scalings is formed in blocks of the same size.  S^op's table
-(`ReesSemigroup.table`) is filled through it too.
+scalings is formed in blocks of the same size, and so are S^op's
+products, read through S's one table (`categories.realize_category`).
 `first_block_failure` is the one loop over blocks: it names the first failing
 (a, b) in row order, as a scan one pair at a time would.  The table
 oracle's scans, the closure witness `first_hole` and the suites' block

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MixedSemigroups, ParseError, SizeGuardExceeded
 from .groups import FiniteGroup, prefix_errors, read_text
-from .kernel import blocks, coordinates, element_arrays, index_dtype
+from .kernel import coordinates, index_dtype
 from .oracle import GenericSemigroup, partition_by_key
 
 DEFAULT_SIZE_GUARD = 512
@@ -149,18 +149,7 @@ class ReesSemigroup:
         self.n_lambda = matrix.rows
         self.size = self.group.order * self.n_i * self.n_lambda
         check_size(self.size, size_guard)
-        self._opposite: ReesSemigroup | None = None
         self._table: np.ndarray | None = None  # built on first use by table()
-
-    @property
-    def opposite(self) -> ReesSemigroup:
-        """S^op as M[G^op; Lambda, I; P^T], where (g, i, lam) here is (g, lam, i);
-        built once, so S.opposite.opposite is S."""
-        if self._opposite is None:
-            op = ReesSemigroup(self.matrix.transpose, size_guard=self.size)
-            op._opposite = self
-            self._opposite = op
-        return self._opposite
 
     def elements(self) -> Iterator[ReesElement]:
         for g in range(self.group.order):
@@ -237,32 +226,14 @@ class ReesSemigroup:
         return table.reshape(self.size, self.size)
 
     def table(self) -> np.ndarray:
-        """index_table() made read-only, built on first use and kept, so
-        that every suite of one run scans the same table.  When S^op
-        already holds its table, this one is read off it instead."""
+        """index_table() made read-only, built on first use and kept, so that
+        every suite of one run scans the same table; S^op's products are read
+        through it too (`categories.realize_category`)."""
         if self._table is None:
-            op = self._opposite
-            if op is not None and op._table is not None:
-                table = op._opposite_table()
-            else:
-                table = self.index_table()
+            table = self.index_table()
             table.flags.writeable = False
             self._table = table
         return self._table
-
-    def _opposite_table(self) -> np.ndarray:
-        """S^op's table from table(): x*y in S^op is y*x in S, and element
-        (g, i, lam) of S is element (g, lam, i) of S^op.  With inverse the
-        S-index of each S^op element, row u of S^op's table is relabel of
-        column inverse[u] of S's, read at the rows inverse, in blocks of rows."""
-        g, i, lam = element_arrays(self.group.order, self.n_i, self.n_lambda)
-        relabel = ((g * self.n_lambda + lam) * self.n_i + i).astype(self.table().dtype)
-        inverse = np.argsort(relabel)
-        columns = self.table().T
-        table = np.empty_like(self.table())
-        for rows in blocks(self.size, self.size):
-            table[rows] = relabel[columns[inverse[rows, None], inverse]]
-        return table
 
     def element_label(self, x: ReesElement) -> str:
         return f"({self.group.names[x.g]},{x.i},{x.lam})"

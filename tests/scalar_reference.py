@@ -203,6 +203,23 @@ def groupoid_witness(cat: ArrowCategory) -> str | None:
     return None
 
 
+def _transposed(x: ReesElement) -> ReesElement:
+    """(g, i, lam) of S as (g, lam, i) of S^op, and back."""
+    return ReesElement(x.g, x.lam, x.i)
+
+
+class _Opposite(ReesSemigroup):
+    """S^op = M[G^op; Lambda, I; P^T], whose element (g, lam, i) is (g, i, lam)
+    of S: x*y here is y*x by `S.mul`, so a fault in S's product shows in it."""
+
+    def __init__(self, S: ReesSemigroup):
+        super().__init__(S.matrix.transpose, size_guard=S.size)
+        self.base = S
+
+    def mul(self, x: ReesElement, y: ReesElement) -> ReesElement:
+        return _transposed(self.base.mul(_transposed(y), _transposed(x)))
+
+
 def _left_cone(S: ReesSemigroup, a: ReesElement) -> Cone:
     return Cone(tuple(S.group.mul(p, a.g) for p in S.matrix.column(a.i)), a.lam)
 
@@ -216,7 +233,7 @@ def principal_pair(S: ReesSemigroup, a: ReesElement) -> tuple[Cone, Cone]:
     vertex a.i.
     """
     S._validate(a)
-    return _left_cone(S, a), _left_cone(S.opposite, ReesElement(a.g, a.lam, a.i))
+    return _left_cone(S, a), _left_cone(_Opposite(S), _transposed(a))
 
 
 def phi(S: ReesSemigroup, a: ReesElement) -> LinkedPair:
@@ -563,9 +580,10 @@ def principal_left_ideal_witness(S: ReesSemigroup) -> str | None:
 
 
 def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
-    """`categories.realize_category` with every translation map made by S.mul."""
+    """`categories.realize_category` with every translation map made by S.mul;
+    the right side is the left side of S^op, whose products are S.mul's."""
     if side == "right":
-        return realize_category(S.opposite, "left")._replace(side="right")
+        return realize_category(_Opposite(S), "left")._replace(side="right")
     G = S.group
     elements = list(S.elements())
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -17,6 +18,7 @@ from crossconn import (
     right_category,
 )
 from crossconn.errors import IndexOutOfRange, NotComposable, SizeGuardExceeded
+from crossconn.verify import category_suite
 
 
 def test_compose_left_additive(z3):
@@ -250,3 +252,27 @@ def test_realize_larger_fixtures(z3, s3):
             rep = realize_category(S, side)
             assert rep.matched, rep.mismatches
             assert set(rep.hom_sizes.values()) == {S.group.order}
+
+
+def test_both_sides_read_one_table(s1, monkeypatch):
+    # S's table is its only product table: category_suite builds it once,
+    # and the right side reads S^op's products through it, with no second
+    # (n, n) array beside it.  With |I| = 2 the right side's own arrays are
+    # small against the 1024-element table.
+    S = ReesSemigroup(s1.matrix)
+    calls = []
+    build = S.index_table
+    monkeypatch.setattr(S, "index_table", lambda: calls.append(1) or build())
+    category_suite(S)
+    assert calls == [1]
+
+    S = ReesSemigroup(identity_matrix(builtin("cyclic", 2), 256, 2), size_guard=1024)
+    table = S.table()
+    tracemalloc.start()
+    try:
+        rep = realize_category(S, "right", size_guard=S.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.matched, rep.mismatches
+    assert peak < table.nbytes / 2

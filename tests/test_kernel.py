@@ -267,6 +267,21 @@ def _collapsed(k):
     )
 
 
+def _mirrored(corrupt):
+    """corrupt made in S^op = M[G^op; Lambda, I; P^T], whose x*y is y*x of S
+    and whose (g, lam, i) is (g, i, lam) of S: the faults that the left side
+    sees in S, the right side sees in the mirrored product."""
+
+    def transposed(x):
+        return ReesElement(x.g, x.lam, x.i)
+
+    def mirrored(S, x, y, z):
+        op = ReesSemigroup(S.matrix.transpose, size_guard=S.size)
+        return transposed(corrupt(op, transposed(y), transposed(x), transposed(z)))
+
+    return mirrored
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(GROUPS),
@@ -274,26 +289,27 @@ def _collapsed(k):
     st.integers(min_value=1, max_value=3),
     st.sampled_from([_keeps_vertex, _moves_vertex, _rescaled, _collapsed]),
     st.integers(min_value=0, max_value=5),
+    st.booleans(),
     st.sampled_from(["left", "right"]),
+    st.sampled_from([1, 7, kernel.BLOCK]),
     st.data(),
 )
 def test_realize_category_matches_the_loops_on_faulty_products(
-    G, n_lambda, n_i, corruption, k, side, data
+    G, n_lambda, n_i, corruption, k, mirror, side, block, data
 ):
     # The array realization against the loop over S.mul, mismatch list in
-    # order and hom-set sizes included, on faulty products.  For the right
-    # side, S is sound and its opposite, which the right side realizes,
-    # carries the faulty product.
+    # order and hom-set sizes included, on faulty products, whatever the
+    # blocks of rows.  S carries the faulty product on both sides, made in
+    # S or mirrored from S^op: the right side reads S^op's products through
+    # S's table, and the loop makes them by S.mul.
     entries = [
         [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
-    P = SandwichMatrix(G, entries)
-    if side == "left":
-        S = _CorruptedProduct(P, corruption(k))
-    else:
-        S, op = ReesSemigroup(P), _CorruptedProduct(P.transpose, corruption(k))
-        S._opposite, op._opposite = op, S
-    assert realize_category(S, side) == scalar_reference.realize_category(S, side)
+    corrupt = _mirrored(corruption(k)) if mirror else corruption(k)
+    S = _CorruptedProduct(SandwichMatrix(G, entries), corrupt)
+    with mock.patch.object(kernel, "BLOCK", block):
+        report = realize_category(S, side)
+    assert report == scalar_reference.realize_category(S, side)
 
 
 def _cones(G: FiniteGroup, width: int, known: list) -> st.SearchStrategy:

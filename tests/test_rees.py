@@ -1,6 +1,5 @@
 import random
 from itertools import product
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -172,25 +171,22 @@ def _product_table(S):
     st.sampled_from([("cyclic", 1), ("cyclic", 3), ("klein", 0), ("symmetric", 3)]),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=1, max_value=4),
-    st.sampled_from([1, 7, kernel.BLOCK]),
     st.data(),
 )
-def test_blocked_index_table_is_the_product(family, n_lambda, n_i, block, data):
-    # Whatever the blocks of rows, index_table is rees.product on every
-    # pair, in kernel.index_dtype(|S|), and S^op's table read off it is
-    # S^op's own product.
+def test_blocked_index_table_is_the_product(family, n_lambda, n_i, data):
+    # index_table is rees.product on every pair, in kernel.index_dtype(|S|),
+    # for S and for M[G^op; Lambda, I; P^T], whose group and matrix arrays
+    # are the transposed views of S's.
     G = builtin(*family)
     entries = [
         [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
     S = ReesSemigroup(SandwichMatrix(G, entries), size_guard=10**4)
-    with mock.patch.object(kernel, "BLOCK", block):
-        table = S.index_table()
-        S.table()
-        opposite = S.opposite.table()
-    assert table.dtype == opposite.dtype == kernel.index_dtype(S.size) == np.int16
+    opposite = ReesSemigroup(S.matrix.transpose, size_guard=10**4)
+    table, opposite_table = S.index_table(), opposite.index_table()
+    assert table.dtype == opposite_table.dtype == kernel.index_dtype(S.size) == np.int16
     assert table.tolist() == _product_table(S)
-    assert opposite.tolist() == _product_table(S.opposite)
+    assert opposite_table.tolist() == _product_table(opposite)
 
 
 def test_idempotent_iff_inverse_entry(s1):
@@ -251,11 +247,6 @@ def test_matrix_array_is_the_read_only_entries(s3):
     assert (P.transpose.array == P.array.T).all()
 
 
-def test_opposite_semigroup_linked_both_ways(s1):
-    assert s1.opposite.opposite is s1
-    assert s1.opposite.matrix is s1.matrix.transpose
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from([("cyclic", 2), ("cyclic", 3), ("klein", 0), ("symmetric", 3)]),
@@ -275,35 +266,8 @@ def test_opposite_semigroup_is_the_transposed_data(family, n_lambda, n_i, data):
     transposed = [[table[y][x] for y in range(S.size)] for x in range(S.size)]
     # index of (g, lam, i) in the (g, i', lam') order of M[G^op; Lambda, I; P^T]
     f = [(x.g * n_lambda + x.lam) * n_i + x.i for x in S.elements()]
-    check = verify_map(f, from_table(transposed), from_table(S.opposite.index_table()))
+    opposite = ReesSemigroup(S.matrix.transpose)
+    check = verify_map(f, from_table(transposed), from_table(opposite.index_table()))
     assert check.is_isomorphism, check.witness
 
 
-@pytest.mark.parametrize(
-    "family, entries",
-    [
-        (("symmetric", 3), [[1, 2, 3], [4, 5, 0], [2, 4, 1]]),
-        (("symmetric", 3), [[1, 2, 3], [4, 5, 0]]),
-        (("symmetric", 3), [[5], [1], [3]]),
-        (("cyclic", 3), [[0, 1, 2, 2]]),
-        (("klein", 0), [[1, 2], [3, 0], [0, 0]]),
-    ],
-)
-def test_opposite_table_is_read_off_the_table(family, entries):
-    # With S's table built, S^op's is its transpose relabelled by
-    # (g, i, lam) -> (g, lam, i), and no second index table is made.
-    S = ReesSemigroup(SandwichMatrix(builtin(*family), entries))
-    expected = S.opposite.index_table()
-    S = ReesSemigroup(S.matrix)
-    S.table()
-    calls = []
-    S.opposite.index_table = lambda: calls.append(1)
-    assert np.array_equal(S.opposite.table(), expected)
-    assert not S.opposite.table().flags.writeable
-    assert calls == []
-    # and the other way round: S read off S^op
-    S = ReesSemigroup(S.matrix)
-    S.opposite.table()
-    S.index_table = lambda: calls.append(1)
-    assert np.array_equal(S.table(), ReesSemigroup(S.matrix).index_table())
-    assert calls == []

@@ -88,7 +88,7 @@ def test_bench_measures_the_smallest_rung():
     name, matrix = bench.rungs(include_large=False)[0]
     rung = bench.measure(name, matrix, runs=2)
     assert rung["size"] == 8 and rung["peak_rss_mb"] > 0
-    # the host's speed, timed on a fixed probe before the rung
+    # the host's speed, timed on a fixed probe after the rung's runs
     assert rung["host_probe_ms"] > 0
     suites = rung["suites"]
     assert list(suites) == [

@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import json
 import re
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -210,21 +212,39 @@ def test_faulty_translations_fail_left_realization():
     assert check.witness == "; ".join(reference.mismatches)
 
 
-def test_swapped_opposite_table_fails_right_realization(s1, monkeypatch):
-    # Negative control: S^op's table, read off S's, with two entries swapped.
-    # Translations by the first elements of S^op then leave their ideals;
-    # the left side, on S's own table, still passes.
-    original = ReesSemigroup._opposite_table
-    monkeypatch.setattr(
-        ReesSemigroup, "_opposite_table", lambda self: _swap_first_two(original(self))
-    )
-    checks = {c.name: c for c in category_suite(ReesSemigroup(s1.matrix))}
+def test_full_suite_leaves_no_reference_cycle_through_s(s1):
+    # S sits in no reference cycle, so with the cyclic collector off it and
+    # its table are freed as soon as the last reference to S goes.
+    S = ReesSemigroup(s1.matrix)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _assert_clean(full_suite(S))
+        ref = weakref.ref(S)
+        del S
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_swapped_opposite_table_fails_right_realization(s1):
+    # Negative control: S's one table with the entries of row (0, 1, 0) at
+    # columns (0, 1, 0) and (0, 1, 1) swapped.  The right side reads S^op's
+    # products through that table and realizes a map of hom(1,1) that no
+    # abstract morphism induces; the left side reads neither entry and
+    # still passes.
+    row, col = s1.index(ReesElement(0, 1, 0)), s1.index(ReesElement(0, 1, 1))
+    table = s1.index_table()
+
+    class Swapped(scalar_reference.CorruptedTable):
+        ENTRIES = {(row, row): int(table[row, col]), (row, col): int(table[row, row])}
+
+    checks = {c.name: c for c in category_suite(Swapped(s1.matrix))}
     assert checks["category.left_realization"].passed is True
     check = checks["category.right_realization"]
     assert check.passed is False
-    assert check.witness.startswith(
-        "hom(0,0): translation by ReesElement(g=0, i=0, lam=0) leaves the ideal; "
-    )
+    assert check.witness == "hom(1,1): translation maps and abstract morphisms disagree"
 
 
 def test_inverse_that_keeps_g_fails_both_groupoid_checks(z3, monkeypatch):
