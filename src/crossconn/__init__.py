@@ -10,7 +10,7 @@ _EXPORTS = {
     "realize_category right_category",
     "checks": "Check all_passed failures",
     "cones": "CosetHandle InjectivityResult cone_table enumerate_TL injectivity_criterion",
-    "connections": "CrossConnection DualMorphism LinkedPair PhiReport compose_duals matrix_of "
+    "connections": "DualMorphism LinkedPair PhiReport compose_duals matrix_of "
     "pair_arrays pair_cones sigma_apply u_cones verify_crossconnection verify_phi",
     "groups": "FiniteGroup builtin load_cayley load_cayley_file",
     "oracle": "GenericSemigroup MapCheck associativity_witness from_table green_via_ideals "

@@ -22,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .errors import IndexOutOfRange, NotComposable, SizeGuardExceeded
+from .errors import IndexOutOfRange, NotComposable
 from .groups import FiniteGroup
-from .rees import DEFAULT_SIZE_GUARD, ReesElement, ReesSemigroup
+from .rees import ReesElement, ReesSemigroup
 
 
 class Morphism(NamedTuple):
@@ -75,7 +75,7 @@ class ArrowCategory:
 
     def invert(self, m: Morphism) -> Morphism:
         """Every morphism is an isomorphism; the inverse carries the group inverse."""
-        return Morphism(m.cod, m.dom, _element(self.group, np.asarray(self.group.inverse), m.g))
+        return Morphism(m.cod, m.dom, _element(self.group, self.group.inverse, m.g))
 
     def normal_factorization(self, m: Morphism) -> tuple[Morphism, Morphism, Morphism]:
         """(retraction, isomorphism, inclusion).
@@ -120,10 +120,9 @@ class RealizationReport(NamedTuple):
     mismatches: list[str]
 
 
-def realize_category(
-    S: ReesSemigroup, side: str = "left", size_guard: int = DEFAULT_SIZE_GUARD
-) -> RealizationReport:
+def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
     """Build the ideal category concretely and match it against the abstract one.
+    S was held to its size guard when it was built, so this takes no guard.
 
     Objects are the actual ideal sets; morphisms are the translation maps
     x -> x*s for s ranging over eSf, read off S.table().  Each induced map
@@ -142,8 +141,6 @@ def realize_category(
     union has no more members than either.  The mismatches are read off the
     masks, hom-set by hom-set.
     """
-    if S.size > size_guard:
-        raise SizeGuardExceeded(f"|S| = {S.size} exceeds the guard {size_guard}")
     if side not in ("left", "right"):
         raise IndexOutOfRange(f"side must be 'left' or 'right', got {side!r}")
     table = S.table()
@@ -164,7 +161,7 @@ def realize_category(
 
     objects = np.arange(n_l)
     # the base idempotent (p[obj][0]^-1, 0, obj) of each object, by the index layout
-    base = np.asarray(G.inverse)[P[:, 0]] * (n_i * n_l) + objects
+    base = G.inverse[P[:, 0]] * (n_i * n_l) + objects
 
     # in_middle[dom, cod, s]: whether s is in eSf, for the base idempotents e of dom and f of cod
     in_middle = np.zeros((n_l, n_l, S.size), dtype=bool)

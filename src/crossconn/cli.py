@@ -155,7 +155,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if dims is not None and min(dims) > 0:
         check_size(group.order * dims[0] * dims[1], config.size_guard)
     matrix = load_matrix(matrix_spec, group)
-    if config.command == "rbg" and any(v != group.identity for row in matrix.entries for v in row):
+    if config.command == "rbg" and (matrix.array != group.identity).any():
         raise ParseError("rbg needs the constant-identity matrix; use identity:RxC")
     report["matrix"] = {
         "rows": matrix.rows,

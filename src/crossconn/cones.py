@@ -16,6 +16,8 @@ T_L = G^Lambda x Lambda is one batch (`enumerate_TL`), and `cone_table`
 its table.  The action of the objects on tuples (`act`) and the closed
 form of the idempotents (`is_idempotent_cone`) take batches too: the T_L
 checks of `verify.cone_suite` hold `kernel.mul_L` against them.
+`injectivity_criterion` reads the matrix's array alone: one
+`kernel.factors` pass of the columns of P through each other.
 """
 
 from __future__ import annotations
@@ -56,19 +58,18 @@ def injectivity_criterion(P: SandwichMatrix) -> InjectivityResult:
     """Whether distinct elements always induce distinct principal left cones.
 
     Fails exactly when two different columns agree up to a constant right
-    factor: p[lam][i1] == p[lam][i2] * g for every lam.
+    factor: p[lam][i1] == p[lam][i2] * g for every lam.  `kernel.factors`
+    of the columns through themselves gives that g for every (i1, i2) at
+    once; the witness is the first (g, i1, i2) with i1 != i2, in that order.
     """
-    G = P.group
-    for g in G.elements():
-        for i1 in range(P.cols):
-            for i2 in range(P.cols):
-                if i1 == i2:
-                    continue
-                if all(
-                    P.entry(lam, i1) == G.mul(P.entry(lam, i2), g) for lam in range(P.rows)
-                ):
-                    return InjectivityResult(False, (g, i1, i2))
-    return InjectivityResult(True, None)
+    G, columns = P.group, P.array.T
+    g = kernel.factors(G.array, G.inverse, columns, columns)
+    np.fill_diagonal(g, -1)
+    i1, i2 = np.nonzero(g >= 0)  # in (i1, i2) order, so argmin takes the first of equal g
+    if not len(i1):
+        return InjectivityResult(True, None)
+    k = int(np.argmin(g[i1, i2]))
+    return InjectivityResult(False, (int(g[i1[k], i2[k]]), int(i1[k]), int(i2[k])))
 
 
 class CosetHandle(NamedTuple):

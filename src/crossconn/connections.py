@@ -1,6 +1,8 @@
 """Cross-connections determined by a sandwich matrix.
 
-A sandwich matrix links the two ideal categories: each column spans a
+Each sandwich matrix P corresponds to a cross-connection, so the
+connection is P itself: every function here takes the `SandwichMatrix`.
+It links the two ideal categories: each column spans a
 left coset of the diagonal group inside G^Lambda (the object map of the
 connection), each row a right coset inside G^I (its dual).  The linked
 cone pairs form a semigroup isomorphic to the Rees matrix semigroup
@@ -12,14 +14,15 @@ distinct tuples at every vertex (`u_cones`); the cell (lam, i) of the
 bifunctor is its slice [i] at vertex lam (`gamma_cells`, every cell at
 once, as a view); and the linked pair of the element (g, i, lam) is
 ((col_i * g, lam), (g * row_lam, i)) (`pair_cones`), which is that
-element's image under phi, its pair of principal cones.  So pair k is phi of element k, by one formula, and no
-second list of phi's images is formed.
+element's image under phi, its pair of principal cones.  So pair k is phi
+of element k, by one formula, and no second list of phi's images is formed.
 
 The dual side is never written out: a row of P is a column of P^T, a
-right coset over G is a left coset over G^op, so every dual set is its
-connection-side twin over the transposed matrix (`SandwichMatrix.transpose`,
-whose `scaled` is [lam, g] = g * row_lam) and every dual map its twin
-applied to `CrossConnection.opposite`.
+right coset over G is a left coset over G^op, so every dual set and map
+is its connection-side twin over the transposed matrix
+(`SandwichMatrix.transpose`, over `FiniteGroup.opposite`, whose `scaled`
+is [lam, g] = g * row_lam).  Those two are the only providers of the
+opposite data, each built once and read as views of P's and G's arrays.
 
 `verify_crossconnection` reads each functor as arrays of the images of
 all morphisms (`gamma_images`, `delta_images`): the canonical tuples of
@@ -47,29 +50,6 @@ from .errors import NotComposable, NotInDomainCoset, ParseError
 from .groups import FiniteGroup
 from .oracle import GenericSemigroup, MapCheck, is_regular, verify_map
 from .rees import ReesSemigroup, SandwichMatrix
-
-
-class CrossConnection(NamedTuple):
-    """A connection and its dual, both read off one representative matrix."""
-
-    matrix: SandwichMatrix
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.matrix.group
-
-    @property
-    def n_i(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def n_lambda(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def opposite(self) -> CrossConnection:
-        """The connection of P.transpose, whose connection side is this one's dual side."""
-        return CrossConnection(self.matrix.transpose)
 
 
 class DualMorphism(NamedTuple):
@@ -134,20 +114,21 @@ def as_cone(cones: Cones, k: int) -> Cone:
     return as_cones(kernel.pick(cones, [k]))[0]
 
 
-def gamma_cells(conn: CrossConnection) -> Cones:
-    """Every cell of the connection bifunctor, indexed [lam, i]: the cell
+def gamma_cells(P: SandwichMatrix) -> Cones:
+    """Every cell of P's connection bifunctor, indexed [lam, i]: the cell
     (lam, i) is the right scalings of column i, `scaled[i]` (one per group
     element), at vertex lam.  Values (|Lambda|, |I|, |G|, |Lambda|) and
     vertices (|Lambda|, |I|, |G|), read-only views of `scaled`."""
-    scaled = conn.matrix.scaled
-    shape = (conn.n_lambda, *scaled.shape[:2])
-    vertices = np.broadcast_to(np.arange(conn.n_lambda)[:, None, None], shape)
-    return np.broadcast_to(scaled, (conn.n_lambda, *scaled.shape)), vertices
+    scaled = P.scaled
+    shape = (P.rows, *scaled.shape[:2])
+    vertices = np.broadcast_to(np.arange(P.rows)[:, None, None], shape)
+    return np.broadcast_to(scaled, (P.rows, *scaled.shape)), vertices
 
 
-def delta_cells(conn: CrossConnection) -> Cones:
-    """The dual cells, indexed [lam, i] as well: the left scalings of row lam, vertex i."""
-    values, vertices = gamma_cells(conn.opposite)
+def delta_cells(P: SandwichMatrix) -> Cones:
+    """The dual cells, indexed [lam, i] as well: the left scalings of row lam,
+    vertex i, which are the cells of P.transpose."""
+    values, vertices = gamma_cells(P.transpose)
     return values.swapaxes(0, 1), vertices.swapaxes(0, 1)
 
 
@@ -328,8 +309,8 @@ class Images(NamedTuple):
     objects: np.ndarray  # (n, k): the canonical tuple of each object's coset
 
 
-def gamma_images(conn: CrossConnection) -> Images:
-    """The connection functor on the right-ideal category, as arrays.
+def gamma_images(P: SandwichMatrix) -> Images:
+    """P's connection functor on the right-ideal category, as arrays.
 
     Object i goes to the left coset of column i, whose canonical tuple is
     col_i * col_i[0]^-1: all columns in one gather, `kernel.canonical` of
@@ -337,8 +318,8 @@ def gamma_images(conn: CrossConnection) -> Images:
     between the cosets of i1 and i2.  A coset id stands for a canonical
     tuple, so two images agree exactly when their (h, dom, cod) agree.
     """
-    G = conn.group
-    objects = kernel.canonical(G.array, np.asarray(G.inverse), conn.matrix.array.T)
+    G = P.group
+    objects = kernel.canonical(G.array, G.inverse, P.array.T)
     _, first, ids = np.unique(kernel.row_keys(objects), return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
@@ -354,11 +335,11 @@ def gamma_images(conn: CrossConnection) -> Images:
     )
 
 
-def delta_images(conn: CrossConnection) -> Images:
+def delta_images(P: SandwichMatrix) -> Images:
     """The dual functor on the left-ideal category: lam goes to the right coset
-    of row lam and rho(g) to tau_g, which is `gamma_images` of the opposite
-    connection, over G^op and P^T."""
-    return gamma_images(conn.opposite)
+    of row lam and rho(g) to tau_g, which is `gamma_images` of P.transpose,
+    over G^op."""
+    return gamma_images(P.transpose)
 
 
 def _functor_witness(cat, im: Images) -> str | None:
@@ -418,20 +399,21 @@ def _induced_maps(im: Images) -> np.ndarray:
     return maps
 
 
-def verify_crossconnection(conn: CrossConnection) -> list[Check]:
-    """Functor, faithfulness, ideal-restriction and coverage checks for the connection.
+def verify_crossconnection(matrix: SandwichMatrix) -> list[Check]:
+    """Functor, faithfulness, ideal-restriction and coverage checks for the
+    connection of the matrix.
 
     Failures land in the returned checks rather than raising.  Each check
     reads the image arrays of `gamma_images` and `delta_images` in one
     array pass over its hom-sets or objects; the witness is the first
     failure in the order a loop over them would meet it.
     """
-    G = conn.group
-    n_i, n_l = conn.n_i, conn.n_lambda
+    G = matrix.group
+    n_i, n_l = matrix.cols, matrix.rows
     checks: list[Check] = []
 
     # Covariant functor laws, identities included, for the connection and its dual.
-    gamma, delta = gamma_images(conn), delta_images(conn)
+    gamma, delta = gamma_images(matrix), delta_images(matrix)
     for name, cat, im in (
         ("gamma", right_category(G, n_i), gamma),
         ("delta", left_category(G, n_l), delta),
@@ -466,7 +448,7 @@ def verify_crossconnection(conn: CrossConnection) -> list[Check]:
     # of some (here: every) image cone, scanned rather than assumed: the
     # image cones are the columns, and a column's components are
     # isomorphisms when each entry v has v v^-1 = v^-1 v = e.
-    M, P, inverse = G.array, conn.matrix.array, np.asarray(G.inverse)
+    M, P, inverse = G.array, matrix.array, G.inverse
     iso = ((M[P, inverse[P]] == G.identity) & (M[inverse[P], P] == G.identity)).all(axis=0)
     witness = None if iso.any() else f"objects {list(range(n_l))} are not covered"
     checks.append(Check("crossconn.coverage", witness is None, witness))

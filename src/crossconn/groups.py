@@ -32,8 +32,9 @@ MAX_SYMMETRIC_DEGREE = 5
 
 
 class FiniteGroup:
-    """A finite group: Cayley table (`cayley` as tuples, and `array` as the
-    read-only np.intp array every scan reads), detected identity, inverse table."""
+    """A finite group, held as read-only np.intp arrays: the Cayley table
+    `array`, which every scan and product reads, and the table of inverses
+    `inverse`; with its detected identity."""
 
     def __init__(self, cayley: Sequence[Sequence[int]], names: Sequence[str] | None = None):
         n = len(cayley)
@@ -43,7 +44,6 @@ class FiniteGroup:
             )
         table = GenericSemigroup(cayley).table  # closure, as for any table
         self.order = n
-        self.cayley = tuple(tuple(int(x) for x in row) for row in cayley)
         self.array = table.astype(np.intp)
         self.array.flags.writeable = False
 
@@ -74,7 +74,8 @@ class FiniteGroup:
         if not invertible.all():
             a = int(invertible.argmin())
             raise NoInverse(f"element {self.names[a]} has no two-sided inverse")
-        self.inverse = tuple(units.argmax(axis=1).tolist())
+        self.inverse = units.argmax(axis=1)
+        self.inverse.flags.writeable = False
         self._opposite: FiniteGroup | None = None
 
     def _check(self, a: int) -> None:
@@ -84,11 +85,11 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        return self.cayley[a][b]
+        return self.array.item(a, b)
 
     def inv(self, a: int) -> int:
         self._check(a)
-        return self.inverse[a]
+        return self.inverse.item(a)
 
     def elements(self) -> range:
         return range(self.order)
@@ -105,15 +106,15 @@ class FiniteGroup:
 
     @property
     def opposite(self) -> FiniteGroup:
-        """The opposite group (a*b there is b*a here): the transposed table and
-        the view `array.T`, same names, identity and inverses; built once, so
+        """The opposite group (a*b there is b*a here): its table is the view
+        `array.T`, with the same names, identity and inverses; built once, so
         G.opposite.opposite is G."""
         if self._opposite is None:
             # No re-validation: the transpose of a group table is a group table.
             # Attributes go in __init__'s order, never via cached_property, so both
             # instances keep the instance-dict layout that makes mul's reads fast.
             op = object.__new__(FiniteGroup)
-            op.order, op.cayley, op.array = self.order, tuple(zip(*self.cayley)), self.array.T
+            op.order, op.array = self.order, self.array.T
             op.names = self.names
             op.identity, op.inverse, op._opposite = self.identity, self.inverse, self
             self._opposite = op
@@ -121,12 +122,12 @@ class FiniteGroup:
 
     def label_rows(self) -> list[list[str]]:
         """The Cayley table with entries written as element labels."""
-        return [[self.names[v] for v in row] for row in self.cayley]
+        return [[self.names[v] for v in row] for row in self.array.tolist()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.cayley == other.cayley and self.names == other.names
+        return self.names == other.names and np.array_equal(self.array, other.array)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, identity={self.names[self.identity]!r})"
@@ -231,7 +232,7 @@ def builtin(family: str, n: int = 0) -> FiniteGroup:
         products = perms[np.arange(len(perms))[:, None, None], perms[None, :, :]]
         table = np.searchsorted(perms @ weights, products @ weights)
         names = ["".join(str(v) for v in p) for p in perms.tolist()]
-        return FiniteGroup(table.tolist(), names=names)
+        return FiniteGroup(table, names=names)
     if family == "klein":
         table = [[a ^ b for b in range(4)] for a in range(4)]
         return FiniteGroup(table, names=["e", "a", "b", "ab"])

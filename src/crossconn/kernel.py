@@ -5,8 +5,9 @@ k = (g*|I| + i)*|Lambda| + lam, so `coordinates` decodes indices into
 three index arrays, `element_arrays` gives those of every element, and
 `ReesSemigroup.table()` its product as a read-only (n, n) array of
 indices in `index_dtype(n)`, the one format of every multiplication
-table up to the table oracle.  G and P own their arrays,
-read-only and built once: `FiniteGroup.array` is the Cayley table M,
+table up to the table oracle.  G and P are held as their arrays alone,
+read-only np.intp and built once: `FiniteGroup.array` is the Cayley
+table M, `FiniteGroup.inverse` the inverse of each element,
 `SandwichMatrix.array` the (|Lambda|, |I|) matrix P, and G^op's and
 P^T's are the views M.T and P.T; `SandwichMatrix.scaled` is the
 (|I|, |G|, |Lambda|) array of the columns scaled on the right,
@@ -31,10 +32,11 @@ oracle's scans, the closure witness `first_hole` and the suites' block
 scans, `rees.table_matches_product` among them, all run through it.
 
 Keys.  Membership is exact.  The key of a tuple is its row of int32
-coordinates read as one np.void of raw bytes.  A `KeyIndex` sorts the
-keys once and finds each query with searchsorted, then confirms the
-candidate by equality.  No key is packed into one integer, so none can
-overflow, however wide the cones are.  `connections.u_cones` keeps the
+coordinates read as one np.void of raw bytes.  `ConeClasses` holds the
+distinct keys of a set's tuples as `np.unique` returns them, sorted, and
+finds each query with searchsorted on them, then confirms the candidate
+by equality.  No key is packed into one integer, so none can overflow,
+however wide the cones are.  `connections.u_cones` keeps the
 first of equal keys of the scaled columns, and only the distinct tuples
 of a set of cones are indexed, each set once, by its `ConeClasses`:
 `cones.cone_table` for T_L, `connections.pair_arrays` for U-Gamma and
@@ -48,13 +50,15 @@ vertices of the two cones, so `linkage_table` factors each gamma tuple
 through each column of P and each delta tuple through each row over M.T
 (`factors`, -1 where a tuple does not factor), and compares the two
 factors of every gamma and delta cone in one gather (`same_factor`).
+`cones.injectivity_criterion` is the `factors` of the columns of P
+through themselves.
 
 Cells.  A cell map of the connection bifunctor and the duality chi are
 scalings: `bifunctor` and `chi` factor a batch of tuples through a column
 of P with `right_factor`, rescale, and return the mask of the tuples that
 factor, so a cone outside its cell is a failed comparison rather than an
-exception.  The dual bifunctor is `bifunctor` over the opposite
-connection's group and matrix.  Columns, rows and tuples broadcast, so
+exception.  The dual bifunctor is `bifunctor` over the group and the
+array of `SandwichMatrix.transpose`.  Columns, rows and tuples broadcast, so
 `crossconn.duality_bijection` runs every cell of a block of cells through
 one `chi` there and one back, and `crossconn.naturality` a block of
 triples of objects (l1, l2, i1) per step.  `canonical` gives each tuple's
@@ -199,26 +203,12 @@ def gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-class KeyIndex:
-    """Exact lookup of row keys: sorted once, searched, confirmed by equality."""
-
-    def __init__(self, keys: np.ndarray):
-        self._order = np.argsort(keys, kind="stable")
-        self._sorted = keys[self._order]
-
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """The position of each key in the indexed list, or -1 where it is absent.
-        Among equal keys the last position wins, as in a dict built in list order."""
-        at = np.maximum(np.searchsorted(self._sorted, keys, side="right") - 1, 0)
-        return np.where(self._sorted[at] == keys, self._order[at], -1)
-
-
 class ConeClasses:
     """A batch of cones (values, vertices) by tuple class: the distinct tuples
-    T, indexed once by a `KeyIndex`; `tid[a]`, the class of cone a; and
-    `pos[t, mu]`, the position of the cone (T[t], mu), or -1, with a last
-    row of -1 that the class -1 of an absent tuple reads.  Among equal cones
-    the last position wins, as in `KeyIndex`."""
+    T, in the order of their keys, which `np.unique` sorts; `tid[a]`, the
+    class of cone a; and `pos[t, mu]`, the position of the cone (T[t], mu),
+    or -1, with a last row of -1 that the class -1 of an absent tuple reads.
+    Among equal cones the last position wins."""
 
     def __init__(self, members):
         self.members = members
@@ -227,7 +217,7 @@ class ConeClasses:
             row_keys(values), return_index=True, return_inverse=True
         )
         self.tuples = values[first]
-        self._index = KeyIndex(keys)
+        self._keys = keys
         self.pos = np.full((len(keys) + 1, values.shape[1]), -1, dtype=np.int32)
         self.pos[self.tid, self.vertices] = np.arange(len(self.vertices))
 
@@ -235,8 +225,11 @@ class ConeClasses:
         return len(self.vertices)
 
     def find_tuples(self, values: np.ndarray) -> np.ndarray:
-        """The class of each tuple (row of values), or -1 where it is no member's."""
-        return self._index.find(row_keys(values)).astype(np.int32)
+        """The class of each tuple (row of values), or -1 where it is no member's:
+        its key searched among the sorted keys, and confirmed by equality."""
+        keys = row_keys(values)
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(self._keys[at] == keys, at, -1).astype(np.int32)
 
     def find(self, cones) -> np.ndarray:
         """The position of each cone of the batch among the members, or -1."""

@@ -29,68 +29,68 @@ class ReesElement(NamedTuple):
 
 class SandwichMatrix:
     """A Lambda x I matrix of group element indices; entry(lam, i) mediates the product.
-    `entries` holds it as tuples, `array` as the read-only np.intp array scans read,
-    and `scaled` its columns scaled on the right by every group element: the
-    read-only (|I|, |G|, |Lambda|) array whose entry [i, g] is col_i * g.  Every
-    cone set of the connection is read off it; over P.transpose it is
-    [lam, g] = g * row_lam."""
+    It is held as `array`, the read-only (|Lambda|, |I|) np.intp array scans
+    read, and `scaled`, its columns scaled on the right by every group
+    element: the read-only (|I|, |G|, |Lambda|) array whose entry [i, g] is
+    col_i * g.  Every cone set of the connection is read off it; over
+    P.transpose it is [lam, g] = g * row_lam."""
 
     def __init__(self, group: FiniteGroup, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
-        if not rows or not rows[0]:
+        if len(entries) == 0 or len(entries[0]) == 0:
             raise ParseError("sandwich matrix needs at least one row and one column")
-        width = len(rows[0])
-        for r, row in enumerate(rows):
-            if len(row) != width:
-                raise ParseError(f"row {r} has {len(row)} entries, expected {width}")
-            for c, v in enumerate(row):
-                if not 0 <= v < group.order:
-                    raise ParseError(
-                        f"entry at row {r}, column {c} is {v}, not an element of a group "
-                        f"of order {group.order}"
-                    )
-        self.group = group
-        self.entries = rows
-        self.array = np.array(rows, dtype=np.intp)
-        self.array.flags.writeable = False
-        self.scaled = group.array[self.array.T[:, None, :], np.arange(group.order)[None, :, None]]
+        width = len(entries[0])
+        # the rows before the first one of the wrong length, in one array
+        full = next((r for r, row in enumerate(entries) if len(row) != width), len(entries))
+        try:
+            array = np.array(entries[:full], dtype=np.intp)
+        except OverflowError:  # an entry beyond intp, out of range as well
+            array = np.array(entries[:full], dtype=object)
+        outside = (array < 0) | (array >= group.order)
+        if outside.any():
+            r, c = divmod(int(outside.argmax()), width)
+            raise ParseError(
+                f"entry at row {r}, column {c} is {array[r, c]}, not an element of a group "
+                f"of order {group.order}"
+            )
+        if full < len(entries):
+            raise ParseError(f"row {full} has {len(entries[full])} entries, expected {width}")
+        array.flags.writeable = False
+        self._hold(group, array)
+
+    def _hold(self, group: FiniteGroup, array: np.ndarray) -> None:
+        self.group, self.array, self._transpose = group, array, None
+        self.scaled = group.array[array.T[:, None, :], np.arange(group.order)[None, :, None]]
         self.scaled.flags.writeable = False
-        self._transpose: SandwichMatrix | None = None
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return self.array.shape[0]
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0])
+        return self.array.shape[1]
 
     def entry(self, lam: int, i: int) -> int:
-        return self.entries[lam][i]
-
-    def column(self, i: int) -> tuple[int, ...]:
-        return tuple(row[i] for row in self.entries)
-
-    def row(self, lam: int) -> tuple[int, ...]:
-        return self.entries[lam]
+        return self.array.item(lam, i)
 
     def label_rows(self) -> list[list[str]]:
-        return [[self.group.names[v] for v in row] for row in self.entries]
+        return [[self.group.names[v] for v in row] for row in self.array.tolist()]
 
     @property
     def transpose(self) -> SandwichMatrix:
         """P^T over the opposite group, the matrix of S^op, its array the view
-        `array.T`; P.transpose.transpose is P."""
+        `array.T`, taken without a second validation; P.transpose.transpose is P."""
         if self._transpose is None:
-            t = SandwichMatrix(self.group.opposite, tuple(zip(*self.entries)))
-            t.array, t._transpose = self.array.T, self
+            t = object.__new__(SandwichMatrix)
+            t._hold(self.group.opposite, self.array.T)
+            t._transpose = self
             self._transpose = t
         return self._transpose
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SandwichMatrix):
             return NotImplemented
-        return self.group == other.group and self.entries == other.entries
+        return self.group == other.group and np.array_equal(self.array, other.array)
 
     def __repr__(self) -> str:
         return f"SandwichMatrix({self.rows}x{self.cols} over order {self.group.order})"

@@ -39,10 +39,14 @@ step, all their cones through one broadcasting `kernel.chi` and back,
 with the first failing cell and condition as the witness.  `crossconn.matrix_roundtrip`
 factors every column of P through its extracted column in one
 `kernel.right_factor`.  Each cell is one slice of `SandwichMatrix.scaled`
-(`connections.gamma_cells`).  `connections.pair_arrays(S)` is built once
-per command: the linked pairs, U-Gamma, U-Delta, their tables, the pair
-table gathered from those, and the positions of the pairs' halves in
-U-Gamma and U-Delta, all read off `SandwichMatrix.scaled`.  `cone_suite`,
+(`connections.gamma_cells`), and the dual side of every connection check
+reads `SandwichMatrix.transpose`: the connection is its matrix, which
+each of those functions takes.  `cones.injectivity_criterion` is one
+array pass too, so no suite makes a scalar group product.
+`connections.pair_arrays(S)` is built once per command: the linked
+pairs, U-Gamma, U-Delta, their tables, the pair table gathered from
+those, and the positions of the pairs' halves in U-Gamma and U-Delta,
+all read off `SandwichMatrix.scaled`.  `cone_suite`,
 `crossconn_suite`, `rbg_suite` and `connections.verify_phi` take it as a
 required argument and never build it: `full_suite` builds it after
 `rees_suite` and `category_suite`, and the CLI's `crossconn` and `rbg`
@@ -60,7 +64,7 @@ and compares them as integers, each U cone's constant value and vertex.
 
 Every set of cones a suite checks becomes its table once, through
 `kernel.cone_product_table` on the tuple classes of the set (T_L,
-U-Gamma and U-Delta), whose one `KeyIndex` holds the set's distinct
+U-Gamma and U-Delta), whose one `ConeClasses` holds the set's distinct
 tuples: scalings of the tuples, their lookup and one gather, with -1 for each
 product outside the set; the set is closed when no entry is -1, and
 `kernel.first_hole` names the first in row order.  The linked pairs are
@@ -99,8 +103,7 @@ from . import connections, cones, kernel, oracle, rees
 from .categories import Morphism, left_category, realize_category, right_category
 from .checks import Check
 from .cones import CosetHandle
-from .connections import CrossConnection
-from .rees import ReesSemigroup
+from .rees import ReesSemigroup, SandwichMatrix
 
 TRIPLE_GUARD = 10**6
 
@@ -172,7 +175,7 @@ def category_suite(S: ReesSemigroup) -> list[Check]:
     checks = []
     G = S.group
     for side in ("left", "right"):
-        rep = realize_category(S, side, size_guard=S.size)
+        rep = realize_category(S, side)
         checks.append(
             Check(
                 f"category.{side}_realization",
@@ -240,7 +243,6 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     checks = []
     G = S.group
     n_l = S.n_lambda
-    elements = list(S.elements())
 
     n_cones = (G.order**n_l) * n_l
     small = n_cones**3 <= TRIPLE_GUARD
@@ -288,7 +290,7 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
 
         T = oracle.GenericSemigroup(table)
         by_vertex = oracle.partition_by_key(vertices.tolist())
-        coset = kernel.row_keys(kernel.canonical(M, np.asarray(G.inverse), values))
+        coset = kernel.row_keys(kernel.canonical(M, G.inverse, values))
         by_coset = oracle.partition_by_key(np.unique(coset, return_inverse=True)[1].tolist())
         green = oracle.green_via_ideals(T, ideals)
         ok = by_vertex == green["L"] and by_coset == green["R"]
@@ -315,7 +317,7 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         ),
     ):
         bad = kernel.first_block_failure(S.size, S.size, bad_rows)
-        witness = None if bad is None else ", ".join(str(elements[k]) for k in bad)
+        witness = None if bad is None else ", ".join(str(S.element(k)) for k in bad)
         checks.append(Check(name, witness is None, witness))
 
     # the image's positions in U-Gamma, -1 first where a cone is outside it;
@@ -355,20 +357,19 @@ def _misplaced(got: np.ndarray, expected: np.ndarray) -> np.ndarray:
 def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     """`linked` is `connections.pair_arrays(S)`."""
     checks = []
-    G = S.group
-    conn = CrossConnection(S.matrix)
-    n_i, n_l = conn.n_i, conn.n_lambda
+    G, P = S.group, S.matrix
+    n_i, n_l = S.n_i, S.n_lambda
 
-    checks.extend(connections.verify_crossconnection(conn))
+    checks.extend(connections.verify_crossconnection(P))
 
-    witness = _duality_witness(conn)
+    witness = _duality_witness(P)
     checks.append(Check("crossconn.duality_bijection", witness is None, witness))
 
     cost = (n_l * n_i * G.order) ** 2 * G.order * (n_l + n_i)
     if cost > TRIPLE_GUARD:
         checks.append(Check("crossconn.naturality", None, _SKIP))
     else:
-        witness = _naturality_witness(conn)
+        witness = _naturality_witness(P)
         checks.append(Check("crossconn.naturality", witness is None, witness))
 
     ug, ud = linked.u_gamma, linked.u_delta
@@ -391,10 +392,10 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
     checks.append(Check("crossconn.s_tilde_closed", report.closed, report.closure_witness))
     checks.append(Check("crossconn.phi_isomorphism", report.is_isomorphism, report.witness))
 
-    objects = connections.gamma_images(conn).objects.tolist()
+    objects = connections.gamma_images(P).objects.tolist()
     extracted = connections.matrix_of(G, [CosetHandle("left", tuple(c)) for c in objects])
     # every column of P against its extracted column at once
-    _, scaled = kernel.right_factor(G.array, np.asarray(G.inverse), S.matrix.array.T, extracted.array.T)
+    _, scaled = kernel.right_factor(G.array, G.inverse, P.array.T, extracted.array.T)
     bad = np.flatnonzero(~scaled)
     witness = None
     if len(bad):
@@ -404,31 +405,31 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
     return checks
 
 
-def _duality_witness(conn: CrossConnection) -> str | None:
+def _duality_witness(matrix: SandwichMatrix) -> str | None:
     """The first cell (lam, i) on which chi is not a bijection onto the dual
-    cell inverted by chi over `conn.opposite`, with the first of the three
+    cell inverted by chi over `matrix.transpose`, with the first of the three
     conditions it fails: |G| members in the cell and in its dual, chi onto
-    the dual, chi over `conn.opposite` back.  Cells run in blocks, all the
+    the dual, chi over `matrix.transpose` back.  Cells run in blocks, all the
     cones of a block through one broadcasting `kernel.chi` and one back.  A
     cone that does not factor through its cell has no image, and the
     duality fails there.  chi's images and the dual cell are equal sets
     when their union has no more members than either."""
-    G, op = conn.group, conn.opposite
-    M, inverse, order = G.array, np.asarray(G.inverse), G.order
-    P, P_op = conn.matrix.array, op.matrix.array
-    n_cells = conn.n_lambda * conn.n_i
+    G, n_l, n_i = matrix.group, matrix.rows, matrix.cols
+    M, inverse, order = G.array, G.inverse, G.order
+    P, P_op = matrix.array, matrix.transpose.array
+    n_cells = n_l * n_i
     cells, duals = (
         (values.reshape(n_cells, order, -1), vertices.reshape(n_cells, order))
-        for values, vertices in (connections.gamma_cells(conn), connections.delta_cells(conn))
+        for values, vertices in (connections.gamma_cells(matrix), connections.delta_cells(matrix))
     )
 
     def bad_rows(rows: slice) -> np.ndarray:
         # axes [cell, cone, coordinate]
-        lam, i = (x[:, None] for x in np.divmod(np.arange(n_cells)[rows], conn.n_i))
+        lam, i = (x[:, None] for x in np.divmod(np.arange(n_cells)[rows], n_i))
         cell, dual = kernel.pick(cells, rows), kernel.pick(duals, rows)
         images, ok = kernel.chi(M, inverse, P.T[i], P[cell[1]], cell[0])
         image = images, np.broadcast_to(i, ok.shape)
-        # an image that is in the dual cell, made over conn.opposite, factors back
+        # an image that is in the dual cell, made over matrix.transpose, factors back
         back, _ = kernel.chi(M.T, inverse, P_op.T[lam], P_op[i], images)
         union = _members(*(np.concatenate(x, axis=1) for x in zip(image, dual)))
         return np.stack(
@@ -440,10 +441,10 @@ def _duality_witness(conn: CrossConnection) -> str | None:
             axis=1,
         )
 
-    bad = kernel.first_block_failure(n_cells, order * (conn.n_lambda + conn.n_i), bad_rows)
+    bad = kernel.first_block_failure(n_cells, order * (n_l + n_i), bad_rows)
     if bad is None:
         return None
-    lam, i = divmod(bad[0], conn.n_i)
+    lam, i = divmod(bad[0], n_i)
     return (
         f"cell ({lam},{i}) does not have {order} members",
         f"duality is not a bijection on cell ({lam},{i})",
@@ -459,27 +460,27 @@ def _members(values: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return kernel.distinct_counts(labels, m, values.reshape(m * size, -1), vertices.ravel())
 
 
-def _naturality_witness(conn: CrossConnection) -> str | None:
+def _naturality_witness(matrix: SandwichMatrix) -> str | None:
     """The first square of the duality chi between the cell maps of the two
     bifunctors that does not commute, in (l1, l2, i1, i2, g1, g2) order.
 
     For rho = g2 : l1 -> l2 and kappa = g1 : i1 -> i2, each cone of the cell
     (l1, i1) goes through Gamma's cell map and then chi, and through chi and
-    then Delta's cell map, which is Gamma's over `conn.opposite` with rho and
+    then Delta's cell map, which is Gamma's over `matrix.transpose` with rho and
     kappa swapped.  One triple (l1, l2, i1) is one row: all (i2, g1, g2) and
     all |G| cones of the cell at once, in blocks of rows.  A cone that is
     not on its cell fails its squares.
     """
-    G, op = conn.group, conn.opposite
-    M, P, M_op, P_op = G.array, conn.matrix.array, op.group.array, op.matrix.array
-    inverse, order = np.asarray(G.inverse), G.order
-    n_l, n_i = conn.n_lambda, conn.n_i
+    G, op = matrix.group, matrix.transpose
+    M, P, M_op, P_op = G.array, matrix.array, op.group.array, op.array
+    inverse, order = G.inverse, G.order
+    n_l, n_i = matrix.rows, matrix.cols
     # axes [triple, i2, g1, g2, cone]; columns and rows gain a coordinate axis
     targets = P.T[None, :, None, None, None, :]  # column i2 of P
     g1 = np.arange(order).reshape(-1, 1, 1)
     g2 = np.arange(order).reshape(1, -1, 1)
     triples = np.indices((n_l, n_l, n_i)).reshape(3, -1)
-    cells = connections.gamma_cells(conn)
+    cells = connections.gamma_cells(matrix)
 
     def bad_rows(rows: slice) -> np.ndarray:
         l1, l2, i1 = (x[rows].reshape(-1, 1, 1, 1) for x in triples)
@@ -507,8 +508,9 @@ def _linkage(S: ReesSemigroup, linked: connections.PairArrays) -> np.ndarray:
     """Whether each cone of U-Gamma is linked with each cone of U-Delta, as a
     (|U-Gamma|, |U-Delta|) table by tuple class (`kernel.linkage_table`)."""
     G = S.group
-    M, P, inverse = G.array, S.matrix.array, np.asarray(G.inverse)
-    return kernel.linkage_table(M, inverse, P, linked.u_gamma.classes, linked.u_delta.classes)
+    return kernel.linkage_table(
+        G.array, G.inverse, S.matrix.array, linked.u_gamma.classes, linked.u_delta.classes
+    )
 
 
 def full_suite(S: ReesSemigroup) -> list[Check]:

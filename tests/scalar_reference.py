@@ -31,7 +31,7 @@ action of the objects on tuples (`cones.act` and `act`), into the
 functors (`gamma_apply` and `delta_apply` here, `connections.gamma_images`
 and `delta_images` in the package), into both linkage tests (the scalar
 `is_linked` and the array comparison `kernel.same_factor`), into
-`ArrowCategory.compose`, into `CrossConnection.opposite`, into the cells
+`ArrowCategory.compose`, into `SandwichMatrix.transpose`, into the cells
 (`connections.gamma_cells`), into both linked-pair products, into the
 linked-pair table and into the pairs themselves
 (`connections.pair_cones`); each patches the array builder and its
@@ -58,7 +58,7 @@ from crossconn.categories import (
 )
 from crossconn.checks import Check
 from crossconn.cones import CosetHandle
-from crossconn.connections import CrossConnection, DualMorphism, Images, LinkedPair
+from crossconn.connections import DualMorphism, Images, LinkedPair
 from crossconn.errors import (
     CrossconnError,
     IndexOutOfRange,
@@ -75,7 +75,7 @@ from crossconn.oracle import (
     partition_by_key,
     verify_map,
 )
-from crossconn.rees import ReesElement, ReesSemigroup, SandwichMatrix, identity_matrix
+from crossconn.rees import ReesElement, ReesSemigroup, SandwichMatrix
 
 
 class ElementNotInCell(CrossconnError):
@@ -88,6 +88,16 @@ def cone_arrays(cones_) -> tuple[np.ndarray, np.ndarray]:
     vertices (m,)): the inverse of `connections.as_cones`."""
     values = np.array([c.values for c in cones_], dtype=np.intp).reshape(len(cones_), -1)
     return values, np.array([c.vertex for c in cones_], dtype=np.intp)
+
+
+def column(P: SandwichMatrix, i: int) -> tuple[int, ...]:
+    """Column i of the matrix, as a tuple of ints."""
+    return tuple(P.array[:, i].tolist())
+
+
+def row(P: SandwichMatrix, lam: int) -> tuple[int, ...]:
+    """Row lam of the matrix, as a tuple of ints."""
+    return tuple(P.array[lam].tolist())
 
 
 def act(group: FiniteGroup, k: int, values) -> tuple[int, ...]:
@@ -221,7 +231,7 @@ class _Opposite(ReesSemigroup):
 
 
 def _left_cone(S: ReesSemigroup, a: ReesElement) -> Cone:
-    return Cone(tuple(S.group.mul(p, a.g) for p in S.matrix.column(a.i)), a.lam)
+    return Cone(tuple(S.group.mul(p, a.g) for p in column(S.matrix, a.i)), a.lam)
 
 
 def principal_pair(S: ReesSemigroup, a: ReesElement) -> tuple[Cone, Cone]:
@@ -242,22 +252,22 @@ def phi(S: ReesSemigroup, a: ReesElement) -> LinkedPair:
     return LinkedPair(rho, lam)
 
 
-def gamma_apply(conn: CrossConnection, x):
+def gamma_apply(P: SandwichMatrix, x):
     """The connection functor on the right-ideal category.
 
     An object index i goes to the left coset of column i; a morphism
     kappa(g) goes to sigma_g between the corresponding cosets.
     """
     if isinstance(x, Morphism):
-        return DualMorphism("sigma", x.g, gamma_apply(conn, x.dom), gamma_apply(conn, x.cod))
-    return coset_normalize(conn.group, "left", conn.matrix.column(x))
+        return DualMorphism("sigma", x.g, gamma_apply(P, x.dom), gamma_apply(P, x.cod))
+    return coset_normalize(P.group, "left", column(P, x))
 
 
-def delta_apply(conn: CrossConnection, x):
+def delta_apply(P: SandwichMatrix, x):
     """The dual functor on the left-ideal category: lam -> right coset of row lam, rho(g) -> tau_g."""
     if isinstance(x, Morphism):
-        return DualMorphism("tau", x.g, delta_apply(conn, x.dom), delta_apply(conn, x.cod))
-    return coset_normalize(conn.group, "right", conn.matrix.row(x))
+        return DualMorphism("tau", x.g, delta_apply(P, x.dom), delta_apply(P, x.cod))
+    return coset_normalize(P.group, "right", row(P, x))
 
 
 def green_cones(group: FiniteGroup, kind: str, c1: Cone, c2: Cone) -> bool:
@@ -294,44 +304,44 @@ def compose_cones(cat: ArrowCategory, gamma: Cone, sigma: Cone) -> Cone:
     return Cone(values, sigma.vertex)
 
 
-def gamma_cell(conn: CrossConnection, lam: int, i: int) -> list[Cone]:
+def gamma_cell(P: SandwichMatrix, lam: int, i: int) -> list[Cone]:
     """The cell of the connection bifunctor: all right scalings of column i, vertex lam."""
-    G = conn.group
-    col = conn.matrix.column(i)
+    G = P.group
+    col = column(P, i)
     return [Cone(tuple(G.mul(p, g) for p in col), lam) for g in G.elements()]
 
 
-def delta_cell(conn: CrossConnection, lam: int, i: int) -> list[Cone]:
+def delta_cell(P: SandwichMatrix, lam: int, i: int) -> list[Cone]:
     """The dual cell: all left scalings of row lam, vertex i."""
-    return gamma_cell(conn.opposite, i, lam)
+    return gamma_cell(P.transpose, i, lam)
 
 
-def bifunctor_gamma(conn: CrossConnection, rho: Morphism, kappa: Morphism, cone: Cone) -> Cone:
+def bifunctor_gamma(P: SandwichMatrix, rho: Morphism, kappa: Morphism, cone: Cone) -> Cone:
     """Cell map of the bifunctor: (col_{i1} * g, lam1) -> (col_{i2} * (g1*g*g2), lam2)
 
     for rho = g2 : lam1 -> lam2 and kappa = g1 : i1 -> i2.
     """
-    G = conn.group
+    G = P.group
     if cone.vertex != rho.dom:
         raise ElementNotInCell(
             f"cone vertex {cone.vertex} is not the domain {rho.dom} of the first morphism"
         )
-    g = right_factor(G, conn.matrix.column(kappa.dom), cone.values)
+    g = right_factor(G, column(P, kappa.dom), cone.values)
     if g is None:
         raise ElementNotInCell(f"cone tuple is not a right scaling of column {kappa.dom}")
     scale = G.mul(G.mul(kappa.g, g), rho.g)
-    return Cone(tuple(G.mul(p, scale) for p in conn.matrix.column(kappa.cod)), rho.cod)
+    return Cone(tuple(G.mul(p, scale) for p in column(P, kappa.cod)), rho.cod)
 
 
-def u_gamma(conn: CrossConnection) -> list[Cone]:
+def u_gamma(P: SandwichMatrix) -> list[Cone]:
     """All cones whose tuple is a scaled matrix column, deduplicated in (g, i, lam) order."""
-    G = conn.group
+    G = P.group
     out: list[Cone] = []
     seen: set[Cone] = set()
     for g in G.elements():
-        for i in range(conn.n_i):
-            values = tuple(G.mul(p, g) for p in conn.matrix.column(i))
-            for lam in range(conn.n_lambda):
+        for i in range(P.cols):
+            values = tuple(G.mul(p, g) for p in column(P, i))
+            for lam in range(P.rows):
                 c = Cone(values, lam)
                 if c not in seen:
                     seen.add(c)
@@ -339,46 +349,46 @@ def u_gamma(conn: CrossConnection) -> list[Cone]:
     return out
 
 
-def u_delta(conn: CrossConnection) -> list[Cone]:
+def u_delta(P: SandwichMatrix) -> list[Cone]:
     """All cones whose tuple is a left-scaled matrix row, deduplicated in (g, lam, i) order."""
-    return u_gamma(conn.opposite)
+    return u_gamma(P.transpose)
 
 
-def chi(conn: CrossConnection, gamma: Cone, i: int) -> Cone:
+def chi(P: SandwichMatrix, gamma: Cone, i: int) -> Cone:
     """The duality on the cell (gamma.vertex, i): (col_i * g, lam) -> (g * row_lam, i)."""
-    G = conn.group
-    g = right_factor(G, conn.matrix.column(i), gamma.values)
+    G = P.group
+    g = right_factor(G, column(P, i), gamma.values)
     if g is None:
         raise ElementNotInCell(f"cone tuple is not a right scaling of column {i}")
-    return Cone(tuple(G.mul(g, p) for p in conn.matrix.row(gamma.vertex)), i)
+    return Cone(tuple(G.mul(g, p) for p in row(P, gamma.vertex)), i)
 
 
-def is_linked(conn: CrossConnection, gamma: Cone, delta: Cone) -> bool:
+def is_linked(P: SandwichMatrix, gamma: Cone, delta: Cone) -> bool:
     """Linkage test: both cones factor through the cell (gamma.vertex, delta.vertex)
     and the two extracted scalars coincide (the first-coordinate criterion)."""
-    g1 = right_factor(conn.group, conn.matrix.column(delta.vertex), gamma.values)
+    g1 = right_factor(P.group, column(P, delta.vertex), gamma.values)
     if g1 is None:
         return False
-    g2 = right_factor(conn.group.opposite, conn.matrix.row(gamma.vertex), delta.values)
+    g2 = right_factor(P.group.opposite, row(P, gamma.vertex), delta.values)
     return g2 is not None and g1 == g2
 
 
-def linked_pairs(conn: CrossConnection) -> list[LinkedPair]:
+def linked_pairs(P: SandwichMatrix) -> list[LinkedPair]:
     """The linked cone pairs ((col_i * g, lam), (g * row_lam, i)) in (g, i, lam) order."""
-    G = conn.group
+    G = P.group
     out = []
     for g in G.elements():
-        for i in range(conn.n_i):
-            gamma_values = tuple(G.mul(p, g) for p in conn.matrix.column(i))
-            for lam in range(conn.n_lambda):
-                delta_values = tuple(G.mul(g, p) for p in conn.matrix.row(lam))
+        for i in range(P.cols):
+            gamma_values = tuple(G.mul(p, g) for p in column(P, i))
+            for lam in range(P.rows):
+                delta_values = tuple(G.mul(g, p) for p in row(P, lam))
                 out.append(LinkedPair(Cone(gamma_values, lam), Cone(delta_values, i)))
     return out
 
 
-def s_tilde_mul(conn: CrossConnection, p1: LinkedPair, p2: LinkedPair) -> LinkedPair:
+def s_tilde_mul(P: SandwichMatrix, p1: LinkedPair, p2: LinkedPair) -> LinkedPair:
     """(gamma, delta) o (gamma', delta') = (gamma * gamma', delta' * delta)."""
-    G = conn.group
+    G = P.group
     return LinkedPair(
         mul_L(G, p1.gamma, p2.gamma), mul_L(G.opposite, p2.delta, p1.delta)
     )
@@ -390,11 +400,6 @@ def _pair_cones(pairs: list[LinkedPair]):
         cone_arrays([p.gamma for p in pairs]),
         cone_arrays([p.delta for p in pairs]),
     )
-
-
-def rbg(group: FiniteGroup, n_i: int, n_lambda: int) -> CrossConnection:
-    """The rectangular band of groups: the connection of the constant-identity matrix."""
-    return CrossConnection(identity_matrix(group, n_lambda, n_i))
 
 
 def left_ideal(T: GenericSemigroup, x: int) -> frozenset[int]:
@@ -514,12 +519,14 @@ def cone_table(group, cones_: list[Cone]) -> list[list[int]]:
 
 def cone_product_table(M, members) -> np.ndarray:
     """`kernel.cone_product_table` one row at a time: member a times every
-    member under `kernel.mul_L`, each product's key looked up in the
-    members' own `KeyIndex`, -1 where a product is not a member."""
-    index = kernel.KeyIndex(kernel.row_keys(*members))
+    member under `kernel.mul_L`, each product's key looked up in a dict of
+    the members' keys, -1 where a product is not a member.  Among equal
+    members the last position wins."""
+    index = {key: k for k, key in enumerate(kernel.row_keys(*members).tolist())}
     table = np.empty((len(members[1]),) * 2, dtype=np.int32)
     for a in range(len(table)):
-        table[a] = index.find(kernel.row_keys(*kernel.mul_L(M, kernel.pick(members, a), members)))
+        products = kernel.row_keys(*kernel.mul_L(M, kernel.pick(members, a), members))
+        table[a] = [index.get(key, -1) for key in products.tolist()]
     return table
 
 
@@ -670,14 +677,14 @@ def regular_subsemigroup(group, members: list[Cone]) -> bool:
 
 def pair_table(S: ReesSemigroup) -> tuple[list[list[int]] | None, str | None]:
     """The linked-pair product table of `verify_phi`, or None and the closure witness."""
-    conn = connections.CrossConnection(S.matrix)
-    pairs = linked_pairs(conn)
+    P = S.matrix
+    pairs = linked_pairs(P)
     index = {p: k for k, p in enumerate(pairs)}
     table = []
     for p in pairs:
         row = []
         for q in pairs:
-            prod = s_tilde_mul(conn, p, q)
+            prod = s_tilde_mul(P, p, q)
             k = index.get(prod)
             if k is None:
                 return None, f"product of {p} and {q} is not a linked pair"
@@ -691,7 +698,7 @@ def verify_phi(S: ReesSemigroup) -> connections.PhiReport:
     table, witness = pair_table(S)
     if table is None:
         return connections.PhiReport(False, witness, None)
-    pairs = linked_pairs(CrossConnection(S.matrix))
+    pairs = linked_pairs(S.matrix)
     index = {p: k for k, p in enumerate(pairs)}
     f = [index.get(phi(S, a)) for a in S.elements()]
     if None in f:
@@ -702,21 +709,21 @@ def verify_phi(S: ReesSemigroup) -> connections.PhiReport:
     return connections.PhiReport(True, None, check)
 
 
-def crossconnection_checks(conn: connections.CrossConnection) -> list[Check]:
+def crossconnection_checks(P: SandwichMatrix) -> list[Check]:
     """The functor-law, `fully_faithful` and `ideal_restriction` checks of
     `connections.verify_crossconnection`, one scalar call per use.  A
     composite of images that do not compose fails the law, and an image
     whose domain is not the object's coset induces no map."""
-    G = conn.group
-    n_i = conn.n_i
+    G = P.group
+    n_i = P.cols
     checks = []
     for name, cat, apply_ in (
         ("gamma", right_category(G, n_i), gamma_apply),
-        ("delta", left_category(G, conn.n_lambda), delta_apply),
+        ("delta", left_category(G, P.rows), delta_apply),
     ):
         witness = None
         for obj in cat.objects():
-            got = apply_(conn, cat.identity(obj))
+            got = apply_(P, cat.identity(obj))
             if got.h != G.identity or got.dom != got.cod:
                 witness = f"identity at object {obj} is not sent to an identity"
                 break
@@ -724,9 +731,9 @@ def crossconnection_checks(conn: connections.CrossConnection) -> list[Check]:
             for o1, o2, o3 in product(cat.objects(), repeat=3):
                 for g1, g2 in product(G.elements(), repeat=2):
                     m1, m2 = Morphism(o1, o2, g1), Morphism(o2, o3, g2)
-                    lhs = apply_(conn, cat.compose(m1, m2))
+                    lhs = apply_(P, cat.compose(m1, m2))
                     try:
-                        rhs = connections.compose_duals(G, apply_(conn, m1), apply_(conn, m2))
+                        rhs = connections.compose_duals(G, apply_(P, m1), apply_(P, m2))
                     except NotComposable:
                         rhs = None
                     if lhs != rhs:
@@ -738,11 +745,11 @@ def crossconnection_checks(conn: connections.CrossConnection) -> list[Check]:
 
     witness = None
     for i1, i2 in product(range(n_i), repeat=2):
-        dom = gamma_apply(conn, i1)
+        dom = gamma_apply(P, i1)
         members = sorted(tuple(G.mul(c, g) for c in dom.canonical) for g in G.elements())
         actions = set()
         for g in G.elements():
-            sg = gamma_apply(conn, Morphism(i1, i2, g))
+            sg = gamma_apply(P, Morphism(i1, i2, g))
             try:
                 actions.add(tuple(connections.sigma_apply(G, sg, x) for x in members))
             except NotInDomainCoset:
@@ -754,7 +761,7 @@ def crossconnection_checks(conn: connections.CrossConnection) -> list[Check]:
 
     witness = None
     for i in range(n_i):
-        images = {gamma_apply(conn, Morphism(i, i, g)) for g in G.elements()}
+        images = {gamma_apply(P, Morphism(i, i, g)) for g in G.elements()}
         if len(images) != G.order:
             witness = f"restriction to object {i} is not a bijection on endomorphisms"
             break
@@ -766,41 +773,41 @@ def linked_criterion_witness(S: ReesSemigroup) -> str | None:
     """The witness of `crossconn.linked_criterion_agreement`: the first
     (gamma, delta) of U-Gamma x U-Delta where `is_linked` and pair
     membership disagree."""
-    conn = connections.CrossConnection(S.matrix)
+    P = S.matrix
     pair_set = {
-        (p.gamma, p.delta) for p in linked_pairs(conn)
+        (p.gamma, p.delta) for p in linked_pairs(P)
     }
     return next(
         (
             f"{g}, {d}"
-            for g in u_gamma(conn)
-            for d in u_delta(conn)
-            if is_linked(conn, g, d) != ((g, d) in pair_set)
+            for g in u_gamma(P)
+            for d in u_delta(P)
+            if is_linked(P, g, d) != ((g, d) in pair_set)
         ),
         None,
     )
 
 
-def duality_witness(conn: connections.CrossConnection) -> str | None:
+def duality_witness(P: SandwichMatrix) -> str | None:
     """The witness of `crossconn.duality_bijection`: the first cell (lam, i)
     on which chi is not a bijection onto the dual cell inverted by chi over
-    `conn.opposite`.  A cone that either chi cannot factor
+    `P.transpose`.  A cone that either chi cannot factor
     (`ElementNotInCell`) fails the cell."""
-    G = conn.group
-    for lam, i in product(range(conn.n_lambda), range(conn.n_i)):
-        cell = gamma_cell(conn, lam, i)
-        dual = delta_cell(conn, lam, i)
+    G = P.group
+    for lam, i in product(range(P.rows), range(P.cols)):
+        cell = gamma_cell(P, lam, i)
+        dual = delta_cell(P, lam, i)
         if len(set(cell)) != G.order or len(set(dual)) != G.order:
             return f"cell ({lam},{i}) does not have {G.order} members"
         try:
-            images = [chi(conn, c, i) for c in cell]
+            images = [chi(P, c, i) for c in cell]
         except ElementNotInCell:
             return f"duality is not a bijection on cell ({lam},{i})"
         if set(images) != set(dual):
             return f"duality is not a bijection on cell ({lam},{i})"
         try:
             inverts = all(
-                chi(conn.opposite, d, lam) == c for c, d in zip(cell, images)
+                chi(P.transpose, d, lam) == c for c, d in zip(cell, images)
             )
         except ElementNotInCell:
             inverts = False
@@ -813,15 +820,15 @@ def rbg_checks(S: ReesSemigroup) -> list[Check]:
     """The checks of `verify.rbg_suite`, one scalar `s_tilde_mul` or
     `is_linked` call per pair of linked pairs, and `verify_phi` above."""
     group, n_i, n_lambda = S.group, S.n_i, S.n_lambda
-    conn = connections.CrossConnection(S.matrix)
-    ok = all(v == group.identity for row in conn.matrix.entries for v in row)
+    P = S.matrix
+    ok = all(v == group.identity for r in P.array.tolist() for v in r)
     checks = [Check("rbg.identity_matrix", ok)]
 
-    pairs = linked_pairs(conn)
+    pairs = linked_pairs(P)
     witness = None
     for p1 in pairs:
         for p2 in pairs:
-            got = s_tilde_mul(conn, p1, p2)
+            got = s_tilde_mul(P, p1, p2)
             g = group.mul(p1.gamma.values[0], p2.gamma.values[0])
             expected = LinkedPair(
                 Cone((g,) * n_lambda, p2.gamma.vertex),
@@ -839,7 +846,7 @@ def rbg_checks(S: ReesSemigroup) -> list[Check]:
         g1 = p.gamma.values[0]
         for q in pairs:
             g2 = q.delta.values[0]
-            linked = is_linked(conn, p.gamma, q.delta)
+            linked = is_linked(P, p.gamma, q.delta)
             if linked != (g1 == g2):
                 witness = f"{p.gamma} vs {q.delta}"
                 break
@@ -874,23 +881,23 @@ def cone_product_witness(G, n_lambda: int) -> str | None:
     )
 
 
-def naturality_witness(conn: connections.CrossConnection) -> str | None:
+def naturality_witness(P: SandwichMatrix) -> str | None:
     """The witness of `crossconn.naturality`: the first (l1, l2, i1, i2, g1, g2)
     with a cone of the cell (l1, i1) on which chi after Gamma's cell map
     and Delta's cell map after chi differ.  A cone that does not factor
     through its cell on either route (`ElementNotInCell`) fails its square."""
-    G, n_l, n_i = conn.group, conn.n_lambda, conn.n_i
+    G, n_l, n_i = P.group, P.rows, P.cols
     for l1, l2, i1, i2 in product(range(n_l), range(n_l), range(n_i), range(n_i)):
         for g1, g2 in product(G.elements(), repeat=2):
             rho = Morphism(l1, l2, g2)
             kappa = Morphism(i1, i2, g1)
-            for cone in gamma_cell(conn, l1, i1):
+            for cone in gamma_cell(P, l1, i1):
                 try:
                     left = chi(
-                        conn, bifunctor_gamma(conn, rho, kappa, cone), i2
+                        P, bifunctor_gamma(P, rho, kappa, cone), i2
                     )
                     right = bifunctor_gamma(
-                        conn.opposite, kappa, rho, chi(conn, cone, i1)
+                        P.transpose, kappa, rho, chi(P, cone, i1)
                     )
                     commutes = left == right
                 except ElementNotInCell:
@@ -900,30 +907,30 @@ def naturality_witness(conn: connections.CrossConnection) -> str | None:
     return None
 
 
-def misscaled(conn, m, image):
+def misscaled(P, m, image):
     """h -> h*h: identities stay identities, composites do not in a non-abelian group."""
-    return image._replace(h=conn.group.mul(image.h, image.h))
+    return image._replace(h=P.group.mul(image.h, image.h))
 
 
-def collapsed(conn, m, image):
+def collapsed(P, m, image):
     """The first non-identity scalar is sent where the identity goes."""
-    G = conn.group
+    G = P.group
     other = next(g for g in G.elements() if g != G.identity)
     return image._replace(h=G.identity) if image.h == other else image
 
 
-def endomorphic(conn, m, image):
+def endomorphic(P, m, image):
     """Every image ends where it starts, so images of m1 and m2 need not compose."""
     return image._replace(cod=image.dom)
 
 
-def relabelled(conn, m, image):
+def relabelled(P, m, image):
     """Objects 0 and 1 trade coset handles: still a functor, but an image's
     domain is no longer the coset of its object."""
     sigma = image.kind == "sigma"
     apply_ = gamma_apply if sigma else delta_apply
-    swap = {0: 1, 1: 0} if (conn.n_i if sigma else conn.n_lambda) > 1 else {}
-    dom, cod = (apply_(conn, swap.get(k, k)) for k in (m.dom, m.cod))
+    swap = {0: 1, 1: 0} if (P.cols if sigma else P.rows) > 1 else {}
+    dom, cod = (apply_(P, swap.get(k, k)) for k in (m.dom, m.cod))
     return image._replace(dom=dom, cod=cod)
 
 
@@ -955,13 +962,13 @@ def faulty_images(name: str, fault):
     arrays, scalar = connections.gamma_images, globals()[name]
     kind, coset = {"gamma": ("sigma", "left"), "delta": ("tau", "right")}[side]
 
-    def images(conn):
-        im = arrays(conn if side == "gamma" else conn.opposite)
+    def images(P):
+        im = arrays(P if side == "gamma" else P.transpose)
         n, order = len(im.objects), len(im.M)
         handles = [CosetHandle(coset, tuple(c)) for c in im.canonical.tolist()]
         decoded = [
             fault(
-                conn,
+                P,
                 Morphism(dom, cod, g),
                 DualMorphism(
                     kind,
@@ -974,12 +981,12 @@ def faulty_images(name: str, fault):
         ]
         return _encoded(decoded, n, im.M, im.objects)
 
-    def apply_(conn, x):
-        image = scalar(conn, x)
-        return fault(conn, x, image) if isinstance(x, Morphism) else image
+    def apply_(P, x):
+        image = scalar(P, x)
+        return fault(P, x, image) if isinstance(x, Morphism) else image
 
     # delta_images is gamma_images over the opposite connection: pin both
-    patched = {"gamma_images": arrays, "delta_images": lambda conn: arrays(conn.opposite)}
+    patched = {"gamma_images": arrays, "delta_images": lambda P: arrays(P.transpose)}
     patched[f"{side}_images"] = images
     with mock.patch.multiple(connections, **patched), mock.patch(f"{__name__}.{name}", apply_):
         yield
@@ -991,7 +998,7 @@ def inverted_action(group: FiniteGroup):
     k-th coordinate, on batches (`cones.act`) and scalar (`act`) alike: then
     k*(l*v) is v_l where l*v is v_l^-1, which differ wherever v_l has order
     greater than 2."""
-    batch, inverse = cones.act, np.asarray(group.inverse)
+    batch, inverse = cones.act, group.inverse
 
     def scalar(group, k, values):
         return (group.inv(values[k]),) * len(values)
@@ -1008,10 +1015,10 @@ def unscaled_linkage():
     array linkage compares the factors in `kernel.same_factor`): cones of
     one cell that factor through different scalars count as linked."""
 
-    def scalar(conn, gamma, delta):
-        G, P = conn.group, conn.matrix
-        g1 = right_factor(G, P.column(delta.vertex), gamma.values)
-        g2 = right_factor(G.opposite, P.row(gamma.vertex), delta.values)
+    def scalar(P, gamma, delta):
+        G = P.group
+        g1 = right_factor(G, column(P, delta.vertex), gamma.values)
+        g2 = right_factor(G.opposite, row(P, gamma.vertex), delta.values)
         return g1 is not None and g2 is not None
 
     def same_factor(f1, f2):
@@ -1040,19 +1047,19 @@ def reversed_compose():
 
 @contextmanager
 def rescaled_opposite(row: int, h: int):
-    """`CrossConnection.opposite` whose P^T has row `row` (column `row` of P)
-    multiplied on the left by h in G.  With |I| > 1 the duals of a cell no
-    longer factor through the faulty P^T; with |I| = 1 the Delta route
-    ends at another cone wherever h does not commute with g2."""
-    original = connections.CrossConnection.opposite
+    """`SandwichMatrix.transpose` with row `row` of P^T (column `row` of P)
+    multiplied on the left by h in G, so the dual side of every connection
+    read through it is faulty.  With |I| > 1 the duals of a cell no longer
+    factor through the faulty P^T; with |I| = 1 the Delta route ends at
+    another cone wherever h does not commute with g2."""
+    original = SandwichMatrix.transpose
 
-    def opposite(conn):
-        op = original.fget(conn)
-        entries = [list(r) for r in op.matrix.entries]
-        entries[row] = [conn.group.mul(h, x) for x in entries[row]]
-        return connections.CrossConnection(SandwichMatrix(op.group, entries))
+    def transpose(P):
+        entries = original.fget(P).array.tolist()
+        entries[row] = [P.group.mul(h, x) for x in entries[row]]
+        return SandwichMatrix(P.group.opposite, entries)
 
-    with mock.patch.object(connections.CrossConnection, "opposite", property(opposite)):
+    with mock.patch.object(SandwichMatrix, "transpose", property(transpose)):
         yield
 
 
@@ -1066,26 +1073,26 @@ def stray_cone(h: int, shift: int = 0):
     only the naturality squares and the duality of that cell fail."""
     arrays, scalar = connections.gamma_cells, gamma_cell
 
-    def array_cells(conn):
-        values, vertices = (np.array(x) for x in arrays(conn))
-        values[:, :, -1, -1] = conn.group.array[values[:, :, -1, -1], h]
-        vertices[:, :, -1] = (np.arange(conn.n_lambda)[:, None] + shift) % conn.n_lambda
+    def array_cells(P):
+        values, vertices = (np.array(x) for x in arrays(P))
+        values[:, :, -1, -1] = P.group.array[values[:, :, -1, -1], h]
+        vertices[:, :, -1] = (np.arange(P.rows)[:, None] + shift) % P.rows
         return values, vertices
 
-    def scalar_cell(conn, lam, i):
-        cell = scalar(conn, lam, i)
+    def scalar_cell(P, lam, i):
+        cell = scalar(P, lam, i)
         *values, last = cell[-1].values
-        vertex = (lam + shift) % conn.n_lambda
-        return cell[:-1] + [Cone((*values, conn.group.mul(last, h)), vertex)]
+        vertex = (lam + shift) % P.rows
+        return cell[:-1] + [Cone((*values, P.group.mul(last, h)), vertex)]
 
-    def sound_duals(conn):
-        values, vertices = arrays(conn.opposite)
+    def sound_duals(P):
+        values, vertices = arrays(P.transpose)
         return values.swapaxes(0, 1), vertices.swapaxes(0, 1)
 
     with mock.patch.object(connections, "gamma_cells", array_cells), mock.patch.object(
         connections, "delta_cells", sound_duals
     ), mock.patch(f"{__name__}.gamma_cell", scalar_cell), mock.patch(
-        f"{__name__}.delta_cell", lambda conn, lam, i: scalar(conn.opposite, i, lam)
+        f"{__name__}.delta_cell", lambda P, lam, i: scalar(P.transpose, i, lam)
     ):
         yield
 
@@ -1096,8 +1103,8 @@ def reversed_delta_product():
     wrong order, p.delta * q.delta: in a non-abelian group, or with |I| > 1,
     products of pairs change."""
 
-    def scalar(conn, p1, p2):
-        G = conn.group
+    def scalar(P, p1, p2):
+        G = P.group
         return LinkedPair(
             mul_L(G, p1.gamma, p2.gamma), mul_L(G.opposite, p1.delta, p2.delta)
         )
@@ -1157,11 +1164,11 @@ def edited_pairs(edit):
         gamma, delta = (connections.as_cones(half) for half in arrays(P))
         return _pair_cones(edit([LinkedPair(g, d) for g, d in zip(gamma, delta)]))
 
-    def pairs(conn):
-        return edit(scalar(conn))
+    def pairs(P):
+        return edit(scalar(P))
 
     def phi_(S, a):
-        return pairs(CrossConnection(S.matrix))[S.index(a)]
+        return pairs(S.matrix)[S.index(a)]
 
     with mock.patch.object(connections, "pair_cones", pair_cones), mock.patch(
         f"{__name__}.linked_pairs", pairs

@@ -17,7 +17,7 @@ from crossconn import (
     realize_category,
     right_category,
 )
-from crossconn.errors import IndexOutOfRange, NotComposable, SizeGuardExceeded
+from crossconn.errors import IndexOutOfRange, NotComposable
 from crossconn.verify import category_suite
 
 
@@ -240,11 +240,6 @@ def test_realize_trivial_group():
         assert set(rep.hom_sizes.values()) == {1}
 
 
-def test_realize_size_guard(s1):
-    with pytest.raises(SizeGuardExceeded):
-        realize_category(s1, "left", size_guard=4)
-
-
 def test_realize_larger_fixtures(z3, s3):
     for matrix in (SandwichMatrix(z3, [[0, 1], [2, 0]]), SandwichMatrix(s3, [[0, 3], [1, 0]])):
         S = ReesSemigroup(matrix)
@@ -270,7 +265,7 @@ def test_both_sides_read_one_table(s1, monkeypatch):
     table = S.table()
     tracemalloc.start()
     try:
-        rep = realize_category(S, "right", size_guard=S.size)
+        rep = realize_category(S, "right")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -297,7 +297,7 @@ def test_canonical_matches_coset_normalize(s3, side):
     # the right coset's representative is the left one's over the opposite group
     M = s3.array if side == "left" else s3.array.T
     tuples = np.array(list(product(s3.elements(), repeat=3)))
-    got = kernel.canonical(M, np.asarray(s3.inverse), tuples)
+    got = kernel.canonical(M, s3.inverse, tuples)
     assert [tuple(t) for t in got.tolist()] == [
         coset_normalize(s3, side, t).canonical for t in tuples.tolist()
     ]

@@ -6,6 +6,7 @@ from scalar_reference import (
     ElementNotInCell,
     bifunctor_gamma,
     chi,
+    column,
     delta_apply,
     gamma_apply,
     is_linked,
@@ -13,8 +14,8 @@ from scalar_reference import (
     mul_L,
     phi,
     principal_pair,
-    rbg,
     right_factor,
+    row,
     s_tilde_mul,
     u_delta,
     u_gamma,
@@ -23,7 +24,6 @@ from scalar_reference import (
 from crossconn import (
     Cone,
     CosetHandle,
-    CrossConnection,
     DualMorphism,
     LinkedPair,
     Morphism,
@@ -46,17 +46,17 @@ from crossconn.errors import NotComposable, NotInDomainCoset
 
 @pytest.fixture(scope="session")
 def conn1(p1):
-    return CrossConnection(p1)
+    return p1
 
 
 @pytest.fixture(scope="session")
 def conn_z3(z3):
-    return CrossConnection(SandwichMatrix(z3, [[0, 1], [2, 0]]))
+    return SandwichMatrix(z3, [[0, 1], [2, 0]])
 
 
 @pytest.fixture(scope="session")
 def conn_s3(s3):
-    return CrossConnection(SandwichMatrix(s3, [[0, 3], [1, 0]]))
+    return SandwichMatrix(s3, [[0, 3], [1, 0]])
 
 
 def test_gamma_objects(conn1):
@@ -77,8 +77,8 @@ def test_gamma_morphism(conn1):
 def test_gamma_functoriality(conn1, conn_z3, conn_s3):
     for conn in (conn1, conn_z3, conn_s3):
         G = conn.group
-        rcat = right_category(G, conn.n_i)
-        for i1, i2, i3 in product(range(conn.n_i), repeat=3):
+        rcat = right_category(G, conn.cols)
+        for i1, i2, i3 in product(range(conn.cols), repeat=3):
             for g1, g2 in product(G.elements(), repeat=2):
                 m1, m2 = Morphism(i1, i2, g1), Morphism(i2, i3, g2)
                 lhs = gamma_apply(conn, rcat.compose(m1, m2))
@@ -91,8 +91,8 @@ def test_gamma_functoriality(conn1, conn_z3, conn_s3):
 def test_delta_functoriality(conn_z3, conn_s3):
     for conn in (conn_z3, conn_s3):
         G = conn.group
-        lcat = left_category(G, conn.n_lambda)
-        for l1, l2, l3 in product(range(conn.n_lambda), repeat=3):
+        lcat = left_category(G, conn.rows)
+        for l1, l2, l3 in product(range(conn.rows), repeat=3):
             for g1, g2 in product(G.elements(), repeat=2):
                 m1, m2 = Morphism(l1, l2, g1), Morphism(l2, l3, g2)
                 lhs = delta_apply(conn, lcat.compose(m1, m2))
@@ -173,22 +173,22 @@ def test_bifunctor_gamma_fixture(conn1):
 
 def test_bifunctor_identity_morphisms(conn1):
     G = conn1.group
-    for lam in range(conn1.n_lambda):
-        for i in range(conn1.n_i):
+    for lam in range(conn1.rows):
+        for i in range(conn1.cols):
             rho = Morphism(lam, lam, G.identity)
             kappa = Morphism(i, i, G.identity)
             for g in G.elements():
-                cone = Cone(tuple(G.mul(p, g) for p in conn1.matrix.column(i)), lam)
+                cone = Cone(tuple(G.mul(p, g) for p in column(conn1, i)), lam)
                 assert bifunctor_gamma(conn1, rho, kappa, cone) == cone
-                dual = Cone(tuple(G.mul(g, p) for p in conn1.matrix.row(lam)), i)
-                assert bifunctor_gamma(conn1.opposite, kappa, rho, dual) == dual
+                dual = Cone(tuple(G.mul(g, p) for p in row(conn1, lam)), i)
+                assert bifunctor_gamma(conn1.transpose, kappa, rho, dual) == dual
 
 
 def test_bifunctor_evaluation_orders_agree(conn1, conn_z3):
     for conn in (conn1, conn_z3):
         G = conn.group
         for l1, l2, i1, i2 in product(
-            range(conn.n_lambda), range(conn.n_lambda), range(conn.n_i), range(conn.n_i)
+            range(conn.rows), range(conn.rows), range(conn.cols), range(conn.cols)
         ):
             for g1, g2 in product(G.elements(), repeat=2):
                 rho = Morphism(l1, l2, g2)
@@ -198,7 +198,7 @@ def test_bifunctor_evaluation_orders_agree(conn1, conn_z3):
                 id_kappa_1 = Morphism(i1, i1, G.identity)
                 id_kappa_2 = Morphism(i2, i2, G.identity)
                 for g in G.elements():
-                    cone = Cone(tuple(G.mul(p, g) for p in conn.matrix.column(i1)), l1)
+                    cone = Cone(tuple(G.mul(p, g) for p in column(conn, i1)), l1)
                     combined = bifunctor_gamma(conn, rho, kappa, cone)
                     order_a = bifunctor_gamma(
                         conn, id_rho_2, kappa, bifunctor_gamma(conn, rho, id_kappa_1, cone)
@@ -219,7 +219,7 @@ def test_bifunctor_rejects_foreign_cones(conn1):
 def test_u_gamma_sizes(conn1, z2):
     assert len(u_gamma(conn1)) == 8  # every cone of TL(S) here
     assert len(u_delta(conn1)) == 8
-    identity_conn = CrossConnection(identity_matrix(z2, 2, 2))
+    identity_conn = identity_matrix(z2, 2, 2)
     assert len(u_gamma(identity_conn)) == 4  # constant tuples only
     assert len(u_delta(identity_conn)) == 4
 
@@ -249,24 +249,24 @@ def test_chi_identity_scalar(conn1):
 
 def test_chi_roundtrip(conn_z3):
     G = conn_z3.group
-    for lam in range(conn_z3.n_lambda):
-        for i in range(conn_z3.n_i):
+    for lam in range(conn_z3.rows):
+        for i in range(conn_z3.cols):
             for g in G.elements():
-                gamma = Cone(tuple(G.mul(p, g) for p in conn_z3.matrix.column(i)), lam)
+                gamma = Cone(tuple(G.mul(p, g) for p in column(conn_z3, i)), lam)
                 delta = chi(conn_z3, gamma, i)
                 assert delta == Cone(
-                    tuple(G.mul(g, p) for p in conn_z3.matrix.row(lam)), i
+                    tuple(G.mul(g, p) for p in row(conn_z3, lam)), i
                 )
-                assert chi(conn_z3.opposite, delta, lam) == gamma
+                assert chi(conn_z3.transpose, delta, lam) == gamma
 
 
 def test_chi_cell_bijection_cardinality(conn1, conn_z3):
     for conn in (conn1, conn_z3):
         G = conn.group
-        for lam in range(conn.n_lambda):
-            for i in range(conn.n_i):
+        for lam in range(conn.rows):
+            for i in range(conn.cols):
                 cell = {
-                    Cone(tuple(G.mul(p, g) for p in conn.matrix.column(i)), lam)
+                    Cone(tuple(G.mul(p, g) for p in column(conn, i)), lam)
                     for g in G.elements()
                 }
                 assert len(cell) == G.order
@@ -280,7 +280,7 @@ def test_chi_rejects_foreign_cone(conn1):
     with pytest.raises(ElementNotInCell):
         chi(conn1, Cone((0, 0, 0), 0), 0)  # wrong tuple length
     with pytest.raises(ElementNotInCell):
-        chi(conn1.opposite, Cone((1, 1), 0), 1)  # (1,1) is not g*(0,1) for any g
+        chi(conn1.transpose, Cone((1, 1), 0), 1)  # (1,1) is not g*(0,1) for any g
 
 
 def test_is_linked_wrong_shape(conn1):
@@ -291,15 +291,15 @@ def test_naturality_squares(conn1, conn_z3):
     for conn in (conn1, conn_z3):
         G = conn.group
         for l1, l2, i1, i2 in product(
-            range(conn.n_lambda), range(conn.n_lambda), range(conn.n_i), range(conn.n_i)
+            range(conn.rows), range(conn.rows), range(conn.cols), range(conn.cols)
         ):
             for g1, g2 in product(G.elements(), repeat=2):
                 rho = Morphism(l1, l2, g2)
                 kappa = Morphism(i1, i2, g1)
                 for g in G.elements():
-                    cone = Cone(tuple(G.mul(p, g) for p in conn.matrix.column(i1)), l1)
+                    cone = Cone(tuple(G.mul(p, g) for p in column(conn, i1)), l1)
                     via_gamma = chi(conn, bifunctor_gamma(conn, rho, kappa, cone), i2)
-                    via_delta = bifunctor_gamma(conn.opposite, kappa, rho, chi(conn, cone, i1))
+                    via_delta = bifunctor_gamma(conn.transpose, kappa, rho, chi(conn, cone, i1))
                     assert via_gamma == via_delta
 
 
@@ -309,7 +309,7 @@ def test_is_linked_fixture(conn1):
 
 
 def test_linked_iff_scalars_match_identity_matrix(z2):
-    conn = CrossConnection(identity_matrix(z2, 2, 2))
+    conn = identity_matrix(z2, 2, 2)
     for g1, g2 in product(z2.elements(), repeat=2):
         for lam, i in product(range(2), repeat=2):
             gamma = Cone((g1, g1), lam)
@@ -343,25 +343,24 @@ def test_s_tilde_closure(conn1, conn_z3):
 def test_s_tilde_product_closed_form(conn1, conn_z3, conn_s3):
     # ((p_i1 g1, l1), (g1 p_l1, i1)) o ((p_i2 g2, l2), (g2 p_l2, i2))
     # = ((p_i1 h, l2), (h p_l2, i1)) with h = g1 * p[l1][i2] * g2
-    for conn in (conn1, conn_z3, conn_s3):
-        G = conn.group
-        P = conn.matrix
-        for g1, i1, l1 in product(G.elements(), range(conn.n_i), range(conn.n_lambda)):
+    for P in (conn1, conn_z3, conn_s3):
+        G = P.group
+        for g1, i1, l1 in product(G.elements(), range(P.cols), range(P.rows)):
             p = LinkedPair(
-                Cone(tuple(G.mul(v, g1) for v in P.column(i1)), l1),
-                Cone(tuple(G.mul(g1, v) for v in P.row(l1)), i1),
+                Cone(tuple(G.mul(v, g1) for v in column(P, i1)), l1),
+                Cone(tuple(G.mul(g1, v) for v in row(P, l1)), i1),
             )
-            for g2, i2, l2 in product(G.elements(), range(conn.n_i), range(conn.n_lambda)):
+            for g2, i2, l2 in product(G.elements(), range(P.cols), range(P.rows)):
                 q = LinkedPair(
-                    Cone(tuple(G.mul(v, g2) for v in P.column(i2)), l2),
-                    Cone(tuple(G.mul(g2, v) for v in P.row(l2)), i2),
+                    Cone(tuple(G.mul(v, g2) for v in column(P, i2)), l2),
+                    Cone(tuple(G.mul(g2, v) for v in row(P, l2)), i2),
                 )
                 h = G.mul(G.mul(g1, P.entry(l1, i2)), g2)
                 expected = LinkedPair(
-                    Cone(tuple(G.mul(v, h) for v in P.column(i1)), l2),
-                    Cone(tuple(G.mul(h, v) for v in P.row(l2)), i1),
+                    Cone(tuple(G.mul(v, h) for v in column(P, i1)), l2),
+                    Cone(tuple(G.mul(h, v) for v in row(P, l2)), i1),
                 )
-                assert s_tilde_mul(conn, p, q) == expected
+                assert s_tilde_mul(P, p, q) == expected
 
 
 def test_phi_fixture(s1):
@@ -413,23 +412,22 @@ def test_sigma_faithful(conn_z3):
 
 
 def test_matrix_of_roundtrip(conn1):
-    handles = [gamma_apply(conn1, i) for i in range(conn1.n_i)]
+    handles = [gamma_apply(conn1, i) for i in range(conn1.cols)]
     extracted = matrix_of(conn1.group, handles)
-    assert extracted.entries == ((0, 0), (0, 1))
+    assert extracted.array.tolist() == [[0, 0], [0, 1]]
 
 
 def test_matrix_of_random_roundtrip(z3, make_random_matrix):
     rng = random.Random(987)
     for _ in range(20):
         P = make_random_matrix(z3, rng.randint(1, 3), rng.randint(1, 3), rng)
-        conn = CrossConnection(P)
-        extracted = matrix_of(z3, [gamma_apply(conn, i) for i in range(conn.n_i)])
-        for i in range(conn.n_i):
-            assert right_factor(z3, P.column(i), extracted.column(i)) is not None
+        extracted = matrix_of(z3, [gamma_apply(P, i) for i in range(P.cols)])
+        for i in range(P.cols):
+            assert right_factor(z3, column(P, i), column(extracted, i)) is not None
 
 
 def test_rbg_fixture(z2):
-    conn = rbg(z2, 2, 2)
+    conn = identity_matrix(z2, 2, 2)
     pairs = linked_pairs(conn)
     assert len(pairs) == 8
     for p in pairs:
@@ -443,7 +441,7 @@ def test_rbg_fixture(z2):
 
 def test_rbg_single_cell_is_group(s3):
     # |I| = |Lambda| = 1 collapses the pair semigroup onto the group itself
-    conn = rbg(s3, 1, 1)
+    conn = identity_matrix(s3, 1, 1)
     pairs = linked_pairs(conn)
     assert len(pairs) == s3.order
     for p in pairs:

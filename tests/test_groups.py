@@ -42,9 +42,9 @@ def test_symmetric_table_is_the_composition_of_sorted_permutations(n):
     perms = sorted(permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
     G = builtin("symmetric", n)
-    assert G.cayley == tuple(
-        tuple(index[tuple(a[b[x]] for x in range(n))] for b in perms) for a in perms
-    )
+    assert G.array.tolist() == [
+        [index[tuple(a[b[x]] for x in range(n))] for b in perms] for a in perms
+    ]
     assert G.names == tuple("".join(map(str, p)) for p in perms)
     assert G.identity == 0
 
@@ -214,7 +214,8 @@ def test_opposite_group(G):
     op = G.opposite
     assert op.opposite is G
     assert G.opposite is op
-    assert (op.names, op.identity, op.inverse) == (G.names, G.identity, G.inverse)
+    assert (op.names, op.identity) == (G.names, G.identity)
+    assert op.inverse is G.inverse
     for a, b in product(G.elements(), repeat=2):
         assert op.mul(a, b) == G.mul(b, a)
     abelian = all(G.mul(a, b) == G.mul(b, a) for a, b in product(G.elements(), repeat=2))
@@ -222,14 +223,22 @@ def test_opposite_group(G):
 
 
 def test_group_array_is_the_read_only_cayley_table(s3):
-    # G owns its array; G^op's is the transposed view of it, not a copy
+    # G owns its arrays, the Cayley table and the inverses; G^op's table is
+    # the read-only transposed view of G's, not a copy, and its inverses G's
+    table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    assert FiniteGroup(table).array.tolist() == table
     for G in (s3, s3.opposite, _relabelled_s3()):
-        assert G.array.dtype == np.intp
-        assert G.array.tolist() == [list(row) for row in G.cayley]
+        assert G.array.dtype == G.inverse.dtype == np.intp
+        assert G.array.shape == (G.order, G.order) and G.inverse.shape == (G.order,)
         with pytest.raises(ValueError):
             G.array[0, 0] = G.array[0, 1]
+        with pytest.raises(ValueError):
+            G.inverse[0] = G.inverse[1]
+        labels = [[G.label(G.mul(a, b)) for b in G.elements()] for a in G.elements()]
+        assert G.label_rows() == labels
     assert s3.opposite.array.base is s3.array
     assert (s3.opposite.array == s3.array.T).all()
+    assert not s3.opposite.array.flags.writeable
 
 
 def test_relabelled_identity_not_at_zero():

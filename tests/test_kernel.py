@@ -39,7 +39,7 @@ def _relabelled_s3() -> FiniteGroup:
     table = [[0] * 6 for _ in range(6)]
     for a in range(6):
         for b in range(6):
-            table[perm[a]][perm[b]] = perm[s3.cayley[a][b]]
+            table[perm[a]][perm[b]] = perm[s3.mul(a, b)]
     return FiniteGroup(table)
 
 
@@ -127,14 +127,14 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
 
     # Subsemigroup verdicts, on sets that are and sets that are not ones.
     M = G.array
-    conn = connections.CrossConnection(S.matrix)
+    matrix = S.matrix
     image = sorted(set(_cones_of(S, 0)), key=lambda c: (c.values, c.vertex))
     subset = data.draw(st.lists(st.sampled_from(image), min_size=1, unique=True))
     for group, array, members in (
         (G, M, image),
         (G, M, subset),
-        (G, M, scalar_reference.u_gamma(conn)),
-        (G.opposite, M.T, scalar_reference.u_delta(conn)),
+        (G, M, scalar_reference.u_gamma(matrix)),
+        (G.opposite, M.T, scalar_reference.u_delta(matrix)),
     ):
         table = _cone_product_table(array, members)
         verdict = connections.is_regular_set(table)
@@ -187,13 +187,12 @@ def test_scaled_array_gives_every_cone_set_of_the_loops(G, n_lambda, n_i, identi
         ]
         matrix = SandwichMatrix(G, entries)
     S = ReesSemigroup(matrix)
-    conn = connections.CrossConnection(matrix)
     assert matrix.scaled.shape == (n_i, G.order, n_lambda)
     linked = connections.pair_arrays(S)
 
     for u, expected in (
-        (linked.u_gamma, scalar_reference.u_gamma(conn)),
-        (linked.u_delta, scalar_reference.u_delta(conn)),
+        (linked.u_gamma, scalar_reference.u_gamma(matrix)),
+        (linked.u_delta, scalar_reference.u_delta(matrix)),
     ):
         members = u.classes.members
         assert len(u.classes) == len(expected)
@@ -202,7 +201,7 @@ def test_scaled_array_gives_every_cone_set_of_the_loops(G, n_lambda, n_i, identi
         ]
         assert connections.as_cones(members) == expected
 
-    pairs = scalar_reference.linked_pairs(conn)
+    pairs = scalar_reference.linked_pairs(matrix)
     assert len(linked.table) == len(pairs) == S.size
     for k, a in enumerate(S.elements()):
         pair = linked.pair(k)
@@ -213,11 +212,11 @@ def test_scaled_array_gives_every_cone_set_of_the_loops(G, n_lambda, n_i, identi
         (connections.gamma_cells, scalar_reference.gamma_cell),
         (connections.delta_cells, scalar_reference.delta_cell),
     ):
-        values, vertices = array_cells(conn)
+        values, vertices = array_cells(matrix)
         assert values.shape == (n_lambda, n_i, G.order, values.shape[-1])
         for lam, i in product(range(n_lambda), range(n_i)):
             cell = connections.as_cones((values[lam, i], vertices[lam, i]))
-            assert [repr(c) for c in cell] == [repr(c) for c in scalar_cell(conn, lam, i)]
+            assert [repr(c) for c in cell] == [repr(c) for c in scalar_cell(matrix, lam, i)]
 
 
 class _CorruptedProduct(ReesSemigroup):
@@ -339,12 +338,12 @@ def test_class_tables_match_the_row_tables(G, n_lambda, n_i, data):
     entries = [
         [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
-    conn = connections.CrossConnection(SandwichMatrix(G, entries))
-    ug, ud = scalar_reference.u_gamma(conn), scalar_reference.u_delta(conn)
+    matrix = SandwichMatrix(G, entries)
+    ug, ud = scalar_reference.u_gamma(matrix), scalar_reference.u_delta(matrix)
     gammas = data.draw(_cones(G, n_lambda, ug))
     deltas = data.draw(_cones(G, n_i, ud))
     block = data.draw(st.sampled_from([1, 7, kernel.BLOCK]))
-    M, inverse, P = G.array, np.asarray(G.inverse), conn.matrix.array
+    M, inverse, P = G.array, G.inverse, matrix.array
     with mock.patch.object(kernel, "BLOCK", block):
         for array, members in ((M, ug), (M.T, ud), (M, gammas), (M.T, gammas), (M.T, deltas)):
             cone_arrays = scalar_reference.cone_arrays(members)
@@ -362,7 +361,7 @@ def test_class_tables_match_the_row_tables(G, n_lambda, n_i, data):
     ]
     assert np.array_equal(linkage, np.array(rows))
     assert linkage.tolist() == [
-        [scalar_reference.is_linked(conn, g, d) for d in deltas] for g in gammas
+        [scalar_reference.is_linked(matrix, g, d) for d in deltas] for g in gammas
     ]
 
 
@@ -393,10 +392,10 @@ def test_crossconnection_arrays_match_the_loops(G, n_lambda, n_i, functor, fault
         [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
     S = ReesSemigroup(SandwichMatrix(G, entries))
-    conn = connections.CrossConnection(S.matrix)
+    P = S.matrix
     with scalar_reference.faulty_images(functor, fault) if fault else contextlib.nullcontext():
-        got = connections.verify_crossconnection(conn)
-        expected = scalar_reference.crossconnection_checks(conn)
+        got = connections.verify_crossconnection(P)
+        expected = scalar_reference.crossconnection_checks(P)
     assert got[: len(expected)] == expected
 
     with scalar_reference.unscaled_linkage() if unscaled else contextlib.nullcontext():
@@ -422,7 +421,7 @@ def test_cone_product_and_naturality_match_the_loops(G, n_lambda, n_i, fault, da
     entries = [
         [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
-    conn = connections.CrossConnection(SandwichMatrix(G, entries))
+    P = SandwichMatrix(G, entries)
     h = data.draw(st.integers(0, G.order - 1))
     context = {
         None: contextlib.nullcontext,
@@ -433,8 +432,8 @@ def test_cone_product_and_naturality_match_the_loops(G, n_lambda, n_i, fault, da
         "stray": lambda: scalar_reference.stray_cone(h, data.draw(st.integers(0, 1))),
     }[fault]
     with context():
-        assert verify._naturality_witness(conn) == scalar_reference.naturality_witness(conn)
-        assert verify._duality_witness(conn) == scalar_reference.duality_witness(conn)
+        assert verify._naturality_witness(P) == scalar_reference.naturality_witness(P)
+        assert verify._duality_witness(P) == scalar_reference.duality_witness(P)
         # S3 with three rows has 648 cones: 419,904 scalar products, about 7 s
         if G.order**n_lambda * n_lambda <= 100:
             assert verify._cone_product_witness(
@@ -569,16 +568,20 @@ def test_cone_product_table_marks_each_absent_product():
 
 
 def test_key_index_is_exact():
+    # ConeClasses.find_tuples searches the sorted keys of the distinct
+    # tuples: 64-wide keys are exact, and an absent key gives -1
     values = np.zeros((4, 64), dtype=np.intp)
     values[1, 63] = 1  # differs from row 0 in the last coordinate only
     values[3, 63] = 1  # a repeat of row 1
-    vertices = np.array([5, 5, 7, 5])
-    index = kernel.KeyIndex(kernel.row_keys(values, vertices))
-    queries = np.zeros((3, 64), dtype=np.intp)
+    classes = kernel.ConeClasses((values, np.array([5, 5, 7, 5])))
+    assert len(classes.tuples) == 2 and classes.tid.tolist() == [0, 1, 0, 1]
+    queries = np.zeros((4, 64), dtype=np.intp)
     queries[1, 63] = 1
-    queries[2, 0] = 1
-    found = index.find(kernel.row_keys(queries, np.array([5, 5, 5])))
-    assert found.tolist() == [0, 3, -1]  # among equal keys the last position wins
+    queries[2, 0] = 1  # absent, between the keys
+    queries[3] = 9  # absent, above every key
+    assert classes.find_tuples(queries).tolist() == [0, 1, -1, -1]
+    found = classes.find((queries, np.array([5, 5, 5, 5])))
+    assert found.tolist() == [0, 3, -1, -1]  # among equal cones the last position wins
 
 
 @pytest.mark.parametrize("n_lambda, n_i", [(1, 1), (3, 1), (1, 3)])

@@ -1,11 +1,12 @@
 """The package holds no code that neither it nor its scripts use.
 
-A public function, class or method defined in src/crossconn is used when
-its name is read (as a name or an attribute) somewhere in src/crossconn
-or scripts/ outside its own definition.  Imports do not count, so a
-re-export from `crossconn/__init__.py` is no use.  The scan goes by name
-alone: two methods of one name count as used together.  What only tests
-call belongs in tests/scalar_reference.py.
+A public function or class defined in src/crossconn is used when its name
+is read (as a name or an attribute) somewhere in src/crossconn or scripts/
+outside its own definition, and a public method when its name is read as
+an attribute there: a local variable of the same spelling does not count.
+Imports do not count, so a re-export from `crossconn/__init__.py` is no
+use.  The scan goes by name alone: two methods of one name count as used
+together.  What only tests call belongs in tests/scalar_reference.py.
 
 The package resolves its re-exports on first access, and the tests at the
 end guard that surface: each name the package re-exported is still there,
@@ -33,15 +34,16 @@ PACKAGE = ROOT / "src" / "crossconn"
 ALLOWED = {"sigma_apply", "compose_duals", "from_table"}
 
 
-def _public_definitions(tree: ast.Module) -> list[ast.AST]:
-    """The module's public functions and classes and their classes' public methods."""
+def _public_definitions(tree: ast.Module) -> list[tuple[ast.AST, bool]]:
+    """(definition, is a method) of the module's public functions and classes
+    and of their classes' public methods."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            out.append(node)
+            out.append((node, False))
         if isinstance(node, ast.ClassDef):
             out.extend(
-                item
+                (item, True)
                 for item in node.body
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
             )
@@ -63,9 +65,14 @@ def _unused() -> list[str]:
     reads = [read for tree in [*sources.values(), *scripts] for read in _reads(tree)]
     unused = []
     for path, tree in sources.items():
-        for definition in _public_definitions(tree):
+        for definition, method in _public_definitions(tree):
             inside = {id(node) for node in ast.walk(definition)}
-            if not any(name == definition.name and id(node) not in inside for name, node in reads):
+            if not any(
+                name == definition.name
+                and id(node) not in inside
+                and (isinstance(node, ast.Attribute) or not method)
+                for name, node in reads
+            ):
                 unused.append(f"{path.stem}.{definition.name}")
     return unused
 
@@ -87,7 +94,7 @@ REEXPORTS = {
     "realize_category right_category",
     "checks": "Check all_passed failures",
     "cones": "CosetHandle InjectivityResult cone_table enumerate_TL injectivity_criterion",
-    "connections": "CrossConnection DualMorphism LinkedPair PhiReport compose_duals matrix_of "
+    "connections": "DualMorphism LinkedPair PhiReport compose_duals matrix_of "
     "pair_arrays pair_cones sigma_apply u_cones verify_crossconnection verify_phi",
     "groups": "FiniteGroup builtin load_cayley load_cayley_file",
     "oracle": "GenericSemigroup MapCheck associativity_witness from_table green_via_ideals "

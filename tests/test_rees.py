@@ -195,19 +195,32 @@ def test_idempotent_iff_inverse_entry(s1):
         assert is_idem == (x.g == s1.group.inv(s1.matrix.entry(x.lam, x.i)))
 
 
+MATRIX_ERRORS = [
+    ([], "sandwich matrix needs at least one row and one column"),
+    ([[]], "sandwich matrix needs at least one row and one column"),
+    ([[0, 1], [0]], "row 1 has 1 entries, expected 2"),
+    ([[0, 2]], "entry at row 0, column 1 is 2, not an element of a group of order 2"),
+    ([[0, 1], [-1, 0]], "entry at row 1, column 0 is -1, not an element of a group of order 2"),
+    ([[0, 2**70]], f"entry at row 0, column 1 is {2**70}, not an element of a group of order 2"),
+    # the first bad entry in row-major order, not in column-major order
+    ([[0, 2], [3, 0]], "entry at row 0, column 1 is 2, not an element of a group of order 2"),
+    # rows are read in order: a bad entry before a short row is met first
+    ([[0, 5], [0]], "entry at row 0, column 1 is 5, not an element of a group of order 2"),
+    ([[0, 1], [0], [7, 7]], "row 1 has 1 entries, expected 2"),
+]
+
+
 def test_matrix_validation(z2):
-    with pytest.raises(ParseError):
-        SandwichMatrix(z2, [])
-    with pytest.raises(ParseError):
-        SandwichMatrix(z2, [[0, 1], [0]])
-    with pytest.raises(ParseError):
-        SandwichMatrix(z2, [[0, 2]])
+    for entries, message in MATRIX_ERRORS:
+        with pytest.raises(ParseError) as error:
+            SandwichMatrix(z2, entries)
+        assert str(error.value) == message, entries
 
 
 def test_matrix_rows_columns(p1):
     assert p1.rows == 2 and p1.cols == 2
-    assert p1.column(1) == (0, 1)
-    assert p1.row(1) == (0, 1)
+    assert p1.array[:, 1].tolist() == [0, 1]
+    assert p1.array[1].tolist() == [0, 1]
     assert p1.entry(1, 1) == 1
 
 
@@ -236,15 +249,19 @@ def test_transpose_involution(s3):
 
 def test_matrix_array_is_the_read_only_entries(s3):
     # P owns its (|Lambda|, |I|) array; P^T's is the transposed view of it
-    P = SandwichMatrix(s3, [[0, 3, 1], [2, 5, 4]])
+    entries = [[0, 3, 1], [2, 5, 4]]
+    P = SandwichMatrix(s3, entries)
+    assert P.array.tolist() == entries
+    assert P.transpose.array.tolist() == [list(column) for column in zip(*entries)]
     for matrix in (P, P.transpose):
         assert matrix.array.dtype == np.intp
-        assert matrix.array.tolist() == [list(row) for row in matrix.entries]
+        assert matrix.array.shape == (matrix.rows, matrix.cols)
+        assert matrix.label_rows() == [[s3.names[v] for v in row] for row in matrix.array.tolist()]
         with pytest.raises(ValueError):
             matrix.array[0, 0] = 1
-    assert P.array.shape == (P.rows, P.cols)
     assert P.transpose.array.base is P.array
     assert (P.transpose.array == P.array.T).all()
+    assert not P.transpose.array.flags.writeable
 
 
 @settings(max_examples=30, deadline=None)

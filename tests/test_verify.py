@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from crossconn import (
     ArrowCategory,
     Cone,
-    CrossConnection,
     FiniteGroup,
     ReesElement,
     ReesSemigroup,
@@ -536,7 +535,7 @@ def test_merged_cosets_fail_tl_green_agreement(s1, monkeypatch):
     # oracle's R.
     G, original = s1.group, kernel.canonical
     values, _ = cones.enumerate_TL(G, s1.n_lambda)
-    canonical = original(G.array, np.asarray(G.inverse), values)
+    canonical = original(G.array, G.inverse, values)
     first, second = np.unique(canonical, axis=0)[:2]
 
     def merged(M, inverse, values):
@@ -602,7 +601,7 @@ def test_stray_member_fails_u_subsemigroups():
     # Negative control: U-Gamma with its last cone replaced by one whose
     # tuple is no scaled column, so that cone's products leave the set.
     S = _s3_fixture()
-    ug = scalar_reference.u_gamma(CrossConnection(S.matrix))
+    ug = scalar_reference.u_gamma(S.matrix)
     stray = [*ug[:-1], _stray_cone(S.group, ug)]
     with _edited_u_cones(S, "gamma", lambda members: stray):
         check = {c.name: c for c in _crossconn_suite(S)}["crossconn.u_subsemigroups"]
@@ -616,7 +615,7 @@ def test_pair_half_outside_its_u_set_fails_closure(side, where):
     # pair.  The pairs are not closed, and the witness names the first pair
     # with that half, not a product that is no linked pair.
     S = _s3_fixture()
-    pairs = scalar_reference.linked_pairs(CrossConnection(S.matrix))
+    pairs = scalar_reference.linked_pairs(S.matrix)
     half = getattr(pairs[len(pairs) // 2], side)
     first = next(p for p in pairs if getattr(p, side) == half)
     with _edited_u_cones(S, side, lambda members: [c for c in members if c != half]):
@@ -637,14 +636,14 @@ def test_product_outside_u_gamma_fails_rbg_product_formula():
     # the product cannot be read off the U-Gamma table, and the formula
     # fails at the first such product.
     S = ReesSemigroup(identity_matrix(_s3_fixture().group, 2, 2))
-    conn = CrossConnection(S.matrix)
-    pairs = scalar_reference.linked_pairs(conn)
-    last = scalar_reference.u_gamma(conn)[-1]
+    P = S.matrix
+    pairs = scalar_reference.linked_pairs(P)
+    last = scalar_reference.u_gamma(P)[-1]
     p, q = next(
         (p, q)
         for p in pairs
         for q in pairs
-        if last in (p.gamma, q.gamma, scalar_reference.s_tilde_mul(conn, p, q).gamma)
+        if last in (p.gamma, q.gamma, scalar_reference.s_tilde_mul(P, p, q).gamma)
     )
     with _edited_u_cones(S, "gamma", lambda members: members[:-1]):
         check = {c.name: c for c in _rbg_suite(S)}["rbg.product_formula"]
@@ -660,9 +659,9 @@ def test_half_outside_its_u_set_fails_rbg_linked_iff_equal_scalars(side):
     # the first such pair rather than read the table's last row (or
     # column), whose cone links exactly as the missing one would.
     S = ReesSemigroup(identity_matrix(_s3_fixture().group, 2, 2))
-    conn = CrossConnection(S.matrix)
-    pairs = scalar_reference.linked_pairs(conn)
-    last = getattr(scalar_reference, f"u_{side}")(conn)[-1]
+    P = S.matrix
+    pairs = scalar_reference.linked_pairs(P)
+    last = getattr(scalar_reference, f"u_{side}")(P)[-1]
     p, q = next(
         (p, q)
         for p in pairs
@@ -682,7 +681,7 @@ def test_phi_image_outside_u_gamma_fails_isomorphism():
     # fails to find its products among the pairs.
     S = _s3_fixture()
     k = S.size - 1
-    stray = _stray_cone(S.group, scalar_reference.u_gamma(CrossConnection(S.matrix)))
+    stray = _stray_cone(S.group, scalar_reference.u_gamma(S.matrix))
     pair = scalar_reference.phi(S, S.element(k))._replace(gamma=stray)
     with _edited_pair(k, gamma=stray):
         checks = {c.name: c for c in _crossconn_suite(S)}
@@ -722,7 +721,7 @@ def test_principal_cone_outside_its_u_set_fails(side, u_set, name, at):
     # not injective here, so the rest of the image is all of U-Gamma.
     S = ReesSemigroup(identity_matrix(builtin("symmetric", 3), 2, 2))
     target = S.element(0 if at == "first" else S.size // 2)
-    stray = _stray_cone(S.group, u_set(CrossConnection(S.matrix)))
+    stray = _stray_cone(S.group, u_set(S.matrix))
     with _edited_pair(S.index(target), **{side: stray}):
         checks = {c.name: c for c in _cone_suite(S)}
     elements = list(S.elements())
@@ -742,7 +741,7 @@ def test_principal_image_short_of_u_gamma_is_judged_alone():
     with _edited_pair(S.size - 1, gamma=scalar_reference.phi(S, S.element(0)).gamma):
         image = list(dict.fromkeys(scalar_reference.phi(S, a).gamma for a in S.elements()))
         check = {c.name: c for c in _cone_suite(S)}["cones.principal_image_subsemigroup"]
-    assert len(image) < len(scalar_reference.u_gamma(CrossConnection(S.matrix)))
+    assert len(image) < len(scalar_reference.u_gamma(S.matrix))
     assert check.passed is scalar_reference.regular_subsemigroup(S.group, image)
 
 
@@ -776,7 +775,7 @@ def test_closed_but_irregular_table_fails_its_subsemigroup_check(suite, name, mo
     # table is closed and only the oracle's regularity test can fail it.
     S = _s3_fixture()
     monkeypatch.setattr(kernel, "mul_L", _constant_mul_L(kernel.mul_L))
-    ug = scalar_reference.u_gamma(CrossConnection(S.matrix))
+    ug = scalar_reference.u_gamma(S.matrix)
     table = _cone_product_table(S.group.array, ug)
     assert kernel.first_hole(table) is None
     assert not oracle.is_regular(oracle.GenericSemigroup(table))
@@ -806,11 +805,11 @@ def test_left_scaled_column_fails_matrix_roundtrip(monkeypatch):
     # would need h x = x h, so the column is no right scaling of the original.
     S = _s3_fixture()
     G, original = S.group, connections.matrix_of
-    h, x = 1, original(G, [scalar_reference.gamma_apply(CrossConnection(S.matrix), 1)]).entry(1, 0)
+    h, x = 1, original(G, [scalar_reference.gamma_apply(S.matrix, 1)]).entry(1, 0)
     assert G.mul(h, x) != G.mul(x, h)
 
     def matrix_of(group, handles):
-        rows = [list(row) for row in original(group, handles).entries]
+        rows = original(group, handles).array.tolist()
         for row in rows:
             row[1] = group.mul(h, row[1])
         return SandwichMatrix(group, rows)
@@ -873,22 +872,21 @@ def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
 
 
 def test_full_suite_indexes_each_cone_set_once(s1, monkeypatch):
-    # T_L, U-Gamma and U-Delta each get one KeyIndex, over their distinct
-    # tuples, which both their table and every later lookup of their
-    # members read.
+    # T_L, U-Gamma and U-Delta each get one ConeClasses, whose distinct
+    # tuples both their table and every later lookup of their members read.
     built = []
 
-    class CountingIndex(kernel.KeyIndex):
-        def __init__(self, keys):
-            built.append(len(keys))
-            super().__init__(keys)
+    class CountingClasses(kernel.ConeClasses):
+        def __init__(self, members):
+            super().__init__(members)
+            built.append(len(self.tuples))
 
-    monkeypatch.setattr(kernel, "KeyIndex", CountingIndex)
+    monkeypatch.setattr(kernel, "ConeClasses", CountingClasses)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
-    conn = CrossConnection(s1.matrix)
+    P = s1.matrix
     sets = [
-        scalar_reference.u_gamma(conn),
-        scalar_reference.u_delta(conn),
+        scalar_reference.u_gamma(P),
+        scalar_reference.u_delta(P),
         connections.as_cones(cones.enumerate_TL(s1.group, 2)),
     ]
     assert built == [len({c.values for c in members}) for members in sets] == [4, 4, 4]
@@ -913,26 +911,28 @@ def _scalar_group_products(S, monkeypatch) -> dict:
 def test_wide_index_full_suite_makes_few_scalar_group_products(monkeypatch):
     # One full_suite on M[Z2; 16, 16] with p[lam][i] = lam*i mod 2: both
     # realizations, the groupoid checks, the connection functors, the
-    # duality cells and matrix_roundtrip are array passes, so the scalar
-    # products left are the injectivity criterion's (4,386 before the
-    # groupoid checks ran on arrays); no coset is normalized one tuple at a
-    # time, since the package has no scalar coset_normalize.
+    # duality cells, matrix_roundtrip and the injectivity criterion are
+    # array passes, so no scalar product is left (4,386 before the groupoid
+    # checks ran on arrays, 18 while the criterion looped); no coset is
+    # normalized one tuple at a time, since the package has no scalar
+    # coset_normalize.
     G = builtin("cyclic", 2)
     S = ReesSemigroup(SandwichMatrix(G, [[lam * i % 2 for i in range(16)] for lam in range(16)]))
     _, calls = _scalar_group_products(S, monkeypatch)
-    assert calls <= 18
+    assert calls == 0
     assert not hasattr(cones, "coset_normalize")
 
 
 def test_s3_full_suite_makes_few_scalar_group_products(monkeypatch):
     # One full_suite on the S3 2x2 fixture, where the T_L checks and the
-    # cone product run: each is a block pass over T_L, so the scalar
-    # products left are the injectivity criterion's (21,272 when the T_L
-    # checks and the groupoid checks looped over scalar cones and morphisms).
+    # cone product run: each is a block pass over T_L, and the injectivity
+    # criterion one array pass, so no scalar product is left (21,272 when
+    # the T_L checks and the groupoid checks looped over scalar cones and
+    # morphisms, 14 while the criterion looped).
     checks, calls = _scalar_group_products(_s3_fixture(), monkeypatch)
     assert checks["cones.semidirect_law"].passed is True
     assert checks["category.cone_product_agreement"].passed is True
-    assert calls <= 14
+    assert calls == 0
 
 
 def test_full_suite_judges_u_gamma_regular_once(monkeypatch):
@@ -1009,8 +1009,8 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
         return _original(*args)
 
     def u_keys(S):
-        conn = CrossConnection(S.matrix)
-        u = scalar_reference.u_gamma(conn), scalar_reference.u_delta(conn)
+        P = S.matrix
+        u = scalar_reference.u_gamma(P), scalar_reference.u_delta(P)
         return [kernel.row_keys(*scalar_reference.cone_arrays(members)).tolist() for members in u]
 
     monkeypatch.setattr(kernel, "cone_product_table", cone_product_table)
@@ -1143,7 +1143,7 @@ def _crossconn_checks(S):
 
 
 def _reference_checks(S):
-    return {c.name: c for c in scalar_reference.crossconnection_checks(CrossConnection(S.matrix))}
+    return {c.name: c for c in scalar_reference.crossconnection_checks(S.matrix)}
 
 
 @pytest.mark.parametrize(
@@ -1245,17 +1245,17 @@ def test_rescaled_dual_matrix_fails_naturality_without_raising(capsys):
     # counts that as a failed square (exit 2), not an error.
     S = _s3_fixture()
     assert S.n_i > 1
-    conn = CrossConnection(S.matrix)
+    P = S.matrix
     with scalar_reference.rescaled_opposite(0, 1):
         check = _crossconn_checks(S)["crossconn.naturality"]
-        witness = scalar_reference.naturality_witness(conn)
-        cone = scalar_reference.gamma_cell(conn, 0, 0)[0]
+        witness = scalar_reference.naturality_witness(P)
+        cone = scalar_reference.gamma_cell(P, 0, 0)[0]
         with pytest.raises(scalar_reference.ElementNotInCell):
             scalar_reference.bifunctor_gamma(
-                conn.opposite,
+                P.transpose,
                 Morphism(0, 0, 0),
                 Morphism(0, 0, 0),
-                scalar_reference.chi(conn, cone, 0),
+                scalar_reference.chi(P, cone, 0),
             )
         code = main(
             [
@@ -1276,11 +1276,11 @@ def test_rescaled_dual_matrix_fails_naturality_on_one_column(s3):
     # carries h^-1 g2 h where the Gamma route carries g2, so a square fails
     # at the first g2 that does not commute with h.
     S = ReesSemigroup(SandwichMatrix(s3, [[1], [4]]))
-    conn = CrossConnection(S.matrix)
+    P = S.matrix
     h = next(g for g in s3.elements() if g != s3.identity)
     with scalar_reference.rescaled_opposite(0, h):
         check = _crossconn_checks(S)["crossconn.naturality"]
-        witness = scalar_reference.naturality_witness(conn)
+        witness = scalar_reference.naturality_witness(P)
     assert check.passed is False
     assert witness is not None and check.witness == witness
     g2 = int(witness.rsplit("g2=", 1)[1])
@@ -1293,10 +1293,10 @@ def test_cone_off_its_cell_fails_only_its_squares(s3, h, shift):
     # coordinate or, on a matrix with two equal rows, by a changed vertex
     # that only the domain test of the cell map can see.  Only its squares
     # fail; a scan that needed every cone to fail would report none.
-    conn = CrossConnection(SandwichMatrix(s3, [[1, 2], [1, 2]]))
+    P = SandwichMatrix(s3, [[1, 2], [1, 2]])
     with scalar_reference.stray_cone(h, shift):
-        witness = scalar_reference.naturality_witness(conn)
-        assert verify._naturality_witness(conn) == witness
+        witness = scalar_reference.naturality_witness(P)
+        assert verify._naturality_witness(P) == witness
     assert witness == "square at (0,0,0,0) with g1=0, g2=0"
 
 
@@ -1348,7 +1348,7 @@ def test_stray_cone_fails_duality_bijection_without_raising(s3, rows, h, shift, 
     S = ReesSemigroup(SandwichMatrix(s3, rows))
     with scalar_reference.stray_cone(h, shift):
         check = _crossconn_checks(S)["crossconn.duality_bijection"]
-        reference = scalar_reference.duality_witness(CrossConnection(S.matrix))
+        reference = scalar_reference.duality_witness(S.matrix)
         code = main(
             [
                 "--group", str(FIXTURES / "s3_cayley.csv"),
