@@ -154,7 +154,7 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
         G, n_i, n_l, P = S.group.opposite, S.n_lambda, S.n_i, S.matrix.array.T
         g, i, lam = kernel.element_arrays(S.group.order, S.n_i, S.n_lambda)
         relabel = ((g * S.n_lambda + lam) * S.n_i + i).astype(table.dtype)  # S -> S^op
-        inverse = np.argsort(relabel)  # S^op -> S
+        inverse = np.argsort(relabel).astype(table.dtype)  # S^op -> S
 
         def mul(u, v):
             return relabel[table[inverse[v], inverse[u]]]
@@ -168,32 +168,45 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
     for rows in kernel.blocks(n_l, S.size * n_l):
         esf = mul(mul(base[rows, None], np.arange(S.size))[:, :, None], base)
         in_middle[objects[rows, None, None], objects, esf] = True
-    # one translation per row, hom-set by hom-set in (dom, cod) order, s in index order
+    # one translation per row, sorted by hom-set (dom, cod), s in index order:
+    # the rows of hom-set k are starts[k]:starts[k + 1]
     dom, cod, s = np.nonzero(in_middle)
     hom = dom * n_l + cod
+    n_homs, order = n_l * n_l, G.order
+    starts = np.searchsorted(hom, np.arange(n_homs + 1))
+
+    # row h: x -> (x.g * h, x.i, 0) on a domain ideal, whatever the domain;
+    # the abstract map into cod is the row plus cod
+    width = S.size // n_l
+    g, i = np.divmod(np.arange(width, dtype=np.int32), n_i)
+    abstract = (G.array.astype(np.int32)[g].T * n_i + i) * n_l
 
     # the domain ideal of dom is (g, i, dom) in index order: member j is j*|Lambda| + dom
-    width = S.size // n_l
-    images = np.empty((len(s), width), dtype=np.int32)
-    for rows in kernel.blocks(len(s), width):
-        images[rows] = mul(dom[rows, None] + n_l * np.arange(width), s[rows, None])
-    leaves = (images % n_l != cod[:, None]).any(axis=1)
-    kept = ~leaves
+    ideal = n_l * np.arange(width, dtype=table.dtype)
 
-    # row (cod, h): x -> (x.g * h, x.i, cod) on a domain ideal, whatever the domain
-    g, i = np.divmod(np.arange(width), n_i)
-    abstract = (G.array[g].T * n_i + i)[None] * n_l + objects[:, None, None]
-    n_homs, cods = n_l * n_l, np.arange(n_l * n_l) % n_l
-    labels, translations = hom[kept], images[kept]
-    maps = kernel.distinct_counts(labels, n_homs, translations)
-    members = kernel.distinct_counts(np.repeat(objects, G.order), n_l, abstract.reshape(-1, width))
-    # each hom-set's translations beside its abstract maps, which are its codomain's
-    union = kernel.distinct_counts(
-        np.concatenate([labels, np.repeat(np.arange(n_homs), G.order)]),
-        n_homs,
-        np.concatenate([translations, abstract[cods].reshape(-1, width)]),
-    )
-    disagree = (union != maps) | (union != members[cods])
+    def realize(homs: np.ndarray, rows: slice):
+        """The translations of the hom-sets homs, the rows of their
+        translations: which leave the ideal, and `kernel.split_counts` of
+        those that stay beside each hom-set's abstract maps, labelled within
+        the block.  Its arrays are freed on return."""
+        images = mul(dom[rows, None].astype(table.dtype) + ideal, s[rows, None])
+        leaving = (images % n_l != cod[rows, None]).any(axis=1)
+        split = int(len(leaving) - leaving.sum())
+        keys = np.empty((split + len(homs) * order, width + 1), dtype=kernel.KEY_DTYPE)
+        keys[:split, 0] = hom[rows][~leaving] - homs[0]
+        keys[:split, 1:] = images[~leaving]
+        maps_of = keys[split:].reshape(len(homs), order, width + 1)
+        maps_of[..., 0] = np.arange(len(homs))[:, None]
+        maps_of[..., 1:] = abstract + (homs % n_l).astype(np.int32)[:, None, None]
+        return leaving, *kernel.split_counts(keys, split, len(homs))
+
+    leaves = np.empty(len(s), dtype=bool)
+    maps, members, union = (np.empty(n_homs, dtype=np.intp) for _ in range(3))
+    for block in kernel.blocks(n_homs, 2 * order * width):
+        homs = np.arange(n_homs)[block]
+        rows = slice(starts[homs[0]], starts[homs[-1] + 1])
+        leaves[rows], maps[block], members[block], union[block] = realize(homs, rows)
+    disagree = (union != maps) | (union != members)
 
     hom_sizes = dict(zip(product(range(n_l), repeat=2), maps.tolist()))
     mismatches: list[str] = []

@@ -204,7 +204,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         data = {
             "u_gamma_size": len(ug),
             "u_delta_size": len(ud),
-            "s_tilde_size": len(linked.table),
+            "s_tilde_size": len(linked.g),
             "u_gamma": [_cone_json(S, c) for c in ug],
             "u_delta": [_cone_json(S, c) for c in ud],
             "s_tilde": [
@@ -233,7 +233,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         from . import connections, verify
 
         linked = connections.pair_arrays(S)
-        data = {"order": S.size, "s_tilde_size": len(linked.table)}
+        data = {"order": S.size, "s_tilde_size": len(linked.g)}
         checks = verify.rbg_suite(S, linked)
     else:  # pragma: no cover - argparse rejects unknown commands
         raise ParseError(f"unknown command {config.command!r}")

@@ -48,7 +48,7 @@ from .checks import Check
 from .cones import CosetHandle
 from .errors import NotComposable, NotInDomainCoset, ParseError
 from .groups import FiniteGroup
-from .oracle import GenericSemigroup, MapCheck, is_regular, verify_map
+from .oracle import GenericSemigroup, MapCheck, TableRows, is_regular, verify_map
 from .rees import ReesSemigroup, SandwichMatrix
 
 
@@ -180,8 +180,12 @@ def is_regular_set(table: np.ndarray) -> bool:
 
 class UCones:
     """U-Gamma (or U-Delta) by tuple class (`kernel.ConeClasses`, which finds
-    its cones), and its `kernel.cone_product_table`.  A position -1 stands for
-    an absent cone, so a product with one is read with `kernel.gather`."""
+    its cones), and its table as the linked pairs read it: U-Gamma's
+    `kernel.cone_product_table`, and U-Delta's over the opposite group held
+    transposed, so that the delta half of a product of two pairs sits at
+    [d[p], d[q]] as its gamma half sits at [g[p], g[q]].  A set is regular
+    exactly when its opposite is.  A position -1 stands for an absent cone,
+    so a product with one is read with `kernel.gather`."""
 
     def __init__(self, classes: kernel.ConeClasses, table: np.ndarray):
         self.classes = classes
@@ -193,22 +197,17 @@ class UCones:
         return is_regular_set(self.table)
 
 
-def _tabulate(cones: Cones, M: np.ndarray) -> UCones:
-    """`UCones` of the cones, classed once and tabulated under mul_L over M."""
-    classes = kernel.ConeClasses(cones)
-    return UCones(classes, kernel.cone_product_table(M, classes))
-
-
 class PairArrays(NamedTuple):
-    """The linked pairs of a connection and the tables every scan of them reads.
+    """The linked pairs of a connection and the arrays every scan of them reads:
+    the two U tables and O(n) beside them, where n is the number of pairs.
 
     `gamma` and `delta` are the pairs' halves from `pair_cones`, pair k
     being phi of element k, and `g` and `d` their positions in U-Gamma and
     U-Delta (-1 where a half is absent): the positions of each element's
     principal cones.  `pair_at[x, y]` is the pair with halves U-Gamma[x] and
-    U-Delta[y], or -1; its last row and column, all -1, absorb the -1 of an
-    absent cone.  `table` is the pairs' product table, -1 where a product is
-    no pair.
+    U-Delta[y], or -1, in `kernel.index_dtype(n)`; its last row and column,
+    all -1, absorb the -1 of an absent cone.  The pairs' product table is
+    not stored: `rows` gives any rows of it, from the U tables.
     """
 
     gamma: Cones
@@ -218,53 +217,62 @@ class PairArrays(NamedTuple):
     g: np.ndarray
     d: np.ndarray
     pair_at: np.ndarray
-    table: np.ndarray
 
     def pair(self, p: int) -> LinkedPair:
         return LinkedPair(as_cone(self.gamma, p), as_cone(self.delta, p))
 
-    def product_halves(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    def product_halves(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """The positions in U-Gamma and U-Delta of the halves of the product of
-        each pair p of the rows with every pair q, gamma_p gamma_q and
-        delta_q delta_p, read off the two tables as (rows, pairs) arrays:
-        -1 where a half is outside its set."""
+        each pair p of the rows (a slice or an index array) with every pair
+        q, gamma_p gamma_q and delta_q delta_p, read off the two tables as
+        (rows, pairs) arrays: -1 where a half is outside its set."""
         g, d = self.g, self.d
         return (
             kernel.gather(self.u_gamma.table, g[rows], g),
-            kernel.gather(self.u_delta.table.T, d[rows], d),
+            kernel.gather(self.u_delta.table, d[rows], d),
         )
+
+    def rows(self, rows) -> np.ndarray:
+        """Those rows of the pairs' product table: entry (p, q) is the pair
+        p*q, `pair_at` at `product_halves`, -1 where the product is no pair.
+        No product of two pairs is formed and no pair key is searched.
+        `pair_at` is read as one flat take, the fastest gather: a half at
+        -1 lands, as a negative index, in its last row or column."""
+        gamma, delta = self.product_halves(rows)
+        flat = gamma.astype(np.intp) * self.pair_at.shape[1] + delta
+        return np.take(self.pair_at.ravel(), flat)
 
 
 def pair_arrays(S: ReesSemigroup) -> PairArrays:
     """The linked pairs (`pair_cones`), U-Gamma and U-Delta (`u_cones`) of S's
-    connection, with the arrays and tables every scan of them reads.  The
-    product of two pairs is componentwise, so row p of the pair table is
-    gathered from the U-Gamma and U-Delta tables, `pair_at` at
-    `product_halves`, in blocks of rows: no product of two pairs is formed
-    and no pair key is searched."""
+    connection, with the arrays every scan of them reads.  It holds the two
+    U tables and the dense `pair_at`, which is as large as one table but
+    halves the index dtype of each; the product of two pairs is
+    componentwise, so the pairs' rows are read off the U tables when a scan
+    asks for them."""
     P = S.matrix
     gamma, delta = pair_cones(P)
-    ug = _tabulate(u_cones(P), S.group.array)
-    ud = _tabulate(u_cones(P.transpose), S.group.opposite.array)
+    gammas, deltas = kernel.ConeClasses(u_cones(P)), kernel.ConeClasses(u_cones(P.transpose))
+    ug = UCones(gammas, kernel.cone_product_table(S.group.array, gammas))
+    ud = UCones(deltas, kernel.cone_product_table(S.group.opposite.array, deltas, transposed=True))
     g, d = ug.classes.find(gamma), ud.classes.find(delta)
-    pair_at = np.full((len(ug.classes) + 1, len(ud.classes) + 1), -1, dtype=np.int32)
+    shape = (len(ug.classes) + 1, len(ud.classes) + 1)
+    pair_at = np.full(shape, -1, dtype=kernel.index_dtype(len(g)))
     inside = (g >= 0) & (d >= 0)
     pair_at[g[inside], d[inside]] = np.flatnonzero(inside)
-    table = np.empty((len(g),) * 2, dtype=kernel.index_dtype(len(g)))
-    linked = PairArrays(gamma, delta, ug, ud, g, d, pair_at, table)
-    for rows in kernel.blocks(*table.shape):
-        linked.table[rows] = pair_at[linked.product_halves(rows)]
-    return linked
+    return PairArrays(gamma, delta, ug, ud, g, d, pair_at)
 
 
 def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
     """Check closure of the linked-pair product and that phi is a bijective homomorphism.
 
     `linked` is `pair_arrays(S)`, which the caller builds.  The pairs are
-    closed when each pair's halves lie in U-Gamma and U-Delta and the
-    gathered table has no -1.  Pair k is phi of element k, so phi sends k
-    to that pair's position in `pair_at`; the map check goes through the
-    independent table oracle rather than any closed form.  The pair table
+    closed when each pair's halves lie in U-Gamma and U-Delta and no entry
+    of the pairs' product table is -1, read a block of rows at a time
+    (`PairArrays.rows`).  Pair k is phi of element k, so phi sends k to
+    that pair's position in `pair_at`; the map check goes through the
+    independent table oracle, which reads the same rows
+    (`oracle.TableRows`), rather than any closed form.  The pairs' table
     is not scanned for associativity: a bijective homomorphism from S
     carries S's associativity onto it.
     """
@@ -273,12 +281,13 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
         p = int(outside.argmax())
         half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
         return PhiReport(False, f"the {half} half of {linked.pair(p)} is not in {where}", None)
-    bad = kernel.first_hole(linked.table)
+    n = len(linked.g)
+    bad = kernel.first_block_failure(n, n, lambda rows: linked.rows(rows) < 0)
     if bad is not None:
         p, q = (linked.pair(k) for k in bad)
         return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
     f = linked.pair_at[linked.g, linked.d]
-    check = verify_map(f.tolist(), S.to_generic(), GenericSemigroup(linked.table))
+    check = verify_map(f.tolist(), S.to_generic(), TableRows(n, linked.rows))
     return PhiReport(True, None, check)
 
 

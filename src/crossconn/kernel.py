@@ -191,6 +191,29 @@ def distinct_counts(labels: np.ndarray, n_labels: int, *columns: np.ndarray) -> 
     return np.bincount(labels[first], minlength=n_labels)
 
 
+def split_counts(
+    rows: np.ndarray, split: int, n_labels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a C-contiguous (m, k) KEY_DTYPE array of m >= 1 rows whose column 0
+    is each row's label 0..n_labels-1: the number of distinct rows of each
+    label among rows[:split], among rows[split:] and among all of them.
+
+    One stable sort of the row keys, read in place: a run of equal keys
+    holds a row before split exactly when its first row is one, and a row
+    from split on exactly when its last row is.  The two sets of a label
+    are equal exactly when the third count is no more than either."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    edges = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    first, last = order[np.r_[0, edges]], order[np.r_[edges, len(order)] - 1]
+
+    def count(at: np.ndarray) -> np.ndarray:
+        return np.bincount(rows[at, 0], minlength=n_labels)
+
+    return count(first[first < split]), count(last[last >= split]), count(first)
+
+
 def gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The (len(rows), len(cols)) array table[rows[:, None], cols], -1 wherever
     a row or a column is -1, the position of an absent cone.  The rows are
@@ -335,11 +358,13 @@ def first_hole(table: np.ndarray) -> tuple[int, int] | None:
     return first_block_failure(*table.shape, lambda rows: table[rows] < 0)
 
 
-def cone_product_table(M: np.ndarray, classes: ConeClasses) -> np.ndarray:
+def cone_product_table(M: np.ndarray, classes: ConeClasses, transposed: bool = False) -> np.ndarray:
     """The (n, n) table of a batch of n cones, given by tuple class,
     under mul_L over the group with Cayley array M: row a holds the
     positions of member a times every member, -1 where a product is not a
-    member.  The set is closed when no entry is -1.
+    member.  The set is closed when no entry is -1.  With transposed, row b
+    holds every member times member b instead: the transpose, built row by
+    row with no (n, n) copy.
 
     a*b is a's tuple scaled by s, b's value at a's vertex, with b's vertex,
     so with scale[t, s] the class of T[t]*s the table is one gather,
@@ -355,8 +380,11 @@ def cone_product_table(M: np.ndarray, classes: ConeClasses) -> np.ndarray:
         scalings = np.repeat(part, order, axis=0), np.tile(np.arange(order), len(part))
         scaled, _ = mul_L(M, scalings, (np.arange(order), 0))
         scale[rows] = classes.find_tuples(scaled).reshape(len(part), order)
-    at = values.T.astype(np.int32)  # at[v, b]: member b's value at object v
+    values = values.astype(np.int32)
     table = np.empty((len(vertices),) * 2, dtype=index_dtype(len(vertices)))
     for rows in blocks(*table.shape):
-        table[rows] = classes.pos[scale[classes.tid[rows, None], at[vertices[rows]]], vertices]
+        if transposed:  # [b, a]: member b's value at a's vertex
+            table[rows] = classes.pos[scale[classes.tid, values[rows][:, vertices]], vertices[rows, None]]
+        else:  # [a, b]: member b's value at a's vertex
+            table[rows] = classes.pos[scale[classes.tid[rows, None], values.T[vertices[rows]]], vertices]
     return table

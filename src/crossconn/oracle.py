@@ -42,7 +42,7 @@ so the witness is the one a full scan reports.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,6 +167,10 @@ class GenericSemigroup:
         if not (0 <= a < self.size and 0 <= b < self.size):
             raise IndexOutOfRange(f"indices ({a}, {b}) out of range for size {self.size}")
         return int(self.table[a, b])
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        """The rows of the table at an index array, as `TableRows` gives them."""
+        return self.table[index]
 
     def __repr__(self) -> str:
         return f"GenericSemigroup(size={self.size})"
@@ -296,8 +300,19 @@ class MapCheck(NamedTuple):
         return self.is_homomorphism and self.is_injective and self.is_surjective
 
 
-def verify_map(f: Sequence[int], T1: GenericSemigroup, T2: GenericSemigroup) -> MapCheck:
-    """Check whether f (a total map on T1's indices) is a homomorphism / bijection."""
+class TableRows(NamedTuple):
+    """A closed table on 0..size-1 that is read a block of rows at a time and
+    need not be stored: rows(index) is the (len(index), size) array of its
+    rows at an index array, every entry an index below size."""
+
+    size: int
+    rows: Callable[[np.ndarray], np.ndarray]
+
+
+def verify_map(f: Sequence[int], T1: GenericSemigroup, T2) -> MapCheck:
+    """Check whether f (a total map on T1's indices) is a homomorphism / bijection
+    into T2, a `GenericSemigroup` or `TableRows`, which is read only by
+    its rows: those at the images of each block of rows of T1."""
     f = list(f)
     if len(f) != T1.size:
         raise IndexOutOfRange(f"map has {len(f)} entries, expected {T1.size}")
@@ -307,19 +322,19 @@ def verify_map(f: Sequence[int], T1: GenericSemigroup, T2: GenericSemigroup) -> 
 
     problems = []
     # rows a of a block: f(a*b) against f(a)*f(b) for every b
-    image, flat = np.asarray(f, dtype=np.intp), T2.table.ravel()
+    image = np.asarray(f, dtype=np.intp)
     bad = kernel.first_block_failure(
         T1.size,
         T1.size,
         lambda rows: np.take(image, T1.table[rows])
-        != np.take(flat, image[rows, None] * T2.size + image),
+        != np.take(T2.rows(image[rows]), image, axis=1),
     )
     hom = bad is None
     if not hom:
         a, b = bad
         product = int(T1.table[a, b])
         problems.append(
-            f"f({a}*{b}) = {f[product]} but f({a})*f({b}) = {int(T2.table[f[a], f[b]])}"
+            f"f({a}*{b}) = {f[product]} but f({a})*f({b}) = {int(T2.rows(image[a : a + 1])[0, f[b]])}"
         )
 
     inj = True

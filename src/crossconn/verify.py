@@ -313,7 +313,7 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         # lam(b) lam(a) over the opposite group against lam(ab)
         (
             "cones.dual_antihomomorphism",
-            lambda a: _misplaced(kernel.gather(DT.T, l[a], l), l[table[a]]),
+            lambda a: _misplaced(kernel.gather(DT, l[a], l), l[table[a]]),
         ),
     ):
         bad = kernel.first_block_failure(S.size, S.size, bad_rows)

@@ -1113,7 +1113,7 @@ def reversed_delta_product():
         g, d = self.g, self.d
         return (
             kernel.gather(self.u_gamma.table, g[rows], g),
-            kernel.gather(self.u_delta.table, d[rows], d),
+            kernel.gather(self.u_delta.table.T, d[rows], d),
         )
 
     with mock.patch(f"{__name__}.s_tilde_mul", scalar), mock.patch.object(
@@ -1133,20 +1133,22 @@ def _swapped(table):
 @contextmanager
 def swapped_pair_table():
     """The linked-pair table of `verify_phi`, array and scalar alike, with two
-    entries swapped.  The array table is swapped where it is built, in
-    `connections.pair_arrays`, and no other table is touched."""
-    arrays, scalar_table = connections.pair_arrays, pair_table
+    entries swapped.  The array table is not stored, so it is swapped
+    wherever its row 0 is read, by `connections.PairArrays.rows`, and no
+    other table is touched."""
+    array_rows, scalar_table = connections.PairArrays.rows, pair_table
 
-    def pair_arrays(*args, **kwargs):
-        linked = arrays(*args, **kwargs)
-        _swapped(linked.table)
-        return linked
+    def rows(self, index):
+        out = array_rows(self, index)
+        for r in np.flatnonzero(np.arange(len(self.g))[index] == 0):
+            out[r, [0, 1]] = out[r, [1, 0]]
+        return out
 
     def scalar(S):
         table, witness = scalar_table(S)
         return _swapped(table), witness
 
-    with mock.patch.object(connections, "pair_arrays", pair_arrays), mock.patch(
+    with mock.patch.object(connections.PairArrays, "rows", rows), mock.patch(
         f"{__name__}.pair_table", scalar
     ):
         yield

@@ -88,9 +88,10 @@ def _cone_product_table(M, members):
 
 
 def _pair_table(S: ReesSemigroup):
-    """The linked-pair table that `verify_phi` reads, gathered by `connections.pair_arrays`."""
-    linked = connections.pair_arrays(S)
-    return linked.table.tolist(), kernel.first_hole(linked.table)
+    """The linked-pair table that `verify_phi` reads, all its rows at once from
+    `PairArrays.rows`."""
+    table = connections.pair_arrays(S).rows(slice(None))
+    return table.tolist(), kernel.first_hole(table)
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,7 +203,7 @@ def test_scaled_array_gives_every_cone_set_of_the_loops(G, n_lambda, n_i, identi
         assert connections.as_cones(members) == expected
 
     pairs = scalar_reference.linked_pairs(matrix)
-    assert len(linked.table) == len(pairs) == S.size
+    assert len(linked.g) == len(pairs) == S.size
     for k, a in enumerate(S.elements()):
         pair = linked.pair(k)
         assert repr(pair) == repr(pairs[k]) == repr(scalar_reference.phi(S, a))
@@ -347,9 +348,13 @@ def test_class_tables_match_the_row_tables(G, n_lambda, n_i, data):
     with mock.patch.object(kernel, "BLOCK", block):
         for array, members in ((M, ug), (M.T, ud), (M, gammas), (M.T, gammas), (M.T, deltas)):
             cone_arrays = scalar_reference.cone_arrays(members)
-            table = kernel.cone_product_table(array, kernel.ConeClasses(cone_arrays))
+            classes = kernel.ConeClasses(cone_arrays)
+            table = kernel.cone_product_table(array, classes)
             assert table.dtype == kernel.index_dtype(len(table))
             assert np.array_equal(table, scalar_reference.cone_product_table(array, cone_arrays))
+            # U-Delta's table is held transposed, built so row by row
+            transposed = kernel.cone_product_table(array, classes, transposed=True)
+            assert transposed.flags.c_contiguous and np.array_equal(transposed, table.T)
 
         gamma_arrays, delta_arrays = scalar_reference.cone_arrays(gammas), scalar_reference.cone_arrays(deltas)
         linkage = kernel.linkage_table(

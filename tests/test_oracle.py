@@ -122,9 +122,10 @@ def test_the_oracle_reads_both_table_formats_as_they_are(s1):
     # narrow format
     narrow = s1.index_table()
     linked = connections.pair_arrays(s1)
-    for table in (narrow, linked.table, linked.u_gamma.table, linked.u_delta.table):
+    pairs = linked.rows(slice(None))
+    for table in (narrow, pairs, linked.u_gamma.table, linked.u_delta.table):
         assert table.dtype == kernel.index_dtype(len(table)) == np.int16
-    for table in (narrow, linked.table, narrow.astype(np.int32)):
+    for table in (narrow, pairs, narrow.astype(np.int32)):
         T = GenericSemigroup(table)
         assert T.table.dtype == table.dtype and np.shares_memory(T.table, table)
     for table in (narrow.astype(np.int64), narrow.tolist()):

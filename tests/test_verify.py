@@ -620,12 +620,12 @@ def test_pair_half_outside_its_u_set_fails_closure(side, where):
     first = next(p for p in pairs if getattr(p, side) == half)
     with _edited_u_cones(S, side, lambda members: [c for c in members if c != half]):
         checks = {c.name: c for c in _crossconn_suite(S)}
-        table = connections.pair_arrays(S).table
+        table = connections.pair_arrays(S).rows(slice(None))
     witness = f"the {side} half of {first} is not in {where}"
     for name in ("crossconn.s_tilde_closed", "crossconn.phi_isomorphism"):
         assert checks[name].passed is False, name
         assert checks[name].witness == witness
-    # that pair's row and column of the gathered table read -1 throughout
+    # that pair's row and column of the pairs' table read -1 throughout
     k = pairs.index(first)
     assert (table[k] == -1).all() and (table[:, k] == -1).all()
 
@@ -862,9 +862,9 @@ def test_full_suite_builds_every_closed_table_in_the_kernel(s1, monkeypatch):
     calls = Counter()
     original = kernel.cone_product_table
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls["cone_product_table"] += 1
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(kernel, "cone_product_table", counting)
     _assert_clean(full_suite(ReesSemigroup(s1.matrix)))
@@ -996,9 +996,9 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
     # of U-Gamma x U-Delta per suite, not one test per pair.
     tables, calls = [], Counter()
 
-    def cone_product_table(M, classes, _original=kernel.cone_product_table):
+    def cone_product_table(M, classes, transposed=False, _original=kernel.cone_product_table):
         tables.append(kernel.row_keys(*classes.members).tolist())
-        return _original(M, classes)
+        return _original(M, classes, transposed)
 
     def mul_L(*args, _original=kernel.mul_L):
         calls["mul_L"] += 1
