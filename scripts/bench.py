@@ -22,13 +22,16 @@ pairs from connections.pair_arrays, whose build its time includes, on
 the identity rungs only: rbg_suite checks the identity's connection.  Then
 one call each times the table oracle's two largest parts on the rung's
 table, oracle.green_via_ideals and oracle.associativity_witness (Light's
-test), and counts the generators that Light's test runs over, and the
-dtype and size in bytes of the rung's table, `S.table()`.  Times
+test), and counts the generators that Light's test runs over, the
+dtype and size in bytes of the rung's table, `S.table()`, and the memory
+that connections.pair_arrays holds when it returns (pairs_mb: what
+tracemalloc counts as allocated during the call and still alive).  Times
 are raw wall seconds, in-process.  The file gives, per rung and per suite,
 the median and quartiles of the K times and the number of checks, skips
 and failures; per rung, the probe's median time, the peak RSS, read once, after the first
 full_suite and rbg_suite (later runs in the same interpreter creep
-upwards without any one command needing more), the oracle's parts and the table's format;
+upwards without any one command needing more), the oracle's parts, the table's format
+and pairs_mb;
 and the Python and numpy versions and the CPU count.
 
 The probe is a fixed piece of work with no crossconn code (`host_probe`),
@@ -65,6 +68,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +174,19 @@ def _probe_ms() -> float:
     return round(statistics.median(times) * 1000, 4)
 
 
+def pairs_mb(S: ReesSemigroup) -> float:
+    """The MB that connections.pair_arrays(S) holds when it returns: what
+    tracemalloc counts as allocated during the call and still alive."""
+    tracemalloc.start()
+    try:
+        linked = pair_arrays(S)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del linked
+    return round(held / 2**20, 3)
+
+
 def _summary(times: list[float], checks: list) -> dict:
     q1, median, q3 = (
         statistics.quantiles(times, n=4, method="inclusive") if len(times) > 1 else times * 3
@@ -261,6 +278,7 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
         "host_probe_ms": probe_ms,
         "peak_rss_mb": round(peak_kb / 1024, 1),
         "table": {"dtype": str(T.table.dtype), "nbytes": T.table.nbytes},
+        "pairs_mb": pairs_mb(S),
         "suites": {n: _summary(times[n], checks[n]) for n in names},
         "oracle": {
             "green_via_ideals_s": round(_timed(oracle.green_via_ideals, T)[0], 4),
@@ -297,7 +315,8 @@ def main() -> int:
         print(
             f"{name:20s} |S|={rung['size']:<5d} full_suite {full['median_s']:.3f}s "
             f"({full['checks'] - full['skipped']} run, {full['skipped']} skipped), "
-            f"peak RSS {rung['peak_rss_mb']} MB, probe {rung['host_probe_ms']} ms",
+            f"peak RSS {rung['peak_rss_mb']} MB, pairs {rung['pairs_mb']} MB, "
+            f"probe {rung['host_probe_ms']} ms",
             flush=True,
         )
         results.append(rung)

@@ -10,7 +10,9 @@ with the identity matrix and with bench.py's generic matrix (first row
 and first column the identity, the rest from random.Random(7)), and the
 4096-element M[Z4; 32, 32] with the identity matrix.
 Each fixture is built with the size guard set to its own size, so it is
-checked in full.  A fixture whose matrix is the constant identity is
+checked in full.  Each line of a large fixture ends with the process's
+peak RSS so far, read after its suite: the large fixtures run after the
+small ones, the largest last, so that the CI step logs memory.  A fixture whose matrix is the constant identity is
 also checked by rbg_suite, the rectangular band of groups, given the
 pairs of connections.pair_arrays, whose build its time includes.  Exits
 nonzero if any check fails.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import resource
 import time
 
 from bench import generic_matrix  # this file's directory is on sys.path when it runs
@@ -56,15 +59,21 @@ def fixture_battery(seed: int, include_large: bool):
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
         fixtures.append((f"random #{k}", random_matrix(group, rows, cols, rng)))
     if include_large:
-        entries = [[(lam * i) % 2 for i in range(16)] for lam in range(16)]
-        fixtures.append(("Z2 16x16 (|S|=512)", SandwichMatrix(z2, entries)))
-        s5 = builtin("symmetric", 5)
-        e, x = s5.identity, next(g for g in s5.elements() if g != s5.identity)
-        fixtures.append(("S5 2x2 generic", SandwichMatrix(s5, [[e, e], [e, x]])))
-        fixtures.append(("Z2 32x32 identity", identity_matrix(z2, 32, 32)))
-        fixtures.append(("Z2 32x32 generic", generic_matrix(z2, 32)))
-        fixtures.append(("Z4 32x32 identity", identity_matrix(builtin("cyclic", 4), 32, 32)))
+        fixtures.extend(large_fixtures())
     return fixtures
+
+
+def large_fixtures() -> list:
+    """The fixtures --include-large adds, smallest first but for the 480-element one."""
+    z2, s5 = builtin("cyclic", 2), builtin("symmetric", 5)
+    e, x = s5.identity, next(g for g in s5.elements() if g != s5.identity)
+    return [
+        ("Z2 16x16 (|S|=512)", SandwichMatrix(z2, [[(lam * i) % 2 for i in range(16)] for lam in range(16)])),
+        ("S5 2x2 generic", SandwichMatrix(s5, [[e, e], [e, x]])),
+        ("Z2 32x32 identity", identity_matrix(z2, 32, 32)),
+        ("Z2 32x32 generic", generic_matrix(z2, 32)),
+        ("Z4 32x32 identity", identity_matrix(builtin("cyclic", 4), 32, 32)),
+    ]
 
 
 def suites(matrix: SandwichMatrix) -> list:
@@ -80,7 +89,9 @@ def main() -> int:
     args = parser.parse_args()
 
     exit_code = 0
-    for name, matrix in fixture_battery(args.seed, args.include_large):
+    small = fixture_battery(args.seed, include_large=False)
+    large = large_fixtures() if args.include_large else []
+    for k, (name, matrix) in enumerate(small + large):
         S = ReesSemigroup(matrix, size_guard=matrix.group.order * matrix.rows * matrix.cols)
         for suite in suites(matrix):
             start = time.perf_counter()
@@ -89,9 +100,13 @@ def main() -> int:
             bad = failures(checks)
             skipped = sum(1 for c in checks if c.passed is None)
             status = "PASS" if not bad else "FAIL"
+            memory = ""
+            if k >= len(small):
+                peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+                memory = f", peak RSS {peak_mb:.1f} MB"
             print(
                 f"{status}  {name:24s}  {suite.__name__:10s}  |S|={S.size:<4d} "
-                f"{len(checks) - skipped - len(bad)} ok, {skipped} skipped  ({elapsed:.2f}s)"
+                f"{len(checks) - skipped - len(bad)} ok, {skipped} skipped  ({elapsed:.2f}s){memory}"
             )
             for c in bad:
                 print(f"      FAIL {c.name}: {c.witness}")

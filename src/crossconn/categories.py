@@ -131,15 +131,18 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
     (s*x over fSe) is the left side of S^op = M[G^op; Lambda, I; P^T], whose
     u*v is relabel[table[inverse[v], inverse[u]]]: (g, lam, i) there is (g, i, lam) here.
 
-    Every hom-set (dom, cod) is realized in one array pass: eSf of every
-    pair of base idempotents, then one row per translation, its images of
-    the domain ideal, gathered from the table in blocks of rows.  The maps
-    of a hom-set are its distinct rows that stay in the codomain ideal, and
-    its abstract maps x -> (x.g * h, x.i, cod) are the same rows for every
-    domain.  Sets of rows are counted per hom-set by
-    `kernel.distinct_counts`: the two sets of a hom-set are equal when their
-    union has no more members than either.  The mismatches are read off the
-    masks, hom-set by hom-set.
+    eSf of every pair of base idempotents comes first, in blocks of
+    domains, and gives one row per translation, sorted by hom-set (dom,
+    cod).  Then the hom-sets go in blocks of about `kernel.BLOCK` entries:
+    each block gathers its rows' images of the domain ideal from the table,
+    marks the rows that leave the codomain ideal, and counts the distinct
+    rows that stay, the hom-set's maps, beside its abstract maps
+    x -> (x.g * h, x.i, cod), with `kernel.split_counts`: the two sets of a
+    hom-set are equal when their union has no more members than either.
+    The abstract maps are the same rows for every domain, built once in
+    int32 into object 0, the map into cod adding cod.  Nothing of one block
+    outlives it, so beyond S's table this holds O(n) and one block.  The
+    mismatches are read off the masks, hom-set by hom-set.
     """
     if side not in ("left", "right"):
         raise IndexOutOfRange(f"side must be 'left' or 'right', got {side!r}")
@@ -185,19 +188,19 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
     ideal = n_l * np.arange(width, dtype=table.dtype)
 
     def realize(homs: np.ndarray, rows: slice):
-        """The translations of the hom-sets homs, the rows of their
-        translations: which leave the ideal, and `kernel.split_counts` of
-        those that stay beside each hom-set's abstract maps, labelled within
-        the block.  Its arrays are freed on return."""
+        """For the hom-sets homs, whose translations are the rows: which rows
+        leave the codomain ideal, and `kernel.split_counts` of the rows that
+        stay beside each hom-set's abstract maps, labelled within the block.
+        Its arrays are freed on return, before the next block's."""
         images = mul(dom[rows, None].astype(table.dtype) + ideal, s[rows, None])
         leaving = (images % n_l != cod[rows, None]).any(axis=1)
         split = int(len(leaving) - leaving.sum())
         keys = np.empty((split + len(homs) * order, width + 1), dtype=kernel.KEY_DTYPE)
         keys[:split, 0] = hom[rows][~leaving] - homs[0]
         keys[:split, 1:] = images[~leaving]
-        maps_of = keys[split:].reshape(len(homs), order, width + 1)
-        maps_of[..., 0] = np.arange(len(homs))[:, None]
-        maps_of[..., 1:] = abstract + (homs % n_l).astype(np.int32)[:, None, None]
+        abstract_rows = keys[split:].reshape(len(homs), order, width + 1)
+        abstract_rows[..., 0] = np.arange(len(homs))[:, None]
+        abstract_rows[..., 1:] = abstract + (homs % n_l).astype(np.int32)[:, None, None]
         return leaving, *kernel.split_counts(keys, split, len(homs))
 
     leaves = np.empty(len(s), dtype=bool)

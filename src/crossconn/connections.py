@@ -199,7 +199,8 @@ class UCones:
 
 class PairArrays(NamedTuple):
     """The linked pairs of a connection and the arrays every scan of them reads:
-    the two U tables and O(n) beside them, where n is the number of pairs.
+    the two U tables, the dense `pair_at` and O(n) beside them, where n is
+    the number of pairs.
 
     `gamma` and `delta` are the pairs' halves from `pair_cones`, pair k
     being phi of element k, and `g` and `d` their positions in U-Gamma and
@@ -245,11 +246,10 @@ class PairArrays(NamedTuple):
 
 def pair_arrays(S: ReesSemigroup) -> PairArrays:
     """The linked pairs (`pair_cones`), U-Gamma and U-Delta (`u_cones`) of S's
-    connection, with the arrays every scan of them reads.  It holds the two
-    U tables and the dense `pair_at`, which is as large as one table but
-    halves the index dtype of each; the product of two pairs is
-    componentwise, so the pairs' rows are read off the U tables when a scan
-    asks for them."""
+    connection, with the arrays every scan of them reads.  U-Delta's table
+    is built transposed, as `UCones` holds it.  The product of two pairs
+    is componentwise, so no table of the pairs is built: `PairArrays.rows`
+    reads its rows off the U tables when a scan asks for them."""
     P = S.matrix
     gamma, delta = pair_cones(P)
     gammas, deltas = kernel.ConeClasses(u_cones(P)), kernel.ConeClasses(u_cones(P.transpose))

@@ -24,8 +24,9 @@ b in one numpy step.  `blocks` gives the slices of rows, of about BLOCK
 entries of the scan's largest temporary each, so beyond one (n, n) table
 a scan never holds an (n, n, k) array, and a table gathered from smaller
 tables is filled without an (n, n) temporary beside it; a batch of
-scalings is formed in blocks of the same size, and so are S^op's
-products, read through S's one table (`categories.realize_category`).
+scalings is formed in blocks of the same size, and
+`categories.realize_category` takes a block of hom-sets per step, S^op's
+products read through S's one table.
 `first_block_failure` is the one loop over blocks: it names the first failing
 (a, b) in row order, as a scan one pair at a time would.  The table
 oracle's scans, the closure witness `first_hole` and the suites' block
@@ -65,24 +66,31 @@ triples of objects (l1, l2, i1) per step.  `canonical` gives each tuple's
 coset key, the member of its coset with the identity at coordinate 0,
 for the objects of the connection functor and the cosets of T_L alike.
 Sets that are one
-per cell, hom-set or object (the cones of a cell, the translation maps of
-a hom-set, the images of a functor) are counted in one sort by
-`distinct_counts`, each row keyed with its label, and two such sets are
-equal exactly when their union counts no more than each of them.
+per cell, hom-set or object (the cones of a cell, the images of a
+functor) are counted in one sort by `distinct_counts`, each row keyed
+with its label, and two such sets are equal exactly when their union
+counts no more than each of them.  `split_counts` counts two sets per
+label and their union in one stable sort of one key array, in place:
+the translation maps and the abstract maps of each hom-set of a block
+(`categories.realize_category`).
 
 Pairs.  `connections.pair_arrays` holds the linked pairs as a gamma and a
 delta batch, read off `SandwichMatrix.scaled` at the coordinates of each
 element (`connections.pair_cones`), U-Gamma and U-Delta with their
-tables GT and DT, and the pair table.  Pair k is phi of element k, its
-pair of principal cones, so g[k] and d[k], the positions of pair k's
-halves in U-Gamma and U-Delta, are also those of element k's principal
-cones.  The product of two pairs is componentwise, so the pair table is
-a gather: with `pair_at[x, y]` the pair with halves at x and y (or -1),
-row p is pair_at[GT[g[p], g], DT[d, d[p]]].  No product of two pairs is
-formed and no pair key is searched.  Every scan of the pairs or of the
-principal cones in a suite reads it; each suite and
-`connections.verify_phi` takes it from its caller.  Witnesses and reports
-turn cones of a batch into `Cone`s of Python ints
+tables GT and DT, and `pair_at[x, y]`, the pair with halves at x and y
+(or -1), dense and in `index_dtype`; the rest is O(n).  Pair k is phi of
+element k, its pair of principal cones, so g[k] and d[k], the positions
+of pair k's halves in U-Gamma and U-Delta, are also those of element k's
+principal cones.  The product of two pairs is componentwise, so the
+pairs' product table is a gather, and it is never stored:
+`PairArrays.rows` reads any rows p of it, a block at a time, as
+pair_at[GT[g[p], g], DT[d[p], d]], DT being held transposed.  No product
+of two pairs is formed and no pair key is searched: the pairs sorted by
+key and searched a block at a time would hold O(n) in place of
+`pair_at`, but read slower than its gather.  Every scan of the pairs or
+of the principal cones in a suite reads these arrays; each suite and
+`connections.verify_phi` takes them from its caller.  Witnesses and
+reports turn cones of a batch into `Cone`s of Python ints
 (`connections.as_cones`).
 
 Tables.  `cone_product_table` is the one place a set of cones becomes
@@ -95,11 +103,15 @@ tuples up, and the table is one gather from that (|T|, |G|) table and
 the (|T|, k) positions.  The
 set is closed when no entry is -1, and `first_hole` names the first -1
 in row order as the closure witness.  It builds three tables, T_L,
-U-Gamma and U-Delta, and the linked-pair table is gathered from the
-U-Gamma and U-Delta tables; the table oracle judges the rest of each
-closed table from the table alone.  The principal image is U-Gamma and
-the dual image U-Delta, so `cones.principal_homomorphism` and
-`cones.dual_antihomomorphism` are read off their tables.
+U-Gamma and U-Delta, the last one transposed, row by row with no copy:
+entry [x, y] of DT is U-Delta[y] * U-Delta[x] over G^op, as the delta
+halves of a product of pairs multiply.  The rows of the linked-pair
+table are gathered from the U-Gamma and U-Delta tables when a scan reads
+them.  The table oracle judges the rest of each closed table from the
+table alone, or, for the pairs, from its rows (`oracle.TableRows`).  The
+principal image is U-Gamma and the dual image U-Delta, so
+`cones.principal_homomorphism` and `cones.dual_antihomomorphism` are
+read off their tables, both by rows.
 
 `mul_L` is the cone product every table is built from, and the checks
 hold it against independent statements of it: `cones.semidirect_law`

@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import kernel
-from .errors import IndexOutOfRange, NotAssociative, NotClosed
+from .errors import IndexOutOfRange, NotAssociative, NotClosed, ParseError
 
 
 def associativity_witness(table, ideals=None) -> tuple[int, int, int] | None:
@@ -133,6 +133,21 @@ def _full_scan(t: np.ndarray) -> tuple[int, int, int] | None:
     return None
 
 
+def integer_entries(rows) -> np.ndarray:
+    """numpy's array of rows of equal length, after ParseError at the first
+    entry, in row-major order, that is not an integer: numpy would read a
+    bool, a float or a string of digits as one.  An integer beyond int64
+    passes, as numpy's object or float array, for the caller's range check."""
+    array = np.asarray(rows)
+    if array.dtype.kind not in "iu":
+        for r, row in enumerate(rows):
+            for c, x in enumerate(row):
+                if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+                    value = x.item() if isinstance(x, np.generic) else x
+                    raise ParseError(f"entry at row {r}, column {c} is {value!r}, not an integer")
+    return array
+
+
 class GenericSemigroup:
     """A multiplication table on 0..size-1, checked for closure only.
 
@@ -148,7 +163,7 @@ class GenericSemigroup:
             raise NotClosed("empty multiplication table")
         # the rows before the first one of the wrong length, in one array
         full = next((r for r, row in enumerate(table) if len(row) != n), n)
-        entries = np.asarray(table[:full]).reshape(full, n)
+        entries = integer_entries(table[:full]).reshape(full, n)
         outside = (entries < 0) | (entries >= n)
         if outside.any():
             r, c = divmod(int(outside.argmax()), n)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import MixedSemigroups, ParseError, SizeGuardExceeded
 from .groups import FiniteGroup, prefix_errors, read_text
 from .kernel import coordinates, index_dtype
-from .oracle import GenericSemigroup, partition_by_key
+from .oracle import GenericSemigroup, integer_entries, partition_by_key
 
 DEFAULT_SIZE_GUARD = 512
 
@@ -41,6 +41,7 @@ class SandwichMatrix:
         width = len(entries[0])
         # the rows before the first one of the wrong length, in one array
         full = next((r for r, row in enumerate(entries) if len(row) != width), len(entries))
+        integer_entries(entries[:full])
         try:
             array = np.array(entries[:full], dtype=np.intp)
         except OverflowError:  # an entry beyond intp, out of range as well

@@ -44,9 +44,11 @@ reads `SandwichMatrix.transpose`: the connection is its matrix, which
 each of those functions takes.  `cones.injectivity_criterion` is one
 array pass too, so no suite makes a scalar group product.
 `connections.pair_arrays(S)` is built once per command: the linked
-pairs, U-Gamma, U-Delta, their tables, the pair table gathered from
-those, and the positions of the pairs' halves in U-Gamma and U-Delta,
-all read off `SandwichMatrix.scaled`.  `cone_suite`,
+pairs, U-Gamma, U-Delta, their tables (U-Delta's transposed), the
+positions of the pairs' halves in U-Gamma and U-Delta and the dense
+`pair_at`, all read off `SandwichMatrix.scaled`.  It holds no table of
+the pairs: `PairArrays.rows` gathers rows of it from the U tables when a
+scan reads them.  `cone_suite`,
 `crossconn_suite`, `rbg_suite` and `connections.verify_phi` take it as a
 required argument and never build it: `full_suite` builds it after
 `rees_suite` and `category_suite`, and the CLI's `crossconn` and `rbg`
@@ -68,18 +70,20 @@ U-Gamma and U-Delta), whose one `ConeClasses` holds the set's distinct
 tuples: scalings of the tuples, their lookup and one gather, with -1 for each
 product outside the set; the set is closed when no entry is -1, and
 `kernel.first_hole` names the first in row order.  The linked pairs are
-the exception: their table is gathered from the U-Gamma and U-Delta
-tables, and they are closed when every pair's halves lie in U-Gamma and
-U-Delta and no entry is -1.
+the exception: their table is never built whole, and they are closed
+when every pair's halves lie in U-Gamma and U-Delta and no row that
+`PairArrays.rows` gathers, a block at a time, holds a -1.
 Every check on a set reads its table.  With r[a] and l[a] the positions
 of rho(a) and lam(a) in U-Gamma and U-Delta, `cones.principal_homomorphism`
 compares GT[r[a], r] with r[ab] and `cones.dual_antihomomorphism`
-compares DT[l, l[a]] with l[ab], in blocks of rows a, a cone of a, b or
+compares DT[l[a], l] with l[ab], DT held transposed, so that
+lam(b) lam(a) over the opposite group is at [l[a], l[b]], in blocks of
+rows a, a cone of a, b or
 ab outside its U set failing (`kernel.gather` reads -1 for a product
 with an absent cone); `cones.principal_image_subsemigroup` reads GT
 restricted to the positions r hits.
-Closed tables reach the oracle as `GenericSemigroup`s and the oracle
-judges the rest:
+Closed tables reach the oracle as `GenericSemigroup`s, and the pairs'
+rows as `oracle.TableRows`, and the oracle judges the rest:
 `oracle.is_regular` decides the principal image and U-Gamma/U-Delta, one
 verdict per U table (`connections.UCones.regular`), which the principal
 image shares when it is all of U-Gamma, as it is unless phi is at fault;

@@ -709,6 +709,27 @@ def verify_phi(S: ReesSemigroup) -> connections.PhiReport:
     return connections.PhiReport(True, None, check)
 
 
+def verify_phi_on_the_table(S: ReesSemigroup, linked: connections.PairArrays) -> connections.PhiReport:
+    """`connections.verify_phi` with the pairs' whole product table built
+    first, `pair_at` at `PairArrays.product_halves` of every row in one
+    2-d gather: its first hole by `kernel.first_hole`, then the map check
+    against it by the loops of `verify_map_loops`.  `verify_phi` reads the
+    same table a block of rows at a time and never holds it."""
+    outside = (linked.g < 0) | (linked.d < 0)
+    if outside.any():
+        p = int(outside.argmax())
+        half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
+        return connections.PhiReport(False, f"the {half} half of {linked.pair(p)} is not in {where}", None)
+    table = linked.pair_at[linked.product_halves(slice(None))]
+    bad = kernel.first_hole(table)
+    if bad is not None:
+        p, q = (linked.pair(k) for k in bad)
+        return connections.PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
+    f = linked.pair_at[linked.g, linked.d].tolist()
+    check = verify_map_loops(f, from_table(S.index_table()), GenericSemigroup(table))
+    return connections.PhiReport(True, None, check)
+
+
 def crossconnection_checks(P: SandwichMatrix) -> list[Check]:
     """The functor-law, `fully_faithful` and `ideal_restriction` checks of
     `connections.verify_crossconnection`, one scalar call per use.  A

@@ -271,3 +271,22 @@ def test_both_sides_read_one_table(s1, monkeypatch):
         tracemalloc.stop()
     assert rep.matched, rep.mismatches
     assert peak < table.nbytes / 2
+
+
+def test_realization_peaks_below_two_tables_on_a_generic_s5():
+    # M[S5; 2, 2] with a generic matrix: each hom-set holds 120 translations
+    # of a 240-element ideal.  Counted a block of hom-sets at a time, with
+    # the abstract maps held once in int32, realizing either side peaks below
+    # twice S's table; counted all at once, it peaked at about 14 times it.
+    s5 = builtin("symmetric", 5)
+    S = ReesSemigroup(SandwichMatrix(s5, [[0, 0], [0, 1]]))
+    table = S.table()
+    for side in ("left", "right"):
+        tracemalloc.start()
+        try:
+            rep = realize_category(S, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.matched, rep.mismatches
+        assert peak < 2 * table.nbytes, side

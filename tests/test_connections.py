@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from scalar_reference import (
     ElementNotInCell,
@@ -40,6 +41,7 @@ from crossconn import (
     verify_crossconnection,
     verify_phi,
 )
+from crossconn import kernel
 from crossconn.checks import all_passed
 from crossconn.errors import NotComposable, NotInDomainCoset
 
@@ -450,3 +452,20 @@ def test_rbg_single_cell_is_group(s3):
             assert got.gamma.values[0] == s3.mul(p.gamma.values[0], q.gamma.values[0])
     S = ReesSemigroup(identity_matrix(s3, 1, 1))
     assert verify_phi(S, pair_arrays(S)).is_isomorphism
+
+
+def test_pair_arrays_hold_no_pair_table(s3):
+    # The pairs' product table is read by rows and never stored: no array
+    # that PairArrays holds is (n, n), and pair_at, one row and one column
+    # larger with its -1s, takes the narrow index format of an (n, n) table.
+    S = ReesSemigroup(SandwichMatrix(s3, [[0, 3, 1], [2, 5, 4]]))
+    linked = pair_arrays(S)
+    n = S.size
+    held = [x for field in linked for x in (field if isinstance(field, tuple) else (field,))]
+    arrays = [x for x in held if isinstance(x, np.ndarray)]
+    assert len(arrays) == 7 and all(a.shape != (n, n) for a in arrays)
+    assert linked.pair_at.shape == (n + 1, n + 1)
+    assert linked.pair_at.dtype == kernel.index_dtype(n) == np.int16
+    # the rows are read off the U tables, both held as the pairs read them
+    assert linked.u_gamma.table.shape == linked.u_delta.table.shape == (n, n)
+    assert linked.rows(np.array([0, n - 1])).shape == (2, n)

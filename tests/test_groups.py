@@ -23,6 +23,22 @@ def test_cyclic2_is_xor(z2):
     assert z2.inv(1) == 1
 
 
+@pytest.mark.parametrize(
+    "cayley, message",
+    [
+        ([[0, 1], [1, 0.7]], "entry at row 1, column 1 is 0.7, not an integer"),
+        ([["0", "1"], ["1", "0"]], "entry at row 0, column 0 is '0', not an integer"),
+        ([[True, False], [False, True]], "entry at row 0, column 0 is True, not an integer"),
+    ],
+)
+def test_group_rejects_entries_that_are_not_integers(cayley, message):
+    # the floats and the bools used to build Z2, and the strings raised
+    # numpy's UFuncTypeError, which is not a CrossconnError
+    with pytest.raises(ParseError) as error:
+        FiniteGroup(cayley)
+    assert str(error.value) == message
+
+
 def test_cyclic3_arithmetic(z3):
     assert z3.mul(2, 2) == 1
     assert z3.inv(1) == 2

@@ -550,6 +550,40 @@ def test_wide_cones_z2_lambda_64():
     assert verdict is scalar_reference.regular_subsemigroup(G, rho) is True
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([1, 7, kernel.BLOCK]),
+    st.data(),
+)
+def test_verify_phi_by_rows_matches_the_whole_table(G, n_lambda, n_i, block, data):
+    # verify_phi reads the pairs' table a block of rows at a time, for its
+    # closure check and for the oracle's map check, and never holds it.
+    # Against the whole table built at once and checked by the loops, with
+    # up to two entries of the U-Gamma or U-Delta table corrupted (mostly
+    # holes: a product outside U, or halves that are no pair) and perhaps
+    # two pairs traded in pair_at (closed, but phi no homomorphism): the
+    # same report, closure or map witness included, whatever the blocks.
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    S = ReesSemigroup(SandwichMatrix(G, entries))
+    linked = connections.pair_arrays(S)
+    for _ in range(data.draw(st.integers(0, 2))):
+        table = data.draw(st.sampled_from([linked.u_gamma.table, linked.u_delta.table]))
+        at = data.draw(st.integers(0, table.size - 1))
+        table.flat[at] = data.draw(st.integers(-1, len(table) - 1))
+    if data.draw(st.booleans()):
+        pairs = [data.draw(st.integers(0, S.size - 1)) for _ in range(2)]
+        at = linked.g[pairs], linked.d[pairs]
+        linked.pair_at[at] = linked.pair_at[at][::-1].copy()
+    with mock.patch.object(kernel, "BLOCK", block):
+        report = verify_phi(S, linked)
+    assert report == scalar_reference.verify_phi_on_the_table(S, linked)
+
+
 def test_index_dtype_boundary():
     # int16 holds every index below 2^15 and -1; the rule is read from n
     # alone, so no table of that size is built

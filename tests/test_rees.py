@@ -217,6 +217,23 @@ def test_matrix_validation(z2):
         assert str(error.value) == message, entries
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[1.5]], "entry at row 0, column 0 is 1.5, not an integer"),
+        ([["1"]], "entry at row 0, column 0 is '1', not an integer"),
+        ([[True]], "entry at row 0, column 0 is True, not an integer"),
+        (np.array([[0.0, 1.0]]), "entry at row 0, column 0 is 0.0, not an integer"),
+    ],
+)
+def test_matrix_rejects_entries_that_are_not_integers(z2, entries, message):
+    # numpy reads each of these as the integer 1 (or 0 and 1), so the matrix
+    # used to be built; the first entry that is not an integer is named
+    with pytest.raises(ParseError) as error:
+        SandwichMatrix(z2, entries)
+    assert str(error.value) == message
+
+
 def test_matrix_rows_columns(p1):
     assert p1.rows == 2 and p1.cols == 2
     assert p1.array[:, 1].tolist() == [0, 1]

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from unittest import mock
 import numpy as np
 import scalar_reference
 
-from crossconn import SandwichMatrix, builtin, oracle
+from crossconn import SandwichMatrix, builtin, oracle, pair_arrays
 from crossconn.verify import full_suite, rbg_suite
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -111,6 +112,7 @@ def test_bench_measures_the_smallest_rung():
     assert min(parts["green_via_ideals_s"], parts["associativity_witness_s"]) >= 0
     # the rung's table in kernel.index_dtype(8), 8 x 8 entries of 2 bytes
     assert rung["table"] == {"dtype": "int16", "nbytes": 128}
+    assert rung["pairs_mb"] > 0
     # start-up: fresh interpreters time `import crossconn.cli`, which loads
     # none of the modules that only some commands run
     start = bench.startup(runs=3)
@@ -119,6 +121,35 @@ def test_bench_measures_the_smallest_rung():
     assert 0 < times["q1"] <= times["median"] <= times["q3"]
     modules = ["checks", "cli", "errors", "groups", "kernel", "oracle", "rees"]
     assert start["modules"] == [["crossconn", *(f"crossconn.{m}" for m in modules)]]
+
+
+def test_bench_pairs_mb_is_the_u_tables_and_pair_at_and_little_else():
+    # What pair_arrays holds when it returns, on the generic M[Z2; 16, 16],
+    # whose U-Gamma and U-Delta hold all 512 cones: the two U tables and
+    # pair_at, and less than one more (n, n) table beside them.
+    bench = _load_script("bench")
+    S = bench._semigroup(bench.generic_matrix(builtin("cyclic", 2), 16))
+    linked = pair_arrays(S)
+    assert len(linked.u_gamma.classes) == len(linked.u_delta.classes) == S.size == 512
+    core = linked.u_gamma.table.nbytes + linked.u_delta.table.nbytes + linked.pair_at.nbytes
+    held = bench.pairs_mb(S) * 2**20
+    assert core <= held < core + S.table().nbytes
+
+
+def test_run_verification_prints_the_peak_rss_of_each_large_fixture(monkeypatch, capsys):
+    # With --include-large each line of a large fixture ends with the
+    # process's peak RSS, so that the CI step logs memory; the small
+    # fixtures' lines do not.  A small stand-in keeps the run short.
+    script = _load_script("run_verification")
+    tiny = SandwichMatrix(builtin("cyclic", 2), [[0, 1]])
+    monkeypatch.setattr(script, "large_fixtures", lambda: [("tiny large", tiny)])
+    monkeypatch.setattr(sys, "argv", ["run_verification.py", "--seed", "7", "--include-large"])
+    assert script.main() == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+    large = [ln for ln in lines if "tiny large" in ln]
+    assert len(large) == 1 and all(ln.startswith("PASS") for ln in lines)
+    assert re.search(r", peak RSS \d+\.\d MB$", large[0]), large[0]
+    assert not any("peak RSS" in ln for ln in lines if ln not in large)
 
 
 def test_bench_reads_the_peak_rss_after_the_first_runs(monkeypatch):
