@@ -12,7 +12,8 @@ and first column the identity, the rest from random.Random(7)), and the
 Each fixture is built with the size guard set to its own size, so it is
 checked in full.  Each line of a large fixture ends with the process's
 peak RSS so far, read after its suite: the large fixtures run after the
-small ones, the largest last, so that the CI step logs memory.  A fixture whose matrix is the constant identity is
+small ones, the largest last, so that the CI step logs memory.  A
+fixture whose matrix is the constant identity is
 also checked by rbg_suite, the rectangular band of groups, given the
 pairs of connections.pair_arrays, whose build its time includes.  Exits
 nonzero if any check fails.
@@ -67,8 +68,9 @@ def large_fixtures() -> list:
     """The fixtures --include-large adds, smallest first but for the 480-element one."""
     z2, s5 = builtin("cyclic", 2), builtin("symmetric", 5)
     e, x = s5.identity, next(g for g in s5.elements() if g != s5.identity)
+    entries = [[(lam * i) % 2 for i in range(16)] for lam in range(16)]
     return [
-        ("Z2 16x16 (|S|=512)", SandwichMatrix(z2, [[(lam * i) % 2 for i in range(16)] for lam in range(16)])),
+        ("Z2 16x16 (|S|=512)", SandwichMatrix(z2, entries)),
         ("S5 2x2 generic", SandwichMatrix(s5, [[e, e], [e, x]])),
         ("Z2 32x32 identity", identity_matrix(z2, 32, 32)),
         ("Z2 32x32 generic", generic_matrix(z2, 32)),
@@ -100,14 +102,14 @@ def main() -> int:
             bad = failures(checks)
             skipped = sum(1 for c in checks if c.passed is None)
             status = "PASS" if not bad else "FAIL"
-            memory = ""
-            if k >= len(small):
-                peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-                memory = f", peak RSS {peak_mb:.1f} MB"
-            print(
+            line = (
                 f"{status}  {name:24s}  {suite.__name__:10s}  |S|={S.size:<4d} "
-                f"{len(checks) - skipped - len(bad)} ok, {skipped} skipped  ({elapsed:.2f}s){memory}"
+                f"{len(checks) - skipped - len(bad)} ok, {skipped} skipped  ({elapsed:.2f}s)"
             )
+            if k >= len(small):
+                peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+                line += f", peak RSS {peak_kb / 1024:.1f} MB"
+            print(line)
             for c in bad:
                 print(f"      FAIL {c.name}: {c.witness}")
                 exit_code = 2

@@ -394,9 +394,10 @@ def cone_product_table(M: np.ndarray, classes: ConeClasses, transposed: bool = F
         scale[rows] = classes.find_tuples(scaled).reshape(len(part), order)
     values = values.astype(np.int32)
     table = np.empty((len(vertices),) * 2, dtype=index_dtype(len(vertices)))
+    pos, tid = classes.pos, classes.tid
     for rows in blocks(*table.shape):
-        if transposed:  # [b, a]: member b's value at a's vertex
-            table[rows] = classes.pos[scale[classes.tid, values[rows][:, vertices]], vertices[rows, None]]
-        else:  # [a, b]: member b's value at a's vertex
-            table[rows] = classes.pos[scale[classes.tid[rows, None], values.T[vertices[rows]]], vertices]
+        if transposed:  # row b: every a times b, with b's value at a's vertex
+            table[rows] = pos[scale[tid, values[rows][:, vertices]], vertices[rows, None]]
+        else:  # row a: a times every b, with b's value at a's vertex
+            table[rows] = pos[scale[tid[rows, None], values.T[vertices[rows]]], vertices]
     return table

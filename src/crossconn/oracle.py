@@ -7,7 +7,10 @@ the closed-form constructions implemented elsewhere in the package.
 A table is one read-only (n, n) `kernel.index_dtype(n)` or int32 array
 of indices below n: a kernel table with -1 holes (a set that is not closed)
 is rejected by `GenericSemigroup`, so the oracle judges closed tables
-only.  The scans read it in blocks of rows of about `kernel.BLOCK`
+only.  `verify_map` reads its target only by rows, so the target may be
+a table that is never stored whole: a `TableRows`, its size and a
+function giving its rows at an index array, as the linked pairs' table
+is given.  The scans read a table in blocks of rows of about `kernel.BLOCK`
 entries, so that no temporary is larger than the table (only the full
 scan of a table that fails Light's test, below, holds an intp copy), and
 their witnesses hold Python ints: the first failing (a, b) in row order,
@@ -324,7 +327,9 @@ class TableRows(NamedTuple):
     rows: Callable[[np.ndarray], np.ndarray]
 
 
-def verify_map(f: Sequence[int], T1: GenericSemigroup, T2) -> MapCheck:
+def verify_map(
+    f: Sequence[int], T1: GenericSemigroup, T2: GenericSemigroup | TableRows
+) -> MapCheck:
     """Check whether f (a total map on T1's indices) is a homomorphism / bijection
     into T2, a `GenericSemigroup` or `TableRows`, which is read only by
     its rows: those at the images of each block of rows of T1."""
@@ -347,10 +352,8 @@ def verify_map(f: Sequence[int], T1: GenericSemigroup, T2) -> MapCheck:
     hom = bad is None
     if not hom:
         a, b = bad
-        product = int(T1.table[a, b])
-        problems.append(
-            f"f({a}*{b}) = {f[product]} but f({a})*f({b}) = {int(T2.rows(image[a : a + 1])[0, f[b]])}"
-        )
+        product, target = int(T1.table[a, b]), int(T2.rows(image[a : a + 1])[0, f[b]])
+        problems.append(f"f({a}*{b}) = {f[product]} but f({a})*f({b}) = {target}")
 
     inj = True
     seen: dict[int, int] = {}

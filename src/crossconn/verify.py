@@ -78,9 +78,8 @@ of rho(a) and lam(a) in U-Gamma and U-Delta, `cones.principal_homomorphism`
 compares GT[r[a], r] with r[ab] and `cones.dual_antihomomorphism`
 compares DT[l[a], l] with l[ab], DT held transposed, so that
 lam(b) lam(a) over the opposite group is at [l[a], l[b]], in blocks of
-rows a, a cone of a, b or
-ab outside its U set failing (`kernel.gather` reads -1 for a product
-with an absent cone); `cones.principal_image_subsemigroup` reads GT
+rows a, a cone of a, b or ab outside its U set failing (`kernel.gather`
+reads -1 for a product with an absent cone); `cones.principal_image_subsemigroup` reads GT
 restricted to the positions r hits.
 Closed tables reach the oracle as `GenericSemigroup`s, and the pairs'
 rows as `oracle.TableRows`, and the oracle judges the rest:

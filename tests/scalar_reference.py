@@ -709,7 +709,7 @@ def verify_phi(S: ReesSemigroup) -> connections.PhiReport:
     return connections.PhiReport(True, None, check)
 
 
-def verify_phi_on_the_table(S: ReesSemigroup, linked: connections.PairArrays) -> connections.PhiReport:
+def verify_phi_on_the_table(S: ReesSemigroup, linked: connections.PairArrays):
     """`connections.verify_phi` with the pairs' whole product table built
     first, `pair_at` at `PairArrays.product_halves` of every row in one
     2-d gather: its first hole by `kernel.first_hole`, then the map check
@@ -719,7 +719,8 @@ def verify_phi_on_the_table(S: ReesSemigroup, linked: connections.PairArrays) ->
     if outside.any():
         p = int(outside.argmax())
         half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
-        return connections.PhiReport(False, f"the {half} half of {linked.pair(p)} is not in {where}", None)
+        witness = f"the {half} half of {linked.pair(p)} is not in {where}"
+        return connections.PhiReport(False, witness, None)
     table = linked.pair_at[linked.product_halves(slice(None))]
     bad = kernel.first_hole(table)
     if bad is not None:
