@@ -166,14 +166,18 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
     # the base idempotent (p[obj][0]^-1, 0, obj) of each object, by the index layout
     base = G.inverse[P[:, 0]] * (n_i * n_l) + objects
 
-    # in_middle[dom, cod, s]: whether s is in eSf, for the base idempotents e of dom and f of cod
-    in_middle = np.zeros((n_l, n_l, S.size), dtype=bool)
+    # one translation per row, sorted by hom-set (dom, cod), s in index order:
+    # in_middle[d, cod, s] marks s in eSf, for the base idempotents e of the
+    # block's d-th domain and f of cod, a block of domains at a time
+    translations = []
     for rows in kernel.blocks(n_l, S.size * n_l):
         esf = mul(mul(base[rows, None], np.arange(S.size))[:, :, None], base)
-        in_middle[objects[rows, None, None], objects, esf] = True
-    # one translation per row, sorted by hom-set (dom, cod), s in index order:
+        in_middle = np.zeros((len(esf), n_l, S.size), dtype=bool)
+        in_middle[np.arange(len(esf))[:, None, None], objects, esf] = True
+        d, c, x = np.nonzero(in_middle)
+        translations.append((d + rows.start, c, x))
+    dom, cod, s = (np.concatenate(parts) for parts in zip(*translations))
     # the rows of hom-set k are starts[k]:starts[k + 1]
-    dom, cod, s = np.nonzero(in_middle)
     hom = dom * n_l + cod
     n_homs, order = n_l * n_l, G.order
     starts = np.searchsorted(hom, np.arange(n_homs + 1))

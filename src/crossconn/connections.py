@@ -237,10 +237,13 @@ class PairArrays(NamedTuple):
         """Those rows of the pairs' product table: entry (p, q) is the pair
         p*q, `pair_at` at `product_halves`, -1 where the product is no pair.
         No product of two pairs is formed and no pair key is searched.
-        `pair_at` is read as one flat take, the fastest gather: a half at
-        -1 lands, as a negative index, in its last row or column."""
+        `pair_at` is read as one flat take, the fastest gather, at int32
+        indices wherever they fit, formed in place: a half at -1 lands, as a
+        negative index, in its last row or column."""
         gamma, delta = self.product_halves(rows)
-        flat = gamma.astype(np.intp) * self.pair_at.shape[1] + delta
+        flat = gamma.astype(np.int32 if self.pair_at.size < 1 << 31 else np.intp)
+        flat *= self.pair_at.shape[1]
+        flat += delta
         return np.take(self.pair_at.ravel(), flat)
 
 
