@@ -392,12 +392,14 @@ def cone_product_table(M: np.ndarray, classes: ConeClasses, transposed: bool = F
         scalings = np.repeat(part, order, axis=0), np.tile(np.arange(order), len(part))
         scaled, _ = mul_L(M, scalings, (np.arange(order), 0))
         scale[rows] = classes.find_tuples(scaled).reshape(len(part), order)
-    values = values.astype(np.int32)
     table = np.empty((len(vertices),) * 2, dtype=index_dtype(len(vertices)))
     pos, tid = classes.pos, classes.tid
-    for rows in blocks(*table.shape):
-        if transposed:  # row b: every a times b, with b's value at a's vertex
-            table[rows] = pos[scale[tid, values[rows][:, vertices]], vertices[rows, None]]
-        else:  # row a: a times every b, with b's value at a's vertex
-            table[rows] = pos[scale[tid[rows, None], values.T[vertices[rows]]], vertices]
+    if transposed:  # row b: every member a times b, b's value at a's vertex
+        at = values.astype(np.int32)  # at[b, v]: member b's value at object v
+        for rows in blocks(*table.shape):
+            table[rows] = pos[scale[tid, at[rows][:, vertices]], vertices[rows, None]]
+    else:  # row a: a times every member b, b's value at a's vertex
+        at = values.T.astype(np.int32)  # at[v, b]: member b's value at object v
+        for rows in blocks(*table.shape):
+            table[rows] = pos[scale[tid[rows, None], at[vertices[rows]]], vertices]
     return table
