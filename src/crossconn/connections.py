@@ -275,9 +275,13 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
     (`PairArrays.rows`).  Pair k is phi of element k, so phi sends k to
     that pair's position in `pair_at`; the map check goes through the
     independent table oracle, which reads the same rows
-    (`oracle.TableRows`), rather than any closed form.  The pairs' table
-    is not scanned for associativity: a bijective homomorphism from S
-    carries S's associativity onto it.
+    (`oracle.TableRows`), rather than any closed form.  It runs first: a
+    -1 fails its homomorphism test, and a bijective homomorphism onto the
+    pairs leaves no -1, since every entry is then the image of a product.
+    So the closure scan runs, for its verdict and its witness, only when
+    the map check fails.  The pairs' table is not scanned for
+    associativity: a bijective homomorphism from S carries S's
+    associativity onto it.
     """
     outside = (linked.g < 0) | (linked.d < 0)
     if outside.any():
@@ -285,12 +289,13 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
         half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
         return PhiReport(False, f"the {half} half of {linked.pair(p)} is not in {where}", None)
     n = len(linked.g)
-    bad = kernel.first_block_failure(n, n, lambda rows: linked.rows(rows) < 0)
-    if bad is not None:
-        p, q = (linked.pair(k) for k in bad)
-        return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
     f = linked.pair_at[linked.g, linked.d]
     check = verify_map(f.tolist(), S.to_generic(), TableRows(n, linked.rows))
+    if not check.is_isomorphism:
+        bad = kernel.first_block_failure(n, n, lambda rows: linked.rows(rows) < 0)
+        if bad is not None:
+            p, q = (linked.pair(k) for k in bad)
+            return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
     return PhiReport(True, None, check)
 
 

@@ -319,9 +319,11 @@ class MapCheck(NamedTuple):
 
 
 class TableRows(NamedTuple):
-    """A closed table on 0..size-1 that is read a block of rows at a time and
-    need not be stored: rows(index) is the (len(index), size) array of its
-    rows at an index array, every entry an index below size."""
+    """A table on 0..size-1 that is read a block of rows at a time and need
+    not be stored: rows(index) is the (len(index), size) array of its rows
+    at an index array, every entry an index below size or -1 where the
+    table is not closed.  A -1 is no image of a product, so `verify_map`
+    finds no homomorphism onto such a table."""
 
     size: int
     rows: Callable[[np.ndarray], np.ndarray]
