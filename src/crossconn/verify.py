@@ -72,7 +72,8 @@ product outside the set; the set is closed when no entry is -1, and
 `kernel.first_hole` names the first in row order.  The linked pairs are
 the exception: their table is never built whole, and they are closed
 when every pair's halves lie in U-Gamma and U-Delta and no row that
-`PairArrays.rows` gathers, a block at a time, holds a -1.
+`PairArrays.rows` gathers, a block at a time, holds a -1; that scan runs
+only when phi's map check, which reads the same rows, fails.
 Every check on a set reads its table.  With r[a] and l[a] the positions
 of rho(a) and lam(a) in U-Gamma and U-Delta, `cones.principal_homomorphism`
 compares GT[r[a], r] with r[ab] and `cones.dual_antihomomorphism`
