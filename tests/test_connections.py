@@ -33,6 +33,7 @@ from crossconn import (
     SandwichMatrix,
     compose_duals,
     identity_matrix,
+    kernel,
     left_category,
     matrix_of,
     pair_arrays,
@@ -41,7 +42,6 @@ from crossconn import (
     verify_crossconnection,
     verify_phi,
 )
-from crossconn import kernel
 from crossconn.checks import all_passed
 from crossconn.errors import NotComposable, NotInDomainCoset
 
