@@ -168,12 +168,15 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
 
     # one translation per row, sorted by hom-set (dom, cod), s in index order:
     # in_middle[d, cod, s] marks s in eSf, for the base idempotents e of the
-    # block's d-th domain and f of cod, a block of domains at a time
+    # block's d-th domain and f of cod, a block of domains at a time; eSf is
+    # (e*s)*f over the distinct values of e*s, which eS marks
     translations = []
     for rows in kernel.blocks(n_l, S.size * n_l):
-        esf = mul(mul(base[rows, None], np.arange(S.size))[:, :, None], base)
-        in_middle = np.zeros((len(esf), n_l, S.size), dtype=bool)
-        in_middle[np.arange(len(esf))[:, None, None], objects, esf] = True
+        eS = np.zeros((len(base[rows]), S.size), dtype=bool)
+        eS[np.arange(len(eS))[:, None], mul(base[rows, None], np.arange(S.size))] = True
+        d, es = np.nonzero(eS)
+        in_middle = np.zeros((len(eS), n_l, S.size), dtype=bool)
+        in_middle[d[:, None], objects, mul(es[:, None], base)] = True
         d, c, x = np.nonzero(in_middle)
         translations.append((d + rows.start, c, x))
     dom, cod, s = (np.concatenate(parts) for parts in zip(*translations))

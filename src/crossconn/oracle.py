@@ -59,38 +59,68 @@ def associativity_witness(table, ideals=None) -> tuple[int, int, int] | None:
     Light's test runs first.  The set N of elements a with (x a) y = x (a y)
     for all x, y is closed under the product: for a, b in N,
     x((ab)y) = x(a(by)) = (xa)(by) = ((xa)b)y = (x(ab))y.  So if N holds
-    a generating set A, it holds the whole table, and the table is
-    associative.  `generators` builds its closure from table products
-    only, so that closure lies inside the subsemigroup A generates, and
-    the test is sound whichever generators it picks.  For each a of A,
-    all (x, y) are compared in blocks of rows x.  Only when the test fails
-    does the full row scan run, and it returns the first triple in
-    (a, b, c) order.  `ideals`, the table's `ideal_rows` if the caller has
-    them, is passed on to `generators`.
+    a set A from which every element is a product of members of A, it
+    holds the whole table, and the table is associative; `generators`
+    picks such an A.  Each a of A is tested at its image classes (`_light`).
+    Only when the test fails does the full row scan run, and it returns
+    the first triple in (a, b, c) order.  `ideals`, the table's
+    `ideal_rows` if the caller has them, is passed on to `generators`.
     """
     t = np.asarray(table)
-    n = len(t)
     for a in generators(t, ideals):
-        column, row = t[:, a], t[a]
-        for rows in kernel.blocks(n, n):
-            # left[x, y] = t[t[x, a], y] against right[x, y] = t[x, t[a, y]]
-            left, right = np.take(t, column[rows], axis=0), np.take(t[rows], row, axis=1)
-            if not np.array_equal(left, right):
-                return _full_scan(t)
+        if not _light(t, a):
+            return _full_scan(t)
     return None
 
 
+def _light(t: np.ndarray, a: int) -> bool:
+    """Whether (x a) y = x (a y) for all x, y, read at a's image classes.
+
+    Let the x with equal x a form one class, and X hold one x of each.  The
+    law holds at a exactly when (i) it holds for every x of X and every y,
+    and (ii) each column r among the values of row a is constant on each
+    class: then (x a) y = (x' a) y = x' (a y) = x (a y) for the x' of X in
+    x's class, and conversely (x' a) y = (x a) y = x (a y) for any x of
+    that class, so column a y agrees at x and x'.  That reads |X| n + n |R|
+    entries for the |R| values of row a, in blocks of rows; in a completely
+    simple semigroup X is one per member of a's L-class and R is a's
+    R-class, so the law at a reads n^2/|Lambda| + n^2/|I| entries, not 2n^2.
+    """
+    n = len(t)
+    column, row = t[:, a], t[a]
+    chosen = np.empty(n, dtype=np.intp)
+    chosen[column] = np.arange(n)  # one x of each class, by its value x a
+    rep = chosen[column]
+    X = np.flatnonzero(rep == np.arange(n))
+    for rows in kernel.blocks(len(X), n):
+        x = X[rows]
+        # t[t[x, a], y] against t[x, t[a, y]]
+        if not np.array_equal(np.take(t, column[x], axis=0), np.take(t[x], row, axis=1)):
+            return False
+    R = np.flatnonzero(np.bincount(row, minlength=n))
+    columns = np.take(t, R, axis=1)
+    return all(
+        np.array_equal(columns[rows], np.take(columns, rep[rows], axis=0))
+        for rows in kernel.blocks(n, len(R))
+    )
+
+
 def generators(table, ideals=None) -> list[int]:
-    """A generating set of the table as a magma, in the order chosen.
+    """A set A of the table's elements from which every element is a
+    left-normed product ((a1 a2) ...) ak of members, in the order chosen.
 
     Each generator is the lowest element outside the closure so far whose
     L-class and R-class (equal `ideal_rows` on each side) the closure
     does not meet yet, or, when every outside element's classes are met,
     the lowest element outside (see the module's notes on the rank).  The
-    closure grows in waves: the elements a wave adds (the frontier)
-    times every member, and every member times them, in blocks of
-    frontier elements.  Each pair of members meets in the wave of the
-    later of the two, so the closure is closed under all products.
+    closure is the left-normed products of the generators so far: when x
+    is chosen, x and every member times x join it, and then each wave
+    multiplies the elements the last one added (the frontier) by every
+    generator, so each element is multiplied by each generator once.  On
+    an associative table the left-normed products of A are all its
+    products, so this is A's closure under the product; on any table, a
+    closure that reaches all n elements shows that every element is a
+    product of members of A, which is what Light's test needs.
     `ideals` is the table's `ideal_rows`, built here when it is None.
     """
     t = np.asarray(table)
@@ -99,26 +129,25 @@ def generators(table, ideals=None) -> list[int]:
     classes = [_class_ids(lefts), _class_ids(rights)]
     met = [np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)]  # per class id
     inside = np.zeros(n, dtype=bool)
-    members = np.empty(n, dtype=np.intp)  # the closure, in the order reached
     reached = 0
     out = []
     while reached < n:
         fresh = ~inside & ~met[0][classes[0]] & ~met[1][classes[1]]
         x = int(fresh.argmax()) if fresh.any() else int(inside.argmin())
         out.append(x)
-        frontier = np.array([x])
+        # np.unique would import numpy.ma: mark the products instead
+        hit = np.zeros(n, dtype=bool)
+        hit[t[:, x][inside]] = True
+        hit[x] = True
+        frontier = np.flatnonzero(hit & ~inside)
         while len(frontier):
             inside[frontier] = True
-            members[reached : reached + len(frontier)] = frontier
             reached += len(frontier)
             for ids, seen in zip(classes, met):
                 seen[ids[frontier]] = True
-            current = members[:reached]
-            # np.unique would import numpy.ma: mark the products instead
             hit = np.zeros(n, dtype=bool)
-            for rows in kernel.blocks(len(frontier), reached):
-                hit[t[np.ix_(frontier[rows], current)]] = True
-                hit[t[np.ix_(current, frontier[rows])]] = True
+            for rows in kernel.blocks(len(frontier), len(out)):
+                hit[t[np.ix_(frontier[rows], out)]] = True
             frontier = np.flatnonzero(hit & ~inside)
     return out
 

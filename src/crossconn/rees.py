@@ -16,7 +16,7 @@ import numpy as np
 from .errors import MixedSemigroups, ParseError, SizeGuardExceeded
 from .groups import FiniteGroup, prefix_errors, read_text
 from .kernel import coordinates, index_dtype
-from .oracle import GenericSemigroup, integer_entries, partition_by_key
+from .oracle import GenericSemigroup, integer_entries
 
 DEFAULT_SIZE_GUARD = 512
 
@@ -151,6 +151,7 @@ class ReesSemigroup:
         self.size = self.group.order * self.n_i * self.n_lambda
         check_size(self.size, size_guard)
         self._table: np.ndarray | None = None  # built on first use by table()
+        self._generic: GenericSemigroup | None = None  # and by to_generic()
 
     def elements(self) -> Iterator[ReesElement]:
         for g in range(self.group.order):
@@ -197,14 +198,17 @@ class ReesSemigroup:
         """Green partitions of element indices, keyed "L", "R", "H" and "D":
         L by lam, R by i, H by (i, lam), and D the single full class.  The
         table oracle recomputes each independently from the ideals."""
-        # elements() runs in index order, so positions are indices
-        elements = list(self.elements())
-        return {
-            "L": partition_by_key([x.lam for x in elements]),
-            "R": partition_by_key([x.i for x in elements]),
-            "H": partition_by_key([(x.i, x.lam) for x in elements]),
-            "D": (tuple(range(self.size)),),
+        # index (g*|I| + i)*|Lambda| + lam at [g, i, lam]: a class's row of
+        # indices runs in index order, and the rows in that of their first
+        n_g, n_i, n_l = self.group.order, self.n_i, self.n_lambda
+        k = np.arange(self.size).reshape(n_g, n_i, n_l)
+        rows = {
+            "L": k.transpose(2, 0, 1).reshape(n_l, -1),
+            "R": k.transpose(1, 0, 2).reshape(n_i, -1),
+            "H": k.transpose(1, 2, 0).reshape(n_i * n_l, n_g),
         }
+        green = {kind: tuple(map(tuple, r.tolist())) for kind, r in rows.items()}
+        return {**green, "D": (tuple(range(self.size)),)}
 
     def left_ideal_rows(self) -> np.ndarray:
         """S^1 x = G x I x {lam} of each L-class lam as a packed bit row, as in
@@ -240,10 +244,13 @@ class ReesSemigroup:
         return f"({self.group.names[x.g]},{x.i},{x.lam})"
 
     def to_generic(self) -> GenericSemigroup:
-        """table() wrapped for the table oracle without a copy.  The wrapper
-        checks closure only: `rees.associative` scans the table for
-        associativity and reports the result."""
-        return GenericSemigroup(self.table())
+        """table() wrapped for the table oracle without a copy, built on first
+        use and kept, as table() is.  The wrapper checks closure only:
+        `rees.associative` scans the table for associativity and reports the
+        result."""
+        if self._generic is None:
+            self._generic = GenericSemigroup(self.table())
+        return self._generic
 
     def __repr__(self) -> str:
         return (

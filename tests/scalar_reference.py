@@ -460,6 +460,18 @@ def magma_closure(T: GenericSemigroup, gens) -> set[int]:
         closure |= products
 
 
+def right_closure(T: GenericSemigroup, gens) -> set[int]:
+    """The left-normed products ((g1 g2) ...) gk of gens, which
+    `oracle.generators` closes over: add every member times every generator
+    until a round adds none."""
+    closure = set(gens)
+    while True:
+        products = {T.mul(x, g) for x in closure for g in gens}
+        if products <= closure:
+            return closure
+        closure |= products
+
+
 def idempotents(T: GenericSemigroup) -> list[int]:
     return [x for x in range(T.size) if T.mul(x, x) == x]
 

@@ -285,8 +285,8 @@ def _mirrored(corrupt):
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(GROUPS),
-    st.integers(min_value=1, max_value=3),
-    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
     st.sampled_from([_keeps_vertex, _moves_vertex, _rescaled, _collapsed]),
     st.integers(min_value=0, max_value=5),
     st.booleans(),

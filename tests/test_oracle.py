@@ -251,26 +251,31 @@ def test_green_permutation_invariance(s1, perm):
     assert relabeled == green_via_ideals(T2)
 
 
+# the groups of the Rees matrix semigroups among the closed tables
+REES_GROUPS = [builtin("cyclic", k) for k in (1, 2, 3)] + [builtin("klein"), builtin("symmetric", 3)]
+
+
 @st.composite
 def closed_tables(draw, max_size=12):
-    """A closed table with at most max_size elements: arbitrary entries, or a
-    null semigroup, a semilattice, or a Rees matrix semigroup over a cyclic
-    group with one entry possibly changed, relabelled at random."""
+    """A closed table: arbitrary entries, a null semigroup or a semilattice,
+    with at most max_size elements, or a Rees matrix semigroup over a cyclic
+    group, Klein's or S3 with at most 2*max_size, so that S3 has two
+    L-classes, with up to two entries changed; relabelled at random."""
     family = draw(st.sampled_from(["random", "null", "semilattice", "rees"]))
     if family == "rees":
-        order = draw(st.integers(1, 3))
-        n_lambda = draw(st.integers(1, max(1, max_size // (order * 2))))
-        n_i = draw(st.integers(1, max(1, max_size // (order * n_lambda))))
+        G = draw(st.sampled_from(REES_GROUPS))
+        n_lambda = draw(st.integers(1, max(1, max_size // G.order)))
+        n_i = draw(st.integers(1, max(1, 2 * max_size // (G.order * n_lambda))))
         entries = draw(
             st.lists(
-                st.lists(st.integers(0, order - 1), min_size=n_i, max_size=n_i),
+                st.lists(st.integers(0, G.order - 1), min_size=n_i, max_size=n_i),
                 min_size=n_lambda,
                 max_size=n_lambda,
             )
         )
-        table = ReesSemigroup(SandwichMatrix(builtin("cyclic", order), entries)).index_table()
+        table = ReesSemigroup(SandwichMatrix(G, entries)).index_table()
         n = len(table)
-        if draw(st.booleans()):
+        for _ in range(draw(st.integers(0, 2))):
             a, b, v = (draw(st.integers(0, n - 1)) for _ in range(3))
             table[a, b] = v
         table = table.tolist()
@@ -347,19 +352,21 @@ def test_associativity_witness_matches_the_triple_loop(table, block):
 @settings(max_examples=150, deadline=None)
 @given(closed_tables(), BLOCKS)
 def test_generators_are_the_greedy_generating_set(table, block):
-    # Each generator is the least element outside the closure of those
-    # before it whose principal left and right ideals are those of no
-    # element of that closure, or, when every outside element shares one,
-    # the least element outside; and all of them close to the whole table.
+    # Each generator is the least element outside the left-normed products
+    # of those before it whose principal left and right ideals are those of
+    # no such product, or, when every outside element shares one, the least
+    # element outside; and the left-normed products of all of them are the
+    # whole table, so all of them generate it.
     T = GenericSemigroup(table)
     with mock.patch.object(kernel, "BLOCK", block):
         gens = generators(T.table)
     lefts = [scalar_reference.left_ideal(T, x) for x in range(T.size)]
     rights = [scalar_reference.right_ideal(T, x) for x in range(T.size)]
     for k, x in enumerate(gens):
-        closure = scalar_reference.magma_closure(T, gens[:k])
+        closure = scalar_reference.right_closure(T, gens[:k])
         outside = sorted(set(range(T.size)) - closure)
         met = {lefts[y] for y in closure}, {rights[y] for y in closure}
         fresh = [y for y in outside if lefts[y] not in met[0] and rights[y] not in met[1]]
         assert x == (fresh or outside)[0]
+    assert scalar_reference.right_closure(T, gens) == set(range(T.size))
     assert scalar_reference.magma_closure(T, gens) == set(range(T.size))
