@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the verification suites on a ladder of fixtures; write BENCH_<label>.json.
 
-    PYTHONPATH=src python scripts/bench.py --label L [--include-large]
+    PYTHONPATH=src python scripts/bench.py --label L [--include-large] [--include-8192]
 
 The ladder is |S| = 8, 64, 480, 512, 1024 and 2048: M[G; n, n] with the
 identity matrix over Z2, Z4, S5, Z2, Z4 and Z2, and then the 2048-element
@@ -9,8 +9,10 @@ M[Z2; 32, 32] with a generic matrix: first row and first column the
 identity, the other entries drawn by random.Random(7).  With the identity
 matrix U-Gamma and U-Delta hold |G|*n cones, with the generic one all |S|.
 --include-large adds the 4096-element M[Z4; 32, 32] with the identity and
-with the generic matrix.  Each fixture is built with the size guard set
-to its own size, so it is checked in full.
+with the generic matrix, and --include-8192 the 8192-element M[Z8; 32, 32]
+with each, whose int16 table alone is 128 MiB (not run in CI).  Each
+fixture is built with the size guard set to its own size, so it is
+checked in full.
 
 Each rung runs in a fresh interpreter, one after another, so that its
 peak RSS is its own.  There each of K runs builds the semigroup afresh
@@ -92,9 +94,11 @@ LADDER = (
     ("cyclic", 2, 32),
 )
 LARGE = ("cyclic", 4, 32)
+LARGEST = ("cyclic", 8, 32)
 # the same with the generic matrix, after the identity rungs
 GENERIC = ("cyclic", 2, 32)
 LARGE_GENERIC = ("cyclic", 4, 32)
+LARGEST_GENERIC = ("cyclic", 8, 32)
 RUNS = 5  # timed runs per rung
 PROBES = 21  # timings of host_probe per rung
 GATHER = 1 << 20  # entries of host_probe's gather: 4 MB of uint32
@@ -120,11 +124,15 @@ def generic_matrix(group, n: int) -> SandwichMatrix:
     )
 
 
-def rungs(include_large: bool) -> list[tuple[str, SandwichMatrix]]:
+def rungs(include_large: bool, include_8192: bool = False) -> list[tuple[str, SandwichMatrix]]:
     """(name, matrix) of each rung: the identity ladder smallest first, then
     the generic rungs."""
-    identity = LADDER + ((LARGE,) if include_large else ())
-    generic = (GENERIC,) + ((LARGE_GENERIC,) if include_large else ())
+    identity = LADDER + ((LARGE,) if include_large else ()) + ((LARGEST,) if include_8192 else ())
+    generic = (
+        (GENERIC,)
+        + ((LARGE_GENERIC,) if include_large else ())
+        + ((LARGEST_GENERIC,) if include_8192 else ())
+    )
     out = []
     for kind, make, family_rungs in (
         ("identity", lambda G, n: identity_matrix(G, n, n), identity),
@@ -292,18 +300,19 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", help="write BENCH_<label>.json at the repository root")
     parser.add_argument("--include-large", action="store_true", help="add the 4096-element rungs")
+    parser.add_argument("--include-8192", action="store_true", help="add the 8192-element rungs")
     parser.add_argument("--rung", help=argparse.SUPPRESS)  # measure one rung, print its JSON
     args = parser.parse_args()
 
     if args.rung is not None:
-        matrix = dict(rungs(include_large=True))[args.rung]
+        matrix = dict(rungs(include_large=True, include_8192=True))[args.rung]
         print(json.dumps(measure(args.rung, matrix, RUNS)))
         return 0
     if not args.label:
         parser.error("--label is required")
 
     results = []
-    for name, _ in rungs(args.include_large):
+    for name, _ in rungs(args.include_large, args.include_8192):
         child = subprocess.run(
             [sys.executable, __file__, "--rung", name],
             capture_output=True,

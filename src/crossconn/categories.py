@@ -132,11 +132,12 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
     u*v is relabel[table[inverse[v], inverse[u]]]: (g, lam, i) there is (g, i, lam) here.
 
     eSf of every pair of base idempotents comes first, in blocks of
-    domains, and gives one row per translation, sorted by hom-set (dom,
-    cod).  Then the hom-sets go in blocks of about `kernel.BLOCK` entries:
-    each block gathers its rows' images of the domain ideal from the table,
-    marks the rows that leave the codomain ideal, and counts the distinct
-    rows that stay, the hom-set's maps, beside its abstract maps
+    domains, as (e*s)*f over the distinct values of e*s only, and gives
+    one row per translation, sorted by hom-set (dom, cod).  Then the
+    hom-sets go in blocks of about `kernel.BLOCK` entries: each block
+    gathers its rows' images of the domain ideal from the table, marks the
+    rows that leave the codomain ideal, and counts the distinct rows that
+    stay, the hom-set's maps, beside its abstract maps
     x -> (x.g * h, x.i, cod), with `kernel.split_counts`: the two sets of a
     hom-set are equal when their union has no more members than either.
     The abstract maps are the same rows for every domain, built once in
@@ -168,14 +169,14 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
 
     # one translation per row, sorted by hom-set (dom, cod), s in index order:
     # in_middle[d, cod, s] marks s in eSf, for the base idempotents e of the
-    # block's d-th domain and f of cod, a block of domains at a time; eSf is
-    # (e*s)*f over the distinct values of e*s, which eS marks
+    # block's d-th domain and f of cod, a block of domains at a time
     translations = []
     for rows in kernel.blocks(n_l, S.size * n_l):
-        eS = np.zeros((len(base[rows]), S.size), dtype=bool)
-        eS[np.arange(len(eS))[:, None], mul(base[rows, None], np.arange(S.size))] = True
+        e = base[rows]
+        eS = np.zeros((len(e), S.size), dtype=bool)  # the distinct values of e*s
+        eS[np.arange(len(e))[:, None], mul(e[:, None], np.arange(S.size))] = True
         d, es = np.nonzero(eS)
-        in_middle = np.zeros((len(eS), n_l, S.size), dtype=bool)
+        in_middle = np.zeros((len(e), n_l, S.size), dtype=bool)
         in_middle[d[:, None], objects, mul(es[:, None], base)] = True
         d, c, x = np.nonzero(in_middle)
         translations.append((d + rows.start, c, x))

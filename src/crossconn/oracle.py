@@ -29,16 +29,21 @@ builds them once and passes them on.
 Associativity is decided by Light's test (Clifford & Preston, *The
 Algebraic Theory of Semigroups* I, 1961, Section 1.2): the table is
 associative when (x a) y = x (a y) holds for all x, y and every a of a
-generating set A.  That reads O(n^2 |A|) products instead of O(n^3).
+generating set A.  Each a is tested at its image classes, the x with
+equal x a, reading one row of each class and the columns at the values
+of row a: at most O(n^2 |A|) products instead of O(n^3), and
+n^2/|Lambda| + n^2/|I| per generator in a completely simple semigroup.
 `generators` picks A from the table: the lowest element outside the
 closure so far whose L- and R-classes the closure does not meet, or else
-the lowest outside, and closes a whole frontier per numpy step.  In a
+the lowest outside, and closes by right multiplication with the
+generators, a whole frontier per numpy step.  In a
 completely simple semigroup a product is R-related to its first factor
 and L-related to its last, so every generating set meets each R- and
 L-class, and this choice stays near the rank (Ruskuc, "On the rank of
 completely 0-simple semigroups", 1994): 33 generators for M[Z4; 32, 32]
-where the lowest index alone takes 64.  Any generating set makes the
-test sound, so the choice decides only its cost.  Only a table that
+where the lowest index alone takes 64.  Any set whose left-normed
+products reach every element makes the test sound, so the choice
+decides only its cost.  Only a table that
 fails it is scanned in full, row by row, for the first failing triple,
 so the witness is the one a full scan reports.
 """

@@ -184,6 +184,18 @@ def test_bench_include_large_adds_only_the_4096_rung():
         assert matrix.group.order * matrix.rows * matrix.cols == 4096
 
 
+def test_bench_include_8192_adds_only_the_8192_rungs():
+    # The rungs are listed, not measured: each of them takes minutes.
+    bench = _load_script("bench")
+    large, largest = bench.rungs(include_large=True), bench.rungs(True, include_8192=True)
+    added = [rung for rung in largest if rung not in large]
+    assert [rung for rung in largest if rung not in added] == large
+    assert [name for name, _ in added] == ["Z8 32x32 identity", "Z8 32x32 generic"]
+    for _, matrix in added:
+        assert matrix.group.order * matrix.rows * matrix.cols == 8192
+    assert [name for name, _ in bench.rungs(False, include_8192=True)][-1] == "Z8 32x32 generic"
+
+
 def test_bench_generic_rungs_skip_rbg_suite():
     # The generic matrix has the identity in its first row and column only,
     # and on a matrix that is not the constant identity rbg_suite does not run.
