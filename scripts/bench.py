@@ -95,10 +95,9 @@ LADDER = (
 )
 LARGE = ("cyclic", 4, 32)
 LARGEST = ("cyclic", 8, 32)
-# the same with the generic matrix, after the identity rungs
+# the same with the generic matrix, after the identity rungs, and then
+# LARGE and LARGEST with it
 GENERIC = ("cyclic", 2, 32)
-LARGE_GENERIC = ("cyclic", 4, 32)
-LARGEST_GENERIC = ("cyclic", 8, 32)
 RUNS = 5  # timed runs per rung
 PROBES = 21  # timings of host_probe per rung
 GATHER = 1 << 20  # entries of host_probe's gather: 4 MB of uint32
@@ -127,12 +126,8 @@ def generic_matrix(group, n: int) -> SandwichMatrix:
 def rungs(include_large: bool, include_8192: bool = False) -> list[tuple[str, SandwichMatrix]]:
     """(name, matrix) of each rung: the identity ladder smallest first, then
     the generic rungs."""
-    identity = LADDER + ((LARGE,) if include_large else ()) + ((LARGEST,) if include_8192 else ())
-    generic = (
-        (GENERIC,)
-        + ((LARGE_GENERIC,) if include_large else ())
-        + ((LARGEST_GENERIC,) if include_8192 else ())
-    )
+    larger = ((LARGE,) if include_large else ()) + ((LARGEST,) if include_8192 else ())
+    identity, generic = LADDER + larger, (GENERIC,) + larger
     out = []
     for kind, make, family_rungs in (
         ("identity", lambda G, n: identity_matrix(G, n, n), identity),

@@ -356,14 +356,17 @@ def test_generators_are_the_greedy_generating_set(table, block):
     # of those before it whose principal left and right ideals are those of
     # no such product, or, when every outside element shares one, the least
     # element outside; and the left-normed products of all of them are the
-    # whole table, so all of them generate it.
+    # whole table, so all of them generate it.  On an associative table the
+    # left-normed products are the closure under all products.
     T = GenericSemigroup(table)
     with mock.patch.object(kernel, "BLOCK", block):
         gens = generators(T.table)
     lefts = [scalar_reference.left_ideal(T, x) for x in range(T.size)]
     rights = [scalar_reference.right_ideal(T, x) for x in range(T.size)]
+    associative = scalar_reference.associativity_witness(T) is None
     for k, x in enumerate(gens):
         closure = scalar_reference.right_closure(T, gens[:k])
+        assert not associative or closure == scalar_reference.magma_closure(T, gens[:k])
         outside = sorted(set(range(T.size)) - closure)
         met = {lefts[y] for y in closure}, {rights[y] for y in closure}
         fresh = [y for y in outside if lefts[y] not in met[0] and rights[y] not in met[1]]
