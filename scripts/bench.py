@@ -22,9 +22,11 @@ full_suite does (the first of them builds the table, and full_suite's time
 is their sum), and then rbg_suite on another fresh semigroup, given its
 pairs from connections.pair_arrays, whose build its time includes, on
 the identity rungs only: rbg_suite checks the identity's connection.  Then
-one call each times the table oracle's two largest parts on the rung's
-table, oracle.green_via_ideals and oracle.associativity_witness (Light's
-test), and counts the generators that Light's test runs over, the
+one call each times the table oracle's largest parts on the rung's
+table: oracle.green_via_ideals, which builds its own ideal rows,
+oracle.ideal_rows, and oracle.associativity_witness (Light's test) given
+those rows, as rees_suite gives them, so that its time is the test's
+alone; and it counts the generators that Light's test runs over, the
 dtype and size in bytes of the rung's table, `S.table()`, and the memory
 that connections.pair_arrays holds when it returns (pairs_mb: what
 tracemalloc counts as allocated during the call and still alive).  Times
@@ -275,6 +277,7 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
     probe_ms = _probe_ms()
     S = _semigroup(matrix)
     T = S.to_generic()
+    ideals_s, ideals = _timed(oracle.ideal_rows, T.table)
     return {
         "name": name,
         "size": S.size,
@@ -285,8 +288,11 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
         "suites": {n: _summary(times[n], checks[n]) for n in names},
         "oracle": {
             "green_via_ideals_s": round(_timed(oracle.green_via_ideals, T)[0], 4),
-            "associativity_witness_s": round(_timed(oracle.associativity_witness, T.table)[0], 4),
-            "generators": len(oracle.generators(T.table)),
+            "ideal_rows_s": round(ideals_s, 4),
+            "associativity_witness_s": round(
+                _timed(oracle.associativity_witness, T.table, ideals)[0], 4
+            ),
+            "generators": len(oracle.generators(T.table, ideals)),
         },
     }
 

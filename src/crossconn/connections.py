@@ -175,7 +175,7 @@ class PhiReport(NamedTuple):
 def is_regular_set(table: np.ndarray) -> bool:
     """Whether a set with this `kernel.cone_product_table` is closed (no -1) and,
     judged by the oracle, regular."""
-    return bool((table >= 0).all()) and is_regular(GenericSemigroup(table))
+    return bool(table.min() >= 0) and is_regular(GenericSemigroup(table))
 
 
 class UCones:

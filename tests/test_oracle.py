@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -142,6 +143,71 @@ def test_messages_quote_table_entries_as_plain_ints(dtype):
     table[0, 1] = 7
     with pytest.raises(NotClosed, match="^entry 7 at row 0, column 1 is not an index below 4$"):
         GenericSemigroup(table)
+
+
+
+FORMATS = ["int16", "int32", "int64", "list", "object"]
+
+
+def _as(kind, rows):
+    """The rows of a table as the oracle may be given them: an array of an
+    integer dtype or of Python ints, or lists."""
+    if kind == "list":
+        return [list(row) for row in rows]
+    return np.array(rows, dtype=object if kind == "object" else kind)
+
+
+@pytest.mark.parametrize("kind", FORMATS)
+@pytest.mark.parametrize("first, second", [(-1, 3), (3, -1)])
+def test_the_closure_witness_is_the_first_bad_entry_in_row_order(kind, first, second):
+    # Z3 with (1, 2) and (2, 0) moved outside: a scan by columns would meet
+    # (2, 0) first, and the least and greatest entries are one of each
+    rows = [[0, 1, 2], [1, 2, first], [second, 0, 1]]
+    if kind == "object":
+        rows[2][2] = 2**64  # past int64, after both
+    message = f"entry {first} at row 1, column 2 is not an index below 3"
+    for build in (GenericSemigroup, from_table):
+        with pytest.raises(NotClosed, match=f"^{re.escape(message)}$"):
+            build(_as(kind, rows))
+
+
+@pytest.mark.parametrize("kind", FORMATS)
+def test_a_first_row_of_the_wrong_length_is_named_in_every_format(kind):
+    # three rows of two: no row is read for closure, so the entry past
+    # int64 in the object table is not named
+    rows = [[0, 2**64 if kind == "object" else 1], [1, 0], [0, 1]]
+    with pytest.raises(NotClosed, match="^row 0 has 2 entries, expected 3$"):
+        GenericSemigroup(_as(kind, rows))
+
+
+@pytest.mark.parametrize("kind", ["int16", "int32", "int64", "object"])
+def test_a_set_whose_last_product_is_absent_is_not_regular(kind):
+    rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert connections.is_regular_set(_as(kind, rows))
+    rows[2][2] = -1
+    assert not connections.is_regular_set(_as(kind, rows))
+
+
+def _peak(call, *args) -> int:
+    """The peak bytes that tracemalloc counts during call(*args)."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_closure_is_decided_without_a_mask_of_the_table():
+    # Z1024's (1024, 1024) int16 table, 2 MiB.  Its least and greatest
+    # entries decide closure in under 2 kB; the masks beside the table
+    # peaked at the table's size.  is_regular's blocks of rows peak at about
+    # a third of n^2 bytes, below any one mask of the table.
+    n = 1024
+    table = ((np.arange(n)[:, None] + np.arange(n)) % n).astype(np.int16)
+    assert _peak(GenericSemigroup, table) < table.nbytes / 8
+    assert _peak(connections.is_regular_set, table) < n * n
+    assert connections.is_regular_set(table)
 
 
 def _same_verdicts_on_both_formats(S, f):
