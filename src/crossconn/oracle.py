@@ -198,12 +198,8 @@ class GenericSemigroup:
         n = len(table)
         if n == 0:
             raise NotClosed("empty multiplication table")
-        # the rows before the first one of the wrong length, in one array; the
-        # rows of a 2-d array have one length, so only its first can be wrong
-        if isinstance(table, np.ndarray) and table.ndim == 2:
-            full = n if table.shape[1] == n else 0
-        else:
-            full = next((r for r, row in enumerate(table) if len(row) != n), n)
+        # the rows before the first one of the wrong length, in one array
+        full = next((r for r, row in enumerate(table) if len(row) != n), n)
         entries = integer_entries(table[:full]).reshape(full, n)
         # the least and greatest entries decide closure; only a table that
         # fails is scanned, a block of rows at a time, for its first witness
