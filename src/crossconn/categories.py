@@ -16,7 +16,6 @@ arrow of the category as one batch.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -115,7 +114,6 @@ class RealizationReport(NamedTuple):
     """Outcome of rebuilding a category from actual ideals and translation maps."""
 
     side: str
-    hom_sizes: dict[tuple[int, int], int]
     matched: bool
     mismatches: list[str]
 
@@ -219,7 +217,6 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
         leaves[rows], maps[block], members[block], union[block] = realize(homs, rows)
     disagree = (union != maps) | (union != members)
 
-    hom_sizes = dict(zip(product(range(n_l), repeat=2), maps.tolist()))
     mismatches: list[str] = []
     for k in np.flatnonzero(disagree | (np.bincount(hom[leaves], minlength=n_homs) > 0)):
         d, c = divmod(int(k), n_l)
@@ -231,4 +228,4 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
         if disagree[k]:
             mismatches.append(f"hom({d},{c}): translation maps and abstract morphisms disagree")
 
-    return RealizationReport(side, hom_sizes, not mismatches, mismatches)
+    return RealizationReport(side, not mismatches, mismatches)

@@ -13,6 +13,12 @@ class Check(NamedTuple):
     witness: str | None = None
 
 
+def verdict(name: str, witness: object) -> Check:
+    """The check decided by a scan for a witness: passed exactly when the scan
+    found none, with the witness as its text otherwise."""
+    return Check(name, witness is None, None if witness is None else str(witness))
+
+
 def all_passed(checks: Iterable[Check]) -> bool:
     return all(c.passed is not False for c in checks)
 

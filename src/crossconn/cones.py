@@ -85,14 +85,12 @@ class CosetHandle(NamedTuple):
     canonical: tuple[int, ...]
 
 
-def enumerate_TL(
-    group: FiniteGroup, n_lambda: int, bound: int = DEFAULT_CONE_BOUND
-) -> tuple[np.ndarray, np.ndarray]:
+def enumerate_TL(group: FiniteGroup, n_lambda: int) -> tuple[np.ndarray, np.ndarray]:
     """All of G^Lambda x Lambda as one batch (values, vertices), in
-    lexicographic (tuple, vertex) order."""
+    lexicographic (tuple, vertex) order, up to `DEFAULT_CONE_BOUND` cones."""
     if n_lambda < 1:
         raise IndexOutOfRange(f"need at least one object, got {n_lambda}")
-    total = (group.order ** n_lambda) * n_lambda
+    total, bound = (group.order**n_lambda) * n_lambda, DEFAULT_CONE_BOUND
     if total > bound:
         raise SizeGuardExceeded(f"cone semigroup has {total} elements, above the bound {bound}")
     tuples = np.indices((group.order,) * n_lambda).reshape(n_lambda, -1).T

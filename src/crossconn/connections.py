@@ -31,7 +31,10 @@ i2 is sigma_g between the cosets of i1 and i2, recorded as (h, dom id, cod
 id).  Those arrays are the functors' definition.  The functor laws,
 `fully_faithful`, `ideal_restriction` and coverage run on them in blocks
 of hom-sets, with no scalar group product, and a faulty image is a failed
-check, never an exception.  The scalar functors live on in
+check, never an exception.  `fully_faithful` counts each hom-set's maps
+as its distinct keys cod * (h * o[0]), o the tuple of the domain object:
+one k-tuple per image, with no member of the coset formed
+(`_induced_maps`).  The scalar functors live on in
 tests/scalar_reference.py as the reference that tests compare them with.
 """
 
@@ -44,7 +47,7 @@ import numpy as np
 
 from . import kernel
 from .categories import Cone, Morphism, left_category, right_category
-from .checks import Check
+from .checks import Check, verdict
 from .cones import CosetHandle
 from .errors import NotComposable, NotInDomainCoset, ParseError
 from .groups import FiniteGroup
@@ -393,26 +396,25 @@ def _induced_maps(im: Images) -> np.ndarray:
     """The number of distinct coset maps that the images induce on each hom-set
     (i1, i2), in row order, counted in blocks of hom-sets.
 
-    The image of kappa(g) sends the member x = dom * x[0] of the coset of
-    i1 to cod * (h * x[0]); it induces a map only when its domain holds
-    every member of that coset.  A map is the row of its outputs.
+    With o the tuple of object i1, the image (h, dom, cod) of kappa(g) sends
+    the member o * x of o's coset to cod * (h * (o[0] * x)), and holds it in
+    its domain when dom * (o[0] * x) == o * x; it induces a map only when its
+    domain holds every member.  Cancelling x on the right, both are free of
+    x: the domain holds the whole coset exactly when dom * o[0] == o, and
+    then the member o * x goes to key * x, with key = cod * (h * o[0]).  So
+    two images that induce a map induce the same one exactly when their keys
+    agree, and a hom-set's maps are counted as its distinct keys.
     """
-    n, order = len(im.objects), len(im.M)
-    M, ids = im.M, np.arange(order)
+    n, M = len(im.objects), im.M
     maps = np.empty(n * n, dtype=np.intp)
-    for rows in kernel.blocks(n * n, order * order * im.objects.shape[1]):
+    for rows in kernel.blocks(n * n, len(M) * im.objects.shape[1]):
         i1, i2 = np.divmod(np.arange(n * n)[rows], n)
-        # axes [hom-set, g, member, coordinate]; member x is object i1's tuple times x
-        members = M[im.objects[i1][:, None, :], ids[:, None]][:, None]
-        first = members[..., :1]
-        base = im.canonical[im.dom[i1, i2]][:, :, None]
-        inside = (M[base, first] == members).all(axis=(2, 3))
-        scale = M[im.h[i1, i2][:, :, None], first[..., 0]]
-        outputs = M[im.canonical[im.cod[i1, i2]][:, :, None], scale[..., None]]
+        # axes [hom-set, g, coordinate]
+        o = im.objects[i1][:, None, :]
+        inside = (M[im.canonical[im.dom[i1, i2]], o[..., :1]] == o).all(axis=2)
+        keys = M[im.canonical[im.cod[i1, i2]], M[im.h[i1, i2], o[..., 0]][..., None]]
         hom = np.broadcast_to(np.arange(len(i1))[:, None], inside.shape)
-        maps[rows] = kernel.distinct_counts(
-            hom[inside], len(i1), outputs.reshape(*inside.shape, -1)[inside]
-        )
+        maps[rows] = kernel.distinct_counts(hom[inside], len(i1), keys[inside])
     return maps
 
 
@@ -435,8 +437,7 @@ def verify_crossconnection(matrix: SandwichMatrix) -> list[Check]:
         ("gamma", right_category(G, n_i), gamma),
         ("delta", left_category(G, n_l), delta),
     ):
-        witness = _functor_witness(cat, im)
-        checks.append(Check(f"crossconn.functor_{name}", witness is None, witness))
+        checks.append(verdict(f"crossconn.functor_{name}", _functor_witness(cat, im)))
 
     # Fully faithful: on each hom-set the induced coset maps are pairwise
     # distinct and there are exactly |G| of them.  An image whose domain is
@@ -447,7 +448,7 @@ def verify_crossconnection(matrix: SandwichMatrix) -> list[Check]:
     if len(bad):
         i1, i2 = divmod(int(bad[0]), n_i)
         witness = f"hom({i1},{i2}) induces {maps[bad[0]]} maps, expected {G.order}"
-    checks.append(Check("crossconn.fully_faithful", witness is None, witness))
+    checks.append(verdict("crossconn.fully_faithful", witness))
 
     # With no nontrivial inclusions every principal ideal is a single
     # object, so the restriction being an isomorphism reduces to the
@@ -459,7 +460,7 @@ def verify_crossconnection(matrix: SandwichMatrix) -> list[Check]:
     witness = None
     if len(bad):
         witness = f"restriction to object {bad[0]} is not a bijection on endomorphisms"
-    checks.append(Check("crossconn.ideal_restriction", witness is None, witness))
+    checks.append(verdict("crossconn.ideal_restriction", witness))
 
     # Coverage: every left-ideal object carries an isomorphism component
     # of some (here: every) image cone, scanned rather than assumed: the
@@ -468,6 +469,6 @@ def verify_crossconnection(matrix: SandwichMatrix) -> list[Check]:
     M, P, inverse = G.array, matrix.array, G.inverse
     iso = ((M[P, inverse[P]] == G.identity) & (M[inverse[P], P] == G.identity)).all(axis=0)
     witness = None if iso.any() else f"objects {list(range(n_l))} are not covered"
-    checks.append(Check("crossconn.coverage", witness is None, witness))
+    checks.append(verdict("crossconn.coverage", witness))
 
     return checks

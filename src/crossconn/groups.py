@@ -51,6 +51,8 @@ class FiniteGroup:
             self.names = tuple(str(k) for k in range(n))
         else:
             self.names = tuple(str(x) for x in names)
+            if len(set(self.names)) != len(self.names):
+                raise ParseError("duplicate element labels")
             if len(self.names) != n:
                 raise ParseError(f"{len(self.names)} element names for order {n}")
 

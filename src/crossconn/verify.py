@@ -1,8 +1,12 @@
 """Exhaustive property suites over one fixture, reported as named checks.
 
-These back the CLI's verify / crossconn / rbg commands.  Scans whose cost
-grows with the cone semigroup are skipped (passed=None) once they exceed
-the triple guard, never silently truncated.
+These back the CLI's verify / crossconn / rbg commands.  A check passes
+exactly when its scan finds no witness (`checks.verdict`).  The four scans
+whose cost grows with the cone semigroup (the cone product agreement, the
+five T_L checks, naturality and the linked criterion) go through one call,
+`_guarded`, which skips their checks (passed=None) once the cost passes
+`TRIPLE_GUARD`, never silently truncated, and builds nothing of a skipped
+scan.
 
 `rees_suite` checks the closed forms of S on plain integers, with no
 `ReesSemigroup.mul` call and no `ReesElement` per pair:
@@ -100,12 +104,13 @@ associativity onto it.
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import connections, cones, kernel, oracle, rees
 from .categories import Morphism, left_category, realize_category, right_category
-from .checks import Check
+from .checks import Check, verdict
 from .cones import CosetHandle
 from .rees import ReesSemigroup, SandwichMatrix
 
@@ -114,32 +119,34 @@ TRIPLE_GUARD = 10**6
 _SKIP = "skipped by the triple guard"
 
 
+def _guarded(cost: int, names: tuple[str, ...], run: Callable[[], Iterable]) -> list[Check]:
+    """The checks of one scan, each skipped when the scan's cost is past
+    `TRIPLE_GUARD`.  Only then is `run` called, and it gives one outcome per
+    name in order: a bool for a check with no witness, else the witness."""
+    if cost > TRIPLE_GUARD:
+        return [Check(name, None, _SKIP) for name in names]
+    return [
+        Check(name, out) if isinstance(out, bool) else verdict(name, out)
+        for name, out in zip(names, run(), strict=True)
+    ]
+
+
 def rees_suite(S: ReesSemigroup) -> list[Check]:
     checks = []
     T = S.to_generic()
     table = T.table
     ideals = oracle.ideal_rows(table)
 
-    witness = oracle.associativity_witness(table, ideals)
-    checks.append(
-        Check("rees.associative", witness is None, str(witness) if witness else None)
-    )
-
-    bad = _product_witness(S, table)
-    checks.append(Check("rees.table_matches_product", bad is None, str(bad) if bad else None))
+    checks.append(verdict("rees.associative", oracle.associativity_witness(table, ideals)))
+    checks.append(verdict("rees.table_matches_product", _product_witness(S, table)))
 
     checks.append(Check("rees.regular", oracle.is_regular(T)))
 
     formula = set(S.idempotents())
     brute = set(map(S.element, oracle.idempotents(T)))
     ok = formula == brute and len(formula) == S.n_i * S.n_lambda
-    checks.append(
-        Check(
-            "rees.idempotent_formula",
-            ok,
-            None if ok else f"formula gives {len(formula)}, scan gives {len(brute)}",
-        )
-    )
+    witness = None if ok else f"formula gives {len(formula)}, scan gives {len(brute)}"
+    checks.append(Check("rees.idempotent_formula", ok, witness))
 
     formula, brute = S.green(), oracle.green_via_ideals(T, ideals)
     for kind in ("L", "R", "H", "D"):
@@ -148,8 +155,8 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
     # row k against the closed form of k's L-class, k mod |Lambda|
     lefts = ideals[0].reshape(-1, S.n_lambda, ideals[0].shape[1])
     bad = (lefts != S.left_ideal_rows()).any(axis=2).ravel()
-    witness = str(S.element(int(bad.argmax()))) if bad.any() else None
-    checks.append(Check("rees.principal_left_ideal", witness is None, witness))
+    witness = S.element(int(bad.argmax())) if bad.any() else None
+    checks.append(verdict("rees.principal_left_ideal", witness))
     return checks
 
 
@@ -180,13 +187,8 @@ def category_suite(S: ReesSemigroup) -> list[Check]:
     G = S.group
     for side in ("left", "right"):
         rep = realize_category(S, side)
-        checks.append(
-            Check(
-                f"category.{side}_realization",
-                rep.matched,
-                "; ".join(rep.mismatches) if rep.mismatches else None,
-            )
-        )
+        witness = "; ".join(rep.mismatches) or None
+        checks.append(Check(f"category.{side}_realization", rep.matched, witness))
 
     for name, cat in (("left", left_category(G, S.n_lambda)), ("right", right_category(G, S.n_i))):
         # every morphism at once, through the category's own methods
@@ -204,15 +206,14 @@ def category_suite(S: ReesSemigroup) -> list[Check]:
                 if no_inverse[bad[0]]
                 else f"normal factorization of {first} does not recompose"
             )
-        checks.append(Check(f"category.{name}_groupoid", witness is None, witness))
+        checks.append(verdict(f"category.{name}_groupoid", witness))
 
     n_cones = (G.order ** S.n_lambda) * S.n_lambda
-    if n_cones**2 > TRIPLE_GUARD:
-        checks.append(Check("category.cone_product_agreement", None, _SKIP))
-    else:
-        witness = _cone_product_witness(G, S.n_lambda)
-        checks.append(Check("category.cone_product_agreement", witness is None, witness))
-    return checks
+    return checks + _guarded(
+        n_cones**2,
+        ("category.cone_product_agreement",),
+        lambda: [_cone_product_witness(G, S.n_lambda)],
+    )
 
 
 def _cone_product_witness(G, n_lambda: int) -> str | None:
@@ -244,66 +245,19 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     """`linked` is `connections.pair_arrays(S)`: pair a is phi(a), so the
     principal cones of a are the cones of U-Gamma and U-Delta at `linked.g[a]`
     and `linked.d[a]`, and every principal check reads their tables."""
-    checks = []
     G = S.group
-    n_l = S.n_lambda
-
-    n_cones = (G.order**n_l) * n_l
-    small = n_cones**3 <= TRIPLE_GUARD
-
-    if not small:
-        checks.append(Check("cones.action_law", None, _SKIP))
-        checks.append(Check("cones.semidirect_law", None, _SKIP))
-        checks.append(Check("cones.tl_associative", None, _SKIP))
-        checks.append(Check("cones.tl_green_agreement", None, _SKIP))
-        checks.append(Check("cones.idempotent_closed_form", None, _SKIP))
-    else:
-        tl = values, vertices = cones.enumerate_TL(G, n_l)
-        M = G.array
-        tuples = values[::n_l]  # each tuple once, in lexicographic order
-
-        # k*(l*v) must equal (kl)*v = l*v, the object set being right zero;
-        # one row per (k, l), all tuples at once
-        def unlawful_actions(rows: slice) -> np.ndarray:
-            k, l = (x[:, None] for x in np.divmod(np.arange(n_l * n_l)[rows], n_l))
-            once = cones.act(l, tuples)
-            return (cones.act(k, once) != once).any(axis=-1)
-
-        bad = kernel.first_block_failure(n_l * n_l, tuples.size, unlawful_actions)
-        witness = None
-        if bad is not None:
-            k, l = divmod(bad[0], n_l)
-            witness = f"k={k}, l={l}, tuple={tuple(tuples[bad[1]].tolist())}"
-        checks.append(Check("cones.action_law", witness is None, witness))
-
-        # c1 * c2 against c1's tuple times c2's tuple acted on by c1's vertex,
-        # for a block of c1 and every c2 at once
-        def unlawful_products(rows: slice) -> np.ndarray:
-            c1 = values[rows, None], vertices[rows, None]
-            expected = M[c1[0], cones.act(c1[1], values)], vertices
-            return kernel.differ(expected, kernel.mul_L(M, c1, tl))
-
-        bad = kernel.first_block_failure(len(vertices), values.size, unlawful_products)
-        witness = None if bad is None else " * ".join(str(connections.as_cone(tl, k)) for k in bad)
-        checks.append(Check("cones.semidirect_law", witness is None, witness))
-
-        table = cones.cone_table(G, tl)
-        ideals = oracle.ideal_rows(table)
-        assoc = oracle.associativity_witness(table, ideals)
-        checks.append(Check("cones.tl_associative", assoc is None, str(assoc) if assoc else None))
-
-        T = oracle.GenericSemigroup(table)
-        by_vertex = oracle.partition_by_key(vertices.tolist())
-        coset = kernel.row_keys(kernel.canonical(M, G.inverse, values))
-        by_coset = oracle.partition_by_key(np.unique(coset, return_inverse=True)[1].tolist())
-        green = oracle.green_via_ideals(T, ideals)
-        ok = by_vertex == green["L"] and by_coset == green["R"]
-        checks.append(Check("cones.tl_green_agreement", ok))
-
-        squares = ~kernel.differ(kernel.mul_L(M, tl, tl), tl)
-        bad = np.flatnonzero(cones.is_idempotent_cone(G, tl) != squares)
-        witness = str(connections.as_cone(tl, bad[0])) if len(bad) else None
-        checks.append(Check("cones.idempotent_closed_form", witness is None, witness))
+    n_cones = (G.order**S.n_lambda) * S.n_lambda
+    checks = _guarded(
+        n_cones**3,
+        (
+            "cones.action_law",
+            "cones.semidirect_law",
+            "cones.tl_associative",
+            "cones.tl_green_agreement",
+            "cones.idempotent_closed_form",
+        ),
+        lambda: _tl_outcomes(G, S.n_lambda),
+    )
 
     # r[a] and l[a]: the positions of rho(a) and lam(a) in U-Gamma and U-Delta
     r, l = linked.g, linked.d
@@ -322,7 +276,7 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     ):
         bad = kernel.first_block_failure(S.size, S.size, bad_rows)
         witness = None if bad is None else ", ".join(str(S.element(k)) for k in bad)
-        checks.append(Check(name, witness is None, witness))
+        checks.append(verdict(name, witness))
 
     # the image's positions in U-Gamma, -1 first where a cone is outside it;
     # its table is GT restricted to them and renumbered, -1 off the image.
@@ -342,14 +296,56 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     crit = cones.injectivity_criterion(S.matrix)
     injective = len(hit) == S.size
     agree = crit.holds == injective
-    checks.append(
-        Check(
-            "cones.injectivity_equivalence",
-            agree,
-            None if agree else f"criterion {crit.holds}, map injective {injective}",
-        )
-    )
+    witness = None if agree else f"criterion {crit.holds}, map injective {injective}"
+    checks.append(Check("cones.injectivity_equivalence", agree, witness))
     return checks
+
+
+def _tl_outcomes(G, n_l: int):
+    """The outcomes of the T_L checks of `cone_suite`, in its order, each
+    read off T_L as one batch (`cones.enumerate_TL`)."""
+    tl = values, vertices = cones.enumerate_TL(G, n_l)
+    M = G.array
+    tuples = values[::n_l]  # each tuple once, in lexicographic order
+
+    # k*(l*v) must equal (kl)*v = l*v, the object set being right zero;
+    # one row per (k, l), all tuples at once
+    def unlawful_actions(rows: slice) -> np.ndarray:
+        k, l = (x[:, None] for x in np.divmod(np.arange(n_l * n_l)[rows], n_l))
+        once = cones.act(l, tuples)
+        return (cones.act(k, once) != once).any(axis=-1)
+
+    bad = kernel.first_block_failure(n_l * n_l, tuples.size, unlawful_actions)
+    if bad is None:
+        yield None
+    else:
+        k, l = divmod(bad[0], n_l)
+        yield f"k={k}, l={l}, tuple={tuple(tuples[bad[1]].tolist())}"
+
+    # c1 * c2 against c1's tuple times c2's tuple acted on by c1's vertex,
+    # for a block of c1 and every c2 at once
+    def unlawful_products(rows: slice) -> np.ndarray:
+        c1 = values[rows, None], vertices[rows, None]
+        expected = M[c1[0], cones.act(c1[1], values)], vertices
+        return kernel.differ(expected, kernel.mul_L(M, c1, tl))
+
+    bad = kernel.first_block_failure(len(vertices), values.size, unlawful_products)
+    yield None if bad is None else " * ".join(str(connections.as_cone(tl, k)) for k in bad)
+
+    table = cones.cone_table(G, tl)
+    ideals = oracle.ideal_rows(table)
+    yield oracle.associativity_witness(table, ideals)
+
+    T = oracle.GenericSemigroup(table)
+    by_vertex = oracle.partition_by_key(vertices.tolist())
+    coset = kernel.row_keys(kernel.canonical(M, G.inverse, values))
+    by_coset = oracle.partition_by_key(np.unique(coset, return_inverse=True)[1].tolist())
+    green = oracle.green_via_ideals(T, ideals)
+    yield by_vertex == green["L"] and by_coset == green["R"]
+
+    squares = ~kernel.differ(kernel.mul_L(M, tl, tl), tl)
+    bad = np.flatnonzero(cones.is_idempotent_cone(G, tl) != squares)
+    yield connections.as_cone(tl, bad[0]) if len(bad) else None
 
 
 def _misplaced(got: np.ndarray, expected: np.ndarray) -> np.ndarray:
@@ -360,37 +356,23 @@ def _misplaced(got: np.ndarray, expected: np.ndarray) -> np.ndarray:
 
 def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     """`linked` is `connections.pair_arrays(S)`."""
-    checks = []
     G, P = S.group, S.matrix
     n_i, n_l = S.n_i, S.n_lambda
-
-    checks.extend(connections.verify_crossconnection(P))
-
-    witness = _duality_witness(P)
-    checks.append(Check("crossconn.duality_bijection", witness is None, witness))
-
-    cost = (n_l * n_i * G.order) ** 2 * G.order * (n_l + n_i)
-    if cost > TRIPLE_GUARD:
-        checks.append(Check("crossconn.naturality", None, _SKIP))
-    else:
-        witness = _naturality_witness(P)
-        checks.append(Check("crossconn.naturality", witness is None, witness))
+    checks = connections.verify_crossconnection(P)
+    checks.append(verdict("crossconn.duality_bijection", _duality_witness(P)))
+    checks += _guarded(
+        (n_l * n_i * G.order) ** 2 * G.order * (n_l + n_i),
+        ("crossconn.naturality",),
+        lambda: [_naturality_witness(P)],
+    )
 
     ug, ud = linked.u_gamma, linked.u_delta
     checks.append(Check("crossconn.u_subsemigroups", ug.regular and ud.regular))
-
-    if len(ug.classes) * len(ud.classes) * (n_l + n_i) > TRIPLE_GUARD:
-        checks.append(Check("crossconn.linked_criterion_agreement", None, _SKIP))
-    else:
-        # linked exactly when a linked pair
-        mismatch = _linkage(S, linked) != (linked.pair_at[:-1, :-1] >= 0)
-        bad = kernel.first_block_failure(*mismatch.shape, lambda rows: mismatch[rows])
-        witness = None
-        if bad is not None:
-            x, y = bad
-            gamma, delta = ug.classes.members, ud.classes.members
-            witness = f"{connections.as_cone(gamma, x)}, {connections.as_cone(delta, y)}"
-        checks.append(Check("crossconn.linked_criterion_agreement", witness is None, witness))
+    checks += _guarded(
+        len(ug.classes) * len(ud.classes) * (n_l + n_i),
+        ("crossconn.linked_criterion_agreement",),
+        lambda: [_linked_criterion_witness(S, linked)],
+    )
 
     report = connections.verify_phi(S, linked)
     checks.append(Check("crossconn.s_tilde_closed", report.closed, report.closure_witness))
@@ -404,9 +386,20 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
     witness = None
     if len(bad):
         witness = f"extracted column {bad[0]} is not a right scaling of the original"
-    checks.append(Check("crossconn.matrix_roundtrip", witness is None, witness))
+    checks.append(verdict("crossconn.matrix_roundtrip", witness))
 
     return checks
+
+
+def _linked_criterion_witness(S: ReesSemigroup, linked: connections.PairArrays) -> str | None:
+    """The first cones of U-Gamma x U-Delta, in row order, that the linkage
+    table calls linked exactly when they are not a linked pair."""
+    mismatch = _linkage(S, linked) != (linked.pair_at[:-1, :-1] >= 0)
+    bad = kernel.first_block_failure(*mismatch.shape, lambda rows: mismatch[rows])
+    if bad is None:
+        return None
+    gamma, delta = linked.u_gamma.classes.members, linked.u_delta.classes.members
+    return f"{connections.as_cone(gamma, bad[0])}, {connections.as_cone(delta, bad[1])}"
 
 
 def _duality_witness(matrix: SandwichMatrix) -> str | None:
@@ -571,10 +564,10 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
 
     bad = kernel.first_block_failure(len(linked.g), len(linked.g), formula_rows)
     witness = None if bad is None else f"{linked.pair(bad[0])} o {linked.pair(bad[1])}"
-    checks.append(Check("rbg.product_formula", witness is None, witness))
+    checks.append(verdict("rbg.product_formula", witness))
     bad = kernel.first_block_failure(len(linked.g), len(linked.g), linked_rows)
     witness = None if bad is None else f"{linked.pair(bad[0]).gamma} vs {linked.pair(bad[1]).delta}"
-    checks.append(Check("rbg.linked_iff_equal_scalars", witness is None, witness))
+    checks.append(verdict("rbg.linked_iff_equal_scalars", witness))
 
     report = connections.verify_phi(S, linked)
     checks.append(Check("rbg.phi_isomorphism", report.is_isomorphism, report.witness))

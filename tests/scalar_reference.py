@@ -612,7 +612,6 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
     def base_idempotent(lam: int) -> ReesElement:
         return ReesElement(G.inv(S.matrix.entry(lam, 0)), 0, lam)
 
-    hom_sizes: dict[tuple[int, int], int] = {}
     mismatches: list[str] = []
     for dom, cod in product(range(S.n_lambda), repeat=2):
         e, f = base_idempotent(dom), base_idempotent(cod)
@@ -635,7 +634,6 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
             key = tuple(sorted((S.index(x), S.index(y)) for x, y in images.items()))
             abstract[key] = g
 
-        hom_sizes[(dom, cod)] = len(concrete)
         if len(concrete) != G.order:
             mismatches.append(
                 f"hom({dom},{cod}) realizes {len(concrete)} maps, expected {G.order}"
@@ -645,7 +643,7 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
                 f"hom({dom},{cod}): translation maps and abstract morphisms disagree"
             )
 
-    return RealizationReport(side, hom_sizes, not mismatches, mismatches)
+    return RealizationReport(side, not mismatches, mismatches)
 
 
 def principal_witnesses(S: ReesSemigroup) -> tuple[str | None, str | None]:

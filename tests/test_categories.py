@@ -212,41 +212,31 @@ def test_compose_cones_associative(z2):
 
 
 def test_realize_left_fixture(s1):
-    rep = realize_category(s1, "left")
-    assert rep.matched, rep.mismatches
-    assert set(rep.hom_sizes.values()) == {2}
-    assert len(rep.hom_sizes) == 4
+    # a hom-set of the wrong size would be a "realizes k maps" mismatch
+    assert realize_category(s1, "left") == ("left", True, [])
 
 
 def test_realize_right_fixture(s1):
-    rep = realize_category(s1, "right")
-    assert rep.matched, rep.mismatches
-    assert set(rep.hom_sizes.values()) == {2}
+    assert realize_category(s1, "right") == ("right", True, [])
 
 
 def test_realize_single_object(z2):
     S = ReesSemigroup(SandwichMatrix(z2, [[0, 1]]))  # one lam, two i
-    rep = realize_category(S, "left")
-    assert rep.matched
-    assert rep.hom_sizes == {(0, 0): 2}
+    assert realize_category(S, "left") == ("left", True, [])
 
 
 def test_realize_trivial_group():
     triv = builtin("cyclic", 1)
     S = ReesSemigroup(identity_matrix(triv, 2, 2))
     for side in ("left", "right"):
-        rep = realize_category(S, side)
-        assert rep.matched
-        assert set(rep.hom_sizes.values()) == {1}
+        assert realize_category(S, side) == (side, True, [])
 
 
 def test_realize_larger_fixtures(z3, s3):
     for matrix in (SandwichMatrix(z3, [[0, 1], [2, 0]]), SandwichMatrix(s3, [[0, 3], [1, 0]])):
         S = ReesSemigroup(matrix)
         for side in ("left", "right"):
-            rep = realize_category(S, side)
-            assert rep.matched, rep.mismatches
-            assert set(rep.hom_sizes.values()) == {S.group.order}
+            assert realize_category(S, side) == (side, True, [])
 
 
 def test_both_sides_read_one_table(s1, monkeypatch):

@@ -270,9 +270,10 @@ def test_enumerate_lexicographic(z2, z3, s3):
         assert as_cones(batch.enumerate_TL(G, n)) == enumerate_TL(G, n)
 
 
-def test_enumerate_bound(z2):
+def test_enumerate_bound(z2, monkeypatch):
+    monkeypatch.setattr(batch, "DEFAULT_CONE_BOUND", 7)
     with pytest.raises(SizeGuardExceeded):
-        batch.enumerate_TL(z2, 2, bound=7)
+        batch.enumerate_TL(z2, 2)
     with pytest.raises(IndexOutOfRange):
         batch.enumerate_TL(z2, 0)
 

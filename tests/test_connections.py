@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scalar_reference import (
     ElementNotInCell,
     bifunctor_gamma,
@@ -31,7 +32,9 @@ from crossconn import (
     ReesElement,
     ReesSemigroup,
     SandwichMatrix,
+    builtin,
     compose_duals,
+    connections,
     identity_matrix,
     kernel,
     left_category,
@@ -469,3 +472,71 @@ def test_pair_arrays_hold_no_pair_table(s3):
     # the rows are read off the U tables, both held as the pairs read them
     assert linked.u_gamma.table.shape == linked.u_delta.table.shape == (n, n)
     assert linked.rows(np.array([0, n - 1])).shape == (2, n)
+
+
+def _induced_maps_by_member(im):
+    """`connections._induced_maps` member by member: with o the tuple of
+    object i1, an image (h, dom, cod) induces a map when dom * (o[0] * x)
+    is o * x for every x, and the map is its row of outputs
+    cod * (h * (o[0] * x))."""
+    M, canonical = im.M.tolist(), im.canonical.tolist()
+    n, counts = len(im.objects), []
+    for i1, i2 in product(range(n), repeat=2):
+        members = [[M[c][x] for c in im.objects[i1].tolist()] for x in range(len(M))]
+        maps = set()
+        for h, dom, cod in zip(*(x[i1, i2].tolist() for x in (im.h, im.dom, im.cod))):
+            if all([M[b][m[0]] for b in canonical[dom]] == m for m in members):
+                maps.add(tuple(tuple(M[c][M[h][m[0]]] for c in canonical[cod]) for m in members))
+        counts.append(len(maps))
+    return counts
+
+
+def _images(G, h, dom, cod, canonical, objects):
+    return connections.Images(*map(np.array, (h, dom, cod, canonical)), G.array, np.array(objects))
+
+
+@pytest.mark.parametrize(
+    "h, dom, cod, canonical, objects, maps",
+    [
+        # ids 0 and 1 share a tuple: images 0 and 1 induce one map
+        ([0, 0, 1], [0, 0, 0], [0, 1, 0], [[0, 1], [0, 1]], [[0, 1]], 2),
+        # equal h, different codomain tuples: two maps
+        ([0, 0, 0], [0, 0, 0], [0, 1, 0], [[0, 1], [0, 2]], [[0, 1]], 2),
+        # coordinate 0 of the object is not the identity: (0, 1) * 1 is the object
+        ([0, 1, 2], [0, 0, 0], [0, 0, 0], [[0, 1]], [[1, 2]], 3),
+        # ... and (0, 1) * 1 is not (1, 1): no image is defined on the coset
+        ([0, 1, 2], [0, 0, 0], [0, 0, 0], [[0, 1]], [[1, 1]], 0),
+    ],
+)
+def test_induced_maps_are_counted_by_key(z3, h, dom, cod, canonical, objects, maps):
+    # one object, so one hom-set (0, 0) over Z3
+    im = _images(z3, [[h]], [[dom]], [[cod]], canonical, objects)
+    assert connections._induced_maps(im).tolist() == _induced_maps_by_member(im) == [maps]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([("cyclic", 2), ("cyclic", 3), ("symmetric", 3)]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_induced_maps_match_a_per_member_loop(family, n, k, data):
+    # Arbitrary images over n objects of k coordinates.  The canonical
+    # tuples hold each object's o * o[0]^-1, which an image needs as its
+    # domain to be defined on o's coset, beside arbitrary tuples, and ids
+    # may share a tuple; the objects' coordinate 0 is arbitrary.
+    G = builtin(*family)
+    tuples = st.lists(st.integers(0, G.order - 1), min_size=k, max_size=k)
+    objects = np.array(data.draw(st.lists(tuples, min_size=n, max_size=n)))
+    needed = G.array[objects, G.inverse[objects[:, :1]]].tolist()
+    canonical = data.draw(st.permutations(needed + data.draw(st.lists(tuples, max_size=3))))
+    size = n * n * G.order
+
+    def images(top):
+        values = data.draw(st.lists(st.integers(0, top - 1), min_size=size, max_size=size))
+        return np.reshape(values, (n, n, G.order))
+
+    h, dom, cod = images(G.order), images(len(canonical)), images(len(canonical))
+    im = _images(G, h, dom, cod, canonical, objects)
+    assert connections._induced_maps(im).tolist() == _induced_maps_by_member(im)

@@ -39,6 +39,14 @@ def test_group_rejects_entries_that_are_not_integers(cayley, message):
     assert str(error.value) == message
 
 
+@pytest.mark.parametrize("names", [["a", "a"], [1, "1"]])
+def test_group_rejects_duplicate_element_names(names):
+    # with two elements named "a", index_of("a") read both as element 0,
+    # so a labelled matrix entry 1 came back as entry 0
+    with pytest.raises(ParseError, match="^duplicate element labels$"):
+        FiniteGroup([[0, 1], [1, 0]], names=names)
+
+
 def test_cyclic3_arithmetic(z3):
     assert z3.mul(2, 2) == 1
     assert z3.inv(1) == 2

@@ -90,6 +90,35 @@ def test_cone_suite_skips_above_triple_guard(klein):
     assert by_name["cones.principal_homomorphism"].passed is True
 
 
+GUARDED = [
+    "category.cone_product_agreement",
+    "cones.action_law",
+    "cones.semidirect_law",
+    "cones.tl_associative",
+    "cones.tl_green_agreement",
+    "cones.idempotent_closed_form",
+    "crossconn.naturality",
+    "crossconn.linked_criterion_agreement",
+]
+
+
+def test_the_guard_skips_its_eight_checks_before_any_scan_runs(s1, monkeypatch):
+    # Under the default guard nothing on s1 is skipped.  With the guard at 0
+    # every guarded check is skipped, and T_L, the naturality scan and the
+    # linkage table, which raise here, are never reached.
+    assert [c.name for c in full_suite(s1) if c.passed is None] == []
+
+    def unreachable(*args):
+        raise AssertionError("a guarded scan ran past the guard")
+
+    monkeypatch.setattr(verify, "TRIPLE_GUARD", 0)
+    monkeypatch.setattr(cones, "enumerate_TL", unreachable)
+    monkeypatch.setattr(verify, "_naturality_witness", unreachable)
+    monkeypatch.setattr(verify, "_linkage", unreachable)
+    skipped = [c for c in full_suite(s1) if c.passed is None]
+    assert skipped == [(name, None, "skipped by the triple guard") for name in GUARDED]
+
+
 def test_crossconn_suite_on_nonsquare(z3):
     S = ReesSemigroup(SandwichMatrix(z3, [[0, 1, 2], [2, 2, 0]]))
     _assert_clean(_crossconn_suite(S))
