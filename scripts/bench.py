@@ -27,15 +27,17 @@ table: oracle.green_via_ideals, which builds its own ideal rows,
 oracle.ideal_rows, and oracle.associativity_witness (Light's test) given
 those rows, as rees_suite gives them, so that its time is the test's
 alone; and it counts the generators that Light's test runs over, the
-dtype and size in bytes of the rung's table, `S.table()`, and the memory
+dtype and size in bytes of the rung's table, `S.table()`, the memory
 that connections.pair_arrays holds when it returns (pairs_mb: what
-tracemalloc counts as allocated during the call and still alive).  Times
-are raw wall seconds, in-process.  The file gives, per rung and per suite,
-the median and quartiles of the K times and the number of checks, skips
-and failures; per rung, the probe's median time, the peak RSS, read once, after the first
+tracemalloc counts as allocated during the call and still alive), and
+the median over K more calls of connections.pair_arrays of the time each
+spends in kernel.cone_product_table, building the U-Gamma and U-Delta
+tables (cone_tables_s).  Times are raw wall seconds, in-process.  The
+file gives, per rung and per suite, the median and quartiles of the K
+times and the number of checks, skips and failures; per rung, the probe's median time, the peak RSS, read once, after the first
 full_suite and rbg_suite (later runs in the same interpreter creep
-upwards without any one command needing more), the oracle's parts, the table's format
-and pairs_mb;
+upwards without any one command needing more), the oracle's parts, the table's format,
+pairs_mb and cone_tables_s;
 and the Python and numpy versions and the CPU count.
 
 The probe is a fixed piece of work with no crossconn code (`host_probe`),
@@ -78,7 +80,7 @@ from pathlib import Path
 import numpy as np
 
 import crossconn
-from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix, oracle
+from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix, kernel, oracle
 from crossconn.checks import failures
 from crossconn.connections import pair_arrays
 from crossconn.verify import category_suite, cone_suite, crossconn_suite, rbg_suite, rees_suite
@@ -192,6 +194,27 @@ def pairs_mb(S: ReesSemigroup) -> float:
     return round(held / 2**20, 3)
 
 
+def cone_tables_s(S: ReesSemigroup, runs: int) -> float:
+    """The median over `runs` calls of connections.pair_arrays(S) of the time
+    each spends in kernel.cone_product_table: the U-Gamma and U-Delta tables."""
+    original, spent = kernel.cone_product_table, []
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        table = original(*args, **kwargs)
+        spent[-1] += time.perf_counter() - start
+        return table
+
+    kernel.cone_product_table = timed
+    try:
+        for _ in range(runs):
+            spent.append(0.0)
+            pair_arrays(S)
+    finally:
+        kernel.cone_product_table = original
+    return round(statistics.median(spent), 6)
+
+
 def _summary(times: list[float], checks: list) -> dict:
     q1, median, q3 = (
         statistics.quantiles(times, n=4, method="inclusive") if len(times) > 1 else times * 3
@@ -285,6 +308,7 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
         "peak_rss_mb": round(peak_kb / 1024, 1),
         "table": {"dtype": str(T.table.dtype), "nbytes": T.table.nbytes},
         "pairs_mb": pairs_mb(S),
+        "cone_tables_s": cone_tables_s(S, runs),
         "suites": {n: _summary(times[n], checks[n]) for n in names},
         "oracle": {
             "green_via_ideals_s": round(_timed(oracle.green_via_ideals, T)[0], 4),
@@ -326,6 +350,7 @@ def main() -> int:
             f"{name:20s} |S|={rung['size']:<5d} full_suite {full['median_s']:.3f}s "
             f"({full['checks'] - full['skipped']} run, {full['skipped']} skipped), "
             f"peak RSS {rung['peak_rss_mb']} MB, pairs {rung['pairs_mb']} MB, "
+            f"U tables {rung['cone_tables_s']:.4f}s, "
             f"probe {rung['host_probe_ms']} ms",
             flush=True,
         )

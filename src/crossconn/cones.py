@@ -101,7 +101,7 @@ def cone_table(group: FiniteGroup, cones) -> np.ndarray:
     """Multiplication table of a closed batch of cones under mul_L, indexed by
     batch order, from `kernel.cone_product_table`.
     The right-side table is the one over `group.opposite`."""
-    table = kernel.cone_product_table(group.array, kernel.ConeClasses(cones))
+    table = kernel.cone_product_table(group.array, group.inverse, kernel.ConeClasses(cones))
     bad = kernel.first_hole(table)
     if bad is not None:
         raise NotClosed(f"cone {bad[0]} times cone {bad[1]} is not in the set")

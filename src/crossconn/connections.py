@@ -210,8 +210,10 @@ class PairArrays(NamedTuple):
     U-Delta (-1 where a half is absent): the positions of each element's
     principal cones.  `pair_at[x, y]` is the pair with halves U-Gamma[x] and
     U-Delta[y], or -1, in `kernel.index_dtype(n)`; its last row and column,
-    all -1, absorb the -1 of an absent cone.  The pairs' product table is
-    not stored: `rows` gives any rows of it, from the U tables.
+    all -1, absorb the -1 of an absent cone.  `complete` says whether every
+    half lies in its U set, so that no -1 is in `g` or `d`, decided once.
+    The pairs' product table is not stored: `rows` gives any rows of it,
+    from the U tables.
     """
 
     gamma: Cones
@@ -221,6 +223,7 @@ class PairArrays(NamedTuple):
     g: np.ndarray
     d: np.ndarray
     pair_at: np.ndarray
+    complete: bool
 
     def pair(self, p: int) -> LinkedPair:
         return LinkedPair(as_cone(self.gamma, p), as_cone(self.delta, p))
@@ -229,11 +232,12 @@ class PairArrays(NamedTuple):
         """The positions in U-Gamma and U-Delta of the halves of the product of
         each pair p of the rows (a slice or an index array) with every pair
         q, gamma_p gamma_q and delta_q delta_p, read off the two tables as
-        (rows, pairs) arrays: -1 where a half is outside its set."""
-        g, d = self.g, self.d
+        (rows, pairs) arrays: -1 where a half is outside its set.  With every
+        half in its set the gathers write no -1 masks."""
+        g, d, holes = self.g, self.d, not self.complete
         return (
-            kernel.gather(self.u_gamma.table, g[rows], g),
-            kernel.gather(self.u_delta.table, d[rows], d),
+            kernel.gather(self.u_gamma.table, g[rows], g, holes),
+            kernel.gather(self.u_delta.table, d[rows], d, holes),
         )
 
     def rows(self, rows) -> np.ndarray:
@@ -244,7 +248,7 @@ class PairArrays(NamedTuple):
         indices wherever they fit, formed in place: a half at -1 lands, as a
         negative index, in its last row or column."""
         gamma, delta = self.product_halves(rows)
-        flat = gamma.astype(np.int32 if self.pair_at.size < 1 << 31 else np.intp)
+        flat = gamma.astype(kernel.flat_index_dtype(self.pair_at.size))
         flat *= self.pair_at.shape[1]
         flat += delta
         return np.take(self.pair_at.ravel(), flat)
@@ -259,14 +263,15 @@ def pair_arrays(S: ReesSemigroup) -> PairArrays:
     P = S.matrix
     gamma, delta = pair_cones(P)
     gammas, deltas = kernel.ConeClasses(u_cones(P)), kernel.ConeClasses(u_cones(P.transpose))
-    ug = UCones(gammas, kernel.cone_product_table(S.group.array, gammas))
-    ud = UCones(deltas, kernel.cone_product_table(S.group.opposite.array, deltas, transposed=True))
+    G = S.group
+    ug = UCones(gammas, kernel.cone_product_table(G.array, G.inverse, gammas))
+    ud = UCones(deltas, kernel.cone_product_table(G.opposite.array, G.inverse, deltas, transposed=True))
     g, d = ug.classes.find(gamma), ud.classes.find(delta)
     shape = (len(ug.classes) + 1, len(ud.classes) + 1)
     pair_at = np.full(shape, -1, dtype=kernel.index_dtype(len(g)))
     inside = (g >= 0) & (d >= 0)
     pair_at[g[inside], d[inside]] = np.flatnonzero(inside)
-    return PairArrays(gamma, delta, ug, ud, g, d, pair_at)
+    return PairArrays(gamma, delta, ug, ud, g, d, pair_at, bool(inside.all()))
 
 
 def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
@@ -380,7 +385,7 @@ def _functor_witness(cat, im: Images) -> str | None:
         o1, o2 = np.divmod(np.arange(n * n)[rows], n)
         h1, dom1, cod1 = (x[o1, o2][:, None, :, None] for x in (im.h, im.dom, im.cod))
         h2, dom2, cod2 = (x[o2][:, :, None, :] for x in (im.h, im.dom, im.cod))
-        h, dom, cod = (x[o1][:, :, C] for x in (im.h, im.dom, im.cod))
+        h, dom, cod = (np.take(x[o1], C, axis=2) for x in (im.h, im.dom, im.cod))
         bad = (cod1 != dom2) | (h != im.M[h2, h1]) | (dom != dom1) | (cod != cod2)
         return bad.reshape(len(o1), -1)
 

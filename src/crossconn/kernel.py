@@ -37,7 +37,9 @@ coordinates read as one np.void of raw bytes.  `ConeClasses` holds the
 distinct keys of a set's tuples as `np.unique` returns them, sorted, and
 finds each query with searchsorted on them, then confirms the candidate
 by equality.  No key is packed into one integer, so none can overflow,
-however wide the cones are.  `connections.u_cones` keeps the
+however wide the cones are.  A cone table reads its products by coset
+first (`cone_product_table`) and searches the keys only for a product
+that read does not confirm.  `connections.u_cones` keeps the
 first of equal keys of the scaled columns, and only the distinct tuples
 of a set of cones are indexed, each set once, by its `ConeClasses`:
 `cones.cone_table` for T_L, `connections.pair_arrays` for U-Gamma and
@@ -98,9 +100,12 @@ its multiplication table, with -1 wherever a product lies outside the
 set.  A product a*b is a's tuple scaled by b's value s at a's vertex,
 with b's vertex, so it depends only on a's tuple class, s and b's
 vertex: `mul_L` scales every class by every group element, in a
-batch per block of classes, `ConeClasses` looks the |T|*|G| scaled
-tuples up, and the table is one gather from that (|T|, |G|) table and
-the (|T|, k) positions.  The
+batch per block of classes.  Scaling keeps a tuple's coset, so each of
+the |T|*|G| scaled tuples is read from an array of the classes by
+coset (`canonical`) and first entry, and confirmed against the product;
+`ConeClasses` searches its keys only for a product the read does not
+confirm.  The table is then two flat takes, from that (|T|, |G|) table
+of classes and from the (|T|, k) positions.  The
 set is closed when no entry is -1, and `first_hole` names the first -1
 in row order as the closure witness.  It builds three tables, T_L,
 U-Gamma and U-Delta, the last one transposed, row by row with no copy:
@@ -226,15 +231,18 @@ def split_counts(
     return count(first[first < split]), count(last[last >= split]), count(first)
 
 
-def gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, holes: bool = True) -> np.ndarray:
     """The (len(rows), len(cols)) array table[rows[:, None], cols], -1 wherever
     a row or a column is -1, the position of an absent cone.  The rows are
     taken first and then the columns of each, which is faster than one 2-d
     fancy gather; the -1 rows and columns read the table's last ones, and
-    are overwritten."""
+    are overwritten.  A scan that has found no -1 among its rows and
+    columns, once for all its blocks, passes holes=False, and no mask is
+    formed or written."""
     out = np.take(table[rows], cols, axis=1)
-    out[rows < 0] = -1
-    out[:, cols < 0] = -1
+    if holes:
+        out[rows < 0] = -1
+        out[:, cols < 0] = -1
     return out
 
 
@@ -306,6 +314,12 @@ def same_factor(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return (f1 >= 0) & (f1 == f2)
 
 
+def flat_index_dtype(size: int) -> np.dtype:
+    """The format of flat indices into an array of size entries: int32
+    wherever they fit, the fastest for `np.take`."""
+    return np.dtype(np.int32 if size < 1 << 31 else np.intp)
+
+
 def blocks(n_rows: int, row_size: int):
     """Slices of consecutive rows, of row_size entries each, about BLOCK entries
     to a slice."""
@@ -370,36 +384,69 @@ def first_hole(table: np.ndarray) -> tuple[int, int] | None:
     return first_block_failure(*table.shape, lambda rows: table[rows] < 0)
 
 
-def cone_product_table(M: np.ndarray, classes: ConeClasses, transposed: bool = False) -> np.ndarray:
+def cone_product_table(
+    M: np.ndarray, inverse: np.ndarray, classes: ConeClasses, transposed: bool = False
+) -> np.ndarray:
     """The (n, n) table of a batch of n cones, given by tuple class,
-    under mul_L over the group with Cayley array M: row a holds the
-    positions of member a times every member, -1 where a product is not a
-    member.  The set is closed when no entry is -1.  With transposed, row b
-    holds every member times member b instead: the transpose, built row by
-    row with no (n, n) copy.
+    under mul_L over the group with Cayley array M and inverses inverse
+    (G's, which G^op shares): row a holds the positions of member a times
+    every member, -1 where a product is not a member.  The set is closed
+    when no entry is -1.  With transposed, row b holds every member times
+    member b instead: the transpose, built row by row with no (n, n) copy.
 
     a*b is a's tuple scaled by s, b's value at a's vertex, with b's vertex,
-    so with scale[t, s] the class of T[t]*s the table is one gather,
-    pos[scale[tid[a], s], vertex[b]], taken in blocks of rows.  scale is
-    one `mul_L` batch per block of classes (one for a small set), each
-    (T[t], s) times the cone (0, 1, ..., |G|-1), whose value at s is s,
-    looked up among the classes: -1 where T[t]*s is no member's tuple.
+    so with scale[t, s] the class of T[t]*s the table is
+    pos[scale[tid[a], s], vertex[b]], read as two flat takes in blocks of
+    rows, at int32 indices wherever they fit.  scale is one `mul_L` batch
+    per block of classes (one for a small set), each (T[t], s) times the
+    cone (0, 1, ..., |G|-1), whose value at s is s.
+
+    The products are found by coset.  A tuple v spans the left coset v*G,
+    whose `canonical` representative is c = v*v[0]^-1, and v = c*v[0]: a
+    tuple is its coset's representative times its first entry.  Scaling
+    keeps the coset, (v*s)*(v*s)[0]^-1 = v*s*s^-1*v[0]^-1 = v*v[0]^-1, so
+    T[t]*s is the member tuple, if any, with T[t]'s coset and first entry
+    (T[t]*s)[0]: a read of the (cosets, |G|) array of classes by coset and
+    first entry.  Each read is confirmed against the whole product, and
+    only a product it does not confirm is searched among the keys
+    (`ConeClasses.find_tuples`), so the table is exact whatever `mul_L`
+    returns; on a closed set of a valid group the search never runs.
+    Over M.T the cosets are the right ones, G*v, and the same holds.
     """
     (values, vertices), order, tuples = classes.members, len(M), classes.tuples
+    cosets, coset = np.unique(row_keys(canonical(M, inverse, tuples)), return_inverse=True)
+    by_coset = np.full((len(cosets), order), -1, dtype=np.int32)
+    by_coset[coset, tuples[:, 0]] = np.arange(len(tuples))
     scale = np.empty((len(tuples), order), dtype=np.int32)
     for rows in blocks(len(tuples), order * tuples.shape[1]):
         part = tuples[rows]
         scalings = np.repeat(part, order, axis=0), np.tile(np.arange(order), len(part))
         scaled, _ = mul_L(M, scalings, (np.arange(order), 0))
-        scale[rows] = classes.find_tuples(scaled).reshape(len(part), order)
-    table = np.empty((len(vertices),) * 2, dtype=index_dtype(len(vertices)))
-    pos, tid = classes.pos, classes.tid
-    if transposed:  # row b: every member a times b, b's value at a's vertex
-        at = values.astype(np.int32)  # at[b, v]: member b's value at object v
-        for rows in blocks(*table.shape):
-            table[rows] = pos[scale[tid, at[rows][:, vertices]], vertices[rows, None]]
-    else:  # row a: a times every member b, b's value at a's vertex
-        at = values.T.astype(np.int32)  # at[v, b]: member b's value at object v
-        for rows in blocks(*table.shape):
-            table[rows] = pos[scale[tid[rows, None], at[vertices[rows]]], vertices]
+        found = by_coset[np.repeat(coset[rows], order), scaled[:, 0]]
+        missed = np.flatnonzero((found < 0) | (np.take(tuples, found, axis=0) != scaled).any(axis=1))
+        if len(missed):
+            found[missed] = classes.find_tuples(scaled[missed])
+        scale[rows] = found.reshape(len(part), order)
+
+    n, k = len(vertices), tuples.shape[1]
+    at_scale, at_pos = flat_index_dtype(scale.size), flat_index_dtype(classes.pos.size)
+    scale, pos = scale.ravel(), classes.pos.ravel()
+    start = classes.tid.astype(at_scale) * order  # row of tid[a] in the flat scale
+    vertex = vertices.astype(at_pos)
+    # at[b, v] (at[v, b] untransposed): member b's value at object v
+    at = values.astype(at_scale) if transposed else values.T.astype(at_scale, order="C")
+    table = np.empty((n, n), dtype=index_dtype(n))
+    for rows in blocks(n, n):
+        if transposed:  # row b: every member a times b, b's value at a's vertex
+            found = np.take(at[rows], vertices, axis=1)
+            found += start
+            vertex_b = vertex[rows, None]
+        else:  # row a: a times every member b, b's value at a's vertex
+            found = np.take(at, vertices[rows], axis=0)
+            found += start[rows, None]
+            vertex_b = vertex
+        found = np.take(scale, found).astype(at_pos, copy=False)
+        found *= k
+        found += vertex_b
+        table[rows] = np.take(pos, found)
     return table

@@ -71,9 +71,11 @@ and compares them as integers, each U cone's constant value and vertex.
 Every set of cones a suite checks becomes its table once, through
 `kernel.cone_product_table` on the tuple classes of the set (T_L,
 U-Gamma and U-Delta), whose one `ConeClasses` holds the set's distinct
-tuples: scalings of the tuples, their lookup and one gather, with -1 for each
-product outside the set; the set is closed when no entry is -1, and
-`kernel.first_hole` names the first in row order.  The linked pairs are
+tuples: scalings of the tuples, each read by its coset and first entry
+and confirmed (a key search only for a product the read misses), and
+two flat takes, with -1 for each product outside the set; the set is
+closed when no entry is -1, and `kernel.first_hole` names the first in
+row order.  The linked pairs are
 the exception: their table is never built whole, and they are closed
 when every pair's halves lie in U-Gamma and U-Delta and no row that
 `PairArrays.rows` gathers, a block at a time, holds a -1; that scan runs
@@ -84,7 +86,8 @@ compares GT[r[a], r] with r[ab] and `cones.dual_antihomomorphism`
 compares DT[l[a], l] with l[ab], DT held transposed, so that
 lam(b) lam(a) over the opposite group is at [l[a], l[b]], in blocks of
 rows a, a cone of a, b or ab outside its U set failing (`kernel.gather`
-reads -1 for a product with an absent cone); `cones.principal_image_subsemigroup` reads GT
+reads -1 for a product with an absent cone, and forms no mask when
+`PairArrays.complete` says there is none); `cones.principal_image_subsemigroup` reads GT
 restricted to the positions r hits.
 Closed tables reach the oracle as `GenericSemigroup`s, and the pairs'
 rows as `oracle.TableRows`, and the oracle judges the rest:
@@ -259,19 +262,20 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         lambda: _tl_outcomes(G, S.n_lambda),
     )
 
-    # r[a] and l[a]: the positions of rho(a) and lam(a) in U-Gamma and U-Delta
-    r, l = linked.g, linked.d
+    # r[a] and l[a]: the positions of rho(a) and lam(a) in U-Gamma and U-Delta,
+    # with no -1 to mask when every pair's halves lie in the U sets
+    r, l, holes = linked.g, linked.d, not linked.complete
     GT, DT, table = linked.u_gamma.table, linked.u_delta.table, S.table()
     for name, bad_rows in (
         # rho(a) rho(b) against rho(ab), for a block of a and every b at once
         (
             "cones.principal_homomorphism",
-            lambda a: _misplaced(kernel.gather(GT, r[a], r), r[table[a]]),
+            lambda a: _misplaced(kernel.gather(GT, r[a], r, holes), r[table[a]]),
         ),
         # lam(b) lam(a) over the opposite group against lam(ab)
         (
             "cones.dual_antihomomorphism",
-            lambda a: _misplaced(kernel.gather(DT, l[a], l), l[table[a]]),
+            lambda a: _misplaced(kernel.gather(DT, l[a], l, holes), l[table[a]]),
         ),
     ):
         bad = kernel.first_block_failure(S.size, S.size, bad_rows)

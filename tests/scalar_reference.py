@@ -35,8 +35,10 @@ and `delta_images` in the package), into both linkage tests (the scalar
 (`connections.gamma_cells`), into both linked-pair products, into the
 linked-pair table and into the pairs themselves
 (`connections.pair_cones`); each patches the array builder and its
-scalar reference here alike.  `CorruptedTable` replaces entries of the
-index table, which the suites and the scalar references read alike.
+scalar reference here alike.  `left_scaled_mul_L` and `constant_mul_L`
+are faulty forms of `kernel.mul_L` itself.  `CorruptedTable` replaces
+entries of the index table, which the suites and the scalar references
+read alike.
 """
 
 from __future__ import annotations
@@ -1215,6 +1217,34 @@ def missing_pair():
     with them): the set of pairs misses the last pair, so some products of
     pairs are no pair and the pair table is not closed."""
     return edited_pairs(lambda pairs: pairs[:-1] + pairs[:1])
+
+
+def left_scaled_mul_L(M, c1, c2):
+    """`kernel.mul_L` with the scalar on the wrong side: c1's values scaled on
+    the left by c2's value at c1's vertex.  Over a non-abelian group the
+    product leaves the left coset of c1's tuple."""
+    (v1, x1), (v2, x2) = c1, c2
+    scale = np.take_along_axis(np.atleast_2d(v2), np.reshape(x1, (-1, 1)), axis=1)
+    values = M[scale, v1]
+    return values, np.broadcast_to(x2, values.shape[:-1])
+
+
+def constant_mul_L(original):
+    """`kernel.mul_L` with every product the first member of the batch it
+    multiplies.  A small cone table multiplies one batch, each of its
+    tuple classes against each group element, whose first member has the
+    first class's tuple: every product x*y then has that tuple and y's
+    vertex, as `kernel.cone_product_table` reads the vertex off y.  So a set with
+    that tuple at every vertex, as U-Gamma has, is closed, and no member
+    with another tuple is regular."""
+
+    def mul_L(M, c1, c2):
+        batch = c2 if np.ndim(c2[1]) else c1
+        values, vertices = original(M, c1, c2)
+        first = kernel.pick(batch, 0)
+        return np.broadcast_to(first[0], values.shape), np.broadcast_to(first[1], vertices.shape)
+
+    return mul_L
 
 
 class CorruptedTable(ReesSemigroup):

@@ -82,9 +82,11 @@ def _principal_products_agree(S: ReesSemigroup) -> None:
         assert got[1].tolist() == [lam[a].vertex] * S.size
 
 
-def _cone_product_table(M, members):
-    """`kernel.cone_product_table` of a list of cones, by their tuple classes."""
-    return kernel.cone_product_table(M, kernel.ConeClasses(scalar_reference.cone_arrays(members)))
+def _cone_product_table(group, members):
+    """`kernel.cone_product_table` of a list of cones over the group, by their
+    tuple classes."""
+    classes = kernel.ConeClasses(scalar_reference.cone_arrays(members))
+    return kernel.cone_product_table(group.array, group.inverse, classes)
 
 
 def _pair_table(S: ReesSemigroup):
@@ -127,17 +129,16 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
     assert by_name["rees.principal_left_ideal"] == scalar_reference.principal_left_ideal_witness(S)
 
     # Subsemigroup verdicts, on sets that are and sets that are not ones.
-    M = G.array
     matrix = S.matrix
     image = sorted(set(_cones_of(S, 0)), key=lambda c: (c.values, c.vertex))
     subset = data.draw(st.lists(st.sampled_from(image), min_size=1, unique=True))
-    for group, array, members in (
-        (G, M, image),
-        (G, M, subset),
-        (G, M, scalar_reference.u_gamma(matrix)),
-        (G.opposite, M.T, scalar_reference.u_delta(matrix)),
+    for group, members in (
+        (G, image),
+        (G, subset),
+        (G, scalar_reference.u_gamma(matrix)),
+        (G.opposite, scalar_reference.u_delta(matrix)),
     ):
-        table = _cone_product_table(array, members)
+        table = _cone_product_table(group, members)
         verdict = connections.is_regular_set(table)
         assert verdict == scalar_reference.regular_subsemigroup(group, members)
 
@@ -349,11 +350,11 @@ def test_class_tables_match_the_row_tables(G, n_lambda, n_i, data):
         for array, members in ((M, ug), (M.T, ud), (M, gammas), (M.T, gammas), (M.T, deltas)):
             cone_arrays = scalar_reference.cone_arrays(members)
             classes = kernel.ConeClasses(cone_arrays)
-            table = kernel.cone_product_table(array, classes)
+            table = kernel.cone_product_table(array, inverse, classes)
             assert table.dtype == kernel.index_dtype(len(table))
             assert np.array_equal(table, scalar_reference.cone_product_table(array, cone_arrays))
             # U-Delta's table is held transposed, built so row by row
-            transposed = kernel.cone_product_table(array, classes, transposed=True)
+            transposed = kernel.cone_product_table(array, inverse, classes, transposed=True)
             assert transposed.flags.c_contiguous and np.array_equal(transposed, table.T)
 
         gamma_arrays, delta_arrays = scalar_reference.cone_arrays(gammas), scalar_reference.cone_arrays(deltas)
@@ -368,6 +369,83 @@ def test_class_tables_match_the_row_tables(G, n_lambda, n_i, data):
     assert linkage.tolist() == [
         [scalar_reference.is_linked(matrix, g, d) for d in deltas] for g in gammas
     ]
+
+
+def _operands(c1, c2) -> tuple[list, list]:
+    """The first factors' tuples and the second factors' values at their
+    vertices, row by row, on which each `kernel.mul_L` product depends."""
+    (v1, x1), (v2, _) = c1, c2
+    v2, at = np.broadcast_arrays(v2, np.expand_dims(x1, -1))
+    s = np.take_along_axis(v2, at[..., :1], axis=-1)[..., 0]
+    v1 = np.broadcast_to(v1, s.shape + np.shape(v1)[-1:])
+    return [tuple(t) for t in v1.reshape(-1, v1.shape[-1]).tolist()], s.ravel().tolist()
+
+
+def _recorded(product, record: dict):
+    """`product` as `kernel.mul_L`, each product's tuple recorded by its operands."""
+
+    def mul_L(M, c1, c2):
+        values, vertices = product(M, c1, c2)
+        tuples, scalars = _operands(c1, c2)
+        products = values.reshape(-1, values.shape[-1]).tolist()
+        record.update(zip(zip(tuples, scalars), map(tuple, products)))
+        return values, vertices
+
+    return mul_L
+
+
+def _replayed(record: dict):
+    """`kernel.mul_L` that answers each product from a record of `_recorded`,
+    with the second factor's vertex."""
+
+    def mul_L(M, c1, c2):
+        tuples, scalars = _operands(c1, c2)
+        shape = np.broadcast_shapes(np.shape(c1[1]), np.shape(c2[1]))
+        values = np.array([record[key] for key in zip(tuples, scalars)]).reshape(*shape, -1)
+        return values, np.broadcast_to(c2[1], shape)
+
+    return mul_L
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["left_scaled", "constant"]),
+    st.sampled_from([1, 7, kernel.BLOCK]),
+    st.data(),
+)
+def test_cone_tables_are_exact_under_a_faulty_product(G, n_lambda, n_i, fault, block, data):
+    # A faulty mul_L sends products off their cosets, where the coset
+    # index reads no class or the wrong one, so the key search must find
+    # them: each table, in both orientations and over G and G^op, equals
+    # the row-by-row reference under the same products, the ones the
+    # kernel's mul_L returned, replayed.
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    matrix = SandwichMatrix(G, entries)
+    ug, ud = scalar_reference.u_gamma(matrix), scalar_reference.u_delta(matrix)
+    gammas = data.draw(_cones(G, n_lambda, ug))
+    product = {
+        "left_scaled": scalar_reference.left_scaled_mul_L,
+        "constant": scalar_reference.constant_mul_L(kernel.mul_L),
+    }[fault]
+    M = G.array
+    for array, members in ((M, ug), (M.T, ud), (M, gammas), (M.T, gammas)):
+        cone_arrays = scalar_reference.cone_arrays(members)
+        for transposed in (False, True):
+            record = {}
+            with mock.patch.object(kernel, "BLOCK", block), mock.patch.object(
+                kernel, "mul_L", _recorded(product, record)
+            ):
+                table = kernel.cone_product_table(
+                    array, G.inverse, kernel.ConeClasses(cone_arrays), transposed
+                )
+            with mock.patch.object(kernel, "mul_L", _replayed(record)):
+                expected = scalar_reference.cone_product_table(array, cone_arrays)
+            assert np.array_equal(table, expected.T if transposed else expected)
 
 
 IMAGE_FAULTS = [
@@ -545,7 +623,7 @@ def test_wide_cones_z2_lambda_64():
     assert table == scalar_reference.pair_table(S)[0]
     _principal_products_agree(S)
     rho = sorted(set(_cones_of(S, 0)), key=lambda c: (c.values, c.vertex))
-    table = _cone_product_table(G.array, rho)
+    table = _cone_product_table(G, rho)
     verdict = connections.is_regular_set(table)
     assert verdict is scalar_reference.regular_subsemigroup(G, rho) is True
 
@@ -597,11 +675,12 @@ def test_cone_product_table_marks_each_absent_product():
     # mul_L is (a + b mod m,): over Z4 the product (3,) is outside the set
     # and reads -1, and the first -1 in row order is the closure witness.
     classes = kernel.ConeClasses((np.arange(3).reshape(3, 1), np.zeros(3, dtype=np.intp)))
-    table = kernel.cone_product_table(builtin("cyclic", 4).array, classes)
+    z4, z3 = builtin("cyclic", 4), builtin("cyclic", 3)
+    table = kernel.cone_product_table(z4.array, z4.inverse, classes)
     assert table.dtype == kernel.index_dtype(3) == np.int16
     assert table.tolist() == [[0, 1, 2], [1, 2, -1], [2, -1, 0]]
     assert kernel.first_hole(table) == (1, 2)
-    closed = kernel.cone_product_table(builtin("cyclic", 3).array, classes)
+    closed = kernel.cone_product_table(z3.array, z3.inverse, classes)
     assert closed.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     assert kernel.first_hole(closed) is None
 

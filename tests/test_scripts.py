@@ -129,6 +129,9 @@ def test_bench_measures_the_smallest_rung(monkeypatch):
     # the rung's table in kernel.index_dtype(8), 8 x 8 entries of 2 bytes
     assert rung["table"] == {"dtype": "int16", "nbytes": 128}
     assert rung["pairs_mb"] > 0
+    # the U-Gamma and U-Delta tables, timed inside connections.pair_arrays
+    assert list(rung)[list(rung).index("pairs_mb") + 1] == "cone_tables_s"
+    assert rung["cone_tables_s"] > 0
     # start-up: fresh interpreters time `import crossconn.cli`, which loads
     # none of the modules that only some commands run
     start = bench.startup(runs=3)

@@ -63,9 +63,11 @@ def _rbg_suite(S):
     return rbg_suite(S, connections.pair_arrays(S))
 
 
-def _cone_product_table(M, members):
-    """`kernel.cone_product_table` of a list of cones, by their tuple classes."""
-    return kernel.cone_product_table(M, kernel.ConeClasses(scalar_reference.cone_arrays(members)))
+def _cone_product_table(group, members):
+    """`kernel.cone_product_table` of a list of cones over the group, by their
+    tuple classes."""
+    classes = kernel.ConeClasses(scalar_reference.cone_arrays(members))
+    return kernel.cone_product_table(group.array, group.inverse, classes)
 
 
 def test_full_suite_edge_shapes(z2, z3):
@@ -138,18 +140,12 @@ def test_wrong_side_mul_L_fails_both_principal_checks(monkeypatch):
     # Negative control: both principal checks run the kernel's mul_L, the
     # dual one over the opposite group, so a scalar on the wrong side of
     # the product must break both, with the witnesses the loops give.
-    def wrong_side(M, c1, c2):
-        (v1, x1), (v2, x2) = c1, c2
-        scale = np.take_along_axis(np.atleast_2d(v2), np.reshape(x1, (-1, 1)), axis=1)
-        values = M[scale, v1]
-        return values, np.broadcast_to(x2, values.shape[:-1])
-
     def scalar_wrong_side(group, c1, c2):
         g_k = c2.values[c1.vertex]
         return Cone(tuple(group.mul(g_k, v) for v in c1.values), c2.vertex)
 
     S = _s3_fixture()
-    monkeypatch.setattr(kernel, "mul_L", wrong_side)
+    monkeypatch.setattr(kernel, "mul_L", scalar_reference.left_scaled_mul_L)
     by_name = {c.name: c for c in _cone_suite(S)}
     monkeypatch.setattr(scalar_reference, "mul_L", scalar_wrong_side)
     expected = scalar_reference.principal_witnesses(S)
@@ -635,7 +631,55 @@ def test_stray_member_fails_u_subsemigroups():
     with _edited_u_cones(S, "gamma", lambda members: stray):
         check = {c.name: c for c in _crossconn_suite(S)}["crossconn.u_subsemigroups"]
     assert check.passed is False
-    assert kernel.first_hole(_cone_product_table(S.group.array, stray)) is not None
+    assert kernel.first_hole(_cone_product_table(S.group, stray)) is not None
+
+
+def _searched(monkeypatch) -> list:
+    """The tuples that `ConeClasses.find_tuples` is asked for from now on, each
+    call's rows as a list of tuples."""
+    searched, original = [], kernel.ConeClasses.find_tuples
+
+    def find_tuples(self, values):
+        searched.append([tuple(t) for t in values.tolist()])
+        return original(self, values)
+
+    monkeypatch.setattr(kernel.ConeClasses, "find_tuples", find_tuples)
+    return searched
+
+
+def test_closed_cone_tables_search_no_key(monkeypatch):
+    # Every product of a closed set lies in its factor's coset, where the
+    # coset index finds it: the U tables of a generic M[S3; 2, 3] and T_L
+    # of M[S3; 2, 2] are built without a key search.
+    G = builtin("symmetric", 3)
+    P = SandwichMatrix(G, [[0, 0, 0], [0, 1, 4]])  # 0 is the identity
+    gammas, deltas = (kernel.ConeClasses(connections.u_cones(Q)) for Q in (P, P.transpose))
+    searched = _searched(monkeypatch)
+    tables = [
+        kernel.cone_product_table(G.array, G.inverse, gammas),
+        kernel.cone_product_table(G.opposite.array, G.inverse, deltas, transposed=True),
+        cones.cone_table(G, cones.enumerate_TL(G, 2)),
+    ]
+    assert searched == []
+    assert [kernel.first_hole(t) for t in tables] == [None] * 3
+    assert [len(t) for t in tables] == [len(gammas), len(deltas), 72]
+
+
+def test_stray_member_searches_exactly_the_products_outside_the_set(monkeypatch):
+    # The stray set of test_stray_member_fails_u_subsemigroups: the key
+    # search runs for exactly the products T[t]*s, over its distinct
+    # tuples T and every s, that are no member's tuple, by the scalar product.
+    S = _s3_fixture()
+    G, ug = S.group, scalar_reference.u_gamma(S.matrix)
+    stray = [*ug[:-1], _stray_cone(G, ug)]
+    tuples = {c.values for c in stray}
+    products = (tuple(G.mul(v, s) for v in t) for t in tuples for s in G.elements())
+    outside = sorted(p for p in products if p not in tuples)
+    classes = kernel.ConeClasses(scalar_reference.cone_arrays(stray))
+    searched = _searched(monkeypatch)
+    table = kernel.cone_product_table(G.array, G.inverse, classes)
+    assert outside and sorted(t for call in searched for t in call) == outside
+    assert np.array_equal(table, scalar_reference.cone_product_table(G.array, classes.members))
 
 
 @pytest.mark.parametrize("side, where", [("gamma", "U-Gamma"), ("delta", "U-Delta")])
@@ -774,24 +818,6 @@ def test_principal_image_short_of_u_gamma_is_judged_alone():
     assert check.passed is scalar_reference.regular_subsemigroup(S.group, image)
 
 
-def _constant_mul_L(original):
-    """`kernel.mul_L` with every product the first member of the batch it
-    multiplies.  A small cone table multiplies one batch, each of its
-    tuple classes against each group element, whose first member has the
-    first class's tuple: every product x*y then has that tuple and y's
-    vertex, as `kernel.cone_product_table` reads the vertex off y.  So a set with
-    that tuple at every vertex, as U-Gamma has, is closed, and no member
-    with another tuple is regular."""
-
-    def mul_L(M, c1, c2):
-        batch = c2 if np.ndim(c2[1]) else c1
-        values, vertices = original(M, c1, c2)
-        first = kernel.pick(batch, 0)
-        return np.broadcast_to(first[0], values.shape), np.broadcast_to(first[1], vertices.shape)
-
-    return mul_L
-
-
 @pytest.mark.parametrize(
     "suite, name",
     [
@@ -803,9 +829,9 @@ def test_closed_but_irregular_table_fails_its_subsemigroup_check(suite, name, mo
     # Negative control: every product is the batch's first member, so the
     # table is closed and only the oracle's regularity test can fail it.
     S = _s3_fixture()
-    monkeypatch.setattr(kernel, "mul_L", _constant_mul_L(kernel.mul_L))
+    monkeypatch.setattr(kernel, "mul_L", scalar_reference.constant_mul_L(kernel.mul_L))
     ug = scalar_reference.u_gamma(S.matrix)
-    table = _cone_product_table(S.group.array, ug)
+    table = _cone_product_table(S.group, ug)
     assert kernel.first_hole(table) is None
     assert not oracle.is_regular(oracle.GenericSemigroup(table))
     check = {c.name: c for c in suite(S, connections.pair_arrays(S))}[name]
@@ -1025,9 +1051,9 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
     # of U-Gamma x U-Delta per suite, not one test per pair.
     tables, calls = [], Counter()
 
-    def cone_product_table(M, classes, transposed=False, _original=kernel.cone_product_table):
+    def cone_product_table(M, inverse, classes, transposed=False, _original=kernel.cone_product_table):
         tables.append(kernel.row_keys(*classes.members).tolist())
-        return _original(M, classes, transposed)
+        return _original(M, inverse, classes, transposed)
 
     def mul_L(*args, _original=kernel.mul_L):
         calls["mul_L"] += 1
