@@ -51,7 +51,7 @@ from .checks import Check, verdict
 from .cones import CosetHandle
 from .errors import NotComposable, NotInDomainCoset, ParseError
 from .groups import FiniteGroup
-from .oracle import GenericSemigroup, MapCheck, TableRows, is_regular, verify_map
+from .oracle import GenericSemigroup, MapCheck, ProductTables, is_regular, verify_map
 from .rees import ReesSemigroup, SandwichMatrix
 
 
@@ -202,19 +202,15 @@ class UCones:
 
 class PairArrays(NamedTuple):
     """The linked pairs of a connection and the arrays every scan of them reads:
-    the two U tables, the dense `pair_at` and O(n) beside them, where n is
-    the number of pairs.
+    the two U tables, and O(n) beside them, where n is the number of pairs.
 
     `gamma` and `delta` are the pairs' halves from `pair_cones`, pair k
     being phi of element k, and `g` and `d` their positions in U-Gamma and
     U-Delta (-1 where a half is absent): the positions of each element's
-    principal cones.  `pair_at[x, y]` is the pair with halves U-Gamma[x] and
-    U-Delta[y], or -1, in `kernel.index_dtype(n)`; its last row and column,
-    all -1, absorb the -1 of an absent cone.  `complete` says whether every
-    half lies in its U set, so that no -1 is in `g` or `d`, decided once.
-    The pairs' product table is not stored: `rows` gives any rows of it,
-    from the U tables.
-    """
+    principal cones.  `complete` says whether every half lies in its U
+    set, so that no -1 is in `g` or `d`, decided once.  No table of the
+    pairs is held: a product of two pairs is componentwise, a pair of
+    positions in the U tables (`product_halves`)."""
 
     gamma: Cones
     delta: Cones
@@ -222,7 +218,6 @@ class PairArrays(NamedTuple):
     u_delta: UCones
     g: np.ndarray
     d: np.ndarray
-    pair_at: np.ndarray
     complete: bool
 
     def pair(self, p: int) -> LinkedPair:
@@ -240,26 +235,11 @@ class PairArrays(NamedTuple):
             kernel.gather(self.u_delta.table, d[rows], d, holes),
         )
 
-    def rows(self, rows) -> np.ndarray:
-        """Those rows of the pairs' product table: entry (p, q) is the pair
-        p*q, `pair_at` at `product_halves`, -1 where the product is no pair.
-        No product of two pairs is formed and no pair key is searched.
-        `pair_at` is read as one flat take, the fastest gather, at int32
-        indices wherever they fit, formed in place: a half at -1 lands, as a
-        negative index, in its last row or column."""
-        gamma, delta = self.product_halves(rows)
-        flat = gamma.astype(kernel.flat_index_dtype(self.pair_at.size))
-        flat *= self.pair_at.shape[1]
-        flat += delta
-        return np.take(self.pair_at.ravel(), flat)
-
 
 def pair_arrays(S: ReesSemigroup) -> PairArrays:
     """The linked pairs (`pair_cones`), U-Gamma and U-Delta (`u_cones`) of S's
     connection, with the arrays every scan of them reads.  U-Delta's table
-    is built transposed, as `UCones` holds it.  The product of two pairs
-    is componentwise, so no table of the pairs is built: `PairArrays.rows`
-    reads its rows off the U tables when a scan asks for them."""
+    is built transposed, as `UCones` holds it."""
     P = S.matrix
     gamma, delta = pair_cones(P)
     gammas, deltas = kernel.ConeClasses(u_cones(P)), kernel.ConeClasses(u_cones(P.transpose))
@@ -267,40 +247,40 @@ def pair_arrays(S: ReesSemigroup) -> PairArrays:
     ug = UCones(gammas, kernel.cone_product_table(G.array, G.inverse, gammas))
     ud = UCones(deltas, kernel.cone_product_table(G.opposite.array, G.inverse, deltas, transposed=True))
     g, d = ug.classes.find(gamma), ud.classes.find(delta)
-    shape = (len(ug.classes) + 1, len(ud.classes) + 1)
-    pair_at = np.full(shape, -1, dtype=kernel.index_dtype(len(g)))
-    inside = (g >= 0) & (d >= 0)
-    pair_at[g[inside], d[inside]] = np.flatnonzero(inside)
-    return PairArrays(gamma, delta, ug, ud, g, d, pair_at, bool(inside.all()))
+    return PairArrays(gamma, delta, ug, ud, g, d, bool((g >= 0).all() and (d >= 0).all()))
 
 
 def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
     """Check closure of the linked-pair product and that phi is a bijective homomorphism.
 
-    `linked` is `pair_arrays(S)`, which the caller builds.  The pairs are
-    closed when each pair's halves lie in U-Gamma and U-Delta and no entry
-    of the pairs' product table is -1, read a block of rows at a time
-    (`PairArrays.rows`).  Pair k is phi of element k, so phi sends k to
-    that pair's position in `pair_at`; the map check goes through the
-    independent table oracle, which reads the same rows
-    (`oracle.TableRows`), rather than any closed form.  It runs first: a
-    -1 fails its homomorphism test, and a bijective homomorphism onto the
-    pairs leaves no -1, since every entry is then the image of a product.
-    So the closure scan runs, for its verdict and its witness, only when
-    the map check fails.  The pairs' table is not scanned for
-    associativity: a bijective homomorphism from S carries S's
-    associativity onto it.
+    `linked` is `pair_arrays(S)`, which the caller builds.  Pair k is phi
+    of element k, so the independent table oracle judges phi, given as its
+    component maps `linked.g` and `linked.d`, onto the pairs it lists in
+    the product of the U tables (`oracle.ProductTables`), rather than any
+    closed form.  The pairs are closed when each pair's halves lie in
+    U-Gamma and U-Delta and each product of two pairs is a pair.  The map
+    check runs first: a bijective homomorphism onto the pairs makes every
+    product of two pairs the image of a product, so only a failed map
+    check runs the closure scan, for its verdict and witness: each
+    product's key (`ProductTables.keys`), a block of rows at a time,
+    searched among the pairs' sorted keys.  The pairs need no
+    associativity scan: a bijective homomorphism carries S's onto them.
     """
     outside = (linked.g < 0) | (linked.d < 0)
     if outside.any():
         p = int(outside.argmax())
         half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
         return PhiReport(False, f"the {half} half of {linked.pair(p)} is not in {where}", None)
-    n = len(linked.g)
-    f = linked.pair_at[linked.g, linked.d]
-    check = verify_map(f.tolist(), S.to_generic(), TableRows(n, linked.rows))
+    target = ProductTables(linked.u_gamma.table, linked.u_delta.table)
+    check = verify_map((linked.g, linked.d), S.to_generic(), target)
     if not check.is_isomorphism:
-        bad = kernel.first_block_failure(n, n, lambda rows: linked.rows(rows) < 0)
+        n, pairs = len(linked.g), np.sort(target.keys(linked.g, linked.d))
+
+        def no_pair(rows: slice) -> np.ndarray:
+            products = target.keys(*linked.product_halves(rows))
+            return pairs[np.minimum(np.searchsorted(pairs, products), n - 1)] != products
+
+        bad = kernel.first_block_failure(n, n, no_pair)
         if bad is not None:
             p, q = (linked.pair(k) for k in bad)
             return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)

@@ -78,22 +78,18 @@ the translation maps and the abstract maps of each hom-set of a block
 
 Pairs.  `connections.pair_arrays` holds the linked pairs as a gamma and a
 delta batch, read off `SandwichMatrix.scaled` at the coordinates of each
-element (`connections.pair_cones`), U-Gamma and U-Delta with their
-tables GT and DT, and `pair_at[x, y]`, the pair with halves at x and y
-(or -1), dense and in `index_dtype`; the rest is O(n).  Pair k is phi of
-element k, its pair of principal cones, so g[k] and d[k], the positions
-of pair k's halves in U-Gamma and U-Delta, are also those of element k's
-principal cones.  The product of two pairs is componentwise, so the
-pairs' product table is a gather, and it is never stored:
-`PairArrays.rows` reads any rows p of it, a block at a time, as
-pair_at[GT[g[p], g], DT[d[p], d]], DT being held transposed.  No product
-of two pairs is formed and no pair key is searched: the pairs sorted by
-key and searched a block at a time would hold O(n) in place of
-`pair_at`, but read slower than its gather.  Every scan of the pairs or
-of the principal cones in a suite reads these arrays; each suite and
-`connections.verify_phi` takes them from its caller.  Witnesses and
-reports turn cones of a batch into `Cone`s of Python ints
-(`connections.as_cones`).
+element (`connections.pair_cones`), and U-Gamma and U-Delta with their
+tables GT and DT; the rest is O(n).  Pair k is phi of element k, its
+pair of principal cones, so g[k] and d[k], the positions of pair k's
+halves in U-Gamma and U-Delta, are also those of element k's principal
+cones.  The product of two pairs is componentwise, the pair of positions
+(GT[g[p], g[q]], DT[d[p], d[q]]), DT being held transposed
+(`PairArrays.product_halves`), so no table of the pairs is built: the
+map check reads each pair as one key (`oracle.ProductTables`).  Every
+scan of the pairs or of the principal cones in a suite reads these
+arrays, which each suite and `connections.verify_phi` takes from its
+caller.  Witnesses and reports turn cones of a batch into `Cone`s of
+Python ints (`connections.as_cones`).
 
 Tables.  `cone_product_table` is the one place a set of cones becomes
 its multiplication table, with -1 wherever a product lies outside the
@@ -110,10 +106,9 @@ set is closed when no entry is -1, and `first_hole` names the first -1
 in row order as the closure witness.  It builds three tables, T_L,
 U-Gamma and U-Delta, the last one transposed, row by row with no copy:
 entry [x, y] of DT is U-Delta[y] * U-Delta[x] over G^op, as the delta
-halves of a product of pairs multiply.  The rows of the linked-pair
-table are gathered from the U-Gamma and U-Delta tables when a scan reads
-them.  The table oracle judges the rest of each closed table from the
-table alone, or, for the pairs, from its rows (`oracle.TableRows`).  The
+halves of a product of pairs multiply.  The table oracle judges the
+rest of each closed table from the table alone, and phi as a map into
+the direct product of the U-Gamma and U-Delta tables.  The
 principal image is U-Gamma and the dual image U-Delta, so
 `cones.principal_homomorphism` and `cones.dual_antihomomorphism` are
 read off their tables, both by rows.

@@ -7,14 +7,15 @@ the closed-form constructions implemented elsewhere in the package.
 A table is one read-only (n, n) `kernel.index_dtype(n)` or int32 array
 of indices below n: a kernel table with -1 holes (a set that is not closed)
 is rejected by `GenericSemigroup`, so the oracle judges closed tables
-only.  `verify_map` reads its target only by rows, so the target may be
-a table that is never stored whole: a `TableRows`, its size and a
-function giving its rows at an index array, as the linked pairs' table
-is given.  The scans read a table in blocks of rows of about `kernel.BLOCK`
-entries, so that no temporary is larger than the table (only the full
-scan of a table that fails Light's test, below, holds an intp copy), and
-their witnesses hold Python ints: the first failing (a, b) in row order,
-then column order, as a scan one row at a time would find it.
+only.  `verify_map` reads its target at the images of each block of rows
+of its source: a table, or the direct product of two (`ProductTables`),
+so that a set of pairs multiplied componentwise is judged from the
+tables of its two components, with no table of the pairs.  The scans
+read a table in blocks of rows of about `kernel.BLOCK` entries, so that
+no temporary is larger than the table (only the full scan of a table
+that fails Light's test, below, holds an intp copy), and their witnesses
+hold Python ints: the first failing (a, b) in row order, then column
+order, as a scan one row at a time would find it.
 
 Ideals are bit rows.  `ideal_rows` gives the principal left ideals S^1 x
 (x and column x of the table) and right ideals x S^1 (x and row x) of
@@ -50,7 +51,7 @@ so the witness is the one a full scan reports.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -223,10 +224,6 @@ class GenericSemigroup:
             raise IndexOutOfRange(f"indices ({a}, {b}) out of range for size {self.size}")
         return int(self.table[a, b])
 
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        """The rows of the table at an index array, as `TableRows` gives them."""
-        return self.table[index]
-
     def __repr__(self) -> str:
         return f"GenericSemigroup(size={self.size})"
 
@@ -355,57 +352,81 @@ class MapCheck(NamedTuple):
         return self.is_homomorphism and self.is_injective and self.is_surjective
 
 
-class TableRows(NamedTuple):
-    """A table on 0..size-1 that is read a block of rows at a time and need
-    not be stored: rows(index) is the (len(index), size) array of its rows
-    at an index array, every entry an index below size or -1 where the
-    table is not closed.  A -1 is no image of a product, so `verify_map`
-    finds no homomorphism onto such a table."""
+class ProductTables(NamedTuple):
+    """The direct product of two tables on 0..m-1 and 0..l-1: (x, y) times
+    (x', y') is (first[x, x'], second[y, y']), and a -1 in either table is
+    no element.  `verify_map` reads each pair as its key (`keys`)."""
 
-    size: int
-    rows: Callable[[np.ndarray], np.ndarray]
+    first: np.ndarray
+    second: np.ndarray
+
+    def keys(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The key x*(l+1) + y of each pair of index arrays x and y, in
+        `kernel.flat_index_dtype`; a -1 half keeps it off every element's."""
+        stride = len(self.second) + 1
+        out = x.astype(kernel.flat_index_dtype(len(self.first) * stride))
+        out *= stride
+        out += y
+        return out
 
 
-def verify_map(
-    f: Sequence[int], T1: GenericSemigroup, T2: GenericSemigroup | TableRows
-) -> MapCheck:
+def verify_map(f, T1: GenericSemigroup, T2: GenericSemigroup | ProductTables) -> MapCheck:
     """Check whether f (a total map on T1's indices) is a homomorphism / bijection
-    into T2, a `GenericSemigroup` or `TableRows`, which is read only by
-    its rows: those at the images of each block of rows of T1."""
-    f = list(f)
-    if len(f) != T1.size:
-        raise IndexOutOfRange(f"map has {len(f)} entries, expected {T1.size}")
-    for x, v in enumerate(f):
-        if not 0 <= v < T2.size:
-            raise IndexOutOfRange(f"f({x}) = {v} is not an element of the target")
+    into T2, read only at the images of each block of rows of T1.
+
+    Into a `GenericSemigroup`, f is a sequence of its elements.  Into
+    `ProductTables`, f is its two component maps (g, d), and the target is
+    the T1.size pairs f(k) = (g[k], d[k]) that it lists, equal pairs being
+    one element, numbered by the last k (-1 for a product that is no
+    listed pair).  Each block compares the keys of f(a*b) and f(a)*f(b);
+    the numbers, found by a key search, are counted for injectivity and
+    surjectivity and named in the witnesses."""
+    pairs = isinstance(T2, ProductTables)
+    maps = [np.asarray(m, dtype=np.intp) for m in (f if pairs else [f])]
+    tables = list(T2) if pairs else [T2.table]
+    for m in maps:
+        if len(m) != T1.size:
+            raise IndexOutOfRange(f"map has {len(m)} entries, expected {T1.size}")
+    outside = np.logical_or.reduce([(m < 0) | (m >= len(t)) for m, t in zip(maps, tables)])
+    if outside.any():
+        x = int(outside.argmax())
+        value = tuple(int(m[x]) for m in maps) if pairs else int(maps[0][x])
+        raise IndexOutOfRange(f"f({x}) = {value} is not an element of the target")
+
+    def keys(images: list) -> np.ndarray:
+        return T2.keys(*images) if pairs else images[0]
+
+    def products(rows) -> np.ndarray:
+        return keys([kernel.gather(t, m[rows], m, holes=False) for m, t in zip(maps, tables)])
+
+    key = keys(maps)
+    listed = key if pairs else np.arange(T2.size)
+    order = np.argsort(listed, kind="stable")
+    ranked = listed[order]
+
+    def number(keys):  # the last listed element with each key, or -1
+        at = np.searchsorted(ranked, keys, side="right") - 1
+        return np.where((at >= 0) & (ranked[at] == keys), order[at], -1)
 
     problems = []
     # rows a of a block: f(a*b) against f(a)*f(b) for every b
-    image = np.asarray(f, dtype=np.intp)
     bad = kernel.first_block_failure(
-        T1.size,
-        T1.size,
-        lambda rows: np.take(image, T1.table[rows])
-        != np.take(T2.rows(image[rows]), image, axis=1),
+        T1.size, T1.size, lambda rows: np.take(key, T1.table[rows]) != products(rows)
     )
     hom = bad is None
     if not hom:
         a, b = bad
-        product, target = int(T1.table[a, b]), int(T2.rows(image[a : a + 1])[0, f[b]])
-        problems.append(f"f({a}*{b}) = {f[product]} but f({a})*f({b}) = {target}")
+        product, target = number(key[T1.table[a, b]]), number(products(slice(a, a + 1))[0, b])
+        problems.append(f"f({a}*{b}) = {int(product)} but f({a})*f({b}) = {int(target)}")
 
-    inj = True
-    seen: dict[int, int] = {}
-    for x, v in enumerate(f):
-        if v in seen:
-            inj = False
-            problems.append(f"f({seen[v]}) = f({x}) = {v}")
-            break
-        seen[v] = x
-
-    surj = len(set(f)) == T2.size
+    numbers = number(key)
+    hits = np.bincount(numbers, minlength=len(listed))
+    inj, surj = bool(hits.max() == 1), bool(hits.min() > 0)
+    if not inj:
+        seen: dict[int, int] = {}
+        x, v = next((x, v) for x, v in enumerate(numbers.tolist()) if seen.setdefault(v, x) != x)
+        problems.append(f"f({seen[v]}) = f({x}) = {v}")
     if not surj:
-        missing = min(set(range(T2.size)) - set(f))
-        problems.append(f"element {missing} of the target is never hit")
+        problems.append(f"element {int(hits.argmin())} of the target is never hit")
 
     return MapCheck(hom, inj, surj, "; ".join(problems) if problems else None)

@@ -48,11 +48,11 @@ reads `SandwichMatrix.transpose`: the connection is its matrix, which
 each of those functions takes.  `cones.injectivity_criterion` is one
 array pass too, so no suite makes a scalar group product.
 `connections.pair_arrays(S)` is built once per command: the linked
-pairs, U-Gamma, U-Delta, their tables (U-Delta's transposed), the
-positions of the pairs' halves in U-Gamma and U-Delta and the dense
-`pair_at`, all read off `SandwichMatrix.scaled`.  It holds no table of
-the pairs: `PairArrays.rows` gathers rows of it from the U tables when a
-scan reads them.  `cone_suite`,
+pairs, U-Gamma, U-Delta, their tables (U-Delta's transposed) and the
+positions of the pairs' halves in U-Gamma and U-Delta, all read off
+`SandwichMatrix.scaled`.  It holds no table of the pairs: the product
+of two pairs is the pair of positions that the U tables give
+(`PairArrays.product_halves`).  `cone_suite`,
 `crossconn_suite`, `rbg_suite` and `connections.verify_phi` take it as a
 required argument and never build it: `full_suite` builds it after
 `rees_suite` and `category_suite`, and the CLI's `crossconn` and `rbg`
@@ -76,10 +76,10 @@ and confirmed (a key search only for a product the read misses), and
 two flat takes, with -1 for each product outside the set; the set is
 closed when no entry is -1, and `kernel.first_hole` names the first in
 row order.  The linked pairs are
-the exception: their table is never built whole, and they are closed
-when every pair's halves lie in U-Gamma and U-Delta and no row that
-`PairArrays.rows` gathers, a block at a time, holds a -1; that scan runs
-only when phi's map check, which reads the same rows, fails.
+the exception: their table is never built, and they are closed when
+every pair's halves lie in U-Gamma and U-Delta and the key of every
+product of two pairs, read off the U tables a block of rows at a time,
+is a pair's key; that scan runs only when phi's map check fails.
 Every check on a set reads its table.  With r[a] and l[a] the positions
 of rho(a) and lam(a) in U-Gamma and U-Delta, `cones.principal_homomorphism`
 compares GT[r[a], r] with r[ab] and `cones.dual_antihomomorphism`
@@ -89,8 +89,8 @@ rows a, a cone of a, b or ab outside its U set failing (`kernel.gather`
 reads -1 for a product with an absent cone, and forms no mask when
 `PairArrays.complete` says there is none); `cones.principal_image_subsemigroup` reads GT
 restricted to the positions r hits.
-Closed tables reach the oracle as `GenericSemigroup`s, and the pairs'
-rows as `oracle.TableRows`, and the oracle judges the rest:
+Closed tables reach the oracle as `GenericSemigroup`s, the U tables as
+`oracle.ProductTables` too, and the oracle judges the rest:
 `oracle.is_regular` decides the principal image and U-Gamma/U-Delta, one
 verdict per U table (`connections.UCones.regular`), which the principal
 image shares when it is all of U-Gamma, as it is unless phi is at fault;
@@ -397,8 +397,11 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
 
 def _linked_criterion_witness(S: ReesSemigroup, linked: connections.PairArrays) -> str | None:
     """The first cones of U-Gamma x U-Delta, in row order, that the linkage
-    table calls linked exactly when they are not a linked pair."""
-    mismatch = _linkage(S, linked) != (linked.pair_at[:-1, :-1] >= 0)
+    table calls linked exactly when they are not a linked pair: the table
+    negated at the pairs' positions (g, d) in the U sets, each once."""
+    mismatch = _linkage(S, linked)
+    inside = (linked.g >= 0) & (linked.d >= 0)
+    mismatch[linked.g[inside], linked.d[inside]] ^= True
     bad = kernel.first_block_failure(*mismatch.shape, lambda rows: mismatch[rows])
     if bad is None:
         return None

@@ -32,13 +32,12 @@ functors (`gamma_apply` and `delta_apply` here, `connections.gamma_images`
 and `delta_images` in the package), into both linkage tests (the scalar
 `is_linked` and the array comparison `kernel.same_factor`), into
 `ArrowCategory.compose`, into `SandwichMatrix.transpose`, into the cells
-(`connections.gamma_cells`), into both linked-pair products, into the
-linked-pair table and into the pairs themselves
-(`connections.pair_cones`); each patches the array builder and its
-scalar reference here alike.  `left_scaled_mul_L` and `constant_mul_L`
-are faulty forms of `kernel.mul_L` itself.  `CorruptedTable` replaces
-entries of the index table, which the suites and the scalar references
-read alike.
+(`connections.gamma_cells`), into both linked-pair products and into
+the pairs themselves (`connections.pair_cones`); each patches the array
+builder and its scalar reference here alike.  `left_scaled_mul_L` and
+`constant_mul_L` are faulty forms of `kernel.mul_L` itself.
+`CorruptedTable` replaces entries of the index table, which the suites
+and the scalar references read alike.
 """
 
 from __future__ import annotations
@@ -721,24 +720,39 @@ def verify_phi(S: ReesSemigroup) -> connections.PhiReport:
     return connections.PhiReport(True, None, check)
 
 
+def pair_table_from_halves(linked: connections.PairArrays) -> np.ndarray:
+    """The pairs' whole product table, read off `PairArrays.product_halves`
+    of every row at once: entry (p, q) is the last pair whose positions in
+    U-Gamma and U-Delta are those of the halves of p*q, by a dict lookup,
+    or -1 where there is none.  `verify_phi` never holds this table."""
+    number = {
+        pair: k for k, pair in enumerate(zip(linked.g.tolist(), linked.d.tolist())) if min(pair) >= 0
+    }
+    gamma, delta = (half.tolist() for half in linked.product_halves(slice(None)))
+    rows = [[number.get(pair, -1) for pair in zip(*row)] for row in zip(gamma, delta)]
+    return np.array(rows, dtype=kernel.index_dtype(len(rows)))
+
+
 def verify_phi_on_the_table(S: ReesSemigroup, linked: connections.PairArrays):
     """`connections.verify_phi` with the pairs' whole product table built
-    first, `pair_at` at `PairArrays.product_halves` of every row in one
-    2-d gather: its first hole by `kernel.first_hole`, then the map check
-    against it by the loops of `verify_map_loops`.  `verify_phi` reads the
-    same table a block of rows at a time and never holds it."""
+    first (`pair_table_from_halves`): its first hole by `kernel.first_hole`,
+    then the map check against it by the loops of `verify_map_loops`, phi
+    sending k to the last pair with pair k's halves.  `verify_phi` reads
+    the U tables a block of rows at a time and never holds this table."""
     outside = (linked.g < 0) | (linked.d < 0)
     if outside.any():
         p = int(outside.argmax())
         half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
         witness = f"the {half} half of {linked.pair(p)} is not in {where}"
         return connections.PhiReport(False, witness, None)
-    table = linked.pair_at[linked.product_halves(slice(None))]
+    table = pair_table_from_halves(linked)
     bad = kernel.first_hole(table)
     if bad is not None:
         p, q = (linked.pair(k) for k in bad)
         return connections.PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
-    f = linked.pair_at[linked.g, linked.d].tolist()
+    pairs = list(zip(linked.g.tolist(), linked.d.tolist()))
+    number = {pair: k for k, pair in enumerate(pairs)}
+    f = [number[pair] for pair in pairs]
     check = verify_map_loops(f, from_table(S.index_table()), GenericSemigroup(table))
     return connections.PhiReport(True, None, check)
 
@@ -1135,7 +1149,9 @@ def stray_cone(h: int, shift: int = 0):
 def reversed_delta_product():
     """`s_tilde_mul`, scalar and array alike, with the delta factors in the
     wrong order, p.delta * q.delta: in a non-abelian group, or with |I| > 1,
-    products of pairs change."""
+    products of pairs change.  The array pairs hold U-Delta's table
+    untransposed, so that every product of two pairs, `verify_phi`'s and
+    `PairArrays.product_halves`' alike, reads its delta half reversed."""
 
     def scalar(P, p1, p2):
         G = P.group
@@ -1143,47 +1159,13 @@ def reversed_delta_product():
             mul_L(G, p1.gamma, p2.gamma), mul_L(G.opposite, p1.delta, p2.delta)
         )
 
-    def product_halves(self, rows):
-        g, d = self.g, self.d
-        return (
-            kernel.gather(self.u_gamma.table, g[rows], g),
-            kernel.gather(self.u_delta.table.T, d[rows], d),
-        )
+    def pair_arrays(S, _original=connections.pair_arrays):
+        linked = _original(S)
+        u_delta = connections.UCones(linked.u_delta.classes, linked.u_delta.table.T)
+        return linked._replace(u_delta=u_delta)
 
     with mock.patch(f"{__name__}.s_tilde_mul", scalar), mock.patch.object(
-        connections.PairArrays, "product_halves", product_halves
-    ):
-        yield
-
-
-def _swapped(table):
-    """The table with its entries at (0, 0) and (0, 1) swapped, in place:
-    still closed, but no longer a homomorphic image of S."""
-    if table is not None:
-        table[0][0], table[0][1] = table[0][1], table[0][0]
-    return table
-
-
-@contextmanager
-def swapped_pair_table():
-    """The linked-pair table of `verify_phi`, array and scalar alike, with two
-    entries swapped.  The array table is not stored, so it is swapped
-    wherever its row 0 is read, by `connections.PairArrays.rows`, and no
-    other table is touched."""
-    array_rows, scalar_table = connections.PairArrays.rows, pair_table
-
-    def rows(self, index):
-        out = array_rows(self, index)
-        for r in np.flatnonzero(np.arange(len(self.g))[index] == 0):
-            out[r, [0, 1]] = out[r, [1, 0]]
-        return out
-
-    def scalar(S):
-        table, witness = scalar_table(S)
-        return _swapped(table), witness
-
-    with mock.patch.object(connections.PairArrays, "rows", rows), mock.patch(
-        f"{__name__}.pair_table", scalar
+        connections, "pair_arrays", pair_arrays
     ):
         yield
 
@@ -1217,6 +1199,15 @@ def missing_pair():
     with them): the set of pairs misses the last pair, so some products of
     pairs are no pair and the pair table is not closed."""
     return edited_pairs(lambda pairs: pairs[:-1] + pairs[:1])
+
+
+def swapped_pair_table():
+    """The linked pairs with the first two traded, array
+    (`connections.pair_cones`) and scalar (`linked_pairs`, and `phi` with
+    them) alike: phi trades the images of elements 0 and 1.  The set of
+    pairs, and so its closure, is unchanged, but phi is no longer a
+    homomorphism, and the pair table is S's with two elements swapped."""
+    return edited_pairs(lambda pairs: [pairs[1], pairs[0], *pairs[2:]])
 
 
 def left_scaled_mul_L(M, c1, c2):

@@ -458,20 +458,30 @@ def test_rbg_single_cell_is_group(s3):
 
 
 def test_pair_arrays_hold_no_pair_table(s3):
-    # The pairs' product table is read by rows and never stored: no array
-    # that PairArrays holds is (n, n), and pair_at, one row and one column
-    # larger with its -1s, takes the narrow index format of an (n, n) table.
+    # The pairs' product table is never stored: of every array that
+    # PairArrays holds, its U cones included, exactly two have n^2 entries,
+    # the U tables, held as the pairs read them, and every other one O(n)
+    # entries, at most one tuple or one position per pair and vertex.
     S = ReesSemigroup(SandwichMatrix(s3, [[0, 3, 1], [2, 5, 4]]))
     linked = pair_arrays(S)
-    n = S.size
-    held = [x for field in linked for x in (field if isinstance(field, tuple) else (field,))]
-    arrays = [x for x in held if isinstance(x, np.ndarray)]
-    assert len(arrays) == 7 and all(a.shape != (n, n) for a in arrays)
-    assert linked.pair_at.shape == (n + 1, n + 1)
-    assert linked.pair_at.dtype == kernel.index_dtype(n) == np.int16
-    # the rows are read off the U tables, both held as the pairs read them
+    n, width = S.size, max(S.n_i, S.n_lambda)
+
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, tuple):
+            for item in x:
+                yield from arrays(item)
+        elif isinstance(x, (connections.UCones, kernel.ConeClasses)):
+            yield from arrays(tuple(vars(x).values()))
+
+    held = list(arrays(tuple(linked)))
+    big = [a for a in held if a.size >= n * n]
+    assert len(big) == 2
+    assert big[0] is linked.u_gamma.table and big[1] is linked.u_delta.table
     assert linked.u_gamma.table.shape == linked.u_delta.table.shape == (n, n)
-    assert linked.rows(np.array([0, n - 1])).shape == (2, n)
+    assert all(a.size <= (n + 1) * width for a in held if a.size < n * n)
+    assert len(held) > 2
 
 
 def _induced_maps_by_member(im):

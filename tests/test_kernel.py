@@ -90,9 +90,9 @@ def _cone_product_table(group, members):
 
 
 def _pair_table(S: ReesSemigroup):
-    """The linked-pair table that `verify_phi` reads, all its rows at once from
-    `PairArrays.rows`."""
-    table = connections.pair_arrays(S).rows(slice(None))
+    """The linked pairs' product table, built test-side from the U tables
+    (`scalar_reference.pair_table_from_halves`), and its first hole."""
+    table = scalar_reference.pair_table_from_halves(connections.pair_arrays(S))
     return table.tolist(), kernel.first_hole(table)
 
 
@@ -545,8 +545,9 @@ RBG_FAULTS = {
 def test_rbg_arrays_match_the_loops(G, n_lambda, n_i, identity, fault, data):
     # The rbg checks give the same names, verdicts and first witnesses as
     # their loops, on identity and random matrices, sound and with one
-    # fault in the pair product, the linkage test, the pair table or the
-    # pairs themselves (a table that is not closed).
+    # fault in the pair product, the linkage test, the order of the pairs
+    # (phi no homomorphism) or the pairs themselves (a table that is not
+    # closed).
     if identity:
         matrix = identity_matrix(G, n_lambda, n_i)
     else:
@@ -637,13 +638,14 @@ def test_wide_cones_z2_lambda_64():
     st.data(),
 )
 def test_verify_phi_by_rows_matches_the_whole_table(G, n_lambda, n_i, block, data):
-    # verify_phi reads the pairs' table a block of rows at a time, for its
-    # closure check and for the oracle's map check, and never holds it.
-    # Against the whole table built at once and checked by the loops, with
-    # up to two entries of the U-Gamma or U-Delta table corrupted (mostly
-    # holes: a product outside U, or halves that are no pair) and perhaps
-    # two pairs traded in pair_at (closed, but phi no homomorphism): the
-    # same report, closure or map witness included, whatever the blocks.
+    # verify_phi reads the U tables a block of rows at a time, for the
+    # oracle's map check and for its closure check, and never holds the
+    # pairs' table.  Against the whole table built at once and checked by
+    # the loops, with up to two entries of the U-Gamma or U-Delta table
+    # corrupted (mostly holes: a product outside U, or halves that are no
+    # pair) and perhaps the images (g, d) of two elements traded (closed,
+    # but phi no homomorphism): the same report, closure or map witness
+    # included, whatever the blocks.
     entries = [
         [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
@@ -655,11 +657,39 @@ def test_verify_phi_by_rows_matches_the_whole_table(G, n_lambda, n_i, block, dat
         table.flat[at] = data.draw(st.integers(-1, len(table) - 1))
     if data.draw(st.booleans()):
         pairs = [data.draw(st.integers(0, S.size - 1)) for _ in range(2)]
-        at = linked.g[pairs], linked.d[pairs]
-        linked.pair_at[at] = linked.pair_at[at][::-1].copy()
+        for image in (linked.g, linked.d, linked.gamma[0], linked.gamma[1], *linked.delta):
+            image[pairs] = image[pairs[::-1]]
     with mock.patch.object(kernel, "BLOCK", block):
         report = verify_phi(S, linked)
     assert report == scalar_reference.verify_phi_on_the_table(S, linked)
+
+
+@pytest.mark.parametrize("block", [1, 7, kernel.BLOCK])
+@pytest.mark.parametrize(
+    "group, entries",
+    [
+        (builtin("symmetric", 3), [[0, 3, 1], [2, 5, 4]]),
+        (builtin("cyclic", 3), [[0, 1], [2, 0]]),
+        (builtin("cyclic", 2), [[0, 1, 1]]),
+        (builtin("symmetric", 3), [[0, 0], [0, 0]]),
+    ],
+    ids=["S3 2x3", "Z3 2x2", "Z2 1x3", "S3 identity 2x2"],
+)
+def test_pairs_not_closed_give_the_loops_closure_witness(group, entries, block):
+    # With the last pair a copy of the first, some product of two pairs is
+    # no pair.  The map check fails, and the closure scan that runs after
+    # it searches the key of each product among the pairs' sorted keys, a
+    # block of rows at a time: its first "product of ... is not a linked
+    # pair" is the scalar reference's, which looks each product up in a
+    # dict of the pairs.
+    S = ReesSemigroup(SandwichMatrix(group, entries))
+    with scalar_reference.missing_pair():
+        with mock.patch.object(kernel, "BLOCK", block):
+            report = verify_phi(S, connections.pair_arrays(S))
+        reference = scalar_reference.verify_phi(S)
+    assert not report.closed and report.map_check is None
+    assert report.closure_witness.startswith("product of ")
+    assert report == reference
 
 
 def test_index_dtype_boundary():

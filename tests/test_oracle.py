@@ -23,7 +23,7 @@ from crossconn import (
     verify_map,
 )
 from crossconn.errors import IndexOutOfRange, NotAssociative, NotClosed
-from crossconn.oracle import canonical_partition, generators, ideal_rows
+from crossconn.oracle import ProductTables, canonical_partition, generators, ideal_rows
 
 
 def _ideals(T, side):
@@ -157,10 +157,9 @@ def test_the_oracle_reads_both_table_formats_as_they_are(s1):
     # narrow format
     narrow = s1.index_table()
     linked = connections.pair_arrays(s1)
-    pairs = linked.rows(slice(None))
-    for table in (narrow, pairs, linked.u_gamma.table, linked.u_delta.table):
+    for table in (narrow, linked.u_gamma.table, linked.u_delta.table):
         assert table.dtype == kernel.index_dtype(len(table)) == np.int16
-    for table in (narrow, pairs, narrow.astype(np.int32)):
+    for table in (narrow, narrow.astype(np.int32)):
         T = GenericSemigroup(table)
         assert T.table.dtype == table.dtype and np.shares_memory(T.table, table)
     for table in (narrow.astype(np.int64), narrow.tolist()):
@@ -294,6 +293,19 @@ def test_verify_map_validates_totality(s1):
         verify_map([T.size] * T.size, T, T)
 
 
+def test_verify_map_into_product_tables_validates_its_pairs(s1):
+    # the identity of S1 into S1's table times the trivial table
+    T = s1.to_generic()
+    target = ProductTables(T.table, np.zeros((1, 1), dtype=np.int16))
+    g, d = np.arange(T.size), np.zeros(T.size, dtype=np.intp)
+    assert verify_map((g, d), T, target) == (True, True, True, None)
+    with pytest.raises(IndexOutOfRange, match="^map has 7 entries, expected 8$"):
+        verify_map((g[:-1], d[:-1]), T, target)
+    d[3] = 1
+    with pytest.raises(IndexOutOfRange, match=r"^f\(3\) = \(3, 1\) is not an element of the target$"):
+        verify_map((g, d), T, target)
+
+
 def _conjugate(table, perm):
     n = len(table)
     out = [[0] * n for _ in range(n)]
@@ -398,6 +410,57 @@ def test_verify_map_matches_the_loops(table, data, block):
     with mock.patch.object(kernel, "BLOCK", block):
         check = verify_map(f, T1, T2)
     assert check == scalar_reference.verify_map_loops(f, T1, T2)
+    assert check.witness is None or "np." not in check.witness
+
+
+class _ListedPairs:
+    """The pairs (g[k], d[k]) of the direct product of two tables, as
+    `scalar_reference.verify_map_loops` reads a target: its size and a
+    scalar product, the last k that lists the componentwise product, or -1
+    where none does."""
+
+    def __init__(self, first, second, g, d):
+        self.first, self.second = first, second
+        self.pairs = list(zip(g, d))
+        self.number = {pair: k for k, pair in enumerate(self.pairs)}
+        self.size = len(self.pairs)
+
+    def mul(self, p: int, q: int) -> int:
+        (x, y), (u, v) = self.pairs[p], self.pairs[q]
+        return self.number.get((int(self.first[x, u]), int(self.second[y, v])), -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_tables(), st.data(), BLOCKS)
+def test_verify_map_into_product_tables_matches_the_loops(table, data, block):
+    # A map given by its two component maps (g, d) into the direct product
+    # of two tables, judged onto the pairs it lists: g a relabelling of T1
+    # onto its conjugate or random, d random or constant at an idempotent,
+    # perhaps with a hole (-1) in either table.  The whole MapCheck, a
+    # product that is no listed pair numbered -1, is that of the loops
+    # over the listed pairs, whatever the blocks of rows.
+    T1 = GenericSemigroup(table)
+    n = T1.size
+    if data.draw(st.booleans()):
+        g = list(data.draw(st.permutations(range(n))))
+        first = np.array(_conjugate(table, g))
+    else:
+        first = np.array(data.draw(closed_tables()))
+        g = data.draw(st.lists(st.integers(0, len(first) - 1), min_size=n, max_size=n))
+    second = np.array(data.draw(closed_tables(max_size=3)))
+    idempotent = [e for e in range(len(second)) if second[e, e] == e]
+    if idempotent and data.draw(st.booleans()):
+        d = [data.draw(st.sampled_from(idempotent))] * n
+    else:
+        d = data.draw(st.lists(st.integers(0, len(second) - 1), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        holed = data.draw(st.sampled_from([first, second]))
+        holed.flat[data.draw(st.integers(0, holed.size - 1))] = -1
+    with mock.patch.object(kernel, "BLOCK", block):
+        check = verify_map((g, d), T1, ProductTables(first, second))
+    target = _ListedPairs(first, second, g, d)
+    f = [target.number[pair] for pair in target.pairs]
+    assert check == scalar_reference.verify_map_loops(f, T1, target)
     assert check.witness is None or "np." not in check.witness
 
 

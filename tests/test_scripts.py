@@ -66,6 +66,14 @@ def test_run_verification_large_battery_has_the_generic_2048_rung():
     assert battery["Z2 32x32 generic"] == rung
 
 
+def test_run_verification_large_battery_ends_with_the_generic_4096_rung():
+    # bench.py's generic 4096 rung, on which each U set holds all 4096
+    # cones, so phi reads U tables of full size: the largest, run last
+    script, bench = _load_script("run_verification"), _load_script("bench")
+    rung = dict(bench.rungs(include_large=True))["Z4 32x32 generic"]
+    assert script.large_fixtures()[-1] == ("Z4 32x32 generic", rung)
+
+
 def test_run_verification_runs_rbg_on_the_identity_fixtures():
     # rbg_suite joins full_suite exactly on the constant-identity matrices,
     # the 2048-element M[Z2; 32, 32] and the 4096-element M[Z4; 32, 32] of
@@ -142,15 +150,15 @@ def test_bench_measures_the_smallest_rung(monkeypatch):
     assert start["modules"] == [["crossconn", *(f"crossconn.{m}" for m in modules)]]
 
 
-def test_bench_pairs_mb_is_the_u_tables_and_pair_at_and_little_else():
+def test_bench_pairs_mb_is_the_u_tables_and_little_else():
     # What pair_arrays holds when it returns, on the generic M[Z2; 16, 16],
-    # whose U-Gamma and U-Delta hold all 512 cones: the two U tables and
-    # pair_at, and less than one more (n, n) table beside them.
+    # whose U-Gamma and U-Delta hold all 512 cones: the two U tables, and
+    # less than one more (n, n) table beside them.
     bench = _load_script("bench")
     S = bench._semigroup(bench.generic_matrix(builtin("cyclic", 2), 16))
     linked = pair_arrays(S)
     assert len(linked.u_gamma.classes) == len(linked.u_delta.classes) == S.size == 512
-    core = linked.u_gamma.table.nbytes + linked.u_delta.table.nbytes + linked.pair_at.nbytes
+    core = linked.u_gamma.table.nbytes + linked.u_delta.table.nbytes
     held = bench.pairs_mb(S) * 2**20
     assert core <= held < core + S.table().nbytes
 

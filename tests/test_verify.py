@@ -693,7 +693,7 @@ def test_pair_half_outside_its_u_set_fails_closure(side, where):
     first = next(p for p in pairs if getattr(p, side) == half)
     with _edited_u_cones(S, side, lambda members: [c for c in members if c != half]):
         checks = {c.name: c for c in _crossconn_suite(S)}
-        table = connections.pair_arrays(S).rows(slice(None))
+        table = scalar_reference.pair_table_from_halves(connections.pair_arrays(S))
     witness = f"the {side} half of {first} is not in {where}"
     for name in ("crossconn.s_tilde_closed", "crossconn.phi_isomorphism"):
         assert checks[name].passed is False, name
@@ -875,16 +875,18 @@ def test_left_scaled_column_fails_matrix_roundtrip(monkeypatch):
     assert check.witness == "extracted column 1 is not a right scaling of the original"
 
 
-def test_non_associative_pair_table_fails_isomorphism(s1, capsys):
-    # Negative control: with two entries of the linked-pair table swapped,
-    # phi is no homomorphism onto it, and the failed check (not a raised
-    # NotAssociative) makes the command exit 2.
+def test_swapped_pair_table_fails_isomorphism_and_the_command(s1, capsys):
+    # Negative control: with the first two linked pairs traded, the pairs
+    # stay closed but phi, which trades the images of elements 0 and 1, is
+    # no homomorphism onto them, and the failed check (not an exception)
+    # makes the command exit 2.
     S = ReesSemigroup(s1.matrix)
     with scalar_reference.swapped_pair_table():
-        check = _crossconn_checks(S)["crossconn.phi_isomorphism"]
-        assert oracle.associativity_witness(scalar_reference.pair_table(S)[0]) is not None
+        checks = _crossconn_checks(S)
+        check, closed = checks["crossconn.phi_isomorphism"], checks["crossconn.s_tilde_closed"]
         reference = scalar_reference.verify_phi(S)
         code = main(["--group", "cyclic:2", "--matrix", str(FIXTURES / "P1.csv"), "crossconn"])
+    assert closed.passed is True and reference.closed
     assert check.passed is False
     assert check.witness == reference.map_check.witness
     assert check.witness.startswith("f(")
@@ -1430,8 +1432,8 @@ def test_stray_cone_fails_duality_bijection_without_raising(s3, rows, h, shift, 
 def test_rbg_negative_controls(name, fault):
     # Negative controls on S3: the non-identity matrix of the fixture, and
     # on the identity 2x2 matrix the delta factors of the pair product in
-    # the wrong order, linkage without its scalar test and two entries of
-    # the pair table swapped.  Each check reports the loop's witness.
+    # the wrong order, linkage without its scalar test and the first two
+    # pairs traded.  Each check reports the loop's witness.
     S = _s3_fixture()
     if fault is not None:
         S = ReesSemigroup(identity_matrix(S.group, 2, 2))
@@ -1440,6 +1442,7 @@ def test_rbg_negative_controls(name, fault):
     check = {c.name: c for c in checks}[name]
     assert check.passed is False
     assert (check.witness is None) == (name == "rbg.identity_matrix")
+    assert name != "rbg.phi_isomorphism" or check.witness.startswith("f(")
     assert checks == reference
 
 
