@@ -110,16 +110,9 @@ def right_category(group: FiniteGroup, n_i: int) -> ArrowCategory:
     return ArrowCategory(group.opposite, n_i)
 
 
-class RealizationReport(NamedTuple):
-    """Outcome of rebuilding a category from actual ideals and translation maps."""
-
-    side: str
-    matched: bool
-    mismatches: list[str]
-
-
-def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
-    """Build the ideal category concretely and match it against the abstract one.
+def realize_category(S: ReesSemigroup, side: str = "left") -> list[str]:
+    """Build the ideal category concretely and match it against the abstract
+    one, and return the mismatches: none exactly when the two agree.
     S was held to its size guard when it was built, so this takes no guard.
 
     Objects are the actual ideal sets; morphisms are the translation maps
@@ -228,4 +221,4 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
         if disagree[k]:
             mismatches.append(f"hom({d},{c}): translation maps and abstract morphisms disagree")
 
-    return RealizationReport(side, not mismatches, mismatches)
+    return mismatches

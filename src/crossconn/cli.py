@@ -18,7 +18,7 @@ import os
 import sys
 from typing import NamedTuple
 
-from .checks import Check, all_passed
+from .checks import Check, all_passed, verdict
 from .errors import CrossconnError, ParseError
 from .groups import FiniteGroup, builtin, load_cayley_file
 from .rees import (
@@ -215,20 +215,14 @@ def run(config: RunConfig) -> tuple[int, dict]:
     elif config.command == "iso-check":
         from . import cones
 
-        result = cones.injectivity_criterion(matrix)
-        witness = None
-        if result.witness is not None:
-            g, i1, i2 = result.witness
+        found = cones.injectivity_criterion(matrix)
+        witness = text = None
+        if found is not None:
+            g, i1, i2 = found
             witness = {"g": group.names[g], "i1": i1, "i2": i2}
-        data = {"holds": result.holds, "witness": witness}
-        checks = [
-            Check(
-                "iso.injectivity_criterion",
-                result.holds,
-                None if result.holds else f"columns {witness['i1']} and {witness['i2']} "
-                f"differ by the constant factor {witness['g']}",
-            )
-        ]
+            text = f"columns {i1} and {i2} differ by the constant factor {group.names[g]}"
+        data = {"holds": found is None, "witness": witness}
+        checks = [verdict("iso.injectivity_criterion", text)]
     elif config.command == "rbg":
         from . import connections, verify
 

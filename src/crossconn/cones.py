@@ -49,27 +49,24 @@ def is_idempotent_cone(group: FiniteGroup, cones) -> np.ndarray:
     return at[..., 0] == group.identity
 
 
-class InjectivityResult(NamedTuple):
-    holds: bool
-    witness: tuple[int, int, int] | None  # (g, i1, i2) with columns i1 = i2 * g
+def injectivity_criterion(P: SandwichMatrix) -> tuple[int, int, int] | None:
+    """The witness that distinct elements can induce one principal left cone,
+    or None when distinct elements always induce distinct ones.
 
-
-def injectivity_criterion(P: SandwichMatrix) -> InjectivityResult:
-    """Whether distinct elements always induce distinct principal left cones.
-
-    Fails exactly when two different columns agree up to a constant right
-    factor: p[lam][i1] == p[lam][i2] * g for every lam.  `kernel.factors`
-    of the columns through themselves gives that g for every (i1, i2) at
-    once; the witness is the first (g, i1, i2) with i1 != i2, in that order.
+    The criterion fails exactly when two different columns agree up to a
+    constant right factor: p[lam][i1] == p[lam][i2] * g for every lam.
+    `kernel.factors` of the columns through themselves gives that g for
+    every (i1, i2) at once; the witness is the first (g, i1, i2) with
+    i1 != i2, in that order.
     """
     G, columns = P.group, P.array.T
     g = kernel.factors(G.array, G.inverse, columns, columns)
     np.fill_diagonal(g, -1)
     i1, i2 = np.nonzero(g >= 0)  # in (i1, i2) order, so argmin takes the first of equal g
     if not len(i1):
-        return InjectivityResult(True, None)
+        return None
     k = int(np.argmin(g[i1, i2]))
-    return InjectivityResult(False, (int(g[i1[k], i2[k]]), int(i1[k]), int(i2[k])))
+    return int(g[i1[k], i2[k]]), int(i1[k]), int(i2[k])
 
 
 class CosetHandle(NamedTuple):

@@ -159,15 +159,12 @@ class LinkedPair(NamedTuple):
 
 
 class PhiReport(NamedTuple):
-    """Outcome of checking that the pair representation is an isomorphism."""
+    """Outcome of checking that the pair representation is an isomorphism:
+    the pairs are closed exactly when `closure_witness` is None, and phi is
+    an isomorphism onto them exactly when `witness` is None."""
 
-    closed: bool
     closure_witness: str | None
     map_check: MapCheck | None
-
-    @property
-    def is_isomorphism(self) -> bool:
-        return self.closed and self.map_check is not None and self.map_check.is_isomorphism
 
     @property
     def witness(self) -> str | None:
@@ -266,11 +263,10 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
     searched among the pairs' sorted keys.  The pairs need no
     associativity scan: a bijective homomorphism carries S's onto them.
     """
-    outside = (linked.g < 0) | (linked.d < 0)
-    if outside.any():
-        p = int(outside.argmax())
+    if not linked.complete:
+        p = int(((linked.g < 0) | (linked.d < 0)).argmax())
         half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
-        return PhiReport(False, f"the {half} half of {linked.pair(p)} is not in {where}", None)
+        return PhiReport(f"the {half} half of {linked.pair(p)} is not in {where}", None)
     target = ProductTables(linked.u_gamma.table, linked.u_delta.table)
     check = verify_map((linked.g, linked.d), S.to_generic(), target)
     if not check.is_isomorphism:
@@ -283,8 +279,8 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
         bad = kernel.first_block_failure(n, n, no_pair)
         if bad is not None:
             p, q = (linked.pair(k) for k in bad)
-            return PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
-    return PhiReport(True, None, check)
+            return PhiReport(f"product of {p} and {q} is not a linked pair", None)
+    return PhiReport(None, check)
 
 
 def matrix_of(group: FiniteGroup, handles: Sequence[CosetHandle]) -> SandwichMatrix:

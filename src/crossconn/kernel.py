@@ -121,9 +121,9 @@ the category's composition.  The package keeps one definition of the
 Rees product, `rees.product` on plain coordinates, which
 `ReesSemigroup.mul` calls on ints and `rees.table_matches_product` on
 the coordinate arrays of `element_arrays`, a block of rows against every
-element per step of `first_block_failure`.  That check decodes each
-block of `table()` with `coordinates` and compares the three, so
-`index_table`'s own encoding stays the other route.  The scalar
+element per step of `first_block_failure`.  That check encodes each
+block of products in the layout and compares it once with the block of
+`table()`, so `index_table`'s own gathers stay the other route.  The scalar
 definitions of the cone product, the action, the coset key and the
 idempotent closed form, and of the connection's cone sets and maps (the
 linked pairs and their product, U-Gamma and U-Delta, the cells, the cell

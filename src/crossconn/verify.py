@@ -1,7 +1,8 @@
 """Exhaustive property suites over one fixture, reported as named checks.
 
-These back the CLI's verify / crossconn / rbg commands.  A check passes
-exactly when its scan finds no witness (`checks.verdict`).  The four scans
+These back the CLI's verify / crossconn / rbg commands.  A check that can
+name a witness passes exactly when its scan finds none (`checks.verdict`);
+the few with no witness to name pass on a boolean.  The four scans
 whose cost grows with the cone semigroup (the cone product agreement, the
 five T_L checks, naturality and the linked criterion) go through one call,
 `_guarded`, which skips their checks (passed=None) once the cost passes
@@ -11,9 +12,9 @@ scan.
 `rees_suite` checks the closed forms of S on plain integers, with no
 `ReesSemigroup.mul` call and no `ReesElement` per pair:
 `rees.table_matches_product` evaluates `rees.product` on the coordinate
-arrays of a block of rows against every element per step, and compares
-its three coordinates with those of the block of `S.table()`, decoded by
-divmod in S's index layout.  The left and right
+arrays of a block of rows against every element per step, encodes it in
+S's index layout and compares it once with the block of `S.table()`.
+The left and right
 `oracle.ideal_rows` of S's table are built once and serve Light's test,
 `oracle.green_via_ideals` and `rees.principal_left_ideal`, which compares
 the left rows with `ReesSemigroup.left_ideal_rows` in one step.
@@ -147,9 +148,10 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
 
     formula = set(S.idempotents())
     brute = set(map(S.element, oracle.idempotents(T)))
-    ok = formula == brute and len(formula) == S.n_i * S.n_lambda
-    witness = None if ok else f"formula gives {len(formula)}, scan gives {len(brute)}"
-    checks.append(Check("rees.idempotent_formula", ok, witness))
+    witness = None
+    if formula != brute or len(formula) != S.n_i * S.n_lambda:
+        witness = f"formula gives {len(formula)}, scan gives {len(brute)}"
+    checks.append(verdict("rees.idempotent_formula", witness))
 
     formula, brute = S.green(), oracle.green_via_ideals(T, ideals)
     for kind in ("L", "R", "H", "D"):
@@ -167,19 +169,20 @@ def _product_witness(S: ReesSemigroup, table: np.ndarray) -> tuple | None:
     """The first (x, y) in row order whose entry in the table is not the index
     of x*y by `rees.product`, as `ReesElement`s.  Each step evaluates the
     product of a block of rows x against every y on the coordinates of
-    `kernel.element_arrays`, decodes the block's entries into coordinates
-    (`kernel.coordinates`, divmod in S's index layout), and compares the
-    three.  `index_table` encodes with its own formula, so the two routes
-    stay independent."""
-    g, i, lam = kernel.element_arrays(S.group.order, S.n_i, S.n_lambda)
+    `kernel.element_arrays`, encodes it in S's index layout,
+    (g*|I| + i)*|Lambda| + lam, and compares that with the block's entries
+    once: the layout is a bijection, so an entry differs exactly when its
+    coordinates do.  `index_table` builds its entries by its own gathers,
+    so the two routes stay independent."""
+    n_i, n_l = S.n_i, S.n_lambda
+    g, i, lam = kernel.element_arrays(S.group.order, n_i, n_l)
     M, P = S.group.array, S.matrix.array
 
     def bad_rows(rows: slice) -> np.ndarray:
-        got_g, got_i, got_lam = kernel.coordinates(table[rows], S.n_i, S.n_lambda)
         want_g, want_i, want_lam = rees.product(
             M, P, g[rows, None], i[rows, None], lam[rows, None], g, i, lam
         )
-        return (got_g != want_g) | (got_i != want_i) | (got_lam != want_lam)
+        return table[rows] != (want_g * n_i + want_i) * n_l + want_lam
 
     bad = kernel.first_block_failure(S.size, S.size, bad_rows)
     return None if bad is None else (S.element(bad[0]), S.element(bad[1]))
@@ -189,9 +192,8 @@ def category_suite(S: ReesSemigroup) -> list[Check]:
     checks = []
     G = S.group
     for side in ("left", "right"):
-        rep = realize_category(S, side)
-        witness = "; ".join(rep.mismatches) or None
-        checks.append(Check(f"category.{side}_realization", rep.matched, witness))
+        witness = "; ".join(realize_category(S, side)) or None
+        checks.append(verdict(f"category.{side}_realization", witness))
 
     for name, cat in (("left", left_category(G, S.n_lambda)), ("right", right_category(G, S.n_i))):
         # every morphism at once, through the category's own methods
@@ -297,11 +299,10 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         image_ok = connections.is_regular_set(renumber[GT[np.ix_(hit, hit)]])
     checks.append(Check("cones.principal_image_subsemigroup", image_ok))
 
-    crit = cones.injectivity_criterion(S.matrix)
+    holds = cones.injectivity_criterion(S.matrix) is None
     injective = len(hit) == S.size
-    agree = crit.holds == injective
-    witness = None if agree else f"criterion {crit.holds}, map injective {injective}"
-    checks.append(Check("cones.injectivity_equivalence", agree, witness))
+    witness = None if holds == injective else f"criterion {holds}, map injective {injective}"
+    checks.append(verdict("cones.injectivity_equivalence", witness))
     return checks
 
 
@@ -379,8 +380,8 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
     )
 
     report = connections.verify_phi(S, linked)
-    checks.append(Check("crossconn.s_tilde_closed", report.closed, report.closure_witness))
-    checks.append(Check("crossconn.phi_isomorphism", report.is_isomorphism, report.witness))
+    checks.append(verdict("crossconn.s_tilde_closed", report.closure_witness))
+    checks.append(verdict("crossconn.phi_isomorphism", report.witness))
 
     objects = connections.gamma_images(P).objects.tolist()
     extracted = connections.matrix_of(G, [CosetHandle("left", tuple(c)) for c in objects])
@@ -436,10 +437,11 @@ def _duality_witness(matrix: SandwichMatrix) -> str | None:
         # an image that is in the dual cell, made over matrix.transpose, factors back
         back, _ = kernel.chi(M.T, inverse, P_op.T[lam], P_op[i], images)
         union = _members(*(np.concatenate(x, axis=1) for x in zip(image, dual)))
+        in_dual = _members(*dual)
         return np.stack(
             [
-                (_members(*cell) != order) | (_members(*dual) != order),
-                ~ok.all(axis=1) | (union != _members(*image)) | (union != _members(*dual)),
+                (_members(*cell) != order) | (in_dual != order),
+                ~ok.all(axis=1) | (union != _members(*image)) | (union != in_dual),
                 kernel.differ((back, lam), cell).any(axis=1),
             ],
             axis=1,
@@ -577,5 +579,5 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     checks.append(verdict("rbg.linked_iff_equal_scalars", witness))
 
     report = connections.verify_phi(S, linked)
-    checks.append(Check("rbg.phi_isomorphism", report.is_isomorphism, report.witness))
+    checks.append(verdict("rbg.phi_isomorphism", report.witness))
     return checks

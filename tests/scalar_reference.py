@@ -49,14 +49,7 @@ from unittest import mock
 import numpy as np
 
 from crossconn import cones, connections, kernel
-from crossconn.categories import (
-    ArrowCategory,
-    Cone,
-    Morphism,
-    RealizationReport,
-    left_category,
-    right_category,
-)
+from crossconn.categories import ArrowCategory, Cone, Morphism, left_category, right_category
 from crossconn.checks import Check
 from crossconn.cones import CosetHandle
 from crossconn.connections import DualMorphism, Images, LinkedPair
@@ -599,11 +592,11 @@ def principal_left_ideal_witness(S: ReesSemigroup) -> str | None:
     return str(bad_ideal) if bad_ideal else None
 
 
-def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
+def realize_category(S: ReesSemigroup, side: str = "left") -> list[str]:
     """`categories.realize_category` with every translation map made by S.mul;
     the right side is the left side of S^op, whose products are S.mul's."""
     if side == "right":
-        return realize_category(_Opposite(S), "left")._replace(side="right")
+        return realize_category(_Opposite(S), "left")
     G = S.group
     elements = list(S.elements())
 
@@ -644,7 +637,7 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> RealizationReport:
                 f"hom({dom},{cod}): translation maps and abstract morphisms disagree"
             )
 
-    return RealizationReport(side, not mismatches, mismatches)
+    return mismatches
 
 
 def principal_witnesses(S: ReesSemigroup) -> tuple[str | None, str | None]:
@@ -708,16 +701,16 @@ def verify_phi(S: ReesSemigroup) -> connections.PhiReport:
     """`connections.verify_phi` built on `pair_table` and a dict lookup of phi."""
     table, witness = pair_table(S)
     if table is None:
-        return connections.PhiReport(False, witness, None)
+        return connections.PhiReport(witness, None)
     pairs = linked_pairs(S.matrix)
     index = {p: k for k, p in enumerate(pairs)}
     f = [index.get(phi(S, a)) for a in S.elements()]
     if None in f:
         stray = f"phi({S.element(f.index(None))}) is not a linked pair"
-        return connections.PhiReport(True, None, MapCheck(False, False, False, stray))
+        return connections.PhiReport(None, MapCheck(False, False, False, stray))
     # like verify_phi, no associativity scan of the pair table
     check = verify_map(f, from_table(S.index_table()), GenericSemigroup(table))
-    return connections.PhiReport(True, None, check)
+    return connections.PhiReport(None, check)
 
 
 def pair_table_from_halves(linked: connections.PairArrays) -> np.ndarray:
@@ -744,17 +737,17 @@ def verify_phi_on_the_table(S: ReesSemigroup, linked: connections.PairArrays):
         p = int(outside.argmax())
         half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
         witness = f"the {half} half of {linked.pair(p)} is not in {where}"
-        return connections.PhiReport(False, witness, None)
+        return connections.PhiReport(witness, None)
     table = pair_table_from_halves(linked)
     bad = kernel.first_hole(table)
     if bad is not None:
         p, q = (linked.pair(k) for k in bad)
-        return connections.PhiReport(False, f"product of {p} and {q} is not a linked pair", None)
+        return connections.PhiReport(f"product of {p} and {q} is not a linked pair", None)
     pairs = list(zip(linked.g.tolist(), linked.d.tolist()))
     number = {pair: k for k, pair in enumerate(pairs)}
     f = [number[pair] for pair in pairs]
     check = verify_map_loops(f, from_table(S.index_table()), GenericSemigroup(table))
-    return connections.PhiReport(True, None, check)
+    return connections.PhiReport(None, check)
 
 
 def crossconnection_checks(P: SandwichMatrix) -> list[Check]:
@@ -903,13 +896,7 @@ def rbg_checks(S: ReesSemigroup) -> list[Check]:
     checks.append(Check("rbg.linked_iff_equal_scalars", witness is None, witness))
 
     report = verify_phi(S)
-    checks.append(
-        Check(
-            "rbg.phi_isomorphism",
-            report.is_isomorphism,
-            report.map_check.witness if report.map_check else report.closure_witness,
-        )
-    )
+    checks.append(Check("rbg.phi_isomorphism", report.witness is None, report.witness))
     return checks
 
 

@@ -121,6 +121,47 @@ def test_the_guard_skips_its_eight_checks_before_any_scan_runs(s1, monkeypatch):
     assert skipped == [(name, None, "skipped by the triple guard") for name in GUARDED]
 
 
+# The checks with no witness to name: their verdict is a boolean alone.
+BOOLEAN_ONLY = {
+    "rees.regular",
+    *(f"rees.green_{kind}_oracle_agreement" for kind in "LRHD"),
+    "cones.tl_green_agreement",
+    "cones.principal_image_subsemigroup",
+    "crossconn.u_subsemigroups",
+    "rbg.identity_matrix",
+}
+
+
+def _assert_verdict_rule(checks):
+    """Every check that ran and can name a witness failed exactly when it
+    names one (`checks.verdict`)."""
+    judged = [c for c in checks if c.passed is not None and c.name not in BOOLEAN_ONLY]
+    assert judged
+    for c in judged:
+        assert (c.passed is False) == (c.witness is not None), c
+
+
+@pytest.mark.parametrize("suite", [full_suite, _rbg_suite])
+@pytest.mark.parametrize("fixture", ["s1", "identity Z2 1x2"])
+def test_every_check_with_a_witness_fails_exactly_when_it_names_one(suite, fixture, s1, z2):
+    S = s1 if fixture == "s1" else ReesSemigroup(identity_matrix(z2, 1, 2))
+    checks = suite(S)
+    _assert_verdict_rule(checks)
+    if suite is full_suite:
+        assert {c.name for c in checks} >= BOOLEAN_ONLY - {"rbg.identity_matrix"}
+
+
+@pytest.mark.parametrize("fault", [scalar_reference.missing_pair, scalar_reference.swapped_pair_table])
+def test_every_failed_crossconn_check_names_its_witness(fault):
+    # Under a fault in the linked pairs some checks fail, and each of them
+    # names its witness, while each check that passes names none.
+    S = _s3_fixture()
+    with fault():
+        checks = _crossconn_suite(S)
+    assert failures(checks)
+    _assert_verdict_rule(checks)
+
+
 def test_crossconn_suite_on_nonsquare(z3):
     S = ReesSemigroup(SandwichMatrix(z3, [[0, 1, 2], [2, 2, 0]]))
     _assert_clean(_crossconn_suite(S))
@@ -184,7 +225,7 @@ def test_phi_image_off_the_pairs_fails_isomorphism_without_raising(z2):
         reference = scalar_reference.verify_phi(S)
     witness = "f(0) = f(1) = 1; element 0 of the target is never hit"
     assert checks["crossconn.s_tilde_closed"].passed is True
-    assert reference.closed and reference.map_check.witness == witness
+    assert reference.closure_witness is None and reference.map_check.witness == witness
     for name in ("crossconn.phi_isomorphism", "rbg.phi_isomorphism"):
         assert checks[name].passed is False, name
         assert checks[name].witness == witness
@@ -205,7 +246,7 @@ def test_swapped_phi_fails_isomorphism():
     with scalar_reference.edited_pairs(swap):
         check = {c.name: c for c in _crossconn_suite(S)}["crossconn.phi_isomorphism"]
         reference = scalar_reference.verify_phi(S)
-    assert reference.closed and not reference.map_check.is_homomorphism
+    assert reference.closure_witness is None and not reference.map_check.is_homomorphism
     assert check.passed is False
     assert check.witness == reference.map_check.witness
 
@@ -232,8 +273,8 @@ def test_faulty_translations_fail_left_realization():
     check = {c.name: c for c in category_suite(S)}["category.left_realization"]
     reference = scalar_reference.realize_category(S, "left")
     assert check.passed is False
-    assert any("leaves the ideal" in m for m in reference.mismatches)
-    assert check.witness == "; ".join(reference.mismatches)
+    assert any("leaves the ideal" in m for m in reference)
+    assert check.witness == "; ".join(reference)
 
 
 def test_full_suite_leaves_no_reference_cycle_through_s(s1):
@@ -760,7 +801,7 @@ def test_phi_image_outside_u_gamma_fails_isomorphism():
         checks = {c.name: c for c in _crossconn_suite(S)}
         reference = scalar_reference.verify_phi(S)
     witness = f"the gamma half of {pair} is not in U-Gamma"
-    assert not reference.closed and not reference.is_isomorphism
+    assert None not in (reference.closure_witness, reference.witness)
     for name in ("crossconn.s_tilde_closed", "crossconn.phi_isomorphism"):
         assert checks[name].passed is False, name
         assert checks[name].witness == witness
@@ -840,12 +881,13 @@ def test_closed_but_irregular_table_fails_its_subsemigroup_check(suite, name, mo
 
 def test_flipped_criterion_fails_injectivity_equivalence(s1, monkeypatch):
     # Negative control: injectivity_criterion gives the wrong verdict on a
-    # matrix whose principal map is injective.
+    # matrix whose principal map is injective: a witness for none, and none
+    # for a witness.
     original = cones.injectivity_criterion
     monkeypatch.setattr(
         cones,
         "injectivity_criterion",
-        lambda P: original(P)._replace(holds=not original(P).holds),
+        lambda P: (0, 0, 1) if original(P) is None else None,
     )
     check = {c.name: c for c in _cone_suite(ReesSemigroup(s1.matrix))}[
         "cones.injectivity_equivalence"
@@ -886,7 +928,7 @@ def test_swapped_pair_table_fails_isomorphism_and_the_command(s1, capsys):
         check, closed = checks["crossconn.phi_isomorphism"], checks["crossconn.s_tilde_closed"]
         reference = scalar_reference.verify_phi(S)
         code = main(["--group", "cyclic:2", "--matrix", str(FIXTURES / "P1.csv"), "crossconn"])
-    assert closed.passed is True and reference.closed
+    assert closed.passed is True and reference.closure_witness is None
     assert check.passed is False
     assert check.witness == reference.map_check.witness
     assert check.witness.startswith("f(")
@@ -1192,7 +1234,7 @@ def test_phi_isomorphism_on_random_matrices(order, n_lambda, n_i, data):
         [data.draw(st.integers(0, order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
     S = ReesSemigroup(SandwichMatrix(G, entries))
-    assert verify_phi(S, connections.pair_arrays(S)).is_isomorphism
+    assert verify_phi(S, connections.pair_arrays(S)).witness is None
 
 
 def _crossconn_checks(S):
