@@ -9,11 +9,11 @@ _EXPORTS = {
     "categories": "ArrowCategory Cone Morphism left_category realize_category right_category",
     "checks": "Check all_passed failures",
     "cones": "CosetHandle cone_table enumerate_TL injectivity_criterion",
-    "connections": "DualMorphism LinkedPair PhiReport compose_duals matrix_of "
+    "connections": "DualMorphism LinkedPair compose_duals matrix_of "
     "pair_arrays pair_cones sigma_apply u_cones verify_crossconnection verify_phi",
     "groups": "FiniteGroup builtin load_cayley load_cayley_file",
-    "oracle": "GenericSemigroup MapCheck associativity_witness from_table green_via_ideals "
-    "idempotents is_regular verify_map",
+    "oracle": "GenericSemigroup associativity_witness green_via_ideals idempotents "
+    "is_regular verify_map",
     "rees": "ReesElement ReesSemigroup SandwichMatrix identity_matrix load_matrix_file",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -51,7 +51,7 @@ from .checks import Check, verdict
 from .cones import CosetHandle
 from .errors import NotComposable, NotInDomainCoset, ParseError
 from .groups import FiniteGroup
-from .oracle import GenericSemigroup, MapCheck, ProductTables, is_regular, verify_map
+from .oracle import GenericSemigroup, ProductTables, is_regular, verify_map
 from .rees import ReesSemigroup, SandwichMatrix
 
 
@@ -158,20 +158,6 @@ class LinkedPair(NamedTuple):
     delta: Cone
 
 
-class PhiReport(NamedTuple):
-    """Outcome of checking that the pair representation is an isomorphism:
-    the pairs are closed exactly when `closure_witness` is None, and phi is
-    an isomorphism onto them exactly when `witness` is None."""
-
-    closure_witness: str | None
-    map_check: MapCheck | None
-
-    @property
-    def witness(self) -> str | None:
-        """The map check's witness, or the closure witness when there is none."""
-        return self.map_check.witness if self.map_check is not None else self.closure_witness
-
-
 def is_regular_set(table: np.ndarray) -> bool:
     """Whether a set with this `kernel.cone_product_table` is closed (no -1) and,
     judged by the oracle, regular."""
@@ -247,8 +233,10 @@ def pair_arrays(S: ReesSemigroup) -> PairArrays:
     return PairArrays(gamma, delta, ug, ud, g, d, bool((g >= 0).all() and (d >= 0).all()))
 
 
-def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
-    """Check closure of the linked-pair product and that phi is a bijective homomorphism.
+def verify_phi(S: ReesSemigroup, linked: PairArrays) -> tuple[str | None, str | None]:
+    """Check closure of the linked-pair product and that phi is a bijective
+    homomorphism: the witnesses (closure, phi), each None where it holds.
+    Pairs that are not closed fail both, with the closure witness.
 
     `linked` is `pair_arrays(S)`, which the caller builds.  Pair k is phi
     of element k, so the independent table oracle judges phi, given as its
@@ -266,10 +254,11 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
     if not linked.complete:
         p = int(((linked.g < 0) | (linked.d < 0)).argmax())
         half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
-        return PhiReport(f"the {half} half of {linked.pair(p)} is not in {where}", None)
+        witness = f"the {half} half of {linked.pair(p)} is not in {where}"
+        return witness, witness
     target = ProductTables(linked.u_gamma.table, linked.u_delta.table)
-    check = verify_map((linked.g, linked.d), S.to_generic(), target)
-    if not check.is_isomorphism:
+    witness = verify_map((linked.g, linked.d), S.to_generic(), target)
+    if witness is not None:
         n, pairs = len(linked.g), np.sort(target.keys(linked.g, linked.d))
 
         def no_pair(rows: slice) -> np.ndarray:
@@ -279,8 +268,9 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays) -> PhiReport:
         bad = kernel.first_block_failure(n, n, no_pair)
         if bad is not None:
             p, q = (linked.pair(k) for k in bad)
-            return PhiReport(f"product of {p} and {q} is not a linked pair", None)
-    return PhiReport(None, check)
+            closure = f"product of {p} and {q} is not a linked pair"
+            return closure, closure
+    return None, witness
 
 
 def matrix_of(group: FiniteGroup, handles: Sequence[CosetHandle]) -> SandwichMatrix:

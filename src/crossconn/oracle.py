@@ -7,10 +7,10 @@ the closed-form constructions implemented elsewhere in the package.
 A table is one read-only (n, n) `kernel.index_dtype(n)` or int32 array
 of indices below n: a kernel table with -1 holes (a set that is not closed)
 is rejected by `GenericSemigroup`, so the oracle judges closed tables
-only.  `verify_map` reads its target at the images of each block of rows
-of its source: a table, or the direct product of two (`ProductTables`),
-so that a set of pairs multiplied componentwise is judged from the
-tables of its two components, with no table of the pairs.  The scans
+only.  `verify_map` judges a map into the direct product of two tables
+(`ProductTables`), read at the images of each block of rows of its
+source, so that a set of pairs multiplied componentwise is judged from
+the tables of its two components, with no table of the pairs.  The scans
 read a table in blocks of rows of about `kernel.BLOCK` entries, so that
 no temporary is larger than the table (only the full scan of a table
 that fails Light's test, below, holds an intp copy), and their witnesses
@@ -56,7 +56,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernel
-from .errors import IndexOutOfRange, NotAssociative, NotClosed, ParseError
+from .errors import IndexOutOfRange, NotClosed, ParseError
 
 
 def associativity_witness(table, ideals=None) -> tuple[int, int, int] | None:
@@ -191,8 +191,8 @@ class GenericSemigroup:
 
     `table` is a read-only view of the given table, not copied if int16 or
     int32, else cast to `kernel.index_dtype(size)`.  Building one does not
-    scan for associativity: `from_table` does, and a caller that builds the
-    class directly reports or establishes associativity itself.
+    scan for associativity: the caller reports or establishes it itself
+    (`associativity_witness`).
     """
 
     def __init__(self, table):
@@ -226,20 +226,6 @@ class GenericSemigroup:
 
     def __repr__(self) -> str:
         return f"GenericSemigroup(size={self.size})"
-
-
-def from_table(table) -> GenericSemigroup:
-    """Validate a raw table (closure, then associativity) into a GenericSemigroup;
-    the one entry point that rejects a non-associative table."""
-    T = GenericSemigroup(table)
-    bad = associativity_witness(T.table)
-    if bad is not None:
-        a, b, c = bad
-        t = T.table
-        raise NotAssociative(
-            f"({a}*{b})*{c} = {t[t[a, b], c]} but {a}*({b}*{c}) = {t[a, t[b, c]]}"
-        )
-    return T
 
 
 def ideal_rows(table) -> tuple[np.ndarray, np.ndarray]:
@@ -339,19 +325,6 @@ def is_regular(T: GenericSemigroup) -> bool:
     return kernel.first_block_failure(T.size, T.size, irregular) is None
 
 
-class MapCheck(NamedTuple):
-    """Outcome of checking a candidate map between two table semigroups."""
-
-    is_homomorphism: bool
-    is_injective: bool
-    is_surjective: bool
-    witness: str | None
-
-    @property
-    def is_isomorphism(self) -> bool:
-        return self.is_homomorphism and self.is_injective and self.is_surjective
-
-
 class ProductTables(NamedTuple):
     """The direct product of two tables on 0..m-1 and 0..l-1: (x, y) times
     (x', y') is (first[x, x'], second[y, y']), and a -1 in either table is
@@ -370,39 +343,31 @@ class ProductTables(NamedTuple):
         return out
 
 
-def verify_map(f, T1: GenericSemigroup, T2: GenericSemigroup | ProductTables) -> MapCheck:
-    """Check whether f (a total map on T1's indices) is a homomorphism / bijection
-    into T2, read only at the images of each block of rows of T1.
-
-    Into a `GenericSemigroup`, f is a sequence of its elements.  Into
-    `ProductTables`, f is its two component maps (g, d), and the target is
-    the T1.size pairs f(k) = (g[k], d[k]) that it lists, equal pairs being
-    one element, numbered by the last k (-1 for a product that is no
-    listed pair).  Each block compares the keys of f(a*b) and f(a)*f(b);
-    the numbers, found by a key search, are counted for injectivity and
-    surjectivity and named in the witnesses."""
-    pairs = isinstance(T2, ProductTables)
-    maps = [np.asarray(m, dtype=np.intp) for m in (f if pairs else [f])]
-    tables = list(T2) if pairs else [T2.table]
+def verify_map(f, T1: GenericSemigroup, T2: ProductTables) -> str | None:
+    """Whether f, a total map on T1's indices given as its two component maps
+    (g, d) into the direct product T2, is a bijective homomorphism onto the
+    T1.size pairs f(k) = (g[k], d[k]) that it lists: None if so, else the
+    witness.  Equal pairs are one element, numbered by the last k (-1 for
+    a product that is no listed pair).  Each block of rows of T1 compares
+    the keys of f(a*b) and f(a)*f(b), read only at the images of the
+    block; the numbers, found by a key search, are counted for injectivity
+    and surjectivity and named in the witnesses."""
+    maps = [np.asarray(m, dtype=np.intp) for m in f]
     for m in maps:
         if len(m) != T1.size:
             raise IndexOutOfRange(f"map has {len(m)} entries, expected {T1.size}")
-    outside = np.logical_or.reduce([(m < 0) | (m >= len(t)) for m, t in zip(maps, tables)])
+    outside = np.logical_or.reduce([(m < 0) | (m >= len(t)) for m, t in zip(maps, T2)])
     if outside.any():
         x = int(outside.argmax())
-        value = tuple(int(m[x]) for m in maps) if pairs else int(maps[0][x])
+        value = tuple(int(m[x]) for m in maps)
         raise IndexOutOfRange(f"f({x}) = {value} is not an element of the target")
 
-    def keys(images: list) -> np.ndarray:
-        return T2.keys(*images) if pairs else images[0]
-
     def products(rows) -> np.ndarray:
-        return keys([kernel.gather(t, m[rows], m, holes=False) for m, t in zip(maps, tables)])
+        return T2.keys(*(kernel.gather(t, m[rows], m, holes=False) for m, t in zip(maps, T2)))
 
-    key = keys(maps)
-    listed = key if pairs else np.arange(T2.size)
-    order = np.argsort(listed, kind="stable")
-    ranked = listed[order]
+    key = T2.keys(*maps)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
 
     def number(keys):  # the last listed element with each key, or -1
         at = np.searchsorted(ranked, keys, side="right") - 1
@@ -413,20 +378,18 @@ def verify_map(f, T1: GenericSemigroup, T2: GenericSemigroup | ProductTables) ->
     bad = kernel.first_block_failure(
         T1.size, T1.size, lambda rows: np.take(key, T1.table[rows]) != products(rows)
     )
-    hom = bad is None
-    if not hom:
+    if bad is not None:
         a, b = bad
         product, target = number(key[T1.table[a, b]]), number(products(slice(a, a + 1))[0, b])
         problems.append(f"f({a}*{b}) = {int(product)} but f({a})*f({b}) = {int(target)}")
 
     numbers = number(key)
-    hits = np.bincount(numbers, minlength=len(listed))
-    inj, surj = bool(hits.max() == 1), bool(hits.min() > 0)
-    if not inj:
+    hits = np.bincount(numbers, minlength=len(key))
+    if hits.max() > 1:
         seen: dict[int, int] = {}
         x, v = next((x, v) for x, v in enumerate(numbers.tolist()) if seen.setdefault(v, x) != x)
         problems.append(f"f({seen[v]}) = f({x}) = {v}")
-    if not surj:
+    if hits.min() == 0:
         problems.append(f"element {int(hits.argmin())} of the target is never hit")
 
-    return MapCheck(hom, inj, surj, "; ".join(problems) if problems else None)
+    return "; ".join(problems) if problems else None

@@ -379,9 +379,9 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
         lambda: [_linked_criterion_witness(S, linked)],
     )
 
-    report = connections.verify_phi(S, linked)
-    checks.append(verdict("crossconn.s_tilde_closed", report.closure_witness))
-    checks.append(verdict("crossconn.phi_isomorphism", report.witness))
+    closure, phi = connections.verify_phi(S, linked)
+    checks.append(verdict("crossconn.s_tilde_closed", closure))
+    checks.append(verdict("crossconn.phi_isomorphism", phi))
 
     objects = connections.gamma_images(P).objects.tolist()
     extracted = connections.matrix_of(G, [CosetHandle("left", tuple(c)) for c in objects])
@@ -399,10 +399,13 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
 def _linked_criterion_witness(S: ReesSemigroup, linked: connections.PairArrays) -> str | None:
     """The first cones of U-Gamma x U-Delta, in row order, that the linkage
     table calls linked exactly when they are not a linked pair: the table
-    negated at the pairs' positions (g, d) in the U sets, each once."""
-    mismatch = _linkage(S, linked)
-    inside = (linked.g >= 0) & (linked.d >= 0)
-    mismatch[linked.g[inside], linked.d[inside]] ^= True
+    negated at the pairs' positions (g, d) in the U sets, each once; a pair
+    with a half outside its set, position -1, has no cell."""
+    mismatch, g, d = _linkage(S, linked), linked.g, linked.d
+    if not linked.complete:
+        inside = (g >= 0) & (d >= 0)
+        g, d = g[inside], d[inside]
+    mismatch[g, d] ^= True
     bad = kernel.first_block_failure(*mismatch.shape, lambda rows: mismatch[rows])
     if bad is None:
         return None
@@ -569,7 +572,7 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         # a half outside its U set, position -1, fails rather than wrap to the last row
         g = linked.g[rows, None]
         got = linkage[g, linked.d] != (gamma[0][rows, :1] == delta[0][:, 0])
-        return got | (g < 0) | (linked.d < 0)
+        return got if linked.complete else got | (g < 0) | (linked.d < 0)
 
     bad = kernel.first_block_failure(len(linked.g), len(linked.g), formula_rows)
     witness = None if bad is None else f"{linked.pair(bad[0])} o {linked.pair(bad[1])}"
@@ -578,6 +581,6 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     witness = None if bad is None else f"{linked.pair(bad[0]).gamma} vs {linked.pair(bad[1]).delta}"
     checks.append(verdict("rbg.linked_iff_equal_scalars", witness))
 
-    report = connections.verify_phi(S, linked)
-    checks.append(verdict("rbg.phi_isomorphism", report.witness))
+    _, phi = connections.verify_phi(S, linked)
+    checks.append(verdict("rbg.phi_isomorphism", phi))
     return checks

@@ -48,7 +48,7 @@ from unittest import mock
 
 import numpy as np
 
-from crossconn import cones, connections, kernel
+from crossconn import cones, connections, kernel, oracle
 from crossconn.categories import ArrowCategory, Cone, Morphism, left_category, right_category
 from crossconn.checks import Check
 from crossconn.cones import CosetHandle
@@ -56,6 +56,7 @@ from crossconn.connections import DualMorphism, Images, LinkedPair
 from crossconn.errors import (
     CrossconnError,
     IndexOutOfRange,
+    NotAssociative,
     NotComposable,
     NotInDomainCoset,
     ParseError,
@@ -63,11 +64,8 @@ from crossconn.errors import (
 from crossconn.groups import FiniteGroup
 from crossconn.oracle import (
     GenericSemigroup,
-    MapCheck,
     canonical_partition,
-    from_table,
     partition_by_key,
-    verify_map,
 )
 from crossconn.rees import ReesElement, ReesSemigroup, SandwichMatrix
 
@@ -434,6 +432,21 @@ def green_via_ideals(T: GenericSemigroup) -> dict[str, tuple[tuple[int, ...], ..
     }
 
 
+def from_table(table) -> GenericSemigroup:
+    """Validate a raw table (closure, then associativity by
+    `oracle.associativity_witness`) into a GenericSemigroup, the tests'
+    entry point that rejects a non-associative table with NotAssociative."""
+    T = GenericSemigroup(table)
+    bad = oracle.associativity_witness(T.table)
+    if bad is not None:
+        a, b, c = bad
+        t = T.table
+        raise NotAssociative(
+            f"({a}*{b})*{c} = {t[t[a, b], c]} but {a}*({b}*{c}) = {t[a, t[b, c]]}"
+        )
+    return T
+
+
 def associativity_witness(T: GenericSemigroup) -> tuple[int, int, int] | None:
     """`oracle.associativity_witness`: the first (a, b, c), in that order,
     with (a*b)*c != a*(b*c), by a triple loop."""
@@ -478,8 +491,10 @@ def is_regular(T: GenericSemigroup) -> bool:
     return True
 
 
-def verify_map_loops(f, T1: GenericSemigroup, T2: GenericSemigroup) -> MapCheck:
-    """`oracle.verify_map` with the homomorphism test one pair (a, b) at a time."""
+def verify_map_loops(f, T1: GenericSemigroup, T2) -> str | None:
+    """`oracle.verify_map` with the homomorphism test one pair (a, b) at a
+    time, f a sequence of elements of T2 (read through its `size` and
+    `mul`): None for a bijective homomorphism onto T2, else the witness."""
     f = list(f)
     if len(f) != T1.size:
         raise IndexOutOfRange(f"map has {len(f)} entries, expected {T1.size}")
@@ -500,21 +515,26 @@ def verify_map_loops(f, T1: GenericSemigroup, T2: GenericSemigroup) -> MapCheck:
         if not hom:
             break
 
-    inj = True
     seen: dict[int, int] = {}
     for x, v in enumerate(f):
         if v in seen:
-            inj = False
             problems.append(f"f({seen[v]}) = f({x}) = {v}")
             break
         seen[v] = x
 
-    surj = len(set(f)) == T2.size
-    if not surj:
+    if len(set(f)) != T2.size:
         missing = min(set(range(T2.size)) - set(f))
         problems.append(f"element {missing} of the target is never hit")
 
-    return MapCheck(hom, inj, surj, "; ".join(problems) if problems else None)
+    return "; ".join(problems) if problems else None
+
+
+def verify_map_into(f, T1: GenericSemigroup, table) -> str | None:
+    """`oracle.verify_map` of f, a sequence of indices of the table, as the
+    map (f, 0) into the table times the trivial table: None when f is an
+    injective homomorphism, its image being the pairs it lists."""
+    trivial = oracle.ProductTables(np.asarray(table), np.zeros((1, 1), dtype=np.int16))
+    return oracle.verify_map((f, np.zeros(len(f), dtype=np.intp)), T1, trivial)
 
 
 def cone_table(group, cones_: list[Cone]) -> list[list[int]]:
@@ -697,20 +717,19 @@ def pair_table(S: ReesSemigroup) -> tuple[list[list[int]] | None, str | None]:
     return table, None
 
 
-def verify_phi(S: ReesSemigroup) -> connections.PhiReport:
-    """`connections.verify_phi` built on `pair_table` and a dict lookup of phi."""
+def verify_phi(S: ReesSemigroup) -> tuple[str | None, str | None]:
+    """`connections.verify_phi` built on `pair_table`, a dict lookup of phi
+    and the loops of `verify_map_loops`."""
     table, witness = pair_table(S)
     if table is None:
-        return connections.PhiReport(witness, None)
+        return witness, witness
     pairs = linked_pairs(S.matrix)
     index = {p: k for k, p in enumerate(pairs)}
     f = [index.get(phi(S, a)) for a in S.elements()]
     if None in f:
-        stray = f"phi({S.element(f.index(None))}) is not a linked pair"
-        return connections.PhiReport(None, MapCheck(False, False, False, stray))
+        return None, f"phi({S.element(f.index(None))}) is not a linked pair"
     # like verify_phi, no associativity scan of the pair table
-    check = verify_map(f, from_table(S.index_table()), GenericSemigroup(table))
-    return connections.PhiReport(None, check)
+    return None, verify_map_loops(f, from_table(S.index_table()), GenericSemigroup(table))
 
 
 def pair_table_from_halves(linked: connections.PairArrays) -> np.ndarray:
@@ -737,17 +756,17 @@ def verify_phi_on_the_table(S: ReesSemigroup, linked: connections.PairArrays):
         p = int(outside.argmax())
         half, where = ("gamma", "U-Gamma") if linked.g[p] < 0 else ("delta", "U-Delta")
         witness = f"the {half} half of {linked.pair(p)} is not in {where}"
-        return connections.PhiReport(witness, None)
+        return witness, witness
     table = pair_table_from_halves(linked)
     bad = kernel.first_hole(table)
     if bad is not None:
         p, q = (linked.pair(k) for k in bad)
-        return connections.PhiReport(f"product of {p} and {q} is not a linked pair", None)
+        witness = f"product of {p} and {q} is not a linked pair"
+        return witness, witness
     pairs = list(zip(linked.g.tolist(), linked.d.tolist()))
     number = {pair: k for k, pair in enumerate(pairs)}
     f = [number[pair] for pair in pairs]
-    check = verify_map_loops(f, from_table(S.index_table()), GenericSemigroup(table))
-    return connections.PhiReport(None, check)
+    return None, verify_map_loops(f, from_table(S.index_table()), GenericSemigroup(table))
 
 
 def crossconnection_checks(P: SandwichMatrix) -> list[Check]:
@@ -895,8 +914,8 @@ def rbg_checks(S: ReesSemigroup) -> list[Check]:
             break
     checks.append(Check("rbg.linked_iff_equal_scalars", witness is None, witness))
 
-    report = verify_phi(S)
-    checks.append(Check("rbg.phi_isomorphism", report.witness is None, report.witness))
+    _, witness = verify_phi(S)
+    checks.append(Check("rbg.phi_isomorphism", witness is None, witness))
     return checks
 
 

@@ -7,6 +7,7 @@ from scalar_reference import (
     act,
     coset_normalize,
     enumerate_TL,
+    from_table,
     green_cones,
     is_idempotent_cone,
     mul_L,
@@ -21,7 +22,6 @@ from crossconn import (
     builtin,
     cone_table,
     cones as batch,
-    from_table,
     green_via_ideals,
     identity_matrix,
     injectivity_criterion,

@@ -687,8 +687,8 @@ def test_pairs_not_closed_give_the_loops_closure_witness(group, entries, block):
         with mock.patch.object(kernel, "BLOCK", block):
             report = verify_phi(S, connections.pair_arrays(S))
         reference = scalar_reference.verify_phi(S)
-    assert report.map_check is None
-    assert report.closure_witness.startswith("product of ")
+    closure, phi = report
+    assert phi == closure and closure.startswith("product of ")
     assert report == reference
 
 

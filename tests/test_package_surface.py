@@ -29,9 +29,8 @@ PACKAGE = ROOT / "src" / "crossconn"
 
 # Kept without a caller: sigma_apply and compose_duals are the arithmetic
 # of the normal dual, which an enumeration of candidate connection
-# functors needs, and from_table is the entry point that validates a raw
-# table.
-ALLOWED = {"sigma_apply", "compose_duals", "from_table"}
+# functors needs.
+ALLOWED = {"sigma_apply", "compose_duals"}
 
 
 def _public_definitions(tree: ast.Module) -> list[tuple[ast.AST, bool]]:
@@ -93,11 +92,11 @@ REEXPORTS = {
     "categories": "ArrowCategory Cone Morphism left_category realize_category right_category",
     "checks": "Check all_passed failures",
     "cones": "CosetHandle cone_table enumerate_TL injectivity_criterion",
-    "connections": "DualMorphism LinkedPair PhiReport compose_duals matrix_of "
+    "connections": "DualMorphism LinkedPair compose_duals matrix_of "
     "pair_arrays pair_cones sigma_apply u_cones verify_crossconnection verify_phi",
     "groups": "FiniteGroup builtin load_cayley load_cayley_file",
-    "oracle": "GenericSemigroup MapCheck associativity_witness from_table green_via_ideals "
-    "idempotents is_regular verify_map",
+    "oracle": "GenericSemigroup associativity_witness green_via_ideals idempotents "
+    "is_regular verify_map",
     "rees": "ReesElement ReesSemigroup SandwichMatrix identity_matrix load_matrix_file",
 }
 

@@ -15,6 +15,7 @@ from crossconn import (
     ArrowCategory,
     Cone,
     FiniteGroup,
+    LinkedPair,
     ReesElement,
     ReesSemigroup,
     SandwichMatrix,
@@ -225,7 +226,7 @@ def test_phi_image_off_the_pairs_fails_isomorphism_without_raising(z2):
         reference = scalar_reference.verify_phi(S)
     witness = "f(0) = f(1) = 1; element 0 of the target is never hit"
     assert checks["crossconn.s_tilde_closed"].passed is True
-    assert reference.closure_witness is None and reference.map_check.witness == witness
+    assert reference == (None, witness)
     for name in ("crossconn.phi_isomorphism", "rbg.phi_isomorphism"):
         assert checks[name].passed is False, name
         assert checks[name].witness == witness
@@ -246,9 +247,10 @@ def test_swapped_phi_fails_isomorphism():
     with scalar_reference.edited_pairs(swap):
         check = {c.name: c for c in _crossconn_suite(S)}["crossconn.phi_isomorphism"]
         reference = scalar_reference.verify_phi(S)
-    assert reference.closure_witness is None and not reference.map_check.is_homomorphism
+    closure, phi = reference
+    assert closure is None and re.match(r"f\(\d+\*\d+\) = \d+ but ", phi)  # no homomorphism
     assert check.passed is False
-    assert check.witness == reference.map_check.witness
+    assert check.witness == phi
 
 
 class _KeepsVertexOffRowZero(ReesSemigroup):
@@ -788,6 +790,38 @@ def test_half_outside_its_u_set_fails_rbg_linked_iff_equal_scalars(side):
     assert check.witness == f"{p.gamma} vs {q.delta}"
 
 
+@pytest.mark.parametrize("side", ["gamma", "delta"])
+def test_half_outside_its_u_set_keeps_the_linked_criterion_of_the_loop(side):
+    # U-Gamma (or U-Delta) of the S3 fixture without its last cone, so that
+    # the pairs with that half sit at position -1 and have no cell of the
+    # linkage table.  The check's verdict and witness are those of the
+    # scalar loop over the edited sets, which finds every linked cone pair
+    # of them a pair: removing a cone removes its row (or column) and
+    # nothing else.  A -1 position read as an index would mark a cell of
+    # the last row (or column) as a pair's, where the loop finds none.
+    S = _s3_fixture()
+    pairs = set(scalar_reference.linked_pairs(S.matrix))
+    with _edited_u_cones(S, side, lambda members: members[:-1]):
+        linked = connections.pair_arrays(S)
+        checks = {c.name: c for c in crossconn_suite(S, linked)}
+    gammas, deltas = (
+        connections.as_cones(u.classes.members) for u in (linked.u_gamma, linked.u_delta)
+    )
+    witness = next(
+        (
+            f"{gamma}, {delta}"
+            for gamma in gammas
+            for delta in deltas
+            if scalar_reference.is_linked(S.matrix, gamma, delta)
+            != (LinkedPair(gamma, delta) in pairs)
+        ),
+        None,
+    )
+    check = checks["crossconn.linked_criterion_agreement"]
+    assert not linked.complete and witness is None
+    assert check.passed is True and check.witness is None
+
+
 def test_phi_image_outside_u_gamma_fails_isomorphism():
     # Negative control: phi sends the last element to a pair whose gamma
     # half is a cone of T_L outside U-Gamma.  That pair is phi's image, so
@@ -801,7 +835,7 @@ def test_phi_image_outside_u_gamma_fails_isomorphism():
         checks = {c.name: c for c in _crossconn_suite(S)}
         reference = scalar_reference.verify_phi(S)
     witness = f"the gamma half of {pair} is not in U-Gamma"
-    assert None not in (reference.closure_witness, reference.witness)
+    assert None not in reference
     for name in ("crossconn.s_tilde_closed", "crossconn.phi_isomorphism"):
         assert checks[name].passed is False, name
         assert checks[name].witness == witness
@@ -928,9 +962,9 @@ def test_swapped_pair_table_fails_isomorphism_and_the_command(s1, capsys):
         check, closed = checks["crossconn.phi_isomorphism"], checks["crossconn.s_tilde_closed"]
         reference = scalar_reference.verify_phi(S)
         code = main(["--group", "cyclic:2", "--matrix", str(FIXTURES / "P1.csv"), "crossconn"])
-    assert closed.passed is True and reference.closure_witness is None
+    assert closed.passed is True and reference[0] is None
     assert check.passed is False
-    assert check.witness == reference.map_check.witness
+    assert check.witness == reference[1]
     assert check.witness.startswith("f(")
     assert code == 2
     report = json.loads(capsys.readouterr().out)
@@ -1234,7 +1268,7 @@ def test_phi_isomorphism_on_random_matrices(order, n_lambda, n_i, data):
         [data.draw(st.integers(0, order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
     S = ReesSemigroup(SandwichMatrix(G, entries))
-    assert verify_phi(S, connections.pair_arrays(S)).witness is None
+    assert verify_phi(S, connections.pair_arrays(S)) == (None, None)
 
 
 def _crossconn_checks(S):
