@@ -193,7 +193,7 @@ class PairArrays(NamedTuple):
     principal cones.  `complete` says whether every half lies in its U
     set, so that no -1 is in `g` or `d`, decided once.  No table of the
     pairs is held: a product of two pairs is componentwise, a pair of
-    positions in the U tables (`product_halves`)."""
+    positions in the U tables, which the method below reads."""
 
     gamma: Cones
     delta: Cones
@@ -243,13 +243,10 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays) -> tuple[str | None, str | 
     component maps `linked.g` and `linked.d`, onto the pairs it lists in
     the product of the U tables (`oracle.ProductTables`), rather than any
     closed form.  The pairs are closed when each pair's halves lie in
-    U-Gamma and U-Delta and each product of two pairs is a pair.  The map
-    check runs first: a bijective homomorphism onto the pairs makes every
-    product of two pairs the image of a product, so only a failed map
-    check runs the closure scan, for its verdict and witness: each
-    product's key (`ProductTables.keys`), a block of rows at a time,
-    searched among the pairs' sorted keys.  The pairs need no
-    associativity scan: a bijective homomorphism carries S's onto them.
+    U-Gamma and U-Delta, checked here, and each product of two pairs is a
+    pair, which `verify_map` decides with the map, naming the first
+    product (p, q) that is none.  The pairs need no associativity scan: a
+    bijective homomorphism carries S's onto them.
     """
     if not linked.complete:
         p = int(((linked.g < 0) | (linked.d < 0)).argmax())
@@ -257,19 +254,11 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays) -> tuple[str | None, str | 
         witness = f"the {half} half of {linked.pair(p)} is not in {where}"
         return witness, witness
     target = ProductTables(linked.u_gamma.table, linked.u_delta.table)
-    witness = verify_map((linked.g, linked.d), S.to_generic(), target)
-    if witness is not None:
-        n, pairs = len(linked.g), np.sort(target.keys(linked.g, linked.d))
-
-        def no_pair(rows: slice) -> np.ndarray:
-            products = target.keys(*linked.product_halves(rows))
-            return pairs[np.minimum(np.searchsorted(pairs, products), n - 1)] != products
-
-        bad = kernel.first_block_failure(n, n, no_pair)
-        if bad is not None:
-            p, q = (linked.pair(k) for k in bad)
-            closure = f"product of {p} and {q} is not a linked pair"
-            return closure, closure
+    closure, witness = verify_map((linked.g, linked.d), S.to_generic(), target)
+    if closure is not None:
+        p, q = (linked.pair(k) for k in closure)
+        witness = f"product of {p} and {q} is not a linked pair"
+        return witness, witness
     return None, witness
 
 

@@ -85,7 +85,8 @@ halves in U-Gamma and U-Delta, are also those of element k's principal
 cones.  The product of two pairs is componentwise, the pair of positions
 (GT[g[p], g[q]], DT[d[p], d[q]]), DT being held transposed
 (`PairArrays.product_halves`), so no table of the pairs is built: the
-map check reads each pair as one key (`oracle.ProductTables`).  Every
+map check reads each pair as one key (`oracle.ProductTables`), and
+decides with phi whether every product of two pairs is a pair.  Every
 scan of the pairs or of the principal cones in a suite reads these
 arrays, which each suite and `connections.verify_phi` takes from its
 caller.  Witnesses and reports turn cones of a batch into `Cone`s of

@@ -9,8 +9,8 @@ of indices below n: a kernel table with -1 holes (a set that is not closed)
 is rejected by `GenericSemigroup`, so the oracle judges closed tables
 only.  `verify_map` judges a map into the direct product of two tables
 (`ProductTables`), read at the images of each block of rows of its
-source, so that a set of pairs multiplied componentwise is judged from
-the tables of its two components, with no table of the pairs.  The scans
+source, so that a set of pairs multiplied componentwise is judged closed,
+and the map onto it an isomorphism, from its two components' tables.  The scans
 read a table in blocks of rows of about `kernel.BLOCK` entries, so that
 no temporary is larger than the table (only the full scan of a table
 that fails Light's test, below, holds an intp copy), and their witnesses
@@ -343,15 +343,17 @@ class ProductTables(NamedTuple):
         return out
 
 
-def verify_map(f, T1: GenericSemigroup, T2: ProductTables) -> str | None:
+def verify_map(f, T1: GenericSemigroup, T2: ProductTables) -> tuple[tuple | None, str | None]:
     """Whether f, a total map on T1's indices given as its two component maps
     (g, d) into the direct product T2, is a bijective homomorphism onto the
-    T1.size pairs f(k) = (g[k], d[k]) that it lists: None if so, else the
-    witness.  Equal pairs are one element, numbered by the last k (-1 for
-    a product that is no listed pair).  Each block of rows of T1 compares
-    the keys of f(a*b) and f(a)*f(b), read only at the images of the
-    block; the numbers, found by a key search, are counted for injectivity
-    and surjectivity and named in the witnesses."""
+    T1.size pairs f(k) = (g[k], d[k]) that it lists, and they are closed:
+    (closure, witness), closure the first (a, b) in row order whose
+    f(a)*f(b) is no listed pair, each None where it holds.  Equal pairs are
+    one element, numbered by the last k (-1 for a product that is no listed
+    pair).  Each block of rows of T1 compares the keys of f(a*b) and
+    f(a)*f(b), read only at the images of the block, and only a failed
+    compare, as a product off the pairs gives, runs the closure scan; the
+    numbers, found by a key search, are counted and named in the witness."""
     maps = [np.asarray(m, dtype=np.intp) for m in f]
     for m in maps:
         if len(m) != T1.size:
@@ -373,7 +375,7 @@ def verify_map(f, T1: GenericSemigroup, T2: ProductTables) -> str | None:
         at = np.searchsorted(ranked, keys, side="right") - 1
         return np.where((at >= 0) & (ranked[at] == keys), order[at], -1)
 
-    problems = []
+    problems, closure = [], None
     # rows a of a block: f(a*b) against f(a)*f(b) for every b
     bad = kernel.first_block_failure(
         T1.size, T1.size, lambda rows: np.take(key, T1.table[rows]) != products(rows)
@@ -382,14 +384,17 @@ def verify_map(f, T1: GenericSemigroup, T2: ProductTables) -> str | None:
         a, b = bad
         product, target = number(key[T1.table[a, b]]), number(products(slice(a, a + 1))[0, b])
         problems.append(f"f({a}*{b}) = {int(product)} but f({a})*f({b}) = {int(target)}")
+        closure = kernel.first_block_failure(
+            T1.size, T1.size, lambda rows: number(products(rows)) < 0
+        )
 
+    # n numbers in n places: a number hit twice leaves another never hit
     numbers = number(key)
     hits = np.bincount(numbers, minlength=len(key))
     if hits.max() > 1:
         seen: dict[int, int] = {}
         x, v = next((x, v) for x, v in enumerate(numbers.tolist()) if seen.setdefault(v, x) != x)
         problems.append(f"f({seen[v]}) = f({x}) = {v}")
-    if hits.min() == 0:
         problems.append(f"element {int(hits.argmin())} of the target is never hit")
 
-    return "; ".join(problems) if problems else None
+    return closure, "; ".join(problems) if problems else None

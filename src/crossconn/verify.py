@@ -80,22 +80,22 @@ row order.  The linked pairs are
 the exception: their table is never built, and they are closed when
 every pair's halves lie in U-Gamma and U-Delta and the key of every
 product of two pairs, read off the U tables a block of rows at a time,
-is a pair's key; that scan runs only when phi's map check fails.
+is a pair's key; `verify_map` runs that scan only when phi is no homomorphism.
 Every check on a set reads its table.  With r[a] and l[a] the positions
 of rho(a) and lam(a) in U-Gamma and U-Delta, `cones.principal_homomorphism`
 compares GT[r[a], r] with r[ab] and `cones.dual_antihomomorphism`
 compares DT[l[a], l] with l[ab], DT held transposed, so that
 lam(b) lam(a) over the opposite group is at [l[a], l[b]], in blocks of
 rows a, a cone of a, b or ab outside its U set failing (`kernel.gather`
-reads -1 for a product with an absent cone, and forms no mask when
-`PairArrays.complete` says there is none); `cones.principal_image_subsemigroup` reads GT
-restricted to the positions r hits.
+reads -1 for a product with an absent cone; no -1 mask is formed when
+`PairArrays.complete` says there is none); `cones.principal_image_subsemigroup`
+reads GT restricted to the positions r hits.
 Closed tables reach the oracle as `GenericSemigroup`s, the U tables as
 `oracle.ProductTables` too, and the oracle judges the rest:
 `oracle.is_regular` decides the principal image and U-Gamma/U-Delta, one
 verdict per U table (`connections.UCones.regular`), which the principal
 image shares when it is all of U-Gamma, as it is unless phi is at fault;
-`oracle.verify_map` the isomorphism, and
+`oracle.verify_map` the isomorphism and the pairs' closure, and
 `oracle.green_via_ideals` gives all four Green partitions of S and of
 T_L at once, keyed by the bytes of the ideal rows by which Light's test
 of the same table chose its generators.  Each table is scanned for
@@ -272,12 +272,12 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         # rho(a) rho(b) against rho(ab), for a block of a and every b at once
         (
             "cones.principal_homomorphism",
-            lambda a: _misplaced(kernel.gather(GT, r[a], r, holes), r[table[a]]),
+            lambda a: _misplaced(kernel.gather(GT, r[a], r, holes), r[table[a]], holes),
         ),
         # lam(b) lam(a) over the opposite group against lam(ab)
         (
             "cones.dual_antihomomorphism",
-            lambda a: _misplaced(kernel.gather(DT, l[a], l, holes), l[table[a]]),
+            lambda a: _misplaced(kernel.gather(DT, l[a], l, holes), l[table[a]], holes),
         ),
     ):
         bad = kernel.first_block_failure(S.size, S.size, bad_rows)
@@ -353,10 +353,10 @@ def _tl_outcomes(G, n_l: int):
     yield connections.as_cone(tl, bad[0]) if len(bad) else None
 
 
-def _misplaced(got: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    """Where the positions in a U set differ, or the expected one is -1: a
-    cone outside the set fails rather than compare -1 with -1."""
-    return (got != expected) | (expected < 0)
+def _misplaced(got: np.ndarray, expected: np.ndarray, holes: bool) -> np.ndarray:
+    """Where the positions in a U set differ, or, with holes, the expected one
+    is -1: a cone outside the set fails rather than compare -1 with -1."""
+    return (got != expected) | (expected < 0) if holes else got != expected
 
 
 def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:

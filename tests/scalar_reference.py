@@ -530,11 +530,11 @@ def verify_map_loops(f, T1: GenericSemigroup, T2) -> str | None:
 
 
 def verify_map_into(f, T1: GenericSemigroup, table) -> str | None:
-    """`oracle.verify_map` of f, a sequence of indices of the table, as the
-    map (f, 0) into the table times the trivial table: None when f is an
-    injective homomorphism, its image being the pairs it lists."""
+    """The witness of `oracle.verify_map` of f, a sequence of indices of the
+    table, as the map (f, 0) into the table times the trivial table: None
+    when f is an injective homomorphism, its image being the pairs it lists."""
     trivial = oracle.ProductTables(np.asarray(table), np.zeros((1, 1), dtype=np.int16))
-    return oracle.verify_map((f, np.zeros(len(f), dtype=np.intp)), T1, trivial)
+    return oracle.verify_map((f, np.zeros(len(f), dtype=np.intp)), T1, trivial)[1]
 
 
 def cone_table(group, cones_: list[Cone]) -> list[list[int]]:

@@ -294,12 +294,23 @@ def test_verify_map_into_product_tables_validates_its_pairs(s1):
     T = s1.to_generic()
     target = ProductTables(T.table, np.zeros((1, 1), dtype=np.int16))
     g, d = np.arange(T.size), np.zeros(T.size, dtype=np.intp)
-    assert verify_map((g, d), T, target) is None
+    assert verify_map((g, d), T, target) == (None, None)
     with pytest.raises(IndexOutOfRange, match="^map has 7 entries, expected 8$"):
         verify_map((g[:-1], d[:-1]), T, target)
     d[3] = 1
     with pytest.raises(IndexOutOfRange, match=r"^f\(3\) = \(3, 1\) is not an element of the target$"):
         verify_map((g, d), T, target)
+
+
+def test_verify_map_closure_is_not_the_first_homomorphism_failure():
+    # Z2 onto the pairs (0, 0) and (1, 0): f(0)*f(0) is the listed pair f(1),
+    # the first homomorphism failure, and only f(1)*f(1) = (2, 0) is none
+    T1 = GenericSemigroup([[0, 1], [1, 0]])
+    first = np.array([[1, 0, 0], [0, 2, 0], [0, 0, 0]])
+    target = ProductTables(first, np.zeros((1, 1), dtype=np.int16))
+    closure, witness = verify_map(([0, 1], [0, 0]), T1, target)
+    assert closure == (1, 1)
+    assert witness == "f(0*0) = 0 but f(0)*f(0) = 1"
 
 
 def _conjugate(table, perm):
@@ -411,7 +422,8 @@ def test_verify_map_into_product_tables_matches_the_loops(table, data, block):
     # onto its conjugate or random, d random or constant at an idempotent,
     # perhaps with a hole (-1) in either table.  The witness, a product
     # that is no listed pair numbered -1, is that of the loops
-    # over the listed pairs, whatever the blocks of rows.
+    # over the listed pairs, whatever the blocks of rows, and the closure
+    # witness is the first such product in row order.
     T1 = GenericSemigroup(table)
     n = T1.size
     if data.draw(st.booleans()):
@@ -430,10 +442,12 @@ def test_verify_map_into_product_tables_matches_the_loops(table, data, block):
         holed = data.draw(st.sampled_from([first, second]))
         holed.flat[data.draw(st.integers(0, holed.size - 1))] = -1
     with mock.patch.object(kernel, "BLOCK", block):
-        witness = verify_map((g, d), T1, ProductTables(first, second))
+        closure, witness = verify_map((g, d), T1, ProductTables(first, second))
     target = _ListedPairs(first, second, g, d)
     f = [target.number[pair] for pair in target.pairs]
     assert witness == scalar_reference.verify_map_loops(f, T1, target)
+    outside = ((a, b) for a in range(n) for b in range(n) if target.mul(f[a], f[b]) == -1)
+    assert closure == next(outside, None)
     assert witness is None or "np." not in witness
 
 
