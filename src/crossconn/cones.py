@@ -27,11 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .errors import IndexOutOfRange, NotClosed, SizeGuardExceeded
+from .errors import IndexOutOfRange, NotClosed
 from .groups import FiniteGroup
 from .rees import SandwichMatrix
-
-DEFAULT_CONE_BOUND = 100_000
 
 
 def act(k, values: np.ndarray) -> np.ndarray:
@@ -84,13 +82,15 @@ class CosetHandle(NamedTuple):
 
 def enumerate_TL(group: FiniteGroup, n_lambda: int) -> tuple[np.ndarray, np.ndarray]:
     """All of G^Lambda x Lambda as one batch (values, vertices), in
-    lexicographic (tuple, vertex) order, up to `DEFAULT_CONE_BOUND` cones."""
+    lexicographic (tuple, vertex) order: |G|^|Lambda| |Lambda| cones of
+    |Lambda| entries each, unbounded here.  `verify` builds it only for a
+    check whose cost is within its budget (`verify.BUDGET`)."""
     if n_lambda < 1:
         raise IndexOutOfRange(f"need at least one object, got {n_lambda}")
-    total, bound = (group.order**n_lambda) * n_lambda, DEFAULT_CONE_BOUND
-    if total > bound:
-        raise SizeGuardExceeded(f"cone semigroup has {total} elements, above the bound {bound}")
-    tuples = np.indices((group.order,) * n_lambda).reshape(n_lambda, -1).T
+    # tuple k holds the |Lambda| base-|G| digits of k, most significant first
+    # (numpy's `indices` would need an axis per object, at most 64)
+    place = group.order ** np.arange(n_lambda - 1, -1, -1)
+    tuples = np.arange(group.order**n_lambda)[:, None] // place % group.order
     return np.repeat(tuples, n_lambda, axis=0), np.tile(np.arange(n_lambda), len(tuples))
 
 

@@ -325,6 +325,18 @@ def is_regular(T: GenericSemigroup) -> bool:
     return kernel.first_block_failure(T.size, T.size, irregular) is None
 
 
+def regular_via_r_classes(T: GenericSemigroup, R) -> bool:
+    """`is_regular` of an associative table, from its R-classes R
+    (`green_via_ideals`) and its diagonal: x is regular exactly when its
+    R-class holds an idempotent (Howie, *Fundamentals of Semigroup Theory*,
+    1995, Section 2.3).  If x = xyx, then xy is an idempotent R-related to
+    x; if e R x with e idempotent, then x = ex and e = xy for some y of
+    S^1, so x = xyx.  Both steps use associativity: a table that fails
+    Light's test goes to `is_regular`."""
+    idempotent = T.table.diagonal() == np.arange(T.size)
+    return all(idempotent[list(cls)].any() for cls in R)
+
+
 class ProductTables(NamedTuple):
     """The direct product of two tables on 0..m-1 and 0..l-1: (x, y) times
     (x', y') is (first[x, x'], second[y, y']), and a -1 in either table is

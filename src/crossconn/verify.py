@@ -2,12 +2,17 @@
 
 These back the CLI's verify / crossconn / rbg commands.  A check that can
 name a witness passes exactly when its scan finds none (`checks.verdict`);
-the few with no witness to name pass on a boolean.  The four scans
-whose cost grows with the cone semigroup (the cone product agreement, the
-five T_L checks, naturality and the linked criterion) go through one call,
-`_guarded`, which skips their checks (passed=None) once the cost passes
-`TRIPLE_GUARD`, never silently truncated, and builds nothing of a skipped
-scan.
+the few with no witness to name pass on a boolean.  Each scan whose cost
+grows with the cone semigroup (the cone product agreement, the four scans
+of the five T_L checks, naturality and the linked criterion) goes through
+`_guarded`, which skips its checks (passed=None) once its cost passes
+`BUDGET`, with the cost against the budget as the witness, never silently
+truncated, and builds nothing of a skipped scan.  A cost is counted in
+entries from sizes alone: those its masks cover, `n_rows * row_size` of
+its `kernel.first_block_failure` calls, plus T_L's batch or table where it
+builds one.  So each T_L check is guarded on its own cost, but
+`cones.tl_associative` and `cones.tl_green_agreement`, which share T_L's
+table, are one scan.
 
 `rees_suite` checks the closed forms of S on plain integers, with no
 `ReesSemigroup.mul` call and no `ReesElement` per pair:
@@ -17,7 +22,10 @@ S's index layout and compares it once with the block of `S.table()`.
 The left and right
 `oracle.ideal_rows` of S's table are built once and serve Light's test,
 `oracle.green_via_ideals` and `rees.principal_left_ideal`, which compares
-the left rows with `ReesSemigroup.left_ideal_rows` in one step.
+the left rows with `ReesSemigroup.left_ideal_rows` in one step.  Once
+Light's test has passed, `rees.regular` reads the oracle's R-classes and
+the diagonal (`oracle.regular_via_r_classes`); a table that fails it goes
+to `oracle.is_regular`.
 The other O(|S|^2) scans run a block of rows at a time on the arrays of
 `kernel` (`kernel.first_block_failure`), reading products of S from
 `S.table()` and of G and P from `G.array` and `P.array`, which G and P
@@ -35,7 +43,8 @@ The cone scans run the same way, over T_L as one batch
 `category.cone_product_agreement` take a block of cones of T_L against
 all of T_L per step, `kernel.mul_L` against the action `cones.act` and
 against `ArrowCategory.compose` on arrays; `cones.action_law` a block of
-object pairs (k, l) against every tuple; and `cones.tl_green_agreement`
+object pairs (k, l) against every tuple; `cones.idempotent_closed_form` a
+block of cones, each squared; and `cones.tl_green_agreement`
 keys the cosets by `kernel.canonical`.  `crossconn.naturality` takes a
 block of triples of objects (l1, l2, i1) per step, all (i2, g1, g2) and
 all cones of each cell at once, through `kernel.bifunctor` and
@@ -108,6 +117,7 @@ associativity onto it.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable
 
 import numpy as np
@@ -118,21 +128,31 @@ from .checks import Check, verdict
 from .cones import CosetHandle
 from .rees import ReesSemigroup, SandwichMatrix
 
-TRIPLE_GUARD = 10**6
-
-_SKIP = "skipped by the triple guard"
+# Entries one guarded scan may read and hold: its masks (`n_rows * row_size`
+# of its `kernel.first_block_failure` calls) plus T_L's batch or table where
+# it builds one.  The row-block cone scans read 3.6-5.4e7 entries/s on a
+# 2-core host, so a scan at the budget takes about 0.1 s.
+BUDGET = 5 * 10**6
 
 
 def _guarded(cost: int, names: tuple[str, ...], run: Callable[[], Iterable]) -> list[Check]:
-    """The checks of one scan, each skipped when the scan's cost is past
-    `TRIPLE_GUARD`.  Only then is `run` called, and it gives one outcome per
-    name in order: a bool for a check with no witness, else the witness."""
-    if cost > TRIPLE_GUARD:
-        return [Check(name, None, _SKIP) for name in names]
+    """The checks of one scan, each skipped, with its cost against `BUDGET`
+    as the witness, when the scan's cost is past the budget.  Only otherwise
+    is `run` called, and it gives one outcome per name in order: a bool for
+    a check with no witness, else the witness."""
+    if cost > BUDGET:
+        reason = f"cost {_figure(cost)} > budget {_figure(BUDGET)}"
+        return [Check(name, None, reason) for name in names]
     return [
         Check(name, out) if isinstance(out, bool) else verdict(name, out)
         for name, out in zip(names, run(), strict=True)
     ]
+
+
+def _figure(x: int) -> str:
+    """x to two significant figures, as 1.7e9."""
+    mantissa, _, exponent = f"{x:.2g}".partition("e")
+    return f"{mantissa}e{int(exponent)}" if exponent else mantissa
 
 
 def rees_suite(S: ReesSemigroup) -> list[Check]:
@@ -141,10 +161,16 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
     table = T.table
     ideals = oracle.ideal_rows(table)
 
-    checks.append(verdict("rees.associative", oracle.associativity_witness(table, ideals)))
+    triple = oracle.associativity_witness(table, ideals)
+    checks.append(verdict("rees.associative", triple))
     checks.append(verdict("rees.table_matches_product", _product_witness(S, table)))
 
-    checks.append(Check("rees.regular", oracle.is_regular(T)))
+    green = oracle.green_via_ideals(T, ideals)
+    if triple is None:
+        regular = oracle.regular_via_r_classes(T, green["R"])
+    else:
+        regular = oracle.is_regular(T)
+    checks.append(Check("rees.regular", regular))
 
     formula = set(S.idempotents())
     brute = set(map(S.element, oracle.idempotents(T)))
@@ -153,9 +179,9 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
         witness = f"formula gives {len(formula)}, scan gives {len(brute)}"
     checks.append(verdict("rees.idempotent_formula", witness))
 
-    formula, brute = S.green(), oracle.green_via_ideals(T, ideals)
+    formula = S.green()
     for kind in ("L", "R", "H", "D"):
-        checks.append(Check(f"rees.green_{kind}_oracle_agreement", formula[kind] == brute[kind]))
+        checks.append(Check(f"rees.green_{kind}_oracle_agreement", formula[kind] == green[kind]))
 
     # row k against the closed form of k's L-class, k mod |Lambda|
     lefts = ideals[0].reshape(-1, S.n_lambda, ideals[0].shape[1])
@@ -213,9 +239,11 @@ def category_suite(S: ReesSemigroup) -> list[Check]:
             )
         checks.append(verdict(f"category.{name}_groupoid", witness))
 
-    n_cones = (G.order ** S.n_lambda) * S.n_lambda
+    # every cone of T_L against the batch's n_c |Lambda| entries, and the batch
+    n_cones = (G.order**S.n_lambda) * S.n_lambda
+    batch = n_cones * S.n_lambda
     return checks + _guarded(
-        n_cones**2,
+        n_cones * batch + batch,
         ("category.cone_product_agreement",),
         lambda: [_cone_product_witness(G, S.n_lambda)],
     )
@@ -250,19 +278,7 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     """`linked` is `connections.pair_arrays(S)`: pair a is phi(a), so the
     principal cones of a are the cones of U-Gamma and U-Delta at `linked.g[a]`
     and `linked.d[a]`, and every principal check reads their tables."""
-    G = S.group
-    n_cones = (G.order**S.n_lambda) * S.n_lambda
-    checks = _guarded(
-        n_cones**3,
-        (
-            "cones.action_law",
-            "cones.semidirect_law",
-            "cones.tl_associative",
-            "cones.tl_green_agreement",
-            "cones.idempotent_closed_form",
-        ),
-        lambda: _tl_outcomes(G, S.n_lambda),
-    )
+    checks = _tl_outcomes(S.group, S.n_lambda)
 
     # r[a] and l[a]: the positions of rho(a) and lam(a) in U-Gamma and U-Delta,
     # with no -1 to mask when every pair's halves lie in the U sets
@@ -306,51 +322,80 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     return checks
 
 
-def _tl_outcomes(G, n_l: int):
-    """The outcomes of the T_L checks of `cone_suite`, in its order, each
-    read off T_L as one batch (`cones.enumerate_TL`)."""
-    tl = values, vertices = cones.enumerate_TL(G, n_l)
+def _tl_outcomes(G, n_l: int) -> list[Check]:
+    """The T_L checks of `cone_suite`, in its order, each under `_guarded` on
+    its own cost, read off T_L as one batch (`cones.enumerate_TL`) of
+    n_c = |G|^|Lambda| |Lambda| cones and n_c |Lambda| entries.  Each scan
+    is charged its mask and the batch; `cones.tl_associative` and
+    `cones.tl_green_agreement` share T_L's table and its ideal rows, so they
+    are one scan, charged the n_c^2 table and its scan for holes.  The
+    batch is built once, by the first check that runs, and nothing at all
+    when every check is skipped."""
+    n_c = G.order**n_l * n_l
+    batch = n_c * n_l
     M = G.array
-    tuples = values[::n_l]  # each tuple once, in lexicographic order
+    built = functools.cache(lambda: cones.enumerate_TL(G, n_l))
 
-    # k*(l*v) must equal (kl)*v = l*v, the object set being right zero;
-    # one row per (k, l), all tuples at once
-    def unlawful_actions(rows: slice) -> np.ndarray:
-        k, l = (x[:, None] for x in np.divmod(np.arange(n_l * n_l)[rows], n_l))
-        once = cones.act(l, tuples)
-        return (cones.act(k, once) != once).any(axis=-1)
+    def action_law():
+        # k*(l*v) must equal (kl)*v = l*v, the object set being right zero;
+        # one row per (k, l), all tuples at once
+        tuples = built()[0][::n_l]  # each tuple once, in lexicographic order
 
-    bad = kernel.first_block_failure(n_l * n_l, tuples.size, unlawful_actions)
-    if bad is None:
-        yield None
-    else:
+        def unlawful_actions(rows: slice) -> np.ndarray:
+            k, l = (x[:, None] for x in np.divmod(np.arange(n_l * n_l)[rows], n_l))
+            once = cones.act(l, tuples)
+            return (cones.act(k, once) != once).any(axis=-1)
+
+        bad = kernel.first_block_failure(n_l * n_l, tuples.size, unlawful_actions)
+        if bad is None:
+            return [None]
         k, l = divmod(bad[0], n_l)
-        yield f"k={k}, l={l}, tuple={tuple(tuples[bad[1]].tolist())}"
+        return [f"k={k}, l={l}, tuple={tuple(tuples[bad[1]].tolist())}"]
 
-    # c1 * c2 against c1's tuple times c2's tuple acted on by c1's vertex,
-    # for a block of c1 and every c2 at once
-    def unlawful_products(rows: slice) -> np.ndarray:
-        c1 = values[rows, None], vertices[rows, None]
-        expected = M[c1[0], cones.act(c1[1], values)], vertices
-        return kernel.differ(expected, kernel.mul_L(M, c1, tl))
+    def semidirect_law():
+        # c1 * c2 against c1's tuple times c2's tuple acted on by c1's vertex,
+        # for a block of c1 and every c2 at once
+        tl = values, vertices = built()
 
-    bad = kernel.first_block_failure(len(vertices), values.size, unlawful_products)
-    yield None if bad is None else " * ".join(str(connections.as_cone(tl, k)) for k in bad)
+        def unlawful_products(rows: slice) -> np.ndarray:
+            c1 = values[rows, None], vertices[rows, None]
+            expected = M[c1[0], cones.act(c1[1], values)], vertices
+            return kernel.differ(expected, kernel.mul_L(M, c1, tl))
 
-    table = cones.cone_table(G, tl)
-    ideals = oracle.ideal_rows(table)
-    yield oracle.associativity_witness(table, ideals)
+        bad = kernel.first_block_failure(n_c, batch, unlawful_products)
+        return [None if bad is None else " * ".join(str(connections.as_cone(tl, k)) for k in bad)]
 
-    T = oracle.GenericSemigroup(table)
-    by_vertex = oracle.partition_by_key(vertices.tolist())
-    coset = kernel.row_keys(kernel.canonical(M, G.inverse, values))
-    by_coset = oracle.partition_by_key(np.unique(coset, return_inverse=True)[1].tolist())
-    green = oracle.green_via_ideals(T, ideals)
-    yield by_vertex == green["L"] and by_coset == green["R"]
+    def table_checks():
+        tl = values, vertices = built()
+        table = cones.cone_table(G, tl)
+        ideals = oracle.ideal_rows(table)
+        yield oracle.associativity_witness(table, ideals)
 
-    squares = ~kernel.differ(kernel.mul_L(M, tl, tl), tl)
-    bad = np.flatnonzero(cones.is_idempotent_cone(G, tl) != squares)
-    yield connections.as_cone(tl, bad[0]) if len(bad) else None
+        T = oracle.GenericSemigroup(table)
+        by_vertex = oracle.partition_by_key(vertices.tolist())
+        coset = kernel.row_keys(kernel.canonical(M, G.inverse, values))
+        by_coset = oracle.partition_by_key(np.unique(coset, return_inverse=True)[1].tolist())
+        green = oracle.green_via_ideals(T, ideals)
+        yield by_vertex == green["L"] and by_coset == green["R"]
+
+    def idempotent_closed_form():
+        # the closed form against c*c == c, a block of cones at a time
+        tl = built()
+
+        def wrong(rows: slice) -> np.ndarray:
+            c = kernel.pick(tl, rows)
+            squares = ~kernel.differ(kernel.mul_L(M, c, c), c)
+            return (cones.is_idempotent_cone(G, c) != squares)[:, None]
+
+        bad = kernel.first_block_failure(n_c, n_l, wrong)
+        return [None if bad is None else connections.as_cone(tl, bad[0])]
+
+    return (
+        _guarded(n_l * n_l * n_c + batch, ("cones.action_law",), action_law)
+        + _guarded(n_c * batch + batch, ("cones.semidirect_law",), semidirect_law)
+        + _guarded(2 * n_c * n_c, ("cones.tl_associative", "cones.tl_green_agreement"), table_checks)
+        + _guarded(2 * batch, ("cones.idempotent_closed_form",), idempotent_closed_form)
+    )
 
 
 def _misplaced(got: np.ndarray, expected: np.ndarray, holes: bool) -> np.ndarray:
@@ -365,8 +410,9 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
     n_i, n_l = S.n_i, S.n_lambda
     checks = connections.verify_crossconnection(P)
     checks.append(verdict("crossconn.duality_bijection", _duality_witness(P)))
+    # its rows, one per (l1, l2, i1), hold n_i |G|^3 max(n_l, n_i) entries
     checks += _guarded(
-        (n_l * n_i * G.order) ** 2 * G.order * (n_l + n_i),
+        n_l * n_l * n_i * n_i * G.order**3 * max(n_l, n_i),
         ("crossconn.naturality",),
         lambda: [_naturality_witness(P)],
     )
@@ -374,7 +420,7 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
     ug, ud = linked.u_gamma, linked.u_delta
     checks.append(Check("crossconn.u_subsemigroups", ug.regular and ud.regular))
     checks += _guarded(
-        len(ug.classes) * len(ud.classes) * (n_l + n_i),
+        len(ug.classes) * len(ud.classes),
         ("crossconn.linked_criterion_agreement",),
         lambda: [_linked_criterion_witness(S, linked)],
     )

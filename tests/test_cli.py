@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -104,15 +105,17 @@ def test_crossconn_command(p1_csv, capsys):
 
 
 def test_verify_with_skipped_checks(capsys):
-    # klein 4x4 has |S| = 64 but a 1024-cone semigroup, so the cone-table
-    # scans are skipped; skips must not fail the run
+    # klein 5x2 has |S| = 40 but a 5120-cone semigroup, so the scans of T_L
+    # against itself are skipped, each with its cost against the budget;
+    # skips must not fail the run
     code, out, _ = run_cli(
-        ["--group", "klein", "--matrix", "identity:4x4", "verify"], capsys
+        ["--group", "klein", "--matrix", "identity:5x2", "verify"], capsys
     )
     assert code == 0
     report = json.loads(out)
     skipped = [c for c in report["checks"] if c["passed"] is None]
     assert skipped
+    assert all(re.fullmatch(r"cost \S+ > budget 5e6", c["witness"]) for c in skipped)
     assert report["passed"] is True
 
 

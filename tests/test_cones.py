@@ -28,7 +28,7 @@ from crossconn import (
     kernel,
 )
 from crossconn.connections import as_cones
-from crossconn.errors import IndexOutOfRange, ParseError, SizeGuardExceeded
+from crossconn.errors import IndexOutOfRange, ParseError
 from crossconn.oracle import canonical_partition
 
 
@@ -268,12 +268,18 @@ def test_enumerate_lexicographic(z2, z3, s3):
         assert as_cones(batch.enumerate_TL(G, n)) == enumerate_TL(G, n)
 
 
-def test_enumerate_bound(z2, monkeypatch):
-    monkeypatch.setattr(batch, "DEFAULT_CONE_BOUND", 7)
-    with pytest.raises(SizeGuardExceeded):
-        batch.enumerate_TL(z2, 2)
+def test_enumerate_bound(z2):
+    # the size of T_L is bounded by verify's budget, before it is built
     with pytest.raises(IndexOutOfRange):
         batch.enumerate_TL(z2, 0)
+
+
+def test_enumerate_more_objects_than_numpy_has_axes():
+    # over the trivial group T_L is one tuple at each of 70 vertices; a grid
+    # of one axis per object would pass numpy's 64 axes
+    values, vertices = batch.enumerate_TL(builtin("cyclic", 1), 70)
+    assert values.tolist() == [[0] * 70] * 70
+    assert vertices.tolist() == list(range(70))
 
 
 def test_batch_act_matches_the_scalar_action(z3, s3):

@@ -65,8 +65,8 @@ GOLDEN = {
     ("z2_2x2", "rbg", "text"): (0, "5e4e17ff1993ede4637df054f4cdc1e86c9ed89a7e74939f340fc55ae29a3401"),
     ("klein_3x2", "build", "json"): (0, "65eb0b4e051dbd7dde9d707be513047e403432cd6b4659584433f5ed5ef31e78"),
     ("klein_3x2", "build", "text"): (0, "30abcec31c86a887bc058db2a75e034ae8fb956a0c87207042026970697ad641"),
-    ("klein_3x2", "verify", "json"): (0, "fc0ffd864da9bdeee1397aa033da2d07554aae9401daffec9e72e35bc57fa23d"),
-    ("klein_3x2", "verify", "text"): (0, "76a30b993beba3e3d486103d6c44e89612be44ab848ed48a8ab6e836e514a143"),
+    ("klein_3x2", "verify", "json"): (0, "432ee3d1b049a8d1b2e0906a09d608e5acaa98ae24bbacf0e6b455d786834ac5"),
+    ("klein_3x2", "verify", "text"): (0, "af22b4b2db8ce020e6354b2257280b5638debd84f5db1e2b32eed463029ea8f9"),
     ("klein_3x2", "green", "json"): (0, "a553da10eec5e7cd3e7b8263f6451eeadc63e1c9449204784751469b9373362e"),
     ("klein_3x2", "green", "text"): (0, "cd0586d7bd5d83cb27cf262e99fff0eea4ece07e8a9332518a072b2b52c002f2"),
     ("klein_3x2", "cones", "json"): (0, "e97156b19bad577b44005396ffc1d496980caf4d3053096f34d0d46758d3ebc8"),

@@ -593,9 +593,12 @@ def test_mul_L_broadcasts_a_block_against_a_batch(G):
 @pytest.mark.parametrize("G", GROUPS, ids=["Z2", "Z3", "S3", "S3-relabelled"])
 def test_tl_and_category_checks_match_the_loops(G):
     # cone_suite's T_L checks, the groupoid checks and the cone product
-    # against their scalar loops, wherever the triple guard lets them run
+    # against their scalar loops, up to 100 cones, where the loops stay
+    # quick.  There the costliest scan, 100 cones against a 300-entry batch,
+    # is far within verify.BUDGET, so no check is skipped: a skipped one
+    # would differ from its loop's.
     for n_lambda in (1, 2, 3):
-        if ((G.order**n_lambda) * n_lambda) ** 3 > verify.TRIPLE_GUARD:
+        if (G.order**n_lambda) * n_lambda > 100:
             break
         S = ReesSemigroup(identity_matrix(G, n_lambda, 2))
         checks = cone_suite(S, connections.pair_arrays(S))

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 from unittest import mock
@@ -20,6 +21,7 @@ from crossconn import (
     idempotents,
     is_regular,
     kernel,
+    oracle,
     verify_map,
 )
 from crossconn.errors import IndexOutOfRange, NotAssociative, NotClosed
@@ -64,6 +66,45 @@ def test_right_zero_semigroup():
     green = green_via_ideals(T)
     assert green["L"] == ((0,), (1,))
     assert green["R"] == ((0, 1),)
+
+
+def _full_transformations(n: int) -> list[list[int]]:
+    """The table of T_n, every map of 0..n-1 to itself, as x*y = "x, then y"."""
+    maps = list(itertools.product(range(n), repeat=n))
+    index = {f: k for k, f in enumerate(maps)}
+    return [[index[tuple(g[f[p]] for p in range(n))] for g in maps] for f in maps]
+
+
+def _monogenic(index: int, period: int) -> list[list[int]]:
+    """The table of <a | a^(index+period) = a^index>, element k being a^(k+1)."""
+    n = index + period - 1
+
+    def power(k: int) -> int:
+        return k if k <= n else index + (k - index) % period
+
+    return [[power(x + y + 2) - 1 for y in range(n)] for x in range(n)]
+
+
+@pytest.mark.parametrize(
+    "table, regular",
+    [
+        # null semigroup, x*y = 0: only 0 is regular
+        ([[0] * 4 for _ in range(4)], False),
+        # the full transformation monoid on 3 points is regular
+        (_full_transformations(3), True),
+        # a of index 2 is in no subgroup: its R-class {a} holds no idempotent
+        (_monogenic(2, 3), False),
+        # index 1: a cyclic group
+        (_monogenic(1, 4), True),
+    ],
+    ids=["null", "T3", "monogenic-index-2", "monogenic-index-1"],
+)
+def test_regular_via_r_classes_matches_is_regular(table, regular):
+    # associative tables that are not completely simple: the R-class rule
+    # gives is_regular's verdict and the loop's
+    T = from_table(table)
+    verdict = oracle.regular_via_r_classes(T, green_via_ideals(T)["R"])
+    assert verdict is is_regular(T) is scalar_reference.is_regular(T) is regular
 
 
 def test_not_associative_witness():

@@ -82,12 +82,29 @@ def test_full_suite_edge_shapes(z2, z3):
 
 
 def test_cone_suite_skips_above_triple_guard(klein):
-    # |TL| = 4^4 * 4 = 1024, so the cone-table scans must report skipped
-    S = ReesSemigroup(identity_matrix(klein, 4, 4))
-    checks = _cone_suite(S)
+    # Each T_L scan is charged its own cost against verify.BUDGET.  Klein 4x4
+    # has |T_L| = 4^4 * 4 = 1024 cones, and every scan of it is within the
+    # budget, so all five run.  With |Lambda| = 5 (5,120 cones) the action
+    # law and the idempotent closed form still run, while the semidirect law
+    # and the two checks of T_L's table are skipped with their cost.
+    checks = _cone_suite(ReesSemigroup(identity_matrix(klein, 4, 4)))
+    _assert_clean(checks)
+    assert [c.name for c in checks if c.passed is None] == []
+
+    checks = _cone_suite(ReesSemigroup(identity_matrix(klein, 5, 2)))
     by_name = {c.name: c for c in checks}
-    assert by_name["cones.tl_associative"].passed is None
-    assert by_name["cones.action_law"].passed is None
+    # 25 (k, l) rows of the 5,120 tuples' 25,600 entries, and the batch
+    assert by_name["cones.action_law"] == ("cones.action_law", True, None)
+    # one row per cone, of its 5 entries, and the batch
+    assert by_name["cones.idempotent_closed_form"].passed is True
+    skipped = {c.name: c.witness for c in checks if c.passed is None}
+    assert skipped == {
+        # 5,120 cones against the 25,600-entry batch, and the batch
+        "cones.semidirect_law": "cost 1.3e8 > budget 5e6",
+        # the 5,120^2 table and its scan for holes
+        "cones.tl_associative": "cost 5.2e7 > budget 5e6",
+        "cones.tl_green_agreement": "cost 5.2e7 > budget 5e6",
+    }
     # skipped checks do not fail the suite, and the rest still ran
     assert all_passed(checks)
     assert by_name["cones.principal_homomorphism"].passed is True
@@ -106,20 +123,75 @@ GUARDED = [
 
 
 def test_the_guard_skips_its_eight_checks_before_any_scan_runs(s1, monkeypatch):
-    # Under the default guard nothing on s1 is skipped.  With the guard at 0
-    # every guarded check is skipped, and T_L, the naturality scan and the
-    # linkage table, which raise here, are never reached.
+    # Under the default budget nothing on s1 is skipped.  With the budget at
+    # 0 every guarded check is skipped with its cost, and T_L, the
+    # naturality scan and the linkage table, which raise here, are never
+    # reached.  s1 = M[Z2; 2, 2]: T_L has 8 cones of 2 entries, a 16-entry
+    # batch.
     assert [c.name for c in full_suite(s1) if c.passed is None] == []
 
     def unreachable(*args):
         raise AssertionError("a guarded scan ran past the guard")
 
-    monkeypatch.setattr(verify, "TRIPLE_GUARD", 0)
+    monkeypatch.setattr(verify, "BUDGET", 0)
     monkeypatch.setattr(cones, "enumerate_TL", unreachable)
     monkeypatch.setattr(verify, "_naturality_witness", unreachable)
     monkeypatch.setattr(verify, "_linkage", unreachable)
     skipped = [c for c in full_suite(s1) if c.passed is None]
-    assert skipped == [(name, None, "skipped by the triple guard") for name in GUARDED]
+    costs = {
+        # 8 cones against the batch, and the batch: 8 * 16 + 16
+        "category.cone_product_agreement": "1.4e2",
+        # 4 (k, l) rows of 16 entries, and the batch
+        "cones.action_law": "48",
+        "cones.semidirect_law": "1.4e2",
+        # the 8 x 8 table and its scan for holes
+        "cones.tl_associative": "1.3e2",
+        "cones.tl_green_agreement": "1.3e2",
+        # a row of 2 entries per cone, and the batch
+        "cones.idempotent_closed_form": "32",
+        # 8 rows (l1, l2, i1) of 2 * 2^3 * 2 entries
+        "crossconn.naturality": "2.6e2",
+        # U-Gamma x U-Delta, 8 cones each
+        "crossconn.linked_criterion_agreement": "64",
+    }
+    assert skipped == [(name, None, f"cost {costs[name]} > budget 0") for name in GUARDED]
+
+
+def test_trivial_group_with_65_objects_runs_every_check():
+    # M[Z1; 65, 1]: T_L has 65 cones of 65 entries, within the budget, and
+    # is built although a grid of one numpy axis per object could not be
+    checks = full_suite(ReesSemigroup(identity_matrix(builtin("cyclic", 1), 65, 1)))
+    _assert_clean(checks)
+    assert [c.name for c in checks if c.passed is None] == []
+
+
+def test_big_group_skips_exactly_its_five_scans_past_the_budget():
+    # M[S5; 2, 2]: T_L has 120^2 * 2 = 28,800 cones.  The action law and the
+    # idempotent closed form run; the cone product and the semidirect law
+    # (28,800 cones against the 57,600-entry batch), the two checks of the
+    # 28,800^2 table and naturality (8 rows of 2 * 120^3 * 2 entries) are
+    # skipped with their cost.  Every other check passes.
+    S = ReesSemigroup(_s5_2x2_generic())
+    checks = full_suite(S)
+    skipped = {c.name: c.witness for c in checks if c.passed is None}
+    assert skipped == {
+        "category.cone_product_agreement": "cost 1.7e9 > budget 5e6",
+        "cones.semidirect_law": "cost 1.7e9 > budget 5e6",
+        "cones.tl_associative": "cost 1.7e9 > budget 5e6",
+        "cones.tl_green_agreement": "cost 1.7e9 > budget 5e6",
+        "crossconn.naturality": "cost 5.5e7 > budget 5e6",
+    }
+    _assert_clean(checks)
+    assert sum(c.passed is True for c in checks) == 30
+
+
+def _s5_2x2_generic() -> SandwichMatrix:
+    """M[S5; 2, 2]'s matrix [[e, e], [e, x]], x the first element other than
+    e: no two rows or columns differ by a constant factor."""
+    s5 = builtin("symmetric", 5)
+    e = s5.identity
+    x = next(g for g in s5.elements() if g != e)
+    return SandwichMatrix(s5, [[e, e], [e, x]])
 
 
 # The checks with no witness to name: their verdict is a boolean alone.
@@ -631,6 +703,30 @@ def test_wrong_idempotent_closed_form_fails(s1, monkeypatch):
     ]
     assert check.passed is False
     assert check.witness == str(wrong)
+
+
+def test_idempotents_against_a_non_identity_fail_on_s5_2x2(monkeypatch):
+    # Negative control at the size big_group checks: the closed form compares
+    # the coordinate at the vertex with x, not the identity, and the check
+    # names the first cone of T_L, in batch order, where it is wrong, as the
+    # scalar loop over T_L finds it.
+    S = ReesSemigroup(_s5_2x2_generic())
+    G = S.group
+    x = next(g for g in G.elements() if g != G.identity)
+
+    def wrong(group, c):
+        values, vertices = c
+        return np.take_along_axis(values, vertices[..., None], axis=-1)[..., 0] == x
+
+    monkeypatch.setattr(cones, "is_idempotent_cone", wrong)
+    check = {c.name: c for c in _cone_suite(S)}["cones.idempotent_closed_form"]
+    first = next(
+        c
+        for c in connections.as_cones(cones.enumerate_TL(G, S.n_lambda))
+        if (c.values[c.vertex] == x) != (scalar_reference.mul_L(G, c, c) == c)
+    )
+    assert check.passed is False
+    assert check.witness == str(first)
 
 
 def _stray_cone(G, members: list[Cone]) -> Cone:
@@ -1458,7 +1554,7 @@ def test_full_suite_makes_no_scalar_cone_products(s3, monkeypatch):
     # per call
     composed = calls["compose"]
     calls.clear()
-    monkeypatch.setattr(verify, "TRIPLE_GUARD", 0)
+    monkeypatch.setattr(verify, "BUDGET", 0)
     checks = {c.name: c for c in full_suite(S)}
     assert checks["category.cone_product_agreement"].passed is None
     assert calls["compose"] == 2 * 4
