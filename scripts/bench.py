@@ -24,10 +24,9 @@ pairs from connections.pair_arrays, whose build its time includes, on
 the identity rungs only: rbg_suite checks the identity's connection.  Then
 one call each times the table oracle's largest parts on the rung's
 table: oracle.green_via_ideals, which builds its own ideal rows,
-oracle.ideal_rows, and oracle.associativity_witness (Light's test) given
-those rows, as rees_suite gives them, so that its time is the test's
-alone; and it counts the generators that Light's test runs over, the
-dtype and size in bytes of the rung's table, `S.table()`, the memory
+oracle.ideal_rows, and oracle.associativity_witness (Light's test), which
+reads the table alone; and it counts the generators that Light's test
+runs over, the dtype and size in bytes of the rung's table, `S.table()`, the memory
 that connections.pair_arrays holds when it returns (pairs_mb: what
 tracemalloc counts as allocated during the call and still alive), and
 the median over K more calls of connections.pair_arrays of the time each
@@ -300,7 +299,6 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
     probe_ms = _probe_ms()
     S = _semigroup(matrix)
     T = S.to_generic()
-    ideals_s, ideals = _timed(oracle.ideal_rows, T.table)
     return {
         "name": name,
         "size": S.size,
@@ -312,11 +310,9 @@ def measure(name: str, matrix: SandwichMatrix, runs: int) -> dict:
         "suites": {n: _summary(times[n], checks[n]) for n in names},
         "oracle": {
             "green_via_ideals_s": round(_timed(oracle.green_via_ideals, T)[0], 4),
-            "ideal_rows_s": round(ideals_s, 4),
-            "associativity_witness_s": round(
-                _timed(oracle.associativity_witness, T.table, ideals)[0], 4
-            ),
-            "generators": len(oracle.generators(T.table, ideals)),
+            "ideal_rows_s": round(_timed(oracle.ideal_rows, T.table)[0], 4),
+            "associativity_witness_s": round(_timed(oracle.associativity_witness, T.table)[0], 4),
+            "generators": len(oracle.generators(T.table)),
         },
     }
 

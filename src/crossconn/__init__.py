@@ -8,9 +8,8 @@ compiles no module it does not use.
 _EXPORTS = {
     "categories": "ArrowCategory Cone Morphism left_category realize_category right_category",
     "checks": "Check all_passed failures",
-    "cones": "CosetHandle cone_table enumerate_TL injectivity_criterion",
-    "connections": "DualMorphism LinkedPair compose_duals matrix_of "
-    "pair_arrays pair_cones sigma_apply u_cones verify_crossconnection verify_phi",
+    "cones": "cone_table enumerate_TL injectivity_criterion",
+    "connections": "LinkedPair pair_arrays pair_cones u_cones verify_crossconnection verify_phi",
     "groups": "FiniteGroup builtin load_cayley load_cayley_file",
     "oracle": "GenericSemigroup associativity_witness green_via_ideals idempotents "
     "is_regular verify_map",

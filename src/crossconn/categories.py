@@ -54,9 +54,6 @@ class ArrowCategory:
         self.group = group
         self.n_objects = n_objects
 
-    def objects(self) -> range:
-        return range(self.n_objects)
-
     def identity(self, obj: int) -> Morphism:
         return Morphism(obj, obj, self.group.identity)
 

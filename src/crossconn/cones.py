@@ -22,8 +22,6 @@ checks of `verify.cone_suite` hold `kernel.mul_L` against them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from . import kernel
@@ -65,19 +63,6 @@ def injectivity_criterion(P: SandwichMatrix) -> tuple[int, int, int] | None:
         return None
     k = int(np.argmin(g[i1, i2]))
     return int(g[i1[k], i2[k]]), int(i1[k]), int(i2[k])
-
-
-class CosetHandle(NamedTuple):
-    """Canonical representative of a coset of the diagonal copy of G.
-
-    side 'left' stands for tuple*G, side 'right' for G*tuple (the left
-    coset over the opposite group); in both cases the representative has
-    the identity in coordinate 0, so two cosets are equal exactly when
-    their handles are equal.
-    """
-
-    side: str
-    canonical: tuple[int, ...]
 
 
 def enumerate_TL(group: FiniteGroup, n_lambda: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,78 +28,33 @@ opposite data, each built once and read as views of P's and G's arrays.
 all morphisms (`gamma_images`, `delta_images`): the canonical tuples of
 every object's coset come in one gather, and the image of kappa(g): i1 ->
 i2 is sigma_g between the cosets of i1 and i2, recorded as (h, dom id, cod
-id).  Those arrays are the functors' definition.  The functor laws,
+id).  Those arrays are the functors' definition, and the package's only
+statement of the normal dual N*L: a coset is its canonical tuple
+(`kernel.canonical`), and a morphism of N*L a row (h, dom id, cod id).
+`crossconn.matrix_roundtrip` reads the object tuples (`Images.objects`)
+as the extracted columns.  The functor laws,
 `fully_faithful`, `ideal_restriction` and coverage run on them in blocks
 of hom-sets, with no scalar group product, and a faulty image is a failed
 check, never an exception.  `fully_faithful` counts each hom-set's maps
 as its distinct keys cod * (h * o[0]), o the tuple of the domain object:
 one k-tuple per image, with no member of the coset formed
-(`_induced_maps`).  The scalar functors live on in
+(`_induced_maps`).  The scalar functors, with the coset handles and the
+sigma arithmetic they apply and compose, live on in
 tests/scalar_reference.py as the reference that tests compare them with.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernel
 from .categories import Cone, Morphism, left_category, right_category
 from .checks import Check, verdict
-from .cones import CosetHandle
-from .errors import NotComposable, NotInDomainCoset, ParseError
-from .groups import FiniteGroup
 from .oracle import GenericSemigroup, ProductTables, is_regular, verify_map
 from .rees import ReesSemigroup, SandwichMatrix
-
-
-class DualMorphism(NamedTuple):
-    """A morphism of a normal dual: 'sigma' between left cosets, 'tau' between right cosets."""
-
-    kind: str
-    h: int
-    dom: CosetHandle
-    cod: CosetHandle
-
-
-def _kind_group(group: FiniteGroup, kind: str) -> FiniteGroup:
-    """The group whose sigma arithmetic a dual morphism of this kind uses:
-    a tau between right cosets is a sigma over the opposite group."""
-    if kind == "sigma":
-        return group
-    if kind == "tau":
-        return group.opposite
-    raise ParseError(f"unknown dual morphism kind {kind!r}")
-
-
-def sigma_apply(group: FiniteGroup, m: DualMorphism, values: Sequence[int]) -> tuple[int, ...]:
-    """Apply a normal-dual morphism to a member of its domain coset.
-
-    For sigma the input is dom_rep * g and the output cod_rep * (h * g);
-    tau is the same over the opposite group, with the scalars on the left.
-    """
-    values = tuple(int(v) for v in values)
-    base = m.dom.canonical
-    if len(values) != len(base):
-        raise NotInDomainCoset(f"tuple length {len(values)} does not match the coset")
-    group = _kind_group(group, m.kind)
-    g = values[0]  # canonical representatives carry the identity in coordinate 0
-    if any(group.mul(b, g) != v for b, v in zip(base, values)):
-        raise NotInDomainCoset(f"{values} is not in the domain coset of {base}")
-    scale = group.mul(m.h, g)
-    return tuple(group.mul(c, scale) for c in m.cod.canonical)
-
-
-def compose_duals(group: FiniteGroup, m1: DualMorphism, m2: DualMorphism) -> DualMorphism:
-    """m1 followed by m2.  Sigmas compose with reversed group order, taus in order."""
-    if m1.kind != m2.kind:
-        raise NotComposable(f"cannot compose {m1.kind} with {m2.kind}")
-    if m1.cod != m2.dom:
-        raise NotComposable("codomain coset of the first is not the domain of the second")
-    h = _kind_group(group, m1.kind).mul(m2.h, m1.h)
-    return DualMorphism(m1.kind, h, m1.dom, m2.cod)
 
 
 Cones = tuple[np.ndarray, np.ndarray]
@@ -260,20 +215,6 @@ def verify_phi(S: ReesSemigroup, linked: PairArrays) -> tuple[str | None, str | 
         witness = f"product of {p} and {q} is not a linked pair"
         return witness, witness
     return None, witness
-
-
-def matrix_of(group: FiniteGroup, handles: Sequence[CosetHandle]) -> SandwichMatrix:
-    """The matrix read off an object assignment: column i is the canonical
-    representative of the i-th coset handle."""
-    if not handles:
-        raise ParseError("need at least one coset handle")
-    if any(h.side != "left" for h in handles):
-        raise ParseError("object assignments use left coset handles")
-    depth = len(handles[0].canonical)
-    if any(len(h.canonical) != depth for h in handles):
-        raise ParseError("coset handles have inconsistent lengths")
-    entries = [[h.canonical[lam] for h in handles] for lam in range(depth)]
-    return SandwichMatrix(group, entries)
 
 
 class Images(NamedTuple):

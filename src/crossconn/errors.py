@@ -37,9 +37,5 @@ class NotComposable(CrossconnError):
     """Two morphisms were composed whose codomain and domain do not match."""
 
 
-class NotInDomainCoset(CrossconnError):
-    """A tuple fed to a normal-dual morphism lies outside its domain coset."""
-
-
 class ParseError(CrossconnError):
     """Malformed input: a file, a label, or a command-line argument."""

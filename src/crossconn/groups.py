@@ -96,10 +96,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def label(self, a: int) -> str:
-        self._check(a)
-        return self.names[a]
-
     def index_of(self, label: str) -> int:
         try:
             return self.names.index(str(label))

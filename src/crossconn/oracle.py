@@ -23,9 +23,9 @@ every element as packed bit rows, each block of rows one boolean
 scatter; the bytes of a row are an exact key of its ideal.  Green's
 relations come as one dict of all four partitions, keyed by those bytes:
 L and R by the row of each side, H by the pair, and D by union-find over
-the L and R classes.  A caller that needs the rows more than once (Light's
-test, Green's relations and the principal-ideal check of one table)
-builds them once and passes them on.
+the L and R classes.  A caller that needs the rows more than once (Green's
+relations and the principal-ideal check of one table) builds them once
+and passes them on.
 
 Associativity is decided by Light's test (Clifford & Preston, *The
 Algebraic Theory of Semigroups* I, 1961, Section 1.2): the table is
@@ -37,7 +37,11 @@ n^2/|Lambda| + n^2/|I| per generator in a completely simple semigroup.
 `generators` picks A from the table: the lowest element outside the
 closure so far whose L- and R-classes the closure does not meet, or else
 the lowest outside, and closes by right multiplication with the
-generators, a whole frontier per numpy step.  In a
+generators, a whole frontier per numpy step.  The classes are told apart
+by the least entry of each column and of each row: x L y gives Sx = Sy,
+and x R y gives xS = yS, so the minima are constant on classes, and
+exact on a completely simple semigroup, whose L-classes are its minimal
+left ideals Sx, and on a group.  In a
 completely simple semigroup a product is R-related to its first factor
 and L-related to its last, so every generating set meets each R- and
 L-class, and this choice stays near the rank (Ruskuc, "On the rank of
@@ -59,7 +63,7 @@ from . import kernel
 from .errors import IndexOutOfRange, NotClosed, ParseError
 
 
-def associativity_witness(table, ideals=None) -> tuple[int, int, int] | None:
+def associativity_witness(table) -> tuple[int, int, int] | None:
     """First triple (a, b, c) with (a*b)*c != a*(b*c), or None if associative.
 
     Light's test runs first.  The set N of elements a with (x a) y = x (a y)
@@ -69,11 +73,10 @@ def associativity_witness(table, ideals=None) -> tuple[int, int, int] | None:
     holds the whole table, and the table is associative; `generators`
     picks such an A.  Each a of A is tested at its image classes (`_light`).
     Only when the test fails does the full row scan run, and it returns
-    the first triple in (a, b, c) order.  `ideals`, the table's
-    `ideal_rows` if the caller has them, is passed on to `generators`.
+    the first triple in (a, b, c) order.
     """
     t = np.asarray(table)
-    for a in generators(t, ideals):
+    for a in generators(t):
         if not _light(t, a):
             return _full_scan(t)
     return None
@@ -111,29 +114,28 @@ def _light(t: np.ndarray, a: int) -> bool:
     )
 
 
-def generators(table, ideals=None) -> list[int]:
+def generators(table) -> list[int]:
     """A set A of the table's elements from which every element is a
     left-normed product ((a1 a2) ...) ak of members, in the order chosen.
 
     Each generator is the lowest element outside the closure so far whose
-    L-class and R-class (equal `ideal_rows` on each side) the closure
-    does not meet yet, or, when every outside element's classes are met,
-    the lowest element outside (see the module's notes on the rank).  The
-    closure is the left-normed products of the generators so far: when x
-    is chosen, x and every member times x join it, and then each wave
-    multiplies the elements the last one added (the frontier) by every
-    generator, so each element is multiplied by each generator once.  On
+    column minimum and row minimum (constant on its L-class and R-class)
+    no member of the closure shares yet, or, when every outside element
+    shares one, the lowest element outside (see the module's notes on the
+    choice and the rank).  The closure is the left-normed products of the
+    generators so far: when x is chosen, x and every member times x join
+    it, and then each wave multiplies the elements the last one added (the
+    frontier) by every generator, so each element is multiplied by each
+    generator once.  On
     an associative table the left-normed products of A are all its
     products, so this is A's closure under the product; on any table, a
     closure that reaches all n elements shows that every element is a
     product of members of A, which is what Light's test needs.
-    `ideals` is the table's `ideal_rows`, built here when it is None.
     """
     t = np.asarray(table)
     n = len(t)
-    lefts, rights = ideal_rows(t) if ideals is None else ideals
-    classes = [_class_ids(lefts), _class_ids(rights)]
-    met = [np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)]  # per class id
+    classes = [t.min(axis=0), t.min(axis=1)]
+    met = [np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)]  # per minimum
     inside = np.zeros(n, dtype=bool)
     reached = 0
     out = []
@@ -256,12 +258,6 @@ def _keys(rows: np.ndarray) -> list[bytes]:
     """The bytes of each packed row, as hashable keys."""
     data, width = rows.tobytes(), rows.shape[1]
     return [data[k : k + width] for k in range(0, len(data), width)]
-
-
-def _class_ids(rows: np.ndarray) -> np.ndarray:
-    """The class of each row, numbered by first appearance: equal rows, equal ids."""
-    ids: dict[bytes, int] = {}
-    return np.array([ids.setdefault(key, len(ids)) for key in _keys(rows)], dtype=np.intp)
 
 
 def partition_by_key(keys: Sequence) -> tuple[tuple[int, ...], ...]:

@@ -19,8 +19,8 @@ table, are one scan.
 `rees.table_matches_product` evaluates `rees.product` on the coordinate
 arrays of a block of rows against every element per step, encodes it in
 S's index layout and compares it once with the block of `S.table()`.
-The left and right
-`oracle.ideal_rows` of S's table are built once and serve Light's test,
+Light's test reads the table alone.  The left and right
+`oracle.ideal_rows` of S's table are built once and serve
 `oracle.green_via_ideals` and `rees.principal_left_ideal`, which compares
 the left rows with `ReesSemigroup.left_ideal_rows` in one step.  Once
 Light's test has passed, `rees.regular` reads the oracle's R-classes and
@@ -51,7 +51,8 @@ all cones of each cell at once, through `kernel.bifunctor` and
 `kernel.chi`, and `crossconn.duality_bijection` a block of cells per
 step, all their cones through one broadcasting `kernel.chi` and back,
 with the first failing cell and condition as the witness.  `crossconn.matrix_roundtrip`
-factors every column of P through its extracted column in one
+factors every column of P through its extracted column, the canonical
+tuple of its object's coset (`connections.gamma_images`), in one
 `kernel.right_factor`.  Each cell is one slice of `SandwichMatrix.scaled`
 (`connections.gamma_cells`), and the dual side of every connection check
 reads `SandwichMatrix.transpose`: the connection is its matrix, which
@@ -106,8 +107,7 @@ verdict per U table (`connections.UCones.regular`), which the principal
 image shares when it is all of U-Gamma, as it is unless phi is at fault;
 `oracle.verify_map` the isomorphism and the pairs' closure, and
 `oracle.green_via_ideals` gives all four Green partitions of S and of
-T_L at once, keyed by the bytes of the ideal rows by which Light's test
-of the same table chose its generators.  Each table is scanned for
+T_L at once, keyed by the bytes of the ideal rows.  Each table is scanned for
 associativity once, by the check that reports it (`rees.associative`,
 `cones.tl_associative`), so a
 non-associative table is a failed check; the linked-pair table needs
@@ -125,7 +125,6 @@ import numpy as np
 from . import connections, cones, kernel, oracle, rees
 from .categories import Morphism, left_category, realize_category, right_category
 from .checks import Check, verdict
-from .cones import CosetHandle
 from .rees import ReesSemigroup, SandwichMatrix
 
 # Entries one guarded scan may read and hold: its masks (`n_rows * row_size`
@@ -159,12 +158,11 @@ def rees_suite(S: ReesSemigroup) -> list[Check]:
     checks = []
     T = S.to_generic()
     table = T.table
-    ideals = oracle.ideal_rows(table)
-
-    triple = oracle.associativity_witness(table, ideals)
+    triple = oracle.associativity_witness(table)
     checks.append(verdict("rees.associative", triple))
     checks.append(verdict("rees.table_matches_product", _product_witness(S, table)))
 
+    ideals = oracle.ideal_rows(table)
     green = oracle.green_via_ideals(T, ideals)
     if triple is None:
         regular = oracle.regular_via_r_classes(T, green["R"])
@@ -327,8 +325,8 @@ def _tl_outcomes(G, n_l: int) -> list[Check]:
     its own cost, read off T_L as one batch (`cones.enumerate_TL`) of
     n_c = |G|^|Lambda| |Lambda| cones and n_c |Lambda| entries.  Each scan
     is charged its mask and the batch; `cones.tl_associative` and
-    `cones.tl_green_agreement` share T_L's table and its ideal rows, so they
-    are one scan, charged the n_c^2 table and its scan for holes.  The
+    `cones.tl_green_agreement` share T_L's table, so they are one scan,
+    charged the n_c^2 table and its scan for holes.  The
     batch is built once, by the first check that runs, and nothing at all
     when every check is skipped."""
     n_c = G.order**n_l * n_l
@@ -368,14 +366,13 @@ def _tl_outcomes(G, n_l: int) -> list[Check]:
     def table_checks():
         tl = values, vertices = built()
         table = cones.cone_table(G, tl)
-        ideals = oracle.ideal_rows(table)
-        yield oracle.associativity_witness(table, ideals)
+        yield oracle.associativity_witness(table)
 
         T = oracle.GenericSemigroup(table)
         by_vertex = oracle.partition_by_key(vertices.tolist())
         coset = kernel.row_keys(kernel.canonical(M, G.inverse, values))
         by_coset = oracle.partition_by_key(np.unique(coset, return_inverse=True)[1].tolist())
-        green = oracle.green_via_ideals(T, ideals)
+        green = oracle.green_via_ideals(T)
         yield by_vertex == green["L"] and by_coset == green["R"]
 
     def idempotent_closed_form():
@@ -429,10 +426,9 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
     checks.append(verdict("crossconn.s_tilde_closed", closure))
     checks.append(verdict("crossconn.phi_isomorphism", phi))
 
-    objects = connections.gamma_images(P).objects.tolist()
-    extracted = connections.matrix_of(G, [CosetHandle("left", tuple(c)) for c in objects])
-    # every column of P against its extracted column at once
-    _, scaled = kernel.right_factor(G.array, G.inverse, P.array.T, extracted.array.T)
+    # every column of P against its extracted column, its object's coset tuple, at once
+    objects = connections.gamma_images(P).objects
+    _, scaled = kernel.right_factor(G.array, G.inverse, P.array.T, objects)
     bad = np.flatnonzero(~scaled)
     witness = None
     if len(bad):

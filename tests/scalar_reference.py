@@ -21,7 +21,14 @@ connection functor and its dual (`gamma_apply`, `delta_apply`), the
 Green relations of cones and the category's cone product
 (`compose_cones`).  The package reads every one of those sets off
 `SandwichMatrix.scaled`, and the functors' images off
-`SandwichMatrix.array`, and tests compare the two.  The loops call the
+`SandwichMatrix.array`, and tests compare the two.
+
+The scalar normal dual N*L lives only here: coset handles
+(`CosetHandle`, from `coset_normalize`), its morphisms (`DualMorphism`)
+with their application and composition (`sigma_apply`, `compose_duals`),
+and `matrix_of`, the matrix read off an object assignment.  The package
+states N*L once, as the image arrays of `connections.gamma_images`, whose
+object tuples `crossconn.matrix_roundtrip` reads.  The loops call the
 scalar functions through this module's globals (`mul_L`,
 `coset_normalize`, ...) or the package's modules, so a fault patched
 into one of those reaches them too.
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import product
+from typing import NamedTuple, Sequence
 from unittest import mock
 
 import numpy as np
@@ -51,14 +59,12 @@ import numpy as np
 from crossconn import cones, connections, kernel, oracle
 from crossconn.categories import ArrowCategory, Cone, Morphism, left_category, right_category
 from crossconn.checks import Check
-from crossconn.cones import CosetHandle
-from crossconn.connections import DualMorphism, Images, LinkedPair
+from crossconn.connections import Images, LinkedPair
 from crossconn.errors import (
     CrossconnError,
     IndexOutOfRange,
     NotAssociative,
     NotComposable,
-    NotInDomainCoset,
     ParseError,
 )
 from crossconn.groups import FiniteGroup
@@ -73,6 +79,88 @@ from crossconn.rees import ReesElement, ReesSemigroup, SandwichMatrix
 class ElementNotInCell(CrossconnError):
     """A cone fed to a scalar cell map is not a scaled matrix column or row.
     The array scans never raise it: such a cone fails its check."""
+
+
+class NotInDomainCoset(CrossconnError):
+    """A tuple fed to a normal-dual morphism lies outside its domain coset.
+    The array scans never raise it: such an image induces no map."""
+
+
+class CosetHandle(NamedTuple):
+    """Canonical representative of a coset of the diagonal copy of G.
+
+    side 'left' stands for tuple*G, side 'right' for G*tuple (the left
+    coset over the opposite group); in both cases the representative has
+    the identity in coordinate 0, so two cosets are equal exactly when
+    their handles are equal.  The package's twin is a row of
+    `kernel.canonical`.
+    """
+
+    side: str
+    canonical: tuple[int, ...]
+
+
+class DualMorphism(NamedTuple):
+    """A morphism of a normal dual: 'sigma' between left cosets, 'tau' between
+    right cosets.  The package's twin is a row (h, dom id, cod id) of
+    `connections.Images`."""
+
+    kind: str
+    h: int
+    dom: CosetHandle
+    cod: CosetHandle
+
+
+def _kind_group(group: FiniteGroup, kind: str) -> FiniteGroup:
+    """The group whose sigma arithmetic a dual morphism of this kind uses:
+    a tau between right cosets is a sigma over the opposite group."""
+    if kind == "sigma":
+        return group
+    if kind == "tau":
+        return group.opposite
+    raise ParseError(f"unknown dual morphism kind {kind!r}")
+
+
+def sigma_apply(group: FiniteGroup, m: DualMorphism, values: Sequence[int]) -> tuple[int, ...]:
+    """Apply a normal-dual morphism to a member of its domain coset.
+
+    For sigma the input is dom_rep * g and the output cod_rep * (h * g);
+    tau is the same over the opposite group, with the scalars on the left.
+    """
+    values = tuple(int(v) for v in values)
+    base = m.dom.canonical
+    if len(values) != len(base):
+        raise NotInDomainCoset(f"tuple length {len(values)} does not match the coset")
+    group = _kind_group(group, m.kind)
+    g = values[0]  # canonical representatives carry the identity in coordinate 0
+    if any(group.mul(b, g) != v for b, v in zip(base, values)):
+        raise NotInDomainCoset(f"{values} is not in the domain coset of {base}")
+    scale = group.mul(m.h, g)
+    return tuple(group.mul(c, scale) for c in m.cod.canonical)
+
+
+def compose_duals(group: FiniteGroup, m1: DualMorphism, m2: DualMorphism) -> DualMorphism:
+    """m1 followed by m2.  Sigmas compose with reversed group order, taus in order."""
+    if m1.kind != m2.kind:
+        raise NotComposable(f"cannot compose {m1.kind} with {m2.kind}")
+    if m1.cod != m2.dom:
+        raise NotComposable("codomain coset of the first is not the domain of the second")
+    h = _kind_group(group, m1.kind).mul(m2.h, m1.h)
+    return DualMorphism(m1.kind, h, m1.dom, m2.cod)
+
+
+def matrix_of(group: FiniteGroup, handles: Sequence[CosetHandle]) -> SandwichMatrix:
+    """The matrix read off an object assignment: column i is the canonical
+    representative of the i-th coset handle."""
+    if not handles:
+        raise ParseError("need at least one coset handle")
+    if any(h.side != "left" for h in handles):
+        raise ParseError("object assignments use left coset handles")
+    depth = len(handles[0].canonical)
+    if any(len(h.canonical) != depth for h in handles):
+        raise ParseError("coset handles have inconsistent lengths")
+    entries = [[h.canonical[lam] for h in handles] for lam in range(depth)]
+    return SandwichMatrix(group, entries)
 
 
 def cone_arrays(cones_) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +282,7 @@ def groupoid_witness(cat: ArrowCategory) -> str | None:
     the first morphism in (dom, cod, g) order without a two-sided inverse or
     whose normal factorization does not recompose, one scalar morphism at a
     time."""
-    for dom, cod, g in product(cat.objects(), cat.objects(), cat.group.elements()):
+    for dom, cod, g in product(range(cat.n_objects), range(cat.n_objects), cat.group.elements()):
         m = Morphism(dom, cod, g)
         inv = cat.invert(m)
         if not (cat.is_identity(cat.compose(m, inv)) and cat.is_identity(cat.compose(inv, m))):
@@ -292,7 +380,7 @@ def compose_cones(cat: ArrowCategory, gamma: Cone, sigma: Cone) -> Cone:
     part); the result has sigma's vertex.
     """
     link = cone_component(cat, sigma, gamma.vertex)
-    values = tuple(cat.compose(cone_component(cat, gamma, a), link).g for a in cat.objects())
+    values = tuple(cat.compose(cone_component(cat, gamma, a), link).g for a in range(cat.n_objects))
     return Cone(values, sigma.vertex)
 
 
@@ -477,6 +565,30 @@ def right_closure(T: GenericSemigroup, gens) -> set[int]:
         if products <= closure:
             return closure
         closure |= products
+
+
+def greedy_generators(table, lefts, rights) -> list[int]:
+    """`oracle.generators` with each element's L-class key in lefts and its
+    R-class key in rights: each generator is the least element outside the
+    left-normed products of those before it whose two keys no such product
+    has, or else the least element outside, and each new member of the
+    closure is multiplied by each generator once, by scalar lookups."""
+    t = table.tolist()
+    inside: set[int] = set()
+    met: tuple[set, set] = (set(), set())
+    out = []
+    while len(inside) < len(t):
+        outside = [y for y in range(len(t)) if y not in inside]
+        fresh = [y for y in outside if lefts[y] not in met[0] and rights[y] not in met[1]]
+        x = (fresh or outside)[0]
+        out.append(x)
+        frontier = ({t[y][x] for y in inside} | {x}) - inside
+        while frontier:
+            inside |= frontier
+            met[0].update(lefts[y] for y in frontier)
+            met[1].update(rights[y] for y in frontier)
+            frontier = {t[y][g] for y in frontier for g in out} - inside
+    return out
 
 
 def idempotents(T: GenericSemigroup) -> list[int]:
@@ -782,18 +894,18 @@ def crossconnection_checks(P: SandwichMatrix) -> list[Check]:
         ("delta", left_category(G, P.rows), delta_apply),
     ):
         witness = None
-        for obj in cat.objects():
+        for obj in range(cat.n_objects):
             got = apply_(P, cat.identity(obj))
             if got.h != G.identity or got.dom != got.cod:
                 witness = f"identity at object {obj} is not sent to an identity"
                 break
         if witness is None:
-            for o1, o2, o3 in product(cat.objects(), repeat=3):
+            for o1, o2, o3 in product(range(cat.n_objects), repeat=3):
                 for g1, g2 in product(G.elements(), repeat=2):
                     m1, m2 = Morphism(o1, o2, g1), Morphism(o2, o3, g2)
                     lhs = apply_(P, cat.compose(m1, m2))
                     try:
-                        rhs = connections.compose_duals(G, apply_(P, m1), apply_(P, m2))
+                        rhs = compose_duals(G, apply_(P, m1), apply_(P, m2))
                     except NotComposable:
                         rhs = None
                     if lhs != rhs:
@@ -811,7 +923,7 @@ def crossconnection_checks(P: SandwichMatrix) -> list[Check]:
         for g in G.elements():
             sg = gamma_apply(P, Morphism(i1, i2, g))
             try:
-                actions.add(tuple(connections.sigma_apply(G, sg, x) for x in members))
+                actions.add(tuple(sigma_apply(G, sg, x) for x in members))
             except NotInDomainCoset:
                 pass
         if len(actions) != G.order:

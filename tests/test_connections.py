@@ -5,48 +5,49 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scalar_reference import (
+    CosetHandle,
+    DualMorphism,
     ElementNotInCell,
+    NotInDomainCoset,
     bifunctor_gamma,
     chi,
     column,
+    compose_duals,
     delta_apply,
     gamma_apply,
     is_linked,
     linked_pairs,
+    matrix_of,
     mul_L,
     phi,
     principal_pair,
     right_factor,
     row,
     s_tilde_mul,
+    sigma_apply,
     u_delta,
     u_gamma,
 )
 
 from crossconn import (
     Cone,
-    CosetHandle,
-    DualMorphism,
     LinkedPair,
     Morphism,
     ReesElement,
     ReesSemigroup,
     SandwichMatrix,
     builtin,
-    compose_duals,
     connections,
     identity_matrix,
     kernel,
     left_category,
-    matrix_of,
     pair_arrays,
     right_category,
-    sigma_apply,
     verify_crossconnection,
     verify_phi,
 )
 from crossconn.checks import all_passed
-from crossconn.errors import NotComposable, NotInDomainCoset
+from crossconn.errors import NotComposable
 
 
 @pytest.fixture(scope="session")

@@ -217,7 +217,7 @@ def _relabelled_s3() -> FiniteGroup:
     s3 = builtin("symmetric", 3)
     labels = ["120", "021", "210", "012", "201", "102"]
     table = [
-        [s3.label(s3.mul(s3.index_of(a), s3.index_of(b))) for b in labels] for a in labels
+        [s3.names[s3.mul(s3.index_of(a), s3.index_of(b))] for b in labels] for a in labels
     ]
     return load_cayley(table, labels=labels)
 
@@ -258,7 +258,7 @@ def test_group_array_is_the_read_only_cayley_table(s3):
             G.array[0, 0] = G.array[0, 1]
         with pytest.raises(ValueError):
             G.inverse[0] = G.inverse[1]
-        labels = [[G.label(G.mul(a, b)) for b in G.elements()] for a in G.elements()]
+        labels = [[G.names[G.mul(a, b)] for b in G.elements()] for a in G.elements()]
         assert G.label_rows() == labels
     assert s3.opposite.array.base is s3.array
     assert (s3.opposite.array == s3.array.T).all()

@@ -15,6 +15,7 @@ from crossconn import (
     SandwichMatrix,
     associativity_witness,
     builtin,
+    cones,
     connections,
     green_via_ideals,
     identity_matrix,
@@ -509,16 +510,17 @@ def test_associativity_witness_matches_the_triple_loop(table, block):
 @given(closed_tables(), BLOCKS)
 def test_generators_are_the_greedy_generating_set(table, block):
     # Each generator is the least element outside the left-normed products
-    # of those before it whose principal left and right ideals are those of
-    # no such product, or, when every outside element shares one, the least
-    # element outside; and the left-normed products of all of them are the
-    # whole table, so all of them generate it.  On an associative table the
-    # left-normed products are the closure under all products.
+    # of those before it whose column minimum and row minimum (the least
+    # members of Sx and xS) are those of no such product, or, when every
+    # outside element shares one, the least element outside; and the
+    # left-normed products of all of them are the whole table, so all of
+    # them generate it.  On an associative table the left-normed products
+    # are the closure under all products.
     T = GenericSemigroup(table)
     with mock.patch.object(kernel, "BLOCK", block):
         gens = generators(T.table)
-    lefts = [scalar_reference.left_ideal(T, x) for x in range(T.size)]
-    rights = [scalar_reference.right_ideal(T, x) for x in range(T.size)]
+    lefts = [min(T.mul(s, x) for s in range(T.size)) for x in range(T.size)]
+    rights = [min(T.mul(x, s) for s in range(T.size)) for x in range(T.size)]
     associative = scalar_reference.associativity_witness(T) is None
     for k, x in enumerate(gens):
         closure = scalar_reference.right_closure(T, gens[:k])
@@ -529,3 +531,41 @@ def test_generators_are_the_greedy_generating_set(table, block):
         assert x == (fresh or outside)[0]
     assert scalar_reference.right_closure(T, gens) == set(range(T.size))
     assert scalar_reference.magma_closure(T, gens) == set(range(T.size))
+    assert gens == scalar_reference.greedy_generators(T.table, lefts, rights)
+
+
+def _rees_table(family, order, n_lambda, n_i, seed):
+    G = builtin(family, order)
+    rng = np.random.default_rng(seed)
+    if seed is None:
+        return ReesSemigroup(identity_matrix(G, n_lambda, n_i)).table()
+    matrix = SandwichMatrix(G, rng.integers(0, G.order, (n_lambda, n_i)).tolist())
+    return ReesSemigroup(matrix).table()
+
+
+def _tl_table(family, order, n_lambda):
+    G = builtin(family, order)
+    return cones.cone_table(G, cones.enumerate_TL(G, n_lambda))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        pytest.param(lambda: _rees_table("cyclic", 1, 1, 1, None), id="trivial"),
+        pytest.param(lambda: _rees_table("cyclic", 2, 2, 2, None), id="z2 2x2 identity"),
+        pytest.param(lambda: _rees_table("cyclic", 4, 4, 4, None), id="z4 4x4 identity"),
+        pytest.param(lambda: _rees_table("klein", 4, 3, 2, 1), id="klein 3x2 generic"),
+        pytest.param(lambda: _rees_table("symmetric", 3, 2, 3, 2), id="s3 2x3 generic"),
+        pytest.param(lambda: _rees_table("symmetric", 3, 3, 3, 3), id="s3 3x3 generic"),
+        pytest.param(lambda: builtin("symmetric", 4).array, id="s4"),
+        pytest.param(lambda: _tl_table("symmetric", 3, 2), id="T_L s3 2"),
+        pytest.param(lambda: _tl_table("symmetric", 3, 3), id="T_L s3 3"),
+    ],
+)
+def test_generators_are_those_the_ideal_classes_choose(table):
+    # On a completely simple table, and on T_L, the minima tell the classes
+    # apart exactly: the generators are those chosen by the classes of
+    # equal principal left and right ideals (`ideal_rows`).
+    t = table()
+    lefts, rights = ([row.tobytes() for row in side] for side in ideal_rows(t))
+    assert generators(t) == scalar_reference.greedy_generators(t, lefts, rights)

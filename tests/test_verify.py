@@ -1027,21 +1027,22 @@ def test_flipped_criterion_fails_injectivity_equivalence(s1, monkeypatch):
 
 
 def test_left_scaled_column_fails_matrix_roundtrip(monkeypatch):
-    # Negative control: matrix_of scales extracted column 1, (e, x) with x a
-    # 3-cycle, on the left by a transposition h.  h * (e, x) = (e, x) * h
-    # would need h x = x h, so the column is no right scaling of the original.
+    # Negative control: the connection functor sends object 1 to its coset
+    # tuple (e, x), x a 3-cycle, scaled on the left by a transposition h.
+    # h * (e, x) = (e, x) * h would need h x = x h, so the extracted column
+    # is no right scaling of the original.
     S = _s3_fixture()
-    G, original = S.group, connections.matrix_of
-    h, x = 1, original(G, [scalar_reference.gamma_apply(S.matrix, 1)]).entry(1, 0)
+    G, original = S.group, connections.gamma_images
+    h, x = 1, int(original(S.matrix).objects[1, 1])
     assert G.mul(h, x) != G.mul(x, h)
 
-    def matrix_of(group, handles):
-        rows = original(group, handles).array.tolist()
-        for row in rows:
-            row[1] = group.mul(h, row[1])
-        return SandwichMatrix(group, rows)
+    def gamma_images(P):
+        images = original(P)
+        objects = images.objects.copy()
+        objects[1] = G.array[h, objects[1]]
+        return images._replace(objects=objects)
 
-    monkeypatch.setattr(connections, "matrix_of", matrix_of)
+    monkeypatch.setattr(connections, "gamma_images", gamma_images)
     check = {c.name: c for c in _crossconn_suite(S)}["crossconn.matrix_roundtrip"]
     assert check.passed is False
     assert check.witness == "extracted column 1 is not a right scaling of the original"
@@ -1258,9 +1259,9 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
 
 
 def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
-    # The ideal rows of S's table, left and right, are built once: Light's
-    # test picks its generators by their keys, all four Green partitions
-    # come from them, and rees.principal_left_ideal reads the left ones.
+    # The ideal rows of S's table, left and right, are built once: all four
+    # Green partitions come from them, and rees.principal_left_ideal reads
+    # the left ones.  Light's test reads the table alone.
     sizes = []
     original = oracle.ideal_rows
 
