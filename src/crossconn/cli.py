@@ -97,6 +97,8 @@ def load_group(spec: str) -> FiniteGroup:
         return builtin("klein")
     if ":" in spec and not os.path.exists(spec):
         family, _, tail = spec.partition(":")
+        if family == "klein":
+            raise ParseError(f"bad group spec {spec!r}: klein takes no order")
         try:
             n = int(tail)
         except ValueError:

@@ -118,10 +118,6 @@ class FiniteGroup:
             self._opposite = op
         return self._opposite
 
-    def label_rows(self) -> list[list[str]]:
-        """The Cayley table with entries written as element labels."""
-        return [[self.names[v] for v in row] for row in self.array.tolist()]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteGroup):
             return NotImplemented

@@ -3,16 +3,16 @@
 These back the CLI's verify / crossconn / rbg commands.  A check that can
 name a witness passes exactly when its scan finds none (`checks.verdict`);
 the few with no witness to name pass on a boolean.  Each scan whose cost
-grows with the cone semigroup (the cone product agreement, the four scans
-of the five T_L checks, naturality and the linked criterion) goes through
-`_guarded`, which skips its checks (passed=None) once its cost passes
-`BUDGET`, with the cost against the budget as the witness, never silently
-truncated, and builds nothing of a skipped scan.  A cost is counted in
-entries from sizes alone: those its masks cover, `n_rows * row_size` of
-its `kernel.first_block_failure` calls, plus T_L's batch or table where it
-builds one.  So each T_L check is guarded on its own cost, but
-`cones.tl_associative` and `cones.tl_green_agreement`, which share T_L's
-table, are one scan.
+grows with the cone semigroup (the six T_L checks, naturality and the
+linked criterion) goes through `_guarded`, which skips its checks
+(passed=None) once its cost passes `BUDGET`, with the cost against the
+budget as the witness, never silently truncated, and builds nothing of a
+skipped scan.  A cost is counted in entries from sizes alone: those its
+masks cover, `n_rows * row_size` of its `kernel.first_block_failure`
+calls, plus T_L's batch or table where it builds one.  So each T_L check
+is charged its own cost, even the two product checks that one pass
+decides, but `cones.tl_associative` and `cones.tl_green_agreement`, which
+share T_L's table, are one scan.
 
 `rees_suite` checks the closed forms of S on plain integers, with no
 `ReesSemigroup.mul` call and no `ReesElement` per pair:
@@ -39,14 +39,16 @@ pass over all hom-sets, in blocks where the arrays grow.  The groupoid
 checks run `ArrowCategory`'s own methods once on all the morphisms of
 each category, a `Morphism` of arrays.
 The cone scans run the same way, over T_L as one batch
-(`cones.enumerate_TL`): `cones.semidirect_law` and
-`category.cone_product_agreement` take a block of cones of T_L against
-all of T_L per step, `kernel.mul_L` against the action `cones.act` and
-against `ArrowCategory.compose` on arrays; `cones.action_law` a block of
-object pairs (k, l) against every tuple; `cones.idempotent_closed_form` a
-block of cones, each squared; and `cones.tl_green_agreement`
-keys the cosets by `kernel.canonical`.  `crossconn.naturality` takes a
-block of triples of objects (l1, l2, i1) per step, all (i2, g1, g2) and
+(`cones.enumerate_TL`), which `cone_suite` checks in one place
+(`_tl_outcomes`): `category.cone_product_agreement` and
+`cones.semidirect_law` share one pass of a block of cones of T_L against
+all of T_L per step, one `kernel.mul_L` per block held against both
+`ArrowCategory.compose` on arrays and the action `cones.act`;
+`cones.action_law` a block of object pairs (k, l) against every tuple;
+`cones.idempotent_closed_form` a block of cones, each squared; and
+`cones.tl_green_agreement` keys the cosets by `kernel.canonical`.
+`crossconn.naturality` takes a block of triples of objects (l1, l2, i1)
+per step, all (i2, g1, g2) and
 all cones of each cell at once, through `kernel.bifunctor` and
 `kernel.chi`, and `crossconn.duality_bijection` a block of cells per
 step, all their cones through one broadcasting `kernel.chi` and back,
@@ -237,39 +239,7 @@ def category_suite(S: ReesSemigroup) -> list[Check]:
             )
         checks.append(verdict(f"category.{name}_groupoid", witness))
 
-    # every cone of T_L against the batch's n_c |Lambda| entries, and the batch
-    n_cones = (G.order**S.n_lambda) * S.n_lambda
-    batch = n_cones * S.n_lambda
-    return checks + _guarded(
-        n_cones * batch + batch,
-        ("category.cone_product_agreement",),
-        lambda: [_cone_product_witness(G, S.n_lambda)],
-    )
-
-
-def _cone_product_witness(G, n_lambda: int) -> str | None:
-    """The first pair of T_L whose product in the left category differs from
-    the semigroup product `kernel.mul_L`, in blocks of rows of T_L: a's
-    component at each object, followed by b's component at a's vertex, with
-    b's vertex.
-
-    The components are composed by `ArrowCategory.compose` on arrays, so a
-    fault in it or in the group's multiplication reaches every pair.
-    """
-    lcat = left_category(G, n_lambda)
-    tl = values, vertices = cones.enumerate_TL(G, n_lambda)
-    objects = np.arange(n_lambda)
-
-    def bad_rows(rows: slice) -> np.ndarray:
-        # axes [a, b, object]
-        a = values[rows, None], vertices[rows, None]
-        component = Morphism(objects, a[1][..., None], a[0])
-        link = Morphism(a[1][..., None], vertices[:, None], values.T[vertices[rows], :, None])
-        composite = lcat.compose(component, link).g, vertices
-        return kernel.differ(composite, kernel.mul_L(G.array, a, tl))
-
-    bad = kernel.first_block_failure(len(vertices), len(vertices) * n_lambda, bad_rows)
-    return None if bad is None else " * ".join(str(connections.as_cone(tl, k)) for k in bad)
+    return checks
 
 
 def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
@@ -321,14 +291,16 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
 
 
 def _tl_outcomes(G, n_l: int) -> list[Check]:
-    """The T_L checks of `cone_suite`, in its order, each under `_guarded` on
-    its own cost, read off T_L as one batch (`cones.enumerate_TL`) of
+    """The six T_L checks, `cone_suite`'s first, each under `_guarded` on its
+    own cost, read off T_L as one batch (`cones.enumerate_TL`) of
     n_c = |G|^|Lambda| |Lambda| cones and n_c |Lambda| entries.  Each scan
-    is charged its mask and the batch; `cones.tl_associative` and
+    is charged its mask and the batch.  One pass decides
+    `category.cone_product_agreement` and `cones.semidirect_law`, each
+    charged all of it, so both run or both skip; `cones.tl_associative` and
     `cones.tl_green_agreement` share T_L's table, so they are one scan,
-    charged the n_c^2 table and its scan for holes.  The
-    batch is built once, by the first check that runs, and nothing at all
-    when every check is skipped."""
+    charged the n_c^2 table and its scan for holes.  The batch is built
+    once, by the first check that runs, and nothing at all when every
+    check is skipped."""
     n_c = G.order**n_l * n_l
     batch = n_c * n_l
     M = G.array
@@ -350,18 +322,34 @@ def _tl_outcomes(G, n_l: int) -> list[Check]:
         k, l = divmod(bad[0], n_l)
         return [f"k={k}, l={l}, tuple={tuple(tuples[bad[1]].tolist())}"]
 
-    def semidirect_law():
-        # c1 * c2 against c1's tuple times c2's tuple acted on by c1's vertex,
-        # for a block of c1 and every c2 at once
+    @functools.cache
+    def products():
+        # c1 * c2 by mul_L against the category's composite and the action
+        # formula, a block of c1 against every c2 per step: one pass over the
+        # OR of the two masks decides both checks, and only a failing pass
+        # rescans each mask for its own first witness
         tl = values, vertices = built()
+        compose, objects = left_category(G, n_l).compose, np.arange(n_l)
 
-        def unlawful_products(rows: slice) -> np.ndarray:
+        def masks(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+            # axes [c1, c2, object]
             c1 = values[rows, None], vertices[rows, None]
-            expected = M[c1[0], cones.act(c1[1], values)], vertices
-            return kernel.differ(expected, kernel.mul_L(M, c1, tl))
+            product = kernel.mul_L(M, c1, tl)
+            # c1's component at each object, then c2's at c1's vertex, by
+            # `ArrowCategory.compose` on arrays, so a fault in it reaches every pair
+            component = Morphism(objects, c1[1][..., None], c1[0])
+            link = Morphism(c1[1][..., None], vertices[:, None], values.T[vertices[rows], :, None])
+            composite = compose(component, link).g, vertices
+            acted = M[c1[0], cones.act(c1[1], values)], vertices
+            return kernel.differ(composite, product), kernel.differ(acted, product)
 
-        bad = kernel.first_block_failure(n_c, batch, unlawful_products)
-        return [None if bad is None else " * ".join(str(connections.as_cone(tl, k)) for k in bad)]
+        def witness(pick: Callable[..., np.ndarray]) -> str | None:
+            bad = kernel.first_block_failure(n_c, batch, lambda rows: pick(*masks(rows)))
+            return None if bad is None else " * ".join(str(connections.as_cone(tl, k)) for k in bad)
+
+        if witness(np.logical_or) is None:
+            return [None, None]
+        return [witness(lambda composed, _: composed), witness(lambda _, acted: acted)]
 
     def table_checks():
         tl = values, vertices = built()
@@ -387,9 +375,12 @@ def _tl_outcomes(G, n_l: int) -> list[Check]:
         bad = kernel.first_block_failure(n_c, n_l, wrong)
         return [None if bad is None else connections.as_cone(tl, bad[0])]
 
+    # every cone of T_L against the batch's n_c |Lambda| entries, and the batch
+    product_cost = n_c * batch + batch
     return (
-        _guarded(n_l * n_l * n_c + batch, ("cones.action_law",), action_law)
-        + _guarded(n_c * batch + batch, ("cones.semidirect_law",), semidirect_law)
+        _guarded(product_cost, ("category.cone_product_agreement",), lambda: products()[:1])
+        + _guarded(n_l * n_l * n_c + batch, ("cones.action_law",), action_law)
+        + _guarded(product_cost, ("cones.semidirect_law",), lambda: products()[1:])
         + _guarded(2 * n_c * n_c, ("cones.tl_associative", "cones.tl_green_agreement"), table_checks)
         + _guarded(2 * batch, ("cones.idempotent_closed_form",), idempotent_closed_form)
     )

@@ -222,7 +222,10 @@ def test_env_size_guard(p1_csv, capsys, monkeypatch):
 def test_group_file_spec(tmp_path, capsys, s3):
     group_path = tmp_path / "s3.csv"
     group_path.write_text(
-        ",".join(s3.names) + "\n" + "\n".join(",".join(r) for r in s3.label_rows()) + "\n"
+        ",".join(s3.names)
+        + "\n"
+        + "\n".join(",".join(s3.names[v] for v in row) for row in s3.array.tolist())
+        + "\n"
     )
     matrix_path = tmp_path / "P.csv"
     matrix_path.write_text("012,120\n021,012\n")
@@ -240,6 +243,18 @@ def test_bad_specs():
         run(parse_args(["--group", "cyclic:2", "--matrix", "identity:axb", "build"]))
     with pytest.raises(ParseError):
         run(parse_args(["--group", "dihedral:3", "--matrix", "identity:2x2", "build"]))
+
+
+@pytest.mark.parametrize("spec", ["klein:7", "klein:4", "klein:x", "klein:"])
+def test_klein_takes_no_order(spec, capsys):
+    # `--group klein` names the Klein group; any order after it is a
+    # malformed spec, not a Klein group under another name
+    code, out, err = run_cli(["--group", "klein", "--matrix", "identity:1x1", "build"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["group"] == {"spec": "klein", "order": 4, "names": ["e", "a", "b", "ab"]}
+    code, out, err = run_cli(["--group", spec, "--matrix", "identity:1x1", "build"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad group spec {spec!r}: klein takes no order\n"
 
 
 def test_parse_args_defaults():

@@ -519,9 +519,10 @@ def test_cone_product_and_naturality_match_the_loops(G, n_lambda, n_i, fault, da
         assert verify._duality_witness(P) == scalar_reference.duality_witness(P)
         # S3 with three rows has 648 cones: 419,904 scalar products, about 7 s
         if G.order**n_lambda * n_lambda <= 100:
-            assert verify._cone_product_witness(
+            tl = {c.name: c.witness for c in verify._tl_outcomes(G, n_lambda)}
+            assert tl["category.cone_product_agreement"] == scalar_reference.cone_product_witness(
                 G, n_lambda
-            ) == scalar_reference.cone_product_witness(G, n_lambda)
+            )
 
 
 RBG_FAULTS = {
@@ -592,11 +593,11 @@ def test_mul_L_broadcasts_a_block_against_a_batch(G):
 
 @pytest.mark.parametrize("G", GROUPS, ids=["Z2", "Z3", "S3", "S3-relabelled"])
 def test_tl_and_category_checks_match_the_loops(G):
-    # cone_suite's T_L checks, the groupoid checks and the cone product
-    # against their scalar loops, up to 100 cones, where the loops stay
-    # quick.  There the costliest scan, 100 cones against a 300-entry batch,
-    # is far within verify.BUDGET, so no check is skipped: a skipped one
-    # would differ from its loop's.
+    # cone_suite's T_L checks, the cone product among them, and the
+    # groupoid checks against their scalar loops, up to 100 cones, where the
+    # loops stay quick.  There the costliest scan, 100 cones against a
+    # 300-entry batch, is far within verify.BUDGET, so no check is skipped:
+    # a skipped one would differ from its loop's.
     for n_lambda in (1, 2, 3):
         if (G.order**n_lambda) * n_lambda > 100:
             break
@@ -605,12 +606,51 @@ def test_tl_and_category_checks_match_the_loops(G):
         names = ("cones.action_law", "cones.semidirect_law", "cones.tl_green_agreement")
         names += ("cones.idempotent_closed_form",)
         assert [c for c in checks if c.name in names] == scalar_reference.tl_checks(G, n_lambda)
-        by_name = {c.name: c.witness for c in verify.category_suite(S)}
+        by_name = {c.name: c.witness for c in checks + verify.category_suite(S)}
         assert by_name["category.cone_product_agreement"] == scalar_reference.cone_product_witness(
             G, n_lambda
         )
         for name, cat in (("left", left_category(G, n_lambda)), ("right", right_category(G, 2))):
             assert by_name[f"category.{name}_groupoid"] == scalar_reference.groupoid_witness(cat)
+
+
+INT32 = np.iinfo(np.int32)
+ENTRIES = [INT32.min, INT32.min + 1, -1, 0, 1, INT32.max - 1, INT32.max]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["one", "all", "any"]),
+    st.booleans(),
+    st.data(),
+)
+def test_distinct_and_split_counts_match_python_sets(n_labels, width, split_at, equal, data):
+    # The one-sort counting kernels against a Python set per label: labels
+    # with no rows count 0, and rows are drawn from few entries, the int32
+    # extremes among them, so that equal rows are common; with equal, all
+    # rows are one row.  split_counts splits at 1, at m (nothing after) or
+    # anywhere between.
+    m = data.draw(st.integers(min_value=1, max_value=12))
+    labels = data.draw(st.lists(st.integers(0, n_labels - 1), min_size=m, max_size=m))
+    row = st.lists(st.sampled_from(ENTRIES), min_size=width, max_size=width)
+    body = data.draw(st.lists(row, min_size=m, max_size=m))
+    if equal:
+        labels, body = [labels[0]] * m, [body[0]] * m
+    split = {"one": 1, "all": m, "any": data.draw(st.integers(1, m))}[split_at]
+
+    def counts(rows) -> list[int]:
+        return [len({tuple(r) for label, r in rows if label == x}) for x in range(n_labels)]
+
+    pairs = list(zip(labels, body))
+    columns = np.array(body, dtype=np.int64)
+    got = kernel.distinct_counts(np.array(labels), n_labels, columns[:, :-1], columns[:, -1])
+    assert got.tolist() == counts(pairs)
+    rows = np.ascontiguousarray(np.column_stack([labels, body]), dtype=kernel.KEY_DTYPE)
+    got = kernel.split_counts(rows, split, n_labels)
+    expected = [counts(pairs[:split]), counts(pairs[split:]), counts(pairs)]
+    assert [c.tolist() for c in got] == expected
 
 
 def test_wide_cones_z2_lambda_64():

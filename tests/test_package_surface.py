@@ -5,8 +5,14 @@ is read (as a name or an attribute) somewhere in src/crossconn or scripts/
 outside its own definition, and a public method when its name is read as
 an attribute there: a local variable of the same spelling does not count.
 Imports do not count, so a re-export from `crossconn/__init__.py` is no
-use.  The scan goes by name alone: two methods of one name count as used
-together.  What only tests call belongs in tests/scalar_reference.py.
+use.  The scan goes by name alone, so a read of a name that two package
+classes spell, as a public method of each or as a method of one and a
+field of a `NamedTuple` of another, cannot tell which is meant.  Such a
+method counts as used only through its entry in `SHARED`, the module
+that calls it, which must read its name.  Reads of a third-party
+attribute of the same spelling, such as argparse's `args.label`, are
+still taken for a use.  What only tests call belongs in
+tests/scalar_reference.py.
 
 The package resolves its re-exports on first access, and the tests at the
 end guard that surface: each name the package re-exported is still there,
@@ -18,6 +24,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -34,21 +41,41 @@ PACKAGE = ROOT / "src" / "crossconn"
 # `mul` call.
 ALLOWED = {"mul"}
 
+# Each public method whose name another package class also spells, and the
+# module (a package module by its stem, a script as scripts/<stem>) that
+# calls it, reviewed by reading the call.
+SHARED = {
+    "FiniteGroup.elements": "scripts/run_verification",
+    "ReesSemigroup.elements": "cli",
+}
 
-def _public_definitions(tree: ast.Module) -> list[tuple[ast.AST, bool]]:
-    """(definition, is a method) of the module's public functions and classes
-    and of their classes' public methods."""
+
+def _public_definitions(tree: ast.Module) -> list[tuple[ast.AST, ast.ClassDef | None]]:
+    """(definition, its class for a method, else None) of the module's public
+    functions and classes and of their classes' public methods."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            out.append((node, False))
+            out.append((node, None))
         if isinstance(node, ast.ClassDef):
             out.extend(
-                (item, True)
+                (item, node)
                 for item in node.body
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
             )
     return out
+
+
+def _fields(tree: ast.Module) -> set[str]:
+    """The fields of the module's `NamedTuple`s."""
+    return {
+        item.target.id
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+    }
 
 
 def _reads(tree: ast.AST) -> list[tuple[str, ast.AST]]:
@@ -60,21 +87,46 @@ def _reads(tree: ast.AST) -> list[tuple[str, ast.AST]]:
     ]
 
 
+def _trees(folder: Path, prefix: str = "") -> dict[str, ast.Module]:
+    """The syntax tree of each module in the folder, keyed by prefix + its stem."""
+    return {prefix + path.stem: ast.parse(path.read_text()) for path in sorted(folder.glob("*.py"))}
+
+
+def _shared_names(package: dict[str, ast.Module]) -> set[str]:
+    """The names of public methods that another package class spells too,
+    as a public method or as a `NamedTuple` field."""
+    owners = defaultdict(set)
+    for tree in package.values():
+        for definition, cls in _public_definitions(tree):
+            if cls is not None:
+                owners[definition.name].add(cls.name)
+    fields = set().union(*map(_fields, package.values()))
+    return {name for name, classes in owners.items() if len(classes) > 1 or name in fields}
+
+
 def _unused() -> list[str]:
-    sources = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    scripts = [ast.parse(path.read_text()) for path in sorted((ROOT / "scripts").glob("*.py"))]
-    reads = [read for tree in [*sources.values(), *scripts] for read in _reads(tree)]
+    package = _trees(PACKAGE)
+    reads = {
+        module: _reads(tree)
+        for module, tree in {**package, **_trees(ROOT / "scripts", "scripts/")}.items()
+    }
+    shared = _shared_names(package)
     unused = []
-    for path, tree in sources.items():
-        for definition, method in _public_definitions(tree):
+    for module, tree in package.items():
+        for definition, cls in _public_definitions(tree):
             inside = {id(node) for node in ast.walk(definition)}
+            callers = reads
+            if cls is not None and definition.name in shared:
+                caller = SHARED.get(f"{cls.name}.{definition.name}")
+                callers = {caller: reads[caller]} if caller in reads else {}
             if not any(
                 name == definition.name
                 and id(node) not in inside
-                and (isinstance(node, ast.Attribute) or not method)
-                for name, node in reads
+                and (isinstance(node, ast.Attribute) or cls is None)
+                for found in callers.values()
+                for name, node in found
             ):
-                unused.append(f"{path.stem}.{definition.name}")
+                unused.append(f"{module}.{definition.name}")
     return unused
 
 
@@ -87,6 +139,12 @@ def test_the_allow_list_holds_only_unused_names():
     # a name on the list that has gained a use should leave it
     unused = {name.rsplit(".", 1)[1] for name in _unused()}
     assert ALLOWED <= unused, sorted(ALLOWED - unused)
+
+
+def test_the_shared_map_holds_only_shared_names():
+    # an entry whose name no other class spells any more should leave the map
+    shared = _shared_names(_trees(PACKAGE))
+    assert {key.split(".")[1] for key in SHARED} <= shared, sorted(SHARED)
 
 
 # Every name the package re-exported when its __init__ imported each module

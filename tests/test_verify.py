@@ -81,12 +81,13 @@ def test_full_suite_edge_shapes(z2, z3):
         _assert_clean(full_suite(S))
 
 
-def test_cone_suite_skips_above_triple_guard(klein):
+def test_cone_suite_charges_each_tl_scan_its_own_cost(klein):
     # Each T_L scan is charged its own cost against verify.BUDGET.  Klein 4x4
     # has |T_L| = 4^4 * 4 = 1024 cones, and every scan of it is within the
-    # budget, so all five run.  With |Lambda| = 5 (5,120 cones) the action
-    # law and the idempotent closed form still run, while the semidirect law
-    # and the two checks of T_L's table are skipped with their cost.
+    # budget, so all six run.  With |Lambda| = 5 (5,120 cones) the action
+    # law and the idempotent closed form still run, while the cone product,
+    # the semidirect law and the two checks of T_L's table are skipped with
+    # their cost.
     checks = _cone_suite(ReesSemigroup(identity_matrix(klein, 4, 4)))
     _assert_clean(checks)
     assert [c.name for c in checks if c.passed is None] == []
@@ -99,7 +100,8 @@ def test_cone_suite_skips_above_triple_guard(klein):
     assert by_name["cones.idempotent_closed_form"].passed is True
     skipped = {c.name: c.witness for c in checks if c.passed is None}
     assert skipped == {
-        # 5,120 cones against the 25,600-entry batch, and the batch
+        # 5,120 cones against the 25,600-entry batch, and the batch, each
+        "category.cone_product_agreement": "cost 1.3e8 > budget 5e6",
         "cones.semidirect_law": "cost 1.3e8 > budget 5e6",
         # the 5,120^2 table and its scan for holes
         "cones.tl_associative": "cost 5.2e7 > budget 5e6",
@@ -1221,9 +1223,10 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
     # sets this small), and gather the pair table from those
     # tables: no kernel row multiplies two pairs.  In full_suite the U
     # tables come first; then T_L's, and the other mul_L calls are one
-    # block each for T_L's table, category_suite's cone product, the
-    # semidirect law and the idempotent closed form.  Linkage is one table
-    # of U-Gamma x U-Delta per suite, not one test per pair.
+    # block each for T_L's table, the one pass that decides the cone
+    # product and the semidirect law, and the idempotent closed form.
+    # Linkage is one table of U-Gamma x U-Delta per suite, not one test per
+    # pair.
     tables, calls = [], Counter()
 
     def cone_product_table(M, inverse, classes, transposed=False, _original=kernel.cone_product_table):
@@ -1248,7 +1251,7 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
     monkeypatch.setattr(kernel, "linkage_table", linkage_table)
     for suite, S, after, rows in (
         (_rbg_suite, ReesSemigroup(identity_matrix(s1.group, 2, 2)), 0, 0),
-        (full_suite, ReesSemigroup(s1.matrix), 1, 4),
+        (full_suite, ReesSemigroup(s1.matrix), 1, 3),
     ):
         tables.clear()
         calls.clear()
@@ -1457,15 +1460,76 @@ def test_linkage_without_equal_scalars_fails_the_criterion():
 def test_reversed_composition_fails_cone_product_agreement():
     # Negative control: composition carrying g2*g1 still makes both
     # categories groupoids, but in S3 the cone product is no longer mul_L.
+    # The semidirect law, decided in the same pass over T_L, still holds.
     S = _s3_fixture()
     with scalar_reference.reversed_compose():
-        checks = {c.name: c for c in category_suite(S)}
+        checks = {c.name: c for c in category_suite(S) + _cone_suite(S)}
         witness = scalar_reference.cone_product_witness(S.group, S.n_lambda)
     assert checks["category.left_groupoid"].passed is True
     check = checks["category.cone_product_agreement"]
     assert check.passed is False
     assert witness is not None and check.witness == witness
     assert re.fullmatch(r"Cone\(values=.*\) \* Cone\(values=.*\)", check.witness)
+    assert checks["cones.semidirect_law"] == ("cones.semidirect_law", True, None)
+
+
+def test_wrong_side_mul_L_fails_both_product_checks(monkeypatch):
+    # Negative control: the scalar on the wrong side of the kernel's mul_L,
+    # which is mul_L over the opposite group, breaks both statements of
+    # T_L's product that one pass checks, the category's composite and the
+    # action formula, each with the first witness of its own scalar loop
+    # under the same fault.
+    def wrong_side(M, c1, c2, _original=kernel.mul_L):
+        return _original(M.T, c1, c2)
+
+    def scalar_wrong_side(group, c1, c2, _original=scalar_reference.mul_L):
+        return _original(group.opposite, c1, c2)
+
+    S = _s3_fixture()
+    monkeypatch.setattr(kernel, "mul_L", wrong_side)
+    checks = {c.name: c for c in category_suite(S) + _cone_suite(S)}
+    monkeypatch.setattr(scalar_reference, "mul_L", scalar_wrong_side)
+    expected = {
+        "category.cone_product_agreement": scalar_reference.cone_product_witness(
+            S.group, S.n_lambda
+        ),
+        "cones.semidirect_law": next(
+            c.witness
+            for c in scalar_reference.tl_checks(S.group, S.n_lambda)
+            if c.name == "cones.semidirect_law"
+        ),
+    }
+    for name, witness in expected.items():
+        assert checks[name].passed is False, name
+        assert witness is not None and checks[name].witness == witness, name
+
+
+@pytest.mark.parametrize("shape", [None, (3, 2)], ids=["s1", "Z3-3x2"])
+def test_one_pass_over_tl_decides_both_product_checks(s1, z3, shape, monkeypatch):
+    # full_suite enumerates T_L once, and the cone product agreement and the
+    # semidirect law share one pass over it: one kernel.mul_L of a block of
+    # T_L against all of T_L per block of rows, not one per check.  On s1
+    # T_L has 8 cones against a 16-entry batch, one block; on M[Z3; 3, 2]
+    # 81 cones against a 243-entry batch, two blocks.
+    S = s1 if shape is None else ReesSemigroup(identity_matrix(z3, *shape))
+    built, against_tl = [], []
+
+    def enumerate_TL(*args, _original=cones.enumerate_TL):
+        built.append(_original(*args))
+        return built[-1]
+
+    def mul_L(M, c1, c2, _original=kernel.mul_L):
+        if any(c2 is tl for tl in built):
+            against_tl.append(len(c1[1]))
+        return _original(M, c1, c2)
+
+    monkeypatch.setattr(cones, "enumerate_TL", enumerate_TL)
+    monkeypatch.setattr(kernel, "mul_L", mul_L)
+    _assert_clean(full_suite(S))
+    assert len(built) == 1
+    n_c = len(built[0][1])
+    rows = [len(range(n_c)[block]) for block in kernel.blocks(n_c, n_c * S.n_lambda)]
+    assert against_tl == rows and len(rows) == (1 if shape is None else 2)
 
 
 def test_rescaled_dual_matrix_fails_naturality_without_raising(capsys):
