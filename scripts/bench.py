@@ -19,7 +19,10 @@ peak RSS is its own.  There each of K runs builds the semigroup afresh
 and times rees_suite, category_suite, connections.pair_arrays, cone_suite
 and crossconn_suite in turn, the last two given the pairs, which is what
 full_suite does (the first of them builds the table, and full_suite's time
-is their sum), and then rbg_suite on another fresh semigroup, given its
+is their sum).  The pairs judge phi and its two components, the
+principal checks, once, for whichever suite asks first, so phi's time
+lands in cone_suite's column and crossconn_suite reads the judgment.
+Then rbg_suite runs on another fresh semigroup, given its
 pairs from connections.pair_arrays, whose build its time includes, on
 the identity rungs only: rbg_suite checks the identity's connection.  Then
 one call each times the table oracle's largest parts on the rung's

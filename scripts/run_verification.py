@@ -10,6 +10,9 @@ with the identity matrix and with bench.py's generic matrix (first row
 and first column the identity, the rest from random.Random(7)), and the
 4096-element M[Z4; 32, 32] with each of the two: with the generic one
 each U set holds all 4096 cones, so phi reads U tables of full size.
+Last comes the 6144-element M[S4; 16, 16] with bench.py's generic
+matrix, over a non-abelian group, where a left/right swap in the delta
+half of the pairs would show.
 Each fixture is built with the size guard set to its own size, so it is
 checked in full.  Each line of a large fixture ends with the process's
 peak RSS so far, read after its suite: the large fixtures run after the
@@ -67,7 +70,8 @@ def fixture_battery(seed: int, include_large: bool):
 
 def large_fixtures() -> list:
     """The fixtures --include-large adds, smallest first but for the 480-element one."""
-    z2, z4, s5 = builtin("cyclic", 2), builtin("cyclic", 4), builtin("symmetric", 5)
+    z2, z4 = builtin("cyclic", 2), builtin("cyclic", 4)
+    s4, s5 = builtin("symmetric", 4), builtin("symmetric", 5)
     e, x = s5.identity, next(g for g in s5.elements() if g != s5.identity)
     entries = [[(lam * i) % 2 for i in range(16)] for lam in range(16)]
     return [
@@ -77,6 +81,7 @@ def large_fixtures() -> list:
         ("Z2 32x32 generic", generic_matrix(z2, 32)),
         ("Z4 32x32 identity", identity_matrix(z4, 32, 32)),
         ("Z4 32x32 generic", generic_matrix(z4, 32)),
+        ("S4 16x16 generic", generic_matrix(s4, 16)),
     ]
 
 

@@ -84,13 +84,13 @@ pair of principal cones, so g[k] and d[k], the positions of pair k's
 halves in U-Gamma and U-Delta, are also those of element k's principal
 cones.  The product of two pairs is componentwise, the pair of positions
 (GT[g[p], g[q]], DT[d[p], d[q]]), DT being held transposed
-(`PairArrays.product_halves`), so no table of the pairs is built: the
-map check reads each pair as one key (`oracle.ProductTables`), and
-decides with phi whether every product of two pairs is a pair.  Every
-scan of the pairs or of the principal cones in a suite reads these
-arrays, which each suite and `connections.verify_phi` takes from its
-caller.  Witnesses and reports turn cones of a batch into `Cone`s of
-Python ints (`connections.as_cones`).
+(`PairArrays.product_halves`), so no table of the pairs is built: phi
+is judged by its components g and d, one pass over each U table that
+serves the principal checks too, and the map check reads each pair as
+one key (`oracle.ProductTables`).  Every scan of the pairs or of the
+principal cones in a suite reads these arrays, which each suite and
+`connections.verify_phi` takes from its caller.  Witnesses and reports
+turn cones of a batch into `Cone`s of Python ints (`connections.as_cones`).
 
 Tables.  `cone_product_table` is the one place a set of cones becomes
 its multiplication table, with -1 wherever a product lies outside the
@@ -112,7 +112,7 @@ rest of each closed table from the table alone, and phi as a map into
 the direct product of the U-Gamma and U-Delta tables.  The
 principal image is U-Gamma and the dual image U-Delta, so
 `cones.principal_homomorphism` and `cones.dual_antihomomorphism` are
-read off their tables, both by rows.
+phi's two components, read off their tables by rows.
 
 `mul_L` is the cone product every table is built from, and the checks
 hold it against independent statements of it: `cones.semidirect_law`

@@ -8,9 +8,9 @@ A table is one read-only (n, n) `kernel.index_dtype(n)` or int32 array
 of indices below n: a kernel table with -1 holes (a set that is not closed)
 is rejected by `GenericSemigroup`, so the oracle judges closed tables
 only.  `verify_map` judges a map into the direct product of two tables
-(`ProductTables`), read at the images of each block of rows of its
-source, so that a set of pairs multiplied componentwise is judged closed,
-and the map onto it an isomorphism, from its two components' tables.  The scans
+(`ProductTables`) by the law of each component (`homomorphism_witness`),
+so that a set of pairs multiplied componentwise is judged closed, and the
+map onto it an isomorphism, from its two components' tables.  The scans
 read a table in blocks of rows of about `kernel.BLOCK` entries, so that
 no temporary is larger than the table (only the full scan of a table
 that fails Light's test, below, holds an intp copy), and their witnesses
@@ -333,6 +333,22 @@ def regular_via_r_classes(T: GenericSemigroup, R) -> bool:
     return all(idempotent[list(cls)].any() for cls in R)
 
 
+def homomorphism_witness(m, T1: GenericSemigroup, t) -> tuple[int, int] | None:
+    """The first (a, b) in row order where t[m[a], m[b]] != m[a*b], None when
+    m, a map from T1's indices to t's, is a homomorphism.  A -1 in m is no
+    element of t, failing every product it enters, and a -1 in t no product:
+    one `kernel.gather` per block of rows, with no -1 mask when m has none."""
+    m = np.asarray(m)
+    holes = bool((m < 0).any())
+
+    def bad_rows(rows: slice) -> np.ndarray:
+        expected = np.take(m, T1.table[rows])
+        bad = kernel.gather(t, m[rows], m, holes) != expected
+        return bad | (expected < 0) if holes else bad
+
+    return kernel.first_block_failure(T1.size, T1.size, bad_rows)
+
+
 class ProductTables(NamedTuple):
     """The direct product of two tables on 0..m-1 and 0..l-1: (x, y) times
     (x', y') is (first[x, x'], second[y, y']), and a -1 in either table is
@@ -351,17 +367,18 @@ class ProductTables(NamedTuple):
         return out
 
 
-def verify_map(f, T1: GenericSemigroup, T2: ProductTables) -> tuple[tuple | None, str | None]:
+def verify_map(f, T1: GenericSemigroup, T2: ProductTables) -> tuple[tuple | str | None, ...]:
     """Whether f, a total map on T1's indices given as its two component maps
     (g, d) into the direct product T2, is a bijective homomorphism onto the
     T1.size pairs f(k) = (g[k], d[k]) that it lists, and they are closed:
-    (closure, witness), closure the first (a, b) in row order whose
-    f(a)*f(b) is no listed pair, each None where it holds.  Equal pairs are
-    one element, numbered by the last k (-1 for a product that is no listed
-    pair).  Each block of rows of T1 compares the keys of f(a*b) and
-    f(a)*f(b), read only at the images of the block, and only a failed
-    compare, as a product off the pairs gives, runs the closure scan; the
-    numbers, found by a key search, are counted and named in the witness."""
+    (g's first, d's first, closure, witness), each None where it holds.
+    f is a homomorphism exactly when both components are, each judged by
+    one pass (`homomorphism_witness`), and fails first at the earlier of
+    their first (a, b); closure is the first (a, b) in row order whose
+    f(a)*f(b) is no listed pair, scanned only when f fails.  Equal pairs
+    are one element, numbered by the last k (-1 for a product that is no
+    listed pair); the numbers, found by a key search, are counted and named
+    in the witness."""
     maps = [np.asarray(m, dtype=np.intp) for m in f]
     for m in maps:
         if len(m) != T1.size:
@@ -383,13 +400,10 @@ def verify_map(f, T1: GenericSemigroup, T2: ProductTables) -> tuple[tuple | None
         at = np.searchsorted(ranked, keys, side="right") - 1
         return np.where((at >= 0) & (ranked[at] == keys), order[at], -1)
 
+    firsts = [homomorphism_witness(m, T1, t) for m, t in zip(maps, T2)]
     problems, closure = [], None
-    # rows a of a block: f(a*b) against f(a)*f(b) for every b
-    bad = kernel.first_block_failure(
-        T1.size, T1.size, lambda rows: np.take(key, T1.table[rows]) != products(rows)
-    )
-    if bad is not None:
-        a, b = bad
+    if firsts != [None, None]:
+        a, b = min(x for x in firsts if x is not None)
         product, target = number(key[T1.table[a, b]]), number(products(slice(a, a + 1))[0, b])
         problems.append(f"f({a}*{b}) = {int(product)} but f({a})*f({b}) = {int(target)}")
         closure = kernel.first_block_failure(
@@ -405,4 +419,4 @@ def verify_map(f, T1: GenericSemigroup, T2: ProductTables) -> tuple[tuple | None
         problems.append(f"f({seen[v]}) = f({x}) = {v}")
         problems.append(f"element {int(hits.argmin())} of the target is never hit")
 
-    return closure, "; ".join(problems) if problems else None
+    return (*firsts, closure, "; ".join(problems) if problems else None)

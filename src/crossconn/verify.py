@@ -72,9 +72,11 @@ required argument and never build it: `full_suite` builds it after
 build it for their suite.
 The linked pair k is phi of element k: the principal cones
 rho(a) = (col_i g, lam) and lam(a) = (g row_lam, i) of a = (g, i, lam),
-cones of U-Gamma and U-Delta, so the principal checks read the U tables
-at the pairs' positions `linked.g` and `linked.d`; `crossconn.u_subsemigroups`,
-`verify_phi`, the linked criterion and the `rbg` scans read the rest:
+cones of U-Gamma and U-Delta at `linked.g` and `linked.d`: phi's two
+components, judged once, one oracle pass per U table, for the principal
+checks and phi alike (`PairArrays.witnesses`) in whichever suite asks
+first; `crossconn.u_subsemigroups`, the linked criterion and the `rbg`
+scans read the rest:
 the criterion and `rbg.linked_iff_equal_scalars` read one linkage table
 of U-Gamma x U-Delta (`_linkage`, `kernel.linkage_table`), gathered
 from the factors of each tuple class through the columns and rows of P,
@@ -98,9 +100,9 @@ of rho(a) and lam(a) in U-Gamma and U-Delta, `cones.principal_homomorphism`
 compares GT[r[a], r] with r[ab] and `cones.dual_antihomomorphism`
 compares DT[l[a], l] with l[ab], DT held transposed, so that
 lam(b) lam(a) over the opposite group is at [l[a], l[b]], in blocks of
-rows a, a cone of a, b or ab outside its U set failing (`kernel.gather`
-reads -1 for a product with an absent cone; no -1 mask is formed when
-`PairArrays.complete` says there is none); `cones.principal_image_subsemigroup`
+rows a (`oracle.homomorphism_witness`), a cone of a, b or ab outside its
+U set failing, and phi fails first at the earlier of the two witnesses;
+`cones.principal_image_subsemigroup`
 reads GT restricted to the positions r hits.
 Closed tables reach the oracle as `GenericSemigroup`s, the U tables as
 `oracle.ProductTables` too, and the oracle judges the rest:
@@ -248,23 +250,10 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     and `linked.d[a]`, and every principal check reads their tables."""
     checks = _tl_outcomes(S.group, S.n_lambda)
 
-    # r[a] and l[a]: the positions of rho(a) and lam(a) in U-Gamma and U-Delta,
-    # with no -1 to mask when every pair's halves lie in the U sets
-    r, l, holes = linked.g, linked.d, not linked.complete
-    GT, DT, table = linked.u_gamma.table, linked.u_delta.table, S.table()
-    for name, bad_rows in (
-        # rho(a) rho(b) against rho(ab), for a block of a and every b at once
-        (
-            "cones.principal_homomorphism",
-            lambda a: _misplaced(kernel.gather(GT, r[a], r, holes), r[table[a]], holes),
-        ),
-        # lam(b) lam(a) over the opposite group against lam(ab)
-        (
-            "cones.dual_antihomomorphism",
-            lambda a: _misplaced(kernel.gather(DT, l[a], l, holes), l[table[a]], holes),
-        ),
+    # rho(a) rho(b) against rho(ab), lam(b) lam(a) against lam(ab): phi's components
+    for name, bad in zip(
+        ("cones.principal_homomorphism", "cones.dual_antihomomorphism"), linked.witnesses[:2]
     ):
-        bad = kernel.first_block_failure(S.size, S.size, bad_rows)
         witness = None if bad is None else ", ".join(str(S.element(k)) for k in bad)
         checks.append(verdict(name, witness))
 
@@ -272,7 +261,8 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     # its table is GT restricted to them and renumbered, -1 off the image.
     # An image that is all of U-Gamma has GT itself as its table, whose
     # verdict `crossconn.u_subsemigroups` reads too.
-    hit = sorted(set(r.tolist()))
+    GT = linked.u_gamma.table
+    hit = sorted(set(linked.g.tolist()))
     if hit[0] < 0:
         image_ok = False
     elif len(hit) == len(GT):
@@ -386,12 +376,6 @@ def _tl_outcomes(G, n_l: int) -> list[Check]:
     )
 
 
-def _misplaced(got: np.ndarray, expected: np.ndarray, holes: bool) -> np.ndarray:
-    """Where the positions in a U set differ, or, with holes, the expected one
-    is -1: a cone outside the set fails rather than compare -1 with -1."""
-    return (got != expected) | (expected < 0) if holes else got != expected
-
-
 def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     """`linked` is `connections.pair_arrays(S)`."""
     G, P = S.group, S.matrix
@@ -413,7 +397,7 @@ def crossconn_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Ch
         lambda: [_linked_criterion_witness(S, linked)],
     )
 
-    closure, phi = connections.verify_phi(S, linked)
+    closure, phi = connections.verify_phi(linked)
     checks.append(verdict("crossconn.s_tilde_closed", closure))
     checks.append(verdict("crossconn.phi_isomorphism", phi))
 
@@ -614,6 +598,6 @@ def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     witness = None if bad is None else f"{linked.pair(bad[0]).gamma} vs {linked.pair(bad[1]).delta}"
     checks.append(verdict("rbg.linked_iff_equal_scalars", witness))
 
-    _, phi = connections.verify_phi(S, linked)
+    _, phi = connections.verify_phi(linked)
     checks.append(verdict("rbg.phi_isomorphism", phi))
     return checks

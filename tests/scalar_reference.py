@@ -641,12 +641,25 @@ def verify_map_loops(f, T1: GenericSemigroup, T2) -> str | None:
     return "; ".join(problems) if problems else None
 
 
+def homomorphism_witness_loops(m, T1: GenericSemigroup, t) -> tuple[int, int] | None:
+    """`oracle.homomorphism_witness` one pair (a, b) at a time, m a sequence
+    of indices of the table t (a list of rows): the first (a, b) where
+    m[a], m[b] or m[a*b] is -1, no element of t, or t's entry at
+    (m[a], m[b]) is not m[a*b]."""
+    for a in range(T1.size):
+        for b in range(T1.size):
+            x, y, xy = m[a], m[b], m[T1.mul(a, b)]
+            if min(x, y, xy) < 0 or t[x][y] != xy:
+                return a, b
+    return None
+
+
 def verify_map_into(f, T1: GenericSemigroup, table) -> str | None:
     """The witness of `oracle.verify_map` of f, a sequence of indices of the
     table, as the map (f, 0) into the table times the trivial table: None
     when f is an injective homomorphism, its image being the pairs it lists."""
     trivial = oracle.ProductTables(np.asarray(table), np.zeros((1, 1), dtype=np.int16))
-    return oracle.verify_map((f, np.zeros(len(f), dtype=np.intp)), T1, trivial)[1]
+    return oracle.verify_map((f, np.zeros(len(f), dtype=np.intp)), T1, trivial)[-1]
 
 
 def cone_table(group, cones_: list[Cone]) -> list[list[int]]:
@@ -1280,7 +1293,7 @@ def reversed_delta_product():
     def pair_arrays(S, _original=connections.pair_arrays):
         linked = _original(S)
         u_delta = connections.UCones(linked.u_delta.classes, linked.u_delta.table.T)
-        return linked._replace(u_delta=u_delta)
+        return connections.PairArrays(S, linked.gamma, linked.delta, linked.u_gamma, u_delta)
 
     with mock.patch(f"{__name__}.s_tilde_mul", scalar), mock.patch.object(
         connections, "pair_arrays", pair_arrays
@@ -1330,11 +1343,12 @@ def swapped_pair_table():
 
 def left_scaled_mul_L(M, c1, c2):
     """`kernel.mul_L` with the scalar on the wrong side: c1's values scaled on
-    the left by c2's value at c1's vertex.  Over a non-abelian group the
-    product leaves the left coset of c1's tuple."""
+    the left by c2's value at c1's vertex, broadcast as `kernel.mul_L`
+    broadcasts, so that it is `kernel.mul_L` over M.T.  Over a non-abelian
+    group the product leaves the left coset of c1's tuple."""
     (v1, x1), (v2, x2) = c1, c2
-    scale = np.take_along_axis(np.atleast_2d(v2), np.reshape(x1, (-1, 1)), axis=1)
-    values = M[scale, v1]
+    v2, at = np.broadcast_arrays(v2, np.expand_dims(x1, -1))
+    values = M[np.take_along_axis(v2, at[..., :1], axis=-1), v1]
     return values, np.broadcast_to(x2, values.shape[:-1])
 
 

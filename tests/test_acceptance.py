@@ -207,7 +207,7 @@ def test_criterion_08_main_theorem_isomorphism():
     for name, S in fixtures:
         assert S.size <= 512
         start = time.perf_counter()
-        closure, witness = verify_phi(S, pair_arrays(S))
+        closure, witness = verify_phi(pair_arrays(S))
         elapsed = time.perf_counter() - start
         assert closure is None, name
         assert witness is None, name
@@ -231,7 +231,7 @@ def test_criterion_09_rectangular_band_corollary():
             checked += 1
     assert checked == 64
     S = ReesSemigroup(identity_matrix(z2, 2, 2))
-    assert verify_phi(S, pair_arrays(S)) == (None, None)
+    assert verify_phi(pair_arrays(S)) == (None, None)
     _report(9, "rectangular band of groups follows the broadcast product formula")
 
 

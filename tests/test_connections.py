@@ -393,7 +393,7 @@ def test_verify_phi_fixtures(s1, z3, s3):
         ReesSemigroup(SandwichMatrix(s3, [[0, 3], [1, 0]])),
     ]
     for S in fixtures:
-        assert verify_phi(S, pair_arrays(S)) == (None, None)
+        assert verify_phi(pair_arrays(S)) == (None, None)
 
 
 def test_verify_crossconnection_passes(conn1, conn_z3):
@@ -453,7 +453,7 @@ def test_rbg_single_cell_is_group(s3):
             got = s_tilde_mul(conn, p, q)
             assert got.gamma.values[0] == s3.mul(p.gamma.values[0], q.gamma.values[0])
     S = ReesSemigroup(identity_matrix(s3, 1, 1))
-    assert verify_phi(S, pair_arrays(S)) == (None, None)
+    assert verify_phi(pair_arrays(S)) == (None, None)
 
 
 def test_pair_arrays_hold_no_pair_table(s3):
@@ -474,7 +474,7 @@ def test_pair_arrays_hold_no_pair_table(s3):
         elif isinstance(x, (connections.UCones, kernel.ConeClasses)):
             yield from arrays(tuple(vars(x).values()))
 
-    held = list(arrays(tuple(linked)))
+    held = list(arrays(tuple(vars(linked).values())))
     big = [a for a in held if a.size >= n * n]
     assert len(big) == 2
     assert big[0] is linked.u_gamma.table and big[1] is linked.u_delta.table

@@ -2,6 +2,7 @@
 
 import contextlib
 import random
+import re
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -112,7 +113,7 @@ def test_kernel_matches_the_loops(G, n_lambda, n_i, data):
     table, bad = _pair_table(S)
     assert bad is None
     assert table == scalar_reference.pair_table(S)[0]
-    assert verify_phi(S, connections.pair_arrays(S)) == scalar_reference.verify_phi(S)
+    assert verify_phi(connections.pair_arrays(S)) == scalar_reference.verify_phi(S)
 
     _principal_products_agree(S)
     by_name = {c.name: c.witness for c in cone_suite(S, connections.pair_arrays(S))}
@@ -448,6 +449,22 @@ def test_cone_tables_are_exact_under_a_faulty_product(G, n_lambda, n_i, fault, b
             assert np.array_equal(table, expected.T if transposed else expected)
 
 
+def test_left_scaled_mul_L_is_mul_L_over_the_opposite_group():
+    # The faulty product broadcasts as kernel.mul_L does: on T_L of S3 with
+    # two objects (72 cones) it is mul_L over M.T for a block of cones
+    # against the batch, the batch against itself row by row, one cone
+    # against the batch and the batch against one cone.
+    G = builtin("symmetric", 3)
+    tl = values, vertices = cones.enumerate_TL(G, 2)
+    block = values[3:8, None], vertices[3:8, None]
+    one = values[5], vertices[5]
+    for c1, c2 in ((block, tl), (tl, tl), (one, tl), (tl, one)):
+        got = scalar_reference.left_scaled_mul_L(G.array, c1, c2)
+        expected = kernel.mul_L(G.array.T, c1, c2)
+        for x, y in zip(got, expected):
+            assert x.shape == y.shape and np.array_equal(x, y)
+
+
 IMAGE_FAULTS = [
     None,
     scalar_reference.misscaled,
@@ -703,8 +720,56 @@ def test_verify_phi_by_rows_matches_the_whole_table(G, n_lambda, n_i, block, dat
         for image in (linked.g, linked.d, linked.gamma[0], linked.gamma[1], *linked.delta):
             image[pairs] = image[pairs[::-1]]
     with mock.patch.object(kernel, "BLOCK", block):
-        report = verify_phi(S, linked)
+        report = verify_phi(linked)
     assert report == scalar_reference.verify_phi_on_the_table(S, linked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_phi_fails_its_law_exactly_where_a_principal_check_fails(G, n_lambda, n_i, data):
+    # phi is a homomorphism exactly when its two components, the principal
+    # maps, are.  With entries of the U tables corrupted and perhaps the
+    # images of two elements traded, each principal check fails exactly
+    # where its component's loop does, and, unless the pairs are not
+    # closed, phi's report holds an f(a*b) clause exactly when one of them
+    # fails, naming the earlier of their (a, b); a failed closure is phi's
+    # report too, and only a failed homomorphism reaches it.
+    entries = [
+        [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
+    ]
+    S = ReesSemigroup(SandwichMatrix(G, entries))
+    linked = connections.pair_arrays(S)
+    for _ in range(data.draw(st.integers(0, 2))):
+        table = data.draw(st.sampled_from([linked.u_gamma.table, linked.u_delta.table]))
+        table.flat[data.draw(st.integers(0, table.size - 1))] = data.draw(
+            st.integers(-1, len(table) - 1)
+        )
+    if data.draw(st.booleans()):
+        pairs = [data.draw(st.integers(0, S.size - 1)) for _ in range(2)]
+        for image in (linked.g, linked.d, linked.gamma[0], linked.gamma[1], *linked.delta):
+            image[pairs] = image[pairs[::-1]]
+    T = S.to_generic()
+    firsts = [
+        scalar_reference.homomorphism_witness_loops(m.tolist(), T, u.table.tolist())
+        for m, u in ((linked.g, linked.u_gamma), (linked.d, linked.u_delta))
+    ]
+    checks = {c.name: c for c in cone_suite(S, linked)}
+    for name, first in zip(("cones.principal_homomorphism", "cones.dual_antihomomorphism"), firsts):
+        expected = None if first is None else ", ".join(str(S.element(k)) for k in first)
+        assert checks[name].witness == expected
+    closure, phi = verify_phi(linked)
+    failed = [first for first in firsts if first is not None]
+    if closure is not None:
+        assert phi == closure and failed
+        return
+    clause = re.match(r"f\((\d+)\*(\d+)\) = ", phi or "")
+    assert (clause is not None) == bool(failed)
+    assert clause is None or (int(clause[1]), int(clause[2])) == min(failed)
 
 
 @pytest.mark.parametrize("block", [1, 7, kernel.BLOCK])
@@ -728,7 +793,7 @@ def test_pairs_not_closed_give_the_loops_closure_witness(group, entries, block):
     S = ReesSemigroup(SandwichMatrix(group, entries))
     with scalar_reference.missing_pair():
         with mock.patch.object(kernel, "BLOCK", block):
-            report = verify_phi(S, connections.pair_arrays(S))
+            report = verify_phi(connections.pair_arrays(S))
         reference = scalar_reference.verify_phi(S)
     closure, phi = report
     assert phi == closure and closure.startswith("product of ")

@@ -336,7 +336,7 @@ def test_verify_map_into_product_tables_validates_its_pairs(s1):
     T = s1.to_generic()
     target = ProductTables(T.table, np.zeros((1, 1), dtype=np.int16))
     g, d = np.arange(T.size), np.zeros(T.size, dtype=np.intp)
-    assert verify_map((g, d), T, target) == (None, None)
+    assert verify_map((g, d), T, target) == (None, None, None, None)
     with pytest.raises(IndexOutOfRange, match="^map has 7 entries, expected 8$"):
         verify_map((g[:-1], d[:-1]), T, target)
     d[3] = 1
@@ -350,7 +350,8 @@ def test_verify_map_closure_is_not_the_first_homomorphism_failure():
     T1 = GenericSemigroup([[0, 1], [1, 0]])
     first = np.array([[1, 0, 0], [0, 2, 0], [0, 0, 0]])
     target = ProductTables(first, np.zeros((1, 1), dtype=np.int16))
-    closure, witness = verify_map(([0, 1], [0, 0]), T1, target)
+    first, second, closure, witness = verify_map(([0, 1], [0, 0]), T1, target)
+    assert (first, second) == ((0, 0), None)
     assert closure == (1, 1)
     assert witness == "f(0*0) = 0 but f(0)*f(0) = 1"
 
@@ -484,13 +485,40 @@ def test_verify_map_into_product_tables_matches_the_loops(table, data, block):
         holed = data.draw(st.sampled_from([first, second]))
         holed.flat[data.draw(st.integers(0, holed.size - 1))] = -1
     with mock.patch.object(kernel, "BLOCK", block):
-        closure, witness = verify_map((g, d), T1, ProductTables(first, second))
+        *_, closure, witness = verify_map((g, d), T1, ProductTables(first, second))
     target = _ListedPairs(first, second, g, d)
     f = [target.number[pair] for pair in target.pairs]
     assert witness == scalar_reference.verify_map_loops(f, T1, target)
     outside = ((a, b) for a in range(n) for b in range(n) if target.mul(f[a], f[b]) == -1)
     assert closure == next(outside, None)
     assert witness is None or "np." not in witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(closed_tables(), st.data(), BLOCKS, st.sampled_from([np.int16, np.int32]))
+def test_homomorphism_witness_matches_the_loops(table, data, block, dtype):
+    # One component map m from T1 into a table t, both tables int16 or
+    # int32 and T1 associative or not: m a relabelling of T1 onto its
+    # conjugate, or random into another table, perhaps with -1 holes in t
+    # (no product) and -1 entries in m (no element of t).  The first
+    # failing (a, b) is that of the loops, whatever the blocks of rows.
+    T1 = GenericSemigroup(np.array(table, dtype=dtype))
+    n = T1.size
+    if data.draw(st.booleans()):
+        m = list(data.draw(st.permutations(range(n))))
+        t = np.array(_conjugate(table, m), dtype=dtype)
+    else:
+        t = np.array(data.draw(closed_tables()), dtype=dtype)
+        m = data.draw(st.lists(st.integers(0, len(t) - 1), min_size=n, max_size=n))
+    m = np.array(m, dtype=data.draw(st.sampled_from([np.int32, np.intp])))
+    for _ in range(data.draw(st.integers(0, 2))):
+        t.flat[data.draw(st.integers(0, t.size - 1))] = -1
+    for _ in range(data.draw(st.integers(0, 2))):
+        m[data.draw(st.integers(0, n - 1))] = -1
+    with mock.patch.object(kernel, "BLOCK", block):
+        first = oracle.homomorphism_witness(m, T1, t)
+    assert first == scalar_reference.homomorphism_witness_loops(m.tolist(), T1, t.tolist())
+    assert first is None or all(type(x) is int for x in first)
 
 
 @settings(max_examples=200, deadline=None)

@@ -66,12 +66,18 @@ def test_run_verification_large_battery_has_the_generic_2048_rung():
     assert battery["Z2 32x32 generic"] == rung
 
 
-def test_run_verification_large_battery_ends_with_the_generic_4096_rung():
+def test_run_verification_large_battery_ends_with_the_generic_4096_and_s4_rungs():
     # bench.py's generic 4096 rung, on which each U set holds all 4096
-    # cones, so phi reads U tables of full size: the largest, run last
+    # cones, so phi reads U tables of full size, and after it the largest,
+    # run last: bench.py's generic matrix over S4, 16x16, 6,144 elements
+    # over a non-abelian group
     script, bench = _load_script("run_verification"), _load_script("bench")
     rung = dict(bench.rungs(include_large=True))["Z4 32x32 generic"]
-    assert script.large_fixtures()[-1] == ("Z4 32x32 generic", rung)
+    s4 = bench.generic_matrix(builtin("symmetric", 4), 16)
+    assert script.large_fixtures()[-2:] == [("Z4 32x32 generic", rung), ("S4 16x16 generic", s4)]
+    G = s4.group
+    assert G.order * s4.rows * s4.cols == 6144
+    assert any(G.mul(a, b) != G.mul(b, a) for a in G.elements() for b in G.elements())
 
 
 def test_run_verification_runs_rbg_on_the_identity_fixtures():

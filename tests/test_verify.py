@@ -1261,6 +1261,37 @@ def test_suites_gather_the_pair_table_from_the_u_tables(s1, monkeypatch):
         assert calls == {"mul_L": rows + 2, "linkage_table": 1}
 
 
+def test_suites_read_each_u_table_once_for_the_principal_checks_and_phi(s1, monkeypatch):
+    # The two principal checks are phi's components, each judged by one
+    # oracle pass that serves both suites, so full_suite gathers from
+    # U-Gamma's and U-Delta's tables once each (one block on S1).  rbg_suite
+    # on the identity matrix of S1's shape gathers from each twice: once
+    # for the product formula's halves and once in phi's pass.
+    built, gathered = [], Counter()
+    pair_arrays = connections.pair_arrays
+
+    def recording(S):
+        built.append(pair_arrays(S))
+        return built[-1]
+
+    def gather(table, *args, _original=kernel.gather, **kwargs):
+        for name in ("u_gamma", "u_delta"):
+            gathered[name] += any(table is getattr(linked, name).table for linked in built)
+        return _original(table, *args, **kwargs)
+
+    monkeypatch.setattr(connections, "pair_arrays", recording)
+    monkeypatch.setattr(kernel, "gather", gather)
+    for suite, S, reads in (
+        (full_suite, ReesSemigroup(s1.matrix), 1),
+        (_rbg_suite, ReesSemigroup(identity_matrix(s1.group, 2, 2)), 2),
+    ):
+        built.clear()
+        gathered.clear()
+        _assert_clean(suite(S))
+        assert len(built) == 1
+        assert gathered == {"u_gamma": reads, "u_delta": reads}
+
+
 def test_rees_suite_builds_each_principal_ideal_once_for_green(s1, monkeypatch):
     # The ideal rows of S's table, left and right, are built once: all four
     # Green partitions come from them, and rees.principal_left_ideal reads
@@ -1368,7 +1399,7 @@ def test_phi_isomorphism_on_random_matrices(order, n_lambda, n_i, data):
         [data.draw(st.integers(0, order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
     S = ReesSemigroup(SandwichMatrix(G, entries))
-    assert verify_phi(S, connections.pair_arrays(S)) == (None, None)
+    assert verify_phi(connections.pair_arrays(S)) == (None, None)
 
 
 def _crossconn_checks(S):
