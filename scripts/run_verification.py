@@ -5,7 +5,10 @@ Covers the named small fixtures, a batch of seeded random sandwich
 matrices, and with --include-large a 512-element fixture over Z2, a
 480-element M[S5; 2, 2] with a generic matrix (no two columns differ by a
 constant factor, nor two rows, so all 480 cones of U-Gamma and of U-Delta
-are distinct, over a non-abelian group), the 2048-element M[Z2; 32, 32]
+are distinct, over a non-abelian group) and with the identity matrix,
+where rbg_suite runs over a non-abelian group at a size that spans many
+blocks of rows, so that a left/right swap in its delta half would show,
+the 2048-element M[Z2; 32, 32]
 with the identity matrix and with bench.py's generic matrix (first row
 and first column the identity, the rest from random.Random(7)), and the
 4096-element M[Z4; 32, 32] with each of the two: with the generic one
@@ -69,7 +72,7 @@ def fixture_battery(seed: int, include_large: bool):
 
 
 def large_fixtures() -> list:
-    """The fixtures --include-large adds, smallest first but for the 480-element one."""
+    """The fixtures --include-large adds, smallest first but for the 480-element ones."""
     z2, z4 = builtin("cyclic", 2), builtin("cyclic", 4)
     s4, s5 = builtin("symmetric", 4), builtin("symmetric", 5)
     e, x = s5.identity, next(g for g in s5.elements() if g != s5.identity)
@@ -77,6 +80,7 @@ def large_fixtures() -> list:
     return [
         ("Z2 16x16 (|S|=512)", SandwichMatrix(z2, entries)),
         ("S5 2x2 generic", SandwichMatrix(s5, [[e, e], [e, x]])),
+        ("S5 2x2 identity", identity_matrix(s5, 2, 2)),
         ("Z2 32x32 identity", identity_matrix(z2, 32, 32)),
         ("Z2 32x32 generic", generic_matrix(z2, 32)),
         ("Z4 32x32 identity", identity_matrix(z4, 32, 32)),

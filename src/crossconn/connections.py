@@ -17,6 +17,8 @@ once, as a view); and the linked pair of the element (g, i, lam) is
 element's image under phi, its pair of principal cones.  So pair k is phi
 of element k, by one formula, and no second list of phi's images is formed:
 its positions in U-Gamma and U-Delta are phi's components (`PairArrays`).
+A product of two pairs is a pair of positions in the U tables, which only
+phi's pass reads; `verify.rbg_suite` states its closed form on the U cones.
 
 The dual side is never written out: a row of P is a column of P^T, a
 right coset over G is a left coset over G^op, so every dual set and map
@@ -148,9 +150,10 @@ class PairArrays:
     U-Delta (-1 where a half is absent): the positions of each element's
     principal cones.  `complete` says whether every half lies in its U
     set, so that no -1 is in `g` or `d`, decided once.  No table of the
-    pairs is held: a product of two pairs is componentwise, a pair of
-    positions in the U tables, which `product_halves` reads.  S, whose
-    table `witnesses` reads, is kept as `semigroup`."""
+    pairs is held: a product of two pairs p and q is componentwise, the
+    pair of positions (GT[g[p], g[q]], DT[d[p], d[q]]) in the U tables,
+    which phi's pass (`witnesses`) alone reads at the pairs' positions.
+    S, whose table `witnesses` reads, is kept as `semigroup`."""
 
     def __init__(self, S: ReesSemigroup, gamma: Cones, delta: Cones, ug: UCones, ud: UCones):
         self.semigroup, self.u_gamma, self.u_delta = S, ug, ud
@@ -160,18 +163,6 @@ class PairArrays:
 
     def pair(self, p: int) -> LinkedPair:
         return LinkedPair(as_cone(self.gamma, p), as_cone(self.delta, p))
-
-    def product_halves(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """The positions in U-Gamma and U-Delta of the halves of the product of
-        each pair p of the rows (a slice or an index array) with every pair
-        q, gamma_p gamma_q and delta_q delta_p, read off the two tables as
-        (rows, pairs) arrays: -1 where a half is outside its set.  With every
-        half in its set the gathers write no -1 masks."""
-        g, d, holes = self.g, self.d, not self.complete
-        return (
-            kernel.gather(self.u_gamma.table, g[rows], g, holes),
-            kernel.gather(self.u_delta.table, d[rows], d, holes),
-        )
 
     @cached_property
     def witnesses(self) -> tuple[tuple | None, tuple | None, str | None, str | None]:

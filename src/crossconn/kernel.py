@@ -83,12 +83,13 @@ tables GT and DT; the rest is O(n).  Pair k is phi of element k, its
 pair of principal cones, so g[k] and d[k], the positions of pair k's
 halves in U-Gamma and U-Delta, are also those of element k's principal
 cones.  The product of two pairs is componentwise, the pair of positions
-(GT[g[p], g[q]], DT[d[p], d[q]]), DT being held transposed
-(`PairArrays.product_halves`), so no table of the pairs is built: phi
-is judged by its components g and d, one pass over each U table that
-serves the principal checks too, and the map check reads each pair as
-one key (`oracle.ProductTables`).  Every scan of the pairs or of the
-principal cones in a suite reads these arrays, which each suite and
+(GT[g[p], g[q]], DT[d[p], d[q]]), DT being held transposed, so no
+table of the pairs is built: phi is judged by its components g and d,
+one pass over each U table that serves the principal checks too, and
+the map check reads each pair as one key (`oracle.ProductTables`).
+That pass alone reads the U tables at g and d; `verify.rbg_suite`
+gathers there bool tables of the U cones.  Every scan of the pairs or of
+the principal cones in a suite reads these arrays, which each suite and
 `connections.verify_phi` takes from its caller.  Witnesses and reports
 turn cones of a batch into `Cone`s of Python ints (`connections.as_cones`).
 
@@ -234,7 +235,7 @@ def gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, holes: bool = 
     fancy gather; the -1 rows and columns read the table's last ones, and
     are overwritten.  A scan that has found no -1 among its rows and
     columns, once for all its blocks, passes holes=False, and no mask is
-    formed or written."""
+    formed or written.  In a bool table the -1 rows and columns read True."""
     out = np.take(table[rows], cols, axis=1)
     if holes:
         out[rows < 0] = -1

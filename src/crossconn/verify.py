@@ -64,8 +64,8 @@ array pass too, so no suite makes a scalar group product.
 pairs, U-Gamma, U-Delta, their tables (U-Delta's transposed) and the
 positions of the pairs' halves in U-Gamma and U-Delta, all read off
 `SandwichMatrix.scaled`.  It holds no table of the pairs: the product
-of two pairs is the pair of positions that the U tables give
-(`PairArrays.product_halves`).  `cone_suite`,
+of two pairs is the pair of positions that the U tables give, read
+there by phi's pass alone.  `cone_suite`,
 `crossconn_suite`, `rbg_suite` and `connections.verify_phi` take it as a
 required argument and never build it: `full_suite` builds it after
 `rees_suite` and `category_suite`, and the CLI's `crossconn` and `rbg`
@@ -80,8 +80,8 @@ scans read the rest:
 the criterion and `rbg.linked_iff_equal_scalars` read one linkage table
 of U-Gamma x U-Delta (`_linkage`, `kernel.linkage_table`), gathered
 from the factors of each tuple class through the columns and rows of P,
-and `rbg.product_formula` reads each product's halves off the U tables
-and compares them as integers, each U cone's constant value and vertex.
+and the `rbg` scans judge each claim on bool tables of the U cones
+(`_formula_failures`), gathered at the pairs' positions.
 
 Every set of cones a suite checks becomes its table once, through
 `kernel.cone_product_table` on the tuple classes of the set (T_L,
@@ -273,8 +273,10 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
         image_ok = connections.is_regular_set(renumber[GT[np.ix_(hit, hit)]])
     checks.append(Check("cones.principal_image_subsemigroup", image_ok))
 
+    # distinct principal cones, in or out of U-Gamma (return_index keeps numpy.ma out)
     holds = cones.injectivity_criterion(S.matrix) is None
-    injective = len(hit) == S.size
+    _, first = np.unique(kernel.row_keys(*linked.gamma), return_index=True)
+    injective = len(first) == S.size
     witness = None if holds == injective else f"criterion {holds}, map injective {injective}"
     checks.append(verdict("cones.injectivity_equivalence", witness))
     return checks
@@ -546,55 +548,54 @@ def full_suite(S: ReesSemigroup) -> list[Check]:
     return checks + cone_suite(S, linked) + crossconn_suite(S, linked)
 
 
-def _constant_values(cones) -> tuple[np.ndarray, np.ndarray]:
-    """Each cone's constant value, -1 where its tuple is not constant, and its vertex."""
-    values, vertices = cones
-    return np.where((values == values[:, :1]).all(axis=1), values[:, 0], -1), vertices
+def _formula_failures(M: np.ndarray, u: connections.UCones, row_vertex: bool) -> np.ndarray:
+    """Where U's table sends members x and y to no constant cone of the scalar
+    M[first[x], first[y]], first being each member's first value, at y's
+    vertex (x's with row_vertex): a product outside U, or one whose tuple is
+    not that constant or whose vertex is another.  An (|U|, |U|) bool table,
+    built in blocks of rows with no |U|^2 integer array beside it."""
+    values, vertices = u.classes.members
+    first = values[:, 0]
+    scalar = np.where((values == values[:, :1]).all(axis=1), first, -1)
+    bad = np.empty(u.table.shape, dtype=bool)
+    for rows in kernel.blocks(*u.table.shape):
+        at = u.table[rows]
+        vertex = vertices[rows, None] if row_vertex else vertices
+        bad[rows] = (at < 0) | (vertices[at] != vertex)
+        bad[rows] |= scalar[at] != M[first[rows, None], first]
+    return bad
 
 
 def rbg_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     """The constant-identity connection of S: product formula and isomorphism checks.
     `linked` is `connections.pair_arrays(S)`.
 
-    A row is one pair p against all pairs q, with g1, g2 the first values of
-    p.gamma and q.gamma (or q.delta): the U-Gamma and U-Delta cones at
-    `PairArrays.product_halves`, in blocks of rows, against
-    ((g1 g2,)*|Lambda|, q.gamma.vertex),
-    ((g1 g2,)*|I|, p.delta.vertex), a product outside U-Gamma or U-Delta
-    failing.  Each U cone is compared as two integers, its constant value
-    (-1 if its tuple is not constant) and its vertex.  The other scan is
-    the linkage table of U-Gamma x U-Delta at the pairs' halves
-    against g1 == g2, a half outside U-Gamma or U-Delta failing.  The halves
-    are read from the U sets, not from the pair table, so that a product
-    which is no listed pair still has its formula checked.
+    Each claim is judged once per pair of U cones, on bool tables of U-Gamma
+    and U-Delta alone, which one `kernel.gather` maps to each pair p against
+    all pairs q at the positions `g` and `d`, in blocks of rows: the member
+    at g[p] is p's own gamma half, as `kernel.ConeClasses.find` confirms
+    each match.  The halves of p q are held against constant cones of the
+    products of p's and q's first values (`_formula_failures`), the linkage
+    table against equal first values.  A half outside its U set, position
+    -1, reads True in the gather and fails.
     """
-    checks = []
     G = S.group
-    checks.append(Check("rbg.identity_matrix", bool((S.matrix.array == G.identity).all())))
+    checks = [Check("rbg.identity_matrix", bool((S.matrix.array == G.identity).all()))]
 
-    gamma, delta = linked.gamma, linked.delta
-    M, linkage = G.array, _linkage(S, linked)
-    (gamma_scalar, gamma_vertex), (delta_scalar, delta_vertex) = (
-        _constant_values(u.classes.members) for u in (linked.u_gamma, linked.u_delta)
-    )
+    ug, ud = linked.u_gamma, linked.u_delta
+    fg = _formula_failures(G.array, ug, row_vertex=False)
+    fd = _formula_failures(G.array, ud, row_vertex=True)  # DT is held transposed
+    first_gamma, first_delta = (u.classes.members[0][:, 0] for u in (ug, ud))
+    unlinked = _linkage(S, linked) != (first_gamma[:, None] == first_delta)
+    g, d, holes, n = linked.g, linked.d, not linked.complete, len(linked.g)
 
     def formula_rows(rows: slice) -> np.ndarray:
-        at_gamma, at_delta = linked.product_halves(rows)
-        g = M[gamma[0][rows, :1], gamma[0][:, 0]]
-        bad = (gamma_scalar[at_gamma] != g) | (gamma_vertex[at_gamma] != gamma[1])
-        bad |= (delta_scalar[at_delta] != g) | (delta_vertex[at_delta] != delta[1][rows, None])
-        return bad | (at_gamma < 0) | (at_delta < 0)
+        return kernel.gather(fg, g[rows], g, holes) | kernel.gather(fd, d[rows], d, holes)
 
-    def linked_rows(rows: slice) -> np.ndarray:
-        # a half outside its U set, position -1, fails rather than wrap to the last row
-        g = linked.g[rows, None]
-        got = linkage[g, linked.d] != (gamma[0][rows, :1] == delta[0][:, 0])
-        return got if linked.complete else got | (g < 0) | (linked.d < 0)
-
-    bad = kernel.first_block_failure(len(linked.g), len(linked.g), formula_rows)
+    bad = kernel.first_block_failure(n, n, formula_rows)
     witness = None if bad is None else f"{linked.pair(bad[0])} o {linked.pair(bad[1])}"
     checks.append(verdict("rbg.product_formula", witness))
-    bad = kernel.first_block_failure(len(linked.g), len(linked.g), linked_rows)
+    bad = kernel.first_block_failure(n, n, lambda rows: kernel.gather(unlinked, g[rows], d, holes))
     witness = None if bad is None else f"{linked.pair(bad[0]).gamma} vs {linked.pair(bad[1]).delta}"
     checks.append(verdict("rbg.linked_iff_equal_scalars", witness))
 

@@ -858,14 +858,17 @@ def verify_phi(S: ReesSemigroup) -> tuple[str | None, str | None]:
 
 
 def pair_table_from_halves(linked: connections.PairArrays) -> np.ndarray:
-    """The pairs' whole product table, read off `PairArrays.product_halves`
-    of every row at once: entry (p, q) is the last pair whose positions in
-    U-Gamma and U-Delta are those of the halves of p*q, by a dict lookup,
-    or -1 where there is none.  `verify_phi` never holds this table."""
-    number = {
-        pair: k for k, pair in enumerate(zip(linked.g.tolist(), linked.d.tolist())) if min(pair) >= 0
-    }
-    gamma, delta = (half.tolist() for half in linked.product_halves(slice(None)))
+    """The pairs' whole product table, read off the U tables at the pairs'
+    positions, every row at once (-1 where a half is outside its set):
+    entry (p, q) is the last pair whose positions in U-Gamma and U-Delta
+    are those of the halves of p*q, by a dict lookup, or -1 where there is
+    none.  `verify_phi` never holds this table."""
+    g, d, holes = linked.g, linked.d, not linked.complete
+    number = {pair: k for k, pair in enumerate(zip(g.tolist(), d.tolist())) if min(pair) >= 0}
+    gamma, delta = (
+        kernel.gather(u.table, m, m, holes).tolist()
+        for u, m in ((linked.u_gamma, g), (linked.u_delta, d))
+    )
     rows = [[number.get(pair, -1) for pair in zip(*row)] for row in zip(gamma, delta)]
     return np.array(rows, dtype=kernel.index_dtype(len(rows)))
 
@@ -1003,7 +1006,9 @@ def duality_witness(P: SandwichMatrix) -> str | None:
 
 def rbg_checks(S: ReesSemigroup) -> list[Check]:
     """The checks of `verify.rbg_suite`, one scalar `s_tilde_mul` or
-    `is_linked` call per pair of linked pairs, and `verify_phi` above."""
+    `is_linked` call per pair of linked pairs, and `verify_phi` above.  The
+    product's gamma half is held against the product of the gamma halves'
+    first values, and its delta half against that of the delta halves'."""
     group, n_i, n_lambda = S.group, S.n_i, S.n_lambda
     P = S.matrix
     ok = all(v == group.identity for r in P.array.tolist() for v in r)
@@ -1015,9 +1020,10 @@ def rbg_checks(S: ReesSemigroup) -> list[Check]:
         for p2 in pairs:
             got = s_tilde_mul(P, p1, p2)
             g = group.mul(p1.gamma.values[0], p2.gamma.values[0])
+            h = group.mul(p1.delta.values[0], p2.delta.values[0])
             expected = LinkedPair(
                 Cone((g,) * n_lambda, p2.gamma.vertex),
-                Cone((g,) * n_i, p1.delta.vertex),
+                Cone((h,) * n_i, p1.delta.vertex),
             )
             if got != expected:
                 witness = f"{p1} o {p2}"
@@ -1282,7 +1288,7 @@ def reversed_delta_product():
     wrong order, p.delta * q.delta: in a non-abelian group, or with |I| > 1,
     products of pairs change.  The array pairs hold U-Delta's table
     untransposed, so that every product of two pairs, `verify_phi`'s and
-    `PairArrays.product_halves`' alike, reads its delta half reversed."""
+    `verify.rbg_suite`'s alike, reads its delta half reversed."""
 
     def scalar(P, p1, p2):
         G = P.group

@@ -580,6 +580,36 @@ def test_rbg_arrays_match_the_loops(G, n_lambda, n_i, identity, fault, data):
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=["Z2", "Z3", "S3", "S3-relabelled"])
+def test_each_pair_of_an_identity_matrix_carries_one_scalar(G):
+    # rbg.product_formula holds the delta half of p*q against the product of
+    # the delta halves' first values, the gamma half against the gamma
+    # halves'.  On a constant-identity matrix these are one claim: the
+    # first value of each pair's gamma half is that of its delta half.
+    for n_lambda, n_i in product(range(1, 4), repeat=2):
+        linked = connections.pair_arrays(ReesSemigroup(identity_matrix(G, n_lambda, n_i)))
+        gamma, delta = (u.classes.members[0][:, 0] for u in (linked.u_gamma, linked.u_delta))
+        assert linked.complete
+        assert (gamma[linked.g] == delta[linked.d]).all()
+
+
+def test_rbg_product_formula_states_the_delta_half_by_its_own_scalars():
+    # M[S3; 1, 1; [[c]]] with c != e is a group, (g1, c, g2) -> g1 c g2: not
+    # the identity matrix, but every product of pairs is constant, and its
+    # delta half is (g1 c)(g2 c), the product of the delta halves' scalars.
+    # Stated by the gamma halves' scalars, (c g1)(c g2), it failed.
+    G = builtin("symmetric", 3)
+    for c in range(G.order):
+        if c == G.identity:
+            continue
+        S = ReesSemigroup(SandwichMatrix(G, [[c]]))
+        checks = verify.rbg_suite(S, connections.pair_arrays(S))
+        named = {check.name: check for check in checks}
+        assert named["rbg.identity_matrix"].passed is False
+        assert named["rbg.product_formula"].passed is True
+        assert checks == scalar_reference.rbg_checks(S)
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=["Z2", "Z3", "S3", "S3-relabelled"])
 @pytest.mark.parametrize("side", ["L", "R"])
 def test_cone_table_matches_the_dict_lookup(G, side):
     # T_L up to about 100 cones, on both sides (the right side is the left

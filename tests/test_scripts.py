@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import scalar_reference
 
-from crossconn import SandwichMatrix, builtin, oracle, pair_arrays
+from crossconn import SandwichMatrix, builtin, identity_matrix, oracle, pair_arrays
 from crossconn.verify import full_suite, rbg_suite
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -82,12 +82,18 @@ def test_run_verification_large_battery_ends_with_the_generic_4096_and_s4_rungs(
 
 def test_run_verification_runs_rbg_on_the_identity_fixtures():
     # rbg_suite joins full_suite exactly on the constant-identity matrices,
-    # the 2048-element M[Z2; 32, 32] and the 4096-element M[Z4; 32, 32] of
-    # the large battery among them
+    # the 480-element M[S5; 2, 2], right after the generic one, the
+    # 2048-element M[Z2; 32, 32] and the 4096-element M[Z4; 32, 32] of the
+    # large battery among them: S5 is non-abelian, so a left/right swap in
+    # rbg's delta half shows there
     script = _load_script("run_verification")
     battery = script.fixture_battery(7, include_large=True)
     with_rbg = {name for name, matrix in battery if rbg_suite in script.suites(matrix)}
     assert {"klein identity 2x2", "Z2 32x32 identity", "Z4 32x32 identity"} <= with_rbg
+    names = [name for name, _ in script.large_fixtures()]
+    assert names[names.index("S5 2x2 generic") + 1] == "S5 2x2 identity"
+    s5 = dict(battery)["S5 2x2 identity"]
+    assert s5 == identity_matrix(builtin("symmetric", 5), 2, 2)
     large = dict(battery)["Z4 32x32 identity"]
     assert large.group.order * large.rows * large.cols == 4096
     for name, matrix in battery:

@@ -1028,6 +1028,26 @@ def test_flipped_criterion_fails_injectivity_equivalence(s1, monkeypatch):
     assert check.witness == "criterion False, map injective True"
 
 
+def test_injectivity_equivalence_counts_distinct_principal_cones(s1):
+    # Negative control for the count: U-Gamma without the principal cones
+    # of elements 0 and 1, so that both sit at position -1.  The principal
+    # map of s1 is injective, and its 8 principal cones are still distinct;
+    # counting positions took the two -1s for one cone.
+    S = ReesSemigroup(s1.matrix)
+    linked = connections.pair_arrays(S)
+    values, vertices = linked.u_gamma.classes.members
+    keep = np.ones(len(vertices), dtype=bool)
+    keep[linked.g[:2]] = False
+    classes = kernel.ConeClasses((values[keep], vertices[keep]))
+    G = S.group
+    ug = connections.UCones(classes, kernel.cone_product_table(G.array, G.inverse, classes))
+    short = connections.PairArrays(S, linked.gamma, linked.delta, ug, linked.u_delta)
+    assert short.g[:2].tolist() == [-1, -1] and (short.g[2:] >= 0).all()
+    assert cones.injectivity_criterion(S.matrix) is None
+    check = {c.name: c for c in cone_suite(S, short)}["cones.injectivity_equivalence"]
+    assert check.passed is True
+
+
 def test_left_scaled_column_fails_matrix_roundtrip(monkeypatch):
     # Negative control: the connection functor sends object 1 to its coset
     # tuple (e, x), x a 3-cycle, scaled on the left by a transposition h.
@@ -1265,8 +1285,9 @@ def test_suites_read_each_u_table_once_for_the_principal_checks_and_phi(s1, monk
     # The two principal checks are phi's components, each judged by one
     # oracle pass that serves both suites, so full_suite gathers from
     # U-Gamma's and U-Delta's tables once each (one block on S1).  rbg_suite
-    # on the identity matrix of S1's shape gathers from each twice: once
-    # for the product formula's halves and once in phi's pass.
+    # on the identity matrix of S1's shape gathers from each once too, in
+    # phi's pass: its product formula reads each U table's |U|^2 entries
+    # once, by rows, and gathers only the small tables built from them.
     built, gathered = [], Counter()
     pair_arrays = connections.pair_arrays
 
@@ -1283,7 +1304,7 @@ def test_suites_read_each_u_table_once_for_the_principal_checks_and_phi(s1, monk
     monkeypatch.setattr(kernel, "gather", gather)
     for suite, S, reads in (
         (full_suite, ReesSemigroup(s1.matrix), 1),
-        (_rbg_suite, ReesSemigroup(identity_matrix(s1.group, 2, 2)), 2),
+        (_rbg_suite, ReesSemigroup(identity_matrix(s1.group, 2, 2)), 1),
     ):
         built.clear()
         gathered.clear()
