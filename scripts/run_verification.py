@@ -22,8 +22,10 @@ peak RSS so far, read after its suite: the large fixtures run after the
 small ones, the largest last, so that the CI step logs memory.  A
 fixture whose matrix is the constant identity is
 also checked by rbg_suite, the rectangular band of groups, given the
-pairs of connections.pair_arrays, whose build its time includes.  Exits
-nonzero if any check fails.
+pairs of connections.pair_arrays, whose build its time includes.  Every
+fixture is also checked by tr_suite: T_R(S), the right cone semigroup,
+which is T_L over the opposite group with |I| objects (`verify.tl_suite`),
+under the same budget as T_L.  Exits nonzero if any check fails.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from bench import generic_matrix  # this file's directory is on sys.path when it
 from crossconn import ReesSemigroup, SandwichMatrix, builtin, identity_matrix
 from crossconn.checks import failures
 from crossconn.connections import pair_arrays
-from crossconn.verify import full_suite, rbg_suite
+from crossconn.verify import full_suite, rbg_suite, tl_suite
 
 
 def random_matrix(group, n_lambda, n_i, rng):
@@ -89,10 +91,16 @@ def large_fixtures() -> list:
     ]
 
 
+def tr_suite(S: ReesSemigroup) -> list:
+    """The six checks of T_R(S): T_L over G^op with |I| objects."""
+    return tl_suite(S.group.opposite, S.n_i)
+
+
 def suites(matrix: SandwichMatrix) -> list:
-    """full_suite, and rbg_suite too where the matrix is the constant identity."""
+    """full_suite and tr_suite, and rbg_suite too where the matrix is the
+    constant identity."""
     identity = bool((matrix.array == matrix.group.identity).all())
-    return [full_suite, rbg_suite] if identity else [full_suite]
+    return [full_suite, tr_suite, rbg_suite] if identity else [full_suite, tr_suite]
 
 
 def main() -> int:
@@ -108,7 +116,7 @@ def main() -> int:
         S = ReesSemigroup(matrix, size_guard=matrix.group.order * matrix.rows * matrix.cols)
         for suite in suites(matrix):
             start = time.perf_counter()
-            checks = suite(S) if suite is full_suite else suite(S, pair_arrays(S))
+            checks = suite(S, pair_arrays(S)) if suite is rbg_suite else suite(S)
             elapsed = time.perf_counter() - start
             bad = failures(checks)
             skipped = sum(1 for c in checks if c.passed is None)

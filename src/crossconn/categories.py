@@ -202,7 +202,7 @@ def realize_category(S: ReesSemigroup, side: str = "left") -> list[str]:
     leaves = np.empty(len(s), dtype=bool)
     maps, members, union = (np.empty(n_homs, dtype=np.intp) for _ in range(3))
     for block in kernel.blocks(n_homs, 2 * order * width):
-        homs = np.arange(n_homs)[block]
+        homs = np.arange(block.start, block.stop)
         rows = slice(starts[homs[0]], starts[homs[-1] + 1])
         leaves[rows], maps[block], members[block], union[block] = realize(homs, rows)
     disagree = (union != maps) | (union != members)

@@ -270,7 +270,7 @@ def _functor_witness(cat, im: Images) -> str | None:
     C = cat.group.array
 
     def bad_rows(rows: slice) -> np.ndarray:
-        o1, o2 = np.divmod(np.arange(n * n)[rows], n)
+        o1, o2 = np.divmod(np.arange(rows.start, rows.stop), n)
         h1, dom1, cod1 = (x[o1, o2][:, None, :, None] for x in (im.h, im.dom, im.cod))
         h2, dom2, cod2 = (x[o2][:, :, None, :] for x in (im.h, im.dom, im.cod))
         h, dom, cod = (np.take(x[o1], C, axis=2) for x in (im.h, im.dom, im.cod))
@@ -301,7 +301,7 @@ def _induced_maps(im: Images) -> np.ndarray:
     n, M = len(im.objects), im.M
     maps = np.empty(n * n, dtype=np.intp)
     for rows in kernel.blocks(n * n, len(M) * im.objects.shape[1]):
-        i1, i2 = np.divmod(np.arange(n * n)[rows], n)
+        i1, i2 = np.divmod(np.arange(rows.start, rows.stop), n)
         # axes [hom-set, g, coordinate]
         o = im.objects[i1][:, None, :]
         inside = (M[im.canonical[im.dom[i1, i2]], o[..., :1]] == o).all(axis=2)

@@ -19,6 +19,15 @@ axes, so a block of cones with an axis of length one against a batch is
 every pair of them: `mul_L` multiplies them so, and the abstract
 categories compose a `Morphism` of arrays the same way.
 
+Integers.  An array that only indexes is native np.intp, which numpy
+indexes with, so no gather casts it: the group and matrix arrays, a cone
+table's flat offsets, `ConeClasses.pos` and the classes `find_tuples`
+returns, and through them the pairs' positions and the keys of
+`oracle.ProductTables`.  An array stored at table size or compared as
+bytes stays narrow: the tables in `index_dtype`, the keys in KEY_DTYPE
+and the int32 factors of `factors`, whose gathered blocks are
+table-sized.
+
 Blocks.  A scan takes a block of first factors a and forms a*b for every
 b in one numpy step.  `blocks` gives the slices of rows, of about BLOCK
 entries of the scan's largest temporary each, so beyond one (n, n) table
@@ -26,7 +35,9 @@ a scan never holds an (n, n, k) array, and a table gathered from smaller
 tables is filled without an (n, n) temporary beside it; a batch of
 scalings is formed in blocks of the same size, and
 `categories.realize_category` takes a block of hom-sets per step, S^op's
-products read through S's one table.
+products read through S's one table.  The slices are exact, none past
+the last row, so a scan decodes its rows as np.arange(rows.start,
+rows.stop), at the cost of its own rows alone.
 `first_block_failure` is the one loop over blocks: it names the first failing
 (a, b) in row order, as a scan one pair at a time would.  The table
 oracle's scans, the closure witness `first_hole` and the suites' block
@@ -258,7 +269,7 @@ class ConeClasses:
         )
         self.tuples = values[first]
         self._keys = keys
-        self.pos = np.full((len(keys) + 1, values.shape[1]), -1, dtype=np.int32)
+        self.pos = np.full((len(keys) + 1, values.shape[1]), -1, dtype=np.intp)
         self.pos[self.tid, self.vertices] = np.arange(len(self.vertices))
 
     def __len__(self) -> int:
@@ -269,7 +280,7 @@ class ConeClasses:
         its key searched among the sorted keys, and confirmed by equality."""
         keys = row_keys(values)
         at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        return np.where(self._keys[at] == keys, at, -1).astype(np.int32)
+        return np.where(self._keys[at] == keys, at, -1)
 
     def find(self, cones) -> np.ndarray:
         """The position of each cone of the batch among the members, or -1."""
@@ -311,17 +322,11 @@ def same_factor(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return (f1 >= 0) & (f1 == f2)
 
 
-def flat_index_dtype(size: int) -> np.dtype:
-    """The format of flat indices into an array of size entries: int32
-    wherever they fit, the fastest for `np.take`."""
-    return np.dtype(np.int32 if size < 1 << 31 else np.intp)
-
-
 def blocks(n_rows: int, row_size: int):
     """Slices of consecutive rows, of row_size entries each, about BLOCK entries
-    to a slice."""
+    to a slice, that cover range(n_rows) exactly."""
     step = max(1, BLOCK // max(1, row_size))
-    return (slice(start, start + step) for start in range(0, n_rows, step))
+    return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
 
 
 def linkage_table(
@@ -394,9 +399,9 @@ def cone_product_table(
     a*b is a's tuple scaled by s, b's value at a's vertex, with b's vertex,
     so with scale[t, s] the class of T[t]*s the table is
     pos[scale[tid[a], s], vertex[b]], read as two flat takes in blocks of
-    rows, at int32 indices wherever they fit.  scale is one `mul_L` batch
-    per block of classes (one for a small set), each (T[t], s) times the
-    cone (0, 1, ..., |G|-1), whose value at s is s.
+    rows.  scale is one `mul_L` batch per block of classes (one for a
+    small set), each (T[t], s) times the cone (0, 1, ..., |G|-1), whose
+    value at s is s.
 
     The products are found by coset.  A tuple v spans the left coset v*G,
     whose `canonical` representative is c = v*v[0]^-1, and v = c*v[0]: a
@@ -412,9 +417,9 @@ def cone_product_table(
     """
     (values, vertices), order, tuples = classes.members, len(M), classes.tuples
     cosets, coset = np.unique(row_keys(canonical(M, inverse, tuples)), return_inverse=True)
-    by_coset = np.full((len(cosets), order), -1, dtype=np.int32)
+    by_coset = np.full((len(cosets), order), -1, dtype=np.intp)
     by_coset[coset, tuples[:, 0]] = np.arange(len(tuples))
-    scale = np.empty((len(tuples), order), dtype=np.int32)
+    scale = np.empty((len(tuples), order), dtype=np.intp)
     for rows in blocks(len(tuples), order * tuples.shape[1]):
         part = tuples[rows]
         scalings = np.repeat(part, order, axis=0), np.tile(np.arange(order), len(part))
@@ -426,24 +431,17 @@ def cone_product_table(
         scale[rows] = found.reshape(len(part), order)
 
     n, k = len(vertices), tuples.shape[1]
-    at_scale, at_pos = flat_index_dtype(scale.size), flat_index_dtype(classes.pos.size)
     scale, pos = scale.ravel(), classes.pos.ravel()
-    start = classes.tid.astype(at_scale) * order  # row of tid[a] in the flat scale
-    vertex = vertices.astype(at_pos)
+    start = classes.tid * order  # row of tid[a] in the flat scale
     # at[b, v] (at[v, b] untransposed): member b's value at object v
-    at = values.astype(at_scale) if transposed else values.T.astype(at_scale, order="C")
+    at = values if transposed else np.ascontiguousarray(values.T)
     table = np.empty((n, n), dtype=index_dtype(n))
     for rows in blocks(n, n):
         if transposed:  # row b: every member a times b, b's value at a's vertex
-            found = np.take(at[rows], vertices, axis=1)
-            found += start
-            vertex_b = vertex[rows, None]
+            found = np.take(at[rows], vertices, axis=1) + start
+            vertex = vertices[rows, None]
         else:  # row a: a times every member b, b's value at a's vertex
-            found = np.take(at, vertices[rows], axis=0)
-            found += start[rows, None]
-            vertex_b = vertex
-        found = np.take(scale, found).astype(at_pos, copy=False)
-        found *= k
-        found += vertex_b
-        table[rows] = np.take(pos, found)
+            found = np.take(at, vertices[rows], axis=0) + start[rows, None]
+            vertex = vertices
+        table[rows] = pos[scale[found] * k + vertex]
     return table

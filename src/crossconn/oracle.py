@@ -243,7 +243,7 @@ def ideal_rows(table) -> tuple[np.ndarray, np.ndarray]:
     for lines in (t.T, t):
         packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
         for rows in kernel.blocks(n, n):
-            x = np.arange(n)[rows]
+            x = np.arange(rows.start, rows.stop)
             hit = np.zeros((len(x), n), dtype=bool)
             # the flat positions of row k of the block start at k*n
             starts = np.arange(0, hit.size, n)
@@ -314,7 +314,7 @@ def is_regular(T: GenericSemigroup) -> bool:
     t, flat = T.table, T.table.ravel()
 
     def irregular(rows: slice) -> np.ndarray:
-        x = np.arange(T.size)[rows, None]
+        x = np.arange(rows.start, rows.stop)[:, None]
         # t[t[x, y], x], read from the flat table: 1-d takes are the fastest gathers
         return ~(np.take(flat, t[rows] * np.intp(T.size) + x) == x).any(axis=1, keepdims=True)
 
@@ -358,13 +358,9 @@ class ProductTables(NamedTuple):
     second: np.ndarray
 
     def keys(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The key x*(l+1) + y of each pair of index arrays x and y, in
-        `kernel.flat_index_dtype`; a -1 half keeps it off every element's."""
-        stride = len(self.second) + 1
-        out = x.astype(kernel.flat_index_dtype(len(self.first) * stride))
-        out *= stride
-        out += y
-        return out
+        """The key x*(l+1) + y of each pair of index arrays x and y; a -1 half
+        keeps it off every element's."""
+        return x.astype(np.intp) * (len(self.second) + 1) + y
 
 
 def verify_map(f, T1: GenericSemigroup, T2: ProductTables) -> tuple[tuple | str | None, ...]:

@@ -40,7 +40,7 @@ checks run `ArrowCategory`'s own methods once on all the morphisms of
 each category, a `Morphism` of arrays.
 The cone scans run the same way, over T_L as one batch
 (`cones.enumerate_TL`), which `cone_suite` checks in one place
-(`_tl_outcomes`): `category.cone_product_agreement` and
+(`tl_suite`): `category.cone_product_agreement` and
 `cones.semidirect_law` share one pass of a block of cones of T_L against
 all of T_L per step, one `kernel.mul_L` per block held against both
 `ArrowCategory.compose` on arrays and the action `cones.act`;
@@ -248,7 +248,7 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     """`linked` is `connections.pair_arrays(S)`: pair a is phi(a), so the
     principal cones of a are the cones of U-Gamma and U-Delta at `linked.g[a]`
     and `linked.d[a]`, and every principal check reads their tables."""
-    checks = _tl_outcomes(S.group, S.n_lambda)
+    checks = tl_suite(S.group, S.n_lambda)
 
     # rho(a) rho(b) against rho(ab), lam(b) lam(a) against lam(ab): phi's components
     for name, bad in zip(
@@ -282,8 +282,10 @@ def cone_suite(S: ReesSemigroup, linked: connections.PairArrays) -> list[Check]:
     return checks
 
 
-def _tl_outcomes(G, n_l: int) -> list[Check]:
-    """The six T_L checks, `cone_suite`'s first, each under `_guarded` on its
+def tl_suite(G, n_l: int) -> list[Check]:
+    """The six checks of T_L over G with n_l objects, `cone_suite`'s first,
+    which depend on G and n_l alone: T_R(S), the right cone semigroup, is
+    tl_suite(G.opposite, |I|).  Each runs under `_guarded` on its
     own cost, read off T_L as one batch (`cones.enumerate_TL`) of
     n_c = |G|^|Lambda| |Lambda| cones and n_c |Lambda| entries.  Each scan
     is charged its mask and the batch.  One pass decides
@@ -304,7 +306,7 @@ def _tl_outcomes(G, n_l: int) -> list[Check]:
         tuples = built()[0][::n_l]  # each tuple once, in lexicographic order
 
         def unlawful_actions(rows: slice) -> np.ndarray:
-            k, l = (x[:, None] for x in np.divmod(np.arange(n_l * n_l)[rows], n_l))
+            k, l = (x[:, None] for x in np.divmod(np.arange(rows.start, rows.stop), n_l))
             once = cones.act(l, tuples)
             return (cones.act(k, once) != once).any(axis=-1)
 
@@ -452,7 +454,7 @@ def _duality_witness(matrix: SandwichMatrix) -> str | None:
 
     def bad_rows(rows: slice) -> np.ndarray:
         # axes [cell, cone, coordinate]
-        lam, i = (x[:, None] for x in np.divmod(np.arange(n_cells)[rows], n_i))
+        lam, i = (x[:, None] for x in np.divmod(np.arange(rows.start, rows.stop), n_i))
         cell, dual = kernel.pick(cells, rows), kernel.pick(duals, rows)
         images, ok = kernel.chi(M, inverse, P.T[i], P[cell[1]], cell[0])
         image = images, np.broadcast_to(i, ok.shape)

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -528,13 +529,15 @@ def test_induced_maps_are_counted_by_key(z3, h, dom, cod, canonical, objects, ma
     st.sampled_from([("cyclic", 2), ("cyclic", 3), ("symmetric", 3)]),
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=1, max_value=3),
+    st.sampled_from([1, 7, kernel.BLOCK]),
     st.data(),
 )
-def test_induced_maps_match_a_per_member_loop(family, n, k, data):
+def test_induced_maps_match_a_per_member_loop(family, n, k, block, data):
     # Arbitrary images over n objects of k coordinates.  The canonical
     # tuples hold each object's o * o[0]^-1, which an image needs as its
     # domain to be defined on o's coset, beside arbitrary tuples, and ids
-    # may share a tuple; the objects' coordinate 0 is arbitrary.
+    # may share a tuple; the objects' coordinate 0 is arbitrary.  Small
+    # blocks split the hom-sets into several blocks, the last one short.
     G = builtin(*family)
     tuples = st.lists(st.integers(0, G.order - 1), min_size=k, max_size=k)
     objects = np.array(data.draw(st.lists(tuples, min_size=n, max_size=n)))
@@ -548,4 +551,6 @@ def test_induced_maps_match_a_per_member_loop(family, n, k, data):
 
     h, dom, cod = images(G.order), images(len(canonical)), images(len(canonical))
     im = _images(G, h, dom, cod, canonical, objects)
-    assert connections._induced_maps(im).tolist() == _induced_maps_by_member(im)
+    with mock.patch.object(kernel, "BLOCK", block):
+        maps = connections._induced_maps(im).tolist()
+    assert maps == _induced_maps_by_member(im)

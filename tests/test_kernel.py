@@ -482,19 +482,24 @@ IMAGE_FAULTS = [
     st.sampled_from(["gamma_apply", "delta_apply"]),
     st.sampled_from(IMAGE_FAULTS),
     st.booleans(),
+    st.sampled_from([1, 7, kernel.BLOCK]),
     st.data(),
 )
-def test_crossconnection_arrays_match_the_loops(G, n_lambda, n_i, functor, fault, unscaled, data):
+def test_crossconnection_arrays_match_the_loops(
+    G, n_lambda, n_i, functor, fault, unscaled, block, data
+):
     # The functor laws, fully_faithful, ideal_restriction and the linked
     # criterion report the same verdicts and first witnesses as the loops,
-    # on sound functors and linkage tests and on faulty ones.
+    # on sound functors and linkage tests and on faulty ones, whatever the
+    # blocks of hom-sets.
     entries = [
         [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
     S = ReesSemigroup(SandwichMatrix(G, entries))
     P = S.matrix
     with scalar_reference.faulty_images(functor, fault) if fault else contextlib.nullcontext():
-        got = connections.verify_crossconnection(P)
+        with mock.patch.object(kernel, "BLOCK", block):
+            got = connections.verify_crossconnection(P)
         expected = scalar_reference.crossconnection_checks(P)
     assert got[: len(expected)] == expected
 
@@ -511,13 +516,14 @@ def test_crossconnection_arrays_match_the_loops(G, n_lambda, n_i, functor, fault
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=1, max_value=3),
     st.sampled_from([None, "compose", "opposite", "stray"]),
+    st.sampled_from([1, 7, kernel.BLOCK]),
     st.data(),
 )
-def test_cone_product_and_naturality_match_the_loops(G, n_lambda, n_i, fault, data):
+def test_cone_product_and_naturality_match_the_loops(G, n_lambda, n_i, fault, block, data):
     # The scans of category.cone_product_agreement, crossconn.naturality and
     # crossconn.duality_bijection give the same first witnesses as the
     # loops, on sound input, under a reversed composition, a rescaled row of
-    # P^T and a cone off its cell.
+    # P^T and a cone off its cell, whatever the blocks of cells.
     entries = [
         [data.draw(st.integers(0, G.order - 1)) for _ in range(n_i)] for _ in range(n_lambda)
     ]
@@ -533,10 +539,12 @@ def test_cone_product_and_naturality_match_the_loops(G, n_lambda, n_i, fault, da
     }[fault]
     with context():
         assert verify._naturality_witness(P) == scalar_reference.naturality_witness(P)
-        assert verify._duality_witness(P) == scalar_reference.duality_witness(P)
+        with mock.patch.object(kernel, "BLOCK", block):
+            duality = verify._duality_witness(P)
+        assert duality == scalar_reference.duality_witness(P)
         # S3 with three rows has 648 cones: 419,904 scalar products, about 7 s
         if G.order**n_lambda * n_lambda <= 100:
-            tl = {c.name: c.witness for c in verify._tl_outcomes(G, n_lambda)}
+            tl = {c.name: c.witness for c in verify.tl_suite(G, n_lambda)}
             assert tl["category.cone_product_agreement"] == scalar_reference.cone_product_witness(
                 G, n_lambda
             )
@@ -644,7 +652,8 @@ def test_tl_and_category_checks_match_the_loops(G):
     # groupoid checks against their scalar loops, up to 100 cones, where the
     # loops stay quick.  There the costliest scan, 100 cones against a
     # 300-entry batch, is far within verify.BUDGET, so no check is skipped:
-    # a skipped one would differ from its loop's.
+    # a skipped one would differ from its loop's.  The T_L checks are also
+    # run in small blocks, the last one short.
     for n_lambda in (1, 2, 3):
         if (G.order**n_lambda) * n_lambda > 100:
             break
@@ -652,7 +661,12 @@ def test_tl_and_category_checks_match_the_loops(G):
         checks = cone_suite(S, connections.pair_arrays(S))
         names = ("cones.action_law", "cones.semidirect_law", "cones.tl_green_agreement")
         names += ("cones.idempotent_closed_form",)
-        assert [c for c in checks if c.name in names] == scalar_reference.tl_checks(G, n_lambda)
+        expected = scalar_reference.tl_checks(G, n_lambda)
+        assert [c for c in checks if c.name in names] == expected
+        for block in (1, 7):
+            with mock.patch.object(kernel, "BLOCK", block):
+                in_blocks = verify.tl_suite(G, n_lambda)
+            assert [c for c in in_blocks if c.name in names] == expected
         by_name = {c.name: c.witness for c in checks + verify.category_suite(S)}
         assert by_name["category.cone_product_agreement"] == scalar_reference.cone_product_witness(
             G, n_lambda
@@ -828,6 +842,22 @@ def test_pairs_not_closed_give_the_loops_closure_witness(group, entries, block):
     closure, phi = report
     assert phi == closure and closure.startswith("product of ")
     assert report == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=3000),
+    st.sampled_from([1, 7, kernel.BLOCK]),
+)
+def test_blocks_are_exact_consecutive_slices(n_rows, row_size, block):
+    # The slices follow one another from row 0 and cover range(n_rows)
+    # exactly: none is empty or runs past the last row, so a scan decodes
+    # its rows as np.arange(rows.start, rows.stop).
+    with mock.patch.object(kernel, "BLOCK", block):
+        slices = list(kernel.blocks(n_rows, row_size))
+    assert [x for rows in slices for x in range(rows.start, rows.stop)] == list(range(n_rows))
+    assert all(rows.start < rows.stop <= n_rows and rows.step is None for rows in slices)
 
 
 def test_index_dtype_boundary():

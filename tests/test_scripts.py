@@ -9,7 +9,15 @@ from unittest import mock
 import numpy as np
 import scalar_reference
 
-from crossconn import SandwichMatrix, builtin, identity_matrix, oracle, pair_arrays
+from crossconn import (
+    ReesSemigroup,
+    SandwichMatrix,
+    builtin,
+    identity_matrix,
+    kernel,
+    oracle,
+    pair_arrays,
+)
 from crossconn.verify import full_suite, rbg_suite
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -25,18 +33,6 @@ def test_run_verification_script():
     assert result.returncode == 0, result.stdout + result.stderr
     lines = [ln for ln in result.stdout.splitlines() if ln.strip()]
     assert lines and all(ln.startswith("PASS") for ln in lines)
-
-
-def test_z2_matrix_sweep_script():
-    result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "z2_matrix_sweep.py")],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "agree everywhere" in result.stdout
-    assert result.stdout.count("MISMATCH") == 0
 
 
 def _load_script(name: str):
@@ -85,7 +81,8 @@ def test_run_verification_runs_rbg_on_the_identity_fixtures():
     # the 480-element M[S5; 2, 2], right after the generic one, the
     # 2048-element M[Z2; 32, 32] and the 4096-element M[Z4; 32, 32] of the
     # large battery among them: S5 is non-abelian, so a left/right swap in
-    # rbg's delta half shows there
+    # rbg's delta half shows there.  Every fixture runs full_suite first and
+    # T_R's tr_suite second.
     script = _load_script("run_verification")
     battery = script.fixture_battery(7, include_large=True)
     with_rbg = {name for name, matrix in battery if rbg_suite in script.suites(matrix)}
@@ -100,7 +97,23 @@ def test_run_verification_runs_rbg_on_the_identity_fixtures():
         G = matrix.group
         identity = all(v == G.identity for row in matrix.array.tolist() for v in row)
         assert (name in with_rbg) == identity, name
-        assert script.suites(matrix)[0] is full_suite
+        assert script.suites(matrix)[:2] == [full_suite, script.tr_suite]
+
+
+def test_run_verification_checks_t_r_as_t_l_over_the_opposite_group(monkeypatch):
+    # T_R(S) is T_L over G^op with |I| objects: its six checks run and pass
+    # on S3 2x3, Z3 2x3 and klein 3x2.  mul_L over G, the product on the
+    # wrong side for G^op, fails both of T_R's product checks on S3.
+    script = _load_script("run_verification")
+    s3 = builtin("symmetric", 3)
+    for G, n_lambda, n_i in ((s3, 2, 3), (builtin("cyclic", 3), 2, 3), (builtin("klein"), 3, 2)):
+        S = ReesSemigroup(identity_matrix(G, n_lambda, n_i))
+        checks = script.tr_suite(S)
+        assert len(checks) == 6 and all(c.passed for c in checks), checks
+    monkeypatch.setattr(kernel, "mul_L", scalar_reference.left_scaled_mul_L)
+    by_name = {c.name: c for c in script.tr_suite(ReesSemigroup(identity_matrix(s3, 2, 3)))}
+    assert by_name["category.cone_product_agreement"].passed is False
+    assert by_name["cones.semidirect_law"].passed is False
 
 
 def test_bench_measures_the_smallest_rung():
@@ -166,9 +179,9 @@ def test_bench_pairs_mb_is_the_u_tables_and_little_else():
 
 
 def test_run_verification_prints_the_peak_rss_of_each_large_fixture(monkeypatch, capsys):
-    # With --include-large each line of a large fixture ends with the
-    # process's peak RSS, so that the CI step logs memory; the small
-    # fixtures' lines do not.  A small stand-in keeps the run short.
+    # With --include-large each line of a large fixture, one per suite,
+    # ends with the process's peak RSS, so that the CI step logs memory;
+    # the small fixtures' lines do not.  A small stand-in keeps the run short.
     script = _load_script("run_verification")
     tiny = SandwichMatrix(builtin("cyclic", 2), [[0, 1]])
     monkeypatch.setattr(script, "large_fixtures", lambda: [("tiny large", tiny)])
@@ -176,8 +189,10 @@ def test_run_verification_prints_the_peak_rss_of_each_large_fixture(monkeypatch,
     assert script.main() == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
     large = [ln for ln in lines if "tiny large" in ln]
-    assert len(large) == 1 and all(ln.startswith("PASS") for ln in lines)
-    assert re.search(r", peak RSS \d+\.\d MB$", large[0]), large[0]
+    assert len(large) == 2 and all(ln.startswith("PASS") for ln in lines)
+    assert "full_suite" in large[0] and "tr_suite" in large[1]
+    for line in large:
+        assert re.search(r", peak RSS \d+\.\d MB$", line), line
     assert not any("peak RSS" in ln for ln in lines if ln not in large)
 
 
